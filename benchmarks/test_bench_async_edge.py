@@ -13,11 +13,12 @@ Two gates, both against live sockets:
   connections" with "10x the traffic".
 
 * **Fsync amortization.** The same event volume is ingested twice under
-  ``fsync="always"``: sequentially through the threaded edge (one
-  durable append per event) and concurrently through the async edge's
-  coalescer (batched appends, one fsync per flush). The coalesced run
-  must spend < 0.2x the fsyncs — the whole point of coalescing — while
-  still acking every event with a unique contiguous sequence number.
+  ``fsync="always"`` through identically configured edges:
+  sequentially on one connection (nothing to coalesce with, so one
+  event and one fsync per flush) and concurrently (batched appends,
+  one fsync per flush). The coalesced run must spend < 0.2x the
+  fsyncs — the whole point of coalescing — while still acking every
+  event with a unique contiguous sequence number.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import time
 
 import pytest
 
-from repro.api import Gateway, ServiceBackend, ShoalHttpServer
+from repro.api import Gateway, ServiceBackend
 from repro.api.aio import AsyncShoalServer
 from repro.serving import WorkloadConfig, build_workload
 from repro.streaming import IngestPipe, WriteAheadLog
@@ -172,70 +173,67 @@ def test_bench_coalesced_ingest_amortizes_fsyncs(
 ):
     tmp = tmp_path_factory.mktemp("bench-coalesce")
 
-    # Uncoalesced reference: one durable append (and fsync) per event,
-    # sequentially through the threaded edge.
+    def serve(wal):
+        # The edge owns the pipe/WAL; shutdown closes both.
+        return AsyncShoalServer(
+            Gateway(make_backend()),
+            port=0,
+            ingest_pipe=IngestPipe(wal, max_queue=10 * N_EVENTS),
+            coalesce_max_events=64,
+            coalesce_max_delay_ms=5.0,
+        ).start()
+
+    def post(conn, i):
+        conn.request(
+            "POST", "/v1/ingest",
+            body=json.dumps(_event(i)).encode(),
+            headers={"Content-Type": "application/json"},
+        )
+        resp = conn.getresponse()
+        body = resp.read()
+        assert resp.status == 200
+        return json.loads(body)["last_seq"]
+
+    # Uncoalesced reference: sequential posts on one connection, so
+    # every flush holds one event and pays its own fsync.
     wal_seq = WriteAheadLog(tmp / "wal-seq", fsync="always")
-    threaded = ShoalHttpServer(
-        Gateway(make_backend()),
-        port=0,
-        ingest_pipe=IngestPipe(wal_seq, max_queue=10 * N_EVENTS),
-    ).start()
+    sequential = serve(wal_seq)
     try:
         conn = http.client.HTTPConnection(
-            threaded.host, threaded.port, timeout=30
+            sequential.host, sequential.port, timeout=30
         )
-        for i in range(N_EVENTS):
-            conn.request(
-                "POST", "/v1/ingest",
-                body=json.dumps(_event(i)).encode(),
-                headers={"Content-Type": "application/json"},
-            )
-            resp = conn.getresponse()
-            resp.read()
-            assert resp.status == 200
-        conn.close()
+        try:
+            for i in range(N_EVENTS):
+                post(conn, i)
+        finally:
+            conn.close()
         fsyncs_seq = wal_seq.stats()["fsyncs"]
         assert wal_seq.stats()["appended"] == N_EVENTS
     finally:
-        # The edge owns the pipe/WAL; shutdown closes both.
-        threaded.shutdown()
+        sequential.shutdown()
 
     # Coalesced run: the same volume, concurrent single-event posts.
     wal_co = WriteAheadLog(tmp / "wal-co", fsync="always")
-    asynced = AsyncShoalServer(
-        Gateway(make_backend()),
-        port=0,
-        ingest_pipe=IngestPipe(wal_co, max_queue=10 * N_EVENTS),
-        coalesce_max_events=64,
-        coalesce_max_delay_ms=5.0,
-    ).start()
+    coalesced = serve(wal_co)
     try:
         from concurrent.futures import ThreadPoolExecutor
 
-        def post(i):
+        def post_alone(i):
             conn = http.client.HTTPConnection(
-                asynced.host, asynced.port, timeout=30
+                coalesced.host, coalesced.port, timeout=30
             )
             try:
-                conn.request(
-                    "POST", "/v1/ingest",
-                    body=json.dumps(_event(i)).encode(),
-                    headers={"Content-Type": "application/json"},
-                )
-                resp = conn.getresponse()
-                body = resp.read()
-                assert resp.status == 200
-                return json.loads(body)["last_seq"]
+                return post(conn, i)
             finally:
                 conn.close()
 
         with ThreadPoolExecutor(32) as pool:
-            seqs = sorted(pool.map(post, range(N_EVENTS)))
+            seqs = sorted(pool.map(post_alone, range(N_EVENTS)))
         assert seqs == list(range(1, N_EVENTS + 1))  # durable, no loss
         fsyncs_co = wal_co.stats()["fsyncs"]
         assert wal_co.stats()["appended"] == N_EVENTS
     finally:
-        asynced.shutdown()
+        coalesced.shutdown()
 
     ratio = fsyncs_co / max(fsyncs_seq, 1)
     with capsys.disabled():

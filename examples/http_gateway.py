@@ -9,7 +9,7 @@ the full edge stack:
    :class:`ServiceBackend`;
 2. compose the default middleware stack (metrics + result cache) plus
    a token-bucket rate limit and a per-request deadline;
-3. expose it with :class:`ShoalHttpServer` on an ephemeral port;
+3. expose it with :class:`AsyncShoalServer` on an ephemeral port;
 4. query it three ways — the typed :class:`ShoalClient`, the same
    client pointed at the in-process backend (identical answers,
    enforced), and a raw ``urllib`` POST showing the wire JSON a curl
@@ -25,11 +25,11 @@ import urllib.request
 from repro import ShoalPipeline, generate_marketplace
 from repro.api import (
     ApiError,
+    AsyncShoalServer,
     Gateway,
     SearchRequest,
     ServiceBackend,
     ShoalClient,
-    ShoalHttpServer,
     default_middlewares,
 )
 from repro.data.marketplace import PROFILES
@@ -52,7 +52,7 @@ def main() -> None:
         q.text for q in market.query_log.queries if q.intent_kind == "scenario"
     )
 
-    with ShoalHttpServer(gateway, port=0) as server:
+    with AsyncShoalServer(gateway, port=0) as server:
         print(f"gateway listening on {server.url}\n")
 
         # -- 1. the typed client over HTTP --------------------------------

@@ -26,26 +26,12 @@ Usage::
 
 from __future__ import annotations
 
-import argparse
-import sys
 import time
-from pathlib import Path
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(REPO_ROOT / "src"))
+from _soak import Tally, build_traffic, soak_parser, wait_healthy
 
-from repro.api import (  # noqa: E402
-    AnalyticsRequest,
-    ApiError,
-    SearchRequest,
-    ShoalClient,
-)
-from repro.data.marketplace import PROFILES, generate_marketplace  # noqa: E402
-from repro.serving import WorkloadConfig, build_workload  # noqa: E402
-from repro.serving.replay import build_write_workload  # noqa: E402
+from repro.api import AnalyticsRequest, ApiError, ShoalClient
 
-FATAL_READ_CODES = {"backend_error", "unavailable", "deadline_exceeded"}
-FATAL_WRITE_CODES = {"backend_error", "unavailable", "ingest_unavailable"}
 FATAL_ANALYTICS_CODES = {
     "backend_error",
     "unavailable",
@@ -66,81 +52,29 @@ ANALYTICS_MIX = [
 ]
 
 
-def wait_healthy(client: ShoalClient, timeout_s: float) -> None:
-    deadline = time.monotonic() + timeout_s
-    last: Exception = RuntimeError("never polled")
-    while time.monotonic() < deadline:
-        try:
-            if client.health().get("status") == "ok":
-                return
-            last = RuntimeError(f"unhealthy: {client.health()}")
-        except ApiError as exc:
-            last = exc
-        time.sleep(0.25)
-    raise SystemExit(f"gateway never became healthy: {last}")
-
-
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--url", required=True)
-    parser.add_argument("--profile", default="small")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--duration", type=float, default=60.0)
-    parser.add_argument(
-        "--write-every", type=int, default=4,
-        help="one write per this many reads",
-    )
+    parser = soak_parser(__doc__, settle_what="the tailer to drain")
     parser.add_argument(
         "--analytics-every", type=int, default=25,
         help="one analytics query per this many reads",
     )
-    parser.add_argument(
-        "--settle-timeout", type=float, default=120.0,
-        help="how long to wait post-soak for the tailer to drain",
-    )
     args = parser.parse_args(argv)
 
-    market = generate_marketplace(
-        PROFILES[args.profile].with_seed(args.seed)
-    )
-    reads = build_workload(
-        market.query_log.queries,
-        market.scenarios,
-        WorkloadConfig(n_requests=20_000, profile="bursty", seed=args.seed),
-    )
-    last_day = market.query_log.days()[-1]
-    writes = build_write_workload(
-        market.query_log, 5_000, day=last_day + 1, seed=args.seed
-    )
-
+    _, reads, writes = build_traffic(args)
     client = ShoalClient(args.url, timeout=30.0)
-    wait_healthy(client, timeout_s=60.0)
+    wait_healthy(client)
 
     deadline = time.monotonic() + args.duration
-    n_reads = n_writes = n_shed = n_analytics = 0
-    fatal: list = []
-    last_acked_seq = 0
+    tally = Tally()
+    n_analytics = 0
     i = 0
     while time.monotonic() < deadline:
-        query = reads[i % len(reads)]
-        try:
-            client.search(SearchRequest(query=query, k=5))
-            n_reads += 1
-        except ApiError as exc:
-            if exc.code in FATAL_READ_CODES:
-                fatal.append(("read", exc.code, str(exc)))
-                break
+        if not tally.read(client, reads[i % len(reads)]):
+            break
         if i % args.write_every == 0:
             event = writes[(i // args.write_every) % len(writes)]
-            try:
-                ack = client.ingest(event)
-                last_acked_seq = max(last_acked_seq, ack["last_seq"])
-                n_writes += 1
-            except ApiError as exc:
-                if exc.code in FATAL_WRITE_CODES:
-                    fatal.append(("write", exc.code, str(exc)))
-                    break
-                n_shed += 1
+            if not tally.write(client, event):
+                break
         if i % args.analytics_every == 0:
             request = ANALYTICS_MIX[
                 (i // args.analytics_every) % len(ANALYTICS_MIX)
@@ -150,16 +84,16 @@ def main(argv=None) -> int:
                 n_analytics += 1
             except ApiError as exc:
                 if exc.code in FATAL_ANALYTICS_CODES:
-                    fatal.append(("analytics", exc.code, str(exc)))
+                    tally.fatal.append(("analytics", exc.code, str(exc)))
                     break
         i += 1
 
     print(
-        f"soak done: {n_reads} reads, {n_writes} writes ({n_shed} shed), "
-        f"{n_analytics} analytics queries, last acked seq {last_acked_seq}"
+        f"soak done: {tally.reads} reads, {tally.writes} writes ({tally.shed} shed), "
+        f"{n_analytics} analytics queries, last acked seq {tally.last_acked_seq}"
     )
-    if fatal:
-        print(f"FATAL errors during the soak: {fatal[:5]}")
+    if tally.fatal:
+        print(f"FATAL errors during the soak: {tally.fatal[:5]}")
         return 1
 
     # Post-soak settle: the tailer must fold every acked event.
@@ -168,7 +102,7 @@ def main(argv=None) -> int:
     while time.monotonic() < settle_deadline:
         analytics = client.metrics().analytics or {}
         if (
-            analytics.get("applied_seq", 0) >= last_acked_seq
+            analytics.get("applied_seq", 0) >= tally.last_acked_seq
             and analytics.get("lag", 1) == 0
         ):
             break
@@ -183,10 +117,10 @@ def main(argv=None) -> int:
     )
 
     failures = []
-    if analytics.get("applied_seq", 0) < last_acked_seq:
+    if analytics.get("applied_seq", 0) < tally.last_acked_seq:
         failures.append(
             f"lost events: applied_seq {analytics.get('applied_seq')} < "
-            f"last acked seq {last_acked_seq}"
+            f"last acked seq {tally.last_acked_seq}"
         )
     # WAL seqs are dense (sheds never get one), so exactly-once means
     # the store holds exactly applied_seq events — a loss breaks the
@@ -217,7 +151,7 @@ def main(argv=None) -> int:
             )
     except ApiError as exc:
         failures.append(f"post-soak analytics query failed: {exc}")
-    if n_writes == 0:
+    if tally.writes == 0:
         failures.append("no write was ever admitted")
     if n_analytics == 0:
         failures.append("no analytics query was ever served")

@@ -2,9 +2,9 @@
 """CI soak gate for the asyncio edge.
 
 Drives mixed read+write traffic at a running
-``serve-http --edge async --ingest-wal`` gateway from many concurrent
-keep-alive connections — 10x the connection count the threaded-edge
-soak uses — for a fixed duration, and fails if
+``serve-http --ingest-wal`` gateway from many concurrent keep-alive
+connections — 10x the connection count the streaming soak uses — for
+a fixed duration, and fails if
 
 * any request answers with a 5xx status (``backend_error`` /
   ``unavailable`` / ``ingest_unavailable`` / ``deadline_exceeded``
@@ -30,23 +30,16 @@ Usage::
 
 from __future__ import annotations
 
-import argparse
 import http.client
 import json
-import sys
 import threading
 import time
 import urllib.parse
-from pathlib import Path
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(REPO_ROOT / "src"))
-sys.path.insert(0, str(REPO_ROOT / "scripts"))
+from _soak import build_traffic, soak_parser, wait_healthy
 
-from obs_gates import check_observability  # noqa: E402
-from repro.data.marketplace import PROFILES, generate_marketplace  # noqa: E402
-from repro.serving import WorkloadConfig, build_workload  # noqa: E402
-from repro.serving.replay import build_write_workload  # noqa: E402
+from obs_gates import check_observability
+from repro.api import ShoalClient
 
 NONFATAL_STATUSES = {429}  # backpressure is behaviour, not breakage
 
@@ -64,60 +57,17 @@ def _request(conn, method, path, payload=None):
     return resp.status, json.loads(resp.read().decode() or "{}")
 
 
-def wait_healthy(host, port, timeout_s: float) -> None:
-    deadline = time.monotonic() + timeout_s
-    last = "never polled"
-    while time.monotonic() < deadline:
-        try:
-            conn = http.client.HTTPConnection(host, port, timeout=5)
-            try:
-                status, body = _request(conn, "GET", "/v1/health")
-            finally:
-                conn.close()
-            if status == 200 and body.get("status") == "ok":
-                return
-            last = f"status={status} body={body}"
-        except OSError as exc:
-            last = repr(exc)
-        time.sleep(0.25)
-    raise SystemExit(f"async edge never became healthy: {last}")
-
-
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--url", required=True)
-    parser.add_argument("--profile", default="small")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--duration", type=float, default=60.0)
+    parser = soak_parser(__doc__, settle_what="the updater to drain")
     parser.add_argument(
         "--connections", type=int, default=80,
-        help="concurrent keep-alive connections (10x the threaded soak)",
-    )
-    parser.add_argument(
-        "--write-every", type=int, default=4,
-        help="one write per this many reads, per connection",
-    )
-    parser.add_argument(
-        "--settle-timeout", type=float, default=120.0,
-        help="how long to wait post-soak for the updater to drain",
+        help="concurrent keep-alive connections (10x the streaming soak)",
     )
     args = parser.parse_args(argv)
 
-    market = generate_marketplace(
-        PROFILES[args.profile].with_seed(args.seed)
-    )
-    reads = build_workload(
-        market.query_log.queries,
-        market.scenarios,
-        WorkloadConfig(n_requests=20_000, profile="bursty", seed=args.seed),
-    )
-    last_day = market.query_log.days()[-1]
-    writes = build_write_workload(
-        market.query_log, 5_000, day=last_day + 1, seed=args.seed
-    )
-
+    _, reads, writes = build_traffic(args)
     host, port = _host_port(args.url)
-    wait_healthy(host, port, timeout_s=60.0)
+    wait_healthy(ShoalClient(args.url, timeout=5.0), "async edge")
 
     deadline = time.monotonic() + args.duration
     lock = threading.Lock()

@@ -18,56 +18,35 @@ Usage::
 
 from __future__ import annotations
 
-import argparse
 import sys
 import time
-from pathlib import Path
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(REPO_ROOT / "src"))
+from _soak import gate_parser, wait_healthy
 
-from repro.api import (  # noqa: E402
+from repro.api import (
     ApiError,
     ERROR_CODES,
     SearchRequest,
     ShoalClient,
     open_backend,
 )
-from repro.data.marketplace import PROFILES, generate_marketplace  # noqa: E402
-from repro.serving import WorkloadConfig, build_workload  # noqa: E402
-
-
-def wait_healthy(client: ShoalClient, timeout_s: float) -> None:
-    deadline = time.monotonic() + timeout_s
-    last: Exception = RuntimeError("never polled")
-    while time.monotonic() < deadline:
-        try:
-            health = client.health()
-            if health.get("status") == "ok":
-                return
-            last = RuntimeError(f"unhealthy: {health}")
-        except ApiError as exc:
-            last = exc
-        time.sleep(0.25)
-    raise SystemExit(f"gateway never became healthy: {last}")
+from repro.data.marketplace import PROFILES, generate_marketplace
+from repro.serving import WorkloadConfig, build_workload
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--url", required=True)
+    parser = gate_parser(__doc__)
     parser.add_argument(
         "--snapshot", required=True,
         help="the snapshot directory the server was started from",
     )
-    parser.add_argument("--profile", default="small")
-    parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--requests", type=int, default=200)
     parser.add_argument("--k", type=int, default=5)
     parser.add_argument("--startup-timeout", type=float, default=60.0)
     args = parser.parse_args(argv)
 
     remote = ShoalClient(args.url, timeout=30.0)
-    wait_healthy(remote, args.startup_timeout)
+    wait_healthy(remote, timeout_s=args.startup_timeout)
     local = open_backend(f"snapshot:{args.snapshot}")
 
     market = generate_marketplace(PROFILES[args.profile].with_seed(args.seed))

@@ -32,83 +32,31 @@ Usage::
 
 from __future__ import annotations
 
-import argparse
 import json
-import sys
 import time
-from pathlib import Path
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(REPO_ROOT / "src"))
-sys.path.insert(0, str(REPO_ROOT / "scripts"))
+from _soak import Tally, build_traffic, soak_parser, wait_healthy
 
-from obs_gates import check_observability  # noqa: E402
-from repro.api import (  # noqa: E402
-    ApiError,
-    RecommendRequest,
-    SearchRequest,
-    ShoalClient,
-)
-from repro.data.marketplace import PROFILES, generate_marketplace  # noqa: E402
-from repro.serving import WorkloadConfig, build_workload  # noqa: E402
-from repro.serving.replay import build_write_workload  # noqa: E402
-
-FATAL_READ_CODES = {"backend_error", "unavailable", "deadline_exceeded"}
-FATAL_WRITE_CODES = {"backend_error", "unavailable", "ingest_unavailable"}
-
-
-def wait_healthy(client: ShoalClient, who: str, timeout_s: float) -> None:
-    deadline = time.monotonic() + timeout_s
-    last: Exception = RuntimeError("never polled")
-    while time.monotonic() < deadline:
-        try:
-            if client.health().get("status") == "ok":
-                return
-            last = RuntimeError(f"unhealthy: {client.health()}")
-        except ApiError as exc:
-            last = exc
-        time.sleep(0.25)
-    raise SystemExit(f"{who} never became healthy: {last}")
+from obs_gates import check_observability
+from repro.api import RecommendRequest, SearchRequest, ShoalClient
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--url", required=True, help="primary gateway URL")
+    parser = soak_parser(
+        __doc__, settle_what="the fleet to converge", settle_timeout=180.0
+    )
     parser.add_argument(
         "--followers", required=True,
         help="comma-separated follower gateway URLs",
-    )
-    parser.add_argument("--profile", default="small")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--duration", type=float, default=60.0)
-    parser.add_argument(
-        "--write-every", type=int, default=4,
-        help="one write per this many reads",
     )
     parser.add_argument("--min-epochs", type=int, default=1)
     parser.add_argument(
         "--sample", type=int, default=50,
         help="distinct queries for the byte-identity check",
     )
-    parser.add_argument(
-        "--settle-timeout", type=float, default=180.0,
-        help="how long to wait post-soak for the fleet to converge",
-    )
     args = parser.parse_args(argv)
 
-    market = generate_marketplace(
-        PROFILES[args.profile].with_seed(args.seed)
-    )
-    reads = build_workload(
-        market.query_log.queries,
-        market.scenarios,
-        WorkloadConfig(n_requests=20_000, profile="bursty", seed=args.seed),
-    )
-    last_day = market.query_log.days()[-1]
-    writes = build_write_workload(
-        market.query_log, 5_000, day=last_day + 1, seed=args.seed
-    )
-
+    market, reads, writes = build_traffic(args)
     primary = ShoalClient(args.url, timeout=30.0)
     followers = [
         (url, ShoalClient(url, timeout=30.0))
@@ -117,7 +65,7 @@ def main(argv=None) -> int:
     ]
     if not followers:
         raise SystemExit("--followers named no follower URLs")
-    wait_healthy(primary, "primary", timeout_s=60.0)
+    wait_healthy(primary, "primary")
     for url, client in followers:
         wait_healthy(client, f"follower {url}", timeout_s=120.0)
 
@@ -126,40 +74,25 @@ def main(argv=None) -> int:
         (f"follower {url}", c) for url, c in followers
     ]
     deadline = time.monotonic() + args.duration
-    n_reads = n_writes = n_shed = 0
-    fatal: list = []
-    last_acked_seq = 0
+    tally = Tally()
     i = 0
     while time.monotonic() < deadline:
         who, client = fleet[i % len(fleet)]
-        query = reads[i % len(reads)]
-        try:
-            client.search(SearchRequest(query=query, k=5))
-            n_reads += 1
-        except ApiError as exc:
-            if exc.code in FATAL_READ_CODES:
-                fatal.append((who, exc.code, str(exc)))
-                break
+        if not tally.read(client, reads[i % len(reads)], who):
+            break
         if i % args.write_every == 0:
             event = writes[(i // args.write_every) % len(writes)]
-            try:
-                ack = primary.ingest(event)
-                last_acked_seq = max(last_acked_seq, ack["last_seq"])
-                n_writes += 1
-            except ApiError as exc:
-                if exc.code in FATAL_WRITE_CODES:
-                    fatal.append(("primary write", exc.code, str(exc)))
-                    break
-                n_shed += 1
+            if not tally.write(primary, event, "primary write"):
+                break
         i += 1
 
     print(
-        f"soak done: {n_reads} reads across {len(fleet)} processes, "
-        f"{n_writes} writes ({n_shed} shed), last acked seq "
-        f"{last_acked_seq}"
+        f"soak done: {tally.reads} reads across {len(fleet)} processes, "
+        f"{tally.writes} writes ({tally.shed} shed), last acked seq "
+        f"{tally.last_acked_seq}"
     )
-    if fatal:
-        print(f"FATAL errors during the soak: {fatal[:5]}")
+    if tally.fatal:
+        print(f"FATAL errors during the soak: {tally.fatal[:5]}")
         return 1
 
     # -- settle: primary drains, followers converge ----------------------
@@ -173,7 +106,7 @@ def main(argv=None) -> int:
         for url, client in followers:
             follower_repl[url] = (client.metrics().replication) or {}
         if (
-            updater.get("applied_seq", 0) >= last_acked_seq
+            updater.get("applied_seq", 0) >= tally.last_acked_seq
             and target_generation >= 1
             and all(
                 r.get("serving_generation") == target_generation
@@ -201,10 +134,10 @@ def main(argv=None) -> int:
         )
 
     failures = []
-    if updater.get("applied_seq", 0) < last_acked_seq:
+    if updater.get("applied_seq", 0) < tally.last_acked_seq:
         failures.append(
             f"lost events: applied_seq {updater.get('applied_seq')} < "
-            f"last acked seq {last_acked_seq}"
+            f"last acked seq {tally.last_acked_seq}"
         )
     if target_generation < 1:
         failures.append("primary never produced a generation")
@@ -232,7 +165,7 @@ def main(argv=None) -> int:
                 f"{url} ended unhealthy/divergent: "
                 f"{repl.get('last_error', 'no error recorded')}"
             )
-    if n_writes == 0:
+    if tally.writes == 0:
         failures.append("no write was ever admitted")
     failures.extend(check_observability(args.url, who="primary"))
     for url, _client in followers:

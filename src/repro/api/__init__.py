@@ -16,13 +16,13 @@ a concrete read tier. The pieces:
   :class:`Gateway`;
 * :mod:`repro.api.context` — :class:`RequestContext` /
   :class:`CancelToken`: the per-request deadline + cancellation +
-  identity object every edge mints and every layer below polls;
-* :mod:`repro.api.http` — :class:`ShoalHttpServer` (stdlib JSON edge),
-  :class:`GatewayCore` (the transport-neutral dispatch both edges
-  share), and :class:`ShoalClient` (same typed contract in-process or
-  remote);
-* :mod:`repro.api.aio` — :class:`AsyncShoalServer`, the asyncio edge
-  with deadline cancellation, hedging, and ingest coalescing;
+  identity object the edge mints and every layer below polls;
+* :mod:`repro.api.http` — :class:`GatewayCore` (the transport-neutral
+  dispatch behind the edge) and :class:`ShoalClient` (same typed
+  contract in-process or remote);
+* :mod:`repro.api.aio` — :class:`AsyncShoalServer`, the HTTP edge: one
+  asyncio loop with deadline cancellation, hedging, and ingest
+  coalescing;
 * :mod:`repro.api.cache` — the shared locked LRU every cache tier uses.
 
 Typical use::
@@ -86,8 +86,7 @@ _EXPORTS = {
     "MetricsMiddleware": "repro.api.middleware",
     "Gateway": "repro.api.middleware",
     "default_middlewares": "repro.api.middleware",
-    # http edges
-    "ShoalHttpServer": "repro.api.http",
+    # http edge
     "GatewayCore": "repro.api.http",
     "ShoalClient": "repro.api.http",
     "AsyncShoalServer": "repro.api.aio",
@@ -142,7 +141,6 @@ if TYPE_CHECKING:  # pragma: no cover - static analysis only
     from repro.api.http import (  # noqa: F401
         GatewayCore,
         ShoalClient,
-        ShoalHttpServer,
     )
     from repro.api.middleware import (  # noqa: F401
         CacheMiddleware,

@@ -1,14 +1,13 @@
-"""The asyncio HTTP edge: same contract as the threaded edge, plus
-deadline cancellation, request hedging, and ingest coalescing.
+"""The HTTP edge: one asyncio event loop, with deadline cancellation,
+request hedging, and ingest coalescing.
 
-:class:`AsyncShoalServer` serves the exact wire protocol of
-:class:`~repro.api.http.ShoalHttpServer` — same endpoints, same JSON
-codecs, byte-identical bodies — through one ``asyncio`` event loop
-instead of a thread per connection, so it holds thousands of idle
-keep-alive connections at the cost of a socket each. All routing and
-dispatch is delegated to the shared :class:`~repro.api.http.GatewayCore`,
-so the two edges cannot drift apart in behaviour; what this module adds
-is everything a blocking edge cannot do:
+:class:`AsyncShoalServer` serves the :mod:`repro.api.http` wire
+protocol — the contract's JSON codecs, bodies byte-identical to the
+in-process gateway — from one ``asyncio`` event loop, so it holds
+thousands of idle keep-alive connections at the cost of a socket each.
+All routing and dispatch is delegated to
+:class:`~repro.api.http.GatewayCore`; what this module adds is the I/O
+and everything that needs a non-blocking edge:
 
 * **Deadline cancellation** — every read request gets a
   :class:`~repro.api.context.RequestContext` armed with its
@@ -37,9 +36,6 @@ is everything a blocking edge cannot do:
   are the ``ingest_overloaded`` / ``ingest_unavailable`` backpressure
   codes, including the partial-batch "resubmit only the rest"
   accounting when admission splits a coalesced batch.
-
-The threaded edge remains available behind ``serve-http --edge thread``
-for one release; this edge is the default successor.
 """
 
 from __future__ import annotations
@@ -109,7 +105,7 @@ class _EdgeError(Exception):
 
 
 class _EdgeStats:
-    """The async edge's own counters, exposed as ``/v1/metrics``'s
+    """The edge's own counters, exposed as ``/v1/metrics``'s
     ``edge`` section. Mutated only on the event-loop thread; read from
     executor threads (single int loads, safe under the GIL)."""
 
@@ -289,10 +285,11 @@ class _IngestCoalescer:
 class AsyncShoalServer:
     """Serve a backend over HTTP from one asyncio event loop.
 
-    Drop-in peer of :class:`~repro.api.http.ShoalHttpServer` (same
-    constructor surface, ``.host`` / ``.port`` / ``.url``, ``start()``
-    / ``serve_forever()`` / ``shutdown()``, context-manager protocol)
-    with the async-only behaviours described in the module docstring.
+    ``port=0`` binds an ephemeral port (read it back from ``.port`` /
+    ``.url``) — the pattern tests and examples use. :meth:`start` runs
+    the loop on a daemon thread; :meth:`serve_forever` blocks (the CLI
+    path). Both are shut down by :meth:`shutdown`, which also closes
+    the wrapped backend.
 
     ``hedge_after_ms``: ``None`` derives the hedge delay from the
     edge's observed p95 read latency (no hedging until enough samples);
@@ -364,7 +361,7 @@ class AsyncShoalServer:
         self._bound: Optional[Tuple[str, int]] = None
         self._closed = False
 
-    # -- public surface (mirrors ShoalHttpServer) ----------------------------
+    # -- public surface ------------------------------------------------------
 
     @property
     def backend(self) -> ShoalBackend:
@@ -577,9 +574,9 @@ class AsyncShoalServer:
         force_close = False
         try:
             if method == "GET":
-                # Same hygiene as the threaded edge: an unexpected GET
-                # body is drained (or, when undrainable, the socket is
-                # marked for close) and the request still served.
+                # Keep-alive hygiene: an unexpected GET body is drained
+                # (or, when undrainable, the socket is marked for
+                # close) and the request still served.
                 force_close = await self._drain_body(reader, headers)
                 endpoint = self._endpoint(path)
                 payload = await self._run_blocking(
@@ -618,10 +615,9 @@ class AsyncShoalServer:
     async def _read_body(
         self, reader: asyncio.StreamReader, headers: Dict[str, str]
     ) -> Dict[str, Any]:
-        """Parse the JSON body with the threaded edge's keep-alive
-        hygiene: every failure either consumes the declared bytes or
-        closes the socket, so leftovers are never parsed as the next
-        request line."""
+        """Parse the JSON body with keep-alive hygiene: every failure
+        either consumes the declared bytes or closes the socket, so
+        leftovers are never parsed as the next request line."""
         try:
             length = int(headers.get("content-length", "0"))
         except ValueError:

@@ -372,8 +372,8 @@ def open_backend(
 ) -> ShoalBackend:
     """One front door from a backend URI to a ready adapter.
 
-    Supported schemes: ``snapshot:DIR`` (alias ``local:DIR``) for a
-    single-service model snapshot, ``cluster:DIR`` for a sharded
+    Supported schemes: ``snapshot:DIR`` for a single-service model
+    snapshot, ``cluster:DIR`` for a sharded
     cluster snapshot, ``follower:DIR`` for an embedded replication
     follower tailing a ship feed, ``http://`` / ``https://`` for a
     remote gateway, and a bare directory path whose manifest decides
@@ -388,11 +388,10 @@ def open_backend(
         from repro.api.http import ShoalClient
 
         return ShoalClient(uri, timeout=timeout)
-    for scheme in ("snapshot:", "local:"):
-        if uri.startswith(scheme):
-            return _open_snapshot(
-                scheme, uri[len(scheme):], cache_size=cache_size
-            )
+    if uri.startswith("snapshot:"):
+        return _open_snapshot(
+            uri[len("snapshot:"):], cache_size=cache_size
+        )
     if uri.startswith("cluster:"):
         target = uri[len("cluster:"):]
         if not target:
@@ -426,8 +425,7 @@ def open_backend(
         raise ApiError(
             "invalid_argument",
             f"unknown backend scheme {scheme_match.group(1)!r} in {uri!r}: "
-            "expected snapshot:, local:, cluster:, follower:, http:// or "
-            "https://",
+            "expected snapshot:, cluster:, follower:, http:// or https://",
         )
     path = Path(uri)
     if path.is_dir():
@@ -439,8 +437,8 @@ def open_backend(
     raise ApiError(
         "invalid_argument",
         f"cannot open backend {uri!r}: expected 'snapshot:DIR', "
-        "'local:DIR', 'cluster:DIR', an http(s):// URL, or an existing "
-        "snapshot directory",
+        "'cluster:DIR', an http(s):// URL, or an existing snapshot "
+        "directory",
     )
 
 
@@ -481,13 +479,11 @@ def _open_follower(target: str, *, cache_size: int, n_replicas: int):
         )
 
 
-def _open_snapshot(
-    scheme: str, target: str, *, cache_size: int
-) -> "ServiceBackend":
+def _open_snapshot(target: str, *, cache_size: int) -> "ServiceBackend":
     if not target:
         raise ApiError(
             "invalid_argument",
-            f"{scheme!r} URI is missing its snapshot directory",
+            "'snapshot:' URI is missing its snapshot directory",
         )
     try:
         return ServiceBackend.from_snapshot(target, cache_size=cache_size)

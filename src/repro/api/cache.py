@@ -86,8 +86,6 @@ class LRUCache:
     :meth:`clear`; a positive TTL expires entries by age on access.
     """
 
-    _MISS = MISS  # class-level alias kept for legacy call sites
-
     def __init__(
         self,
         max_size: int,

@@ -92,9 +92,10 @@ _CURRENT: contextvars.ContextVar[Optional["RequestContext"]] = (
 )
 
 
-def current_context() -> Optional["RequestContext"]:
-    """The ambient :class:`RequestContext`, or None outside a request."""
-    return _CURRENT.get()
+#: ``current_context()`` is the ambient :class:`RequestContext`, or None
+#: outside a request. The bound method itself, not a wrapper: every
+#: layer of the read path calls it per request.
+current_context = _CURRENT.get
 
 
 class RequestContext:

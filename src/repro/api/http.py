@@ -1,9 +1,10 @@
-"""The network edge: a stdlib JSON gateway server and its client.
+"""The HTTP contract: transport-neutral dispatch core and typed client.
 
-:class:`ShoalHttpServer` exposes any
+:class:`GatewayCore` is everything about serving a
 :class:`~repro.api.backends.ShoalBackend` (usually a
-:class:`~repro.api.middleware.Gateway`) over HTTP using only
-``http.server`` — no third-party web framework. The wire format is the
+:class:`~repro.api.middleware.Gateway`) over HTTP that is not socket
+handling; the asyncio edge in :mod:`repro.api.aio` owns the sockets and
+delegates every request here. The wire format is the
 :mod:`repro.api.contract` JSON codec, so answers are byte-identical to
 the in-process backend:
 
@@ -33,10 +34,8 @@ the in-process backend:
 Errors are :class:`ApiError` payloads with the contract's stable codes
 and status mapping (400/404/429/504/500).
 
-:class:`GatewayCore` is the transport-neutral half of the edge: route
-names, payload decoding, ingest/analytics/metrics assembly — shared by
-this threaded server and the asyncio edge in :mod:`repro.api.aio`, so
-the two edges cannot drift apart in behaviour. Each edge mints a
+:class:`GatewayCore` holds route names, payload decoding and
+ingest/analytics/metrics assembly. The edge mints a
 :class:`~repro.api.context.RequestContext` per request and dispatches
 under it, which is how deadlines and cancellation reach the layers
 below.
@@ -51,11 +50,9 @@ carry.
 from __future__ import annotations
 
 import json
-import threading
 import urllib.error
 import urllib.parse
 import urllib.request
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Optional, Union
 
 from repro.api.backends import ShoalBackend
@@ -79,12 +76,10 @@ from repro.obs.exposition import (
     CONTENT_TYPE as OPENMETRICS_CONTENT_TYPE,
     render_openmetrics,
 )
-from repro.obs.tracer import traced
 
 __all__ = [
     "GatewayCore",
     "RawResponse",
-    "ShoalHttpServer",
     "ShoalClient",
     "API_PREFIX",
 ]
@@ -120,12 +115,10 @@ class RawResponse:
 class GatewayCore:
     """The transport-neutral heart of the HTTP edge.
 
-    Everything both edges must agree on lives here — endpoint routing,
-    typed dispatch, ingest batch semantics, analytics query parsing,
-    metrics assembly — while each edge keeps only its I/O: socket
-    handling, keep-alive hygiene, and (for the async edge) hedging and
-    coalescing. Answers are therefore byte-identical across edges by
-    construction, not by convention.
+    Endpoint routing, typed dispatch, ingest batch semantics, analytics
+    query parsing and metrics assembly live here; the edge keeps only
+    its I/O: socket handling, keep-alive hygiene, hedging and
+    coalescing.
 
     ``edge_stats`` is an optional zero-argument callable returning the
     serving edge's own counters (hedges, cancellations, coalescer
@@ -412,7 +405,7 @@ def partial_batch_error(
     exc: ApiError, accepted: int, last_seq: int
 ) -> ApiError:
     """Re-raise a mid-batch ingest failure annotated with how much of
-    the batch is already durable (both edges and the in-process client
+    the batch is already durable (the edge and the in-process client
     emit the identical message shape)."""
     if not accepted:
         return exc
@@ -422,253 +415,6 @@ def partial_batch_error(
         f"this batch were admitted, last_seq={last_seq}; "
         "resubmit only the rest)",
     )
-
-
-class _GatewayHandler(BaseHTTPRequestHandler):
-    """Routes /v1/* onto the server's :class:`GatewayCore`; all JSON."""
-
-    server_version = "ShoalHttp/1.0"
-    protocol_version = "HTTP/1.1"
-
-    # Set by ShoalHttpServer on the handler subclass it builds.
-    core: GatewayCore = None  # type: ignore[assignment]
-    quiet: bool = True
-
-    def log_message(self, fmt: str, *args) -> None:  # noqa: A003
-        if not self.quiet:
-            super().log_message(fmt, *args)
-
-    # -- plumbing ------------------------------------------------------------
-
-    def _send(self, status: int, payload) -> None:
-        if isinstance(payload, RawResponse):
-            body, content_type = payload.body, payload.content_type
-        else:
-            body = _json_bytes(payload)
-            content_type = "application/json; charset=utf-8"
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _send_error(self, err: ApiError) -> None:
-        self._send(err.http_status, err.to_dict())
-
-    def _read_body(self) -> Dict[str, Any]:
-        """Parse the JSON request body.
-
-        Every failure path either consumes the declared body or marks
-        the connection for close first: this handler speaks HTTP/1.1
-        keep-alive, and unread body bytes would otherwise be parsed as
-        the *next* request line, desyncing the connection.
-        """
-        try:
-            length = int(self.headers.get("Content-Length", "0"))
-        except ValueError:
-            self.close_connection = True  # cannot know how much to drain
-            raise ApiError("bad_request", "malformed Content-Length header")
-        if length <= 0:
-            raise ApiError("bad_request", "request body is required")
-        if length > MAX_BODY_BYTES:
-            self.close_connection = True  # refuse to drain abuse-sized bodies
-            raise ApiError(
-                "invalid_argument",
-                f"request body of {length} bytes exceeds the "
-                f"{MAX_BODY_BYTES}-byte limit",
-            )
-        raw = self.rfile.read(length)
-        try:
-            payload = json.loads(raw.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise ApiError("bad_request", f"body is not valid JSON: {exc}")
-        if not isinstance(payload, dict):
-            raise ApiError("bad_request", "body must be a JSON object")
-        return payload
-
-    def _endpoint(self) -> str:
-        path = self.path.split("?", 1)[0].rstrip("/")
-        if not path.startswith(API_PREFIX + "/"):
-            raise ApiError("not_found", f"no such path: {self.path}")
-        return path[len(API_PREFIX) + 1:]
-
-    # -- verbs ---------------------------------------------------------------
-
-    def do_POST(self) -> None:  # noqa: N802
-        try:
-            # Consume the body BEFORE routing: a 404 (or any error sent
-            # with the body still unread) would leave those bytes to be
-            # misparsed as the next request on this keep-alive
-            # connection. _read_body marks the connection for close on
-            # the paths where draining is impossible.
-            try:
-                payload = self._read_body()
-            except ApiError as body_error:
-                self._endpoint()  # prefer not_found for unknown paths
-                raise body_error
-            endpoint = self._endpoint()
-            if endpoint == "ingest":
-                self._send(200, self.core.handle_ingest(payload))
-                return
-            request = self.core.decode_post(endpoint, payload)
-            # The edge mints the RequestContext: the deadline the
-            # middleware arms and the token the layers below poll. A
-            # synchronous edge cannot preempt its own worker thread, so
-            # cancellation here only trims in-flight shard loops — the
-            # async edge is the one that acts on it mid-request.
-            ctx = RequestContext.for_request(
-                timeout_ms=getattr(request, "timeout_ms", None),
-                tags={"edge": "thread", "endpoint": endpoint},
-                tracer=self.core.tracer,
-            )
-            with traced("edge.request", context=ctx):
-                response = self.core.dispatch_request(request, context=ctx)
-            self._send(200, response.to_dict())
-        except ApiError as err:
-            self._send_error(err)
-        except BrokenPipeError:  # client went away mid-write
-            pass
-        except Exception as exc:  # never leak a traceback onto the wire
-            self._send_error(ApiError("backend_error", str(exc)))
-
-    def _drain_unexpected_body(self) -> None:
-        """Consume a body a GET should not have (keep-alive hygiene)."""
-        try:
-            length = int(self.headers.get("Content-Length", "0"))
-        except ValueError:
-            self.close_connection = True
-            return
-        if length > MAX_BODY_BYTES:
-            self.close_connection = True
-        elif length > 0:
-            self.rfile.read(length)
-
-    def do_GET(self) -> None:  # noqa: N802
-        self._drain_unexpected_body()
-        try:
-            endpoint = self._endpoint()
-            raw_query = urllib.parse.urlsplit(self.path).query
-            self._send(200, self.core.dispatch_get(endpoint, raw_query))
-        except ApiError as err:
-            self._send_error(err)
-        except BrokenPipeError:
-            pass
-        except Exception as exc:
-            self._send_error(ApiError("backend_error", str(exc)))
-
-
-class ShoalHttpServer:
-    """Serve a backend over HTTP from a thread-per-request stdlib server.
-
-    ``port=0`` binds an ephemeral port (read it back from ``.port`` /
-    ``.url``) — the pattern tests and examples use. :meth:`start` runs
-    the accept loop on a daemon thread; :meth:`serve_forever` blocks
-    (the CLI path). Both are shut down by :meth:`shutdown`, which also
-    closes the wrapped backend.
-    """
-
-    def __init__(
-        self,
-        backend: ShoalBackend,
-        host: str = "127.0.0.1",
-        port: int = 8080,
-        *,
-        quiet: bool = True,
-        ingest_pipe=None,
-        updater=None,
-        analytics_engine=None,
-        analytics_tailer=None,
-        replication_stats=None,
-        tracer=None,
-    ):
-        self._backend = backend
-        self._ingest_pipe = ingest_pipe
-        self._updater = updater
-        self._analytics_engine = analytics_engine
-        self._analytics_tailer = analytics_tailer
-        self._core = GatewayCore(
-            backend,
-            ingest_pipe=ingest_pipe,
-            updater=updater,
-            analytics_engine=analytics_engine,
-            analytics_tailer=analytics_tailer,
-            replication_stats=replication_stats,
-            tracer=tracer,
-        )
-        handler = type(
-            "_BoundGatewayHandler",
-            (_GatewayHandler,),
-            {"core": self._core, "quiet": quiet},
-        )
-        self._httpd = ThreadingHTTPServer((host, port), handler)
-        self._httpd.daemon_threads = True
-        self._thread: Optional[threading.Thread] = None
-
-    @property
-    def backend(self) -> ShoalBackend:
-        return self._backend
-
-    @property
-    def core(self) -> GatewayCore:
-        """The transport-neutral dispatch core this edge serves."""
-        return self._core
-
-    @property
-    def ingest_pipe(self):
-        """The attached write path (None when ingest is disabled)."""
-        return self._ingest_pipe
-
-    @property
-    def host(self) -> str:
-        return self._httpd.server_address[0]
-
-    @property
-    def port(self) -> int:
-        return self._httpd.server_address[1]
-
-    @property
-    def url(self) -> str:
-        return f"http://{self.host}:{self.port}"
-
-    def start(self) -> "ShoalHttpServer":
-        """Serve on a background daemon thread; returns self."""
-        if self._thread is not None:
-            raise RuntimeError("server already started")
-        self._thread = threading.Thread(
-            target=self._httpd.serve_forever,
-            name=f"shoal-http-{self.port}",
-            daemon=True,
-        )
-        self._thread.start()
-        return self
-
-    def serve_forever(self) -> None:
-        """Serve on the calling thread until :meth:`shutdown` / Ctrl-C."""
-        self._httpd.serve_forever()
-
-    def shutdown(self) -> None:
-        if self._ingest_pipe is not None:
-            self._ingest_pipe.close()  # refuse writes before the edge dies
-        self._httpd.shutdown()
-        self._httpd.server_close()
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
-            self._thread = None
-        if self._updater is not None:
-            self._updater.stop(drain=False)
-        if self._analytics_tailer is not None:
-            # Drain: the WAL is final once the pipe is closed, so one
-            # last pass leaves the store exactly matching it.
-            self._analytics_tailer.stop(drain=True)
-        if self._analytics_engine is not None:
-            self._analytics_engine.store.close()
-        self._backend.close()
-
-    def __enter__(self) -> "ShoalHttpServer":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.shutdown()
 
 
 class ShoalClient(ShoalBackend):

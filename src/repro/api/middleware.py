@@ -26,6 +26,16 @@ place:
 must observe rejections, the rate limiter must reject before any work
 is done, the deadline must cover cache misses *and* hits, and the cache
 sits innermost so a hit costs one locked dict probe.
+
+**One chain.** The stack is composed once, at construction, into a
+single call chain that every request takes; what gets observed depends
+only on what is in scope. :meth:`Gateway.handle` opens a ``gateway``
+span when the request context (or the process) carries a tracer and
+writes an access-log line when a sink is configured; each stage opens
+its ``mw.<name>`` span only inside a span that is already open; and
+the cache stage tags the ambient request context with ``hit`` /
+``miss`` whenever there is one. With nothing in scope a stage costs one
+context-variable read on top of its own work.
 """
 
 from __future__ import annotations
@@ -49,7 +59,7 @@ from repro.api.contract import (
     SearchResponse,
 )
 from repro.obs.histogram import Histogram, LatencySummary
-from repro.obs.tracer import default_tracer, traced
+from repro.obs.tracer import current_span, default_tracer, traced
 
 __all__ = [
     "Middleware",
@@ -109,20 +119,8 @@ class CacheMiddleware(Middleware):
     def handle(self, request: Request, call_next: Handler) -> Response:
         key = (self._epoch, request.cache_key())
         cached = self._cache.get(key)
-        if cached is not MISS:
-            return cached
-        response = call_next(request)
-        self._cache.put(key, response)
-        return response
-
-    def handle_observed(
-        self, request: Request, call_next: Handler
-    ) -> Response:
-        """The traced-chain variant: additionally tags the ambient
-        request context with the hit/miss outcome so the access log
-        and the span tree can show where the answer came from."""
-        key = (self._epoch, request.cache_key())
-        cached = self._cache.get(key)
+        # The outcome rides the ambient request context so the access
+        # log and the span tree can show where the answer came from.
         ctx = current_context()
         if cached is not MISS:
             if ctx is not None:
@@ -424,17 +422,10 @@ class Gateway(ShoalBackend):
                 "bad_request", f"not an API request: {type(request).__name__}"
             )
 
-        # Two pre-composed chains: the bare one is the tracing-off hot
-        # path (no span handles, no ambient lookups per stage), the
-        # traced one wraps every stage in an ``mw.<name>`` span. Which
-        # one runs is decided once per request in :meth:`_observed`.
         chain: Handler = terminal
-        traced_chain: Handler = terminal
         for mw in reversed(self._middlewares):
-            chain = _bind_plain(mw, chain)
-            traced_chain = _bind(mw, traced_chain)
+            chain = _bind(mw, chain)
         self._chain = chain
-        self._traced_chain = traced_chain
 
     @property
     def backend(self) -> ShoalBackend:
@@ -444,74 +435,41 @@ class Gateway(ShoalBackend):
     def middlewares(self) -> List[Middleware]:
         return list(self._middlewares)
 
-    def handle(
-        self,
-        request: Request,
-        context: Optional[RequestContext] = None,
-    ) -> Response:
+    def handle(self, request: Request) -> Response:
         """Dispatch any typed request through the full stack.
 
-        ``context`` installs an explicit :class:`RequestContext` as the
-        ambient one for the call (edges pass the context they minted);
-        omitted, whatever context is already ambient — or none — flows
-        through unchanged.
+        The one place every edge and every hedge attempt funnels
+        through: with a tracer in scope (the ambient request context's,
+        else the process default) the chain runs under a ``gateway``
+        span, and with an access-log sink configured the request leaves
+        one structured line. With neither, nothing per-request is
+        observed.
         """
         request.validate()
-        if context is not None:
-            with context.use():
-                return self._observed(request, context)
         ctx = current_context()
         if (
             (ctx is None or ctx.tracer is None)
-            and self._access_log is None
             and default_tracer() is None
+            and self._access_log is None
         ):
-            # Tracing and logging both off: straight down the bare
-            # pre-composed chain, nothing per-request to observe.
-            return self._chain(request)
-        return self._observed(request, ctx)
-
-    def _observed(
-        self, request: Request, ctx: Optional[RequestContext]
-    ) -> Response:
-        """Run the middleware chain under a ``gateway`` span and emit
-        the per-request access-log line — the one place every edge and
-        every hedge attempt funnels through.
-
-        The tracer is resolved exactly once here; with tracing and
-        logging both off the request takes the bare pre-composed chain
-        with zero per-request instrumentation cost.
-        """
-        tracer = ctx.tracer if ctx is not None else None
-        if tracer is None:
-            tracer = default_tracer()
-        if tracer is None and self._access_log is None:
             return self._chain(request)
         endpoint = _ENDPOINT_OF.get(type(request), "search")
-        if self._access_log is None:
-            with tracer.span(
-                "gateway", context=ctx, tags={"endpoint": endpoint}
-            ):
-                return self._traced_chain(request)
         t0 = time.perf_counter()
         status = 200
         error: Optional[str] = None
         try:
-            if tracer is None:
+            with traced("gateway", context=ctx, tags={"endpoint": endpoint}):
                 return self._chain(request)
-            with tracer.span(
-                "gateway", context=ctx, tags={"endpoint": endpoint}
-            ):
-                return self._traced_chain(request)
         except ApiError as exc:
             status = ERROR_CODES.get(exc.code, 500)
             error = exc.code
             raise
         finally:
-            self._log_request(
-                ctx, endpoint, status, (time.perf_counter() - t0) * 1000.0,
-                error,
-            )
+            if self._access_log is not None:
+                self._log_request(
+                    ctx, endpoint, status,
+                    (time.perf_counter() - t0) * 1000.0, error,
+                )
 
     def _log_request(
         self,
@@ -594,19 +552,14 @@ class Gateway(ShoalBackend):
 def _bind(mw: Middleware, call_next: Handler) -> Handler:
     # Duck-typed stages (tests) may not declare a name.
     span_name = f"mw.{getattr(mw, 'name', type(mw).__name__.lower())}"
-    # A middleware may carry an observed variant of its handler with
-    # extra context tagging that the plain chain must not pay for.
-    handler = getattr(mw, "handle_observed", mw.handle)
+    handle = mw.handle
 
     def bound(request: Request) -> Response:
+        # A stage is traced only inside an already-open span (the
+        # gateway's); untraced requests pay one context-variable read.
+        if current_span() is None:
+            return handle(request, call_next)
         with traced(span_name):
-            return handler(request, call_next)
-
-    return bound
-
-
-def _bind_plain(mw: Middleware, call_next: Handler) -> Handler:
-    def bound(request: Request) -> Response:
-        return mw.handle(request, call_next)
+            return handle(request, call_next)
 
     return bound

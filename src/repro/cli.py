@@ -16,9 +16,9 @@ system would be driven:
   cluster router, answer queries through it, and optionally write the
   per-shard snapshot directory (``--save-shards``);
 * ``python -m repro.cli serve-http`` — expose a snapshot or cluster
-  snapshot over the JSON gateway API (``repro.api``) on a stdlib HTTP
-  server, with the standard middleware stack (metrics, optional rate
-  limit and deadline, result cache);
+  snapshot over the JSON gateway API (``repro.api``) on the asyncio
+  HTTP edge, with the standard middleware stack (metrics, optional
+  rate limit and deadline, result cache);
 * ``python -m repro.cli replay`` — replay a Zipf-skewed traffic
   workload (steady/bursty/drifting/adversarial) against the single
   service, the sharded cluster, both, or any ``--backend`` URI
@@ -43,15 +43,13 @@ path: ``POST /v1/ingest`` admits query events into a durable WAL, a
 background micro-batch updater slides the model window, and every new
 generation is hot-swapped into the serving backend with zero read
 downtime. ``GET /v1/metrics`` exposes gateway, ingest, updater,
-analytics, and async-edge counters as one JSON scrape point (the
+analytics, and edge counters as one JSON scrape point (the
 unversioned alias is gone after its one-release deprecation).
 
-``serve-http --edge async`` serves the same contract from the asyncio
-edge (:class:`~repro.api.aio.AsyncShoalServer`): thousands of
-connections, deadline cancellation, request hedging
-(``--hedge-after-ms``), and coalesced WAL ingest
-(``--coalesce-events`` / ``--coalesce-delay-ms``). ``--edge thread``
-keeps the threaded edge for one more release.
+The edge (:class:`~repro.api.aio.AsyncShoalServer`) holds thousands of
+connections on one event loop and adds deadline cancellation, request
+hedging (``--hedge-after-ms``), and coalesced WAL ingest
+(``--coalesce-events`` / ``--coalesce-delay-ms``).
 
 Both serving roles (``serve-http`` and ``serve-follower``) carry the
 observability surface: a :class:`~repro.obs.Tracer` samples
@@ -123,6 +121,49 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--load", default=None, metavar="DIR",
         help="load a model snapshot (from 'fit --save') instead of fitting",
+    )
+
+
+def _add_serve_flags(
+    parser: argparse.ArgumentParser, *, port: int, replicas_help: str
+) -> None:
+    """The flags both serving roles (serve-http, serve-follower) take."""
+    parser.add_argument("--host", default="127.0.0.1")
+    parser.add_argument(
+        "--port", type=int, default=port, help="0 picks an ephemeral port"
+    )
+    parser.add_argument(
+        "--replicas", type=int, default=1, help=replicas_help
+    )
+    parser.add_argument(
+        "--cache-size", type=int, default=4096,
+        help="gateway result-cache entries (0 disables)",
+    )
+    parser.add_argument(
+        "--cache-ttl-s", type=float, default=None,
+        help="gateway result-cache TTL in seconds (default: no expiry)",
+    )
+    parser.add_argument(
+        "--rate-limit", type=float, default=None, metavar="QPS",
+        help="token-bucket admission rate (default: unlimited)",
+    )
+    parser.add_argument(
+        "--deadline-ms", type=float, default=None,
+        help="default per-request deadline in milliseconds",
+    )
+    parser.add_argument(
+        "--quiet", action="store_true", default=False,
+        help="suppress per-request access logging",
+    )
+    parser.add_argument(
+        "--access-log", default=None, metavar="PATH",
+        help="append one structured JSON line per gateway request "
+             "here ('-' = stdout; default: off)",
+    )
+    parser.add_argument(
+        "--trace-capacity", type=int, default=256,
+        help="sampled traces the in-memory ring retains for "
+             "GET /v1/trace (0 disables tracing)",
     )
 
 
@@ -335,7 +376,7 @@ def _check_backend_world(args) -> None:
     if uri.startswith(("http://", "https://")):
         return
     path = uri
-    for scheme in ("snapshot:", "local:", "cluster:"):
+    for scheme in ("snapshot:", "cluster:"):
         if uri.startswith(scheme):
             path = uri[len(scheme):]
             break
@@ -685,34 +726,19 @@ def _build_tracer(args):
     return tracer
 
 
-def _cmd_serve_http(args) -> int:
-    from repro.api import (
-        AsyncShoalServer,
-        Gateway,
-        ShoalHttpServer,
-        default_middlewares,
-    )
-
-    if bool(args.load) == bool(args.cluster_dir):
-        raise SystemExit(
-            "serve-http needs exactly one of --load DIR or --cluster-dir DIR"
-        )
+def _engine_cache_size(args) -> int:
     # When the gateway result cache is on it absorbs every repeat, so a
     # same-size engine cache behind it would only hold duplicate
     # entries; disable it and let one tier do the caching.
-    engine_cache = 0 if args.cache_size > 0 else 4096
-    if args.load:
-        backend = open_backend(
-            f"snapshot:{args.load}", cache_size=engine_cache
-        )
-    else:
-        backend = open_backend(
-            f"cluster:{args.cluster_dir}",
-            cache_size=engine_cache,
-            n_replicas=args.replicas,
-        )
-    tracer = _build_tracer(args)
-    gateway = Gateway(
+    return 0 if args.cache_size > 0 else 4096
+
+
+def _build_gateway(args, backend):
+    """The serving roles' gateway: the standard middleware stack from
+    the shared serve flags, plus the optional access log."""
+    from repro.api import Gateway, default_middlewares
+
+    return Gateway(
         backend,
         default_middlewares(
             cache_size=args.cache_size,
@@ -722,6 +748,46 @@ def _cmd_serve_http(args) -> int:
         ),
         access_log=_open_access_log(args),
     )
+
+
+def _run_server(server, what: str, surface: str, *, on_stop=None) -> int:
+    """Start ``server``, print its banner, and serve until Ctrl-C;
+    ``on_stop`` runs just before the server shuts down."""
+    server.start()  # binds the port so the banner can name it
+    print(
+        f"serving {what} on {server.url} ({surface}; Ctrl-C to stop)",
+        flush=True,
+    )
+    try:
+        server.serve_forever()
+    except KeyboardInterrupt:
+        print("shutting down")
+    finally:
+        if on_stop is not None:
+            on_stop()
+        server.shutdown()
+    return 0
+
+
+def _cmd_serve_http(args) -> int:
+    from repro.api import AsyncShoalServer
+
+    if bool(args.load) == bool(args.cluster_dir):
+        raise SystemExit(
+            "serve-http needs exactly one of --load DIR or --cluster-dir DIR"
+        )
+    if args.load:
+        backend = open_backend(
+            f"snapshot:{args.load}", cache_size=_engine_cache_size(args)
+        )
+    else:
+        backend = open_backend(
+            f"cluster:{args.cluster_dir}",
+            cache_size=_engine_cache_size(args),
+            n_replicas=args.replicas,
+        )
+    tracer = _build_tracer(args)
+    gateway = _build_gateway(args, backend)
     pipe, updater, shipper = _build_ingest_side(args, backend)
     if updater is not None:
         # The gateway's result cache must drop on each hot-swap too.
@@ -752,73 +818,42 @@ def _cmd_serve_http(args) -> int:
             **shipper.stats(),
             "coordinator": coordinator.stats(),
         }
-    if args.edge == "async":
-        server = AsyncShoalServer(
-            gateway,
-            args.host,
-            args.port,
-            quiet=args.quiet,
-            ingest_pipe=pipe,
-            updater=updater,
-            analytics_engine=analytics_engine,
-            analytics_tailer=analytics_tailer,
-            default_timeout_ms=args.deadline_ms,
-            hedge_after_ms=args.hedge_after_ms,
-            coalesce_max_events=args.coalesce_events,
-            coalesce_max_delay_ms=args.coalesce_delay_ms,
-            replication_stats=replication_stats,
-            tracer=tracer,
-        )
-        server.start()  # binds the port so the banner can name it
-    else:
-        server = ShoalHttpServer(
-            gateway,
-            args.host,
-            args.port,
-            quiet=args.quiet,
-            ingest_pipe=pipe,
-            updater=updater,
-            analytics_engine=analytics_engine,
-            analytics_tailer=analytics_tailer,
-            replication_stats=replication_stats,
-            tracer=tracer,
-        )
+    server = AsyncShoalServer(
+        gateway,
+        args.host,
+        args.port,
+        quiet=args.quiet,
+        ingest_pipe=pipe,
+        updater=updater,
+        analytics_engine=analytics_engine,
+        analytics_tailer=analytics_tailer,
+        default_timeout_ms=args.deadline_ms,
+        hedge_after_ms=args.hedge_after_ms,
+        coalesce_max_events=args.coalesce_events,
+        coalesce_max_delay_ms=args.coalesce_delay_ms,
+        replication_stats=replication_stats,
+        tracer=tracer,
+    )
     write_side = " /v1/ingest;" if pipe is not None else ""
     analytics_side = (
         " GET/POST /v1/analytics;" if analytics_engine is not None else ""
     )
-    print(
-        f"serving {backend.kind} backend on {server.url} "
-        f"({args.edge} edge; "
+    return _run_server(
+        server,
+        f"{backend.kind} backend",
         f"POST /v1/search /v1/recommend /v1/batch{write_side}"
-        f"{analytics_side} GET /v1/health /v1/stats /v1/metrics "
-        f"/v1/trace; Ctrl-C to stop)",
-        flush=True,
+        f"{analytics_side} GET /v1/health /v1/stats /v1/metrics /v1/trace",
+        on_stop=None if coordinator_stop is None else coordinator_stop.set,
     )
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        print("shutting down")
-    finally:
-        if coordinator_stop is not None:
-            coordinator_stop.set()
-        server.shutdown()
-    return 0
 
 
 def _cmd_serve_follower(args) -> int:
     """Serve reads from a replication feed, swapping on epoch bumps."""
     import tempfile
 
-    from repro.api import (
-        AsyncShoalServer,
-        Gateway,
-        ShoalHttpServer,
-        default_middlewares,
-    )
+    from repro.api import AsyncShoalServer
     from repro.replication import Follower
 
-    engine_cache = 0 if args.cache_size > 0 else 4096
     workdir = args.workdir or tempfile.mkdtemp(prefix="shoal-follower-")
     follower = Follower(
         args.feed,
@@ -826,20 +861,11 @@ def _cmd_serve_follower(args) -> int:
         follower_id=args.id,
         n_shards=args.shards,
         n_replicas=args.replicas,
-        cache_size=engine_cache,
+        cache_size=_engine_cache_size(args),
     )
     backend = follower.bootstrap()
     tracer = _build_tracer(args)
-    gateway = Gateway(
-        backend,
-        default_middlewares(
-            cache_size=args.cache_size,
-            cache_ttl_s=args.cache_ttl_s,
-            rate_limit=args.rate_limit,
-            deadline_ms=args.deadline_ms,
-        ),
-        access_log=_open_access_log(args),
-    )
+    gateway = _build_gateway(args, backend)
     # Epoch swaps must drop the gateway's result cache, exactly like
     # the primary's hot-swap path.
     follower.switch.attach(gateway)
@@ -847,40 +873,22 @@ def _cmd_serve_follower(args) -> int:
     if built:
         print(f"caught up: rebuilt {built} generations from {args.feed}")
     follower.start()
-    if args.edge == "async":
-        server = AsyncShoalServer(
-            gateway,
-            args.host,
-            args.port,
-            quiet=args.quiet,
-            default_timeout_ms=args.deadline_ms,
-            replication_stats=follower.stats,
-            tracer=tracer,
-        )
-        server.start()
-    else:
-        server = ShoalHttpServer(
-            gateway,
-            args.host,
-            args.port,
-            quiet=args.quiet,
-            replication_stats=follower.stats,
-            tracer=tracer,
-        )
-    print(
-        f"serving follower {follower.follower_id} on {server.url} "
-        f"({args.edge} edge; feed {args.feed}, epoch "
-        f"{follower.epoch}; POST /v1/search /v1/recommend /v1/batch; "
-        "GET /v1/health /v1/stats /v1/metrics /v1/trace; Ctrl-C to stop)",
-        flush=True,
+    server = AsyncShoalServer(
+        gateway,
+        args.host,
+        args.port,
+        quiet=args.quiet,
+        default_timeout_ms=args.deadline_ms,
+        replication_stats=follower.stats,
+        tracer=tracer,
     )
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        print("shutting down")
-    finally:
-        server.shutdown()
-    return 0
+    return _run_server(
+        server,
+        f"follower {follower.follower_id}",
+        f"feed {args.feed}, epoch {follower.epoch}; "
+        "POST /v1/search /v1/recommend /v1/batch; "
+        "GET /v1/health /v1/stats /v1/metrics /v1/trace",
+    )
 
 
 def _cmd_ingest(args) -> int:
@@ -1208,21 +1216,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--cluster-dir", default=None, metavar="DIR",
         help="cluster snapshot directory (from 'serve-cluster --save-shards')",
     )
-    p_http.add_argument("--host", default="127.0.0.1")
-    p_http.add_argument(
-        "--port", type=int, default=8080, help="0 picks an ephemeral port"
-    )
-    p_http.add_argument(
-        "--replicas", type=int, default=1,
-        help="replicas per shard (cluster backends only)",
-    )
-    p_http.add_argument(
-        "--cache-size", type=int, default=4096,
-        help="gateway result-cache entries (0 disables)",
-    )
-    p_http.add_argument(
-        "--cache-ttl-s", type=float, default=None,
-        help="gateway result-cache TTL in seconds (default: no expiry)",
+    _add_serve_flags(
+        p_http, port=8080,
+        replicas_help="replicas per shard (cluster backends only)",
     )
     p_http.add_argument(
         "--ingest-wal", default=None, metavar="DIR",
@@ -1254,19 +1250,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_http.add_argument(
         "--generations", default=None, metavar="DIR",
         help="persist each model generation as a versioned snapshot here",
-    )
-    p_http.add_argument(
-        "--rate-limit", type=float, default=None, metavar="QPS",
-        help="token-bucket admission rate (default: unlimited)",
-    )
-    p_http.add_argument(
-        "--deadline-ms", type=float, default=None,
-        help="default per-request deadline in milliseconds",
-    )
-    p_http.add_argument(
-        "--edge", default="async", choices=["thread", "async"],
-        help="HTTP edge: 'async' (asyncio, hedging + coalescing) or "
-             "'thread' (legacy threaded edge, one more release)",
     )
     p_http.add_argument(
         "--hedge-after-ms", type=float, default=None,
@@ -1306,20 +1289,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="followers that must report a byte-identical rebuild "
              "before an epoch swap is broadcast",
     )
-    p_http.add_argument(
-        "--quiet", action="store_true", default=False,
-        help="suppress per-request access logging",
-    )
-    p_http.add_argument(
-        "--access-log", default=None, metavar="PATH",
-        help="append one structured JSON line per gateway request "
-             "here ('-' = stdout; default: off)",
-    )
-    p_http.add_argument(
-        "--trace-capacity", type=int, default=256,
-        help="sampled traces the in-memory ring retains for "
-             "GET /v1/trace (0 disables tracing)",
-    )
     p_http.set_defaults(func=_cmd_serve_http)
 
     p_follower = sub.add_parser(
@@ -1340,9 +1309,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--id", default=None,
         help="stable follower identity in reports (default: random)",
     )
-    p_follower.add_argument("--host", default="127.0.0.1")
-    p_follower.add_argument(
-        "--port", type=int, default=8081, help="0 picks an ephemeral port"
+    _add_serve_flags(
+        p_follower, port=8081,
+        replicas_help="replicas per shard (with --shards > 1)",
     )
     p_follower.add_argument(
         "--shards", type=int, default=1,
@@ -1350,46 +1319,8 @@ def build_parser() -> argparse.ArgumentParser:
              "single service",
     )
     p_follower.add_argument(
-        "--replicas", type=int, default=1,
-        help="replicas per shard (with --shards > 1)",
-    )
-    p_follower.add_argument(
-        "--cache-size", type=int, default=4096,
-        help="gateway result-cache entries (0 disables)",
-    )
-    p_follower.add_argument(
-        "--cache-ttl-s", type=float, default=None,
-        help="gateway result-cache TTL in seconds (default: no expiry)",
-    )
-    p_follower.add_argument(
-        "--rate-limit", type=float, default=None, metavar="QPS",
-        help="token-bucket admission rate (default: unlimited)",
-    )
-    p_follower.add_argument(
-        "--deadline-ms", type=float, default=None,
-        help="default per-request deadline in milliseconds",
-    )
-    p_follower.add_argument(
-        "--edge", default="async", choices=["thread", "async"],
-        help="HTTP edge implementation",
-    )
-    p_follower.add_argument(
         "--catch-up-s", type=float, default=60.0,
         help="max seconds to replay the feed before the port opens",
-    )
-    p_follower.add_argument(
-        "--quiet", action="store_true", default=False,
-        help="suppress per-request access logging",
-    )
-    p_follower.add_argument(
-        "--access-log", default=None, metavar="PATH",
-        help="append one structured JSON line per gateway request "
-             "here ('-' = stdout; default: off)",
-    )
-    p_follower.add_argument(
-        "--trace-capacity", type=int, default=256,
-        help="sampled traces the in-memory ring retains for "
-             "GET /v1/trace (0 disables tracing)",
     )
     p_follower.set_defaults(func=_cmd_serve_follower)
 

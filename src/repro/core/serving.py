@@ -59,9 +59,8 @@ from typing import (
 
 # The query-result cache lives in the shared, locked repro.api.cache
 # module (one implementation for the engine, the cluster router's
-# front cache, and the gateway middleware). `_LRUCache` is the
-# pre-gateway private name, kept as an alias for one release.
-from repro.api.cache import CacheStats, LRUCache as _LRUCache
+# front cache, and the gateway middleware).
+from repro.api.cache import MISS, CacheStats, LRUCache
 from repro.core.correlation import CorrelationGraph
 from repro.core.pipeline import ShoalModel
 from repro.core.taxonomy import Taxonomy, Topic
@@ -255,7 +254,7 @@ class ShoalService:
         collection_stats: Optional[CollectionStats] = None,
     ):
         self._tokenizer = tokenizer or Tokenizer()
-        self._cache = _LRUCache(cache_size)
+        self._cache = LRUCache(cache_size)
         self._state = _ServiceState(
             model, self._tokenizer, entity_categories, collection_stats
         )
@@ -337,7 +336,7 @@ class ShoalService:
         twin = object.__new__(ShoalService)
         twin.__dict__.update(self.__dict__)
         size = self._cache.max_size if cache_size is None else cache_size
-        twin._cache = _LRUCache(size)
+        twin._cache = LRUCache(size)
         return twin
 
     def posting_tokens(self) -> FrozenSet[str]:
@@ -402,7 +401,7 @@ class ShoalService:
             return []
         key = ("search", state.version, tokens, k)
         cached = self._cache.get(key)
-        if cached is not _LRUCache._MISS:
+        if cached is not MISS:
             return list(cached)
         hits = []
         for doc_idx, score in state.index.top_k(tokens, k):
@@ -513,7 +512,7 @@ class ShoalService:
         center = taxonomy.topic(topic_id)
         key = ("related", state.version, topic_id, k)
         cached = self._cache.get(key)
-        if cached is not _LRUCache._MISS:
+        if cached is not MISS:
             return list(cached)
 
         center_pos = state.position_of[topic_id]

@@ -41,6 +41,7 @@ from typing import Any, Dict, List, Optional, Tuple
 __all__ = [
     "Span",
     "Tracer",
+    "current_span",
     "default_tracer",
     "set_default_tracer",
     "traced",
@@ -70,6 +71,12 @@ def set_default_tracer(tracer: Optional["Tracer"]) -> None:
 
 def default_tracer() -> Optional["Tracer"]:
     return _DEFAULT
+
+
+#: ``current_span()`` is the span open on this thread/task, or None
+#: outside any span. The bound method itself, not a wrapper: middleware
+#: stages call it once per request even with tracing off.
+current_span = _CURRENT_SPAN.get
 
 
 class Span:
@@ -222,7 +229,7 @@ class Tracer:
     """Collects spans into per-request trees and tail-samples them.
 
     Thread-safe; one instance per serving process (primary or
-    follower), shared by both edges, the gateway, and the background
+    follower), shared by the edge, the gateway, and the background
     write path.
     """
 

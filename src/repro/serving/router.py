@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
 
-from repro.api.cache import CacheStats, LRUCache as _LRUCache
+from repro.api.cache import MISS, CacheStats, LRUCache
 from repro.api.context import current_context
 from repro.core.correlation import CorrelationGraph
 from repro.core.pipeline import ShoalModel
@@ -197,7 +197,7 @@ class _RouterState:
         shards: List[ShardReplicas],
         collection_stats: CollectionStats,
         correlations: CorrelationGraph,
-        front: _LRUCache,
+        front: LRUCache,
     ):
         self.shards = shards
         self.collection_stats = collection_stats
@@ -360,7 +360,7 @@ class ClusterRouter:
                     self._retired_invalidations += (
                         stats.invalidations + 1
                     )
-            front = _LRUCache(self._cache_size)
+            front = LRUCache(self._cache_size)
         return _RouterState(
             shards,
             shard_set.collection_stats,
@@ -447,7 +447,7 @@ class ClusterRouter:
         """Front cache → tokenise → fan out, all against one state."""
         key = (query, k)
         cached = state.front.get(key)
-        if cached is not _LRUCache._MISS:
+        if cached is not MISS:
             return list(cached)
         with traced("router.search", tags={"front_cache": "miss"}):
             tokens = tuple(self._tokenizer.tokenize(query))

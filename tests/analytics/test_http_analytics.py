@@ -18,10 +18,10 @@ from repro.analytics import AnalyticsStore, QueryEngine, SegmentTailer
 from repro.api import (
     AnalyticsRequest,
     ApiError,
+    AsyncShoalServer,
     Gateway,
     ServiceBackend,
     ShoalClient,
-    ShoalHttpServer,
 )
 
 from tests.analytics.conftest import fill_wal
@@ -45,7 +45,7 @@ def analytics_server(tiny_model, tiny_marketplace, tmp_path_factory):
     store = AnalyticsStore(root / "analytics.db")
     tailer = SegmentTailer(root / "wal", store)
     tailer.catch_up()
-    server = ShoalHttpServer(
+    server = AsyncShoalServer(
         Gateway(backend),
         port=0,
         analytics_engine=QueryEngine(store),
@@ -184,7 +184,7 @@ class TestAnalyticsHttpErrors:
                 for e in tiny_marketplace.catalog.entities
             },
         )
-        with ShoalHttpServer(Gateway(backend), port=0) as server:
+        with AsyncShoalServer(Gateway(backend), port=0) as server:
             status, body = _post(
                 f"{server.url}/v1/analytics", {"sql": "SELECT 1"}
             )
@@ -227,7 +227,7 @@ class TestMetricsScrape:
                 for e in tiny_marketplace.catalog.entities
             },
         )
-        with ShoalHttpServer(Gateway(backend), port=0) as server:
+        with AsyncShoalServer(Gateway(backend), port=0) as server:
             metrics = ShoalClient(server.url, timeout=10).metrics()
             assert metrics.analytics is None
             assert metrics.backend["backend"] == "gateway"

@@ -1,12 +1,13 @@
 """The asyncio edge, end to end: byte-identity, deadlines, hedging,
 coalescing.
 
-The acceptance bar for the async-edge PR lives here:
+The acceptance bar for the edge lives here:
 
 * answers served by :class:`AsyncShoalServer` are **byte-identical**
-  (raw HTTP body bytes) to the threaded edge and to the in-process
-  gateway, for the single service and a 4-shard cluster — hypothesis
-  drives real, remixed, and nonsense queries through all three;
+  (status and raw HTTP body bytes) to the in-process gateway run
+  through the wire codec, for the single service and a 4-shard
+  cluster — hypothesis drives real, remixed, and nonsense queries
+  through both;
 * a request whose deadline expires returns 504 *promptly* and the
   in-flight shard work observes the cancellation instead of running to
   completion;
@@ -36,10 +37,11 @@ from repro.api import (
     SCHEMA_VERSION,
     SearchRequest,
     ServiceBackend,
-    ShoalHttpServer,
+    request_from_dict,
 )
 from repro.api.aio import AsyncShoalServer
 from repro.api.context import current_context
+from repro.api.http import API_PREFIX, _json_bytes
 from repro.streaming import IngestPipe, WriteAheadLog
 
 
@@ -72,40 +74,44 @@ def snapshot_dir(tiny_model, tiny_categories, tmp_path_factory):
     return d
 
 
+def _reference(local, path, payload) -> tuple:
+    """(status, body bytes) of the in-process gateway + the wire codec:
+    what the edge must put on the socket for the same POST."""
+    try:
+        request = request_from_dict(path[len(API_PREFIX) + 1:], payload)
+        return 200, _json_bytes(local.handle(request).to_dict())
+    except ApiError as err:
+        return err.http_status, _json_bytes(err.to_dict())
+
+
 @pytest.fixture(scope="module")
 def single_edges(snapshot_dir):
-    """(threaded server, async server, in-process gateway) — one model."""
-    threaded = ShoalHttpServer(
-        Gateway(ServiceBackend.from_snapshot(snapshot_dir)), port=0
-    ).start()
+    """(async server, in-process gateway) — one model."""
     asynced = AsyncShoalServer(
         Gateway(ServiceBackend.from_snapshot(snapshot_dir)), port=0
     ).start()
     local = Gateway(ServiceBackend.from_snapshot(snapshot_dir))
     try:
-        yield threaded, asynced, local
+        yield asynced, local
     finally:
-        threaded.shutdown()
         asynced.shutdown()
         local.close()
 
 
 @pytest.fixture(scope="module")
 def cluster_edges(tiny_model, tiny_categories):
-    """Same three tiers over a 4-shard cluster backend."""
+    """Same two tiers over a 4-shard cluster backend."""
 
     def cluster():
         return ClusterBackend.from_model(
             tiny_model, 4, entity_categories=tiny_categories
         )
 
-    threaded = ShoalHttpServer(Gateway(cluster()), port=0).start()
     asynced = AsyncShoalServer(Gateway(cluster()), port=0).start()
     local = Gateway(cluster())
     try:
-        yield threaded, asynced, local
+        yield asynced, local
     finally:
-        threaded.shutdown()
         asynced.shutdown()
         local.close()
 
@@ -144,32 +150,21 @@ def wire_queries(draw, pool):
 
 
 class TestByteIdentity:
-    """The async edge is transparent: same bytes as every other tier."""
+    """The edge is transparent: same bytes as the in-process gateway."""
 
-    def _assert_identical(self, edges, endpoint, payload, local_call):
-        threaded, asynced, local = edges
-        t_status, t_body = _raw(
-            "POST", threaded.host, threaded.port, endpoint, payload
+    def _assert_identical(self, edges, path, payload):
+        asynced, local = edges
+        got = _raw("POST", asynced.host, asynced.port, path, payload)
+        assert got == _reference(local, path, payload), (
+            f"divergence on {path}"
         )
-        a_status, a_body = _raw(
-            "POST", asynced.host, asynced.port, endpoint, payload
-        )
-        assert (a_status, a_body) == (t_status, t_body)
-        if t_status == 200:
-            want = json.dumps(
-                local_call().to_dict(), ensure_ascii=False
-            ).encode("utf-8")
-            assert a_body == want
 
     @aio_settings
     @given(data=st.data(), k=st.integers(min_value=1, max_value=8))
     def test_search_single_service(self, single_edges, query_pool, data, k):
         query = data.draw(wire_queries(query_pool))
         self._assert_identical(
-            single_edges,
-            "/v1/search",
-            _search_payload(query, k),
-            lambda: single_edges[2].search(SearchRequest(query=query, k=k)),
+            single_edges, "/v1/search", _search_payload(query, k)
         )
 
     @aio_settings
@@ -179,10 +174,7 @@ class TestByteIdentity:
     ):
         query = data.draw(wire_queries(query_pool))
         self._assert_identical(
-            cluster_edges,
-            "/v1/search",
-            _search_payload(query, k),
-            lambda: cluster_edges[2].search(SearchRequest(query=query, k=k)),
+            cluster_edges, "/v1/search", _search_payload(query, k)
         )
 
     @aio_settings
@@ -193,15 +185,9 @@ class TestByteIdentity:
         query = data.draw(wire_queries(query_pool))
         payload = {"version": SCHEMA_VERSION, "query": query, "k": k}
         for edges in (single_edges, cluster_edges):
-            threaded, asynced, _ = edges
-            t = _raw("POST", threaded.host, threaded.port,
-                     "/v1/recommend", payload)
-            a = _raw("POST", asynced.host, asynced.port,
-                     "/v1/recommend", payload)
-            assert a == t
+            self._assert_identical(edges, "/v1/recommend", payload)
 
     def test_batch_and_errors_identical(self, single_edges, query_pool):
-        threaded, asynced, _ = single_edges
         probes = [
             ("/v1/batch", {
                 "version": SCHEMA_VERSION,
@@ -213,13 +199,11 @@ class TestByteIdentity:
             ("/v1/search", {"version": 99, "query": "x"}),
             ("/v1/nope", {"query": "x"}),
         ]
-        for endpoint, payload in probes:
-            t = _raw("POST", threaded.host, threaded.port, endpoint, payload)
-            a = _raw("POST", asynced.host, asynced.port, endpoint, payload)
-            assert a == t, f"divergence on {endpoint}"
+        for path, payload in probes:
+            self._assert_identical(single_edges, path, payload)
 
     def test_keep_alive_connection_reuse(self, single_edges, query_pool):
-        _, asynced, local = single_edges
+        asynced, local = single_edges
         conn = http.client.HTTPConnection(
             asynced.host, asynced.port, timeout=10
         )
@@ -240,7 +224,7 @@ class TestByteIdentity:
 
 class TestOperationalSurface:
     def test_health_and_stats(self, single_edges):
-        _, asynced, _ = single_edges
+        asynced, _ = single_edges
         status, body = _raw("GET", asynced.host, asynced.port, "/v1/health")
         assert status == 200
         assert json.loads(body)["status"] == "ok"
@@ -249,7 +233,7 @@ class TestOperationalSurface:
         assert json.loads(body)["backend"] == "gateway"
 
     def test_metrics_has_the_async_edge_section(self, single_edges):
-        _, asynced, _ = single_edges
+        asynced, _ = single_edges
         status, body = _raw("GET", asynced.host, asynced.port, "/v1/metrics")
         assert status == 200
         edge = json.loads(body)["edge"]
@@ -257,22 +241,14 @@ class TestOperationalSurface:
         assert edge["connections"]["total"] >= 1
         assert {"launched", "won"} <= set(edge["hedges"])
 
-    def test_threaded_edge_has_no_edge_section(self, single_edges):
-        threaded, _, _ = single_edges
-        status, body = _raw(
-            "GET", threaded.host, threaded.port, "/v1/metrics"
-        )
-        assert status == 200
-        assert "edge" not in json.loads(body)
-
     def test_bare_metrics_alias_is_gone_here_too(self, single_edges):
-        _, asynced, _ = single_edges
+        asynced, _ = single_edges
         status, body = _raw("GET", asynced.host, asynced.port, "/metrics")
         assert status == 404
         assert json.loads(body)["error"]["code"] == "not_found"
 
     def test_get_unknown_path_is_404(self, single_edges):
-        _, asynced, _ = single_edges
+        asynced, _ = single_edges
         status, _ = _raw("GET", asynced.host, asynced.port, "/v1/zzz")
         assert status == 404
 
@@ -357,7 +333,7 @@ class TestDeadlinePropagation:
             server.shutdown()
 
     def test_generous_deadline_still_answers(self, single_edges):
-        _, asynced, local = single_edges
+        asynced, local = single_edges
         status, body = _raw(
             "POST", asynced.host, asynced.port, "/v1/search",
             _search_payload("beach", 5, timeout_ms=30_000.0),
@@ -507,7 +483,7 @@ class TestIngestCoalescing:
             server.shutdown()
 
     def test_no_pipe_is_404(self, single_edges):
-        _, asynced, _ = single_edges
+        asynced, _ = single_edges
         status, body = _raw(
             "POST", asynced.host, asynced.port, "/v1/ingest",
             {"day": 7, "user_id": 1, "query_id": 1, "clicked": []},

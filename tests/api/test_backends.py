@@ -218,8 +218,7 @@ class TestOpenBackend:
         tiny_model.save(snap, entity_categories=tiny_categories)
         backend = open_backend(f"snapshot:{snap}")
         assert isinstance(backend, ServiceBackend)
-        # local: is an alias, and a bare dir is sniffed from MANIFEST.
-        assert isinstance(open_backend(f"local:{snap}"), ServiceBackend)
+        # A bare dir is sniffed from MANIFEST.
         assert isinstance(open_backend(str(snap)), ServiceBackend)
 
     def test_snapshot_uri_answers_match_memory(
@@ -259,7 +258,13 @@ class TestOpenBackend:
         assert excinfo.value.code == "invalid_argument"
 
     @pytest.mark.parametrize(
-        "uri", ["s3://bucket/model", "gopher:hole", "snapshots:/typo/dir"]
+        "uri",
+        [
+            "s3://bucket/model",
+            "gopher:hole",
+            "snapshots:/typo/dir",
+            "local:/removed/alias",
+        ],
     )
     def test_unknown_scheme_names_the_scheme(self, uri):
         """An unrecognised scheme fails fast with the scheme named,
@@ -270,7 +275,7 @@ class TestOpenBackend:
         assert excinfo.value.code == "invalid_argument"
         assert "scheme" in str(excinfo.value)
 
-    @pytest.mark.parametrize("scheme", ["snapshot:", "local:", "cluster:"])
+    @pytest.mark.parametrize("scheme", ["snapshot:", "cluster:"])
     def test_missing_snapshot_dir_is_invalid_argument(self, scheme, tmp_path):
         """Each snapshot scheme family maps load errors to ApiError —
         never a raw FileNotFoundError — for empty and absent targets."""

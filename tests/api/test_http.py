@@ -16,6 +16,7 @@ import pytest
 
 from repro.api import (
     ApiError,
+    AsyncShoalServer,
     BatchRequest,
     Gateway,
     RateLimitMiddleware,
@@ -24,7 +25,6 @@ from repro.api import (
     SearchRequest,
     ServiceBackend,
     ShoalClient,
-    ShoalHttpServer,
     default_middlewares,
 )
 
@@ -46,7 +46,7 @@ def snapshot_dir(tiny_model, tiny_marketplace, tmp_path_factory):
 def served(snapshot_dir):
     """(server, remote client, in-process backend on the same snapshot)."""
     backend = ServiceBackend.from_snapshot(snapshot_dir)
-    server = ShoalHttpServer(Gateway(backend), port=0).start()
+    server = AsyncShoalServer(Gateway(backend), port=0).start()
     local = ServiceBackend.from_snapshot(snapshot_dir)
     try:
         yield server, ShoalClient(server.url, timeout=10), local
@@ -272,7 +272,7 @@ class TestHttpMiddlewareIntegration:
             backend,
             [RateLimitMiddleware(0.001, burst=2)],  # ~no refill in-test
         )
-        with ShoalHttpServer(gateway, port=0) as server:
+        with AsyncShoalServer(gateway, port=0) as server:
             client = ShoalClient(server.url, timeout=10)
             request = SearchRequest(query="beach", k=3)
             client.search(request)
@@ -289,7 +289,7 @@ class TestHttpMiddlewareIntegration:
 
         backend = ServiceBackend.from_snapshot(snapshot_dir)
         gateway = Gateway(backend, default_middlewares(cache_size=256))
-        with ShoalHttpServer(gateway, port=0) as server:
+        with AsyncShoalServer(gateway, port=0) as server:
             local = ServiceBackend.from_snapshot(snapshot_dir)
             expected = {
                 q: local.search(SearchRequest(query=q, k=5))

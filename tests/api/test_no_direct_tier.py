@@ -15,6 +15,11 @@ dead code or an accidental raw-engine dependency.
 A third guard bans the removed unversioned ``/metrics`` path: the
 one-release alias is gone, so every scrape in a frontend, script, or
 workflow must name ``/v1/metrics``.
+
+A fourth guard bans the removed threaded edge and second dispatch
+chain by name (``ShoalHttpServer``, ``_GatewayHandler``,
+``handle_observed``, ``--edge``): there is one edge and one chain, so
+nothing may select or describe another.
 """
 
 from __future__ import annotations
@@ -58,6 +63,20 @@ METRICS_SCAN_PATHS = FRONTEND_PATHS + [
     ".github/workflows",
     "README.md",
     "src/repro/api",
+]
+
+#: The threaded edge, the observed-chain handler variant, and the flag
+#: that selected between edges — all removed.
+REMOVED_EDGE = re.compile(
+    r"\b(ShoalHttpServer|_GatewayHandler|handle_observed)\b|--edge\b"
+)
+
+REMOVED_EDGE_SCAN_PATHS = [
+    "src",
+    "scripts",
+    "examples",
+    ".github",
+    "README.md",
 ]
 
 #: Frontends allowed to time the raw engine *behind* an adapter
@@ -111,8 +130,8 @@ def test_frontend_has_no_legacy_delegate_calls(path):
     )
 
 
-def _metrics_scan_files():
-    for entry in METRICS_SCAN_PATHS:
+def _scan_files(entries):
+    for entry in entries:
         path = REPO_ROOT / entry
         if path.is_file():
             yield path
@@ -126,7 +145,7 @@ def _metrics_scan_files():
 
 @pytest.mark.parametrize(
     "path",
-    list(_metrics_scan_files()),
+    list(_scan_files(METRICS_SCAN_PATHS)),
     ids=lambda p: str(p.relative_to(REPO_ROOT)),
 )
 def test_no_bare_metrics_path_anywhere(path):
@@ -137,6 +156,23 @@ def test_no_bare_metrics_path_anywhere(path):
     assert not offending, (
         "unversioned /metrics path (the alias was removed; scrape "
         "/v1/metrics):\n" + "\n".join(offending)
+    )
+
+
+@pytest.mark.parametrize(
+    "path",
+    list(_scan_files(REMOVED_EDGE_SCAN_PATHS)),
+    ids=lambda p: str(p.relative_to(REPO_ROOT)),
+)
+def test_no_second_edge_or_chain_anywhere(path):
+    offending = []
+    for lineno, line in enumerate(path.read_text().splitlines(), 1):
+        if REMOVED_EDGE.search(line):
+            offending.append(f"{path.name}:{lineno}: {line.strip()}")
+    assert not offending, (
+        "reference to the removed threaded edge / observed chain "
+        "(AsyncShoalServer is the only edge, Middleware.handle the only "
+        "handler):\n" + "\n".join(offending)
     )
 
 
@@ -182,3 +218,17 @@ def test_the_guard_itself_still_bites():
         "| `GET /v1/metrics` | one JSON scrape point |",
     ):
         assert not BARE_METRICS.search(snippet), snippet
+    for snippet in (
+        "server = ShoalHttpServer(gateway, port=0)",
+        "class _GatewayHandler(BaseHTTPRequestHandler):",
+        "def handle_observed(self, request, call_next):",
+        "serve-http --edge thread --port 8471",
+    ):
+        assert REMOVED_EDGE.search(snippet), snippet
+    for snippet in (
+        "server = AsyncShoalServer(gateway, port=0)",
+        "def handle(self, request, call_next):",
+        "async-edge-soak:",
+        "serve-http --hedge-after-ms 0",
+    ):
+        assert not REMOVED_EDGE.search(snippet), snippet

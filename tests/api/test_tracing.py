@@ -13,7 +13,7 @@ The acceptance bar for the observability PR:
   request id logged for a slow request resolves to a span tree whose
   stages nest coherently inside the edge-observed root span;
 * ``GET /v1/metrics?format=prom`` passes the strict OpenMetrics
-  parser on both edges and carries real histogram families.
+  parser and carries real histogram families.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from repro.api import (
     SCHEMA_VERSION,
     ServiceBackend,
     ShoalClient,
-    ShoalHttpServer,
 )
 from repro.api.aio import AsyncShoalServer
 from repro.obs import Tracer, parse_openmetrics
@@ -384,6 +383,36 @@ class TestAccessLogToTrace:
             server.shutdown()
 
 
+    def test_cache_outcome_is_logged_without_a_tracer(
+        self, snapshot_dir, query_pool
+    ):
+        """The access log names hit/miss with tracing off: the cache
+        stage tags the request context on the one chain every request
+        takes, not on a traced variant of it."""
+        log = io.StringIO()
+        from repro.api import default_middlewares
+
+        server = AsyncShoalServer(
+            Gateway(
+                ServiceBackend.from_snapshot(snapshot_dir),
+                default_middlewares(cache_size=64),
+                access_log=log,
+            ),
+            port=0,
+        ).start()
+        try:
+            for _ in range(2):
+                status, _ = _raw(
+                    "POST", server.host, server.port, "/v1/search",
+                    _search_payload(query_pool[0]),
+                )
+                assert status == 200
+        finally:
+            server.shutdown()
+        lines = [json.loads(l) for l in log.getvalue().splitlines()]
+        assert [l["cache"] for l in lines] == ["miss", "hit"]
+
+
 # -- the endpoints themselves --------------------------------------------------
 
 
@@ -391,7 +420,7 @@ class TestTraceEndpoint:
     @pytest.fixture(scope="class")
     def served(self, snapshot_dir):
         tracer = Tracer(slowest_per_endpoint=512)
-        server = ShoalHttpServer(
+        server = AsyncShoalServer(
             Gateway(ServiceBackend.from_snapshot(snapshot_dir)),
             port=0,
             tracer=tracer,
@@ -401,7 +430,7 @@ class TestTraceEndpoint:
         finally:
             server.shutdown()
 
-    def test_threaded_edge_serves_traces_too(self, served, query_pool):
+    def test_latest_trace_is_served(self, served, query_pool):
         server, _ = served
         _raw("POST", server.host, server.port, "/v1/search",
              _search_payload(query_pool[0]))
@@ -421,7 +450,7 @@ class TestTraceEndpoint:
         assert json.loads(body)["error"]["code"] == "not_found"
 
     def test_tracing_disabled_is_404(self, snapshot_dir):
-        server = ShoalHttpServer(
+        server = AsyncShoalServer(
             Gateway(ServiceBackend.from_snapshot(snapshot_dir)), port=0
         ).start()
         try:
@@ -462,12 +491,10 @@ class TestPromExposition:
         finally:
             conn.close()
 
-    @pytest.mark.parametrize("edge", ["thread", "async"])
     def test_scrape_passes_the_strict_parser(
-        self, snapshot_dir, query_pool, edge
+        self, snapshot_dir, query_pool
     ):
-        make = ShoalHttpServer if edge == "thread" else AsyncShoalServer
-        server = make(
+        server = AsyncShoalServer(
             Gateway(ServiceBackend.from_snapshot(snapshot_dir)),
             port=0,
             tracer=Tracer(),
@@ -492,7 +519,7 @@ class TestPromExposition:
             server.shutdown()
 
     def test_unknown_format_is_400(self, snapshot_dir):
-        server = ShoalHttpServer(
+        server = AsyncShoalServer(
             Gateway(ServiceBackend.from_snapshot(snapshot_dir)), port=0
         ).start()
         try:

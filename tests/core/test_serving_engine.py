@@ -232,7 +232,7 @@ class TestIncrementalWiring:
 
 
 class TestLRUThreadSafety:
-    """Regression: _LRUCache races under concurrent mutation.
+    """Regression: LRUCache races under concurrent mutation.
 
     The unlocked implementation raised KeyError when a ``get``'s
     ``move_to_end`` overlapped a concurrent ``clear``/eviction, and
@@ -246,9 +246,9 @@ class TestLRUThreadSafety:
         import threading
         from concurrent.futures import ThreadPoolExecutor
 
-        from repro.core.serving import _LRUCache
+        from repro.api.cache import LRUCache
 
-        cache = _LRUCache(max_size=32)
+        cache = LRUCache(max_size=32)
         n_workers, gets_per_worker = 8, 3000
         barrier = threading.Barrier(n_workers)
         errors = []
@@ -299,7 +299,7 @@ class TestLRUThreadSafety:
         import time
         from collections import OrderedDict
 
-        from repro.core.serving import _LRUCache
+        from repro.api.cache import LRUCache
 
         window_open = threading.Event()
 
@@ -310,7 +310,7 @@ class TestLRUThreadSafety:
                 time.sleep(0.02)  # hold the get→move_to_end window
                 return value
 
-        cache = _LRUCache(max_size=8)
+        cache = LRUCache(max_size=8)
         cache.put("hot", "value")
         cache._data = DilatedDict(cache._data)
         errors = []

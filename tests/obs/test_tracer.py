@@ -1,7 +1,7 @@
 """The tracer: span trees, tail-based sampling, the bounded ring.
 
 Pure unit tests with a fake clock — the end-to-end propagation tests
-(both edges, hedging, byte-identity) live in
+(the edge, hedging, byte-identity) live in
 ``tests/api/test_tracing.py``.
 """
 

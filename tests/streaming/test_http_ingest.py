@@ -6,12 +6,12 @@ import pytest
 
 from repro.api import (
     ApiError,
+    AsyncShoalServer,
     Gateway,
     SearchRequest,
     ServiceBackend,
     ShoalClient,
 )
-from repro.api.http import ShoalHttpServer
 from repro.streaming import (
     GenerationSwitch,
     IngestPipe,
@@ -37,7 +37,7 @@ def served_with_ingest(tmp_path, stream_market, stream_inputs):
     pipe = IngestPipe(wal, max_queue=64)
     updater = StreamingUpdater(inc, pipe, switch=switch)
     updater.seed_log(stream_market.query_log.window(0, BASE_LAST_DAY))
-    server = ShoalHttpServer(
+    server = AsyncShoalServer(
         gateway, port=0, ingest_pipe=pipe, updater=updater
     )
     server.start()
@@ -91,7 +91,7 @@ class TestHttpIngest:
 
     def test_ingest_404_when_not_enabled(self, tmp_path, stream_market, stream_inputs):
         inc = make_base_inc(stream_market, stream_inputs)
-        server = ShoalHttpServer(
+        server = AsyncShoalServer(
             Gateway(ServiceBackend(inc.service())), port=0
         )
         server.start()

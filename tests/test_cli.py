@@ -21,6 +21,25 @@ class TestParser:
         assert args.profile == "small"
         assert args.seed == 0
 
+    @pytest.mark.parametrize(
+        "argv, port",
+        [
+            (["serve-http", "--load", "d"], 8080),
+            (["serve-follower", "--feed", "d"], 8081),
+        ],
+    )
+    def test_serving_roles_share_one_flag_set(self, argv, port):
+        args = build_parser().parse_args(argv)
+        assert (args.host, args.port, args.quiet) == ("127.0.0.1", port, False)
+        assert (args.replicas, args.cache_size, args.cache_ttl_s) == (
+            1, 4096, None,
+        )
+        assert (args.rate_limit, args.deadline_ms) == (None, None)
+        assert (args.access_log, args.trace_capacity) == (None, 256)
+        # There is one edge: nothing to select.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv + ["--edge", "thread"])
+
 
 class TestFitCommand:
     def test_prints_taxonomy(self, capsys):
