@@ -27,7 +27,7 @@ from repro.clustering.linkage import LINKAGES, LinkageFn
 from repro.clustering.membership import MembershipTracker
 from repro.graph.sparse import SparseGraph
 
-__all__ = ["HACConfig", "SequentialHAC"]
+__all__ = ["HACConfig", "SequentialHAC", "merge_pair"]
 
 
 @dataclass(frozen=True)
@@ -56,6 +56,39 @@ class HACConfig:
     @property
     def linkage_fn(self) -> LinkageFn:
         return LINKAGES[self.linkage]
+
+
+def merge_pair(
+    work: SparseGraph,
+    tracker: MembershipTracker,
+    u: int,
+    v: int,
+    linkage: LinkageFn,
+) -> int:
+    """Contract edge (u, v) into a fresh vertex using ``linkage``.
+
+    The one contraction both HAC variants perform. Missing edges enter
+    the linkage as similarity 0.0 (paper convention), so the merged
+    vertex can end up with *weaker* edges than either child had — that
+    is the mechanism that stops chains from gluing everything together.
+    """
+    n_u = tracker.size(u)
+    n_v = tracker.size(v)
+    nbrs_u = work.neighbors(u)
+    nbrs_v = work.neighbors(v)
+    merged = tracker.merge(u, v)
+
+    all_nbrs = (set(nbrs_u) | set(nbrs_v)) - {u, v}
+    work.add_vertex(merged)
+    for c in all_nbrs:
+        s_uc = nbrs_u.get(c, 0.0)
+        s_vc = nbrs_v.get(c, 0.0)
+        new_w = linkage(s_uc, s_vc, n_u, n_v)
+        if new_w > 0.0:
+            work.set_edge(merged, c, new_w)
+    work.remove_vertex(u)
+    work.remove_vertex(v)
+    return merged
 
 
 class SequentialHAC:
@@ -102,42 +135,9 @@ class SequentialHAC:
                 work.remove_edge(u, v)
                 continue
 
-            merged = self._merge_pair(work, tracker, u, v, linkage)
+            merged = merge_pair(work, tracker, u, v, linkage)
             dendrogram.record_merge(Merge(merged, u, v, w, iteration))
             iteration += 1
             for nbr, weight in work.neighbors(merged).items():
                 heapq.heappush(heap, (-weight, *(sorted((merged, nbr)))))
         return dendrogram
-
-    @staticmethod
-    def _merge_pair(
-        work: SparseGraph,
-        tracker: MembershipTracker,
-        u: int,
-        v: int,
-        linkage: LinkageFn,
-    ) -> int:
-        """Contract edge (u, v) into a fresh vertex using ``linkage``.
-
-        Missing edges enter the linkage as similarity 0.0 (paper
-        convention), so the merged vertex can end up with *weaker*
-        edges than either child had — that is the mechanism that stops
-        chains from gluing everything together.
-        """
-        n_u = tracker.size(u)
-        n_v = tracker.size(v)
-        nbrs_u = work.neighbors(u)
-        nbrs_v = work.neighbors(v)
-        merged = tracker.merge(u, v)
-
-        all_nbrs = (set(nbrs_u) | set(nbrs_v)) - {u, v}
-        work.add_vertex(merged)
-        for c in all_nbrs:
-            s_uc = nbrs_u.get(c, 0.0)
-            s_vc = nbrs_v.get(c, 0.0)
-            new_w = linkage(s_uc, s_vc, n_u, n_v)
-            if new_w > 0.0:
-                work.set_edge(merged, c, new_w)
-        work.remove_vertex(u)
-        work.remove_vertex(v)
-        return merged

@@ -28,14 +28,14 @@ Two execution modes share the identical merge semantics:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Optional, Set, Tuple
 
 from repro._util import check_in, check_positive
 from repro.clustering.dendrogram import Dendrogram, Merge
-from repro.clustering.hac import HACConfig
+from repro.clustering.hac import HACConfig, merge_pair
 from repro.clustering.linkage import LINKAGES, LinkageFn
 from repro.clustering.membership import MembershipTracker
-from repro.graph.diffusion import local_maximal_edges
+from repro.graph.diffusion import MaxDiffusion
 from repro.graph.sparse import SparseGraph
 from repro.pregel import PregelConfig, PregelEngine, Vertex, combine_max
 
@@ -178,16 +178,24 @@ class ParallelHAC:
         tracker = MembershipTracker(graph.vertices())
         dendrogram = Dendrogram(graph.vertices())
         rounds: List[RoundStats] = []
+        # Local mode carries the beliefs from round to round and repairs
+        # them around what the round merged; the BSP engine re-runs its
+        # vertex program on the whole graph every round.
+        adjacency = work.adjacency()
+        diffusion = (
+            MaxDiffusion(work, cfg.diffusion_rounds)
+            if cfg.engine == "local" else None
+        )
 
         for round_index in range(cfg.max_rounds):
             live_edges = work.n_edges
             if live_edges == 0:
                 break
 
-            if cfg.engine == "pregel":
+            if diffusion is None:
                 candidates, supersteps, msgs, remote = self._diffuse_pregel(work)
             else:
-                candidates = local_maximal_edges(work, cfg.diffusion_rounds)
+                candidates = diffusion.local_maximal_edges()
                 supersteps, msgs, remote = 0, 0, 0
 
             eligible = [
@@ -200,11 +208,12 @@ class ParallelHAC:
                     if tracker.size(u) + tracker.size(v) <= cfg.max_cluster_size
                 ]
 
-            merges_done = 0
+            touched = set()
             for u, v, w in eligible:
-                merged = self._merge_pair(work, tracker, u, v)
+                touched.update(adjacency[u], adjacency[v])
+                merged = merge_pair(work, tracker, u, v, cfg.linkage_fn)
+                touched.add(merged)
                 dendrogram.record_merge(Merge(merged, u, v, w, round_index))
-                merges_done += 1
 
             rounds.append(
                 RoundStats(
@@ -212,32 +221,35 @@ class ParallelHAC:
                     live_clusters=tracker.n_live(),
                     live_edges=live_edges,
                     local_maximal_edges=len(candidates),
-                    merges=merges_done,
+                    merges=len(eligible),
                     supersteps=supersteps,
                     messages=msgs,
                     remote_messages=remote,
                 )
             )
 
-            if merges_done == 0:
+            if not eligible:
                 # No local maximal edge clears the threshold. Since a
                 # *global* maximal edge is always locally maximal, the
                 # global max is below threshold too: we are done. (With
                 # max_cluster_size set, remaining merges are size-blocked;
                 # drop their edges and re-check.)
-                if cfg.max_cluster_size is not None:
-                    removed = self._drop_blocked_edges(work, tracker)
-                    if removed:
-                        continue
-                break
+                if cfg.max_cluster_size is None:
+                    break
+                touched = self._drop_blocked_edges(work, tracker)
+                if not touched:
+                    break
+            if diffusion is not None:
+                diffusion.refresh(touched)
         return ParallelHACResult(dendrogram=dendrogram, rounds=rounds)
 
     # -- internals ------------------------------------------------------------
 
     def _drop_blocked_edges(
         self, work: SparseGraph, tracker: MembershipTracker
-    ) -> int:
-        """Remove edges whose merge would exceed ``max_cluster_size``.
+    ) -> Set[int]:
+        """Remove edges whose merge would exceed ``max_cluster_size``;
+        returns the vertices that lost one.
 
         Needed for termination: a heavy-but-blocked edge would otherwise
         keep winning the diffusion and stall every later round.
@@ -252,7 +264,7 @@ class ParallelHAC:
         ]
         for u, v in to_drop:
             work.remove_edge(u, v)
-        return len(to_drop)
+        return {x for pair in to_drop for x in pair}
 
     def _diffuse_pregel(
         self, work: SparseGraph
@@ -293,35 +305,3 @@ class ParallelHAC:
             run.total_messages,
             run.total_remote_messages,
         )
-
-    def _merge_pair(
-        self,
-        work: SparseGraph,
-        tracker: MembershipTracker,
-        u: int,
-        v: int,
-    ) -> int:
-        """Contract (u, v) with the configured linkage (Eq. 4 default).
-
-        Identical semantics to ``SequentialHAC._merge_pair``; duplicated
-        deliberately so each algorithm file reads standalone, with a
-        cross-test pinning them together.
-        """
-        linkage = self._config.linkage_fn
-        n_u = tracker.size(u)
-        n_v = tracker.size(v)
-        nbrs_u = work.neighbors(u)
-        nbrs_v = work.neighbors(v)
-        merged = tracker.merge(u, v)
-
-        all_nbrs = (set(nbrs_u) | set(nbrs_v)) - {u, v}
-        work.add_vertex(merged)
-        for c in all_nbrs:
-            s_uc = nbrs_u.get(c, 0.0)
-            s_vc = nbrs_v.get(c, 0.0)
-            new_w = linkage(s_uc, s_vc, n_u, n_v)
-            if new_w > 0.0:
-                work.set_edge(merged, c, new_w)
-        work.remove_vertex(u)
-        work.remove_vertex(v)
-        return merged

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -108,13 +108,25 @@ class TopicDescriber:
             return {}
         pseudo_docs = [self._pseudo_document(t, titles) for t in topics]
         bm25 = BM25(pseudo_docs, self._config.bm25)
-        topic_token_totals = [len(d) for d in pseudo_docs]
+
+        # A query's softmax row does not depend on the topic asking, so
+        # group the candidates by query and compute each row once.
+        by_query: Dict[int, List[Tuple[int, int]]] = {}
+        for idx, topic in enumerate(topics):
+            for q, tf_q in self._candidate_queries(topic, bipartite).items():
+                by_query.setdefault(q, []).append((idx, tf_q))
+        scored: List[List[QueryScore]] = [[] for _ in topics]
+        for q, wanted in by_query.items():
+            text = query_texts.get(q)
+            if text is None:
+                continue
+            con = self.concentrations(bm25, self._tokenizer.tokenize(text))
+            for idx, tf_q in wanted:
+                pop = self.popularity(tf_q, len(pseudo_docs[idx]))
+                scored[idx].append(QueryScore(q, text, pop, float(con[idx])))
 
         result: Dict[int, List[QueryScore]] = {}
-        for idx, topic in enumerate(topics):
-            scores = self._score_topic(
-                topic, idx, bipartite, query_texts, bm25, topic_token_totals[idx]
-            )
+        for topic, scores in zip(topics, scored):
             scores.sort(key=lambda s: (-s.representativeness, s.query_id))
             result[topic.topic_id] = scores
             topic.descriptions = [
@@ -150,35 +162,14 @@ class TopicDescriber:
             return 0.0
         return (safe_log(tf_q) + 1.0) / denom
 
-    def concentration(
-        self, bm25: BM25, query_tokens: Sequence[str], topic_index: int
-    ) -> float:
-        """Softmax of BM25 relevance across topic pseudo-documents."""
+    def concentrations(
+        self, bm25: BM25, query_tokens: Sequence[str]
+    ) -> np.ndarray:
+        """Softmax of BM25 relevance across topic pseudo-documents: the
+        query's concentration for every topic at once."""
         rels = bm25.scores(query_tokens) / self._config.softmax_scale
         # The paper's denominator carries a +1; reproduce it in the
         # shifted domain (the shift cancels in ranking but we keep the
         # formula close to the paper by working with raw scores when safe).
         raw = np.exp(np.clip(rels, None, 700.0))
-        denom = 1.0 + float(raw.sum())
-        return float(raw[topic_index]) / denom
-
-    def _score_topic(
-        self,
-        topic: Topic,
-        topic_index: int,
-        bipartite: QueryItemGraph,
-        query_texts: Dict[int, str],
-        bm25: BM25,
-        topic_tokens: int,
-    ) -> List[QueryScore]:
-        out: List[QueryScore] = []
-        for q, tf_q in self._candidate_queries(topic, bipartite).items():
-            text = query_texts.get(q)
-            if text is None:
-                continue
-            pop = self.popularity(tf_q, topic_tokens)
-            con = self.concentration(
-                bm25, self._tokenizer.tokenize(text), topic_index
-            )
-            out.append(QueryScore(q, text, pop, con))
-        return out
+        return raw / (1.0 + float(raw.sum()))

@@ -20,17 +20,12 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Optional, Union
 
-from repro.clustering.parallel_hac import ParallelHAC
 from repro.core.config import ShoalConfig
-from repro.core.correlation import CategoryCorrelationMiner
-from repro.core.descriptions import TopicDescriber
-from repro.core.pipeline import ShoalModel
+from repro.core.pipeline import ShoalModel, ShoalPipeline, fit_stage
 from repro.core.serving import ShoalService
-from repro.core.taxonomy import Taxonomy
 from repro.data.queries import QueryLog
 from repro.eval.metrics import normalized_mutual_information
 from repro.graph.bipartite import build_query_item_graph
-from repro.graph.entity_graph import EntityGraphBuilder
 from repro.text.tokenizer import Tokenizer
 from repro.text.word2vec import Word2Vec, WordEmbeddings
 
@@ -208,18 +203,19 @@ class IncrementalShoal:
 
     # -- embedding lifecycle -----------------------------------------------
 
-    def _ensure_embeddings(self) -> bool:
+    def _ensure_embeddings(self, timings: Dict[str, float]) -> bool:
         """(Re)train embeddings if missing or due; returns True if
-        a retrain happened."""
+        a retrain happened (then ``timings`` gains its ``word2vec``)."""
         due = (
             self._embeddings is None
             or self._fits_since_retrain >= self._retrain_every
         )
         if not due:
             return False
-        corpus = list(self._titles.values()) + list(self._query_texts.values())
-        token_docs = self._tokenizer.tokenize_all(corpus)
-        self._embeddings = Word2Vec(self._config.word2vec).fit(token_docs)
+        with fit_stage("word2vec", timings):
+            corpus = list(self._titles.values()) + list(self._query_texts.values())
+            token_docs = self._tokenizer.tokenize_all(corpus)
+            self._embeddings = Word2Vec(self._config.word2vec).fit(token_docs)
         self._fits_since_retrain = 0
         return True
 
@@ -300,39 +296,21 @@ class IncrementalShoal:
         (NMI between consecutive root partitions)."""
         cfg = self._config
         first_day = max(0, last_day - cfg.window_days + 1)
-        retrained = self._ensure_embeddings()
+        timings: Dict[str, float] = {}
+        retrained = self._ensure_embeddings(timings)
         assert self._embeddings is not None
 
-        bipartite = build_query_item_graph(
-            query_log, first_day, last_day, cfg.min_clicks
-        )
-        builder = EntityGraphBuilder(
-            self._embeddings, self._tokenizer, cfg.entity_graph
-        )
-        entity_graph = builder.build(bipartite, self._titles)
-        clustering = ParallelHAC(cfg.clustering).fit(entity_graph)
-        taxonomy = Taxonomy.from_dendrogram(
-            clustering.dendrogram,
+        with fit_stage("bipartite", timings):
+            bipartite = build_query_item_graph(
+                query_log, first_day, last_day, cfg.min_clicks
+            )
+        model = ShoalPipeline(cfg).fit_window(
+            bipartite,
+            self._embeddings,
+            dict(self._titles),
+            dict(self._query_texts),
             self._categories,
-            min_topic_size=cfg.min_topic_size,
-        )
-        describer = TopicDescriber(self._tokenizer, cfg.descriptions)
-        descriptions = describer.describe(
-            taxonomy, bipartite, self._titles, self._query_texts
-        )
-        correlations = CategoryCorrelationMiner(cfg.correlation).mine(taxonomy)
-
-        model = ShoalModel(
-            config=cfg,
-            bipartite=bipartite,
-            embeddings=self._embeddings,
-            entity_graph=entity_graph,
-            clustering=clustering,
-            taxonomy=taxonomy,
-            descriptions=descriptions,
-            correlations=correlations,
-            titles=dict(self._titles),
-            query_texts=dict(self._query_texts),
+            timings,
         )
 
         stability = self._stability(self._last_model, model)

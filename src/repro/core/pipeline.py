@@ -16,9 +16,10 @@ the evaluation harness need, plus stage timings for the benches.
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Dict, Iterator, List, Optional, Union
 
 from repro.clustering.parallel_hac import ParallelHAC, ParallelHACResult
 from repro.core.config import ShoalConfig
@@ -30,10 +31,21 @@ from repro.data.queries import QueryLog
 from repro.graph.bipartite import QueryItemGraph, build_query_item_graph
 from repro.graph.entity_graph import EntityGraphBuilder
 from repro.graph.sparse import SparseGraph
+from repro.obs.tracer import traced
 from repro.text.tokenizer import Tokenizer
 from repro.text.word2vec import Word2Vec, WordEmbeddings
 
-__all__ = ["ShoalModel", "ShoalPipeline"]
+__all__ = ["ShoalModel", "ShoalPipeline", "fit_stage"]
+
+
+@contextmanager
+def fit_stage(name: str, timings: Dict[str, float]) -> Iterator[None]:
+    """Time one fit stage into ``timings`` and, when a tracer is in
+    scope, open a ``fit.<name>`` span around it."""
+    t0 = time.perf_counter()
+    with traced(f"fit.{name}"):
+        yield
+    timings[name] = time.perf_counter() - t0
 
 
 @dataclass
@@ -154,45 +166,56 @@ class ShoalPipeline:
         cfg = self._config
         timings: Dict[str, float] = {}
 
-        t0 = time.perf_counter()
-        bipartite = build_query_item_graph(
-            query_log, first_day, last_day, cfg.min_clicks
+        with fit_stage("bipartite", timings):
+            bipartite = build_query_item_graph(
+                query_log, first_day, last_day, cfg.min_clicks
+            )
+        with fit_stage("word2vec", timings):
+            corpus_texts = corpus if corpus is not None else (
+                list(titles.values()) + list(query_texts.values())
+            )
+            token_docs = self._tokenizer.tokenize_all(corpus_texts)
+            embeddings = Word2Vec(cfg.word2vec).fit(token_docs)
+        return self.fit_window(
+            bipartite, embeddings, titles, query_texts, entity_categories, timings
         )
-        timings["bipartite"] = time.perf_counter() - t0
 
-        t0 = time.perf_counter()
-        corpus_texts = corpus if corpus is not None else (
-            list(titles.values()) + list(query_texts.values())
-        )
-        token_docs = self._tokenizer.tokenize_all(corpus_texts)
-        embeddings = Word2Vec(cfg.word2vec).fit(token_docs)
-        timings["word2vec"] = time.perf_counter() - t0
+    def fit_window(
+        self,
+        bipartite: QueryItemGraph,
+        embeddings: WordEmbeddings,
+        titles: Dict[int, str],
+        query_texts: Dict[int, str],
+        entity_categories: Optional[Dict[int, int]],
+        timings: Dict[str, float],
+    ) -> ShoalModel:
+        """Everything that depends on the click window: entity graph →
+        clustering → taxonomy → descriptions → correlation.
 
-        t0 = time.perf_counter()
-        builder = EntityGraphBuilder(embeddings, self._tokenizer, cfg.entity_graph)
-        entity_graph = builder.build(bipartite, titles)
-        timings["entity_graph"] = time.perf_counter() - t0
+        The one place these stages are spelled out; a full fit and a
+        window slide with warm embeddings both end here. ``timings``
+        holds the stages the caller already ran and gains these.
+        """
+        cfg = self._config
 
-        t0 = time.perf_counter()
-        clustering = ParallelHAC(cfg.clustering).fit(entity_graph)
-        timings["clustering"] = time.perf_counter() - t0
-
-        t0 = time.perf_counter()
-        taxonomy = Taxonomy.from_dendrogram(
-            clustering.dendrogram,
-            entity_categories or {},
-            min_topic_size=cfg.min_topic_size,
-        )
-        timings["taxonomy"] = time.perf_counter() - t0
-
-        t0 = time.perf_counter()
-        describer = TopicDescriber(self._tokenizer, cfg.descriptions)
-        descriptions = describer.describe(taxonomy, bipartite, titles, query_texts)
-        timings["descriptions"] = time.perf_counter() - t0
-
-        t0 = time.perf_counter()
-        correlations = CategoryCorrelationMiner(cfg.correlation).mine(taxonomy)
-        timings["correlation"] = time.perf_counter() - t0
+        with fit_stage("entity_graph", timings):
+            builder = EntityGraphBuilder(embeddings, self._tokenizer, cfg.entity_graph)
+            entity_graph = builder.build(bipartite, titles)
+        with fit_stage("clustering", timings):
+            clustering = ParallelHAC(cfg.clustering).fit(entity_graph)
+        with fit_stage("taxonomy", timings):
+            taxonomy = Taxonomy.from_dendrogram(
+                clustering.dendrogram,
+                entity_categories or {},
+                min_topic_size=cfg.min_topic_size,
+            )
+        with fit_stage("descriptions", timings):
+            describer = TopicDescriber(self._tokenizer, cfg.descriptions)
+            descriptions = describer.describe(
+                taxonomy, bipartite, titles, query_texts
+            )
+        with fit_stage("correlation", timings):
+            correlations = CategoryCorrelationMiner(cfg.correlation).mine(taxonomy)
 
         return ShoalModel(
             config=cfg,

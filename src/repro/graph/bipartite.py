@@ -9,7 +9,9 @@ description matcher (Sec. 2.3).
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+
+import numpy as np
 
 from repro.data.queries import QueryLog
 
@@ -88,22 +90,27 @@ class QueryItemGraph:
             e: frozenset(qs) for e, qs in self._entity_to_queries.items()
         }
 
-    def co_clicked_entity_pairs(self) -> Set[Tuple[int, int]]:
-        """Entity pairs sharing at least one query.
+    def co_click_counts(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Entity pairs sharing at least one query — the *candidate
+        edges* of the item entity graph; any other pair has Sq = 0.
 
-        These are the *candidate edges* of the item entity graph: a
-        pair with no shared query has Sq = 0 and, with the threshold
-        pruning of Sec. 2.1, would only survive on content similarity
-        between near-duplicate titles — the builder handles that case
-        separately via category blocking.
+        Returns parallel arrays ``(us, vs, shared)`` with ``u < v``,
+        sorted by pair. Each query contributes one integer key per pair
+        of its entities, so a key's multiplicity is ``|Q_u ∩ Q_v|``.
         """
-        pairs: Set[Tuple[int, int]] = set()
+        ids = np.array(self.entity_ids(), dtype=np.int64)
+        n = len(ids)
+        keys: List[np.ndarray] = []
         for entities in self._query_to_entities.values():
-            ids = sorted(entities)
-            for i in range(len(ids)):
-                for j in range(i + 1, len(ids)):
-                    pairs.add((ids[i], ids[j]))
-        return pairs
+            if len(entities) > 1:
+                index = np.searchsorted(ids, sorted(entities))
+                i, j = np.triu_indices(len(index), 1)
+                keys.append(index[i] * n + index[j])
+        if not keys:
+            empty = np.empty(0, dtype=np.int64)
+            return empty, empty, empty
+        pairs, shared = np.unique(np.concatenate(keys), return_counts=True)
+        return ids[pairs // n], ids[pairs % n], shared
 
     def edges(self) -> Iterable[Tuple[int, int, int]]:
         """Iterate (query_id, entity_id, clicks)."""

@@ -19,82 +19,107 @@ version used by the distributed engine, and both must agree (tested).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.graph.sparse import SparseGraph
 
-__all__ = ["local_maximal_edges", "best_incident_edge"]
+__all__ = ["MaxDiffusion", "local_maximal_edges", "best_incident_edge"]
 
 #: An edge record ordered so max() picks higher weight, tie-broken by
 #: the canonical vertex pair (deterministic across runs).
 EdgeRecord = Tuple[float, int, int]
 
 
-def _record(u: int, v: int, w: float) -> EdgeRecord:
-    a, b = (u, v) if u < v else (v, u)
-    # Negate vertex ids so that, at equal weight, the lexicographically
-    # *smallest* canonical pair wins under max().
-    return (w, -a, -b)
-
-
-def _unrecord(rec: EdgeRecord) -> Tuple[int, int, float]:
-    w, na, nb = rec
-    return (-na, -nb, w)
-
-
 def best_incident_edge(graph: SparseGraph, v: int) -> Optional[EdgeRecord]:
     """The strongest edge incident to ``v`` (deterministic ties)."""
-    best: Optional[EdgeRecord] = None
-    for u, w in graph.neighbors(v).items():
-        rec = _record(v, u, w)
-        if best is None or rec > best:
-            best = rec
-    return best
+    nbrs = graph.adjacency()[v]
+    if not nbrs:
+        return None
+    # The best record carries the top weight; only ties need comparing.
+    # Vertex ids are negated so that, at equal weight, the
+    # lexicographically *smallest* canonical pair wins under max().
+    top = max(nbrs.values())
+    return max([
+        (top, -v, -u) if v < u else (top, -u, -v)
+        for u, w in nbrs.items() if w == top
+    ])
+
+
+class MaxDiffusion:
+    """Local maximal edges of a graph that is being edited.
+
+    The protocol: (1) every vertex computes the best edge incident to
+    it; (2) for k rounds, every vertex adopts the best edge among its
+    own belief and its neighbours'; (3) an edge is *locally maximal* iff
+    both endpoints still believe in it.
+
+    After k rounds a vertex believes in the best of the step-1 edges of
+    the vertices within k hops of it. So an edge is locally maximal iff
+    it is the step-1 edge of both endpoints and no vertex within k hops
+    of either has a better one — decided by walking outward from the
+    few mutually-best pairs and stopping at the first better edge,
+    instead of updating every vertex k times. Only the step-1 beliefs
+    are stored; each depends on its vertex's adjacency alone, so between
+    Parallel HAC rounds :meth:`refresh` recomputes those a merge touched
+    and every other one carries over. Vertices without edges believe in
+    nothing and are not stored.
+    """
+
+    def __init__(self, graph: SparseGraph, diffusion_rounds: int = 2):
+        if diffusion_rounds < 1:
+            raise ValueError("diffusion_rounds must be >= 1")
+        self._graph = graph
+        self._rounds = diffusion_rounds
+        self._best: Dict[int, EdgeRecord] = {}
+        self.refresh(graph.adjacency())
+
+    def refresh(self, touched: Iterable[int]) -> None:
+        """Bring the beliefs up to date with the graph. ``touched`` must
+        hold every vertex whose adjacency changed since the last call:
+        added, removed, or with an edge added, removed or re-weighted."""
+        adj = self._graph.adjacency()
+        for v in touched:
+            if adj.get(v):
+                self._best[v] = best_incident_edge(self._graph, v)
+            else:
+                self._best.pop(v, None)
+
+    def local_maximal_edges(self) -> List[Tuple[int, int, float]]:
+        """Edges both of whose endpoints believe in them after the last
+        round. Each vertex ends up in at most one returned edge, so all
+        of them can merge concurrently without conflicts. Returns
+        canonical (u, v, weight) triples sorted by vertex pair."""
+        best = self._best
+        found = []
+        for v, rec in best.items():
+            a, b = -rec[1], -rec[2]
+            # Looking from the smaller endpoint visits each edge once.
+            if v == a and best[b] == rec and self._unbeaten(rec):
+                found.append((a, b, rec[0]))
+        return sorted(found)
+
+    def _unbeaten(self, rec: EdgeRecord) -> bool:
+        """No vertex within the diffusion radius of ``rec``'s endpoints
+        has a better incident edge."""
+        adj, best = self._graph.adjacency(), self._best
+        frontier: Iterable[int] = (-rec[1], -rec[2])
+        seen = set(frontier)
+        for _ in range(self._rounds):
+            reached = set()
+            for x in frontier:
+                for y in adj[x]:
+                    if y not in seen:
+                        if best[y] > rec:
+                            return False
+                        seen.add(y)
+                        reached.add(y)
+            frontier = reached
+        return True
 
 
 def local_maximal_edges(
     graph: SparseGraph, diffusion_rounds: int = 2
 ) -> List[Tuple[int, int, float]]:
-    """Edges that survive ``diffusion_rounds`` rounds of max-diffusion.
-
-    Protocol (matching the paper's description):
-
-    1. every vertex computes the best edge incident to it;
-    2. for each round, every vertex adopts the best edge among its own
-       current belief and its neighbours' beliefs;
-    3. after the rounds, an edge (u, v) is *locally maximal* iff both
-       endpoints still believe in it.
-
-    Each vertex ends up in at most one returned edge, so all returned
-    edges can merge concurrently without conflicts. Returns canonical
-    (u, v, weight) triples sorted by vertex pair.
-    """
-    if diffusion_rounds < 1:
-        raise ValueError("diffusion_rounds must be >= 1")
-
-    belief: Dict[int, Optional[EdgeRecord]] = {
-        v: best_incident_edge(graph, v) for v in graph.vertices()
-    }
-    for _ in range(diffusion_rounds):
-        updated: Dict[int, Optional[EdgeRecord]] = {}
-        for v in graph.vertices():
-            best = belief[v]
-            for u in graph.neighbor_ids(v):
-                cand = belief[u]
-                if cand is not None and (best is None or cand > best):
-                    best = cand
-            updated[v] = best
-        belief = updated
-
-    result: Set[Tuple[int, int, float]] = set()
-    for v in graph.vertices():
-        rec = belief[v]
-        if rec is None:
-            continue
-        u, w_, weight = _unrecord(rec)
-        # v's belief names edge (u, w_). The edge is locally maximal iff
-        # both of its endpoints believe in it.
-        a, b = u, w_
-        if belief.get(a) == rec and belief.get(b) == rec:
-            result.add((a, b, weight))
-    return sorted(result)
+    """Edges that survive ``diffusion_rounds`` rounds of max-diffusion
+    on ``graph`` as it stands (see :class:`MaxDiffusion`)."""
+    return MaxDiffusion(graph, diffusion_rounds).local_maximal_edges()

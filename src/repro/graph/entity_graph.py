@@ -15,9 +15,8 @@ similarity into the sparse weighted graph Parallel HAC clusters:
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Optional, Tuple
 
 import numpy as np
 
@@ -29,6 +28,10 @@ from repro.text.tokenizer import Tokenizer
 from repro.text.word2vec import WordEmbeddings
 
 __all__ = ["EntityGraphConfig", "EntityGraphBuilder", "build_entity_graph"]
+
+#: Eq. 2 is a mean of shifted cosines, so Sc ≤ 1 before rounding; the
+#: slack covers the rounding of the mean vectors and of their dot.
+_SC_CEILING = 1.0 + 1e-9
 
 
 @dataclass(frozen=True)
@@ -92,44 +95,6 @@ class EntityGraphBuilder:
     def config(self) -> EntityGraphConfig:
         return self._config
 
-    # -- similarity kernels ------------------------------------------------
-
-    @staticmethod
-    def query_similarity(qu: FrozenSet[int], qv: FrozenSet[int]) -> float:
-        """Eq. 1: Jaccard of the two query sets."""
-        if not qu and not qv:
-            return 0.0
-        inter = len(qu & qv)
-        if inter == 0:
-            return 0.0
-        return inter / len(qu | qv)
-
-    def content_similarity_vectors(
-        self, titles: Sequence[str]
-    ) -> np.ndarray:
-        """Mean unit title vector per entity (the Eq. 2 statistic)."""
-        tok = self._tokenizer
-        emb = self._embeddings
-        return np.stack(
-            [entity_embedding(emb, tok.tokenize(t)) for t in titles]
-        )
-
-    def combined_similarity(
-        self,
-        qu: FrozenSet[int],
-        qv: FrozenSet[int],
-        mean_u: np.ndarray,
-        mean_v: np.ndarray,
-    ) -> float:
-        """Eq. 3 on precomputed statistics."""
-        sq = self.query_similarity(qu, qv)
-        if mean_u.any() and mean_v.any():
-            sc = 0.5 + 0.5 * float(np.dot(mean_u, mean_v))
-        else:
-            sc = 0.5
-        a = self._config.alpha
-        return a * sq + (1.0 - a) * sc
-
     # -- graph construction ----------------------------------------------------
 
     def build(
@@ -148,55 +113,60 @@ class EntityGraphBuilder:
         entity_ids = bipartite.entity_ids()
         query_sets = bipartite.entity_query_sets()
 
-        # Precompute mean title vectors once per entity.
-        tok = self._tokenizer
-        emb = self._embeddings
-        means: Dict[int, np.ndarray] = {}
-        for e in entity_ids:
-            title = titles.get(e, "")
-            means[e] = entity_embedding(emb, tok.tokenize(title))
+        # Mean title vector once per entity, and whether it has one.
+        tokenize = self._tokenizer.tokenize
+        means = [
+            entity_embedding(self._embeddings, tokenize(titles.get(e, "")))
+            for e in entity_ids
+        ]
+        has_vector = np.array([bool(m.any()) for m in means], dtype=bool)
+        degree = np.array([len(query_sets[e]) for e in entity_ids], dtype=np.int64)
 
         if cfg.candidate_source == "lsh":
-            candidates = self._lsh_candidates(query_sets)
+            us, vs, shared = self._lsh_candidates(query_sets)
         else:
-            candidates = self._coclick_candidates(bipartite)
+            us, vs, shared = bipartite.co_click_counts()
+        ids = np.array(entity_ids, dtype=np.int64)
+        iu, iv = np.searchsorted(ids, us), np.searchsorted(ids, vs)
 
-        scored: List[Tuple[int, int, float]] = []
-        for u, v in candidates:
-            shared = len(query_sets[u] & query_sets[v])
-            if shared < cfg.min_shared_queries:
-                continue
-            s = self.combined_similarity(
-                query_sets[u], query_sets[v], means[u], means[v]
-            )
-            if s >= cfg.min_similarity:
-                scored.append((u, v, s))
-
-        pruned = self._prune_to_top_k(scored, cfg.max_neighbors)
+        # Eq. 1 from the counts: |Qu ∪ Qv| = |Qu| + |Qv| − |Qu ∩ Qv|.
+        a = cfg.alpha
+        sq = shared / (degree[iu] + degree[iv] - shared)
+        # Sc ≤ 1, so most pairs miss the threshold whatever their titles
+        # say; only the rest pay for a dot product. The dot stays
+        # np.dot on the two mean vectors: a batched form (einsum,
+        # multiply-and-sum) rounds differently in the last bit, which is
+        # enough to change which edges survive the threshold.
+        live = np.flatnonzero(
+            (shared >= cfg.min_shared_queries)
+            & (a * sq + (1.0 - a) * _SC_CEILING >= cfg.min_similarity)
+        )
+        iu, iv, sq = iu[live], iv[live], sq[live]
+        titled = has_vector[iu] & has_vector[iv]
+        sc = np.full(len(live), 0.5)
+        sc[titled] = [
+            0.5 + 0.5 * float(np.dot(means[i], means[j]))
+            for i, j in zip(iu[titled].tolist(), iv[titled].tolist())
+        ]
+        s = a * sq + (1.0 - a) * sc
+        kept = s >= cfg.min_similarity
+        iu, iv, s = self._prune_to_top_k(
+            iu[kept], iv[kept], s[kept], cfg.max_neighbors
+        )
 
         graph = SparseGraph(0)
         for e in entity_ids:
             graph.add_vertex(e)
-        for u, v, s in pruned:
-            graph.set_edge(u, v, s)
+        for u, v, w in zip(ids[iu].tolist(), ids[iv].tolist(), s.tolist()):
+            graph.set_edge(u, v, w)
         return graph
-
-    @staticmethod
-    def _coclick_candidates(bipartite: QueryItemGraph) -> List[Tuple[int, int]]:
-        """Exact candidate pairs: entities sharing at least one query."""
-        seen = set()
-        for q in bipartite.query_ids():
-            ids = sorted(bipartite.entities_of_query(q))
-            for i in range(len(ids)):
-                for j in range(i + 1, len(ids)):
-                    seen.add((ids[i], ids[j]))
-        return sorted(seen)
 
     def _lsh_candidates(
         self, query_sets: Dict[int, FrozenSet[int]]
-    ) -> List[Tuple[int, int]]:
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Approximate candidates via banded MinHash LSH (bounded cost
-        under hub queries; recall controlled by the band S-curve)."""
+        under hub queries; recall controlled by the band S-curve), as
+        ``(us, vs, shared)`` like :meth:`QueryItemGraph.co_click_counts`."""
         from repro.graph.minhash import LSHConfig, LSHIndex
 
         cfg = self._config
@@ -208,28 +178,33 @@ class EntityGraphBuilder:
             )
         )
         index.add_all(query_sets)
-        return sorted(index.candidate_pairs())
+        pairs = sorted(index.candidate_pairs())
+        shared = [len(query_sets[u] & query_sets[v]) for u, v in pairs]
+        us, vs = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+        return us, vs, np.array(shared, dtype=np.int64)
 
     @staticmethod
     def _prune_to_top_k(
-        edges: List[Tuple[int, int, float]], k: int
-    ) -> List[Tuple[int, int, float]]:
+        us: np.ndarray, vs: np.ndarray, ws: np.ndarray, k: int
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Keep an edge iff it is in the top-k of *either* endpoint.
 
         The union (rather than intersection) rule preserves graph
         connectivity for low-degree vertices while still bounding the
         expected degree, matching the "few neighbor entities" intent.
+        A vertex ranks its edges by ``(weight, u, v)`` descending; the
+        input is sorted by ``(u, v)`` and so is the result.
         """
-        per_vertex: Dict[int, List[Tuple[float, int, int]]] = {}
-        for u, v, w in edges:
-            per_vertex.setdefault(u, []).append((w, u, v))
-            per_vertex.setdefault(v, []).append((w, u, v))
-        keep = set()
-        for vertex, incident in per_vertex.items():
-            top = heapq.nlargest(k, incident)
-            for w, u, v in top:
-                keep.add((u, v, w))
-        return sorted(keep)
+        n = len(us)
+        edge = np.concatenate([np.arange(n), np.arange(n)])
+        vertex = np.concatenate([us, vs])
+        order = np.lexsort((vs[edge], us[edge], ws[edge], vertex))
+        # Each vertex's run is ascending: its top-k are the last k of it.
+        degree = np.unique(vertex, return_counts=True)[1]
+        run_end = np.repeat(np.cumsum(degree), degree)
+        keep = np.zeros(n, dtype=bool)
+        keep[edge[order][run_end - np.arange(2 * n) <= k]] = True
+        return us[keep], vs[keep], ws[keep]
 
 
 def build_entity_graph(

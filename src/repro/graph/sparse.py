@@ -20,7 +20,7 @@ Design notes
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -130,6 +130,11 @@ class SparseGraph:
     def neighbors(self, v: int) -> Dict[int, float]:
         """Mapping neighbour → weight (a direct view copy)."""
         return dict(self._adj[v])
+
+    def adjacency(self) -> Mapping[int, Mapping[int, float]]:
+        """The live vertex → (neighbour → weight) mapping, not a copy:
+        for read-only scans; edit the graph through its methods."""
+        return self._adj
 
     def neighbor_ids(self, v: int) -> List[int]:
         return sorted(self._adj[v])

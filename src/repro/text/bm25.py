@@ -205,10 +205,25 @@ class BM25:
         return total
 
     def scores(self, query_tokens: Sequence[str]) -> np.ndarray:
-        """BM25 relevance of the query to every document."""
-        return np.array(
-            [self.score(query_tokens, i) for i in range(self._n_docs)], dtype=float
-        )
+        """BM25 relevance of the query to every document.
+
+        Walks the posting list of each query token in query order, so a
+        document receives exactly the additions :meth:`score` would
+        make for it, in the same order: equal floats, without visiting
+        the documents that share no token with the query.
+        """
+        totals = [0.0] * self._n_docs
+        if self._avg_len == 0:
+            return np.array(totals, dtype=float)
+        cfg = self._config
+        for tok in query_tokens:
+            idf = self._idf.get(tok, 0.0)
+            for doc_index in self._postings.get(tok, ()):
+                f = self._doc_freqs[doc_index][tok]
+                dl = self._doc_lengths[doc_index]
+                norm = cfg.k1 * (1.0 - cfg.b + cfg.b * dl / self._avg_len)
+                totals[doc_index] += idf * (f * (cfg.k1 + 1.0)) / (f + norm)
+        return np.array(totals, dtype=float)
 
     def top_k(self, query_tokens: Sequence[str], k: int = 10) -> List[tuple]:
         """Top-``k`` (doc_index, score) pairs by descending relevance.

@@ -102,15 +102,13 @@ class TestConcentration:
     def test_concentrated_query_wins(self):
         d = TopicDescriber()
         bm25 = BM25([["sun", "sand", "sun"], ["snow", "ski"]])
-        con_topic0 = d.concentration(bm25, ["sun", "sand"], 0)
-        con_topic1 = d.concentration(bm25, ["sun", "sand"], 1)
+        con_topic0, con_topic1 = d.concentrations(bm25, ["sun", "sand"])
         assert con_topic0 > con_topic1
 
     def test_bounded(self):
         d = TopicDescriber()
         bm25 = BM25([["a"], ["b"]])
-        for i in (0, 1):
-            c = d.concentration(bm25, ["a"], i)
+        for c in d.concentrations(bm25, ["a"]):
             assert 0.0 <= c <= 1.0
 
 

@@ -57,8 +57,22 @@ class TestViews:
         assert graph.query_clicks_of_entity(10) == {0: 3, 1: 2}
         assert graph.entity_clicks_of_query(0) == {10: 3, 11: 1}
 
-    def test_co_clicked_pairs(self, graph):
-        assert graph.co_clicked_entity_pairs() == {(10, 11)}
+    def test_co_click_counts(self, graph):
+        us, vs, shared = graph.co_click_counts()
+        assert (us.tolist(), vs.tolist(), shared.tolist()) == ([10], [11], [1])
+
+    def test_co_click_counts_multiplicity_is_shared_queries(self):
+        g = QueryItemGraph()
+        for q, entities in {0: (7, 3, 5), 1: (5, 3), 2: (9,), 3: (3, 5)}.items():
+            for e in entities:
+                g.add_click(q, e)
+        us, vs, shared = g.co_click_counts()
+        assert list(zip(us.tolist(), vs.tolist(), shared.tolist())) == [
+            (3, 5, 3), (3, 7, 1), (5, 7, 1),
+        ]
+
+    def test_co_click_counts_empty(self):
+        assert [len(a) for a in QueryItemGraph().co_click_counts()] == [0, 0, 0]
 
     def test_edges_iteration(self, graph):
         edges = list(graph.edges())

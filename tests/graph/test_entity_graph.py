@@ -4,11 +4,7 @@ import numpy as np
 import pytest
 
 from repro.graph.bipartite import QueryItemGraph
-from repro.graph.entity_graph import (
-    EntityGraphBuilder,
-    EntityGraphConfig,
-    build_entity_graph,
-)
+from repro.graph.entity_graph import EntityGraphConfig, build_entity_graph
 from repro.text.word2vec import Word2Vec, Word2VecConfig
 
 
@@ -24,47 +20,42 @@ def embeddings():
     return Word2Vec(Word2VecConfig(dim=12, epochs=15, seed=0)).fit(docs)
 
 
+def pair_weight(embeddings, alpha, queries_u, queries_v, title_u, title_v):
+    """The weight ``build`` gives the edge between two entities with
+    these query sets and titles (None when it builds no edge)."""
+    bipartite = QueryItemGraph()
+    for q in queries_u:
+        bipartite.add_click(q, 0)
+    for q in queries_v:
+        bipartite.add_click(q, 1)
+    graph = build_entity_graph(
+        bipartite, embeddings, {0: title_u, 1: title_v},
+        EntityGraphConfig(alpha=alpha, min_similarity=0.0),
+    )
+    return graph.weight(0, 1) if graph.has_edge(0, 1) else None
+
+
 class TestQuerySimilarity:
-    def test_jaccard_eq1(self):
-        sq = EntityGraphBuilder.query_similarity(
-            frozenset({1, 2, 3}), frozenset({2, 3, 4})
-        )
+    def test_jaccard_eq1(self, embeddings):
+        sq = pair_weight(embeddings, 1.0, {1, 2, 3}, {2, 3, 4}, "sun", "ice")
         assert sq == pytest.approx(2 / 4)
 
-    def test_no_overlap(self):
-        assert EntityGraphBuilder.query_similarity(
-            frozenset({1}), frozenset({2})
-        ) == 0.0
-
-    def test_empty_sets(self):
-        assert EntityGraphBuilder.query_similarity(frozenset(), frozenset()) == 0.0
+    def test_no_overlap(self, embeddings):
+        assert pair_weight(embeddings, 1.0, {1}, {2}, "sun", "sun") is None
 
 
 class TestCombinedSimilarity:
     def test_alpha_mixing_eq3(self, embeddings):
-        builder = EntityGraphBuilder(
-            embeddings, config=EntityGraphConfig(alpha=0.7)
-        )
-        qu, qv = frozenset({1, 2}), frozenset({2, 3})
-        mu = np.zeros(embeddings.dim)  # no content info → Sc = 0.5
-        s = builder.combined_similarity(qu, qv, mu, mu)
-        expected = 0.7 * (1 / 3) + 0.3 * 0.5
-        assert s == pytest.approx(expected)
+        # Unknown words: no content info → Sc = 0.5
+        s = pair_weight(embeddings, 0.7, {1, 2}, {2, 3}, "zzz", "qqq")
+        assert s == pytest.approx(0.7 * (1 / 3) + 0.3 * 0.5)
 
     def test_alpha_one_is_pure_query(self, embeddings):
-        builder = EntityGraphBuilder(
-            embeddings, config=EntityGraphConfig(alpha=1.0)
-        )
-        qu, qv = frozenset({1}), frozenset({1})
-        mu = np.ones(embeddings.dim)
-        assert builder.combined_similarity(qu, qv, mu, mu) == pytest.approx(1.0)
+        assert pair_weight(embeddings, 1.0, {1}, {1}, "sun", "ice") == pytest.approx(1.0)
 
     def test_alpha_zero_is_pure_content(self, embeddings):
-        builder = EntityGraphBuilder(
-            embeddings, config=EntityGraphConfig(alpha=0.0)
-        )
-        mu = np.ones(embeddings.dim) / np.sqrt(embeddings.dim)  # unit mean
-        s = builder.combined_similarity(frozenset(), frozenset(), mu, mu)
+        # One word each, the same one: the mean vectors are one unit vector.
+        s = pair_weight(embeddings, 0.0, {1, 2}, {2, 3}, "sun", "sun")
         assert s == pytest.approx(1.0)
 
 

@@ -10,6 +10,7 @@ kill landed.
 
 from __future__ import annotations
 
+from repro.obs.tracer import Tracer, set_default_tracer
 from repro.streaming import (
     GenerationSwitch,
     IngestPipe,
@@ -22,6 +23,13 @@ from tests.streaming.conftest import (
     BASE_LAST_DAY,
     event_payload,
     make_base_inc,
+)
+
+
+#: What a fold with warm embeddings runs, in order.
+FOLD_STAGES = (
+    "bipartite", "entity_graph", "clustering", "taxonomy",
+    "descriptions", "correlation",
 )
 
 
@@ -79,6 +87,44 @@ class TestMicroBatches:
         meta = read_manifest(generation.snapshot_dir)["metadata"]
         assert meta["generation"] == 1
         assert meta["applied_seq"] == 25
+
+    def test_generation_manifest_says_where_the_fold_went(
+        self, tmp_path, stream_market, live_events, base_inc
+    ):
+        from repro.store.persistence import read_manifest
+
+        _, pipe, updater = make_updater(
+            tmp_path, base_inc, generations_dir=tmp_path / "gens"
+        )
+        updater.seed_log(stream_market.query_log.window(0, BASE_LAST_DAY))
+        for e in live_events[:25]:
+            pipe.submit(event_payload(e))
+        generation = updater.run_once(timeout_s=0.0)
+        stages = read_manifest(generation.snapshot_dir)["stage_seconds"]
+        # Warm embeddings: the fold ran every stage but word2vec.
+        assert sorted(stages) == sorted(FOLD_STAGES)
+        assert all(seconds >= 0.0 for seconds in stages.values())
+
+    def test_fit_stages_nest_under_the_fold_trace(
+        self, tmp_path, stream_market, live_events, base_inc
+    ):
+        tracer = Tracer()
+        set_default_tracer(tracer)
+        try:
+            _, pipe, updater = make_updater(tmp_path, base_inc)
+            updater.seed_log(stream_market.query_log.window(0, BASE_LAST_DAY))
+            for e in live_events[:25]:
+                pipe.submit(event_payload(e))
+            assert updater.run_once(timeout_s=0.0) is not None
+        finally:
+            set_default_tracer(None)
+        trace = tracer.latest()
+        assert trace["endpoint"] == "updater.batch_fold"
+        (fold,) = [s for s in trace["spans"] if s["parent_id"] is None]
+        children = {
+            s["name"] for s in trace["spans"] if s["parent_id"] == fold["span_id"]
+        }
+        assert children == {f"fit.{stage}" for stage in FOLD_STAGES}
 
     def test_checkpoint_written_after_each_generation(
         self, tmp_path, stream_market, live_events, base_inc
