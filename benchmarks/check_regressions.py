@@ -19,6 +19,10 @@ Usage::
 
     python benchmarks/check_regressions.py            # gate against baseline
     python benchmarks/check_regressions.py --update   # re-record baseline
+
+Exit status: 0 within budget, 1 a stage regressed, 2 not comparable (no
+baseline, another profile, or a baseline stage this run did not
+measure — a stage that silently left the gate).
 """
 
 from __future__ import annotations
@@ -58,9 +62,7 @@ def calibrate() -> float:
 #: recorded number sits well above timer noise and the --min-seconds
 #: floor; per-op latency = aggregate / ops.
 SEARCH_COLD_ROUNDS = 5
-SEARCH_WARM_ROUNDS = 80
 RELATED_COLD_OPS = 500
-RELATED_WARM_OPS = 10_000
 BATCH_ROUNDS = 5
 
 
@@ -97,49 +99,35 @@ def measure(profile: str, repeats: int) -> Dict[str, float]:
 
     # These stages gate the raw engine's hot paths, so they time the
     # engine behind the adapter (gateway dispatch overhead has its own
-    # 1.3x gate in benchmarks/test_bench_api.py).
-    cold = ServiceBackend.from_model(
-        model, cache_size=0, entity_categories=categories
-    ).service
-    warm = ServiceBackend.from_model(
+    # 1.3x gate in benchmarks/test_bench_api.py). The engine holds no
+    # result cache, so every call computes ("cold").
+    engine = ServiceBackend.from_model(
         model, entity_categories=categories
     ).service
-    root = warm.taxonomy.root_topics()[0]
-    warm.search_topics_batch(queries, k=5)  # populate the cache
-    warm.related_topics(root.topic_id, k=6)
+    root = engine.taxonomy.root_topics()[0]
 
-    def time_queries(svc, rounds: int) -> float:
+    def time_queries() -> float:
         t0 = time.perf_counter()
-        for _ in range(rounds):
+        for _ in range(SEARCH_COLD_ROUNDS):
             for q in queries:
-                svc.search_topics(q, k=5)
+                engine.search_topics(q, k=5)
         return time.perf_counter() - t0
 
     def time_batch() -> float:
         t0 = time.perf_counter()
         for _ in range(BATCH_ROUNDS):
-            cold.search_topics_batch(queries, k=5)
+            engine.search_topics_batch(queries, k=5)
         return time.perf_counter() - t0
 
-    def time_related(svc, ops: int) -> float:
+    def time_related() -> float:
         t0 = time.perf_counter()
-        for _ in range(ops):
-            svc.related_topics(root.topic_id, k=6)
+        for _ in range(RELATED_COLD_OPS):
+            engine.related_topics(root.topic_id, k=6)
         return time.perf_counter() - t0
 
-    stages["serving_search_cold"] = _median_of(
-        lambda: time_queries(cold, SEARCH_COLD_ROUNDS), repeats
-    )
-    stages["serving_search_warm"] = _median_of(
-        lambda: time_queries(warm, SEARCH_WARM_ROUNDS), repeats
-    )
+    stages["serving_search_cold"] = _median_of(time_queries, repeats)
     stages["serving_search_batch"] = _median_of(time_batch, repeats)
-    stages["serving_related_cold"] = _median_of(
-        lambda: time_related(cold, RELATED_COLD_OPS), repeats
-    )
-    stages["serving_related_warm"] = _median_of(
-        lambda: time_related(warm, RELATED_WARM_OPS), repeats
-    )
+    stages["serving_related_cold"] = _median_of(time_related, repeats)
     return stages
 
 
@@ -187,6 +175,13 @@ def main(argv=None) -> int:
         print(
             f"baseline recorded on profile {baseline.get('profile')!r}, "
             f"current run is {args.profile!r}; not comparable"
+        )
+        return 2
+    stale = sorted(set(baseline["stages"]) - set(stages))
+    if stale:
+        print(
+            f"not comparable: baseline lists unmeasured stage "
+            f"{', '.join(stale)}; re-record with --update"
         )
         return 2
 

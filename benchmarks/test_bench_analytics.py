@@ -84,13 +84,12 @@ def test_bench_p95_read_latency_with_live_analytics_tier(
     tmp_path, analytics_bench_market, analytics_bench_inc
 ):
     market = analytics_bench_market
-    # Caches off for the same reason as the ingest bench: the gate is
+    # Cache off for the same reason as the ingest bench: the gate is
     # about index-path latency, not cache hits.
     gateway = Gateway(
         ServiceBackend.from_model(
             analytics_bench_inc.model,
             entity_categories=analytics_bench_inc.entity_categories,
-            cache_size=0,
         ),
         middlewares=[],
     )

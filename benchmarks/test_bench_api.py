@@ -1,12 +1,14 @@
-"""F7 — gateway API dispatch overhead on the warm serving path.
+"""F7 — gateway API dispatch overhead on the serving path.
 
 The gateway contract only earns its keep if it is effectively free on
 the hot path: a typed request through adapter + middleware stack must
 cost within 1.3x of calling the raw engine's ``search_topics``
-directly on a warm (cached) query. This bench measures that ratio with
-best-of-N aggregate timings (single calls sit below timer noise) and
-gates on it, plus records the absolute per-dispatch costs of the
-adapter-only and full-stack paths for the record.
+directly. Both sides compute the answer — the engine holds no result
+cache, and the gateway side runs the standard stack with its cache
+stage off — so the ratio is dispatch overhead alone. This bench
+measures it over adjacent pairs of aggregate timings (single calls sit
+below timer noise) and gates on the median per-pair ratio; the absolute cost of a full-stack cache
+*hit* is recorded by ``test_bench_full_stack_dispatch``.
 """
 
 import statistics
@@ -16,8 +18,8 @@ import pytest
 
 from repro.api import Gateway, SearchRequest, ServiceBackend, default_middlewares
 
-OPS_PER_SAMPLE = 2_000
-SAMPLES = 9  # median-of-9 aggregate timings per target
+OPS_PER_SAMPLE = 1_000
+SAMPLES = 21  # median-of-21 aggregate timings per target
 GATE_RATIO = 1.3
 
 
@@ -41,31 +43,43 @@ def scenario_query(bench_marketplace):
     )
 
 
+def _sample_seconds(fn) -> float:
+    t0 = time.perf_counter()
+    for _ in range(OPS_PER_SAMPLE):
+        fn()
+    return time.perf_counter() - t0
+
+
 def _median_seconds(fn) -> float:
-    samples = []
-    for _ in range(SAMPLES):
-        t0 = time.perf_counter()
-        for _ in range(OPS_PER_SAMPLE):
-            fn()
-        samples.append(time.perf_counter() - t0)
-    return statistics.median(samples)
+    return statistics.median(_sample_seconds(fn) for _ in range(SAMPLES))
 
 
 def test_bench_gateway_dispatch_overhead(
     api_backend, scenario_query, capsys
 ):
-    """Warm-path typed dispatch must stay under 1.3x the raw engine."""
+    """Typed dispatch of a computed search must stay under 1.3x the
+    raw engine computing the same search."""
     raw = api_backend.service
-    gateway = Gateway(api_backend)  # default stack: metrics + cache
+    # The default stack minus its cache stage: like compared with like.
+    gateway = Gateway(api_backend, default_middlewares(cache_size=0))
     request = SearchRequest(query=scenario_query, k=5)
 
-    # Warm every tier: engine LRU, gateway result cache.
     expected = raw.search_topics(scenario_query, 5)
     assert list(gateway.search(request).hits) == expected
 
-    raw_s = _median_seconds(lambda: raw.search_topics(scenario_query, 5))
-    gateway_s = _median_seconds(lambda: gateway.search(request))
-    ratio = gateway_s / raw_s
+    # Both sides cost tens of microseconds of real work, and the box's
+    # speed drifts by more than the overhead under test: sample them in
+    # adjacent pairs and gate on the median of the per-pair ratios.
+    pairs = [
+        (
+            _sample_seconds(lambda: raw.search_topics(scenario_query, 5)),
+            _sample_seconds(lambda: gateway.search(request)),
+        )
+        for _ in range(SAMPLES)
+    ]
+    raw_s = statistics.median(r for r, _ in pairs)
+    gateway_s = statistics.median(g for _, g in pairs)
+    ratio = statistics.median(g / r for r, g in pairs)
 
     with capsys.disabled():
         print(
@@ -74,13 +88,14 @@ def test_bench_gateway_dispatch_overhead(
             f"ratio={ratio:.2f}x (gate {GATE_RATIO}x)"
         )
     assert ratio < GATE_RATIO, (
-        f"gateway dispatch is {ratio:.2f}x the raw warm path "
+        f"gateway dispatch is {ratio:.2f}x the raw engine "
         f"(gate {GATE_RATIO}x): raw={raw_s:.4f}s gateway={gateway_s:.4f}s"
     )
 
 
 def test_bench_full_stack_dispatch(api_backend, scenario_query, capsys):
-    """Rate limit + deadline + cache + metrics, absolute cost on record.
+    """Rate limit + deadline + cache + metrics, absolute cost of a cache
+    hit on record.
 
     No hard gate beyond sanity — the full stack adds a token-bucket
     refill and two clock reads per request — but the per-dispatch cost

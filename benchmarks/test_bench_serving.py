@@ -10,20 +10,26 @@ claim can be sanity-checked against the simulated serving stack.
 import pytest
 
 from repro._util import format_table
-from repro.api import ServiceBackend
+from repro.api import Gateway, SearchRequest, ServiceBackend
 
 
 @pytest.fixture(scope="module")
-def service(bench_model, bench_marketplace):
-    # These benches time the raw engine behind the gateway adapter;
-    # gateway dispatch overhead is gated in test_bench_api.py.
+def backend(bench_model, bench_marketplace):
     return ServiceBackend.from_model(
         bench_model,
         entity_categories={
             e.entity_id: e.category_id
             for e in bench_marketplace.catalog.entities
         },
-    ).service
+    )
+
+
+@pytest.fixture(scope="module")
+def service(backend):
+    # These benches time the raw engine behind the gateway adapter
+    # (it holds no result cache: every call computes); gateway dispatch
+    # overhead is gated in test_bench_api.py.
+    return backend.service
 
 
 @pytest.fixture(scope="module")
@@ -35,26 +41,21 @@ def scenario_query(bench_marketplace):
     )
 
 
-def test_bench_scenario_a_query_to_topic(benchmark, service, scenario_query):
-    """Repeated identical searches — the cached serving hot path."""
+def test_bench_scenario_a_query_to_topic(benchmark, backend, scenario_query):
+    """Repeated identical searches through the default gateway — the
+    cached serving hot path (a result-cache hit)."""
+    gateway = Gateway(backend)
+    response = benchmark(
+        gateway.search, SearchRequest(query=scenario_query, k=5)
+    )
+    assert response.hits
+    assert gateway.cache_stats().misses == 1
+
+
+def test_bench_scenario_a_cold(benchmark, service, scenario_query):
+    """Computed search — inverted-index pruning, no cache in the way."""
     hits = benchmark(service.search_topics, scenario_query, 5)
     assert hits
-
-
-def test_bench_scenario_a_cold(benchmark, bench_model, bench_marketplace,
-                               scenario_query):
-    """Uncached search — inverted-index pruning without the LRU cache."""
-    cold = ServiceBackend.from_model(
-        bench_model,
-        cache_size=0,
-        entity_categories={
-            e.entity_id: e.category_id
-            for e in bench_marketplace.catalog.entities
-        },
-    ).service
-    hits = benchmark(cold.search_topics, scenario_query, 5)
-    assert hits
-    assert cold.cache_stats().hits == 0
 
 
 def test_bench_search_topics_batch(benchmark, service, bench_marketplace):
@@ -76,17 +77,10 @@ def test_bench_recommend_batch(benchmark, service, bench_marketplace):
     assert len(slates) == len(queries)
 
 
-def test_bench_related_topics(benchmark, service):
-    """Repeated star-graph neighbour lookups (cached after the first)."""
+def test_bench_related_topics_cold(benchmark, service):
+    """Computed related-topics — precomputed token sets + candidate pruning."""
     root = service.taxonomy.root_topics()[0]
     benchmark(service.related_topics, root.topic_id, 6)
-
-
-def test_bench_related_topics_cold(benchmark, bench_model):
-    """Uncached related-topics — precomputed token sets + candidate pruning."""
-    cold = ServiceBackend.from_model(bench_model, cache_size=0).service
-    root = cold.taxonomy.root_topics()[0]
-    benchmark(cold.related_topics, root.topic_id, 6)
 
 
 def test_bench_scenario_b_topic_to_subtopic(benchmark, service):

@@ -97,14 +97,13 @@ def test_bench_p95_read_latency_under_concurrent_ingest(
     tmp_path, stream_bench_market, bench_inc
 ):
     market = stream_bench_market
-    # Every cache tier off (gateway middleware stack empty, engine
-    # cache size 0): the gate is about index-path latency under write
-    # load, and a cache hit would fake the comparison either way.
+    # The result cache off (gateway middleware stack empty): the gate
+    # is about index-path latency under write load, and a cache hit
+    # would fake the comparison either way.
     gateway = Gateway(
         ServiceBackend.from_model(
             bench_inc.model,
             entity_categories=bench_inc.entity_categories,
-            cache_size=0,
         ),
         middlewares=[],
     )

@@ -3,10 +3,11 @@
 Walks the full cluster lifecycle:
 
 1. fit SHOAL on the small marketplace;
-2. stand up the unsharded read tier and a 4-shard / 2-replica cluster;
+2. stand up the unsharded read tier and a 4-shard cluster;
 3. spot-check answer transparency (the cluster must agree with the
    single service byte for byte);
-4. replay a bursty Zipf workload against both and print the
+4. replay a bursty Zipf workload against both, each behind the
+   default gateway as a server would run it, and print the
    QPS / latency / cache reports;
 5. persist the cluster as per-shard snapshot dirs and warm-start a
    second router from disk.
@@ -16,7 +17,7 @@ Run:  PYTHONPATH=src python examples/cluster_replay.py
 
 import tempfile
 
-from repro.api import ClusterBackend, SearchRequest, ServiceBackend
+from repro.api import ClusterBackend, Gateway, SearchRequest, ServiceBackend
 from repro.core.config import ShoalConfig
 from repro.core.pipeline import ShoalPipeline
 from repro.data.marketplace import PROFILES, generate_marketplace
@@ -40,7 +41,7 @@ def main() -> None:
     # between single-service and sharded serving without code changes.
     service = ServiceBackend.from_model(model, entity_categories=categories)
     cluster = ClusterBackend.from_model(
-        model, 4, n_replicas=2, entity_categories=categories
+        model, 4, entity_categories=categories
     )
     print("\n-- cluster plan " + "-" * 44)
     print(cluster.router.plan_summary)
@@ -63,7 +64,7 @@ def main() -> None:
         ),
     )
     for name, target in (("single", service), ("cluster", cluster)):
-        report = TrafficReplayer(target, k=5).replay(
+        report = TrafficReplayer(Gateway(target), k=5).replay(
             workload, profile="bursty", warmup=300
         )
         print(f"{name:>8}: {report.summary()}")
@@ -75,7 +76,7 @@ def main() -> None:
             model, tmp, entity_categories=categories
         )
         # The URI form a deployment would use: cluster:DIR.
-        warm = ClusterBackend.from_snapshot(tmp, n_replicas=2)
+        warm = ClusterBackend.from_snapshot(tmp)
         q = sample[0]
         agree = warm.search(SearchRequest(query=q, k=3)) == service.search(
             SearchRequest(query=q, k=3)

@@ -76,10 +76,6 @@ def main() -> None:
     for other, score in service.related_topics(topic_id, k=4):
         print(f"  topic {other.topic_id}  sim={score:.3f}  \"{other.label()}\"")
 
-    # The engine caches query results; a second identical search hits.
-    backend.search(SearchRequest(query=query, k=4))
-    print(f"\n{backend.cache_stats().summary()}")
-
 
 if __name__ == "__main__":
     main()

@@ -45,14 +45,12 @@ def main() -> None:
     for day in range(6, 12):
         update = maintainer.advance(market.query_log, last_day=day)
         # The persistent gateway backend is refreshed on every slide:
-        # indexes rebuilt, query cache invalidated, stats cumulative.
+        # indexes rebuilt and swapped in behind one reference.
         hits = maintainer.backend().search(
             SearchRequest(query=probe, k=1)
         ).hits
         top = f"top topic for {probe!r}: {hits[0].topic_id}" if hits else "no hit"
         print(f"  {update.summary()}  ({top})")
-
-    print(f"\n{maintainer.backend().cache_stats().summary()}")
 
     model = maintainer.model
     assert model is not None

@@ -40,9 +40,10 @@ from repro.api.backends import (
     ShoalBackend,
     open_backend,
 )
+from repro.api.cache import CacheStats
 from repro.core.config import ShoalConfig
 from repro.core.pipeline import ShoalModel, ShoalPipeline
-from repro.core.serving import CacheStats, ShoalService
+from repro.core.serving import ShoalService
 from repro.core.taxonomy import Taxonomy, Topic
 from repro.data.marketplace import (
     Marketplace,

@@ -23,7 +23,8 @@ a concrete read tier. The pieces:
 * :mod:`repro.api.aio` — :class:`AsyncShoalServer`, the HTTP edge: one
   asyncio loop with deadline cancellation, hedging, and ingest
   coalescing;
-* :mod:`repro.api.cache` — the shared locked LRU every cache tier uses.
+* :mod:`repro.api.cache` — the locked LRU behind the one result cache
+  (the gateway's ``CacheMiddleware``).
 
 Typical use::
 
@@ -34,7 +35,7 @@ Typical use::
     response = gateway.search(SearchRequest(query="beach dress", k=5))
 
 This module resolves its exports lazily so that low-level modules
-(e.g. :mod:`repro.core.serving`, which uses :mod:`repro.api.cache`)
+(e.g. :mod:`repro.serving.router`, which uses :mod:`repro.api.context`)
 can be imported without dragging in the whole gateway stack — and
 without import cycles.
 """

@@ -19,9 +19,8 @@ and everything that needs a non-blocking edge:
 
 * **Hedging** — if the primary attempt has not answered after a delay
   (fixed via ``hedge_after_ms``, or auto-derived as the edge's observed
-  p95 read latency), a second attempt is launched with a child context;
-  the router's least-loaded placement naturally lands it on an idle
-  replica. First successful answer wins; the loser's context is
+  p95 read latency), a second attempt is launched with a child context
+  on another executor thread. First successful answer wins; the loser's context is
   cancelled (surfacing as the ``cancelled`` code at its next check
   point, swallowed here). Answers stay byte-identical because both
   attempts compute the same deterministic result.

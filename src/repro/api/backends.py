@@ -98,7 +98,7 @@ class ShoalBackend(abc.ABC):
         }
 
     def stats(self) -> Dict[str, Any]:
-        """Operational counters (cache tiers, latency) as JSON-able data."""
+        """Operational counters (latency, shape) as JSON-able data."""
         return {"backend": self.kind}
 
     def close(self) -> None:
@@ -192,24 +192,6 @@ class _EngineBackend(ShoalBackend):
         ontology categories of one topic, for rich CLI/example output."""
         return self._engine.categories_of_topic(topic_id)
 
-    def cache_stats(self):
-        """Engine extension: aggregate :class:`CacheStats` of the tier
-        (the replayer's hit-rate reporting probes this)."""
-        return self._engine.cache_stats()
-
-    def invalidate_cache(self) -> None:
-        """Engine extension: drop every cached result in the tier."""
-        invalidate = getattr(self._engine, "invalidate_cache", None)
-        if invalidate is None:  # ClusterRouter names it invalidate_caches
-            self._engine.invalidate_caches()
-        else:
-            invalidate()
-
-    def stats(self) -> Dict[str, Any]:
-        out = super().stats()
-        out["cache"] = self._engine.cache_stats().to_dict()
-        return out
-
 
 class ServiceBackend(_EngineBackend):
     """The single-process read tier behind the gateway contract."""
@@ -225,7 +207,6 @@ class ServiceBackend(_EngineBackend):
         model,
         *,
         entity_categories: Optional[Dict[int, int]] = None,
-        cache_size: int = 4096,
         tokenizer=None,
         collection_stats=None,
     ) -> "ServiceBackend":
@@ -234,20 +215,15 @@ class ServiceBackend(_EngineBackend):
             ShoalService(
                 model,
                 tokenizer,
-                cache_size=cache_size,
                 entity_categories=entity_categories,
                 collection_stats=collection_stats,
             )
         )
 
     @classmethod
-    def from_snapshot(
-        cls, directory: Union[str, Path], *, cache_size: int = 4096
-    ) -> "ServiceBackend":
+    def from_snapshot(cls, directory: Union[str, Path]) -> "ServiceBackend":
         """Warm-start from a ``fit --save`` model snapshot directory."""
-        return cls(
-            ShoalService.from_snapshot(directory, cache_size=cache_size)
-        )
+        return cls(ShoalService.from_snapshot(directory))
 
     @property
     def service(self) -> ShoalService:
@@ -270,9 +246,7 @@ class ClusterBackend(_EngineBackend):
         model,
         n_shards: int,
         *,
-        n_replicas: int = 1,
         entity_categories: Optional[Dict[int, int]] = None,
-        cache_size: int = 4096,
         tokenizer=None,
     ) -> "ClusterBackend":
         from repro.serving.router import ClusterRouter
@@ -281,53 +255,25 @@ class ClusterBackend(_EngineBackend):
             ClusterRouter.from_model(
                 model,
                 n_shards,
-                n_replicas=n_replicas,
                 entity_categories=entity_categories,
-                cache_size=cache_size,
                 tokenizer=tokenizer,
             )
         )
 
     @classmethod
-    def from_shard_set(
-        cls,
-        shard_set,
-        *,
-        n_replicas: int = 1,
-        cache_size: int = 4096,
-        tokenizer=None,
-    ) -> "ClusterBackend":
+    def from_shard_set(cls, shard_set, *, tokenizer=None) -> "ClusterBackend":
         from repro.serving.router import ClusterRouter
 
-        return cls(
-            ClusterRouter(
-                shard_set,
-                n_replicas=n_replicas,
-                cache_size=cache_size,
-                tokenizer=tokenizer,
-            )
-        )
+        return cls(ClusterRouter(shard_set, tokenizer=tokenizer))
 
     @classmethod
     def from_snapshot(
-        cls,
-        directory: Union[str, Path],
-        *,
-        n_replicas: int = 1,
-        cache_size: int = 4096,
-        tokenizer=None,
+        cls, directory: Union[str, Path], *, tokenizer=None
     ) -> "ClusterBackend":
         """Warm-start from a ``serve-cluster --save-shards`` directory."""
         from repro.serving.router import ClusterRouter
 
-        return cls(
-            ClusterRouter.from_snapshot(
-                directory,
-                n_replicas=n_replicas,
-                cache_size=cache_size,
-                tokenizer=tokenizer,
-            )
-        )
+        return cls(ClusterRouter.from_snapshot(directory, tokenizer=tokenizer))
 
     @property
     def router(self):
@@ -338,7 +284,6 @@ class ClusterBackend(_EngineBackend):
         out = super().stats()
         router = self._engine
         out["n_shards"] = router.n_shards
-        out["n_replicas"] = router.n_replicas
         latency = router.request_stats()
         out["latency"] = {
             "count": latency.count,
@@ -366,8 +311,7 @@ def _sniff_directory(path: Path) -> str:
 def open_backend(
     uri: str,
     *,
-    cache_size: int = 4096,
-    n_replicas: int = 1,
+    cache_size: int = 0,
     timeout: float = 10.0,
 ) -> ShoalBackend:
     """One front door from a backend URI to a ready adapter.
@@ -380,7 +324,8 @@ def open_backend(
     between the first two. Every malformed URI — unknown scheme, empty target, missing or
     unreadable snapshot — raises :class:`ApiError`
     (``invalid_argument``) naming what was wrong, never a raw
-    ``OSError``.
+    ``OSError``. ``cache_size`` is accepted and unused (the perf
+    ledger's reference-answer call still passes it).
     """
     if not isinstance(uri, str) or not uri:
         raise ApiError("invalid_argument", f"not a backend URI: {uri!r}")
@@ -389,9 +334,7 @@ def open_backend(
 
         return ShoalClient(uri, timeout=timeout)
     if uri.startswith("snapshot:"):
-        return _open_snapshot(
-            uri[len("snapshot:"):], cache_size=cache_size
-        )
+        return _open_snapshot(uri[len("snapshot:"):])
     if uri.startswith("cluster:"):
         target = uri[len("cluster:"):]
         if not target:
@@ -400,9 +343,7 @@ def open_backend(
                 "'cluster:' URI is missing its snapshot directory",
             )
         try:
-            return ClusterBackend.from_snapshot(
-                target, n_replicas=n_replicas, cache_size=cache_size
-            )
+            return ClusterBackend.from_snapshot(target)
         except ApiError:
             raise
         except (OSError, ValueError, KeyError) as exc:
@@ -417,9 +358,7 @@ def open_backend(
                 "invalid_argument",
                 "'follower:' URI is missing its replication feed directory",
             )
-        return _open_follower(
-            target, cache_size=cache_size, n_replicas=n_replicas
-        )
+        return _open_follower(target)
     scheme_match = _SCHEME_RE.match(uri)
     if scheme_match is not None:
         raise ApiError(
@@ -430,10 +369,8 @@ def open_backend(
     path = Path(uri)
     if path.is_dir():
         if _sniff_directory(path) == "cluster":
-            return ClusterBackend.from_snapshot(
-                path, n_replicas=n_replicas, cache_size=cache_size
-            )
-        return ServiceBackend.from_snapshot(path, cache_size=cache_size)
+            return ClusterBackend.from_snapshot(path)
+        return ServiceBackend.from_snapshot(path)
     raise ApiError(
         "invalid_argument",
         f"cannot open backend {uri!r}: expected 'snapshot:DIR', "
@@ -447,7 +384,7 @@ def open_backend(
 _SCHEME_RE = re.compile(r"^([A-Za-z][A-Za-z0-9+.-]+):")
 
 
-def _open_follower(target: str, *, cache_size: int, n_replicas: int):
+def _open_follower(target: str):
     """Join a replication feed as an embedded follower.
 
     Bootstraps a :class:`repro.replication.Follower` over a throwaway
@@ -463,10 +400,7 @@ def _open_follower(target: str, *, cache_size: int, n_replicas: int):
 
     try:
         follower = Follower(
-            target,
-            tempfile.mkdtemp(prefix="shoal-follower-"),
-            n_replicas=n_replicas,
-            cache_size=cache_size,
+            target, tempfile.mkdtemp(prefix="shoal-follower-")
         )
         backend = follower.bootstrap()
         follower.catch_up(timeout_s=120.0)
@@ -479,14 +413,14 @@ def _open_follower(target: str, *, cache_size: int, n_replicas: int):
         )
 
 
-def _open_snapshot(target: str, *, cache_size: int) -> "ServiceBackend":
+def _open_snapshot(target: str) -> "ServiceBackend":
     if not target:
         raise ApiError(
             "invalid_argument",
             "'snapshot:' URI is missing its snapshot directory",
         )
     try:
-        return ServiceBackend.from_snapshot(target, cache_size=cache_size)
+        return ServiceBackend.from_snapshot(target)
     except ApiError:
         raise
     except (OSError, ValueError, KeyError) as exc:

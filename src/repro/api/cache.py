@@ -1,15 +1,14 @@
-"""The one shared, locked LRU cache of the serving stack.
+"""The locked LRU behind the serving stack's one result cache.
 
-Before the gateway API existed, :mod:`repro.core.serving` and
-:mod:`repro.serving.router` each carried their own result-cache plumbing
-around the same private class; this module is the single home for both.
-Every cache tier — the engine's query-result cache, the cluster
-router's front cache, and the gateway's :class:`CacheMiddleware` — is
-an instance of :class:`LRUCache`, so locking semantics, eviction order,
-and the :class:`CacheStats` counters are defined exactly once.
+The gateway's :class:`~repro.api.middleware.CacheMiddleware` is the
+only result cache of the read path and the only place an
+:class:`LRUCache` is constructed; the engine tiers under it
+(:mod:`repro.core.serving`, :mod:`repro.serving.router`) compute every
+answer they are asked for. Locking semantics, eviction order and the
+:class:`CacheStats` counters are defined here.
 
 ``max_size == 0`` disables caching entirely (every get misses, every
-put is a no-op) — useful for cold-path benchmarking.
+put is a no-op).
 
 ``ttl_seconds`` bounds entry *age*: an entry older than the TTL is
 treated as a miss, dropped on access, and counted in
@@ -142,26 +141,6 @@ class LRUCache:
             self._data.move_to_end(key)
             while len(self._data) > self.max_size:
                 self._data.popitem(last=False)
-
-    def purge_expired(self) -> int:
-        """Proactively drop every expired entry; returns how many.
-
-        ``get`` already expires lazily; this is for operational sweeps
-        (metrics endpoints reporting true live size) and tests.
-        """
-        if self.ttl_seconds is None:
-            return 0
-        with self._lock:
-            now = self._clock()
-            dead = [
-                k
-                for k, (_, stored_at) in self._data.items()
-                if now - stored_at > self.ttl_seconds
-            ]
-            for k in dead:
-                del self._data[k]
-            self.expirations += len(dead)
-            return len(dead)
 
     def clear(self) -> None:
         with self._lock:

@@ -112,8 +112,7 @@ class CacheMiddleware(Middleware):
         # Epoch-stamped keys make invalidation race-proof: a request
         # that computed its response against the pre-invalidation
         # backend finishes its put under the OLD epoch, where no new
-        # lookup can ever find it — the same stale-put defence the
-        # serving engine's version-stamped state keys provide.
+        # lookup can ever find it.
         self._epoch = 0
 
     def handle(self, request: Request, call_next: Handler) -> Response:

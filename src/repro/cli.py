@@ -124,24 +124,34 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_serve_flags(
-    parser: argparse.ArgumentParser, *, port: int, replicas_help: str
-) -> None:
+def _cache_size_arg(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
+def _cache_ttl_arg(text: str) -> float:
+    value = float(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {value:g}")
+    return value
+
+
+def _add_serve_flags(parser: argparse.ArgumentParser, *, port: int) -> None:
     """The flags both serving roles (serve-http, serve-follower) take."""
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument(
         "--port", type=int, default=port, help="0 picks an ephemeral port"
     )
     parser.add_argument(
-        "--replicas", type=int, default=1, help=replicas_help
+        "--cache-size", type=_cache_size_arg, default=4096,
+        help="result-cache entries (0 = no caching: every request "
+             "is computed)",
     )
     parser.add_argument(
-        "--cache-size", type=int, default=4096,
-        help="gateway result-cache entries (0 disables)",
-    )
-    parser.add_argument(
-        "--cache-ttl-s", type=float, default=None,
-        help="gateway result-cache TTL in seconds (default: no expiry)",
+        "--cache-ttl-s", type=_cache_ttl_arg, default=None,
+        help="result-cache TTL in seconds (default: no expiry)",
     )
     parser.add_argument(
         "--rate-limit", type=float, default=None, metavar="QPS",
@@ -328,9 +338,7 @@ def _cmd_serve_cluster(args) -> int:
     cats = _entity_categories(market)
     # Partition once; the backend and --save-shards share the shard set.
     shard_set = ShardPlanner(args.shards).partition(model, cats)
-    backend = ClusterBackend.from_shard_set(
-        shard_set, n_replicas=args.replicas
-    )
+    backend = ClusterBackend.from_shard_set(shard_set)
     print(model.summary())
     print(backend.router.plan_summary)
     names = {c.category_id: c.name for c in market.ontology}
@@ -395,7 +403,7 @@ def _check_backend_world(args) -> None:
 
 
 def _cmd_replay(args) -> int:
-    from repro.api import ClusterBackend
+    from repro.api import ClusterBackend, Gateway
     from repro.serving import (
         TrafficReplayer,
         WorkloadConfig,
@@ -417,7 +425,7 @@ def _cmd_replay(args) -> int:
             PROFILES[args.profile].with_seed(args.seed)
         )
         model = None
-        backend = open_backend(args.backend, n_replicas=args.replicas)
+        backend = open_backend(args.backend)
     elif args.cluster_dir:
         if args.load:
             raise SystemExit(
@@ -430,9 +438,7 @@ def _cmd_replay(args) -> int:
             PROFILES[args.profile].with_seed(args.seed)
         )
         model = None
-        backend = ClusterBackend.from_snapshot(
-            args.cluster_dir, n_replicas=args.replicas
-        )
+        backend = ClusterBackend.from_snapshot(args.cluster_dir)
     else:
         market, model = _build(args)
 
@@ -466,6 +472,15 @@ def _cmd_replay(args) -> int:
     )
 
     def replayer(target):
+        # In-process tiers replay behind the default gateway, as
+        # serve-http serves them, so the report's hit rate is the
+        # production cache's; a remote server already is a gateway.
+        if target.kind != "client":
+            gateway = Gateway(target)
+            if target.kind == "follower":
+                # Epoch swaps must drop this cache, as in serve-follower.
+                target.follower.switch.attach(gateway)
+            target = gateway
         return TrafficReplayer(target, k=args.k, concurrency=args.concurrency)
 
     reports = {}
@@ -491,7 +506,6 @@ def _cmd_replay(args) -> int:
                 backend = ClusterBackend.from_model(
                     model,
                     args.shards,
-                    n_replicas=args.replicas,
                     entity_categories=_entity_categories(market),
                 )
             reports["cluster"] = replayer(backend).replay(
@@ -726,11 +740,13 @@ def _build_tracer(args):
     return tracer
 
 
-def _engine_cache_size(args) -> int:
-    # When the gateway result cache is on it absorbs every repeat, so a
-    # same-size engine cache behind it would only hold duplicate
-    # entries; disable it and let one tier do the caching.
-    return 0 if args.cache_size > 0 else 4096
+def _check_cache_flags(args) -> None:
+    """Reject the cache flag combination that would have no effect."""
+    if args.cache_size == 0 and args.cache_ttl_s is not None:
+        raise SystemExit(
+            "--cache-ttl-s has no effect with --cache-size 0: there is "
+            "no result cache for entries to expire from"
+        )
 
 
 def _build_gateway(args, backend):
@@ -772,20 +788,15 @@ def _run_server(server, what: str, surface: str, *, on_stop=None) -> int:
 def _cmd_serve_http(args) -> int:
     from repro.api import AsyncShoalServer
 
+    _check_cache_flags(args)
     if bool(args.load) == bool(args.cluster_dir):
         raise SystemExit(
             "serve-http needs exactly one of --load DIR or --cluster-dir DIR"
         )
     if args.load:
-        backend = open_backend(
-            f"snapshot:{args.load}", cache_size=_engine_cache_size(args)
-        )
+        backend = open_backend(f"snapshot:{args.load}")
     else:
-        backend = open_backend(
-            f"cluster:{args.cluster_dir}",
-            cache_size=_engine_cache_size(args),
-            n_replicas=args.replicas,
-        )
+        backend = open_backend(f"cluster:{args.cluster_dir}")
     tracer = _build_tracer(args)
     gateway = _build_gateway(args, backend)
     pipe, updater, shipper = _build_ingest_side(args, backend)
@@ -854,14 +865,13 @@ def _cmd_serve_follower(args) -> int:
     from repro.api import AsyncShoalServer
     from repro.replication import Follower
 
+    _check_cache_flags(args)
     workdir = args.workdir or tempfile.mkdtemp(prefix="shoal-follower-")
     follower = Follower(
         args.feed,
         workdir,
         follower_id=args.id,
         n_shards=args.shards,
-        n_replicas=args.replicas,
-        cache_size=_engine_cache_size(args),
     )
     backend = follower.bootstrap()
     tracer = _build_tracer(args)
@@ -1196,9 +1206,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--shards", type=int, default=2, help="number of shards"
     )
     p_cluster.add_argument(
-        "--replicas", type=int, default=1, help="replicas per shard"
-    )
-    p_cluster.add_argument(
         "--save-shards", default=None, metavar="DIR",
         help="write a per-shard cluster snapshot directory",
     )
@@ -1216,10 +1223,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--cluster-dir", default=None, metavar="DIR",
         help="cluster snapshot directory (from 'serve-cluster --save-shards')",
     )
-    _add_serve_flags(
-        p_http, port=8080,
-        replicas_help="replicas per shard (cluster backends only)",
-    )
+    _add_serve_flags(p_http, port=8080)
     p_http.add_argument(
         "--ingest-wal", default=None, metavar="DIR",
         help="enable the write path: durable WAL directory for "
@@ -1253,7 +1257,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_http.add_argument(
         "--hedge-after-ms", type=float, default=None,
-        help="async edge: hedge a slow read against an idle replica "
+        help="async edge: launch a second attempt of a slow read "
              "after this many ms (0 = immediately; default: adaptive "
              "p95 of observed read latency)",
     )
@@ -1309,10 +1313,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--id", default=None,
         help="stable follower identity in reports (default: random)",
     )
-    _add_serve_flags(
-        p_follower, port=8081,
-        replicas_help="replicas per shard (with --shards > 1)",
-    )
+    _add_serve_flags(p_follower, port=8081)
     p_follower.add_argument(
         "--shards", type=int, default=1,
         help="serve through an n-shard cluster tier instead of a "
@@ -1424,7 +1425,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_replay.add_argument("-k", type=int, default=5)
     p_replay.add_argument("--shards", type=int, default=2)
-    p_replay.add_argument("--replicas", type=int, default=1)
     p_replay.add_argument(
         "--cluster-dir", default=None, metavar="DIR",
         help="load the cluster from a 'serve-cluster --save-shards' dir",

@@ -164,20 +164,15 @@ class IncrementalShoal:
             self._backend = ServiceBackend(self.service())
         return self._backend
 
-    def cluster(
-        self,
-        n_shards: int = 2,
-        n_replicas: int = 1,
-        cache_size: int = 4096,
-    ):
+    def cluster(self, n_shards: int = 2):
         """A persistent sharded cluster router over the latest model.
 
         The same :class:`~repro.serving.router.ClusterRouter` instance
         is returned across window slides; each :meth:`advance`
         re-partitions the new model into it and rebuilds **only the
         affected shards** — a shard whose pruned content and global
-        corpus statistics are unchanged keeps its replicas and warm
-        caches. Calling again with a different shape builds a fresh
+        corpus statistics are unchanged keeps its built indexes.
+        Calling again with a different shard count builds a fresh
         router (the old one keeps serving whoever holds it).
         """
         if self._last_model is None:
@@ -185,19 +180,11 @@ class IncrementalShoal:
         # Imported lazily: repro.serving depends on this package.
         from repro.serving.router import ClusterRouter
 
-        c = self._cluster
-        if (
-            c is None
-            or c.n_shards != n_shards
-            or c.n_replicas != n_replicas
-            or c.cache_size != cache_size
-        ):
+        if self._cluster is None or self._cluster.n_shards != n_shards:
             self._cluster = ClusterRouter.from_model(
                 self._last_model,
                 n_shards,
-                n_replicas=n_replicas,
                 entity_categories=self._categories,
-                cache_size=cache_size,
             )
         return self._cluster
 

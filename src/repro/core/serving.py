@@ -22,17 +22,16 @@ per day":
    sharing at least one description token or category with the centre
    topic. Both prunings are exact: a topic outside the candidate set
    scores zero and could never be returned.
-3. **Query-result LRU cache** — repeated ``search_topics`` /
-   ``related_topics`` / ``recommend`` calls are served from an LRU
-   cache with hit/miss accounting (:meth:`cache_stats`) and explicit
-   invalidation (:meth:`invalidate_cache`). Sliding-window updates
-   invalidate it via :meth:`refresh`, which
-   :class:`~repro.core.incremental.IncrementalShoal` and the streaming
-   :class:`~repro.streaming.rollout.GenerationSwitch` call on every
-   model rollout.
-4. **Batch APIs** — :meth:`search_topics_batch` and
-   :meth:`recommend_batch` amortise tokenisation and share cache
-   lookups across a request batch.
+3. **Batch APIs** — :meth:`search_topics_batch` and
+   :meth:`recommend_batch` tokenise a request batch in one pass and
+   answer it against one state snapshot.
+
+**No result cache.** The engine computes every answer it is asked for
+and holds no state a request mutates. Repeated requests are absorbed
+one layer up, by the gateway's
+:class:`~repro.api.middleware.CacheMiddleware` — the only result cache
+of the serving stack; in-process callers that want caching wrap their
+backend in a :class:`~repro.api.middleware.Gateway`.
 
 **Hot swap.** Every per-model structure lives in one
 :class:`_ServiceState` object and every request reads
@@ -45,7 +44,6 @@ process never stops answering during a rollout.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import (
     Callable,
@@ -57,10 +55,6 @@ from typing import (
     Tuple,
 )
 
-# The query-result cache lives in the shared, locked repro.api.cache
-# module (one implementation for the engine, the cluster router's
-# front cache, and the gateway middleware).
-from repro.api.cache import MISS, CacheStats, LRUCache
 from repro.core.correlation import CorrelationGraph
 from repro.core.pipeline import ShoalModel
 from repro.core.taxonomy import Taxonomy, Topic
@@ -70,7 +64,6 @@ from repro.text.tokenizer import Tokenizer
 __all__ = [
     "TopicHit",
     "CategoryHit",
-    "CacheStats",
     "ShoalService",
     "build_topic_documents",
 ]
@@ -123,10 +116,6 @@ def build_topic_documents(
     return docs, token_sets
 
 
-#: Monotonic id source for _ServiceState.version (see below).
-_STATE_VERSIONS = itertools.count(1)
-
-
 class _ServiceState:
     """Every per-model serving structure, built once and then immutable.
 
@@ -134,15 +123,9 @@ class _ServiceState:
     service's state reference once and work against that snapshot for
     their whole lifetime, which is what makes :meth:`ShoalService.refresh`
     a zero-downtime swap.
-
-    ``version`` is a process-unique id mixed into every cache key, so a
-    request that computed its answer against the *old* state can never
-    poison the cache after a refresh cleared it — its late ``put`` lands
-    under the old version and is unreachable from new lookups.
     """
 
     __slots__ = (
-        "version",
         "model",
         "topics",
         "position_of",
@@ -163,7 +146,6 @@ class _ServiceState:
         collection_stats: Optional[CollectionStats] = None,
     ):
         tokenize = tokenizer.tokenize
-        self.version = next(_STATE_VERSIONS)
         self.model = model
         self.topics: List[Topic] = model.taxonomy.topics()
         self.position_of: Dict[int, int] = {
@@ -224,7 +206,6 @@ class _ServiceState:
         twin = object.__new__(_ServiceState)
         for name in _ServiceState.__slots__:
             setattr(twin, name, getattr(self, name))
-        twin.version = next(_STATE_VERSIONS)
         twin.entity_categories = dict(mapping)
         return twin
 
@@ -232,7 +213,6 @@ class _ServiceState:
 class ShoalService:
     """Read-only query engine over a fitted :class:`ShoalModel`.
 
-    ``cache_size`` bounds the query-result LRU cache (0 disables it).
     ``entity_categories`` installs the authoritative entity → category
     map up front; without it the map is derived from single-category
     topics (see :meth:`set_entity_categories`).
@@ -249,23 +229,17 @@ class ShoalService:
         model: ShoalModel,
         tokenizer: Optional[Tokenizer] = None,
         *,
-        cache_size: int = 4096,
         entity_categories: Optional[Dict[int, int]] = None,
         collection_stats: Optional[CollectionStats] = None,
     ):
         self._tokenizer = tokenizer or Tokenizer()
-        self._cache = LRUCache(cache_size)
         self._state = _ServiceState(
             model, self._tokenizer, entity_categories, collection_stats
         )
 
     @classmethod
     def from_snapshot(
-        cls,
-        directory,
-        tokenizer: Optional[Tokenizer] = None,
-        *,
-        cache_size: int = 4096,
+        cls, directory, tokenizer: Optional[Tokenizer] = None
     ) -> "ShoalService":
         """Warm-start the full read tier from a model snapshot on disk.
 
@@ -282,7 +256,6 @@ class ShoalService:
         return cls(
             load_model(directory),
             tokenizer,
-            cache_size=cache_size,
             entity_categories=load_entity_categories(directory),
         )
 
@@ -299,45 +272,11 @@ class ShoalService:
         Every precomputed index is rebuilt *off to the side* and then
         published with one reference assignment — requests in flight
         keep the state they started with, requests arriving after see
-        the new model, and none ever observe a half-built mix. The
-        query cache is invalidated last: results computed against the
-        previous window must never be served against the new one.
+        the new model, and none ever observe a half-built mix.
         """
-        new_state = _ServiceState(
+        self._state = _ServiceState(
             model, self._tokenizer, entity_categories, collection_stats
         )
-        self._state = new_state
-        self._cache.clear()
-
-    def update_collection_stats(self, stats: CollectionStats) -> None:
-        """Re-score against new corpus-wide statistics, keeping the index.
-
-        The cheap refresh path for a shard whose own documents did not
-        change while a sibling shard's did: postings and term
-        frequencies are reused as-is, only IDF and the length norm are
-        rebound. The query cache is invalidated — cached scores were
-        computed against the old statistics.
-        """
-        index = self._state.index
-        if index is not None:
-            index.rebind_collection_stats(stats)
-        self._cache.clear()
-
-    def replica(self, cache_size: Optional[int] = None) -> "ShoalService":
-        """A serving replica sharing this service's precomputed indexes.
-
-        Replicas model the N-processes-per-shard deployment: the
-        immutable state (BM25 postings, inverted indexes, subtree sets)
-        is shared read-only, while each replica gets its own
-        query-result cache — exactly like separate processes warm their
-        caches independently. ``cache_size`` defaults to this service's
-        cache capacity.
-        """
-        twin = object.__new__(ShoalService)
-        twin.__dict__.update(self.__dict__)
-        size = self._cache.max_size if cache_size is None else cache_size
-        twin._cache = LRUCache(size)
-        return twin
 
     def posting_tokens(self) -> FrozenSet[str]:
         """Tokens in this service's BM25 posting lists.
@@ -363,22 +302,12 @@ class ShoalService:
     def taxonomy(self) -> Taxonomy:
         return self._state.model.taxonomy
 
-    # -- cache lifecycle -----------------------------------------------------
-
-    def cache_stats(self) -> CacheStats:
-        """Hit/miss/size counters of the query-result cache."""
-        return self._cache.stats()
-
-    def invalidate_cache(self) -> None:
-        """Drop all cached query results (counters are cumulative)."""
-        self._cache.clear()
-
     # -- scenario A: Query → Topic ------------------------------------------
 
     def search_topics(self, query: str, k: int = 5) -> List[TopicHit]:
         """Topics relevant to a keyword query, best first."""
         return self._search_tokens(
-            self._state, tuple(self._tokenizer.tokenize(query)), k
+            self._state, self._tokenizer.tokenize(query), k
         )
 
     def search_tokens(
@@ -389,20 +318,16 @@ class ShoalService:
         The cluster router tokenises a query once and fans the token
         tuple out to candidate shards through this entry point.
         """
-        return self._search_tokens(self._state, tuple(tokens), k)
+        return self._search_tokens(self._state, tokens, k)
 
     def _search_tokens(
-        self, state: _ServiceState, tokens: Tuple[str, ...], k: int
+        self, state: _ServiceState, tokens: Sequence[str], k: int
     ) -> List[TopicHit]:
-        """Cached BM25 search over pre-tokenised query terms, against
-        one state snapshot (hot-swap safety: search and any follow-up
+        """BM25 search over pre-tokenised query terms, against one
+        state snapshot (hot-swap safety: search and any follow-up
         lookups of the caller run against the same model)."""
         if state.index is None or not tokens:
             return []
-        key = ("search", state.version, tokens, k)
-        cached = self._cache.get(key)
-        if cached is not MISS:
-            return list(cached)
         hits = []
         for doc_idx, score in state.index.top_k(tokens, k):
             t = state.topics[doc_idx]
@@ -415,7 +340,6 @@ class ShoalService:
                     n_categories=len(t.category_ids),
                 )
             )
-        self._cache.put(key, tuple(hits))
         return hits
 
     def search_topics_batch(
@@ -423,14 +347,13 @@ class ShoalService:
     ) -> List[List[TopicHit]]:
         """One result list per query, in order.
 
-        Tokenises the whole batch up front and serves duplicate
-        queries from the cache, so a panel of N widgets issuing the
-        same trending queries costs one index probe each.
+        Tokenises the whole batch up front and answers every query
+        against one state snapshot.
         """
         state = self._state
         token_lists = self._tokenizer.tokenize_all(queries)
         return [
-            self._search_tokens(state, tuple(toks), k)
+            self._search_tokens(state, toks, k)
             for toks in token_lists
         ]
 
@@ -438,7 +361,7 @@ class ShoalService:
         """The single best-matching topic (None if nothing matches)."""
         state = self._state
         hits = self._search_tokens(
-            state, tuple(self._tokenizer.tokenize(query)), 1
+            state, self._tokenizer.tokenize(query), 1
         )
         if not hits:
             return None
@@ -481,10 +404,9 @@ class ShoalService:
         """Install the authoritative entity → category map (preferred).
 
         The pipeline knows the catalog's categories; examples call this
-        so scenario C filters exactly. Invalidates the query cache.
+        so scenario C filters exactly.
         """
         self._state = self._state.with_entity_categories(mapping)
-        self._cache.clear()
 
     # -- scenario D: Category → Category ---------------------------------------
 
@@ -510,11 +432,6 @@ class ShoalService:
         state = self._state
         taxonomy = state.model.taxonomy
         center = taxonomy.topic(topic_id)
-        key = ("related", state.version, topic_id, k)
-        cached = self._cache.get(key)
-        if cached is not MISS:
-            return list(cached)
-
         center_pos = state.position_of[topic_id]
         lineage = set(state.subtree[topic_id])
         parent = center.parent_id
@@ -551,9 +468,7 @@ class ShoalService:
             if score > 0.0:
                 scored.append((other, score))
         scored.sort(key=lambda ts: (-ts[1], ts[0].topic_id))
-        result = scored[:k]
-        self._cache.put(key, tuple(result))
-        return result
+        return scored[:k]
 
     # -- recommendation (used by the A/B bench) -----------------------------------
 
@@ -568,7 +483,7 @@ class ShoalService:
         """
         state = self._state
         hits = self._search_tokens(
-            state, tuple(self._tokenizer.tokenize(query)), 1
+            state, self._tokenizer.tokenize(query), 1
         )
         if not hits:
             return []
@@ -581,13 +496,13 @@ class ShoalService:
         """One entity slate per query, in order.
 
         The batched counterpart of :meth:`recommend_entities_for_query`;
-        shares tokenisation and cache lookups across the batch.
+        shares tokenisation across the batch.
         """
         state = self._state
         token_lists = self._tokenizer.tokenize_all(queries)
         slates: List[List[int]] = []
         for toks in token_lists:
-            hits = self._search_tokens(state, tuple(toks), 1)
+            hits = self._search_tokens(state, toks, 1)
             if not hits:
                 slates.append([])
             else:

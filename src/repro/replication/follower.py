@@ -163,8 +163,6 @@ class Follower:
         *,
         follower_id: Optional[str] = None,
         n_shards: int = 1,
-        n_replicas: int = 1,
-        cache_size: int = 4096,
         probe_k: int = 5,
         poll_interval_s: float = 0.2,
     ):
@@ -173,8 +171,6 @@ class Follower:
         self._workdir.mkdir(parents=True, exist_ok=True)
         self.follower_id = follower_id or f"follower-{secrets.token_hex(4)}"
         self._n_shards = n_shards
-        self._n_replicas = n_replicas
-        self._cache_size = cache_size
         self._probe_k = probe_k
         self._poll_interval_s = poll_interval_s
 
@@ -246,15 +242,11 @@ class Follower:
             self._inner = ClusterBackend.from_model(
                 model,
                 self._n_shards,
-                n_replicas=self._n_replicas,
                 entity_categories=cats,
-                cache_size=self._cache_size,
             )
         else:
             self._inner = ServiceBackend.from_model(
-                model,
-                entity_categories=cats,
-                cache_size=self._cache_size,
+                model, entity_categories=cats
             )
 
         probes = [
@@ -617,12 +609,6 @@ class FollowerBackend(ShoalBackend):
 
     def categories_of_topic(self, topic_id: int) -> List[int]:
         return self._inner.categories_of_topic(topic_id)  # type: ignore[attr-defined]
-
-    def cache_stats(self):
-        return self._inner.cache_stats()  # type: ignore[attr-defined]
-
-    def invalidate_cache(self) -> None:
-        self._inner.invalidate_cache()  # type: ignore[attr-defined]
 
     def close(self) -> None:
         self._follower.stop()

@@ -10,7 +10,7 @@ read tiers production taxonomy serving runs on:
   directory of per-shard model snapshots;
 * :mod:`~repro.serving.router` — :class:`ClusterRouter` fans queries
   out to the shards that can score them, merges per-shard top-k into
-  byte-identical unsharded answers, and balances replicas by load;
+  byte-identical unsharded answers;
 * :mod:`~repro.serving.replay` — :class:`TrafficReplayer` replays
   Zipf-skewed steady/bursty/drifting/adversarial workloads against a
   service or cluster and reports QPS with p50/p95/p99 latencies;
@@ -25,7 +25,7 @@ from repro.serving.replay import (
     WORKLOAD_PROFILES,
     build_workload,
 )
-from repro.serving.router import ClusterRouter, ClusterStats, ShardReplicas
+from repro.serving.router import ClusterRouter, ClusterStats
 from repro.serving.sharding import (
     CLUSTER_FORMAT_VERSION,
     CLUSTER_SNAPSHOT_KIND,
@@ -42,7 +42,6 @@ from repro.serving.stats import LatencySummary, RequestStats, percentile
 __all__ = [
     "ClusterRouter",
     "ClusterStats",
-    "ShardReplicas",
     "ShardAssignment",
     "ShardPlan",
     "ShardPlanner",

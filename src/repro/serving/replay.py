@@ -60,7 +60,7 @@ from typing import List, Optional, Sequence
 
 from repro._util import ensure_rng
 from repro.api.contract import ApiError, SearchRequest
-from repro.core.serving import CacheStats
+from repro.api.cache import CacheStats
 from repro.data.queries import Query
 from repro.data.scenarios import Scenario
 from repro.data.zipf import zipf_weights
@@ -239,14 +239,11 @@ class ReplayReport:
 
     @property
     def hit_rate(self) -> float:
-        """Cache-*lookup* hit rate over exactly this replay's requests.
+        """Result-cache hit rate over exactly this replay's requests.
 
-        Computed from the target's aggregate cache counters, so for a
-        :class:`ClusterRouter` one request can record several lookups
-        (a front-cache miss followed by a probe at each candidate
-        shard). That makes the rate a property of the cache *tiers*,
-        not of requests — compare it across runs on the same target,
-        not between a cluster and a single service.
+        Computed from the counters of the target's gateway cache (one
+        lookup per request); 0.0 for a target without one — a bare
+        backend computes every answer.
         """
         if self.cache_before is None or self.cache_after is None:
             return 0.0

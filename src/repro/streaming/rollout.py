@@ -262,13 +262,11 @@ class GenerationSwitch:
         self, generation: Generation
     ) -> Dict[str, List]:
         """Probe answers a healthy tier must reproduce, from a fresh
-        reference service over the new model (cache disabled — the
-        reference must compute, not recall)."""
+        reference service over the new model."""
         if not self._probes:
             return {}
         reference = ShoalService(
             generation.model,
-            cache_size=0,
             entity_categories=generation.entity_categories,
         )
         return {

@@ -124,26 +124,12 @@ class BM25:
                 ),
                 document_frequencies=df,
             )
-        self._bind_collection_stats(collection_stats)
-
-    def _bind_collection_stats(self, stats: CollectionStats) -> None:
         # Local document count stays local (bounds checks, scores());
         # the global count only enters through the IDF table.
-        self._stats = stats
-        self._n_docs = len(self._doc_freqs)
-        self._avg_len = stats.average_document_length
-        self._idf: Dict[str, float] = stats.idf()
-
-    def rebind_collection_stats(self, stats: CollectionStats) -> None:
-        """Swap in new collection statistics without re-tokenising.
-
-        Used when a sibling partition of the collection changed: this
-        index's documents (and therefore postings and term frequencies)
-        are untouched, but IDF and the length norm must follow the
-        collection. Any cached scores computed against the old
-        statistics are stale after this call.
-        """
-        self._bind_collection_stats(stats)
+        self._stats = collection_stats
+        self._n_docs = n
+        self._avg_len = collection_stats.average_document_length
+        self._idf: Dict[str, float] = collection_stats.idf()
 
     # -- accessors ----------------------------------------------------------
 

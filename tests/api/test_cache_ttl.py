@@ -63,17 +63,6 @@ class TestLRUCacheTTL:
         clock.advance(1e9)
         assert cache.get("k") == "v"
 
-    def test_purge_expired_sweeps_everything_stale(self):
-        clock = FakeClock()
-        cache = LRUCache(8, ttl_seconds=5.0, clock=clock)
-        for i in range(4):
-            cache.put(i, i)
-        clock.advance(6.0)
-        cache.put("fresh", 1)
-        assert cache.purge_expired() == 4
-        assert len(cache) == 1
-        assert cache.stats().expirations == 4
-
     def test_invalid_ttl_rejected(self):
         with pytest.raises(ValueError):
             LRUCache(8, ttl_seconds=0.0)

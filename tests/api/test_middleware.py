@@ -99,6 +99,54 @@ class TestCacheMiddleware:
         gateway.search(SearchRequest(query="beach", k=5))
         assert len(backend.calls) == 2
 
+    def test_least_recently_used_entry_is_evicted(self):
+        backend = CountingBackend()
+        gateway = Gateway(backend, [CacheMiddleware(2)])
+        a, b, c = (SearchRequest(query=q, k=5) for q in "abc")
+        for request in (a, b, a, c):  # b is the least recently used
+            gateway.search(request)
+        assert gateway.cache_stats().size == 2
+        gateway.search(a)
+        assert len(backend.calls) == 3  # a survived c's arrival
+        gateway.search(b)
+        assert len(backend.calls) == 4  # b did not
+
+    def test_size_zero_means_no_caching(self):
+        backend = CountingBackend()
+        gateway = Gateway(backend, [CacheMiddleware(0)])
+        for _ in range(2):
+            gateway.search(SearchRequest(query="beach", k=5))
+        assert len(backend.calls) == 2
+        stats = gateway.cache_stats()
+        assert (stats.hits, stats.misses, stats.size) == (0, 2, 0)
+        # The standard stack does not even install the stage.
+        assert Gateway(
+            backend, default_middlewares(cache_size=0)
+        ).cache_stats() is None
+
+    def test_negative_size_rejected(self):
+        with pytest.raises(ValueError, match="cache size"):
+            CacheMiddleware(-1)
+
+    def test_hit_rate_and_summary(self):
+        gateway = Gateway(CountingBackend(), [CacheMiddleware(16)])
+        assert gateway.cache_stats().hit_rate == 0.0
+        for _ in range(2):
+            gateway.search(SearchRequest(query="beach", k=5))
+        assert gateway.cache_stats().hit_rate == pytest.approx(0.5)
+        assert "1 hits / 1 misses" in gateway.cache_stats().summary()
+
+    def test_cache_is_invisible(self, tiny_backend, scenario_queries):
+        gateway = Gateway(tiny_backend)
+        for q in scenario_queries * 2:  # the second pass is all hits
+            search = SearchRequest(query=q, k=4)
+            recommend = RecommendRequest(query=q, k=6)
+            assert gateway.search(search) == tiny_backend.search(search)
+            assert gateway.recommend(recommend) == (
+                tiny_backend.recommend(recommend)
+            )
+        assert gateway.cache_stats().hits == 2 * len(scenario_queries)
+
     def test_batch_and_recommend_are_cached_too(self):
         backend = CountingBackend()
         gateway = Gateway(backend, [CacheMiddleware(16)])

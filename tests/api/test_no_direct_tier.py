@@ -20,6 +20,12 @@ A fourth guard bans the removed threaded edge and second dispatch
 chain by name (``ShoalHttpServer``, ``_GatewayHandler``,
 ``handle_observed``, ``--edge``): there is one edge and one chain, so
 nothing may select or describe another.
+
+A fifth guard bans the removed inner cache tiers and the in-process
+replicas that existed to hold them (``n_replicas``, ``--replicas``,
+``replica_request_counts``, ``front_cache``, ``_engine_cache_size``,
+``invalidate_caches``): the gateway's ``CacheMiddleware`` is the one
+result cache, so nothing may size, count or flush another.
 """
 
 from __future__ import annotations
@@ -78,6 +84,13 @@ REMOVED_EDGE_SCAN_PATHS = [
     ".github",
     "README.md",
 ]
+
+#: The engine query cache's and router front cache's knobs and the
+#: replica machinery — all removed with the tiers they configured.
+REMOVED_CACHE_TIERS = re.compile(
+    r"n_replicas|--replicas|replica_request_counts|front_cache|"
+    r"_engine_cache_size|invalidate_caches"
+)
 
 #: Frontends allowed to time the raw engine *behind* an adapter
 #: (reached via ``backend.service``, never constructed) — the only
@@ -176,6 +189,41 @@ def test_no_second_edge_or_chain_anywhere(path):
     )
 
 
+@pytest.mark.parametrize(
+    "path",
+    list(_scan_files(REMOVED_EDGE_SCAN_PATHS)),
+    ids=lambda p: str(p.relative_to(REPO_ROOT)),
+)
+def test_no_second_cache_tier_or_replicas_anywhere(path):
+    offending = []
+    for lineno, line in enumerate(path.read_text().splitlines(), 1):
+        if REMOVED_CACHE_TIERS.search(line):
+            offending.append(f"{path.name}:{lineno}: {line.strip()}")
+    assert not offending, (
+        "reference to the removed engine/router caches or replicas "
+        "(CacheMiddleware is the one result cache; wrap the backend in "
+        "a Gateway):\n" + "\n".join(offending)
+    )
+
+
+def test_one_result_cache_by_construction():
+    """``LRUCache(`` is built at one site (``CacheMiddleware``), and the
+    engine tiers do not even import the cache module."""
+    src = REPO_ROOT / "src"
+    sites = [
+        str(p.relative_to(REPO_ROOT))
+        for p in sorted(src.rglob("*.py"))
+        for line in p.read_text().splitlines()
+        if re.search(r"\bLRUCache\(", line)
+    ]
+    assert sites == ["src/repro/api/middleware.py"]
+    engine_tiers = sorted((src / "repro" / "core").glob("*.py")) + [
+        src / "repro" / "serving" / "router.py"
+    ]
+    for path in engine_tiers:
+        assert "repro.api.cache" not in path.read_text(), path
+
+
 def test_the_guard_itself_still_bites():
     """The regexes must keep matching the patterns they exist to ban."""
     for snippet in (
@@ -232,3 +280,19 @@ def test_the_guard_itself_still_bites():
         "serve-http --hedge-after-ms 0",
     ):
         assert not REMOVED_EDGE.search(snippet), snippet
+    for snippet in (
+        "ClusterBackend.from_model(model, 4, n_replicas=2)",
+        "serve-http --cluster-dir DIR --replicas 2",
+        "counts = shard.replica_request_counts()",
+        "router.front_cache_stats().hits",
+        "cache_size=_engine_cache_size(args)",
+        "router.invalidate_caches()",
+    ):
+        assert REMOVED_CACHE_TIERS.search(snippet), snippet
+    for snippet in (
+        "ClusterBackend.from_model(model, 4)",
+        "serve-http --cluster-dir DIR --cache-size 0",
+        "gateway.invalidate_cache()",
+        "a WAL-mode SQLite replica of the event stream",
+    ):
+        assert not REMOVED_CACHE_TIERS.search(snippet), snippet

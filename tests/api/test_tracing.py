@@ -234,11 +234,10 @@ class TestSpanPropagation:
                          "router.shard_probe"):
             assert expected in names, f"missing span {expected}"
         # The router probes whichever shards the plan routes this
-        # query to — each probe must name its shard and replica.
+        # query to — each probe must name its shard.
         probes = [s for s in spans if s["name"] == "router.shard_probe"]
         assert probes
         assert {p["tags"]["shard"] for p in probes} <= {"0", "1", "2", "3"}
-        assert all("replica" in p["tags"] for p in probes)
 
     def test_spans_nest_within_their_parents(self, served, query_pool):
         server, tracer = served

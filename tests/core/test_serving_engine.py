@@ -1,6 +1,7 @@
-"""Tests for the serving-engine internals of repro.core.serving:
-query-result LRU cache (hit/miss/invalidation, incremental wiring) and
-the batch APIs."""
+"""Tests for the serving-engine internals of repro.core.serving: the
+stateless read path, the batch APIs and the incremental wiring — plus
+the thread-safety regressions of the LRU the gateway cache is built
+on."""
 
 import dataclasses
 
@@ -15,7 +16,7 @@ from repro.data.queries import QueryLogConfig
 
 @pytest.fixture()
 def service(tiny_model, tiny_marketplace):
-    """A fresh service per test — cache counters start at zero."""
+    """A fresh service per test."""
     return ShoalService(
         tiny_model,
         entity_categories={
@@ -34,95 +35,26 @@ def scenario_query(tiny_marketplace):
     )
 
 
-class TestQueryCache:
-    def test_repeat_search_hits_cache(self, service, scenario_query):
+class TestStatelessEngine:
+    def test_repeat_search_recomputes_the_same_answer(
+        self, service, scenario_query
+    ):
         first = service.search_topics(scenario_query, k=3)
-        stats = service.cache_stats()
-        assert stats.hits == 0
-        assert stats.misses == 1
-        second = service.search_topics(scenario_query, k=3)
-        stats = service.cache_stats()
-        assert stats.hits == 1
-        assert stats.misses == 1
-        assert second == first
+        assert first
+        expected = list(first)
+        first.clear()  # a caller's mutation reaches nothing shared
+        assert service.search_topics(scenario_query, k=3) == expected
 
-    def test_different_k_is_different_entry(self, service, scenario_query):
-        service.search_topics(scenario_query, k=3)
-        service.search_topics(scenario_query, k=5)
-        assert service.cache_stats().misses == 2
-
-    def test_cached_result_is_copy(self, service, scenario_query):
-        first = service.search_topics(scenario_query, k=3)
-        first.clear()  # caller mutation must not corrupt the cache
-        again = service.search_topics(scenario_query, k=3)
-        assert again  # still the real hits, not the cleared list
-
-    def test_related_topics_cached(self, service):
+    def test_repeat_related_topics_recomputes_the_same_answer(
+        self, service
+    ):
         root = service.taxonomy.root_topics()[0]
         first = service.related_topics(root.topic_id, k=6)
-        second = service.related_topics(root.topic_id, k=6)
-        assert second == first
-        assert service.cache_stats().hits >= 1
+        assert service.related_topics(root.topic_id, k=6) == first
 
-    def test_invalidate_cache(self, service, scenario_query):
-        service.search_topics(scenario_query, k=3)
-        service.invalidate_cache()
-        stats = service.cache_stats()
-        assert stats.size == 0
-        assert stats.invalidations == 1
-        service.search_topics(scenario_query, k=3)
-        assert service.cache_stats().misses == 2
-
-    def test_set_entity_categories_invalidates(self, service, scenario_query):
-        service.search_topics(scenario_query, k=3)
-        service.set_entity_categories({})
-        assert service.cache_stats().size == 0
-
-    def test_cache_disabled(self, tiny_model, scenario_query):
-        svc = ShoalService(tiny_model, cache_size=0)
-        svc.search_topics(scenario_query, k=3)
-        svc.search_topics(scenario_query, k=3)
-        stats = svc.cache_stats()
-        assert stats.hits == 0
-        assert stats.misses == 2
-        assert stats.size == 0
-
-    def test_lru_eviction(self, tiny_model):
-        svc = ShoalService(tiny_model, cache_size=2)
-        queries = list(tiny_model.query_texts.values())[:3]
-        for q in queries:
-            svc.search_topics(q, k=3)
-        assert svc.cache_stats().size == 2
-        svc.search_topics(queries[0], k=3)  # evicted → miss again
-        assert svc.cache_stats().misses == 4
-
-    def test_negative_cache_size_rejected(self, tiny_model):
-        with pytest.raises(ValueError):
-            ShoalService(tiny_model, cache_size=-1)
-
-    def test_hit_rate(self, service, scenario_query):
-        assert service.cache_stats().hit_rate == 0.0
-        service.search_topics(scenario_query, k=3)
-        service.search_topics(scenario_query, k=3)
-        assert service.cache_stats().hit_rate == pytest.approx(0.5)
-        assert "hits" in service.cache_stats().summary()
-
-    def test_cached_equals_uncached(self, tiny_model, tiny_marketplace):
-        """The cache must be invisible: cached and cache-disabled
-        services agree on every query and every related-topics call."""
-        cats = {
-            e.entity_id: e.category_id
-            for e in tiny_marketplace.catalog.entities
-        }
-        warm = ShoalService(tiny_model, entity_categories=cats)
-        cold = ShoalService(tiny_model, cache_size=0, entity_categories=cats)
-        queries = list(tiny_model.query_texts.values())[:10]
-        for q in queries + queries:  # second pass hits warm's cache
-            assert warm.search_topics(q, k=4) == cold.search_topics(q, k=4)
-        for t in warm.taxonomy.root_topics()[:5]:
-            w = [(o.topic_id, s) for o, s in warm.related_topics(t.topic_id)]
-            c = [(o.topic_id, s) for o, s in cold.related_topics(t.topic_id)]
-            assert w == c
+    def test_engine_holds_no_result_cache(self, service):
+        for gone in ("cache_stats", "invalidate_cache", "replica"):
+            assert not hasattr(service, gone)
 
 
 class TestBatchAPIs:
@@ -150,12 +82,6 @@ class TestBatchAPIs:
     def test_empty_batch(self, service):
         assert service.search_topics_batch([], k=3) == []
         assert service.recommend_batch([], k=3) == []
-
-    def test_duplicate_queries_share_cache(self, service, scenario_query):
-        service.search_topics_batch([scenario_query] * 8, k=3)
-        stats = service.cache_stats()
-        assert stats.misses == 1
-        assert stats.hits == 7
 
 
 class TestIncrementalWiring:
@@ -198,20 +124,16 @@ class TestIncrementalWiring:
             for q in long_market.query_log.queries
             if q.intent_kind == "scenario"
         )
-        svc.search_topics(query, k=3)
-        svc.search_topics(query, k=3)
-        stats = svc.cache_stats()
-        assert stats.hits == 1 and stats.misses == 1
+        assert svc.search_topics(query, k=3)
 
         maintainer.advance(long_market.query_log, last_day=7)
-        # Same service object, new model, cache invalidated.
+        # Same service object, new model, answers from the new window.
         assert maintainer.service() is svc
         assert svc.model is maintainer.model
-        assert svc.cache_stats().size == 0
-        svc.search_topics(query, k=3)
-        stats = svc.cache_stats()
-        assert stats.misses == 2  # recomputed against the new window
-        assert stats.invalidations >= 1
+        assert svc.search_topics(query, k=3) == ShoalService(
+            maintainer.model,
+            entity_categories=maintainer.entity_categories,
+        ).search_topics(query, k=3)
 
     def test_refreshed_service_serves_new_taxonomy(
         self, maintainer, long_market
@@ -335,7 +257,7 @@ class TestLRUThreadSafety:
 
         from repro.core.serving import ShoalService
 
-        service = ShoalService(tiny_model, cache_size=8)
+        service = ShoalService(tiny_model)
         topic = tiny_model.taxonomy.root_topics()[0]
         queries = [d for t in tiny_model.taxonomy.topics()
                    for d in t.descriptions[:1]][:24]
@@ -344,11 +266,8 @@ class TestLRUThreadSafety:
         def probe(_):
             out = [service.search_topics(q, 3) for q in queries]
             service.related_topics(topic.topic_id)
-            service.invalidate_cache()
             return out
 
         with ThreadPoolExecutor(max_workers=6) as pool:
             for got in pool.map(probe, range(18)):
                 assert got == expected
-        stats = service.cache_stats()
-        assert stats.hits + stats.misses > 0

@@ -77,7 +77,6 @@ class TestFollowerByteIdentity:
         probes = _probe_queries(repl_market)
         primary = ShoalService(
             generations[-1].model,
-            cache_size=0,
             entity_categories=generations[-1].entity_categories,
         )
 
@@ -106,7 +105,6 @@ class TestFollowerByteIdentity:
                 root / f"work-{n_shards}",
                 follower_id=f"f{n_shards}",
                 n_shards=n_shards,
-                cache_size=0,
             )
             backend = follower.bootstrap()
             follower.catch_up(timeout_s=120.0)

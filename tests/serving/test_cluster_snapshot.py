@@ -62,7 +62,7 @@ class TestRoundTrip:
         self, cluster_dir, tiny_model, tiny_marketplace, categories
     ):
         service = ShoalService(tiny_model, entity_categories=categories)
-        router = ClusterRouter.from_snapshot(cluster_dir, n_replicas=2)
+        router = ClusterRouter.from_snapshot(cluster_dir)
         for q in tiny_marketplace.query_log.queries[:40]:
             assert router.search_topics(q.text, 5) == (
                 service.search_topics(q.text, 5)

@@ -3,6 +3,7 @@ profiles, the replayer, and latency summaries."""
 
 import pytest
 
+from repro.api import Gateway, ServiceBackend
 from repro.core.serving import ShoalService
 from repro.serving import (
     ClusterRouter,
@@ -137,23 +138,29 @@ class TestReplayer:
         )
         assert report.n_requests == 200
 
-    def test_cache_delta_tracked(self, tiny_model, tiny_marketplace):
-        svc = ShoalService(tiny_model)
+    def test_gateway_cache_delta_tracked(self, service, tiny_marketplace):
         wl = make_workload(
             tiny_marketplace, n_requests=400, profile="bursty"
         )
-        report = TrafficReplayer(svc).replay(wl, profile="bursty")
+        gateway = Gateway(ServiceBackend(service))
+        report = TrafficReplayer(gateway).replay(wl, profile="bursty")
         assert report.cache_before is not None
         assert report.hit_rate > 0.3  # bursts hit the LRU hard
 
-    def test_adversarial_never_hits_cache(
-        self, tiny_model, tiny_marketplace
-    ):
-        svc = ShoalService(tiny_model)
+    def test_bare_engine_reports_no_cache(self, service, tiny_marketplace):
+        wl = make_workload(tiny_marketplace, n_requests=50)
+        report = TrafficReplayer(service).replay(wl)
+        assert report.cache_before is None
+        assert report.hit_rate == 0.0
+        assert "cache" not in report.summary()
+
+    def test_adversarial_never_hits_cache(self, service, tiny_marketplace):
         wl = make_workload(
             tiny_marketplace, n_requests=200, profile="adversarial"
         )
-        report = TrafficReplayer(svc).replay(wl, profile="adversarial")
+        gateway = Gateway(ServiceBackend(service))
+        report = TrafficReplayer(gateway).replay(wl, profile="adversarial")
+        assert report.cache_before is not None
         assert report.hit_rate == 0.0
 
     def test_replay_against_cluster(self, tiny_model, tiny_marketplace):

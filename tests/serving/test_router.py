@@ -1,10 +1,10 @@
-"""Unit tests for ClusterRouter internals: routing, replica placement,
-selective refresh, and stats accounting."""
+"""Unit tests for ClusterRouter internals: routing, selective refresh,
+and stats accounting."""
 
 import pytest
 
-from repro.serving import ClusterRouter
-from repro.serving.router import ShardReplicas
+from repro.core.serving import ShoalService
+from repro.serving import ClusterRouter, ShardPlanner
 
 
 @pytest.fixture(scope="module")
@@ -18,32 +18,32 @@ def categories(tiny_marketplace):
 @pytest.fixture()
 def router(tiny_model, categories):
     return ClusterRouter.from_model(
-        tiny_model, 2, n_replicas=2, entity_categories=categories
+        tiny_model, 2, entity_categories=categories
     )
 
 
 class TestRouting:
-    def test_token_skip_leaves_other_shard_cold(
+    def test_token_skip_leaves_other_shard_unprobed(
         self, tiny_model, categories
     ):
-        router = ClusterRouter.from_model(
-            tiny_model, 2, entity_categories=categories
+        shard_set = ShardPlanner(2).partition(tiny_model, categories)
+        router = ClusterRouter(shard_set)
+        tokens0, tokens1 = (
+            ShoalService(
+                m, collection_stats=shard_set.collection_stats
+            ).posting_tokens()
+            for m in shard_set.models
         )
-        shards = router.shards()
         # A token unique to shard 0's postings.
-        only_zero = next(
-            iter(shards[0].tokens - shards[1].tokens)
-        )
+        only_zero = next(iter(tokens0 - tokens1))
         router.search_topics(only_zero, 3)
-        s0, s1 = (s.cache_stats() for s in router.shards())
-        assert s0.misses == 1
-        assert s1.misses == 0  # shard 1 was never probed
+        busy0, busy1 = router.shard_busy_seconds()
+        assert busy0 > 0.0
+        assert busy1 == 0.0  # shard 1 was never probed
 
     def test_unknown_tokens_probe_no_shard(self, router):
         assert router.search_topics("zzz-not-a-token-zzz") == []
-        assert all(
-            s.cache_stats().misses == 0 for s in router.shards()
-        )
+        assert router.shard_busy_seconds() == [0.0, 0.0]
 
     def test_empty_query(self, router):
         assert router.search_topics("") == []
@@ -58,80 +58,38 @@ class TestRouting:
             router.topic(10**9)
 
 
-class TestReplicas:
-    def test_validates_counts(self, tiny_model):
-        with pytest.raises(ValueError, match="n_replicas"):
-            ClusterRouter.from_model(tiny_model, 2, n_replicas=0)
+class TestConstruction:
+    def test_validates_shard_count(self, tiny_model):
         with pytest.raises(ValueError, match="n_shards"):
             ClusterRouter.from_model(tiny_model, 0)
 
-    def test_least_loaded_pick(self, tiny_model):
-        router = ClusterRouter.from_model(tiny_model, 1, n_replicas=3)
-        shard = router.shards()[0]
-        # Hold a replica in flight: the next picks avoid it.
-        idx0, _ = shard.acquire()
-        idx1, _ = shard.acquire()
-        idx2, _ = shard.acquire()
-        assert {idx0, idx1, idx2} == {0, 1, 2}
-        shard.release(idx0)
-        shard.release(idx1)
-        shard.release(idx2)
-
-    def test_sequential_traffic_round_robins(self, tiny_model):
-        router = ClusterRouter.from_model(tiny_model, 1, n_replicas=3)
-        shard = router.shards()[0]
-        for _ in range(9):
-            idx, _ = shard.acquire()
-            shard.release(idx)
-        assert shard.replica_request_counts() == [3, 3, 3]
-
-    def test_replicas_share_indexes_not_caches(self, tiny_model):
-        from repro.core.serving import ShoalService
-
-        service = ShoalService(tiny_model)
-        twin = service.replica()
-        assert twin.taxonomy is service.taxonomy
-        service.search_topics("anything at all")
-        assert twin.cache_stats().misses == 0
-
 
 class TestRefresh:
-    def test_identity_refresh_keeps_caches(
+    def test_identity_refresh_rebuilds_nothing(
         self, router, tiny_model, tiny_marketplace, categories
     ):
-        for q in tiny_marketplace.query_log.queries[:10]:
-            router.search_topics(q.text)
-        size_before = router.cache_stats().size
-        assert size_before > 0
+        q = tiny_marketplace.query_log.queries[0].text
+        router.search_topics(q)
+        busy_before = router.shard_busy_seconds()
         assert router.refresh(tiny_model, categories) == []
-        assert router.cache_stats().size == size_before
+        # The shards carried over, busy-time accumulators and all.
+        assert router.shard_busy_seconds() == busy_before
 
-    def test_changed_model_rebuilds_and_counters_survive(
-        self, router, tiny_model, tiny_marketplace, categories
+    def test_changed_model_rebuilds_every_shard(
+        self, router, tiny_model, categories
     ):
         import copy
 
-        for q in tiny_marketplace.query_log.queries[:10]:
-            router.search_topics(q.text)
-        before = router.cache_stats()
         mutated = copy.deepcopy(tiny_model)
         t = mutated.taxonomy.root_topics()[0]
         t.descriptions = ["brand new trend"] + t.descriptions
         rebuilt = router.refresh(mutated, categories)
         assert rebuilt == list(range(router.n_shards))
-        after = router.cache_stats()
-        # Monotonic counters across the rebuild, empty live caches.
-        assert after.hits >= before.hits
-        assert after.misses >= before.misses
-        assert after.invalidations > before.invalidations
-        assert after.size == 0
 
     def test_refresh_swaps_answers(
         self, router, tiny_model, tiny_marketplace, categories
     ):
         import copy
-
-        from repro.core.serving import ShoalService
 
         mutated = copy.deepcopy(tiny_model)
         t = mutated.taxonomy.root_topics()[0]
@@ -149,25 +107,5 @@ class TestStatsSurface:
         router.search_topics("anything")
         stats = router.cluster_stats()
         assert stats.n_shards == 2
-        assert stats.n_replicas == 2
-        assert len(stats.shard_caches) == 2
         assert stats.latency.count == 1
         assert "cluster" in stats.summary()
-
-    def test_front_cache_serves_repeats(self, router, tiny_marketplace):
-        q = tiny_marketplace.query_log.queries[0].text
-        router.search_topics(q)
-        router.search_topics(q)
-        assert router.front_cache_stats().hits == 1
-
-    def test_invalidate_caches(self, router, tiny_marketplace):
-        q = tiny_marketplace.query_log.queries[0].text
-        router.search_topics(q)
-        router.invalidate_caches()
-        assert router.cache_stats().size == 0
-
-    def test_shard_replicas_validates(self, tiny_model):
-        from repro.core.serving import ShoalService
-
-        with pytest.raises(ValueError, match="n_replicas"):
-            ShardReplicas(0, ShoalService(tiny_model), 0, "fp")

@@ -130,19 +130,6 @@ class TestCollectionStats:
         for i in range(len(docs) // 2):
             assert half.score(query, i) == full.score(query, i)
 
-    def test_rebind_changes_scores(self):
-        docs = [["a", "b"], ["a", "c"]]
-        index = BM25(docs)
-        before = index.score(["a"], 0)
-        index.rebind_collection_stats(
-            CollectionStats(
-                n_documents=100,
-                average_document_length=2.0,
-                document_frequencies={"a": 1, "b": 1, "c": 1},
-            )
-        )
-        assert index.score(["a"], 0) > before  # much rarer now
-
 
 class TestFingerprint:
     def test_stable(self, tiny_model, categories):

@@ -1,9 +1,9 @@
-"""Property suite: sharding and replication are answer-transparent.
+"""Property suite: sharding is answer-transparent.
 
 The sampled archetype of this PR — prove with property-based tests
 that for random fitted models and random queries, the cluster router
 returns *byte-identical* results to the unsharded service, for every
-shard count in {1, 2, 4} and replica count in {1, 3}.
+shard count in {1, 2, 4}.
 
 Fitted models are deterministic functions of their marketplace seed,
 so a small pool of prefit models (cached at module level) gives
@@ -24,7 +24,6 @@ from repro.serving import ClusterRouter
 
 MODEL_SEEDS = (0, 1, 2)
 SHARD_COUNTS = (1, 2, 4)
-REPLICA_COUNTS = (1, 3)
 
 
 @functools.lru_cache(maxsize=None)
@@ -39,13 +38,13 @@ def world(seed: int):
 
 
 @functools.lru_cache(maxsize=None)
-def router(seed: int, n_shards: int, n_replicas: int) -> ClusterRouter:
+def router(seed: int, n_shards: int) -> ClusterRouter:
     market, model, _ = world(seed)
     cats = {
         e.entity_id: e.category_id for e in market.catalog.entities
     }
     return ClusterRouter.from_model(
-        model, n_shards, n_replicas=n_replicas, entity_categories=cats
+        model, n_shards, entity_categories=cats
     )
 
 
@@ -90,16 +89,12 @@ def test_search_topics_transparent(seed, data, k):
     query = data.draw(query_strings(seed))
     expected = service.search_topics(query, k)
     for n_shards in SHARD_COUNTS:
-        for n_replicas in REPLICA_COUNTS:
-            got = router(seed, n_shards, n_replicas).search_topics(
-                query, k
-            )
-            assert got == expected, (
-                f"shards={n_shards} replicas={n_replicas} "
-                f"query={query!r} k={k}"
-            )
-            # Byte-identical, not merely equal as dataclasses.
-            assert repr(got) == repr(expected)
+        got = router(seed, n_shards).search_topics(query, k)
+        assert got == expected, (
+            f"shards={n_shards} query={query!r} k={k}"
+        )
+        # Byte-identical, not merely equal as dataclasses.
+        assert repr(got) == repr(expected)
 
 
 @given(
@@ -113,14 +108,12 @@ def test_recommendations_transparent(seed, data, k):
     query = data.draw(query_strings(seed))
     expected = service.recommend_entities_for_query(query, k)
     for n_shards in SHARD_COUNTS:
-        for n_replicas in REPLICA_COUNTS:
-            got = router(
-                seed, n_shards, n_replicas
-            ).recommend_entities_for_query(query, k)
-            assert got == expected, (
-                f"shards={n_shards} replicas={n_replicas} "
-                f"query={query!r} k={k}"
-            )
+        got = router(seed, n_shards).recommend_entities_for_query(
+            query, k
+        )
+        assert got == expected, (
+            f"shards={n_shards} query={query!r} k={k}"
+        )
 
 
 @given(seed=st.sampled_from(MODEL_SEEDS), data=st.data())
@@ -133,7 +126,7 @@ def test_batch_apis_transparent(seed, data):
     expected_search = service.search_topics_batch(queries, k=4)
     expected_rec = service.recommend_batch(queries, k=6)
     for n_shards in SHARD_COUNTS:
-        r = router(seed, n_shards, 1)
+        r = router(seed, n_shards)
         assert r.search_topics_batch(queries, k=4) == expected_search
         assert r.recommend_batch(queries, k=6) == expected_rec
 
@@ -146,7 +139,7 @@ def test_topic_local_scenarios_transparent(seed, data):
     topic_ids = [t.topic_id for t in model.taxonomy.topics()]
     topic_id = data.draw(st.sampled_from(topic_ids))
     for n_shards in SHARD_COUNTS:
-        r = router(seed, n_shards, 1)
+        r = router(seed, n_shards)
         assert r.subtopics(topic_id) == service.subtopics(topic_id)
         assert r.topic_path(topic_id) == service.topic_path(topic_id)
         assert r.categories_of_topic(topic_id) == (

@@ -4,7 +4,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro.api import Gateway, ServiceBackend, SearchRequest
+from repro.api import (
+    BatchRequest,
+    ClusterBackend,
+    Gateway,
+    SearchRequest,
+    ServiceBackend,
+)
 from repro.streaming import Generation, GenerationSwitch, SwapError
 
 from tests.streaming.conftest import BASE_LAST_DAY, make_base_inc
@@ -191,6 +197,42 @@ class TestSwap:
             nxt.model, entity_categories=nxt.entity_categories
         )
         assert gateway.search(request) == fresh.search(request)
+
+    def test_gateway_is_the_one_cache_over_a_cluster(
+        self, two_generations, probes
+    ):
+        """The case the router's front cache used to carry: repeats are
+        answered by the gateway with zero new shard-probe work, and a
+        swap makes the next request compute again."""
+        base, nxt = two_generations
+        backend = ClusterBackend.from_model(
+            base.model, 2, entity_categories=base.entity_categories
+        )
+        router = backend.router
+        gateway = Gateway(backend)
+        search = SearchRequest(query=probes[0], k=3)
+        batch = BatchRequest(queries=tuple(probes), k=3, kind="search")
+
+        def shard_work():
+            return router.request_stats().count, router.shard_busy_seconds()
+
+        first = gateway.search(search), gateway.batch(batch)
+        computed = shard_work()
+        assert computed[0] == 1 + len(probes) and sum(computed[1]) > 0.0
+        assert (gateway.search(search), gateway.batch(batch)) == first
+        assert shard_work() == computed  # both repeats were cache hits
+        assert gateway.cache_stats().hits == 2
+
+        GenerationSwitch(probe_queries=probes, baseline=base).attach(
+            gateway
+        ).swap(nxt)
+        after_swap = shard_work()  # the swap's own health probes
+        fresh = ClusterBackend.from_model(
+            nxt.model, 2, entity_categories=nxt.entity_categories
+        )
+        assert gateway.search(search) == fresh.search(search)
+        assert gateway.batch(batch) == fresh.batch(batch)
+        assert shard_work()[0] == after_swap[0] + 1 + len(probes)
 
     def test_partial_failure_tracks_per_target_generations(
         self, two_generations, probes

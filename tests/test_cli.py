@@ -31,14 +31,58 @@ class TestParser:
     def test_serving_roles_share_one_flag_set(self, argv, port):
         args = build_parser().parse_args(argv)
         assert (args.host, args.port, args.quiet) == ("127.0.0.1", port, False)
-        assert (args.replicas, args.cache_size, args.cache_ttl_s) == (
-            1, 4096, None,
-        )
+        assert (args.cache_size, args.cache_ttl_s) == (4096, None)
         assert (args.rate_limit, args.deadline_ms) == (None, None)
         assert (args.access_log, args.trace_capacity) == (None, 256)
         # There is one edge: nothing to select.
         with pytest.raises(SystemExit):
             build_parser().parse_args(argv + ["--edge", "thread"])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["serve-http", "--load", "d"],
+            ["serve-follower", "--feed", "d"],
+        ],
+    )
+    def test_cache_flags_validated(self, argv, capsys):
+        for bad in (["--cache-size", "-1"], ["--cache-ttl-s", "0"],
+                    ["--cache-ttl-s", "-2.5"]):
+            with pytest.raises(SystemExit) as excinfo:
+                build_parser().parse_args(argv + bad)
+            assert excinfo.value.code == 2  # an argparse error, no traceback
+            assert f"argument {bad[0]}" in capsys.readouterr().err
+        args = build_parser().parse_args(
+            argv + ["--cache-size", "0", "--cache-ttl-s", "0.5"]
+        )
+        assert (args.cache_size, args.cache_ttl_s) == (0, 0.5)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["serve-http", "--load", "d"],
+            ["serve-follower", "--feed", "d"],
+        ],
+    )
+    def test_ttl_without_a_cache_is_rejected_before_any_work(self, argv):
+        # 'd' does not exist: the flag check must fire before any load.
+        with pytest.raises(SystemExit, match="--cache-ttl-s has no effect"):
+            main(argv + ["--cache-size", "0", "--cache-ttl-s", "5"])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["serve-http", "--load", "d"],
+            ["serve-follower", "--feed", "d"],
+            ["serve-cluster"],
+            ["replay"],
+        ],
+    )
+    def test_replicas_flag_is_gone(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(argv + ["--replicas", "2"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --replicas" in capsys.readouterr().err
 
 
 class TestFitCommand:
@@ -175,14 +219,13 @@ class TestClusterCommands:
     def test_serve_cluster_prints_plan_and_answers(self, capsys):
         rc = main([
             "serve-cluster", "--profile", "tiny", "--shards", "2",
-            "--replicas", "2",
         ])
         out = capsys.readouterr().out
         assert rc == 0
         assert "shard 0:" in out
         assert "shard 1:" in out
         assert "query:" in out
-        assert "2 shards x 2 replicas" in out
+        assert "cluster: 2 shards;" in out
 
     def test_save_shards_layout(self, cluster_dir, capsys):
         assert (cluster_dir / "CLUSTER_MANIFEST.json").is_file()
