@@ -5,10 +5,19 @@ the hot path: a typed request through adapter + middleware stack must
 cost within 1.3x of calling the raw engine's ``search_topics``
 directly. Both sides compute the answer — the engine holds no result
 cache, and the gateway side runs the standard stack with its cache
-stage off — so the ratio is dispatch overhead alone. This bench
-measures it over adjacent pairs of aggregate timings (single calls sit
-below timer noise) and gates on the median per-pair ratio; the absolute cost of a full-stack cache
-*hit* is recorded by ``test_bench_full_stack_dispatch``.
+stage off — so the ratio is dispatch overhead alone; the absolute cost
+of a full-stack cache *hit* is recorded by
+``test_bench_full_stack_dispatch``.
+
+The gated statistic changed together with the subjects, so ratios from
+before and after PR 14 are not comparable. Until PR 13 the gate was a
+ratio of medians (9 x 2000 ops per side, one side after the other) over
+two ~1 us cache hits. Both sides now do tens of microseconds of BM25
+work and the box's speed drifts between the two sampling runs by more
+than the overhead under test: on the new subjects the ratio of medians
+read 1.01-1.39x over 8 back-to-back repeats, the median of 21 adjacent
+per-pair ratios (1000 ops per side) 1.22-1.25x over the same repeats.
+The gate is on the latter; ``GATE_RATIO`` is unchanged.
 """
 
 import statistics

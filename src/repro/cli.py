@@ -403,7 +403,7 @@ def _check_backend_world(args) -> None:
 
 
 def _cmd_replay(args) -> int:
-    from repro.api import ClusterBackend, Gateway
+    from repro.api import ClusterBackend
     from repro.serving import (
         TrafficReplayer,
         WorkloadConfig,
@@ -476,11 +476,7 @@ def _cmd_replay(args) -> int:
         # serve-http serves them, so the report's hit rate is the
         # production cache's; a remote server already is a gateway.
         if target.kind != "client":
-            gateway = Gateway(target)
-            if target.kind == "follower":
-                # Epoch swaps must drop this cache, as in serve-follower.
-                target.follower.switch.attach(gateway)
-            target = gateway
+            target = _gateway_over(target)
         return TrafficReplayer(target, k=args.k, concurrency=args.concurrency)
 
     reports = {}
@@ -749,12 +745,27 @@ def _check_cache_flags(args) -> None:
         )
 
 
+def _gateway_over(backend, middlewares=None, *, access_log=None):
+    """A gateway over an in-process tier (default stack unless given).
+
+    The one place that knows a gateway over a follower tier must be
+    attached to the follower's switch: epoch swaps drop its result
+    cache, exactly like the primary's hot-swap path.
+    """
+    from repro.api import Gateway
+
+    gateway = Gateway(backend, middlewares, access_log=access_log)
+    if backend.kind == "follower":
+        backend.follower.switch.attach(gateway)
+    return gateway
+
+
 def _build_gateway(args, backend):
     """The serving roles' gateway: the standard middleware stack from
     the shared serve flags, plus the optional access log."""
-    from repro.api import Gateway, default_middlewares
+    from repro.api import default_middlewares
 
-    return Gateway(
+    return _gateway_over(
         backend,
         default_middlewares(
             cache_size=args.cache_size,
@@ -876,9 +887,6 @@ def _cmd_serve_follower(args) -> int:
     backend = follower.bootstrap()
     tracer = _build_tracer(args)
     gateway = _build_gateway(args, backend)
-    # Epoch swaps must drop the gateway's result cache, exactly like
-    # the primary's hot-swap path.
-    follower.switch.attach(gateway)
     built = follower.catch_up(timeout_s=args.catch_up_s)
     if built:
         print(f"caught up: rebuilt {built} generations from {args.feed}")
