@@ -5,8 +5,9 @@ Two gates, both against live sockets:
 
 * **Tail flatness.** The same open-loop bursty workload (fixed total
   arrival rate — so the offered load does not change) is replayed
-  through N and then 10N persistent keep-alive connections. Holding 10x
-  the sockets must not inflate read p99 beyond 1.3x (with a small
+  through N and then 10N persistent keep-alive connections, three
+  times each, interleaved. Holding 10x the sockets must not inflate the
+  median read p99 beyond 1.3x the base's median (with a small
   absolute floor so scheduler noise on a quiet box cannot fail the
   gate). A closed-loop driver could not express this property: its
   offered load scales with connection count, conflating "many
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 import http.client
 import json
+import statistics
 import threading
 import time
 
@@ -41,6 +43,7 @@ ARRIVAL_RATE = 150.0  # total requests/s, identical at both scales
 N_READS = 450  # per scale: ~3s of open-loop traffic
 TAIL_GATE = 1.3
 TAIL_FLOOR_MS = 5.0  # p99s below this are scheduler noise, not signal
+TAIL_REPEATS = 3  # per scale, interleaved; the gate compares medians
 
 N_EVENTS = 200
 FSYNC_GATE = 0.2
@@ -141,12 +144,20 @@ def test_bench_p99_flat_across_10x_connections(
         _open_loop_p99_ms(
             server, bursty_workload[:100], BASE_CONNECTIONS, ARRIVAL_RATE
         )
-        p99_base = _open_loop_p99_ms(
-            server, bursty_workload, BASE_CONNECTIONS, ARRIVAL_RATE
-        )
-        p99_scaled = _open_loop_p99_ms(
-            server, bursty_workload, BASE_CONNECTIONS * SCALE, ARRIVAL_RATE
-        )
+        # Interleaved repeats, median against median: one run's p99 is
+        # the 5th-worst of 450 samples, and on a 2-core box a single
+        # scheduler stall on either side flips a one-shot comparison.
+        base_runs, scaled_runs = [], []
+        for _ in range(TAIL_REPEATS):
+            base_runs.append(_open_loop_p99_ms(
+                server, bursty_workload, BASE_CONNECTIONS, ARRIVAL_RATE
+            ))
+            scaled_runs.append(_open_loop_p99_ms(
+                server, bursty_workload, BASE_CONNECTIONS * SCALE,
+                ARRIVAL_RATE,
+            ))
+        p99_base = statistics.median(base_runs)
+        p99_scaled = statistics.median(scaled_runs)
     finally:
         server.shutdown()
 
@@ -156,7 +167,9 @@ def test_bench_p99_flat_across_10x_connections(
             f"\n[async edge tail] p99@{BASE_CONNECTIONS}conn="
             f"{p99_base:.2f}ms p99@{BASE_CONNECTIONS * SCALE}conn="
             f"{p99_scaled:.2f}ms allowed={allowed:.2f}ms "
-            f"(gate {TAIL_GATE}x, floor {TAIL_FLOOR_MS}ms)"
+            f"(gate {TAIL_GATE}x, floor {TAIL_FLOOR_MS}ms; medians of "
+            f"{[round(r, 2) for r in base_runs]} and "
+            f"{[round(r, 2) for r in scaled_runs]})"
         )
     assert p99_scaled < allowed, (
         f"read p99 degraded {SCALE}x-ing connections: "

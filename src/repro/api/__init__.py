@@ -21,8 +21,7 @@ a concrete read tier. The pieces:
   dispatch behind the edge) and :class:`ShoalClient` (same typed
   contract in-process or remote);
 * :mod:`repro.api.aio` — :class:`AsyncShoalServer`, the HTTP edge: one
-  asyncio loop with deadline cancellation, hedging, and ingest
-  coalescing;
+  asyncio loop with deadline cancellation and ingest coalescing;
 * :mod:`repro.api.cache` — the locked LRU behind the one result cache
   (the gateway's ``CacheMiddleware``).
 

@@ -1,5 +1,5 @@
-"""The HTTP edge: one asyncio event loop, with deadline cancellation,
-request hedging, and ingest coalescing.
+"""The HTTP edge: one asyncio event loop, with deadline cancellation
+and ingest coalescing.
 
 :class:`AsyncShoalServer` serves the :mod:`repro.api.http` wire
 protocol — the contract's JSON codecs, bodies byte-identical to the
@@ -16,14 +16,6 @@ and everything that needs a non-blocking edge:
   thread still grinding in the backend observes the cancellation at the
   next router/backend check point and abandons the shard work, instead
   of completing an answer nobody will read.
-
-* **Hedging** — if the primary attempt has not answered after a delay
-  (fixed via ``hedge_after_ms``, or auto-derived as the edge's observed
-  p95 read latency), a second attempt is launched with a child context
-  on another executor thread. First successful answer wins; the loser's context is
-  cancelled (surfacing as the ``cancelled`` code at its next check
-  point, swallowed here). Answers stay byte-identical because both
-  attempts compute the same deterministic result.
 
 * **Ingest coalescing** — concurrent ``POST /v1/ingest`` calls are
   buffered for up to ``coalesce_max_delay_ms`` (or until
@@ -77,15 +69,8 @@ _PHRASES = {
     504: "Gateway Timeout",
 }
 
-#: Auto hedge policy: do not hedge until this many read samples exist
-#: (a p95 of three requests is noise), and never hedge faster than the
-#: floor — a sub-millisecond delay would double every request.
-_HEDGE_MIN_SAMPLES = 50
-_HEDGE_FLOOR_MS = 1.0
-
-
 def _silence(task: "asyncio.Future") -> None:
-    """Mark a losing/abandoned task's eventual exception as observed."""
+    """Mark an abandoned task's eventual exception as observed."""
 
     def _observe(done: "asyncio.Future") -> None:
         if not done.cancelled():
@@ -111,9 +96,6 @@ class _EdgeStats:
     def __init__(self) -> None:
         self.connections_open = 0
         self.connections_total = 0
-        self.hedges_launched = 0
-        self.hedges_won = 0
-        self.cancelled = 0
         self.deadline_expired = 0
         self.read_stats = RequestStats()
 
@@ -127,11 +109,6 @@ class _EdgeStats:
                 "open": self.connections_open,
                 "total": self.connections_total,
             },
-            "hedges": {
-                "launched": self.hedges_launched,
-                "won": self.hedges_won,
-            },
-            "cancelled": self.cancelled,
             "deadline_expired": self.deadline_expired,
             "reads": {
                 "count": summary.count,
@@ -289,12 +266,6 @@ class AsyncShoalServer:
     the loop on a daemon thread; :meth:`serve_forever` blocks (the CLI
     path). Both are shut down by :meth:`shutdown`, which also closes
     the wrapped backend.
-
-    ``hedge_after_ms``: ``None`` derives the hedge delay from the
-    edge's observed p95 read latency (no hedging until enough samples);
-    ``0`` hedges any request not answered by the first scheduler tick
-    (useful in CI to guarantee hedge coverage); ``> 0`` is a fixed
-    delay in milliseconds.
     """
 
     def __init__(
@@ -309,17 +280,12 @@ class AsyncShoalServer:
         analytics_engine=None,
         analytics_tailer=None,
         default_timeout_ms: Optional[float] = None,
-        hedge_after_ms: Optional[float] = None,
         coalesce_max_events: int = 64,
         coalesce_max_delay_ms: float = 5.0,
         max_workers: Optional[int] = None,
         replication_stats=None,
         tracer=None,
     ):
-        if hedge_after_ms is not None and hedge_after_ms < 0:
-            raise ValueError(
-                f"hedge_after_ms must be >= 0, got {hedge_after_ms}"
-            )
         self._backend = backend
         self._requested = (host, port)
         self._quiet = quiet
@@ -328,7 +294,6 @@ class AsyncShoalServer:
         self._analytics_engine = analytics_engine
         self._analytics_tailer = analytics_tailer
         self._default_timeout_ms = default_timeout_ms
-        self._hedge_after_ms = hedge_after_ms
         self._coalesce_max_events = coalesce_max_events
         self._coalesce_max_delay_ms = coalesce_max_delay_ms
         self._stats = _EdgeStats()
@@ -665,15 +630,14 @@ class AsyncShoalServer:
             await reader.readexactly(length)
         return False
 
-    # -- reads: deadline + hedging -------------------------------------------
+    # -- reads: one attempt under a deadline ---------------------------------
 
     async def _dispatch_read(
         self, endpoint: str, payload: Dict[str, Any]
     ) -> Dict[str, Any]:
         request = self._core.decode_post(endpoint, payload)
         if isinstance(request, AnalyticsRequest):
-            # The analytics tier has its own time budget and a single
-            # store — nothing to hedge against.
+            # The analytics tier enforces its own time budget.
             response = await self._run_blocking(
                 lambda: self._core.dispatch_request(request)
             )
@@ -689,119 +653,40 @@ class AsyncShoalServer:
             tracer=self._tracer,
         )
         t0 = time.perf_counter()
-        # The root span lives on the event loop; attempts run on
-        # executor threads, so each is parented explicitly (contextvars
-        # do not cross run_in_executor).
         with traced("edge.request", context=ctx) as root:
-            response = await self._hedged_dispatch(request, ctx, root.span)
+
+            def run():
+                # contextvars do not cross run_in_executor: the worker
+                # enters the context itself and parents its span to the
+                # edge root explicitly.
+                with traced("edge.dispatch", context=ctx, parent=root.span):
+                    return self._core.dispatch_request(request, context=ctx)
+
+            task = asyncio.get_running_loop().run_in_executor(
+                self._executor, run
+            )
+            remaining_ms = ctx.remaining_ms()
+            done, _ = await asyncio.wait(
+                {task},
+                timeout=(
+                    None if remaining_ms is None
+                    else max(remaining_ms, 0.0) / 1000.0
+                ),
+            )
+            if not done:
+                # Deadline expiry: answer 504 NOW; the worker stops at
+                # its next check point and nobody reads its outcome.
+                ctx.cancel("deadline expired")
+                self._stats.deadline_expired += 1
+                _silence(task)
+                raise ApiError(
+                    "deadline_exceeded",
+                    f"request {ctx.request_id} exceeded its deadline; "
+                    "in-flight shard work was cancelled",
+                )
+            response = task.result()
         self._stats.read_stats.record(time.perf_counter() - t0)
         return response.to_dict()
-
-    def _hedge_delay_s(self) -> Optional[float]:
-        """Seconds to wait before hedging, or None (don't hedge yet)."""
-        if self._hedge_after_ms is not None:
-            return self._hedge_after_ms / 1000.0
-        summary = self._stats.read_stats.summary()
-        if summary.count < _HEDGE_MIN_SAMPLES:
-            return None
-        return max(summary.p95_ms, _HEDGE_FLOOR_MS) / 1000.0
-
-    def _attempt(self, request, attempt_ctx: RequestContext, parent_span=None):
-        """One dispatch attempt on the executor, under its context."""
-        role = attempt_ctx.tags.get("attempt", "primary")
-
-        def run():
-            # contextvars do not cross run_in_executor: the worker
-            # enters the context itself (and parents its span to the
-            # edge root explicitly).
-            with traced(
-                "edge.attempt",
-                context=attempt_ctx,
-                parent=parent_span,
-                tags={"attempt": role},
-            ):
-                return self._core.dispatch_request(
-                    request, context=attempt_ctx
-                )
-
-        loop = asyncio.get_running_loop()
-        return asyncio.ensure_future(
-            loop.run_in_executor(self._executor, run)
-        )
-
-    def _fail_deadline(self, ctx: RequestContext, attempts) -> None:
-        """Deadline expiry: answer 504 NOW, cancel the in-flight work."""
-        ctx.cancel("deadline expired")
-        self._stats.deadline_expired += 1
-        for task, _attempt_ctx in attempts:
-            _silence(task)
-        raise ApiError(
-            "deadline_exceeded",
-            f"request {ctx.request_id} exceeded its deadline; "
-            "in-flight shard work was cancelled",
-        )
-
-    async def _hedged_dispatch(
-        self, request, ctx: RequestContext, parent_span=None
-    ):
-        attempts: List[Tuple["asyncio.Future", RequestContext]] = []
-        primary_ctx = ctx.child(tags={"attempt": "primary"})
-        primary = self._attempt(request, primary_ctx, parent_span)
-        attempts.append((primary, primary_ctx))
-
-        def remaining_s() -> Optional[float]:
-            rem = ctx.remaining_ms()
-            return None if rem is None else max(rem, 0.0) / 1000.0
-
-        # Phase 1: give the primary its head start.
-        hedge_delay = self._hedge_delay_s()
-        if hedge_delay is not None:
-            rem = remaining_s()
-            head_start = (
-                hedge_delay if rem is None else min(hedge_delay, rem)
-            )
-            done, _ = await asyncio.wait({primary}, timeout=head_start)
-            if not done and not ctx.expired:
-                hedge_ctx = ctx.child(tags={"attempt": "hedge"})
-                attempts.append(
-                    (self._attempt(request, hedge_ctx, parent_span), hedge_ctx)
-                )
-                self._stats.hedges_launched += 1
-
-        # Phase 2: first success wins; losers are cancelled.
-        pending = {task for task, _ in attempts if not task.done()}
-        done = {task for task, _ in attempts if task.done()}
-        errors: List[BaseException] = []
-        while True:
-            for task in done:
-                exc = task.exception()
-                if exc is None:
-                    return self._finish(task, attempts)
-                errors.append(exc)
-            if not pending:
-                raise errors[0]
-            if ctx.expired:
-                self._fail_deadline(ctx, attempts)
-            done, pending = await asyncio.wait(
-                pending,
-                timeout=remaining_s(),
-                return_when=asyncio.FIRST_COMPLETED,
-            )
-            if not done:  # the deadline ran out mid-wait
-                self._fail_deadline(ctx, attempts)
-
-    def _finish(self, winner, attempts):
-        """Collect the winning answer; cancel and silence the rest."""
-        for task, attempt_ctx in attempts:
-            if task is winner:
-                if attempt_ctx.tags.get("attempt") == "hedge":
-                    self._stats.hedges_won += 1
-                continue
-            if not task.done():
-                attempt_ctx.cancel("hedge lost")
-                self._stats.cancelled += 1
-            _silence(task)
-        return winner.result()
 
     # -- writes: coalescing --------------------------------------------------
 

@@ -17,7 +17,6 @@ so frontends never construct or dispatch on a concrete tier.
 :func:`open_backend` turns a backend URI into the right adapter::
 
     open_backend("snapshot:/path/to/model-snapshot")   # single service
-    open_backend("local:/path/to/model-snapshot")      # alias of snapshot:
     open_backend("cluster:/path/to/cluster-snapshot")  # sharded router
     open_backend("follower:/path/to/ship-feed")        # replication follower
     open_backend("http://10.0.0.7:8080")               # remote gateway
@@ -128,8 +127,8 @@ class _EngineBackend(ShoalBackend):
     def _checkpoint() -> None:
         """Cancellation-aware call point: refuse to start engine work
         for a request whose ambient context is already expired or
-        cancelled (the async edge relies on this to abandon hedge
-        losers and blown deadlines before they cost shard time)."""
+        cancelled (the async edge relies on this to abandon blown
+        deadlines before they cost shard time)."""
         ctx = current_context()
         if ctx is not None:
             ctx.raise_if_done()

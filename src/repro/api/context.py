@@ -11,8 +11,7 @@ carrying the four things the whole serving path needs to agree on:
   answers nobody will read;
 * a **request id** — one string to correlate edge, middleware, and
   shard logs;
-* **trace tags** — free-form key/value breadcrumbs (endpoint, edge,
-  hedge role).
+* **trace tags** — free-form key/value breadcrumbs (endpoint, edge).
 
 The context is *threaded*, not passed parameter-by-parameter: the edge
 (or :meth:`~repro.api.middleware.Gateway.handle`) installs it in a
@@ -22,11 +21,6 @@ async edge dispatches blocking work to executor threads, the worker
 function itself enters ``use()`` — contextvars do not propagate across
 ``run_in_executor`` — so the ambient context is always set by whichever
 thread actually runs the request.
-
-**Hedging.** :meth:`RequestContext.child` derives a per-attempt context
-that shares the parent's deadline and chains its token to the parent's:
-cancelling the parent cancels every attempt, cancelling one child (the
-hedge loser) stops only that attempt.
 """
 
 from __future__ import annotations
@@ -44,19 +38,15 @@ __all__ = ["CancelToken", "RequestContext", "current_context"]
 
 
 class CancelToken:
-    """A cooperative cancellation flag, optionally chained to a parent.
+    """A cooperative cancellation flag.
 
     Thread-safe and monotonic: once cancelled, a token stays cancelled
-    and keeps its first reason. A child token (built by :meth:`child`)
-    also reports cancelled whenever any ancestor is — the mechanism
-    that lets "cancel the request" fan out to every hedged attempt
-    without callback registration.
+    and keeps its first reason.
     """
 
-    def __init__(self, parent: Optional["CancelToken"] = None):
+    def __init__(self) -> None:
         self._event = threading.Event()
         self._reason: Optional[str] = None
-        self._parent = parent
 
     def cancel(self, reason: str = "cancelled") -> None:
         """Flip the flag (idempotent; the first reason wins)."""
@@ -66,22 +56,12 @@ class CancelToken:
 
     @property
     def cancelled(self) -> bool:
-        if self._event.is_set():
-            return True
-        return self._parent is not None and self._parent.cancelled
+        return self._event.is_set()
 
     @property
     def reason(self) -> Optional[str]:
         """Why the token was cancelled (None while it is live)."""
-        if self._event.is_set():
-            return self._reason
-        if self._parent is not None:
-            return self._parent.reason
-        return None
-
-    def child(self) -> "CancelToken":
-        """A dependent token: parent cancellation implies child."""
-        return CancelToken(parent=self)
+        return self._reason
 
 
 #: Process-wide request id source; ids only need to be unique, not dense.
@@ -111,8 +91,6 @@ class RequestContext:
         self,
         *,
         request_id: Optional[str] = None,
-        deadline: Optional[float] = None,
-        token: Optional[CancelToken] = None,
         tags: Optional[Mapping[str, str]] = None,
         clock: Callable[[], float] = time.monotonic,
         tracer: Optional[object] = None,
@@ -121,15 +99,14 @@ class RequestContext:
             request_id if request_id is not None
             else f"req-{next(_REQUEST_IDS)}"
         )
-        self.token = token if token is not None else CancelToken()
+        self.token = CancelToken()
         self.tags: Dict[str, str] = dict(tags or {})
         #: Optional :class:`repro.obs.tracer.Tracer` — spans opened via
         #: :func:`repro.obs.tracer.traced` inherit this request's id
         #: and tag map. Duck-typed so the context stays a leaf module.
         self.tracer = tracer
         self._clock = clock
-        self._deadline = deadline
-        self._children = itertools.count(1)
+        self._deadline: Optional[float] = None
 
     @classmethod
     def for_request(
@@ -147,10 +124,6 @@ class RequestContext:
         return ctx
 
     # -- deadline ------------------------------------------------------------
-
-    @property
-    def clock(self) -> Callable[[], float]:
-        return self._clock
 
     @property
     def deadline(self) -> Optional[float]:
@@ -186,7 +159,8 @@ class RequestContext:
         return self.token.cancelled
 
     def cancel(self, reason: str = "cancelled") -> None:
-        """Cancel this request (and, via token chaining, its children)."""
+        """Cancel this request; the blocking layers see it at their
+        next check point."""
         self.token.cancel(reason)
 
     @property
@@ -199,7 +173,7 @@ class RequestContext:
 
         Raises :class:`ApiError` with ``deadline_exceeded`` when the
         deadline has passed, ``cancelled`` when the token was flipped
-        (hedge lost, client gone) — so abandoned work unwinds with the
+        (the edge stopped waiting) — so abandoned work unwinds with the
         same stable codes everything else uses.
         """
         if self.expired:
@@ -216,23 +190,7 @@ class RequestContext:
                 f"({self.token.reason or 'no reason recorded'})",
             )
 
-    # -- derivation & propagation --------------------------------------------
-
-    def child(
-        self, *, tags: Optional[Mapping[str, str]] = None
-    ) -> "RequestContext":
-        """A per-attempt context for hedging: same deadline and clock,
-        a chained token, merged tags, a derived request id."""
-        merged = dict(self.tags)
-        merged.update(tags or {})
-        return RequestContext(
-            request_id=f"{self.request_id}.{next(self._children)}",
-            deadline=self._deadline,
-            token=self.token.child(),
-            tags=merged,
-            clock=self._clock,
-            tracer=self.tracer,
-        )
+    # -- propagation ---------------------------------------------------------
 
     @contextlib.contextmanager
     def use(self) -> Iterator["RequestContext"]:

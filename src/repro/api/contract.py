@@ -72,7 +72,7 @@ ERROR_CODES: Dict[str, int] = {
     "not_found": 404,          # unknown endpoint or resource
     "rate_limited": 429,
     "deadline_exceeded": 504,
-    "cancelled": 499,          # request abandoned (hedge lost, client gone)
+    "cancelled": 499,          # request abandoned (the edge stopped waiting)
     "backend_error": 500,      # the tier behind the gateway failed
     "unavailable": 502,        # transport could not reach the backend
     # Write-path (streaming ingest) backpressure — see repro.streaming:
@@ -857,10 +857,10 @@ class MetricsResponse:
     ``backend`` is always present (the read tier's stats); ``ingest``,
     ``updater``, ``analytics``, ``edge``, and ``replication`` appear
     when the corresponding subsystem is attached to the server
-    (``edge`` is the async edge's hedging/cancellation/coalescing
-    counters; ``replication`` is the shipper's publish counters on a
-    primary or the follower's lag — segments behind, seqs behind,
-    epoch — on a replica).
+    (``edge`` is the async edge's connection, deadline-expiry, read
+    latency and coalescer counters; ``replication`` is the shipper's
+    publish counters on a primary or the follower's lag — segments
+    behind, seqs behind, epoch — on a replica).
     """
 
     backend: Dict[str, Any] = field(default_factory=dict)

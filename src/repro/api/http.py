@@ -117,12 +117,12 @@ class GatewayCore:
 
     Endpoint routing, typed dispatch, ingest batch semantics, analytics
     query parsing and metrics assembly live here; the edge keeps only
-    its I/O: socket handling, keep-alive hygiene, hedging and
+    its I/O: socket handling, keep-alive hygiene, deadlines and
     coalescing.
 
     ``edge_stats`` is an optional zero-argument callable returning the
-    serving edge's own counters (hedges, cancellations, coalescer
-    batches); when set, they appear as the ``edge`` section of
+    serving edge's own counters (connections, deadline expiries,
+    coalescer batches); when set, they appear as the ``edge`` section of
     ``GET /v1/metrics``. ``replication_stats`` is the same shape for
     the replication role — a shipper's publish counters on a primary,
     a follower's lag (segments behind, seqs behind, epoch) on a
@@ -218,26 +218,6 @@ class GatewayCore:
             validate_event_payload(event)
         return events
 
-    def handle_ingest(self, payload: Dict[str, Any]) -> Dict[str, Any]:
-        """Admit one event or a small batch into the ingest pipe.
-
-        Mid-batch backpressure can still split a batch (durability is
-        per event by design); the ``ingest_overloaded`` error then
-        reports how many events were already admitted so the client can
-        resubmit only the tail.
-        """
-        events = self.ingest_events_from_payload(payload)
-        last_seq = 0
-        accepted = 0
-        for event in events:
-            try:
-                admitted = self.ingest_pipe.submit(event)
-            except ApiError as exc:
-                raise partial_batch_error(exc, accepted, last_seq)
-            accepted += 1
-            last_seq = admitted.seq
-        return {"accepted": accepted, "last_seq": last_seq}
-
     # -- analytics -----------------------------------------------------------
 
     def handle_analytics(self, request: AnalyticsRequest):
@@ -332,9 +312,8 @@ class GatewayCore:
     def handle_trace(self, raw_query: str = "") -> Dict[str, Any]:
         """GET /v1/trace: one sampled span tree, as a TraceResponse.
 
-        ``?request_id=`` looks up an exact trace (child attempt ids
-        like ``req-7.1`` resolve to their root trace ``req-7``); with
-        no parameter the most recently sampled trace is returned.
+        ``?request_id=`` looks up an exact trace; with no parameter
+        the most recently sampled trace is returned.
         """
         if self.tracer is None:
             raise ApiError(
@@ -585,15 +564,9 @@ class ShoalClient(ShoalBackend):
             try:
                 result = self.ingest(event)
             except ApiError as exc:
-                if out["accepted"]:
-                    raise ApiError(
-                        exc.code,
-                        f"{exc.message} (the first {out['accepted']} "
-                        f"event(s) of this batch were admitted, "
-                        f"last_seq={out['last_seq']}; resubmit only the "
-                        "rest)",
-                    )
-                raise
+                raise partial_batch_error(
+                    exc, out["accepted"], out["last_seq"]
+                )
             out["accepted"] += result.get("accepted", 1)
             out["last_seq"] = result.get("last_seq", out["last_seq"])
         return out
@@ -668,9 +641,9 @@ class ShoalClient(ShoalBackend):
     def trace(self, request_id: Optional[str] = None) -> TraceResponse:
         """Fetch one sampled span tree (GET /v1/trace).
 
-        With ``request_id`` (root or hedge-child id) an exact lookup;
-        without, the most recently sampled trace. Raises ``not_found``
-        when the trace was not kept or tracing is disabled.
+        With ``request_id`` an exact lookup; without, the most recently
+        sampled trace. Raises ``not_found`` when the trace was not kept
+        or tracing is disabled.
         """
         endpoint = "trace"
         if request_id is not None:

@@ -437,12 +437,11 @@ class Gateway(ShoalBackend):
     def handle(self, request: Request) -> Response:
         """Dispatch any typed request through the full stack.
 
-        The one place every edge and every hedge attempt funnels
-        through: with a tracer in scope (the ambient request context's,
-        else the process default) the chain runs under a ``gateway``
-        span, and with an access-log sink configured the request leaves
-        one structured line. With neither, nothing per-request is
-        observed.
+        The one place every edge funnels through: with a tracer in
+        scope (the ambient request context's, else the process default)
+        the chain runs under a ``gateway`` span, and with an access-log
+        sink configured the request leaves one structured line. With
+        neither, nothing per-request is observed.
         """
         request.validate()
         ctx = current_context()
@@ -485,7 +484,6 @@ class Gateway(ShoalBackend):
             "endpoint": endpoint,
             "status": status,
             "duration_ms": round(duration_ms, 3),
-            "attempt": tags.get("attempt", "primary"),
             "cache": tags.get("cache"),
             "edge": tags.get("edge"),
         }

@@ -47,9 +47,8 @@ analytics, and edge counters as one JSON scrape point (the
 unversioned alias is gone after its one-release deprecation).
 
 The edge (:class:`~repro.api.aio.AsyncShoalServer`) holds thousands of
-connections on one event loop and adds deadline cancellation, request
-hedging (``--hedge-after-ms``), and coalesced WAL ingest
-(``--coalesce-events`` / ``--coalesce-delay-ms``).
+connections on one event loop and adds deadline cancellation and
+coalesced WAL ingest (``--coalesce-events`` / ``--coalesce-delay-ms``).
 
 Both serving roles (``serve-http`` and ``serve-follower``) carry the
 observability surface: a :class:`~repro.obs.Tracer` samples
@@ -850,7 +849,6 @@ def _cmd_serve_http(args) -> int:
         analytics_engine=analytics_engine,
         analytics_tailer=analytics_tailer,
         default_timeout_ms=args.deadline_ms,
-        hedge_after_ms=args.hedge_after_ms,
         coalesce_max_events=args.coalesce_events,
         coalesce_max_delay_ms=args.coalesce_delay_ms,
         replication_stats=replication_stats,
@@ -1264,12 +1262,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="persist each model generation as a versioned snapshot here",
     )
     p_http.add_argument(
-        "--hedge-after-ms", type=float, default=None,
-        help="async edge: launch a second attempt of a slow read "
-             "after this many ms (0 = immediately; default: adaptive "
-             "p95 of observed read latency)",
-    )
-    p_http.add_argument(
         "--coalesce-events", type=int, default=64,
         help="async edge: flush coalesced ingest after this many events",
     )
@@ -1406,8 +1398,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_trace.add_argument(
         "--request-id", default=None,
-        help="exact request id to look up (accepts hedge-child ids "
-             "like req-7.1; default: the most recently sampled trace)",
+        help="exact request id to look up (default: the most recently "
+             "sampled trace)",
     )
     p_trace.add_argument("--timeout", type=float, default=10.0)
     p_trace.set_defaults(func=_cmd_trace)

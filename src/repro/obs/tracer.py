@@ -1,14 +1,14 @@
 """Per-request span trees with deterministic tail-based sampling.
 
 Every request that enters an edge gets a span tree: the edge root
-span, the middleware stack, the gateway, the backend, the router, each
-per-shard probe, and both hedge attempts; write-path work (WAL
-appends, coalesced flushes, updater batch folds, shipper publishes,
-follower replays and swaps) produces its own background traces. Spans
-hang off the existing :class:`~repro.api.context.RequestContext` —
-they inherit its request id and tag map, hedged children created via
-``RequestContext.child`` become child spans, and a hedge loser's spans
-are deterministically marked ``cancelled`` when the trace closes.
+span, its worker-side dispatch span, the gateway, the middleware
+stack, the backend, the router and each per-shard probe; write-path
+work (WAL appends, coalesced flushes, updater batch folds, shipper
+publishes, follower replays and swaps) produces its own background
+traces. Spans hang off the existing
+:class:`~repro.api.context.RequestContext` — they inherit its request
+id and tag map, and a span still open when its root closes (a worker
+abandoned past the deadline) is deterministically marked ``cancelled``.
 
 Sampling is **tail-based**: every span is recorded while the request
 runs, and the keep/drop decision is made only when the root span
@@ -285,17 +285,16 @@ class Tracer:
             if parent is not None:
                 trace_id = parent.trace_id
             elif context is not None:
-                # Hedge children are req-N.1/.2 — the tree is one trace.
-                trace_id = str(context.request_id).split(".")[0]
+                trace_id = str(context.request_id)
             else:
                 self._bg_seq += 1
                 trace_id = f"bg-{self._bg_seq}"
             bucket = self._open.get(trace_id)
             if bucket is None:
                 if trace_id in self._ring:
-                    # The trace already finalized (e.g. a hedge loser
-                    # straggling past the winner's root) — record
-                    # nothing, but keep the caller's code path intact.
+                    # The trace already finalized (an abandoned worker
+                    # straggling past its root's 504) — record nothing,
+                    # but keep the caller's code path intact.
                     self._late_spans += 1
                     return _NULL
                 bucket = _TraceBucket(trace_id, now)
@@ -313,8 +312,6 @@ class Tracer:
                 )
             if tags:
                 span_tags.update({str(k): str(v) for k, v in tags.items()})
-            if context is not None and str(context.request_id) != trace_id:
-                span_tags.setdefault("context", str(context.request_id))
             span = Span(
                 span_id=span_id,
                 parent_id=parent.span_id if parent is not None else None,
@@ -356,20 +353,12 @@ class Tracer:
         assert root is not None and root.end_ms is not None
         for span in bucket.spans:
             if span.end_ms is None:
-                # Still open when the root closed — only a cancelled
-                # hedge loser (or abandoned work) can be here.
+                # Still open when the root closed — only work the edge
+                # abandoned (a worker past its deadline) can be here.
                 span.end_ms = root.end_ms
                 span.status = "cancelled"
-                ctx = span._ctx
-                done = getattr(ctx, "done", False) if ctx is not None else False
-                reason = (
-                    getattr(getattr(ctx, "token", None), "reason", None)
-                    if ctx is not None
-                    else None
-                )
-                span.detail = reason or (
-                    "hedge lost" if done else "unfinished"
-                )
+                token = getattr(span._ctx, "token", None)
+                span.detail = getattr(token, "reason", None) or "unfinished"
         endpoint = root.tags.get("endpoint", root.name)
         reason = self._sample_reason_locked(bucket, endpoint)
         if reason is None:
@@ -422,10 +411,9 @@ class Tracer:
     # -- queries ---------------------------------------------------------------
 
     def export(self, request_id: str) -> Optional[Dict[str, Any]]:
-        """The sampled trace for ``request_id`` (root or child id)."""
-        trace_id = str(request_id).split(".")[0]
+        """The sampled trace for ``request_id``."""
         with self._lock:
-            trace = self._ring.get(trace_id)
+            trace = self._ring.get(str(request_id))
             return dict(trace) if trace is not None else None
 
     def latest(self) -> Optional[Dict[str, Any]]:

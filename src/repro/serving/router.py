@@ -64,8 +64,8 @@ def _checkpoint() -> None:
 
     The router polls the ambient :class:`~repro.api.context.RequestContext`
     before each shard probe and between batch items, so a request whose
-    deadline blew (or whose hedge twin already answered) stops costing
-    shard time at the next boundary instead of running to completion.
+    deadline blew stops costing shard time at the next boundary instead
+    of running to completion.
     """
     ctx = current_context()
     if ctx is not None:

@@ -1,5 +1,4 @@
-"""The asyncio edge, end to end: byte-identity, deadlines, hedging,
-coalescing.
+"""The asyncio edge, end to end: byte-identity, deadlines, coalescing.
 
 The acceptance bar for the edge lives here:
 
@@ -11,8 +10,8 @@ The acceptance bar for the edge lives here:
 * a request whose deadline expires returns 504 *promptly* and the
   in-flight shard work observes the cancellation instead of running to
   completion;
-* hedged requests answer byte-identically to unhedged ones and the
-  hedges show up in ``/v1/metrics``;
+* a read is exactly one backend call, however slow it is relative to
+  the reads before it;
 * concurrent single-event ingests are coalesced into batched WAL
   appends — durable before ack, far fewer fsyncs than events, with the
   ``ingest_overloaded`` / ``ingest_unavailable`` backpressure contract
@@ -239,7 +238,9 @@ class TestOperationalSurface:
         edge = json.loads(body)["edge"]
         assert edge["kind"] == "async"
         assert edge["connections"]["total"] >= 1
-        assert {"launched", "won"} <= set(edge["hedges"])
+        assert set(edge) == {
+            "kind", "connections", "deadline_expired", "reads",
+        }
 
     def test_bare_metrics_alias_is_gone_here_too(self, single_edges):
         asynced, _ = single_edges
@@ -286,9 +287,7 @@ class TestDeadlinePropagation:
         slow = _SlowBackend(
             Gateway(ServiceBackend.from_snapshot(snapshot_dir))
         )
-        server = AsyncShoalServer(
-            slow, port=0, hedge_after_ms=60_000.0
-        ).start()
+        server = AsyncShoalServer(slow, port=0).start()
         try:
             yield server, slow
         finally:
@@ -319,7 +318,7 @@ class TestDeadlinePropagation:
             Gateway(ServiceBackend.from_snapshot(snapshot_dir))
         )
         server = AsyncShoalServer(
-            slow, port=0, hedge_after_ms=60_000.0, default_timeout_ms=120.0
+            slow, port=0, default_timeout_ms=120.0
         ).start()
         try:
             status, body = _raw(
@@ -343,57 +342,57 @@ class TestDeadlinePropagation:
         assert json.loads(body) == want.to_dict()
 
 
-class _SleepyBackend:
-    """Deterministic answers, but every search dawdles first — slow
-    enough that a zero hedge delay always fires the hedge."""
+class _CountingBackend:
+    """Counts search calls; once ``dawdle_s`` is set every call sleeps
+    that long first."""
 
-    def __init__(self, inner, delay_s=0.03):
+    def __init__(self, inner):
         self._inner = inner
-        self._delay_s = delay_s
+        self._lock = threading.Lock()
+        self.calls = 0
+        self.dawdle_s = 0.0
 
     def search(self, request):
-        time.sleep(self._delay_s)
+        with self._lock:
+            self.calls += 1
+        time.sleep(self.dawdle_s)
         return self._inner.search(request)
 
     def __getattr__(self, name):
         return getattr(self._inner, name)
 
 
-class TestHedging:
-    def test_hedged_answers_equal_unhedged_and_are_counted(
+class TestOneAttemptPerRead:
+    def test_a_slow_read_is_still_one_backend_call(
         self, snapshot_dir, query_pool
     ):
-        hedged = AsyncShoalServer(
-            _SleepyBackend(
-                Gateway(ServiceBackend.from_snapshot(snapshot_dir))
-            ),
-            port=0,
-            hedge_after_ms=0.0,
-        ).start()
-        plain = AsyncShoalServer(
-            Gateway(ServiceBackend.from_snapshot(snapshot_dir)),
-            port=0,
-            hedge_after_ms=60_000.0,
-        ).start()
+        """Reads far slower than everything the edge has observed so
+        far are waited for, not re-issued."""
+        counting = _CountingBackend(
+            Gateway(ServiceBackend.from_snapshot(snapshot_dir))
+        )
+        server = AsyncShoalServer(counting, port=0).start()
         try:
-            for query in query_pool[:6]:
-                payload = _search_payload(query, 5)
-                h = _raw("POST", hedged.host, hedged.port,
-                         "/v1/search", payload)
-                u = _raw("POST", plain.host, plain.port,
-                         "/v1/search", payload)
-                assert h == u, f"hedged answer diverged for {query!r}"
-            _, body = _raw("GET", hedged.host, hedged.port, "/v1/metrics")
-            hedges = json.loads(body)["edge"]["hedges"]
-            assert hedges["launched"] >= 1
-            assert hedges["won"] >= 0
+            for i in range(60):  # a fast latency history
+                status, _ = _raw(
+                    "POST", server.host, server.port, "/v1/search",
+                    _search_payload(query_pool[i % len(query_pool)], 5),
+                )
+                assert status == 200
+            _, body = _raw("GET", server.host, server.port, "/v1/metrics")
+            p95_ms = json.loads(body)["edge"]["reads"]["p95_ms"]
+            counting.dawdle_s = max(0.05, 5 * p95_ms / 1000.0)
+            for query in query_pool[:5]:
+                status, _ = _raw(
+                    "POST", server.host, server.port, "/v1/search",
+                    _search_payload(query, 5),
+                )
+                assert status == 200
+            assert counting.calls == 65
+            _, body = _raw("GET", server.host, server.port, "/v1/metrics")
+            assert "hedges" not in json.loads(body)["edge"]
         finally:
-            hedged.shutdown()
-            plain.shutdown()
-
-    def test_rejects_negative_hedge_delay(self, tiny_backend):
-        with pytest.raises(ValueError):
-            AsyncShoalServer(tiny_backend, port=0, hedge_after_ms=-1.0)
+            server.shutdown()
 
 
 def _ingest_world(snapshot_dir, tmp_path, **pipe_kwargs):

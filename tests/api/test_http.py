@@ -24,9 +24,11 @@ from repro.api import (
     SCHEMA_VERSION,
     SearchRequest,
     ServiceBackend,
+    ShoalBackend,
     ShoalClient,
     default_middlewares,
 )
+from repro.api.http import partial_batch_error
 
 
 @pytest.fixture(scope="module")
@@ -303,3 +305,40 @@ class TestHttpMiddlewareIntegration:
             with ThreadPoolExecutor(8) as pool:
                 for q, got in pool.map(probe, scenario_queries * 5):
                     assert got == expected[q]
+
+
+class _SheddingBackend(ShoalBackend):
+    """Admits two events, then sheds load — the in-process twin of an
+    ingest pipe whose queue fills mid-batch."""
+
+    kind = "shedding"
+    search = recommend = batch = None  # reads are not exercised
+
+    def __init__(self):
+        self.seq = 100
+
+    def ingest(self, event):
+        if self.seq == 102:
+            raise ApiError("ingest_overloaded", "ingest queue is full")
+        self.seq += 1
+        return {"accepted": 1, "last_seq": self.seq}
+
+
+class TestInProcessIngestBatch:
+    def test_mid_batch_error_is_the_shared_partial_batch_message(self):
+        client = ShoalClient(_SheddingBackend())
+        with pytest.raises(ApiError) as excinfo:
+            client.ingest_batch([{"n": 1}, {"n": 2}, {"n": 3}])
+        shed = ApiError("ingest_overloaded", "ingest queue is full")
+        assert excinfo.value.code == "ingest_overloaded"
+        assert excinfo.value.message == (
+            partial_batch_error(shed, 2, 102).message
+        )
+        assert "first 2 event(s)" in excinfo.value.message
+
+    def test_error_on_the_first_event_is_passed_through(self):
+        backend = _SheddingBackend()
+        backend.seq = 102
+        with pytest.raises(ApiError) as excinfo:
+            ShoalClient(backend).ingest_batch([{"n": 1}])
+        assert excinfo.value.message == "ingest queue is full"

@@ -26,6 +26,11 @@ replicas that existed to hold them (``n_replicas``, ``--replicas``,
 ``replica_request_counts``, ``front_cache``, ``_engine_cache_size``,
 ``invalidate_caches``): the gateway's ``CacheMiddleware`` is the one
 result cache, so nothing may size, count or flush another.
+
+A sixth guard bans request hedging and what existed only to serve it
+(any ``hedg…`` word, ``RequestContext.child``, ``.child(tags=``, the
+``edge.attempt`` span): a read is one attempt under one context, so
+nothing may launch, count, configure or describe a second.
 """
 
 from __future__ import annotations
@@ -92,6 +97,13 @@ REMOVED_CACHE_TIERS = re.compile(
     r"_engine_cache_size|invalidate_caches"
 )
 
+#: Request hedging, the per-attempt child contexts and the per-attempt
+#: span name — all removed.
+REMOVED_HEDGING = re.compile(
+    r"hedg|RequestContext\.child|\.child\(tags=|edge\.attempt",
+    re.IGNORECASE,
+)
+
 #: Frontends allowed to time the raw engine *behind* an adapter
 #: (reached via ``backend.service``, never constructed) — the only
 #: sanctioned use of the engine method names outside the adapters.
@@ -100,6 +112,14 @@ LEGACY_CALL_EXEMPT = {
     "benchmarks/test_bench_serving.py",
     "benchmarks/check_regressions.py",
 }
+
+
+def _offending(path, pattern):
+    return [
+        f"{path.name}:{lineno}: {line.strip()}"
+        for lineno, line in enumerate(path.read_text().splitlines(), 1)
+        if pattern.search(line)
+    ]
 
 
 def _frontend_files():
@@ -115,10 +135,7 @@ def _frontend_files():
     "path", list(_frontend_files()), ids=lambda p: str(p.relative_to(REPO_ROOT))
 )
 def test_frontend_has_no_direct_tier_construction(path):
-    offending = []
-    for lineno, line in enumerate(path.read_text().splitlines(), 1):
-        if FORBIDDEN.search(line):
-            offending.append(f"{path.name}:{lineno}: {line.strip()}")
+    offending = _offending(path, FORBIDDEN)
     assert not offending, (
         "direct read-tier construction outside repro/api adapters "
         "(use ServiceBackend/ClusterBackend/open_backend):\n"
@@ -132,10 +149,7 @@ def test_frontend_has_no_direct_tier_construction(path):
 def test_frontend_has_no_legacy_delegate_calls(path):
     if str(path.relative_to(REPO_ROOT)) in LEGACY_CALL_EXEMPT:
         pytest.skip("sanctioned raw-engine timing harness")
-    offending = []
-    for lineno, line in enumerate(path.read_text().splitlines(), 1):
-        if LEGACY_CALLS.search(line):
-            offending.append(f"{path.name}:{lineno}: {line.strip()}")
+    offending = _offending(path, LEGACY_CALLS)
     assert not offending, (
         "legacy delegate call in a frontend (the thin delegates were "
         "removed; build a typed request and call search/recommend/"
@@ -162,10 +176,7 @@ def _scan_files(entries):
     ids=lambda p: str(p.relative_to(REPO_ROOT)),
 )
 def test_no_bare_metrics_path_anywhere(path):
-    offending = []
-    for lineno, line in enumerate(path.read_text().splitlines(), 1):
-        if BARE_METRICS.search(line):
-            offending.append(f"{path.name}:{lineno}: {line.strip()}")
+    offending = _offending(path, BARE_METRICS)
     assert not offending, (
         "unversioned /metrics path (the alias was removed; scrape "
         "/v1/metrics):\n" + "\n".join(offending)
@@ -178,10 +189,7 @@ def test_no_bare_metrics_path_anywhere(path):
     ids=lambda p: str(p.relative_to(REPO_ROOT)),
 )
 def test_no_second_edge_or_chain_anywhere(path):
-    offending = []
-    for lineno, line in enumerate(path.read_text().splitlines(), 1):
-        if REMOVED_EDGE.search(line):
-            offending.append(f"{path.name}:{lineno}: {line.strip()}")
+    offending = _offending(path, REMOVED_EDGE)
     assert not offending, (
         "reference to the removed threaded edge / observed chain "
         "(AsyncShoalServer is the only edge, Middleware.handle the only "
@@ -195,14 +203,25 @@ def test_no_second_edge_or_chain_anywhere(path):
     ids=lambda p: str(p.relative_to(REPO_ROOT)),
 )
 def test_no_second_cache_tier_or_replicas_anywhere(path):
-    offending = []
-    for lineno, line in enumerate(path.read_text().splitlines(), 1):
-        if REMOVED_CACHE_TIERS.search(line):
-            offending.append(f"{path.name}:{lineno}: {line.strip()}")
+    offending = _offending(path, REMOVED_CACHE_TIERS)
     assert not offending, (
         "reference to the removed engine/router caches or replicas "
         "(CacheMiddleware is the one result cache; wrap the backend in "
         "a Gateway):\n" + "\n".join(offending)
+    )
+
+
+@pytest.mark.parametrize(
+    "path",
+    list(_scan_files(REMOVED_EDGE_SCAN_PATHS)),
+    ids=lambda p: str(p.relative_to(REPO_ROOT)),
+)
+def test_no_second_attempt_anywhere(path):
+    offending = _offending(path, REMOVED_HEDGING)
+    assert not offending, (
+        "reference to the removed request hedging (a read is one "
+        "executor task under the request's own context):\n"
+        + "\n".join(offending)
     )
 
 
@@ -277,7 +296,7 @@ def test_the_guard_itself_still_bites():
         "server = AsyncShoalServer(gateway, port=0)",
         "def handle(self, request, call_next):",
         "async-edge-soak:",
-        "serve-http --hedge-after-ms 0",
+        "serve-http --coalesce-events 64",
     ):
         assert not REMOVED_EDGE.search(snippet), snippet
     for snippet in (
@@ -296,3 +315,20 @@ def test_the_guard_itself_still_bites():
         "a WAL-mode SQLite replica of the event stream",
     ):
         assert not REMOVED_CACHE_TIERS.search(snippet), snippet
+    for snippet in (
+        "serve-http --hedge-after-ms 0",
+        "* **Hedging.** If a read has not answered after a delay",
+        "self._stats.hedges_launched += 1",
+        "primary_ctx = RequestContext.child(ctx)",
+        'hedge_ctx = ctx.child(tags={"attempt": "hedge"})',
+        '"edge.attempt",',
+    ):
+        assert REMOVED_HEDGING.search(snippet), snippet
+    for snippet in (
+        "serve-http --deadline-ms 250",
+        'with traced("edge.dispatch", context=ctx, parent=root.span):',
+        "for child in by_parent.get(span['span_id'], []):",
+        'ctx.cancel("deadline expired")',
+        "self._stats.deadline_expired += 1",
+    ):
+        assert not REMOVED_HEDGING.search(snippet), snippet

@@ -4,8 +4,9 @@ The acceptance bar for the observability PR:
 
 * every span of a request shares the request's trace, and the parent
   ids form a tree rooted at ``edge.request``;
-* hedged attempts join the same trace as child spans and the loser is
-  deterministically marked ``cancelled``;
+* a read is one chain ``edge.request → edge.dispatch → gateway →
+  mw.* → backend.*`` under one request id, the same id the access log
+  and ``cli trace --request-id`` use;
 * tracing on vs. off never changes answer bytes — hypothesis drives
   the same queries through a traced and an untraced async edge over
   the single service and a 4-shard cluster;
@@ -214,9 +215,6 @@ class TestSpanPropagation:
         rid = trace["request_id"]
         for span in trace["spans"]:
             assert span["span_id"].startswith(f"{rid}:")
-            ctx_tag = span["tags"].get("context")
-            if ctx_tag is not None:
-                assert ctx_tag.split(".")[0] == rid
 
     def test_parent_ids_form_a_tree_through_all_layers(
         self, served, query_pool
@@ -229,7 +227,7 @@ class TestSpanPropagation:
         _assert_is_tree(spans)
         names = [s["name"] for s in spans]
         # The read path must be visible end to end on a cluster tier.
-        for expected in ("edge.request", "edge.attempt", "gateway",
+        for expected in ("edge.request", "edge.dispatch", "gateway",
                          "backend.search", "router.search",
                          "router.shard_probe"):
             assert expected in names, f"missing span {expected}"
@@ -255,69 +253,6 @@ class TestSpanPropagation:
                 span["start_ms"] + span["duration_ms"]
                 <= parent["start_ms"] + parent["duration_ms"] + eps
             )
-
-
-class _SleepyBackend:
-    """Slow enough that a zero hedge delay always hedges, asymmetric
-    enough that the loser is still in flight when the winner's root
-    closes (so its span is finalized as cancelled, like production
-    hedge losers)."""
-
-    def __init__(self, inner, fast_s=0.02, slow_s=0.4):
-        self._inner = inner
-        self._delays = iter([fast_s])
-        self._slow_s = slow_s
-        self._lock = threading.Lock()
-
-    def search(self, request):
-        with self._lock:
-            delay = next(self._delays, self._slow_s)
-        time.sleep(delay)
-        return self._inner.search(request)
-
-    def __getattr__(self, name):
-        return getattr(self._inner, name)
-
-
-class TestHedgeTracing:
-    def test_loser_attempt_is_marked_cancelled(
-        self, snapshot_dir, query_pool
-    ):
-        tracer = Tracer(slowest_per_endpoint=512)
-        server = AsyncShoalServer(
-            _SleepyBackend(
-                Gateway(ServiceBackend.from_snapshot(snapshot_dir))
-            ),
-            port=0,
-            hedge_after_ms=0.0,
-            tracer=tracer,
-        ).start()
-        try:
-            status, _ = _raw(
-                "POST", server.host, server.port, "/v1/search",
-                _search_payload(query_pool[0]),
-            )
-            assert status == 200
-            trace = tracer.latest()
-            spans = trace["spans"]
-            _assert_is_tree(spans)
-            attempts = [s for s in spans if s["name"] == "edge.attempt"]
-            assert len(attempts) == 2, "hedge attempt span missing"
-            roles = {s["tags"]["attempt"] for s in attempts}
-            assert roles == {"primary", "hedge"}
-            cancelled = [
-                s for s in attempts if s["status"] == "cancelled"
-            ]
-            winners = [s for s in attempts if s["status"] == "ok"]
-            assert len(cancelled) == 1 and len(winners) == 1
-            assert cancelled[0]["detail"] in ("hedge lost", "cancelled")
-            # Both attempts are children of the same edge root.
-            root = next(s for s in spans if s["parent_id"] is None)
-            assert all(
-                s["parent_id"] == root["span_id"] for s in attempts
-            )
-        finally:
-            server.shutdown()
 
 
 # -- access log + /v1/trace compose -------------------------------------------
@@ -359,9 +294,7 @@ class TestAccessLogToTrace:
             slowest = max(lines, key=lambda l: l["duration_ms"])
             client = ShoalClient(url)
             response = client.trace(slowest["request_id"])
-            assert response.request_id == (
-                slowest["request_id"].split(".")[0]
-            )
+            assert response.request_id == slowest["request_id"]
             assert response.endpoint == "search"
             _assert_is_tree(response.spans)
             # The gateway stage the access log timed must fit inside
@@ -381,6 +314,56 @@ class TestAccessLogToTrace:
         finally:
             server.shutdown()
 
+    def test_one_request_is_one_id_and_one_chain(
+        self, snapshot_dir, query_pool, capsys
+    ):
+        """Access log, root span, ``/v1/trace`` and ``cli trace`` all
+        name the request by the same id, and its spans are a single
+        chain from the edge down to the backend."""
+        from repro.cli import main as cli_main
+
+        log = io.StringIO()
+        tracer = Tracer(slowest_per_endpoint=512)
+        server = AsyncShoalServer(
+            Gateway(
+                ServiceBackend.from_snapshot(snapshot_dir), access_log=log
+            ),
+            port=0,
+            tracer=tracer,
+        ).start()
+        try:
+            status, _ = _raw(
+                "POST", server.host, server.port, "/v1/search",
+                _search_payload(query_pool[0]),
+            )
+            assert status == 200
+            (line,) = [json.loads(l) for l in log.getvalue().splitlines()]
+            assert "attempt" not in line
+            trace = tracer.latest()
+            assert trace["request_id"] == line["request_id"]
+
+            spans = trace["spans"]
+            _assert_is_tree(spans)
+            by_parent = {}
+            for span in spans:
+                by_parent.setdefault(span["parent_id"], []).append(span)
+            assert all(len(kids) == 1 for kids in by_parent.values())
+            names = [s["name"] for s in spans]  # a chain, so root first
+            assert names[:3] == ["edge.request", "edge.dispatch", "gateway"]
+            middle, tail = names[3:-1], names[-1]
+            assert middle and all(n.startswith("mw.") for n in middle)
+            assert tail == "backend.search"
+
+            code = cli_main([
+                "trace", "--url", f"http://{server.host}:{server.port}",
+                "--request-id", line["request_id"],
+            ])
+            out = capsys.readouterr().out
+            assert code == 0
+            assert out.startswith(f"trace {line['request_id']} ")
+            assert "edge.dispatch" in out
+        finally:
+            server.shutdown()
 
     def test_cache_outcome_is_logged_without_a_tracer(
         self, snapshot_dir, query_pool

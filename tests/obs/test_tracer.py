@@ -1,7 +1,7 @@
 """The tracer: span trees, tail-based sampling, the bounded ring.
 
 Pure unit tests with a fake clock — the end-to-end propagation tests
-(the edge, hedging, byte-identity) live in
+(the edge, byte-identity) live in
 ``tests/api/test_tracing.py``.
 """
 
@@ -142,39 +142,24 @@ class TestSpanTree:
         assert all(s["parent_id"] == root["span_id"] for s in spans[1:])
         assert all(s["span_id"].startswith("req-7:") for s in spans)
 
-    def test_hedge_child_context_joins_the_parent_trace(self, clock):
-        tracer = Tracer(clock=clock)
-        ctx = RequestContext(request_id="req-9", tracer=tracer,
-                             tags={"endpoint": "search"})
-        with tracer.span("edge.request", context=ctx) as root:
-            hedge = ctx.child(tags={"attempt": "hedge"})
-            with tracer.span("edge.attempt", context=hedge,
-                             parent=root.span):
-                clock.tick_ms(1.0)
-        spans = tracer.export("req-9")["spans"]
-        attempt = next(s for s in spans if s["name"] == "edge.attempt")
-        assert attempt["span_id"].startswith("req-9:")
-        assert attempt["tags"]["context"] == hedge.request_id
-
-    def test_loser_still_open_at_root_close_is_cancelled(self, clock):
+    def test_span_still_open_at_root_close_is_cancelled(self, clock):
         tracer = Tracer(clock=clock)
         ctx = RequestContext(request_id="req-5", tracer=tracer,
                              tags={"endpoint": "search"})
         root_handle = tracer.span("edge.request", context=ctx)
         with root_handle:
-            loser_ctx = ctx.child(tags={"attempt": "hedge"})
-            # Created but never closed — the loser's task was abandoned
-            # mid-flight when the winner answered.
-            tracer.span("edge.attempt", context=loser_ctx,
+            # Created but never closed — the worker was abandoned
+            # mid-flight when the edge answered 504.
+            tracer.span("edge.dispatch", context=ctx,
                         parent=root_handle.span)
-            loser_ctx.cancel("hedge lost")
             clock.tick_ms(2.0)
+            ctx.cancel("deadline expired")
         spans = tracer.export("req-5")["spans"]
-        attempt = next(s for s in spans if s["name"] == "edge.attempt")
-        assert attempt["status"] == "cancelled"
-        assert attempt["detail"] == "hedge lost"
+        dispatch = next(s for s in spans if s["name"] == "edge.dispatch")
+        assert dispatch["status"] == "cancelled"
+        assert dispatch["detail"] == "deadline expired"
         # Closed at the root's end, not left dangling.
-        assert attempt["duration_ms"] == pytest.approx(2.0, abs=0.01)
+        assert dispatch["duration_ms"] == pytest.approx(2.0, abs=0.01)
 
     def test_root_inherits_context_tags(self, clock):
         tracer = Tracer(clock=clock)
@@ -229,11 +214,6 @@ class TestRing:
         assert tracer.latest()["request_id"] == "req-2"
         ids = tracer.trace_ids()
         assert [t[0] for t in ids] == ["req-0", "req-1", "req-2"]
-
-    def test_export_accepts_hedge_child_ids(self, clock):
-        tracer = Tracer(clock=clock)
-        run_request(tracer, clock, request_id="req-8")
-        assert tracer.export("req-8.1")["request_id"] == "req-8"
 
     def test_abandoned_open_traces_are_bounded(self, clock):
         tracer = Tracer(clock=clock, capacity=2)
