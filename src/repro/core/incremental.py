@@ -26,8 +26,7 @@ from repro.core.serving import ShoalService
 from repro.data.queries import QueryLog
 from repro.eval.metrics import normalized_mutual_information
 from repro.graph.bipartite import build_query_item_graph
-from repro.text.tokenizer import Tokenizer
-from repro.text.word2vec import Word2Vec, WordEmbeddings
+from repro.text.word2vec import WordEmbeddings
 
 __all__ = ["IncrementalShoal", "WindowUpdate"]
 
@@ -81,7 +80,6 @@ class IncrementalShoal:
         self._query_texts = dict(query_texts)
         self._categories = dict(entity_categories or {})
         self._retrain_every = retrain_every
-        self._tokenizer = Tokenizer()
         self._embeddings: Optional[WordEmbeddings] = None
         self._fits_since_retrain = 0
         self._last_model: Optional[ShoalModel] = None
@@ -199,10 +197,9 @@ class IncrementalShoal:
         )
         if not due:
             return False
-        with fit_stage("word2vec", timings):
-            corpus = list(self._titles.values()) + list(self._query_texts.values())
-            token_docs = self._tokenizer.tokenize_all(corpus)
-            self._embeddings = Word2Vec(self._config.word2vec).fit(token_docs)
+        self._embeddings = ShoalPipeline(self._config).fit_embeddings(
+            self._titles, self._query_texts, timings
+        )
         self._fits_since_retrain = 0
         return True
 

@@ -163,22 +163,28 @@ class ShoalPipeline:
         omitted, topics have no category links (the correlation graph
         will be empty, everything else works).
         """
-        cfg = self._config
         timings: Dict[str, float] = {}
 
         with fit_stage("bipartite", timings):
             bipartite = build_query_item_graph(
-                query_log, first_day, last_day, cfg.min_clicks
+                query_log, first_day, last_day, self._config.min_clicks
             )
-        with fit_stage("word2vec", timings):
-            corpus_texts = corpus if corpus is not None else (
-                list(titles.values()) + list(query_texts.values())
-            )
-            token_docs = self._tokenizer.tokenize_all(corpus_texts)
-            embeddings = Word2Vec(cfg.word2vec).fit(token_docs)
+        embeddings = self.fit_embeddings(titles, query_texts, timings, corpus)
         return self.fit_window(
             bipartite, embeddings, titles, query_texts, entity_categories, timings
         )
+
+    def fit_embeddings(
+        self, titles: Dict[int, str], query_texts: Dict[int, str],
+        timings: Dict[str, float], corpus: Optional[List[str]] = None,
+    ) -> WordEmbeddings:
+        """The ``word2vec`` stage, for a full fit and for a window slide's
+        due retrain; by default on every title, then every query text."""
+        with fit_stage("word2vec", timings):
+            if corpus is None:
+                corpus = list(titles.values()) + list(query_texts.values())
+            token_docs = self._tokenizer.tokenize_all(corpus)
+            return Word2Vec(self._config.word2vec).fit(token_docs)
 
     def fit_window(
         self,

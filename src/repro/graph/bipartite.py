@@ -100,16 +100,24 @@ class QueryItemGraph:
         """
         ids = np.array(self.entity_ids(), dtype=np.int64)
         n = len(ids)
-        keys: List[np.ndarray] = []
-        for entities in self._query_to_entities.values():
-            if len(entities) > 1:
-                index = np.searchsorted(ids, sorted(entities))
-                i, j = np.triu_indices(len(index), 1)
-                keys.append(index[i] * n + index[j])
-        if not keys:
+        groups = [sorted(es) for es in self._query_to_entities.values() if len(es) > 1]
+        if not groups:
             empty = np.empty(0, dtype=np.int64)
             return empty, empty, empty
-        pairs, shared = np.unique(np.concatenate(keys), return_counts=True)
+        # One buffer, sorted in place: no per-query list, concatenate or
+        # np.unique copy. int32 halves it when every key (< n*n) fits.
+        total = sum(len(g) * (len(g) - 1) // 2 for g in groups)
+        keys = np.empty(total, dtype=np.int32 if n * n < 2**31 else np.int64)
+        filled = 0
+        for entities in groups:
+            index = np.searchsorted(ids, entities)
+            i, j = np.triu_indices(len(index), 1)
+            keys[filled : filled + len(i)] = index[i] * n + index[j]
+            filled += len(i)
+        keys.sort()
+        # A run of equal keys is one pair; its length is the count.
+        starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+        pairs, shared = keys[starts], np.diff(starts, append=total)
         return ids[pairs // n], ids[pairs % n], shared
 
     def edges(self) -> Iterable[Tuple[int, int, int]]:

@@ -32,6 +32,8 @@ __all__ = ["EntityGraphConfig", "EntityGraphBuilder", "build_entity_graph"]
 #: Eq. 2 is a mean of shifted cosines, so Sc ≤ 1 before rounding; the
 #: slack covers the rounding of the mean vectors and of their dot.
 _SC_CEILING = 1.0 + 1e-9
+#: Pairs per batched title dot: bounds its two gathered (block, dim) operands.
+_DOT_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -113,13 +115,12 @@ class EntityGraphBuilder:
         entity_ids = bipartite.entity_ids()
         query_sets = bipartite.entity_query_sets()
 
-        # Mean title vector once per entity, and whether it has one.
+        # Mean title vector once per entity (a row), and whether it has one.
         tokenize = self._tokenizer.tokenize
-        means = [
-            entity_embedding(self._embeddings, tokenize(titles.get(e, "")))
-            for e in entity_ids
-        ]
-        has_vector = np.array([bool(m.any()) for m in means], dtype=bool)
+        means = np.zeros((len(entity_ids), self._embeddings.dim))
+        for row, e in enumerate(entity_ids):
+            means[row] = entity_embedding(self._embeddings, tokenize(titles.get(e, "")))
+        has_vector = means.any(axis=1)
         degree = np.array([len(query_sets[e]) for e in entity_ids], dtype=np.int64)
 
         if cfg.candidate_source == "lsh":
@@ -133,33 +134,28 @@ class EntityGraphBuilder:
         a = cfg.alpha
         sq = shared / (degree[iu] + degree[iv] - shared)
         # Sc ≤ 1, so most pairs miss the threshold whatever their titles
-        # say; only the rest pay for a dot product. The dot stays
-        # np.dot on the two mean vectors: a batched form (einsum,
-        # multiply-and-sum) rounds differently in the last bit, which is
-        # enough to change which edges survive the threshold.
+        # say; only the rest pay for a dot product.
         live = np.flatnonzero(
             (shared >= cfg.min_shared_queries)
             & (a * sq + (1.0 - a) * _SC_CEILING >= cfg.min_similarity)
         )
         iu, iv, sq = iu[live], iv[live], sq[live]
-        titled = has_vector[iu] & has_vector[iv]
-        sc = np.full(len(live), 0.5)
-        sc[titled] = [
-            0.5 + 0.5 * float(np.dot(means[i], means[j]))
-            for i, j in zip(iu[titled].tolist(), iv[titled].tolist())
-        ]
+        del us, vs, shared, live  # the widest arrays: gone before the sorts below
+        titled = np.flatnonzero(has_vector[iu] & has_vector[iv])
+        sc = np.full(len(iu), 0.5)
+        # matmul over (N,1,d) @ (N,d,1) runs np.dot's kernel once per pair:
+        # the same floats. einsum and multiply-and-sum round differently in
+        # the last bit, enough to change which edges survive the threshold.
+        for start in range(0, len(titled), _DOT_BLOCK):
+            block = titled[start : start + _DOT_BLOCK]
+            mu, mv = means[iu[block]], means[iv[block]]
+            sc[block] = 0.5 + 0.5 * np.matmul(mu[:, None, :], mv[:, :, None])[:, 0, 0]
         s = a * sq + (1.0 - a) * sc
         kept = s >= cfg.min_similarity
         iu, iv, s = self._prune_to_top_k(
             iu[kept], iv[kept], s[kept], cfg.max_neighbors
         )
-
-        graph = SparseGraph(0)
-        for e in entity_ids:
-            graph.add_vertex(e)
-        for u, v, w in zip(ids[iu].tolist(), ids[iv].tolist(), s.tolist()):
-            graph.set_edge(u, v, w)
-        return graph
+        return SparseGraph.from_sorted_edges(ids, ids[iu], ids[iv], s)
 
     def _lsh_candidates(
         self, query_sets: Dict[int, FrozenSet[int]]

@@ -58,6 +58,28 @@ class SparseGraph:
             g.set_edge(u, v, w)
         return g
 
+    @classmethod
+    def from_sorted_edges(
+        cls, vertices: np.ndarray, us: np.ndarray, vs: np.ndarray, ws: np.ndarray
+    ) -> "SparseGraph":
+        """Graph on ``vertices`` (ascending) with each pair ``u != v``,
+        both in ``vertices``, given once. Neighbours are inserted in
+        ascending id order: the adjacency ``add_vertex`` per vertex then
+        ``set_edge`` per edge in ``(u, v)`` order builds, without the calls."""
+        src, dst = np.concatenate([us, vs]), np.concatenate([vs, us])
+        order = np.lexsort((dst, src))
+        both = ws.tolist() * 2  # the list repeats, not the floats: one object per edge
+        weights = [both[i] for i in order.tolist()]
+        nbrs = dst[order].tolist()
+        cuts = np.searchsorted(src[order], vertices).tolist() + [len(order)]
+        g = cls(0)
+        g._adj = {
+            v: dict(zip(nbrs[a:b], weights[a:b]))
+            for v, a, b in zip(vertices.tolist(), cuts, cuts[1:])
+        }
+        g._n_edges = len(us)
+        return g
+
     def copy(self) -> "SparseGraph":
         g = SparseGraph(0)
         g._adj = {v: dict(nbrs) for v, nbrs in self._adj.items()}

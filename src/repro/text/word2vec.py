@@ -132,6 +132,17 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-np.clip(x, -30.0, 30.0)))
 
 
+def _add_rows(w: np.ndarray, rows: np.ndarray, grads: np.ndarray, scale: float) -> None:
+    """``np.add.at(w, rows, scale * grads)`` bit for bit, on the flat view of
+    ``w`` with one index per element: each element still gets its addends in
+    ``rows`` order, and 1-D indices into a 1-D target are what ``ufunc.at``
+    has a fast loop for (2-D indices are slower, reordering changes floats).
+    ``grads`` is scaled in place: the index takes the room of the product."""
+    index = rows[:, None] * w.shape[1] + np.arange(w.shape[1])
+    grads *= scale
+    np.add.at(w.reshape(-1), index.reshape(-1), grads.reshape(-1))
+
+
 class Word2Vec:
     """Skip-gram negative-sampling trainer.
 
@@ -160,7 +171,7 @@ class Word2Vec:
 
         cfg = self._config
         rng = ensure_rng(cfg.seed)
-        vocab = vocabulary or build_vocabulary(token_docs)
+        vocab = vocabulary if vocabulary is not None else build_vocabulary(token_docs)
         if len(vocab) == 0:
             raise ValueError("empty vocabulary: corpus has no in-vocab tokens")
         encoded = vocab.encode_corpus(token_docs)
@@ -169,7 +180,10 @@ class Word2Vec:
         # Standard init: input vectors uniform, output vectors zero.
         w_in = (rng.random((n, cfg.dim)) - 0.5) / cfg.dim
         w_out = np.zeros((n, cfg.dim))
-        neg_dist = vocab.negative_sampling_distribution
+        # Generator.choice(p=...) is this table and searchsorted(random(shape),
+        # "right"), with the table rebuilt on every call; here, once per fit.
+        neg_cdf = vocab.negative_sampling_distribution.cumsum()
+        neg_cdf /= neg_cdf[-1]
         keep = vocab.keep_probabilities
 
         pairs = self._generate_pairs(encoded, keep, rng)
@@ -186,7 +200,7 @@ class Word2Vec:
                 lr = cfg.learning_rate + (cfg.min_learning_rate - cfg.learning_rate) * (
                     step / max(1, total_steps - 1)
                 )
-                self._sgd_batch(batch, w_in, w_out, neg_dist, lr, rng)
+                self._sgd_batch(batch, w_in, w_out, neg_cdf, lr, rng)
                 step += 1
         return WordEmbeddings(vocab, w_in)
 
@@ -223,20 +237,21 @@ class Word2Vec:
         batch: np.ndarray,
         w_in: np.ndarray,
         w_out: np.ndarray,
-        neg_dist: np.ndarray,
+        neg_cdf: np.ndarray,
         lr: float,
         rng: np.random.Generator,
     ) -> None:
         """One mini-batch SGNS update (vectorised over the batch).
 
-        Gradients are accumulated with ``np.add.at`` so repeated word
-        ids within a batch sum correctly instead of overwriting.
+        Gradients are accumulated with ``np.add.at`` so repeated word ids in a
+        batch sum instead of overwriting — into ``w_out`` contexts, then negatives.
         """
         cfg = self._config
         centers = batch[:, 0]
         contexts = batch[:, 1]
-        B = len(batch)
-        negatives = rng.choice(len(neg_dist), size=(B, cfg.negatives), p=neg_dist)
+        negatives = neg_cdf.searchsorted(
+            rng.random((len(batch), cfg.negatives)), side="right"
+        )
 
         v_c = w_in[centers]                       # (B, d)
         u_pos = w_out[contexts]                   # (B, d)
@@ -254,10 +269,6 @@ class Word2Vec:
         grad_u_pos = g_pos * v_c
         grad_u_neg = g_neg * v_c[:, None, :]
 
-        np.add.at(w_in, centers, -lr * grad_v)
-        np.add.at(w_out, contexts, -lr * grad_u_pos)
-        np.add.at(
-            w_out,
-            negatives.reshape(-1),
-            -lr * grad_u_neg.reshape(-1, cfg.dim),
-        )
+        _add_rows(w_in, centers, grad_v, -lr)
+        _add_rows(w_out, contexts, grad_u_pos, -lr)
+        _add_rows(w_out, negatives.reshape(-1), grad_u_neg.reshape(-1, cfg.dim), -lr)

@@ -2,15 +2,20 @@
 
 The three super-linear fit stages (descriptions, entity graph,
 diffusion) were rewritten to do the same arithmetic in the same order,
-once. The loops they replaced live on *only here*, as reference
-oracles, and every comparison is ``==`` on floats — not ``approx`` —
-because the claim is a byte-identical model, not a similar one.
+once; word2vec's scatters and sampler, the co-click counts, the title
+dot and the graph fill were then moved onto faster numpy forms that
+round identically. The forms they replaced live on *only here*, as
+reference oracles, and every comparison is ``==`` on floats — not
+``approx`` — because the claim is a byte-identical model, not a
+similar one.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import heapq
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -30,6 +35,7 @@ from repro.core.descriptions import DescriptionConfig, QueryScore, TopicDescribe
 from repro.core.pipeline import ShoalPipeline
 from repro.core.taxonomy import Taxonomy, Topic
 from repro.graph.bipartite import QueryItemGraph
+from repro.graph import entity_graph as entity_graph_module
 from repro.graph.diffusion import local_maximal_edges
 from repro.graph.entity_graph import EntityGraphBuilder, EntityGraphConfig
 from repro.graph.minhash import LSHConfig, LSHIndex
@@ -38,8 +44,8 @@ from repro.replication.delta import snapshot_fingerprint
 from repro.text.bm25 import BM25, CollectionStats
 from repro.text.similarity import entity_embedding
 from repro.text.tokenizer import Tokenizer
-from repro.text.vocab import Vocabulary, VocabularyBuildConfig
-from repro.text.word2vec import WordEmbeddings
+from repro.text.vocab import Vocabulary, VocabularyBuildConfig, build_vocabulary
+from repro.text.word2vec import Word2Vec, Word2VecConfig, WordEmbeddings, _sigmoid
 
 WORDS = ["sun", "sand", "swim", "tan", "wave", "ice", "ski", "cold", "sled", "snow"]
 #: Never in any vocabulary or document: a title made of it has no vector.
@@ -51,6 +57,75 @@ relaxed = settings(
 
 
 # -- oracles: the parent commit's loops ---------------------------------------
+
+
+def reference_word2vec(cfg: Word2VecConfig, token_docs, vocabulary=None) -> WordEmbeddings:
+    """``Word2Vec.fit`` as it was: negatives drawn per batch by
+    ``rng.choice(..., p=neg_dist)``, which validates ``p`` and rebuilds
+    its cdf on every call, and three row-indexed 2-D ``np.add.at``."""
+    rng = np.random.default_rng(cfg.seed)
+    vocab = vocabulary if vocabulary is not None else build_vocabulary(token_docs)
+    encoded = vocab.encode_corpus(token_docs)
+    n = len(vocab)
+    w_in = (rng.random((n, cfg.dim)) - 0.5) / cfg.dim
+    w_out = np.zeros((n, cfg.dim))
+    neg_dist = vocab.negative_sampling_distribution
+    # Pair generation and the sigmoid are not under test: the trainer's own.
+    pairs = Word2Vec(cfg)._generate_pairs(encoded, vocab.keep_probabilities, rng)
+    if len(pairs) == 0:
+        return WordEmbeddings(vocab, w_in)
+    total_steps = cfg.epochs * ((len(pairs) + cfg.batch_size - 1) // cfg.batch_size)
+    step = 0
+    for _ in range(cfg.epochs):
+        shuffled = pairs[rng.permutation(len(pairs))]
+        for start in range(0, len(shuffled), cfg.batch_size):
+            batch = shuffled[start : start + cfg.batch_size]
+            lr = cfg.learning_rate + (cfg.min_learning_rate - cfg.learning_rate) * (
+                step / max(1, total_steps - 1)
+            )
+            centers, contexts = batch[:, 0], batch[:, 1]
+            negatives = rng.choice(n, size=(len(batch), cfg.negatives), p=neg_dist)
+            v_c, u_pos, u_neg = w_in[centers], w_out[contexts], w_out[negatives]
+            g_pos = (_sigmoid(np.einsum("bd,bd->b", v_c, u_pos)) - 1.0)[:, None]
+            score_neg = _sigmoid(np.einsum("bkd,bd->bk", u_neg, v_c))
+            grad_v = g_pos * u_pos + np.einsum("bkd,bk->bd", u_neg, score_neg)
+            grad_u_pos = g_pos * v_c
+            grad_u_neg = score_neg[:, :, None] * v_c[:, None, :]
+            np.add.at(w_in, centers, -lr * grad_v)
+            np.add.at(w_out, contexts, -lr * grad_u_pos)
+            np.add.at(w_out, negatives.reshape(-1), -lr * grad_u_neg.reshape(-1, cfg.dim))
+            step += 1
+    return WordEmbeddings(vocab, w_in)
+
+
+def reference_co_click_counts(bipartite: QueryItemGraph):
+    """``QueryItemGraph.co_click_counts`` as it was: one int64 key array
+    per query, ``concatenate``, ``np.unique``."""
+    ids = np.array(bipartite.entity_ids(), dtype=np.int64)
+    n = len(ids)
+    keys = []
+    for q in bipartite.query_ids():
+        entities = bipartite.entities_of_query(q)
+        if len(entities) > 1:
+            index = np.searchsorted(ids, sorted(entities))
+            i, j = np.triu_indices(len(index), 1)
+            keys.append(index[i] * n + index[j])
+    if not keys:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty, empty
+    pairs, shared = np.unique(np.concatenate(keys), return_counts=True)
+    return ids[pairs // n], ids[pairs % n], shared
+
+
+def reference_fill(vertices, edges) -> SparseGraph:
+    """The entity graph's fill as it was: ``add_vertex`` per vertex,
+    then ``set_edge`` per edge in ``(u, v)`` order."""
+    graph = SparseGraph(0)
+    for v in vertices:
+        graph.add_vertex(v)
+    for u, v, w in edges:
+        graph.set_edge(u, v, w)
+    return graph
 
 
 def reference_entity_graph(cfg, bipartite, titles, embeddings) -> SparseGraph:
@@ -100,12 +175,7 @@ def reference_entity_graph(cfg, bipartite, titles, embeddings) -> SparseGraph:
     for incident in per_vertex.values():
         for w, u, v in heapq.nlargest(cfg.max_neighbors, incident):
             keep.add((u, v, w))
-    graph = SparseGraph(0)
-    for e in entity_ids:
-        graph.add_vertex(e)
-    for u, v, s in sorted(keep):
-        graph.set_edge(u, v, s)
-    return graph
+    return reference_fill(entity_ids, sorted(keep))
 
 
 def reference_local_maximal_edges(graph: SparseGraph, diffusion_rounds: int):
@@ -292,6 +362,23 @@ hac_configs = st.builds(
     diffusion_rounds=st.sampled_from([1, 2, 3]),
 )
 
+#: Ten words only, so one batch hits the same row many times, as
+#: center, as context and as negative.
+word_docs = st.lists(
+    st.lists(st.sampled_from(WORDS), min_size=0, max_size=7), min_size=1, max_size=12
+).filter(any)
+
+word2vec_configs = st.builds(
+    Word2VecConfig,
+    dim=st.sampled_from([3, 8]),
+    window=st.sampled_from([1, 4]),
+    negatives=st.sampled_from([1, 5, 13]),  # 13: more than there are words
+    epochs=st.sampled_from([2, 3]),
+    batch_size=st.sampled_from([1, 3, 256]),
+    subsample=st.booleans(),
+    seed=st.integers(0, 5),
+)
+
 token_lists = st.lists(st.sampled_from(WORDS[:6] + [UNSEEN]), min_size=0, max_size=6)
 documents = st.lists(st.lists(st.sampled_from(WORDS), min_size=0, max_size=8),
                      min_size=0, max_size=8)
@@ -303,7 +390,171 @@ def adjacency_in_order(graph: SparseGraph):
     return [(v, list(nbrs.items())) for v, nbrs in graph.adjacency().items()]
 
 
+# -- word2vec -------------------------------------------------------------------
+
+
+class TestWord2Vec:
+    @relaxed
+    @given(word_docs, word2vec_configs, st.booleans())
+    def test_fit_equals_per_batch_choice_and_row_scatters(self, docs, cfg, prebuilt):
+        # A prebuilt vocabulary holds words the corpus never uses: rows
+        # that are only ever drawn as negatives.
+        vocab = Vocabulary(WORDS, np.arange(1, 11), VocabularyBuildConfig()) if prebuilt else None
+        built = Word2Vec(cfg).fit(docs, vocab)
+        expected = reference_word2vec(cfg, docs, vocab)
+        assert np.array_equal(built.matrix, expected.matrix)
+
+    @pytest.mark.parametrize("batch_size", [1, 3, 256])
+    def test_ragged_last_batch_and_more_negatives_than_words(self, batch_size):
+        docs = [WORDS[:4] * 3, WORDS[2:7], WORDS[:2]]
+        cfg = Word2VecConfig(
+            dim=5, window=2, negatives=13, epochs=3, batch_size=batch_size,
+            subsample=False, seed=1,
+        )
+        vocab = build_vocabulary(docs)
+        n_pairs = len(Word2Vec(cfg)._generate_pairs(
+            vocab.encode_corpus(docs), vocab.keep_probabilities, np.random.default_rng(0)
+        ))
+        assert cfg.negatives > len(vocab) and n_pairs > 3
+        assert batch_size == 1 or n_pairs % batch_size != 0
+        built = Word2Vec(cfg).fit(docs)
+        assert np.array_equal(built.matrix, reference_word2vec(cfg, docs).matrix)
+        assert not np.array_equal(built.matrix, reference_word2vec(
+            dataclasses.replace(cfg, seed=2), docs).matrix)
+
+    def test_fitted_embeddings_are_the_reference_trainer(self, tiny_marketplace, tiny_model):
+        docs = Tokenizer().tokenize_all(tiny_marketplace.corpus())
+        expected = reference_word2vec(tiny_model.config.word2vec, docs)
+        assert np.array_equal(tiny_model.embeddings.matrix, expected.matrix)
+
+
+# -- co-click counts and the graph fill -----------------------------------------
+
+
+def assert_same_arrays(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype
+        assert np.array_equal(g, w)
+
+
+class TestCoClickCounts:
+    @relaxed
+    @given(click_worlds())
+    def test_counts_equal_the_unique_form(self, world):
+        bipartite, _ = world
+        assert_same_arrays(bipartite.co_click_counts(), reference_co_click_counts(bipartite))
+
+    def test_no_query_with_two_entities(self):
+        bipartite = QueryItemGraph()
+        assert_same_arrays(bipartite.co_click_counts(), reference_co_click_counts(bipartite))
+        bipartite.add_click(0, 4)
+        bipartite.add_click(1, 9)
+        assert_same_arrays(bipartite.co_click_counts(), reference_co_click_counts(bipartite))
+
+    def test_keys_that_do_not_fit_int32(self):
+        """More than 46 340 clicked entities: ``n * n`` leaves int32 and
+        the key buffer must be int64 — a wrapped key names another pair."""
+        n = 46_400
+        bipartite = QueryItemGraph()
+        for e in range(n):
+            bipartite.add_click(e, e)
+        groups = [(0, 1, n - 2, n - 1), (n - 2, n - 1), (5, n - 3, n - 1)]
+        for q, group in enumerate(groups, start=n):
+            for e in group:
+                bipartite.add_click(q, e)
+        assert (n - 2) * n + (n - 1) > np.iinfo(np.int32).max
+        us, vs, shared = bipartite.co_click_counts()
+        assert_same_arrays((us, vs, shared), reference_co_click_counts(bipartite))
+        assert (int(us[-1]), int(vs[-1]), int(shared[-1])) == (n - 2, n - 1, 2)
+
+
+class TestGraphFill:
+    @relaxed
+    @given(weighted_graphs(), st.integers(1, 4), st.integers(0, 3))
+    def test_direct_fill_equals_the_set_edge_loop(self, graph, stride, offset):
+        # Sparse ids, isolated vertices included: the index is not the id.
+        vertices = np.array(graph.vertices(), dtype=np.int64) * stride + offset
+        us, vs, ws = graph.adjacency_arrays()
+        us, vs = us * stride + offset, vs * stride + offset
+        built = SparseGraph.from_sorted_edges(vertices, us, vs, ws)
+        expected = reference_fill(
+            vertices.tolist(), zip(us.tolist(), vs.tolist(), ws.tolist())
+        )
+        assert adjacency_in_order(built) == adjacency_in_order(expected)
+        assert built.n_edges == expected.n_edges
+        assert built.edge_list() == expected.edge_list()
+        assert all(
+            type(u) is int and type(w) is float
+            for nbrs in built.adjacency().values() for u, w in nbrs.items()
+        )
+
+
 # -- entity graph ---------------------------------------------------------------
+
+
+def hub_world(n: int):
+    """One query every one of ``n`` entities was clicked under: all
+    ``n(n-1)/2`` pairs are candidates, in ``(u, v)`` order."""
+    bipartite = QueryItemGraph()
+    for e in range(n):
+        bipartite.add_click(0, e)
+    return bipartite, [(u, v) for u in range(n) for v in range(u + 1, n)]
+
+
+class TestBatchedTitleDot:
+    @pytest.mark.parametrize("dim", [7, 32])
+    def test_more_titled_pairs_than_one_block(self, dim):
+        """Every pair is live; the pair sitting on the first block
+        boundary is untitled, so the blocks are cut from the titled
+        pairs, not from the live ones."""
+        block = entity_graph_module._DOT_BLOCK
+        bipartite, pairs = hub_world(200)
+        titles = {
+            e: " ".join(WORDS[(e + i) % len(WORDS)] for i in range(1 + e % 3))
+            for e in bipartite.entity_ids()
+        }
+        titles[pairs[block][1]] = UNSEEN
+        assert len(pairs) - len(titles) > block  # still more than one block titled
+        cfg = EntityGraphConfig(min_similarity=0.0, max_neighbors=len(titles))
+        built = EntityGraphBuilder(EMBEDDINGS[dim], config=cfg).build(bipartite, titles)
+        expected = reference_entity_graph(cfg, bipartite, titles, EMBEDDINGS[dim])
+        assert built.n_edges == len(pairs)
+        assert adjacency_in_order(built) == adjacency_in_order(expected)
+
+    @relaxed
+    @given(click_worlds(), entity_graph_configs, st.sampled_from([1, 2, 5]))
+    def test_build_equals_the_pairwise_loop_at_any_block_size(self, world, cfg, block):
+        bipartite, titles = world
+        with mock.patch.object(entity_graph_module, "_DOT_BLOCK", block):
+            built = EntityGraphBuilder(EMBEDDINGS[7], config=cfg).build(bipartite, titles)
+        expected = reference_entity_graph(cfg, bipartite, titles, EMBEDDINGS[7])
+        assert adjacency_in_order(built) == adjacency_in_order(expected)
+
+    def test_peak_memory_does_not_grow_with_the_titled_pairs(self):
+        """Same world, every pair titled against none: the difference in
+        ``build``'s peak is one block's two operands and the titled
+        pairs' index (8 bytes a pair), not two ``dim``-wide rows per
+        titled pair (40 MB here)."""
+        dim = 32
+        block_bytes = 2 * entity_graph_module._DOT_BLOCK * dim * 8
+        bipartite, pairs = hub_world(400)
+        assert 2 * len(pairs) * dim * 8 > 10 * block_bytes
+        builder = EntityGraphBuilder(
+            EMBEDDINGS[dim], config=EntityGraphConfig(min_similarity=0.0)
+        )
+
+        def peak(titles):
+            tracemalloc.start()
+            try:
+                builder.build(bipartite, titles)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        untitled = peak({})
+        titled = peak({e: "sun sand" for e in bipartite.entity_ids()})
+        assert titled - untitled <= 1.5 * block_bytes + 16 * len(pairs)
 
 
 class TestEntityGraph:
@@ -443,16 +694,36 @@ class TestDescriptions:
 # -- end to end -----------------------------------------------------------------
 
 
+def fit_fingerprint(market, directory) -> str:
+    categories = {e.entity_id: e.category_id for e in market.catalog.entities}
+    model = ShoalPipeline(ShoalConfig()).fit(market)
+    return snapshot_fingerprint(model.save(directory, entity_categories=categories))
+
+
 @pytest.mark.parametrize("fixture", ["tiny_marketplace", "small_marketplace"])
 def test_two_fits_give_one_fingerprint(fixture, request, tmp_path):
     market = request.getfixturevalue(fixture)
-    categories = {e.entity_id: e.category_id for e in market.catalog.entities}
-    prints = [
-        snapshot_fingerprint(
-            ShoalPipeline(ShoalConfig()).fit(market).save(
-                tmp_path / str(i), entity_categories=categories
-            )
-        )
-        for i in range(2)
-    ]
+    prints = [fit_fingerprint(market, tmp_path / str(i)) for i in range(2)]
     assert prints[0] == prints[1]
+
+
+@pytest.mark.parametrize("fixture", ["tiny_marketplace", "small_marketplace"])
+def test_reference_forms_give_the_same_fingerprint(fixture, request, tmp_path, monkeypatch):
+    """Byte identity end to end, under whatever numpy is installed: the
+    pipeline with the replaced forms patched back in — per-batch
+    ``rng.choice`` and row scatters; pairs enumerated and intersected
+    one by one, one ``np.dot`` per pair, the ``set_edge`` loop — saves
+    the same snapshot."""
+    market = request.getfixturevalue(fixture)
+    shipped = fit_fingerprint(market, tmp_path / "shipped")
+    monkeypatch.setattr(
+        Word2Vec, "fit",
+        lambda self, docs, vocabulary=None: reference_word2vec(self.config, docs, vocabulary),
+    )
+    monkeypatch.setattr(
+        EntityGraphBuilder, "build",
+        lambda self, bipartite, titles: reference_entity_graph(
+            self.config, bipartite, titles, self._embeddings
+        ),
+    )
+    assert fit_fingerprint(market, tmp_path / "reference") == shipped

@@ -126,6 +126,29 @@ class TestBuild:
         assert graph.n_vertices == 2
         assert graph.n_edges == 0
 
+    def test_no_entities_gives_the_empty_graph(self, embeddings):
+        graph = build_entity_graph(QueryItemGraph(), embeddings, {})
+        assert graph.n_vertices == 0
+        assert graph.n_edges == 0
+
+    def test_no_titled_pair_scores_the_neutral_half(self, embeddings):
+        """No title has a known word: no pair reaches the dot, Sc is the
+        neutral 1/2 and Eq. 3 is α·Sq + (1-α)/2."""
+        bipartite = QueryItemGraph()
+        for e in range(3):
+            bipartite.add_click(0, e)
+        titles = {0: "", 1: "zzz"}  # entity 2 has no title at all
+        low = build_entity_graph(
+            bipartite, embeddings, titles, EntityGraphConfig(min_similarity=0.0)
+        )
+        assert low.edge_list() == [(u, v, 0.7 * 1.0 + (1.0 - 0.7) * 0.5)
+                                   for u, v in [(0, 1), (0, 2), (1, 2)]]
+        high = build_entity_graph(
+            bipartite, embeddings, titles, EntityGraphConfig(min_similarity=0.9)
+        )
+        assert high.vertices() == [0, 1, 2]
+        assert high.n_edges == 0
+
     def test_min_shared_queries_prefilter(self, embeddings):
         bipartite = QueryItemGraph()
         bipartite.add_click(0, 0)

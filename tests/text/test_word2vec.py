@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.text.vocab import build_vocabulary
+from repro.text.vocab import Vocabulary, VocabularyBuildConfig, build_vocabulary
 from repro.text.word2vec import Word2Vec, Word2VecConfig, WordEmbeddings
 
 
@@ -65,6 +65,14 @@ class TestTraining:
         vocab = build_vocabulary(docs)
         emb = Word2Vec(Word2VecConfig(dim=8, epochs=1, seed=0)).fit(docs, vocab)
         assert emb.vocabulary is vocab
+
+    def test_explicit_empty_vocabulary_raises(self):
+        """An empty vocabulary is falsy (``__len__``); passing one must
+        not read as passing none and fall back to the corpus's own."""
+        docs, _, _ = synthetic_corpus(50)
+        empty = Vocabulary([], np.zeros(0, dtype=np.int64), VocabularyBuildConfig())
+        with pytest.raises(ValueError, match="empty vocabulary"):
+            Word2Vec(Word2VecConfig(dim=8, epochs=1, seed=0)).fit(docs, empty)
 
 
 class TestEmbeddingsLookup:
