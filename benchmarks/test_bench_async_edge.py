@@ -192,8 +192,6 @@ def test_bench_coalesced_ingest_amortizes_fsyncs(
             Gateway(make_backend()),
             port=0,
             ingest_pipe=IngestPipe(wal, max_queue=10 * N_EVENTS),
-            coalesce_max_events=64,
-            coalesce_max_delay_ms=5.0,
         ).start()
 
     def post(conn, i):

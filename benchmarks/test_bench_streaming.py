@@ -158,7 +158,9 @@ def test_bench_generation_swap_zero_failed_reads(
     tmp_path, stream_bench_market, bench_inc
 ):
     market = stream_bench_market
-    backend = ServiceBackend(bench_inc.service())
+    backend = ServiceBackend.from_model(
+        bench_inc.model, entity_categories=bench_inc.entity_categories
+    )
     gateway = Gateway(backend)
     switch = GenerationSwitch().attach(backend).attach(gateway)
     wal = WriteAheadLog(tmp_path / "wal", fsync="never")

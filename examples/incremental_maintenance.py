@@ -11,12 +11,13 @@ Run:  python examples/incremental_maintenance.py
 
 import dataclasses
 
-from repro.api import SearchRequest
+from repro.api import SearchRequest, ServiceBackend
 from repro.core.config import ShoalConfig
 from repro.core.incremental import IncrementalShoal
 from repro.core.report import compute_stats, render_tree
 from repro.data.marketplace import PROFILES, generate_marketplace
 from repro.data.queries import QueryLogConfig
+from repro.streaming import Generation, GenerationSwitch
 
 
 def main() -> None:
@@ -42,11 +43,28 @@ def main() -> None:
         q.text for q in market.query_log.queries if q.intent_kind == "scenario"
     )
     print("sliding the 7-day window nightly:\n")
+    switch = GenerationSwitch()
+    backend = None
     for day in range(6, 12):
         update = maintainer.advance(market.query_log, last_day=day)
-        # The persistent gateway backend is refreshed on every slide:
-        # indexes rebuilt and swapped in behind one reference.
-        hits = maintainer.backend().search(
+        if backend is None:
+            # The read tier is built once, from the first model ...
+            backend = ServiceBackend.from_model(
+                update.model, entity_categories=categories
+            )
+            switch.attach(backend)
+        else:
+            # ... and only the switch refreshes it: indexes rebuilt and
+            # swapped in behind one reference.
+            switch.swap(
+                Generation(
+                    number=day,
+                    model=update.model,
+                    entity_categories=categories,
+                    last_day=day,
+                )
+            )
+        hits = backend.search(
             SearchRequest(query=probe, k=1)
         ).hits
         top = f"top topic for {probe!r}: {hits[0].topic_id}" if hits else "no hit"

@@ -23,7 +23,7 @@ import tempfile
 from pathlib import Path
 
 from repro import ShoalConfig, generate_marketplace
-from repro.api import Gateway, SearchRequest
+from repro.api import Gateway, SearchRequest, ServiceBackend
 from repro.core.incremental import IncrementalShoal
 from repro.data.marketplace import PROFILES
 from repro.data.queries import QueryLogConfig
@@ -53,8 +53,11 @@ def main() -> None:
     update = inc.advance(market.query_log, last_day=BASE_LAST_DAY)
     print(f"base {update.summary()}")
 
-    # The read tier: the maintainer's backend behind a gateway.
-    backend = inc.backend()
+    # The read tier, built from the base model, behind a gateway. The
+    # switch below is the only thing that refreshes it.
+    backend = ServiceBackend.from_model(
+        update.model, entity_categories=categories
+    )
     gateway = Gateway(backend)
     probe = next(
         q.text
@@ -68,7 +71,7 @@ def main() -> None:
     switch = GenerationSwitch(probe_queries=[probe])
     switch.attach(backend, name="read-tier").attach(gateway)
     wal = WriteAheadLog(wal_dir, fsync="batch")
-    pipe = IngestPipe(wal, max_queue=8192, overflow="shed")
+    pipe = IngestPipe(wal, max_queue=8192)
     updater = StreamingUpdater(
         inc, pipe, switch=switch, batch_max_events=400, batch_max_age_s=0.0
     )

@@ -67,7 +67,7 @@ def main() -> None:
         metadata={"profile": "tiny", "seed": config.seed},
     )
     wal = WriteAheadLog(root / "wal", fsync="batch")
-    pipe = IngestPipe(wal, max_queue=8192, overflow="shed")
+    pipe = IngestPipe(wal, max_queue=8192)
     shipper = SegmentShipper(
         wal,
         root / "feed",

@@ -31,7 +31,7 @@ from repro.analytics import (
     SegmentTailer,
     make_topic_resolver,
 )
-from repro.api import AnalyticsRequest, Gateway, SearchRequest
+from repro.api import AnalyticsRequest, Gateway, SearchRequest, ServiceBackend
 from repro.core.incremental import IncrementalShoal
 from repro.data.marketplace import PROFILES
 from repro.data.queries import QueryLogConfig
@@ -72,7 +72,9 @@ def main() -> None:
     update = inc.advance(market.query_log, last_day=BASE_LAST_DAY)
     print(f"base {update.summary()}")
 
-    backend = inc.backend()
+    backend = ServiceBackend.from_model(
+        update.model, entity_categories=categories
+    )
     gateway = Gateway(backend)
     switch = GenerationSwitch().attach(backend, name="read-tier")
     switch.attach(gateway)
@@ -81,7 +83,7 @@ def main() -> None:
     # entity partition matches what is already serving skips the swap.
     wal_dir = Path(tempfile.mkdtemp(prefix="shoal-analytics-wal-"))
     wal = WriteAheadLog(wal_dir, fsync="batch")
-    pipe = IngestPipe(wal, max_queue=8192, overflow="shed")
+    pipe = IngestPipe(wal, max_queue=8192)
     updater = StreamingUpdater(
         inc,
         pipe,

@@ -304,7 +304,9 @@ class AnalyticsStore:
                     time.time(),
                     int(pipe_stats.get("accepted", 0)),
                     int(pipe_stats.get("shed", 0)),
-                    int(pipe_stats.get("dropped", 0)),
+                    # dropped: the pipe only sheds now; the column stays
+                    # so store files written before that still accept rows.
+                    0,
                     int(pipe_stats.get("queue_depth", 0)),
                 ),
             )

@@ -228,11 +228,7 @@ class SegmentTailer:
         if self._pipe is None:
             return
         stats = self._pipe.stats()
-        key = (
-            int(stats.get("accepted", 0)),
-            int(stats.get("shed", 0)),
-            int(stats.get("dropped", 0)),
-        )
+        key = (int(stats.get("accepted", 0)), int(stats.get("shed", 0)))
         if key == self._last_ops:
             return
         self._last_ops = key

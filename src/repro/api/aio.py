@@ -18,8 +18,8 @@ and everything that needs a non-blocking edge:
   of completing an answer nobody will read.
 
 * **Ingest coalescing** — concurrent ``POST /v1/ingest`` calls are
-  buffered for up to ``coalesce_max_delay_ms`` (or until
-  ``coalesce_max_events`` queue up) and admitted through
+  buffered for up to :data:`COALESCE_MAX_DELAY_S` (or until
+  :data:`COALESCE_MAX_EVENTS` queue up) and admitted through
   :meth:`~repro.streaming.ingest.IngestPipe.submit_many`, which covers
   the whole batch with ONE WAL fsync — amortizing the disk barrier that
   dominates single-event writes under fan-in. Durable-before-ack is
@@ -52,10 +52,15 @@ from repro.api.http import (
     _json_bytes,
     partial_batch_error,
 )
+from repro.obs.histogram import Histogram
 from repro.obs.tracer import traced
-from repro.serving.stats import RequestStats
 
 __all__ = ["AsyncShoalServer"]
+
+#: A coalesced ingest batch is flushed to the WAL once this many events
+#: are pending, or once the oldest has waited :data:`COALESCE_MAX_DELAY_S`.
+COALESCE_MAX_EVENTS = 64
+COALESCE_MAX_DELAY_S = 0.005
 
 _PHRASES = {
     200: "OK",
@@ -68,6 +73,27 @@ _PHRASES = {
     503: "Service Unavailable",
     504: "Gateway Timeout",
 }
+
+
+def _response_bytes(status: int, payload: Any, closing: bool) -> bytes:
+    """One HTTP/1.1 response; ``payload`` is a JSON dict or a
+    :class:`RawResponse`."""
+    if isinstance(payload, RawResponse):
+        body = payload.body
+        content_type = payload.content_type
+    else:
+        body = _json_bytes(payload)
+        content_type = "application/json; charset=utf-8"
+    conn_header = "Connection: close\r\n" if closing else ""
+    head = (
+        f"HTTP/1.1 {status} {_PHRASES.get(status, 'Unknown')}\r\n"
+        f"Content-Type: {content_type}\r\n"
+        f"Content-Length: {len(body)}\r\n"
+        f"{conn_header}"
+        "\r\n"
+    ).encode("latin-1")
+    return head + body
+
 
 def _silence(task: "asyncio.Future") -> None:
     """Mark an abandoned task's eventual exception as observed."""
@@ -97,7 +123,7 @@ class _EdgeStats:
         self.connections_open = 0
         self.connections_total = 0
         self.deadline_expired = 0
-        self.read_stats = RequestStats()
+        self.read_stats = Histogram()
 
     def to_dict(
         self, coalescer: Optional["_IngestCoalescer"]
@@ -127,29 +153,16 @@ class _IngestCoalescer:
 
     Lives entirely on the event-loop thread (no locks): requests append
     ``(events, future)`` pairs, and a flush — triggered by the pending
-    count reaching ``max_events`` or the oldest entry ageing past
-    ``max_delay_s`` — pushes everything through
+    count reaching :data:`COALESCE_MAX_EVENTS` or the oldest entry
+    ageing past :data:`COALESCE_MAX_DELAY_S` — pushes everything through
     :meth:`IngestPipe.submit_many` on the executor, then resolves each
     request's future from the admitted prefix. One flush = at most one
     fsync, however many clients were coalesced into it.
     """
 
-    def __init__(
-        self,
-        pipe,
-        run_blocking: Callable,
-        *,
-        max_events: int,
-        max_delay_s: float,
-    ):
-        if max_events < 1:
-            raise ValueError(f"max_events must be >= 1, got {max_events}")
-        if max_delay_s < 0:
-            raise ValueError(f"max_delay_s must be >= 0, got {max_delay_s}")
+    def __init__(self, pipe, run_blocking: Callable):
         self._pipe = pipe
         self._run_blocking = run_blocking
-        self._max_events = max_events
-        self._max_delay_s = max_delay_s
         self._pending: List[Tuple[list, "asyncio.Future"]] = []
         self._pending_events = 0
         self._timer: Optional["asyncio.TimerHandle"] = None
@@ -162,13 +175,13 @@ class _IngestCoalescer:
         future: "asyncio.Future" = loop.create_future()
         self._pending.append((events, future))
         self._pending_events += len(events)
-        if self._pending_events >= self._max_events:
+        if self._pending_events >= COALESCE_MAX_EVENTS:
             if self._timer is not None:
                 self._timer.cancel()
                 self._timer = None
             await self._flush()
         elif self._timer is None:
-            self._timer = loop.call_later(self._max_delay_s, self._fire)
+            self._timer = loop.call_later(COALESCE_MAX_DELAY_S, self._fire)
         return await future
 
     def _fire(self) -> None:
@@ -253,8 +266,8 @@ class _IngestCoalescer:
         return {
             "batches": self._batches,
             "events": self._events,
-            "max_events": self._max_events,
-            "max_delay_ms": self._max_delay_s * 1000.0,
+            "max_events": COALESCE_MAX_EVENTS,
+            "max_delay_ms": COALESCE_MAX_DELAY_S * 1000.0,
         }
 
 
@@ -280,8 +293,6 @@ class AsyncShoalServer:
         analytics_engine=None,
         analytics_tailer=None,
         default_timeout_ms: Optional[float] = None,
-        coalesce_max_events: int = 64,
-        coalesce_max_delay_ms: float = 5.0,
         max_workers: Optional[int] = None,
         replication_stats=None,
         tracer=None,
@@ -294,8 +305,6 @@ class AsyncShoalServer:
         self._analytics_engine = analytics_engine
         self._analytics_tailer = analytics_tailer
         self._default_timeout_ms = default_timeout_ms
-        self._coalesce_max_events = coalesce_max_events
-        self._coalesce_max_delay_ms = coalesce_max_delay_ms
         self._stats = _EdgeStats()
         self._coalescer: Optional[_IngestCoalescer] = None
         self._tracer = tracer
@@ -440,10 +449,7 @@ class AsyncShoalServer:
         self._stop_event = asyncio.Event()
         if self._ingest_pipe is not None:
             self._coalescer = _IngestCoalescer(
-                self._ingest_pipe,
-                self._run_blocking,
-                max_events=self._coalesce_max_events,
-                max_delay_s=self._coalesce_max_delay_ms / 1000.0,
+                self._ingest_pipe, self._run_blocking
             )
         server = await asyncio.start_server(
             self._handle_conn, self._requested[0], self._requested[1]
@@ -471,42 +477,42 @@ class AsyncShoalServer:
         self._stats.connections_total += 1
         try:
             while True:
-                request_line = await reader.readline()
-                if not request_line or request_line in (b"\r\n", b"\n"):
-                    break
                 try:
-                    method, raw_path, _version = (
-                        request_line.decode("latin-1").split(None, 2)
-                    )
-                except ValueError:
-                    break  # not HTTP; drop the connection
-                headers: Dict[str, str] = {}
-                while True:
-                    line = await reader.readline()
-                    if line in (b"\r\n", b"\n", b""):
+                    request_line = await reader.readline()
+                    if not request_line or request_line in (b"\r\n", b"\n"):
                         break
-                    name, _, value = line.decode("latin-1").partition(":")
-                    headers[name.strip().lower()] = value.strip()
+                    try:
+                        method, raw_path, _version = (
+                            request_line.decode("latin-1").split(None, 2)
+                        )
+                    except ValueError:
+                        break  # not HTTP; drop the connection
+                    headers: Dict[str, str] = {}
+                    while True:
+                        line = await reader.readline()
+                        if line in (b"\r\n", b"\n", b""):
+                            break
+                        name, _, value = line.decode("latin-1").partition(":")
+                        headers[name.strip().lower()] = value.strip()
+                except ValueError:
+                    # readline() past the stream's 64 KiB limit: a line
+                    # too long to parse. Answer it and close — the rest
+                    # of that line is unread, so nothing after it can be
+                    # framed as a request.
+                    err = ApiError(
+                        "bad_request", "request line or header exceeds 64 KiB"
+                    )
+                    writer.write(
+                        _response_bytes(err.http_status, err.to_dict(), True)
+                    )
+                    await writer.drain()
+                    break
                 keep_alive = headers.get("connection", "").lower() != "close"
                 status, payload, close = await self._serve_one(
                     method, raw_path, headers, reader
                 )
-                if isinstance(payload, RawResponse):
-                    body = payload.body
-                    content_type = payload.content_type
-                else:
-                    body = _json_bytes(payload)
-                    content_type = "application/json; charset=utf-8"
                 closing = close or not keep_alive
-                conn_header = "Connection: close\r\n" if closing else ""
-                head = (
-                    f"HTTP/1.1 {status} {_PHRASES.get(status, 'Unknown')}\r\n"
-                    f"Content-Type: {content_type}\r\n"
-                    f"Content-Length: {len(body)}\r\n"
-                    f"{conn_header}"
-                    "\r\n"
-                ).encode("latin-1")
-                writer.write(head + body)
+                writer.write(_response_bytes(status, payload, closing))
                 await writer.drain()
                 if closing:
                     break

@@ -6,7 +6,7 @@ edge, replayer, benches) gets the same cross-cutting behaviour from one
 place:
 
 * :class:`MetricsMiddleware` — per-endpoint p50/p95/p99 latency (the
-  same :class:`~repro.serving.stats.RequestStats` recorders the cluster
+  same :class:`~repro.obs.histogram.Histogram` recorders the cluster
   router uses) plus error counts by stable code;
 * :class:`RateLimitMiddleware` — token-bucket admission control,
   rejecting excess traffic with ``rate_limited`` before it costs any

@@ -48,7 +48,7 @@ unversioned alias is gone after its one-release deprecation).
 
 The edge (:class:`~repro.api.aio.AsyncShoalServer`) holds thousands of
 connections on one event loop and adds deadline cancellation and
-coalesced WAL ingest (``--coalesce-events`` / ``--coalesce-delay-ms``).
+coalesced WAL ingest.
 
 Both serving roles (``serve-http`` and ``serve-follower``) carry the
 observability surface: a :class:`~repro.obs.Tracer` samples
@@ -103,6 +103,15 @@ from repro.graph.modularity import modularity
 from repro.store.persistence import save_taxonomy
 
 __all__ = ["build_parser", "main"]
+
+#: ``serve-http --ingest-wal``'s write path: the ingest queue's bound
+#: (a full queue sheds with 429), and the updater's micro-batch — taken
+#: at 64 events or once its oldest event is 2 s old, folded into a
+#: generation once at least 16 events are pending.
+SERVE_INGEST_QUEUE = 4096
+SERVE_BATCH_EVENTS = 64
+SERVE_BATCH_AGE_S = 2.0
+SERVE_MIN_BATCH_EVENTS = SERVE_BATCH_EVENTS // 4
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -613,11 +622,7 @@ def _build_ingest_side(args, backend):
         probe_queries=probes, baseline=baseline
     ).attach(backend, name="http-backend")
     wal = WriteAheadLog(args.ingest_wal, fsync=args.ingest_fsync)
-    pipe = IngestPipe(
-        wal,
-        max_queue=args.ingest_queue,
-        overflow=args.ingest_overflow,
-    )
+    pipe = IngestPipe(wal, max_queue=SERVE_INGEST_QUEUE)
     drift_gate = None
     if getattr(args, "drift_threshold", None) is not None:
         from repro.analytics import DriftMonitor
@@ -644,7 +649,7 @@ def _build_ingest_side(args, backend):
                 "base_last_day": market.query_log.days()[-1],
                 "retrain_every": retrain_every,
                 "max_day_skew": max_day_skew,
-                "min_batch_events": args.ingest_batch_events // 4 or 1,
+                "min_batch_events": SERVE_MIN_BATCH_EVENTS,
             },
         )
         shipper.initialise()
@@ -653,9 +658,9 @@ def _build_ingest_side(args, backend):
         pipe,
         switch=switch,
         generations_dir=generations_dir,
-        batch_max_events=args.ingest_batch_events,
-        batch_max_age_s=args.ingest_batch_age_s,
-        min_batch_events=args.ingest_batch_events // 4 or 1,
+        batch_max_events=SERVE_BATCH_EVENTS,
+        batch_max_age_s=SERVE_BATCH_AGE_S,
+        min_batch_events=SERVE_MIN_BATCH_EVENTS,
         max_day_skew=max_day_skew,
         drift_gate=drift_gate,
         on_generation=None if shipper is None else shipper.publish_generation,
@@ -849,8 +854,6 @@ def _cmd_serve_http(args) -> int:
         analytics_engine=analytics_engine,
         analytics_tailer=analytics_tailer,
         default_timeout_ms=args.deadline_ms,
-        coalesce_max_events=args.coalesce_events,
-        coalesce_max_delay_ms=args.coalesce_delay_ms,
         replication_stats=replication_stats,
         tracer=tracer,
     )
@@ -956,7 +959,9 @@ def _cmd_ingest(args) -> int:
     update = inc.advance(market.query_log, last_day=base_last_day)
     print(f"base {update.summary()}")
 
-    backend = inc.backend()
+    # The read tier is built from the model once; from here on only the
+    # switch refreshes it, after each generation's probes pass.
+    backend = ServiceBackend.from_model(update.model, entity_categories=cats)
     probes = [
         q.text
         for q in market.query_log.queries
@@ -1236,39 +1241,13 @@ def build_parser() -> argparse.ArgumentParser:
              "POST /v1/ingest (requires --load)",
     )
     p_http.add_argument(
-        "--ingest-queue", type=int, default=4096,
-        help="bounded ingest-queue capacity before backpressure",
-    )
-    p_http.add_argument(
-        "--ingest-overflow", default="shed",
-        choices=["shed", "block", "drop_oldest"],
-        help="what a full ingest queue does to new events",
-    )
-    p_http.add_argument(
         "--ingest-fsync", default="batch",
         choices=["always", "batch", "never"],
         help="WAL fsync policy (batch = once per micro-batch)",
     )
     p_http.add_argument(
-        "--ingest-batch-events", type=int, default=64,
-        help="micro-batch size the updater drains per cycle",
-    )
-    p_http.add_argument(
-        "--ingest-batch-age-s", type=float, default=2.0,
-        help="oldest a queued event may get before a partial batch runs",
-    )
-    p_http.add_argument(
         "--generations", default=None, metavar="DIR",
         help="persist each model generation as a versioned snapshot here",
-    )
-    p_http.add_argument(
-        "--coalesce-events", type=int, default=64,
-        help="async edge: flush coalesced ingest after this many events",
-    )
-    p_http.add_argument(
-        "--coalesce-delay-ms", type=float, default=5.0,
-        help="async edge: max ms a coalesced ingest event waits before "
-             "its batch is flushed to the WAL",
     )
     p_http.add_argument(
         "--analytics-db", default=None, metavar="PATH",

@@ -22,7 +22,6 @@ from typing import Dict, Optional, Union
 
 from repro.core.config import ShoalConfig
 from repro.core.pipeline import ShoalModel, ShoalPipeline, fit_stage
-from repro.core.serving import ShoalService
 from repro.data.queries import QueryLog
 from repro.eval.metrics import normalized_mutual_information
 from repro.graph.bipartite import build_query_item_graph
@@ -58,6 +57,12 @@ class WindowUpdate:
 class IncrementalShoal:
     """Maintains a SHOAL model as the query-log window slides.
 
+    A pure model maintainer: it owns no read tier. Serve by building a
+    tier from :attr:`model` (``ServiceBackend.from_model`` /
+    ``ClusterBackend.from_model``) and attaching it to a
+    :class:`~repro.streaming.rollout.GenerationSwitch`, the one thing
+    that keeps a tier current.
+
     Usage::
 
         inc = IncrementalShoal(config, titles, query_texts, categories)
@@ -83,9 +88,6 @@ class IncrementalShoal:
         self._embeddings: Optional[WordEmbeddings] = None
         self._fits_since_retrain = 0
         self._last_model: Optional[ShoalModel] = None
-        self._service: Optional[ShoalService] = None
-        self._backend = None  # Optional[repro.api.backends.ServiceBackend]
-        self._cluster = None  # Optional[repro.serving.router.ClusterRouter]
 
     @classmethod
     def from_model(
@@ -123,68 +125,6 @@ class IncrementalShoal:
     def entity_categories(self) -> Dict[int, int]:
         """The authoritative entity → category map the maintainer holds."""
         return dict(self._categories)
-
-    def service(self) -> ShoalService:
-        """A persistent serving engine over the latest model.
-
-        The same :class:`ShoalService` instance is returned across
-        window slides; each :meth:`advance` refreshes its indexes and
-        invalidates its query cache, so stale window results are never
-        served while cache hit/miss counters stay cumulative.
-
-        Deprecated for external callers: frontends should serve through
-        :meth:`backend`, which wraps this engine in the gateway-API
-        contract (:mod:`repro.api`). The raw engine remains available
-        for scenario-B/C/D navigation.
-        """
-        if self._last_model is None:
-            raise RuntimeError("no model yet; call advance() first")
-        if self._service is None:
-            self._service = ShoalService(
-                self._last_model, entity_categories=self._categories
-            )
-        return self._service
-
-    def backend(self):
-        """The gateway-API view of the maintained read tier.
-
-        Returns a persistent
-        :class:`~repro.api.backends.ServiceBackend` over the same
-        engine :meth:`service` maintains, so window slides refresh the
-        backend's answers too. This is the supported serving surface
-        for frontends; construct requests from :mod:`repro.api` and
-        call ``search`` / ``recommend`` / ``batch`` on it.
-        """
-        if self._backend is None:
-            # Imported lazily: repro.api adapters depend on this package.
-            from repro.api.backends import ServiceBackend
-
-            self._backend = ServiceBackend(self.service())
-        return self._backend
-
-    def cluster(self, n_shards: int = 2):
-        """A persistent sharded cluster router over the latest model.
-
-        The same :class:`~repro.serving.router.ClusterRouter` instance
-        is returned across window slides; each :meth:`advance`
-        re-partitions the new model into it and rebuilds **only the
-        affected shards** — a shard whose pruned content and global
-        corpus statistics are unchanged keeps its built indexes.
-        Calling again with a different shard count builds a fresh
-        router (the old one keeps serving whoever holds it).
-        """
-        if self._last_model is None:
-            raise RuntimeError("no model yet; call advance() first")
-        # Imported lazily: repro.serving depends on this package.
-        from repro.serving.router import ClusterRouter
-
-        if self._cluster is None or self._cluster.n_shards != n_shards:
-            self._cluster = ClusterRouter.from_model(
-                self._last_model,
-                n_shards,
-                entity_categories=self._categories,
-            )
-        return self._cluster
 
     # -- embedding lifecycle -----------------------------------------------
 
@@ -300,10 +240,6 @@ class IncrementalShoal:
         stability = self._stability(self._last_model, model)
         self._last_model = model
         self._fits_since_retrain += 1
-        if self._service is not None:
-            self._service.refresh(model, entity_categories=self._categories)
-        if self._cluster is not None:
-            self._cluster.refresh(model, entity_categories=self._categories)
         return WindowUpdate(
             last_day=last_day,
             first_day=first_day,

@@ -112,16 +112,6 @@ class _FeedPipe:
         with self._lock:
             self._targets = targets
 
-    @property
-    def consumed_seq(self) -> int:
-        with self._lock:
-            return self._consumed_seq
-
-    @property
-    def loaded_seq(self) -> int:
-        with self._lock:
-            return self._loaded_seq
-
     def pending_target(self) -> Optional[Dict[str, Any]]:
         with self._lock:
             if self._next_target < len(self._targets):
@@ -163,7 +153,6 @@ class Follower:
         *,
         follower_id: Optional[str] = None,
         n_shards: int = 1,
-        probe_k: int = 5,
         poll_interval_s: float = 0.2,
     ):
         self._feed = Feed(feed_dir)
@@ -171,7 +160,6 @@ class Follower:
         self._workdir.mkdir(parents=True, exist_ok=True)
         self.follower_id = follower_id or f"follower-{secrets.token_hex(4)}"
         self._n_shards = n_shards
-        self._probe_k = probe_k
         self._poll_interval_s = poll_interval_s
 
         self._nonce: Optional[str] = None
@@ -261,7 +249,7 @@ class Follower:
             last_day=market.query_log.days()[-1],
         )
         self._switch = GenerationSwitch(
-            probe_queries=probes, probe_k=self._probe_k, baseline=baseline
+            probe_queries=probes, baseline=baseline
         ).attach(self._inner, name=self.follower_id)
 
         self._pipe = _FeedPipe(self._workdir)

@@ -13,11 +13,13 @@ read tiers production taxonomy serving runs on:
   byte-identical unsharded answers;
 * :mod:`~repro.serving.replay` — :class:`TrafficReplayer` replays
   Zipf-skewed steady/bursty/drifting/adversarial workloads against a
-  service or cluster and reports QPS with p50/p95/p99 latencies;
-* :mod:`~repro.serving.stats` — the thread-safe request recorders the
-  router and replayer share.
+  service or cluster and reports QPS with p50/p95/p99 latencies.
+
+The router and replayer record latencies in the one histogram,
+:class:`repro.obs.histogram.Histogram`, re-exported here.
 """
 
+from repro.obs.histogram import Histogram, LatencySummary, percentile
 from repro.serving.replay import (
     ReplayReport,
     TrafficReplayer,
@@ -37,7 +39,6 @@ from repro.serving.sharding import (
     plan_shards,
     shard_fingerprint,
 )
-from repro.serving.stats import LatencySummary, RequestStats, percentile
 
 __all__ = [
     "ClusterRouter",
@@ -56,7 +57,7 @@ __all__ = [
     "WorkloadConfig",
     "WORKLOAD_PROFILES",
     "build_workload",
+    "Histogram",
     "LatencySummary",
-    "RequestStats",
     "percentile",
 ]

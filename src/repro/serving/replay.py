@@ -64,7 +64,7 @@ from repro.api.cache import CacheStats
 from repro.data.queries import Query
 from repro.data.scenarios import Scenario
 from repro.data.zipf import zipf_weights
-from repro.serving.stats import LatencySummary, RequestStats
+from repro.obs.histogram import Histogram, LatencySummary
 
 __all__ = [
     "WorkloadConfig",
@@ -378,7 +378,7 @@ class TrafficReplayer:
         for q in workload[:warmup]:
             target.search(SearchRequest(query=q, k=k))
 
-        stats = RequestStats()
+        stats = Histogram()
         measured = workload[warmup:] if warmup else workload
         cache_before = self._cache_stats()
         n_empty = 0

@@ -51,8 +51,8 @@ from repro.serving.sharding import (
     ShardSet,
     shard_fingerprint,
 )
+from repro.obs.histogram import Histogram, LatencySummary
 from repro.obs.tracer import traced
-from repro.serving.stats import LatencySummary, RequestStats
 from repro.text.bm25 import CollectionStats
 from repro.text.tokenizer import Tokenizer
 
@@ -154,7 +154,7 @@ class ClusterRouter:
     ):
         self._tokenizer = tokenizer or Tokenizer()
         self._planner = ShardPlanner(shard_set.n_shards, self._tokenizer)
-        self._stats = RequestStats()
+        self._stats = Histogram()
         self._state = self._build_state(shard_set)
 
     # -- construction --------------------------------------------------------

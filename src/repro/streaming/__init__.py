@@ -9,9 +9,9 @@ model generations while that read path keeps answering:
   segmented, checksummed JSON-lines log of ingest events with fsync
   policies, torn-tail crash recovery, and day-based segment compaction;
 * :mod:`repro.streaming.ingest` — :class:`IngestPipe`, the bounded
-  admission queue in front of the WAL with count/age batching and
-  explicit backpressure policies (shed / block / drop-oldest) surfaced
-  as stable gateway :class:`~repro.api.contract.ApiError` codes;
+  admission queue in front of the WAL with count/age batching; what
+  does not fit is shed with a stable gateway
+  :class:`~repro.api.contract.ApiError` code;
 * :mod:`repro.streaming.updater` — :class:`StreamingUpdater`, the
   micro-batch consumer that drains the pipe into
   :class:`~repro.core.incremental.IncrementalShoal` window slides and
@@ -20,7 +20,8 @@ model generations while that read path keeps answering:
   hot-swaps a new generation into every attached serving tier
   (:class:`~repro.core.serving.ShoalService`,
   :class:`~repro.serving.router.ClusterRouter`, gateway backends) with
-  probe-query health checks and automatic rollback.
+  probe-query health checks and automatic rollback — the only path by
+  which a generation reaches readers.
 
 Dataflow::
 

@@ -7,19 +7,15 @@ endpoint, the replayer's write mode, the CLI) and the
 1. **Validate** the submitted payload (types and bounds) — failures are
    :class:`~repro.api.contract.ApiError` with the contract's stable
    codes, exactly like the read path;
-2. **Admit or reject** against a bounded in-memory queue. Overflow
-   policy ``"shed"`` rejects with ``ingest_overloaded`` (HTTP 429)
-   before any work is done — the load-shedding default; ``"block"``
-   waits up to ``block_timeout_s`` for the updater to catch up (then
-   sheds); ``"drop_oldest"`` admits by evicting the oldest queued
-   event. **Caveat:** an evicted event was already acknowledged and
-   WAL-persisted, but the live updater only consumes the queue — the
-   event stays out of every generation until a restart replays the
-   WAL. That trade (admission over completeness-until-recovery) fits
-   replay and bench workloads; serving deployments should keep
-   ``shed``;
+2. **Admit or shed** against a bounded in-memory queue: what does not
+   fit is rejected with ``ingest_overloaded`` (HTTP 429) before any
+   work is done, so the client retries with backoff. Shedding is the
+   only policy — a waiting admission would park an edge worker behind
+   the updater, and evicting queued events would keep acknowledged
+   events out of every generation until a restart replayed the WAL;
 3. **Persist** the event to the :class:`~repro.streaming.wal.WriteAheadLog`
-   *before* acknowledging — the ack means "durable", not "applied";
+   *before* acknowledging — the ack means "written and flushed to the
+   OS", not "applied" (see the WAL's fsync policies for power loss);
 4. **Hand off** in micro-batches: :meth:`take_batch` groups events by
    count *or* age, whichever threshold trips first, which is what keeps
    update latency bounded under trickle traffic and throughput high
@@ -37,9 +33,7 @@ from repro.api.contract import ApiError
 from repro.obs.tracer import traced
 from repro.streaming.wal import IngestEvent, WriteAheadLog
 
-__all__ = ["IngestPipe", "OVERFLOW_POLICIES"]
-
-OVERFLOW_POLICIES = ("shed", "block", "drop_oldest")
+__all__ = ["IngestPipe"]
 
 #: Validation bounds (mirrors the read contract's defensive limits).
 MAX_CLICKS_PER_EVENT = 256
@@ -129,41 +123,26 @@ def validate_event_payload(payload: Mapping[str, Any]) -> Dict[str, Any]:
 
 
 class IngestPipe:
-    """Bounded, WAL-backed admission queue with explicit backpressure."""
+    """Bounded, WAL-backed admission queue that sheds what does not fit."""
 
     def __init__(
         self,
         wal: WriteAheadLog,
         *,
         max_queue: int = 4096,
-        overflow: str = "shed",
-        block_timeout_s: float = 5.0,
         clock: Callable[[], float] = time.monotonic,
     ):
         if max_queue < 1:
             raise ValueError(f"max_queue must be >= 1, got {max_queue}")
-        if overflow not in OVERFLOW_POLICIES:
-            raise ValueError(
-                f"overflow must be one of {OVERFLOW_POLICIES}, "
-                f"got {overflow!r}"
-            )
-        if block_timeout_s <= 0:
-            raise ValueError(
-                f"block_timeout_s must be > 0, got {block_timeout_s}"
-            )
         self._wal = wal
         self._max_queue = max_queue
-        self._overflow = overflow
-        self._block_timeout_s = block_timeout_s
         self._clock = clock
         self._queue: Deque[Tuple[IngestEvent, float]] = deque()
         self._lock = threading.Lock()
-        self._not_full = threading.Condition(self._lock)
         self._not_empty = threading.Condition(self._lock)
         self._closed = False
         self._accepted = 0
         self._shed = 0
-        self._dropped = 0
 
     @property
     def wal(self) -> WriteAheadLog:
@@ -175,83 +154,30 @@ class IngestPipe:
         """Validate → admit → persist → enqueue one event.
 
         Returns the durable :class:`IngestEvent` (with its assigned
-        sequence number). Raises :class:`ApiError`:
-
-        * ``bad_request`` / ``invalid_argument`` — malformed payload;
-        * ``ingest_overloaded`` — queue full under ``shed`` (or
-          ``block`` after the timeout);
-        * ``ingest_unavailable`` — the pipe is closed.
+        sequence number); raises exactly what :meth:`submit_many` does
+        for a batch of one.
         """
-        fields = validate_event_payload(payload)
-        with self._not_full:
-            if self._closed:
-                raise ApiError(
-                    "ingest_unavailable", "ingest pipe is closed"
-                )
-            if len(self._queue) >= self._max_queue:
-                if self._overflow == "shed":
-                    self._shed += 1
-                    raise ApiError(
-                        "ingest_overloaded",
-                        f"ingest queue is full ({self._max_queue} events); "
-                        "retry with backoff",
-                    )
-                if self._overflow == "drop_oldest":
-                    self._queue.popleft()
-                    self._dropped += 1
-                else:  # block
-                    deadline = self._clock() + self._block_timeout_s
-                    while len(self._queue) >= self._max_queue:
-                        remaining = deadline - self._clock()
-                        if self._closed:
-                            raise ApiError(
-                                "ingest_unavailable", "ingest pipe is closed"
-                            )
-                        if remaining <= 0 or not self._not_full.wait(
-                            timeout=remaining
-                        ):
-                            if len(self._queue) < self._max_queue:
-                                break
-                            self._shed += 1
-                            raise ApiError(
-                                "ingest_overloaded",
-                                f"ingest queue stayed full for "
-                                f"{self._block_timeout_s:g}s; retry with "
-                                "backoff",
-                            )
-            # Durability before acknowledgement: the WAL record is the
-            # admission receipt.
-            with traced("ingest.wal_append", tags={"events": "1"}):
-                event = self._wal.append(**fields)
-            self._queue.append((event, self._clock()))
-            self._accepted += 1
-            self._not_empty.notify()
-            return event
+        return self.submit_many([payload])[0]
 
     def submit_many(
         self, payloads: Sequence[Mapping[str, Any]]
     ) -> List[IngestEvent]:
-        """Admit a pre-validated batch under one lock hold and ONE WAL
-        barrier — the coalescing edge's entry point.
+        """Admit a batch under one lock hold and ONE WAL barrier — the
+        coalescing edge's entry point, and :meth:`submit`'s body.
 
-        Every payload must already have passed
-        :func:`validate_event_payload` (the edge validates per-request
-        so one malformed client cannot fail its batch-mates). The
-        backpressure contract mirrors :meth:`submit`, applied to the
-        batch head-first:
+        Every payload is validated first, so a malformed one fails the
+        call before anything is admitted (the edge validates
+        per-request, so one malformed client cannot fail its
+        batch-mates). Then, head-first:
 
         * closed pipe → ``ingest_unavailable`` (nothing admitted);
-        * ``shed``: admit only what fits; zero room →
-          ``ingest_overloaded``; otherwise the admitted prefix is
-          returned and the rest counts as shed — the caller detects the
-          short return and backpressures per-request;
-        * ``drop_oldest``: admit everything, evicting the oldest queued
-          events;
-        * ``block``: wait up to the timeout for enough room, then shed
-          the whole batch (consistent with the "stayed full" message).
+        * a full queue → ``ingest_overloaded`` (nothing admitted);
+        * otherwise the prefix that fits is admitted and returned, and
+          the rest counts as shed — the caller detects the short return
+          and backpressures per-request.
 
-        Durable-before-ack holds: events are in the WAL (one fsync per
-        batch under the ``"always"`` policy via
+        Durable-before-ack holds: events are written to the WAL and
+        flushed (one fsync per batch under the ``"always"`` policy via
         :meth:`~repro.streaming.wal.WriteAheadLog.append_many`) before
         this returns, and the caller acks only after it returns.
         """
@@ -259,48 +185,19 @@ class IngestPipe:
             return []
         fields = [validate_event_payload(p) for p in payloads]
         n = len(fields)
-        with self._not_full:
+        with self._lock:
             if self._closed:
                 raise ApiError(
                     "ingest_unavailable", "ingest pipe is closed"
                 )
-            free = self._max_queue - len(self._queue)
-            if self._overflow == "shed":
-                n_admit = min(free, n)
-                if n_admit == 0:
-                    self._shed += n
-                    raise ApiError(
-                        "ingest_overloaded",
-                        f"ingest queue is full ({self._max_queue} events); "
-                        "retry with backoff",
-                    )
-            elif self._overflow == "drop_oldest":
-                n_admit = n
-                overflow = n - free
-                for _ in range(min(max(overflow, 0), len(self._queue))):
-                    self._queue.popleft()
-                    self._dropped += 1
-            else:  # block
-                deadline = self._clock() + self._block_timeout_s
-                while self._max_queue - len(self._queue) < n:
-                    remaining = deadline - self._clock()
-                    if self._closed:
-                        raise ApiError(
-                            "ingest_unavailable", "ingest pipe is closed"
-                        )
-                    if remaining <= 0 or not self._not_full.wait(
-                        timeout=remaining
-                    ):
-                        if self._max_queue - len(self._queue) >= n:
-                            break
-                        self._shed += n
-                        raise ApiError(
-                            "ingest_overloaded",
-                            f"ingest queue stayed full for "
-                            f"{self._block_timeout_s:g}s; retry with "
-                            "backoff",
-                        )
-                n_admit = n
+            n_admit = min(self._max_queue - len(self._queue), n)
+            if n_admit == 0:
+                self._shed += n
+                raise ApiError(
+                    "ingest_overloaded",
+                    f"ingest queue is full ({self._max_queue} events); "
+                    "retry with backoff",
+                )
             # Durability before acknowledgement, one barrier per batch.
             with traced(
                 "ingest.wal_append", tags={"events": str(n_admit)}
@@ -353,7 +250,6 @@ class IngestPipe:
             batch = []
             while self._queue and len(batch) < max_events:
                 batch.append(self._queue.popleft()[0])
-            self._not_full.notify_all()
         self._wal.sync()
         return batch
 
@@ -366,7 +262,6 @@ class IngestPipe:
         with self._lock:
             self._closed = True
             self._not_empty.notify_all()
-            self._not_full.notify_all()
 
     @property
     def closed(self) -> bool:
@@ -377,10 +272,8 @@ class IngestPipe:
             return {
                 "accepted": self._accepted,
                 "shed": self._shed,
-                "dropped": self._dropped,
                 "queue_depth": len(self._queue),
                 "max_queue": self._max_queue,
-                "overflow": self._overflow,
                 "closed": self._closed,
                 "wal": self._wal.stats(),
             }

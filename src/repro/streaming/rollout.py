@@ -6,7 +6,11 @@ map, stamped with the WAL sequence number it covers and (optionally)
 persisted as a PR-2 versioned snapshot directory.
 
 :class:`GenerationSwitch` owns the *rollout* of a generation across a
-heterogeneous set of live serving tiers:
+heterogeneous set of live serving tiers, and is the only thing that
+refreshes them: :class:`~repro.core.incremental.IncrementalShoal` just
+produces models, so a generation reaches readers once, after its
+probes, and never when the updater's drift gate skipped it. The tiers
+it accepts:
 
 * a :class:`~repro.core.serving.ShoalService` — refreshed via its
   atomic state swap (readers never see a half-installed index);
@@ -42,6 +46,9 @@ from repro.core.pipeline import ShoalModel
 from repro.core.serving import ShoalService
 
 __all__ = ["Generation", "GenerationSwitch", "SwapError", "SwapReport"]
+
+#: Hits compared per probe query when health-checking a swapped tier.
+PROBE_K = 5
 
 
 @dataclass(frozen=True)
@@ -171,8 +178,9 @@ class GenerationSwitch:
     """Coordinated, health-checked hot-swap across serving tiers.
 
     ``probe_queries`` are replayed against every tier after its swap
-    and compared with a reference service built from the new model;
-    with no probes, swaps are unconditional (still atomic per tier).
+    and their top :data:`PROBE_K` hits compared with a reference
+    service built from the new model; with no probes, swaps are
+    unconditional (still atomic per tier).
     ``baseline`` seeds the previous-generation record rollbacks restore
     to; without one, the first swap cannot roll back (there is nothing
     to roll back *to*) and failures raise without restoration.
@@ -182,15 +190,9 @@ class GenerationSwitch:
         self,
         *,
         probe_queries: Sequence[str] = (),
-        probe_k: int = 5,
         baseline: Optional[Generation] = None,
-        rollback_on_failure: bool = True,
     ):
-        if probe_k < 1:
-            raise ValueError(f"probe_k must be >= 1, got {probe_k}")
         self._probes = tuple(probe_queries)
-        self._probe_k = probe_k
-        self._rollback = rollback_on_failure
         self._targets: List[_EngineTarget] = []
         self._gateways: List[Any] = []
         self._current = baseline
@@ -270,7 +272,7 @@ class GenerationSwitch:
             entity_categories=generation.entity_categories,
         )
         return {
-            q: reference.search_topics(q, self._probe_k)
+            q: reference.search_topics(q, PROBE_K)
             for q in self._probes
         }
 
@@ -280,7 +282,7 @@ class GenerationSwitch:
         """None when healthy, else a description of the first failure."""
         for query, want in expected.items():
             try:
-                got = target.engine.search_topics(query, self._probe_k)
+                got = target.engine.search_topics(query, PROBE_K)
             except Exception as exc:  # noqa: BLE001 - reported, not raised
                 return f"probe {query!r} raised {type(exc).__name__}: {exc}"
             if list(got) != list(want):
@@ -325,7 +327,7 @@ class GenerationSwitch:
                 rolled_back = False
                 if failure is None:
                     target.generation = generation
-                elif self._rollback and previous is not None:
+                elif previous is not None:
                     try:
                         target.engine.refresh(
                             previous.model,

@@ -29,10 +29,13 @@ the only place corruption is tolerated; a bad checksum anywhere else
 raises :class:`WalCorruption` (the storage is damaged, not merely
 interrupted).
 
-**Fsync policy.** ``"always"`` fsyncs every append (durable against
-power loss, slowest), ``"batch"`` fsyncs on :meth:`sync` — which the
-ingest pipe calls once per admitted batch — and ``"never"`` leaves
-flushing to the OS (benchmarks only).
+**Fsync policy.** Every append is written and flushed to the OS before
+it returns. ``"always"`` also fsyncs each append (durable against
+power loss, slowest); ``"batch"`` fsyncs on :meth:`sync`, which the
+ingest pipe calls each time the updater takes a batch — so an acked
+event survives a process crash at once and a power loss once its
+batch is taken; ``"never"`` leaves syncing to the OS (benchmarks
+only).
 
 **Compaction.** Events feed a sliding-window model, so segments whose
 newest event predates the retention window are dead weight;
@@ -347,33 +350,6 @@ class WriteAheadLog:
             allow_nan=False,
         )
 
-    def _append_locked(
-        self,
-        *,
-        day: int,
-        user_id: int,
-        query_id: int,
-        clicked_entity_ids: Tuple[int, ...] = (),
-        query_text: Optional[str] = None,
-    ) -> IngestEvent:
-        """Assign a seq, write one record, roll if full (no flush/sync)."""
-        event = IngestEvent(
-            seq=self._next_seq,
-            day=day,
-            user_id=user_id,
-            query_id=query_id,
-            clicked_entity_ids=tuple(clicked_entity_ids),
-            query_text=query_text,
-        )
-        self._next_seq += 1
-        self._handle.write(self._encode(event) + "\n")
-        active = self._segments[-1]
-        active.observe(event)
-        self._appended += 1
-        if active.n_events >= self._segment_max_events:
-            self._roll_segment()
-        return event
-
     def append(
         self,
         *,
@@ -384,20 +360,14 @@ class WriteAheadLog:
         query_text: Optional[str] = None,
     ) -> IngestEvent:
         """Durably record one event; returns it with its assigned seq."""
-        with self._lock:
-            if self._closed:
-                raise ValueError("write-ahead log is closed")
-            event = self._append_locked(
-                day=day,
-                user_id=user_id,
-                query_id=query_id,
-                clicked_entity_ids=clicked_entity_ids,
-                query_text=query_text,
-            )
-            self._handle.flush()
-            if self._fsync == "always":
-                self._do_fsync()
-            return event
+        fields = dict(
+            day=day,
+            user_id=user_id,
+            query_id=query_id,
+            clicked_entity_ids=clicked_entity_ids,
+            query_text=query_text,
+        )
+        return self.append_many([fields])[0]
 
     def append_many(
         self, batch: Sequence[Mapping[str, Any]]
@@ -420,17 +390,24 @@ class WriteAheadLog:
             if self._closed:
                 raise ValueError("write-ahead log is closed")
             for fields in batch:
-                events.append(
-                    self._append_locked(
-                        day=fields["day"],
-                        user_id=fields.get("user_id", 0),
-                        query_id=fields["query_id"],
-                        clicked_entity_ids=tuple(
-                            fields.get("clicked_entity_ids", ())
-                        ),
-                        query_text=fields.get("query_text"),
-                    )
+                event = IngestEvent(
+                    seq=self._next_seq,
+                    day=fields["day"],
+                    user_id=fields.get("user_id", 0),
+                    query_id=fields["query_id"],
+                    clicked_entity_ids=tuple(
+                        fields.get("clicked_entity_ids", ())
+                    ),
+                    query_text=fields.get("query_text"),
                 )
+                self._next_seq += 1
+                self._handle.write(self._encode(event) + "\n")
+                active = self._segments[-1]
+                active.observe(event)
+                self._appended += 1
+                if active.n_events >= self._segment_max_events:
+                    self._roll_segment()
+                events.append(event)
             self._handle.flush()
             if self._fsync == "always":
                 self._do_fsync()

@@ -12,6 +12,8 @@ The acceptance bar for the edge lives here:
   completion;
 * a read is exactly one backend call, however slow it is relative to
   the reads before it;
+* a header line past the stream limit is a 400 contract error, not an
+  exception escaping to the event loop;
 * concurrent single-event ingests are coalesced into batched WAL
   appends — durable before ack, far fewer fsyncs than events, with the
   ``ingest_overloaded`` / ``ingest_unavailable`` backpressure contract
@@ -20,8 +22,10 @@ The acceptance bar for the edge lives here:
 
 from __future__ import annotations
 
+import asyncio
 import http.client
 import json
+import socket
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -342,6 +346,45 @@ class TestDeadlinePropagation:
         assert json.loads(body) == want.to_dict()
 
 
+class TestOversizedHead:
+    def test_header_line_over_the_stream_limit_is_400_and_close(
+        self, snapshot_dir
+    ):
+        server = AsyncShoalServer(
+            Gateway(ServiceBackend.from_snapshot(snapshot_dir)), port=0
+        ).start()
+        escaped = []
+
+        async def watch_the_loop():
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, context: escaped.append(context["message"])
+            )
+
+        try:
+            asyncio.run_coroutine_threadsafe(
+                watch_the_loop(), server._loop
+            ).result(timeout=5)
+            with socket.create_connection(
+                (server.host, server.port), timeout=10
+            ) as sock:
+                sock.sendall(
+                    b"GET /v1/health HTTP/1.1\r\nX-Big: "
+                    + b"a" * 70_000
+                    + b"\r\n\r\n"
+                )
+                reply = b""
+                while chunk := sock.recv(65536):
+                    reply += chunk
+        finally:
+            server.shutdown()
+        head, _, body = reply.partition(b"\r\n\r\n")
+        lines = head.decode("latin-1").split("\r\n")
+        assert lines[0] == "HTTP/1.1 400 Bad Request"
+        assert "Connection: close" in lines[1:]
+        assert json.loads(body)["error"]["code"] == "bad_request"
+        assert escaped == []
+
+
 class _CountingBackend:
     """Counts search calls; once ``dawdle_s`` is set every call sleeps
     that long first."""
@@ -402,8 +445,6 @@ def _ingest_world(snapshot_dir, tmp_path, **pipe_kwargs):
         Gateway(ServiceBackend.from_snapshot(snapshot_dir)),
         port=0,
         ingest_pipe=pipe,
-        coalesce_max_events=32,
-        coalesce_max_delay_ms=10.0,
     ).start()
     return server, pipe, wal
 
@@ -441,7 +482,7 @@ class TestIngestCoalescing:
         self, snapshot_dir, tmp_path
     ):
         server, pipe, wal = _ingest_world(
-            snapshot_dir, tmp_path, max_queue=2, overflow="shed"
+            snapshot_dir, tmp_path, max_queue=2
         )
         try:
             def post(i):

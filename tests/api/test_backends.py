@@ -181,6 +181,7 @@ class TestIncrementalBackend:
     def test_incremental_backend_serves_and_persists(self, tiny_marketplace):
         from repro.core.config import ShoalConfig
         from repro.core.incremental import IncrementalShoal
+        from repro.streaming import Generation, GenerationSwitch
 
         market = tiny_marketplace
         inc = IncrementalShoal(
@@ -189,18 +190,27 @@ class TestIncrementalBackend:
             {q.query_id: q.text for q in market.query_log.queries},
             {e.entity_id: e.category_id for e in market.catalog.entities},
         )
-        with pytest.raises(RuntimeError):
-            inc.backend()
+        assert inc.model is None  # nothing to serve before an advance
         inc.advance(market.query_log, last_day=6)
-        backend = inc.backend()
-        assert backend is inc.backend()  # persistent across calls
+        backend = ServiceBackend.from_model(
+            inc.model, entity_categories=inc.entity_categories
+        )
+        switch = GenerationSwitch().attach(backend)
         q = next(
             x.text
             for x in market.query_log.queries
             if x.intent_kind == "scenario"
         )
         response = backend.search(SearchRequest(query=q, k=3))
-        assert list(response.hits) == inc.service().search_topics(q, 3)
+        assert list(response.hits) == backend.service.search_topics(q, 3)
+        # The backend persists across slides: the switch refreshes it.
+        service = backend.service
+        update = inc.advance(market.query_log, last_day=6)
+        switch.swap(
+            Generation(1, update.model, inc.entity_categories, last_day=6)
+        )
+        assert backend.service is service
+        assert service.model is inc.model
 
 
 class TestOpenBackend:

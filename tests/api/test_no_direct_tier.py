@@ -31,6 +31,15 @@ A sixth guard bans request hedging and what existed only to serve it
 (any ``hedg…`` word, ``RequestContext.child``, ``.child(tags=``, the
 ``edge.attempt`` span): a read is one attempt under one context, so
 nothing may launch, count, configure or describe a second.
+
+A seventh guard bans the write path's removed second configurations:
+the ``block`` / ``drop_oldest`` admission policies and their knobs
+(``drop_oldest``, ``block_timeout_s``, ``OVERFLOW_POLICIES``), the
+switch's ``rollback_on_failure``, the coalescer's ``coalesce_max_*``
+parameters, the six ``serve-http`` tuning flags that became constants,
+and the maintainer-owned read tiers (``IncrementalShoal.service`` /
+``backend`` / ``cluster``): the pipe only sheds, and a generation
+reaches readers only through a ``GenerationSwitch``.
 """
 
 from __future__ import annotations
@@ -103,6 +112,24 @@ REMOVED_HEDGING = re.compile(
     r"hedg|RequestContext\.child|\.child\(tags=|edge\.attempt",
     re.IGNORECASE,
 )
+
+#: The write path's removed policies, knobs and flags, and the read
+#: tiers the maintainer used to own — all removed.
+REMOVED_WRITE_PATH_CONFIGS = re.compile(
+    r"drop_oldest|block_timeout_s|OVERFLOW_POLICIES|rollback_on_failure|"
+    r"coalesce_max_\w+|--ingest-(queue|overflow|batch-events|batch-age-s)\b|"
+    r"--coalesce-(events|delay-ms)\b|"
+    r"IncrementalShoal\.(service|backend|cluster)\b|"
+    r"\.(service|backend|cluster)\("
+)
+
+WRITE_PATH_SCAN_PATHS = [
+    "src",
+    "scripts",
+    "examples",
+    "benchmarks",
+    "README.md",
+]
 
 #: Frontends allowed to time the raw engine *behind* an adapter
 #: (reached via ``backend.service``, never constructed) — the only
@@ -225,6 +252,20 @@ def test_no_second_attempt_anywhere(path):
     )
 
 
+@pytest.mark.parametrize(
+    "path",
+    list(_scan_files(WRITE_PATH_SCAN_PATHS)),
+    ids=lambda p: str(p.relative_to(REPO_ROOT)),
+)
+def test_no_second_write_path_configuration_anywhere(path):
+    offending = _offending(path, REMOVED_WRITE_PATH_CONFIGS)
+    assert not offending, (
+        "reference to a removed write-path configuration (the ingest "
+        "pipe only sheds, the tuning flags are constants, and only a "
+        "GenerationSwitch refreshes a read tier):\n" + "\n".join(offending)
+    )
+
+
 def test_one_result_cache_by_construction():
     """``LRUCache(`` is built at one site (``CacheMiddleware``), and the
     engine tiers do not even import the cache module."""
@@ -296,7 +337,6 @@ def test_the_guard_itself_still_bites():
         "server = AsyncShoalServer(gateway, port=0)",
         "def handle(self, request, call_next):",
         "async-edge-soak:",
-        "serve-http --coalesce-events 64",
     ):
         assert not REMOVED_EDGE.search(snippet), snippet
     for snippet in (
@@ -332,3 +372,30 @@ def test_the_guard_itself_still_bites():
         "self._stats.deadline_expired += 1",
     ):
         assert not REMOVED_HEDGING.search(snippet), snippet
+    for snippet in (
+        'IngestPipe(wal, max_queue=8192, overflow="drop_oldest")',
+        "IngestPipe(wal, overflow=\"block\", block_timeout_s=5.0)",
+        "from repro.streaming.ingest import OVERFLOW_POLICIES",
+        "GenerationSwitch(rollback_on_failure=False)",
+        "AsyncShoalServer(gateway, coalesce_max_events=64)",
+        "serve-http --coalesce-events 64",
+        "serve-http --coalesce-delay-ms 5",
+        "serve-http --ingest-queue 4096 --ingest-overflow shed",
+        "serve-http --ingest-batch-events 64 --ingest-batch-age-s 2",
+        "`IncrementalShoal.cluster()` returns a persistent router",
+        "backend = inc.backend()",
+        "svc = maintainer.service()",
+        "router = inc.cluster(n_shards=2)",
+    ):
+        assert REMOVED_WRITE_PATH_CONFIGS.search(snippet), snippet
+    for snippet in (
+        "pipe = IngestPipe(wal, max_queue=8192)",
+        "serve-http --ingest-wal DIR --ingest-fsync always",
+        "engine = backend.service",
+        "router = backend.router",
+        "ServiceBackend.from_model(inc.model, entity_categories=cats)",
+        "m[\"api.aio.coalesce_events_per_flush\"] = events / batches",
+        "switch = GenerationSwitch(probe_queries=probes, baseline=base)",
+        "serve-cluster --shards 2",
+    ):
+        assert not REMOVED_WRITE_PATH_CONFIGS.search(snippet), snippet

@@ -7,6 +7,7 @@ import pytest
 from repro.core.config import ShoalConfig
 from repro.core.incremental import IncrementalShoal
 from repro.core.pipeline import ShoalPipeline
+from repro.core.serving import ShoalService
 from repro.data.marketplace import PROFILES, generate_marketplace
 from repro.data.queries import QueryLogConfig
 
@@ -189,8 +190,11 @@ class TestCheckpointResume:
         assert [t.topic_id for t in resumed.model.taxonomy] == [
             t.topic_id for t in inc.model.taxonomy
         ]
-        # The resumed instance serves immediately, without an advance.
-        assert resumed.service().search_topics("anything") is not None
+        # A tier built from the resumed model serves without an advance.
+        served = ShoalService(
+            resumed.model, entity_categories=resumed.entity_categories
+        )
+        assert served.search_topics("anything") is not None
 
         # The next slide behaves exactly as it would have pre-restart:
         # warm embeddings are reused and the result is identical.

@@ -12,6 +12,7 @@ from repro.core.incremental import IncrementalShoal
 from repro.core.serving import ShoalService
 from repro.data.marketplace import PROFILES, generate_marketplace
 from repro.data.queries import QueryLogConfig
+from repro.streaming import Generation, GenerationSwitch
 
 
 @pytest.fixture()
@@ -106,19 +107,17 @@ class TestIncrementalWiring:
             ShoalConfig(), titles, query_texts, categories, retrain_every=100
         )
 
-    def test_service_requires_model(self, long_market):
-        titles = {e.entity_id: e.title for e in long_market.catalog.entities}
-        inc = IncrementalShoal(ShoalConfig(), titles, {}, {})
-        with pytest.raises(RuntimeError):
-            inc.service()
-
-    def test_advance_refreshes_persistent_service(
+    def test_refreshed_service_serves_new_taxonomy(
         self, maintainer, long_market
     ):
+        """A service built from the maintainer's model stays the same
+        object across slides; the switch it is attached to refreshes
+        it to each new model."""
         maintainer.advance(long_market.query_log, last_day=6)
-        svc = maintainer.service()
-        assert maintainer.service() is svc  # persistent instance
-
+        svc = ShoalService(
+            maintainer.model, entity_categories=maintainer.entity_categories
+        )
+        switch = GenerationSwitch().attach(svc)
         query = next(
             q.text
             for q in long_market.query_log.queries
@@ -126,28 +125,22 @@ class TestIncrementalWiring:
         )
         assert svc.search_topics(query, k=3)
 
-        maintainer.advance(long_market.query_log, last_day=7)
+        update = maintainer.advance(long_market.query_log, last_day=8)
+        switch.swap(
+            Generation(
+                number=1,
+                model=update.model,
+                entity_categories=maintainer.entity_categories,
+                last_day=8,
+            )
+        )
         # Same service object, new model, answers from the new window.
-        assert maintainer.service() is svc
         assert svc.model is maintainer.model
         assert svc.search_topics(query, k=3) == ShoalService(
             maintainer.model,
             entity_categories=maintainer.entity_categories,
         ).search_topics(query, k=3)
-
-    def test_refreshed_service_serves_new_taxonomy(
-        self, maintainer, long_market
-    ):
-        maintainer.advance(long_market.query_log, last_day=8)
-        svc = maintainer.service()
-        hits = svc.search_topics(
-            next(
-                q.text
-                for q in long_market.query_log.queries
-                if q.intent_kind == "scenario"
-            ),
-            k=1,
-        )
+        hits = svc.search_topics(query, k=1)
         assert hits
         # The returned topic exists in the *current* taxonomy.
         assert svc.taxonomy.topic(hits[0].topic_id) is not None

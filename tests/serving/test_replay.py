@@ -1,5 +1,5 @@
-"""Tests for repro.serving.replay and repro.serving.stats: workload
-profiles, the replayer, and latency summaries."""
+"""Tests for repro.serving.replay: workload profiles, the replayer, and
+the latency summaries of the histogram it records into."""
 
 import pytest
 
@@ -7,12 +7,12 @@ from repro.api import Gateway, ServiceBackend
 from repro.core.serving import ShoalService
 from repro.serving import (
     ClusterRouter,
+    Histogram,
     TrafficReplayer,
     WorkloadConfig,
     build_workload,
     percentile,
 )
-from repro.serving.stats import RequestStats
 
 
 @pytest.fixture(scope="module")
@@ -190,7 +190,7 @@ class TestStats:
             percentile([1.0], 101)
 
     def test_recorder_summary(self):
-        stats = RequestStats()
+        stats = Histogram()
         for ms in (1, 2, 3, 4, 100):
             stats.record(ms / 1000.0)
         s = stats.summary()
@@ -204,12 +204,12 @@ class TestStats:
         assert s.total_seconds == pytest.approx(0.110)
 
     def test_empty_recorder(self):
-        s = RequestStats().summary()
+        s = Histogram().summary()
         assert s.count == 0
         assert s.qps == 0.0
 
     def test_reset(self):
-        stats = RequestStats()
+        stats = Histogram()
         stats.record(0.5)
         stats.reset()
         assert stats.summary().count == 0

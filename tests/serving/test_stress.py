@@ -1,5 +1,6 @@
 """Concurrency stress: hammer the ClusterRouter from a thread pool
-while IncrementalShoal slides windows underneath it.
+while IncrementalShoal slides windows and a GenerationSwitch swaps each
+new model in underneath it.
 
 Asserts the three cluster-safety properties: no exceptions under
 concurrent load, no stale answers once a refresh completes, and
@@ -10,11 +11,13 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from repro.api import ClusterBackend
 from repro.core.config import ShoalConfig
 from repro.core.incremental import IncrementalShoal
 from repro.core.serving import ShoalService
 from repro.data.marketplace import PROFILES, generate_marketplace
 from repro.data.queries import QueryLogConfig
+from repro.streaming import Generation, GenerationSwitch
 
 
 @pytest.fixture(scope="module")
@@ -48,11 +51,33 @@ def make_maintainer(market):
     return inc
 
 
+def switched_router(inc, n_shards):
+    """(router, switch): a cluster tier built from the maintainer's
+    model, attached to the switch that keeps it current."""
+    backend = ClusterBackend.from_model(
+        inc.model, n_shards, entity_categories=inc.entity_categories
+    )
+    return backend.router, GenerationSwitch().attach(backend)
+
+
+def slide(inc, switch, market, day):
+    """Advance the window and swap the new model into the tier."""
+    update = inc.advance(market.query_log, last_day=day)
+    return switch.swap(
+        Generation(
+            number=switch.stats()["swaps"] + 1,
+            model=update.model,
+            entity_categories=inc.entity_categories,
+            last_day=day,
+        )
+    )
+
+
 @pytest.mark.slow
 class TestClusterUnderSlides:
     def test_hammer_while_sliding(self, long_market):
         inc = make_maintainer(long_market)
-        router = inc.cluster(n_shards=2)
+        router, switch = switched_router(inc, 2)
         queries = [q.text for q in long_market.query_log.queries]
         errors = []
         stop = threading.Event()
@@ -76,7 +101,7 @@ class TestClusterUnderSlides:
             futures = [pool.submit(hammer, w) for w in range(4)]
             try:
                 for day in (7, 8, 9, 7, 8):
-                    inc.advance(long_market.query_log, last_day=day)
+                    slide(inc, switch, long_market, day)
                     request_totals.append(router.request_stats().count)
             finally:
                 stop.set()
@@ -91,11 +116,11 @@ class TestClusterUnderSlides:
     def test_no_stale_answers_after_refresh(self, long_market):
         """Post-refresh, the quiescent cluster equals a fresh service."""
         inc = make_maintainer(long_market)
-        router = inc.cluster(n_shards=4)
+        router, switch = switched_router(inc, 4)
         queries = [q.text for q in long_market.query_log.queries][:60]
         for q in queries:  # serve the old window first
             router.search_topics(q, 5)
-        inc.advance(long_market.query_log, last_day=9)
+        slide(inc, switch, long_market, 9)
         fresh = ShoalService(
             inc.model,
             entity_categories={
@@ -112,7 +137,7 @@ class TestClusterUnderSlides:
     def test_concurrent_identical_requests_single_router(self, long_market):
         """Many threads asking the same things agree with each other."""
         inc = make_maintainer(long_market)
-        router = inc.cluster(n_shards=2)
+        router, _ = switched_router(inc, 2)
         queries = [q.text for q in long_market.query_log.queries][:30]
         expected = [router.search_topics(q, 5) for q in queries]
 
@@ -125,34 +150,25 @@ class TestClusterUnderSlides:
 
 
 class TestClusterWiring:
-    """Fast (non-slow) checks of the IncrementalShoal.cluster wiring."""
-
-    def test_cluster_requires_model(self, long_market):
-        inc = IncrementalShoal(
-            ShoalConfig(),
-            titles={},
-            query_texts={},
-        )
-        with pytest.raises(RuntimeError, match="advance"):
-            inc.cluster()
+    """Fast (non-slow) checks of a cluster tier a switch keeps current
+    while the maintainer slides."""
 
     def test_cluster_is_persistent(self, long_market):
         inc = make_maintainer(long_market)
-        a = inc.cluster(n_shards=2)
-        b = inc.cluster(n_shards=2)
-        assert a is b
-
-    def test_reshaping_builds_new_router(self, long_market):
-        inc = make_maintainer(long_market)
-        a = inc.cluster(n_shards=2)
-        b = inc.cluster(n_shards=4)
-        assert a is not b
-        assert b.n_shards == 4
+        backend = ClusterBackend.from_model(
+            inc.model, 2, entity_categories=inc.entity_categories
+        )
+        router = backend.router
+        switch = GenerationSwitch().attach(backend)
+        slide(inc, switch, long_market, 7)
+        # Refreshed in place: whoever holds the router holds the tier.
+        assert backend.router is router
+        assert router.n_shards == 2
 
     def test_idempotent_slide_keeps_cluster_shards(self, long_market):
         inc = make_maintainer(long_market)
         inc.advance(long_market.query_log, last_day=7)
-        router = inc.cluster(n_shards=2)
+        router, switch = switched_router(inc, 2)
         queries = [q.text for q in long_market.query_log.queries][:20]
         for q in queries:
             router.search_topics(q, 5)
@@ -161,5 +177,6 @@ class TestClusterWiring:
         # Re-advancing to the same day refits an identical window model:
         # fingerprints and collection stats match, so no shard is
         # rebuilt and the busy-time accumulators carry over.
-        inc.advance(long_market.query_log, last_day=7)
+        report = slide(inc, switch, long_market, 7)
+        assert report.outcomes[0].rebuilt_shards == ()
         assert router.shard_busy_seconds() == busy_before

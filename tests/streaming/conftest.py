@@ -12,6 +12,7 @@ import dataclasses
 
 import pytest
 
+from repro.api import ServiceBackend
 from repro.core.config import ShoalConfig
 from repro.core.incremental import IncrementalShoal
 from repro.data.marketplace import PROFILES, generate_marketplace
@@ -61,6 +62,14 @@ def make_base_inc(stream_market, stream_inputs) -> IncrementalShoal:
     )
     inc.advance(stream_market.query_log, last_day=BASE_LAST_DAY)
     return inc
+
+
+def serving_tier(inc: IncrementalShoal) -> ServiceBackend:
+    """A read tier built from the maintainer's current model. Only a
+    GenerationSwitch it is attached to keeps it current."""
+    return ServiceBackend.from_model(
+        inc.model, entity_categories=inc.entity_categories
+    )
 
 
 @pytest.fixture

@@ -23,7 +23,6 @@ from repro.api import (
     ClusterBackend,
     RecommendRequest,
     SearchRequest,
-    ServiceBackend,
 )
 from repro.streaming import (
     GenerationSwitch,
@@ -36,6 +35,7 @@ from tests.streaming.conftest import (
     BASE_LAST_DAY,
     event_payload,
     make_base_inc,
+    serving_tier,
 )
 
 N_LIVE = 250  # live events streamed through the WAL before the swap
@@ -62,7 +62,7 @@ def swapped_world(
     """
     tmp_path = tmp_path_factory.mktemp("hotswap")
     inc = make_base_inc(stream_market, stream_inputs)
-    single = ServiceBackend(inc.service())
+    single = serving_tier(inc)
     cluster = ClusterBackend.from_model(
         inc.model, 4, entity_categories=inc.entity_categories
     )
@@ -87,7 +87,7 @@ def swapped_world(
     fresh_inc = make_base_inc(stream_market, stream_inputs)
     cumulative = _cumulative_log(stream_market.query_log, applied)
     fresh_inc.advance(cumulative, last_day=last_day)
-    fresh = ServiceBackend(fresh_inc.service())
+    fresh = serving_tier(fresh_inc)
 
     pool = sorted({q.text for q in stream_market.query_log.queries})
     return single, cluster, fresh, pool
@@ -149,7 +149,7 @@ class TestTransparencyDuringSwap:
         swap happens; every recorded answer must equal the old OR the
         new generation's answer for that query, and no read may fail."""
         inc = make_base_inc(stream_market, stream_inputs)
-        single = ServiceBackend(inc.service())
+        single = serving_tier(inc)
         cluster = ClusterBackend.from_model(
             inc.model, 4, entity_categories=inc.entity_categories
         )
@@ -213,11 +213,10 @@ class TestTransparencyDuringSwap:
         import http.client
         import json
 
-        from repro.api import Gateway
         from repro.api.aio import AsyncShoalServer
 
         inc = make_base_inc(stream_market, stream_inputs)
-        single = ServiceBackend(inc.service())
+        single = serving_tier(inc)
         cluster = ClusterBackend.from_model(
             inc.model, 4, entity_categories=inc.entity_categories
         )

@@ -23,6 +23,7 @@ from tests.streaming.conftest import (
     BASE_LAST_DAY,
     event_payload,
     make_base_inc,
+    serving_tier,
 )
 
 
@@ -30,7 +31,7 @@ from tests.streaming.conftest import (
 def served_with_ingest(tmp_path, stream_market, stream_inputs):
     """A live gateway server with the full write path attached."""
     inc = make_base_inc(stream_market, stream_inputs)
-    backend = ServiceBackend(inc.service())
+    backend = serving_tier(inc)
     gateway = Gateway(backend)
     switch = GenerationSwitch().attach(backend).attach(gateway)
     wal = WriteAheadLog(tmp_path / "wal", fsync="never")
@@ -92,7 +93,7 @@ class TestHttpIngest:
     def test_ingest_404_when_not_enabled(self, tmp_path, stream_market, stream_inputs):
         inc = make_base_inc(stream_market, stream_inputs)
         server = AsyncShoalServer(
-            Gateway(ServiceBackend(inc.service())), port=0
+            Gateway(serving_tier(inc)), port=0
         )
         server.start()
         try:

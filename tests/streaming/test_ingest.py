@@ -1,8 +1,6 @@
-"""IngestPipe: validation, backpressure policies, batching by count/age."""
+"""IngestPipe: validation, shed-only backpressure, batching by count/age."""
 
 from __future__ import annotations
-
-import threading
 
 import pytest
 
@@ -72,7 +70,7 @@ class TestValidation:
 
 class TestBackpressure:
     def test_shed_rejects_with_stable_code_when_full(self, wal):
-        pipe = IngestPipe(wal, max_queue=2, overflow="shed")
+        pipe = IngestPipe(wal, max_queue=2)
         pipe.submit(_event(0))
         pipe.submit(_event(1))
         assert _code_of(lambda: pipe.submit(_event(2))) == "ingest_overloaded"
@@ -81,41 +79,13 @@ class TestBackpressure:
         # record, and this event was never admitted.
         assert wal.event_count() == 2
 
-    def test_drop_oldest_admits_by_evicting(self, wal):
-        pipe = IngestPipe(wal, max_queue=2, overflow="drop_oldest")
-        for i in range(4):
-            pipe.submit(_event(i))
-        assert pipe.queue_depth() == 2
-        stats = pipe.stats()
-        assert stats["accepted"] == 4 and stats["dropped"] == 2
-        # Evicted events stay durable — the WAL replays all four.
-        assert wal.event_count() == 4
-
-    def test_block_waits_for_the_consumer(self, wal):
-        pipe = IngestPipe(
-            wal, max_queue=1, overflow="block", block_timeout_s=5.0
-        )
+    def test_batch_admits_the_prefix_that_fits_and_sheds_the_rest(self, wal):
+        pipe = IngestPipe(wal, max_queue=3)
         pipe.submit(_event(0))
-        released = threading.Event()
-
-        def consume():
-            released.wait(timeout=5)
-            pipe.take_batch(max_events=1, max_age_s=0.0, timeout_s=1.0)
-
-        t = threading.Thread(target=consume)
-        t.start()
-        released.set()
-        event = pipe.submit(_event(1))  # must block, then succeed
-        t.join(timeout=5)
-        assert event.seq == 2
-
-    def test_block_sheds_after_timeout(self, tmp_path):
-        wal = WriteAheadLog(tmp_path, fsync="never")
-        pipe = IngestPipe(
-            wal, max_queue=1, overflow="block", block_timeout_s=0.05
-        )
-        pipe.submit(_event(0))
-        assert _code_of(lambda: pipe.submit(_event(1))) == "ingest_overloaded"
+        events = pipe.submit_many([_event(i) for i in (1, 2, 3, 4)])
+        assert [e.query_id for e in events] == [1, 2]
+        assert pipe.stats()["shed"] == 2
+        assert wal.event_count() == 3
 
     def test_closed_pipe_refuses_submissions(self, wal):
         pipe = IngestPipe(wal)

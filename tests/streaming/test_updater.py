@@ -10,6 +10,7 @@ kill landed.
 
 from __future__ import annotations
 
+from repro.core.incremental import IncrementalShoal
 from repro.obs.tracer import Tracer, set_default_tracer
 from repro.streaming import (
     GenerationSwitch,
@@ -23,6 +24,7 @@ from tests.streaming.conftest import (
     BASE_LAST_DAY,
     event_payload,
     make_base_inc,
+    serving_tier,
 )
 
 
@@ -318,7 +320,7 @@ class TestBackgroundThread:
     def test_start_stop_produces_generations(
         self, tmp_path, stream_market, live_events, base_inc
     ):
-        switch = GenerationSwitch().attach(base_inc.service())
+        switch = GenerationSwitch().attach(serving_tier(base_inc))
         _, pipe, updater = make_updater(
             tmp_path,
             base_inc,
@@ -347,7 +349,7 @@ class TestDriftGate:
     def _run_two_generations(
         self, tmp_path, stream_market, live_events, base_inc, gate
     ):
-        switch = GenerationSwitch().attach(base_inc.service())
+        switch = GenerationSwitch().attach(serving_tier(base_inc))
         _, pipe, updater = make_updater(
             tmp_path, base_inc, switch=switch, drift_gate=gate
         )
@@ -428,3 +430,39 @@ class TestDriftGate:
         )
         assert skipped == (1 if trivial else 0)
         assert switch.current.number == (1 if trivial else 2)
+
+    def test_readers_only_ever_see_what_the_switch_rolled_out(
+        self, tmp_path, stream_market, live_events, base_inc
+    ):
+        """A generation the gate skips must not reach readers by any
+        other path. A tier the maintainer owned and refreshed inside
+        advance() did exactly that: it served skipped generations,
+        unprobed, with no gateway cache invalidated. So the maintainer
+        owns no tier, and after every cycle the tier serves the
+        switch's current model."""
+        from repro.analytics import DriftMonitor
+
+        assert not [
+            name
+            for name in ("service", "backend", "cluster")
+            if hasattr(IncrementalShoal, name)
+        ]
+        tier = serving_tier(base_inc)
+        switch = GenerationSwitch().attach(tier)
+        _, pipe, updater = make_updater(
+            tmp_path,
+            base_inc,
+            switch=switch,
+            drift_gate=DriftMonitor(threshold=0.99),
+        )
+        updater.seed_log(stream_market.query_log.window(0, BASE_LAST_DAY))
+        # Five 40-event generations: the first three change the topic
+        # count and roll out, the gate holds back the last two.
+        for n in range(5):
+            for e in live_events[40 * n:40 * (n + 1)]:
+                pipe.submit(event_payload(e))
+            assert updater.run_once(timeout_s=0.0) is not None
+            assert tier.service.model is switch.current.model
+        stats = updater.stats()
+        assert (stats.generations, stats.rollouts_skipped) == (5, 2)
+        assert switch.current.number == 3

@@ -49,6 +49,25 @@ class TestAppendReplay:
             )
         ]
 
+    def test_append_writes_the_bytes_append_many_writes(self, tmp_path):
+        batch = [
+            {"day": 7, "user_id": 3, "query_id": 11,
+             "clicked_entity_ids": (4, 9), "query_text": "beach dress"},
+            {"day": 8, "user_id": 0, "query_id": 12},
+        ]
+        with WriteAheadLog(tmp_path / "one", fsync="never") as wal:
+            singles = [wal.append(**fields) for fields in batch]
+        with WriteAheadLog(tmp_path / "many", fsync="never") as wal:
+            assert wal.append_many(batch) == singles
+
+        def log_bytes(name):
+            return b"".join(
+                p.read_bytes()
+                for p in sorted((tmp_path / name).glob("wal-*.jsonl"))
+            )
+
+        assert log_bytes("one") == log_bytes("many")
+
     def test_sequence_numbers_are_strictly_monotonic(self, tmp_path):
         wal = WriteAheadLog(tmp_path, fsync="never")
         events = _fill(wal, 20)

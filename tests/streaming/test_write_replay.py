@@ -4,12 +4,15 @@ from __future__ import annotations
 
 import pytest
 
-from repro.api import ServiceBackend
 from repro.serving import TrafficReplayer, WorkloadConfig, build_workload
 from repro.serving.replay import build_write_workload
 from repro.streaming import IngestPipe, WriteAheadLog
 
-from tests.streaming.conftest import BASE_LAST_DAY, make_base_inc
+from tests.streaming.conftest import (
+    BASE_LAST_DAY,
+    make_base_inc,
+    serving_tier,
+)
 
 
 @pytest.fixture
@@ -45,7 +48,7 @@ class TestMixedReplay:
         self, tmp_path, stream_market, stream_inputs, read_workload
     ):
         inc = make_base_inc(stream_market, stream_inputs)
-        backend = ServiceBackend(inc.service())
+        backend = serving_tier(inc)
         wal = WriteAheadLog(tmp_path / "wal", fsync="never")
         pipe = IngestPipe(wal, max_queue=10_000)
         writes = build_write_workload(
@@ -65,9 +68,9 @@ class TestMixedReplay:
         self, tmp_path, stream_market, stream_inputs, read_workload
     ):
         inc = make_base_inc(stream_market, stream_inputs)
-        backend = ServiceBackend(inc.service())
+        backend = serving_tier(inc)
         wal = WriteAheadLog(tmp_path / "wal", fsync="never")
-        pipe = IngestPipe(wal, max_queue=3, overflow="shed")
+        pipe = IngestPipe(wal, max_queue=3)
         writes = build_write_workload(
             stream_market.query_log, 40, day=BASE_LAST_DAY + 1
         )
@@ -82,7 +85,7 @@ class TestMixedReplay:
         self, stream_market, stream_inputs, read_workload
     ):
         inc = make_base_inc(stream_market, stream_inputs)
-        backend = ServiceBackend(inc.service())
+        backend = serving_tier(inc)
         report = TrafficReplayer(backend, k=5).replay(read_workload)
         assert report.n_writes == 0
         assert "writes" not in report.summary()
@@ -91,7 +94,7 @@ class TestMixedReplay:
         self, stream_market, stream_inputs, read_workload
     ):
         inc = make_base_inc(stream_market, stream_inputs)
-        backend = ServiceBackend(inc.service())
+        backend = serving_tier(inc)
         with pytest.raises(ValueError, match="write-mode replay"):
             TrafficReplayer(backend, k=5).replay(
                 read_workload, writes=[{"day": 7, "query_id": 0}]

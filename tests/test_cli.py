@@ -84,6 +84,48 @@ class TestParser:
         assert excinfo.value.code == 2
         assert "unrecognized arguments: --replicas" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--ingest-queue", "4096"),
+            ("--ingest-overflow", "shed"),
+            ("--ingest-batch-events", "64"),
+            ("--ingest-batch-age-s", "2.0"),
+            ("--coalesce-events", "64"),
+            ("--coalesce-delay-ms", "5.0"),
+        ],
+    )
+    def test_write_path_tuning_flags_are_gone(self, flag, value, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(
+                ["serve-http", "--load", "d", flag, value]
+            )
+        assert excinfo.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+class TestIngestCommand:
+    def test_refreshes_its_tier_once_per_generation(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """Only the switch refreshes the read tier, so each generation
+        reaches it exactly once (after its probes)."""
+        from repro.core.serving import ShoalService
+
+        refreshed = []
+        real_refresh = ShoalService.refresh
+
+        def spy(self, *args, **kwargs):
+            refreshed.append(self)
+            return real_refresh(self, *args, **kwargs)
+
+        monkeypatch.setattr(ShoalService, "refresh", spy)
+        argv = ["ingest", "--profile", "tiny", "--live-days", "2",
+                "--wal", str(tmp_path / "wal")]
+        assert main(argv) == 0
+        assert "-> 4 generations (0 swap failures)" in capsys.readouterr().out
+        assert len(refreshed) == 4
+
 
 class TestFitCommand:
     def test_prints_taxonomy(self, capsys):
