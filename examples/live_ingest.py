@@ -69,7 +69,7 @@ def main() -> None:
     # health-checked hot-swap into backend AND gateway.
     wal_dir = Path(tempfile.mkdtemp(prefix="shoal-wal-"))
     switch = GenerationSwitch(probe_queries=[probe])
-    switch.attach(backend, name="read-tier").attach(gateway)
+    switch.attach(backend).attach(gateway)
     wal = WriteAheadLog(wal_dir, fsync="batch")
     pipe = IngestPipe(wal, max_queue=8192)
     updater = StreamingUpdater(

@@ -76,7 +76,7 @@ def main() -> None:
         update.model, entity_categories=categories
     )
     gateway = Gateway(backend)
-    switch = GenerationSwitch().attach(backend, name="read-tier")
+    switch = GenerationSwitch().attach(backend)
     switch.attach(gateway)
 
     # The write path, with the drift gate armed: a generation whose

@@ -146,6 +146,13 @@ def _cache_ttl_arg(text: str) -> float:
     return value
 
 
+def _drift_threshold_arg(text: str) -> float:
+    value = float(text)
+    if not 0.0 <= value < 1.0:
+        raise argparse.ArgumentTypeError(f"must be in [0, 1), got {value:g}")
+    return value
+
+
 def _add_serve_flags(parser: argparse.ArgumentParser, *, port: int) -> None:
     """The flags both serving roles (serve-http, serve-follower) take."""
     parser.add_argument("--host", default="127.0.0.1")
@@ -564,11 +571,6 @@ def _build_ingest_side(args, backend):
     generation hot-swaps in with probe-query health checks.
     """
     if not args.ingest_wal:
-        if getattr(args, "ship_feed", None):
-            raise SystemExit(
-                "--ship-feed requires --ingest-wal DIR: followers replay "
-                "the primary's closed WAL segments"
-            )
         return None, None, None
     if not args.load:
         raise SystemExit(
@@ -620,17 +622,17 @@ def _build_ingest_side(args, backend):
     )
     switch = GenerationSwitch(
         probe_queries=probes, baseline=baseline
-    ).attach(backend, name="http-backend")
+    ).attach(backend)
     wal = WriteAheadLog(args.ingest_wal, fsync=args.ingest_fsync)
     pipe = IngestPipe(wal, max_queue=SERVE_INGEST_QUEUE)
     drift_gate = None
-    if getattr(args, "drift_threshold", None) is not None:
+    if args.drift_threshold is not None:
         from repro.analytics import DriftMonitor
 
         drift_gate = DriftMonitor(threshold=args.drift_threshold)
     shipper = None
     generations_dir = args.generations
-    if getattr(args, "ship_feed", None):
+    if args.ship_feed:
         import tempfile
 
         from repro.replication import SegmentShipper
@@ -679,11 +681,6 @@ def _build_analytics_side(args, backend, pipe):
     contend with the serving structures."""
     if not args.analytics_db:
         return None, None
-    if not args.ingest_wal:
-        raise SystemExit(
-            "--analytics-db requires --ingest-wal DIR: the analytics "
-            "store is a replica of the write-ahead log"
-        )
     from repro.analytics import (
         AnalyticsStore,
         QueryEngine,
@@ -749,6 +746,29 @@ def _check_cache_flags(args) -> None:
         )
 
 
+#: ``serve-http`` flags that only configure the write path, and why
+#: each one is meaningless without ``--ingest-wal``.
+_WRITE_PATH_FLAGS = (
+    ("ship_feed", "--ship-feed",
+     "followers replay the primary's closed WAL segments"),
+    ("analytics_db", "--analytics-db",
+     "the analytics store is a replica of the write-ahead log"),
+    ("drift_threshold", "--drift-threshold",
+     "the drift gate decides whether a new generation rolls out"),
+    ("generations", "--generations",
+     "generations are produced only by the write path"),
+)
+
+
+def _check_write_path_flags(args) -> None:
+    """Reject write-path flags given without ``--ingest-wal``."""
+    if args.ingest_wal:
+        return
+    for dest, flag, why in _WRITE_PATH_FLAGS:
+        if getattr(args, dest) is not None:
+            raise SystemExit(f"{flag} requires --ingest-wal DIR: {why}")
+
+
 def _gateway_over(backend, middlewares=None, *, access_log=None):
     """A gateway over an in-process tier (default stack unless given).
 
@@ -804,6 +824,7 @@ def _cmd_serve_http(args) -> int:
     from repro.api import AsyncShoalServer
 
     _check_cache_flags(args)
+    _check_write_path_flags(args)
     if bool(args.load) == bool(args.cluster_dir):
         raise SystemExit(
             "serve-http needs exactly one of --load DIR or --cluster-dir DIR"
@@ -879,12 +900,7 @@ def _cmd_serve_follower(args) -> int:
 
     _check_cache_flags(args)
     workdir = args.workdir or tempfile.mkdtemp(prefix="shoal-follower-")
-    follower = Follower(
-        args.feed,
-        workdir,
-        follower_id=args.id,
-        n_shards=args.shards,
-    )
+    follower = Follower(args.feed, workdir, follower_id=args.id)
     backend = follower.bootstrap()
     tracer = _build_tracer(args)
     gateway = _build_gateway(args, backend)
@@ -975,7 +991,7 @@ def _cmd_ingest(args) -> int:
     )
     switch = GenerationSwitch(
         probe_queries=probes, baseline=baseline
-    ).attach(backend, name="read-tier")
+    ).attach(backend)
     wal = WriteAheadLog(args.wal, fsync=args.fsync)
     pipe = IngestPipe(wal, max_queue=args.queue_size)
     updater = StreamingUpdater(
@@ -1247,7 +1263,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_http.add_argument(
         "--generations", default=None, metavar="DIR",
-        help="persist each model generation as a versioned snapshot here",
+        help="persist each model generation as a versioned snapshot here "
+             "(requires --ingest-wal)",
     )
     p_http.add_argument(
         "--analytics-db", default=None, metavar="PATH",
@@ -1256,10 +1273,12 @@ def build_parser() -> argparse.ArgumentParser:
              "--ingest-wal)",
     )
     p_http.add_argument(
-        "--drift-threshold", type=float, default=None, metavar="FRAC",
+        "--drift-threshold", type=_drift_threshold_arg, default=None,
+        metavar="FRAC",
         help="skip a generation rollout when at most this fraction of "
              "entities changed topic membership (0.0 = only skip "
-             "identical partitions; default: never skip)",
+             "identical partitions; default: never skip; requires "
+             "--ingest-wal)",
     )
     p_http.add_argument(
         "--ship-feed", default=None, metavar="DIR",
@@ -1293,11 +1312,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="stable follower identity in reports (default: random)",
     )
     _add_serve_flags(p_follower, port=8081)
-    p_follower.add_argument(
-        "--shards", type=int, default=1,
-        help="serve through an n-shard cluster tier instead of a "
-             "single service",
-    )
     p_follower.add_argument(
         "--catch-up-s", type=float, default=60.0,
         help="max seconds to replay the feed before the port opens",

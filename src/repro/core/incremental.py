@@ -58,10 +58,9 @@ class IncrementalShoal:
     """Maintains a SHOAL model as the query-log window slides.
 
     A pure model maintainer: it owns no read tier. Serve by building a
-    tier from :attr:`model` (``ServiceBackend.from_model`` /
-    ``ClusterBackend.from_model``) and attaching it to a
-    :class:`~repro.streaming.rollout.GenerationSwitch`, the one thing
-    that keeps a tier current.
+    tier from :attr:`model` (``ServiceBackend.from_model``) and
+    attaching it to a :class:`~repro.streaming.rollout.GenerationSwitch`,
+    the one thing that keeps a tier current.
 
     Usage::
 

@@ -18,6 +18,10 @@ A follower owns no ingest path. Its inputs are exactly what the
   poison-skip rules ⇒ byte-identical generation snapshots (the
   hypothesis suite pins this).
 
+A follower is a **whole-model replica**: it serves one
+:class:`~repro.api.backends.ServiceBackend` over the full model, never
+a sharded tier, so horizontal scale is more followers, not more shards.
+
 Built generations are **staged**, not served: the follower's
 :class:`GenerationSwitch` only swaps when the coordinator broadcasts an
 epoch naming a generation + fingerprint. A follower whose own build
@@ -37,7 +41,7 @@ from collections import OrderedDict
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
-from repro.api.backends import ClusterBackend, ServiceBackend, ShoalBackend
+from repro.api.backends import ServiceBackend, ShoalBackend
 from repro.api.contract import (
     BatchRequest,
     BatchResponse,
@@ -152,21 +156,19 @@ class Follower:
         workdir: Union[str, Path],
         *,
         follower_id: Optional[str] = None,
-        n_shards: int = 1,
         poll_interval_s: float = 0.2,
     ):
         self._feed = Feed(feed_dir)
         self._workdir = Path(workdir)
         self._workdir.mkdir(parents=True, exist_ok=True)
         self.follower_id = follower_id or f"follower-{secrets.token_hex(4)}"
-        self._n_shards = n_shards
         self._poll_interval_s = poll_interval_s
 
         self._nonce: Optional[str] = None
         self._pipe: Optional[_FeedPipe] = None
         self._updater: Optional[StreamingUpdater] = None
         self._switch: Optional[GenerationSwitch] = None
-        self._inner: Optional[ShoalBackend] = None
+        self._inner: Optional[ServiceBackend] = None
         self._backend: Optional["FollowerBackend"] = None
 
         self._staged: "OrderedDict[int, Generation]" = OrderedDict()
@@ -225,17 +227,7 @@ class Follower:
             entity_categories=cats,
             retrain_every=int(manifest.get("retrain_every", 7)),
         )
-
-        if self._n_shards > 1:
-            self._inner = ClusterBackend.from_model(
-                model,
-                self._n_shards,
-                entity_categories=cats,
-            )
-        else:
-            self._inner = ServiceBackend.from_model(
-                model, entity_categories=cats
-            )
+        self._inner = ServiceBackend.from_model(model, entity_categories=cats)
 
         probes = [
             q.text
@@ -250,7 +242,7 @@ class Follower:
         )
         self._switch = GenerationSwitch(
             probe_queries=probes, baseline=baseline
-        ).attach(self._inner, name=self.follower_id)
+        ).attach(self._inner)
 
         self._pipe = _FeedPipe(self._workdir)
         self._updater = StreamingUpdater(
@@ -549,22 +541,22 @@ class Follower:
 class FollowerBackend(ShoalBackend):
     """The follower's serving tier behind the standard backend contract.
 
-    Reads delegate to the wrapped inner tier (a :class:`ServiceBackend`
-    or :class:`ClusterBackend` the follower hot-swaps on epoch bumps);
-    ``stats()`` folds in replication lag. ``replicated_backend`` is the
-    duck-typed unwrap hook :func:`repro.streaming.rollout._classify`
-    uses so a :class:`GenerationSwitch` attached to this backend swaps
-    the inner engine (and dedups against a direct attachment of it).
+    Reads delegate to the wrapped :class:`ServiceBackend`, which the
+    follower hot-swaps on epoch bumps; ``stats()`` folds in replication
+    lag. ``replicated_backend`` is the duck-typed unwrap hook
+    :func:`repro.streaming.rollout._engine_of` uses so a
+    :class:`GenerationSwitch` attached to this backend swaps the inner
+    engine (and treats a direct attachment of it as the same engine).
     """
 
     kind = "follower"
 
-    def __init__(self, follower: Follower, inner: ShoalBackend):
+    def __init__(self, follower: Follower, inner: ServiceBackend):
         self._follower = follower
         self._inner = inner
 
     @property
-    def replicated_backend(self) -> ShoalBackend:
+    def replicated_backend(self) -> ServiceBackend:
         return self._inner
 
     @property

@@ -37,7 +37,6 @@ from repro.serving.sharding import (
     ShardSet,
     build_shard_model,
     plan_shards,
-    shard_fingerprint,
 )
 
 __all__ = [
@@ -49,7 +48,6 @@ __all__ = [
     "ShardSet",
     "plan_shards",
     "build_shard_model",
-    "shard_fingerprint",
     "CLUSTER_SNAPSHOT_KIND",
     "CLUSTER_FORMAT_VERSION",
     "TrafficReplayer",

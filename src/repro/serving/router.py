@@ -20,13 +20,12 @@ documents the unsharded service would have dropped too. The result:
 ``ClusterRouter.search_topics`` == ``ShoalService.search_topics``,
 byte for byte, for every shard count.
 
-**Refresh.** :meth:`refresh` re-partitions a new model and rebuilds
-only the shards whose content fingerprint changed, *provided* the
-global inputs (collection statistics, correlation graph) are unchanged
-— BM25 statistics are corpus-wide, so when any document anywhere
-changes, every shard's scores move and every shard is rebuilt. Shards
-are swapped atomically behind a single state reference, so readers on
-other threads always see a consistent cluster.
+**Read-only.** A router is built once, from a model or a cluster
+snapshot, and never changes afterwards: BM25 statistics are
+corpus-wide, so a new model moves every shard's scores and would
+rebuild every shard anyway. A model that changes is served by a single
+service or by followers, which a
+:class:`~repro.streaming.rollout.GenerationSwitch` hot-swaps.
 """
 
 from __future__ import annotations
@@ -46,14 +45,9 @@ from repro.core.serving import (
     TopicHit,
 )
 from repro.core.taxonomy import Topic
-from repro.serving.sharding import (
-    ShardPlanner,
-    ShardSet,
-    shard_fingerprint,
-)
+from repro.serving.sharding import ShardPlanner, ShardSet
 from repro.obs.histogram import Histogram, LatencySummary
 from repro.obs.tracer import traced
-from repro.text.bm25 import CollectionStats
 from repro.text.tokenizer import Tokenizer
 
 __all__ = ["ClusterRouter", "ClusterStats"]
@@ -73,15 +67,12 @@ def _checkpoint() -> None:
 
 
 class _Shard:
-    """One shard: its service, posting tokens, content fingerprint and
-    the service time spent in it."""
+    """One shard: its service, posting tokens and the service time
+    spent in it."""
 
-    def __init__(
-        self, shard_index: int, service: ShoalService, fingerprint: str
-    ):
+    def __init__(self, shard_index: int, service: ShoalService):
         self.shard_index = shard_index
         self.service = service
-        self.fingerprint = fingerprint
         self.tokens: FrozenSet[str] = service.posting_tokens()
         self._busy_seconds = 0.0
         self._lock = threading.Lock()
@@ -113,37 +104,13 @@ class ClusterStats:
         return f"cluster: {self.n_shards} shards; {self.latency.summary()}"
 
 
-class _RouterState:
-    """Immutable-by-convention bundle swapped atomically on refresh."""
-
-    def __init__(
-        self,
-        shards: List[_Shard],
-        collection_stats: CollectionStats,
-        correlations: CorrelationGraph,
-    ):
-        self.shards = shards
-        self.collection_stats = collection_stats
-        self.correlations = correlations
-        by_token: Dict[str, List[int]] = {}
-        for shard in shards:
-            for tok in shard.tokens:
-                by_token.setdefault(tok, []).append(shard.shard_index)
-        self.shards_with_token: Dict[str, Tuple[int, ...]] = {
-            tok: tuple(sorted(ids)) for tok, ids in by_token.items()
-        }
-        self.shard_of_topic: Dict[int, int] = {}
-        for shard in shards:
-            for t in shard.service.taxonomy.topics():
-                self.shard_of_topic[t.topic_id] = shard.shard_index
-
-
 class ClusterRouter:
     """Serves the four demo scenarios over a sharded cluster.
 
     Construct with :meth:`from_model` (shard a fitted model in memory),
     :meth:`from_snapshot` (load a cluster snapshot directory written by
     :meth:`ShardPlanner.save`), or directly from a :class:`ShardSet`.
+    The shards are built once, here, and never replaced.
     """
 
     def __init__(
@@ -153,9 +120,32 @@ class ClusterRouter:
         tokenizer: Optional[Tokenizer] = None,
     ):
         self._tokenizer = tokenizer or Tokenizer()
-        self._planner = ShardPlanner(shard_set.n_shards, self._tokenizer)
         self._stats = Histogram()
-        self._state = self._build_state(shard_set)
+        self._shards: List[_Shard] = [
+            _Shard(
+                i,
+                ShoalService(
+                    model,
+                    self._tokenizer,
+                    entity_categories=cats,
+                    collection_stats=shard_set.collection_stats,
+                ),
+            )
+            for i, (model, cats) in enumerate(
+                zip(shard_set.models, shard_set.entity_categories)
+            )
+        ]
+        self._correlations = _shard_set_correlations(shard_set)
+        by_token: Dict[str, List[int]] = {}
+        self._shard_of_topic: Dict[int, int] = {}
+        for shard in self._shards:
+            for tok in shard.tokens:
+                by_token.setdefault(tok, []).append(shard.shard_index)
+            for t in shard.service.taxonomy.topics():
+                self._shard_of_topic[t.topic_id] = shard.shard_index
+        self._shards_with_token: Dict[str, Tuple[int, ...]] = {
+            tok: tuple(sorted(ids)) for tok, ids in by_token.items()
+        }
 
     # -- construction --------------------------------------------------------
 
@@ -185,117 +175,48 @@ class ClusterRouter:
         """Warm-start the whole cluster from a cluster snapshot dir."""
         return cls(ShardPlanner.load(directory), tokenizer=tokenizer)
 
-    def _build_state(
-        self,
-        shard_set: ShardSet,
-        reuse: Optional[_RouterState] = None,
-    ) -> _RouterState:
-        """Build router state, reusing unchanged shards from ``reuse``.
-
-        A shard carries over only when its content fingerprint AND both
-        global inputs are unchanged; anything else gets a freshly built
-        service.
-        """
-        correlations = _shard_set_correlations(shard_set)
-        globals_unchanged = reuse is not None and (
-            reuse.collection_stats == shard_set.collection_stats
-            and _correlations_equal(reuse.correlations, correlations)
-        )
-        shards: List[_Shard] = []
-        for i in range(shard_set.n_shards):
-            fp = shard_fingerprint(
-                shard_set.models[i], shard_set.entity_categories[i]
-            )
-            if (
-                globals_unchanged
-                and i < len(reuse.shards)
-                and reuse.shards[i].fingerprint == fp
-            ):
-                shards.append(reuse.shards[i])
-                continue
-            service = ShoalService(
-                shard_set.models[i],
-                self._tokenizer,
-                entity_categories=shard_set.entity_categories[i],
-                collection_stats=shard_set.collection_stats,
-            )
-            shards.append(_Shard(i, service, fp))
-        return _RouterState(
-            shards, shard_set.collection_stats, correlations
-        )
-
-    def refresh(
-        self,
-        model: ShoalModel,
-        entity_categories: Optional[Dict[int, int]] = None,
-    ) -> List[int]:
-        """Re-partition a new model; rebuild only the affected shards.
-
-        Returns the indices of the shards that were rebuilt. Shards
-        whose pruned content is unchanged — and whose global inputs
-        (collection statistics, correlations) are unchanged — keep
-        their built indexes. The new state is swapped in
-        behind one reference, so concurrent readers see either the old
-        or the new cluster, never a mix.
-        """
-        old = self._state
-        new_set = self._planner.partition(model, entity_categories)
-        new_state = self._build_state(new_set, reuse=old)
-        rebuilt = [
-            s.shard_index
-            for i, s in enumerate(new_state.shards)
-            if i >= len(old.shards) or s is not old.shards[i]
-        ]
-        self._state = new_state
-        return rebuilt
-
     # -- cluster shape -------------------------------------------------------
 
     @property
     def n_shards(self) -> int:
-        return len(self._state.shards)
+        return len(self._shards)
 
     @property
     def plan_summary(self) -> str:
-        state = self._state
-        lines = []
-        for shard in state.shards:
-            lines.append(
-                f"shard {shard.shard_index}: "
-                f"{len(shard.service.taxonomy)} topics, "
-                f"{len(shard.tokens)} index tokens"
-            )
-        return "\n".join(lines)
+        return "\n".join(
+            f"shard {shard.shard_index}: "
+            f"{len(shard.service.taxonomy)} topics, "
+            f"{len(shard.tokens)} index tokens"
+            for shard in self._shards
+        )
 
     # -- scenario A: Query → Topic ------------------------------------------
 
     def search_topics(self, query: str, k: int = 5) -> List[TopicHit]:
         """Cluster-wide keyword search; identical to the unsharded answer."""
         t0 = time.perf_counter()
-        hits = self._serve_search(self._state, query, k)
+        hits = self._serve_search(query, k)
         self._stats.record(time.perf_counter() - t0)
         return hits
 
-    def _serve_search(
-        self, state: _RouterState, query: str, k: int
-    ) -> List[TopicHit]:
-        """Tokenise → fan out, all against one state."""
+    def _serve_search(self, query: str, k: int) -> List[TopicHit]:
+        """Tokenise → fan out."""
         with traced("router.search"):
             tokens = self._tokenizer.tokenize(query)
-            return self._search_tokens(state, tokens, k)
+            return self._search_tokens(tokens, k)
 
     def _search_tokens(
-        self, state: _RouterState, tokens: Sequence[str], k: int
+        self, tokens: Sequence[str], k: int
     ) -> List[TopicHit]:
         if not tokens:
             return []
         candidate_ids: set = set()
         for tok in tokens:
-            candidate_ids.update(state.shards_with_token.get(tok, ()))
+            candidate_ids.update(self._shards_with_token.get(tok, ()))
         merged: List[TopicHit] = []
         for i in sorted(candidate_ids):
             _checkpoint()
-            shard = state.shards[i]
+            shard = self._shards[i]
             t0 = time.perf_counter()
             try:
                 with traced("router.shard_probe", tags={"shard": str(i)}):
@@ -312,42 +233,31 @@ class ClusterRouter:
         self, queries: Sequence[str], k: int = 5
     ) -> List[List[TopicHit]]:
         """One result list per query, in order."""
-        state = self._state
         results = []
         for q in queries:
             _checkpoint()
             t0 = time.perf_counter()
-            results.append(self._serve_search(state, q, k))
+            results.append(self._serve_search(q, k))
             self._stats.record(time.perf_counter() - t0)
         return results
 
     def best_topic(self, query: str) -> Optional[Topic]:
-        state = self._state
-        hits = self._serve_search(state, query, 1)
+        hits = self._serve_search(query, 1)
         if not hits:
             return None
-        return self._topic_in(state, hits[0].topic_id)
+        return self.topic(hits[0].topic_id)
 
     # -- topic-local scenarios (B, C) ---------------------------------------
 
-    @staticmethod
-    def _service_in(state: _RouterState, topic_id: int) -> ShoalService:
+    def _service_of(self, topic_id: int) -> ShoalService:
         try:
-            return state.shards[state.shard_of_topic[topic_id]].service
+            return self._shards[self._shard_of_topic[topic_id]].service
         except KeyError:
             raise KeyError(f"topic {topic_id} is not in any shard")
 
-    @staticmethod
-    def _topic_in(state: _RouterState, topic_id: int) -> Topic:
-        service = ClusterRouter._service_in(state, topic_id)
-        return service.taxonomy.topic(topic_id)
-
-    def _service_of(self, topic_id: int) -> ShoalService:
-        return self._service_in(self._state, topic_id)
-
     def topic(self, topic_id: int) -> Topic:
         """The topic object, fetched from its owning shard."""
-        return self._topic_in(self._state, topic_id)
+        return self._service_of(topic_id).taxonomy.topic(topic_id)
 
     def subtopics(self, topic_id: int) -> List[Topic]:
         return self._service_of(topic_id).subtopics(topic_id)
@@ -371,10 +281,9 @@ class ClusterRouter:
         self, category_id: int, k: int = 8
     ) -> List[CategoryHit]:
         """Correlated categories — the graph is global, not sharded."""
-        graph = self._state.correlations
         return [
             CategoryHit(c, s)
-            for c, s in graph.related_categories(category_id, k)
+            for c, s in self._correlations.related_categories(category_id, k)
         ]
 
     # -- recommendation ------------------------------------------------------
@@ -382,34 +291,24 @@ class ClusterRouter:
     def recommend_entities_for_query(
         self, query: str, k: int = 10
     ) -> List[int]:
-        """Topic-matched entity slate; identical to the unsharded answer.
-
-        The search and the topic lookup run against one state snapshot,
-        so a concurrent refresh can never make the winning topic
-        "disappear" mid-request.
-        """
+        """Topic-matched entity slate; identical to the unsharded answer."""
         t0 = time.perf_counter()
-        state = self._state
-        hits = self._serve_search(state, query, 1)
-        slate = (
-            [] if not hits
-            else self._topic_in(state, hits[0].topic_id).entity_ids[:k]
-        )
+        hits = self._serve_search(query, 1)
+        slate = [] if not hits else self.topic(hits[0].topic_id).entity_ids[:k]
         self._stats.record(time.perf_counter() - t0)
         return slate
 
     def recommend_batch(
         self, queries: Sequence[str], k: int = 10
     ) -> List[List[int]]:
-        state = self._state
         slates: List[List[int]] = []
         for q in queries:
             _checkpoint()
             t0 = time.perf_counter()
-            hits = self._serve_search(state, q, 1)
+            hits = self._serve_search(q, 1)
             slates.append(
                 [] if not hits
-                else self._topic_in(state, hits[0].topic_id).entity_ids[:k]
+                else self.topic(hits[0].topic_id).entity_ids[:k]
             )
             self._stats.record(time.perf_counter() - t0)
         return slates
@@ -421,14 +320,14 @@ class ClusterRouter:
 
     def shard_busy_seconds(self) -> List[float]:
         """Cumulative per-shard service time (see _Shard.busy_seconds)."""
-        return [s.busy_seconds() for s in self._state.shards]
+        return [s.busy_seconds() for s in self._shards]
 
     def reset_request_stats(self) -> None:
         self._stats.reset()
 
     def cluster_stats(self) -> ClusterStats:
         return ClusterStats(
-            n_shards=len(self._state.shards),
+            n_shards=len(self._shards),
             latency=self._stats.summary(),
         )
 
@@ -438,12 +337,3 @@ def _shard_set_correlations(shard_set: ShardSet) -> CorrelationGraph:
     for m in shard_set.models:
         return m.correlations
     raise ValueError("shard set has no shards")
-
-
-def _correlations_equal(a: CorrelationGraph, b: CorrelationGraph) -> bool:
-    if a is b:
-        return True
-    return (
-        a.min_strength == b.min_strength
-        and sorted(a.pairs()) == sorted(b.pairs())
-    )

@@ -17,6 +17,11 @@ model's documents via the exact code path the service uses. The
 correlation graph is global (categories are not sharded) and is kept
 whole in every shard model.
 
+Because those statistics are corpus-wide, any change to the model moves
+every shard's scores, so a shard set is partitioned once and served
+read-only: a :class:`~repro.serving.router.ClusterRouter` is built from
+it (or from its snapshot) and never refreshed.
+
 On disk, a cluster snapshot is a directory of per-shard PR-2 model
 snapshots plus the shared collection statistics, sealed by a cluster
 manifest written last:
@@ -34,7 +39,6 @@ manifest written last:
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -64,7 +68,6 @@ __all__ = [
     "ShardPlanner",
     "plan_shards",
     "build_shard_model",
-    "shard_fingerprint",
 ]
 
 CLUSTER_MANIFEST = "CLUSTER_MANIFEST.json"
@@ -199,34 +202,6 @@ def build_shard_model(
         titles=titles,
         query_texts={},
     )
-
-
-def shard_fingerprint(
-    model: ShoalModel, entity_categories: Optional[Dict[int, int]]
-) -> str:
-    """Content hash of everything a shard's *answers* depend on locally.
-
-    Covers the pruned taxonomy (structure, descriptions, categories),
-    the shard's titles, and its entity → category slice. Global inputs
-    — collection statistics and the correlation graph — are compared
-    separately by the router, because they invalidate every shard at
-    once. Two shard models with equal fingerprints and equal global
-    inputs answer every request identically, so a router may keep the
-    old shard (and its warm cache) when the fingerprint is unchanged.
-    """
-    from repro.store.persistence import taxonomy_to_dict
-
-    payload = {
-        "taxonomy": taxonomy_to_dict(model.taxonomy),
-        "titles": {str(k): v for k, v in sorted(model.titles.items())},
-        "entity_categories": (
-            None
-            if entity_categories is None
-            else {str(k): int(v) for k, v in sorted(entity_categories.items())}
-        ),
-    }
-    blob = json.dumps(payload, sort_keys=True).encode("utf-8")
-    return hashlib.sha256(blob).hexdigest()
 
 
 # -- the shard set -----------------------------------------------------------

@@ -17,11 +17,11 @@ model generations while that read path keeps answering:
   :class:`~repro.core.incremental.IncrementalShoal` window slides and
   produces versioned snapshot **generations**;
 * :mod:`repro.streaming.rollout` — :class:`GenerationSwitch`, which
-  hot-swaps a new generation into every attached serving tier
-  (:class:`~repro.core.serving.ShoalService`,
-  :class:`~repro.serving.router.ClusterRouter`, gateway backends) with
-  probe-query health checks and automatic rollback — the only path by
-  which a generation reaches readers.
+  hot-swaps a new generation into its one single-service tier (a
+  :class:`~repro.core.serving.ShoalService`, reached directly or
+  through its backend, gateway or follower) with probe-query health
+  checks and automatic rollback — the only path by which a generation
+  reaches readers. The sharded tier is built once and never swapped.
 
 Dataflow::
 
@@ -31,7 +31,7 @@ Dataflow::
                    StreamingUpdater ──slide──▶ IncrementalShoal
                            │ generation (versioned snapshot)
                            ▼
-                   GenerationSwitch ──hot-swap──▶ every serving tier
+                   GenerationSwitch ──hot-swap──▶ the serving tier
 """
 
 from repro.streaming.ingest import IngestPipe

@@ -1,51 +1,53 @@
-"""Grep-enforced acceptance: frontends never construct read tiers.
+"""Grep-enforced acceptance: removed things stay removed.
 
-``examples/``, ``cli.py``, ``serving/replay.py``, and ``benchmarks/``
-must go through the :mod:`repro.api` adapters — no ``ShoalService(...)``
-or ``ClusterRouter(...)`` construction (including the ``from_*``
-factory classmethods) outside ``src/repro/api``. Engine *access*
-through an adapter (``backend.service`` / ``backend.router``) is fine;
-standing up a tier is not.
+One data table, :data:`REMOVALS`, lists every removal as a row: its
+name, the pattern that finds it, the paths scanned for it, and the
+files exempt from it. Each (row, scanned file) pair is one test id, so a
+failure names both the removal and the file, and each scanned file is
+read once per session however many rows scan it. The rows:
 
-A second guard bans the *legacy method names* in the same frontend
-paths: the deprecated thin delegates (``search_topics`` & co.) are
-gone from the backends, so any surviving call site would now be either
-dead code or an accidental raw-engine dependency.
-
-A third guard bans the removed unversioned ``/metrics`` path: the
-one-release alias is gone, so every scrape in a frontend, script, or
-workflow must name ``/v1/metrics``.
-
-A fourth guard bans the removed threaded edge and second dispatch
-chain by name (``ShoalHttpServer``, ``_GatewayHandler``,
-``handle_observed``, ``--edge``): there is one edge and one chain, so
-nothing may select or describe another.
-
-A fifth guard bans the removed inner cache tiers and the in-process
-replicas that existed to hold them (``n_replicas``, ``--replicas``,
-``replica_request_counts``, ``front_cache``, ``_engine_cache_size``,
-``invalidate_caches``): the gateway's ``CacheMiddleware`` is the one
-result cache, so nothing may size, count or flush another.
-
-A sixth guard bans request hedging and what existed only to serve it
-(any ``hedg…`` word, ``RequestContext.child``, ``.child(tags=``, the
-``edge.attempt`` span): a read is one attempt under one context, so
-nothing may launch, count, configure or describe a second.
-
-A seventh guard bans the write path's removed second configurations:
-the ``block`` / ``drop_oldest`` admission policies and their knobs
-(``drop_oldest``, ``block_timeout_s``, ``OVERFLOW_POLICIES``), the
-switch's ``rollback_on_failure``, the coalescer's ``coalesce_max_*``
-parameters, the six ``serve-http`` tuning flags that became constants,
-and the maintainer-owned read tiers (``IncrementalShoal.service`` /
-``backend`` / ``cluster``): the pipe only sheds, and a generation
-reaches readers only through a ``GenerationSwitch``.
+* ``direct-tier-construction`` — ``examples/``, ``cli.py``,
+  ``serving/replay.py`` and ``benchmarks/`` go through the
+  :mod:`repro.api` adapters: no ``ShoalService(...)`` or
+  ``ClusterRouter(...)`` construction (including the ``from_*``
+  factory classmethods). Engine *access* through an adapter
+  (``backend.service`` / ``backend.router``) is fine.
+* ``legacy-delegate-calls`` — the deprecated thin delegates
+  (``search_topics`` & co.) are gone from the backends, so a call site
+  in the same frontends would be dead code or a raw-engine dependency.
+* ``bare-metrics-path`` — the unversioned ``/metrics`` alias is gone;
+  every scrape names ``/v1/metrics``.
+* ``second-edge-or-chain`` — the threaded edge and second dispatch
+  chain (``ShoalHttpServer``, ``_GatewayHandler``, ``handle_observed``,
+  ``--edge``): there is one edge and one chain.
+* ``second-cache-tier-or-replicas`` — the inner cache tiers and the
+  in-process replicas that held them (``n_replicas``, ``--replicas``,
+  ``replica_request_counts``, ``front_cache``, ``_engine_cache_size``,
+  ``invalidate_caches``): ``CacheMiddleware`` is the one result cache.
+* ``second-attempt`` — request hedging and what served it (any
+  ``hedg…`` word, ``RequestContext.child``, ``.child(tags=``,
+  ``edge.attempt``): a read is one attempt under one context.
+* ``second-write-path-configuration`` — the ``block`` /
+  ``drop_oldest`` admission policies and their knobs, the switch's
+  ``rollback_on_failure``, the coalescer's ``coalesce_max_*``, the six
+  ``serve-http`` tuning flags that became constants, and the
+  maintainer-owned read tiers (``IncrementalShoal.service`` /
+  ``backend`` / ``cluster``): a generation reaches readers only through
+  a ``GenerationSwitch``.
+* ``sharded-write-side`` — ``shard_fingerprint``, ``rebuilt_shards``,
+  ``TargetOutcome``, ``target_generations``, ``ClusterRouter.refresh``,
+  ``Follower(..., n_shards=`` and ``serve-follower ... --shards``: a
+  switch swaps one single-service tier, a cluster is built once and
+  never refreshed, and a follower is a whole-model replica.
 """
 
 from __future__ import annotations
 
+import functools
 import re
+from dataclasses import dataclass
 from pathlib import Path
+from typing import FrozenSet, List, Tuple
 
 import pytest
 
@@ -54,13 +56,13 @@ REPO_ROOT = Path(__file__).resolve().parents[2]
 #: Direct-tier construction: the class name immediately called or used
 #: through a factory classmethod.
 FORBIDDEN = re.compile(
-    r"\b(ShoalService|ClusterRouter)\s*(\(|\.from_\w+\s*\()"
+    r"\b(ShoalService|ClusterRouter)[ \t]*(\(|\.from_\w+[ \t]*\()"
 )
 
 #: The removed delegate names, as method calls on anything.
 LEGACY_CALLS = re.compile(
     r"\.(search_topics|search_topics_batch|"
-    r"recommend_entities_for_query|recommend_batch)\s*\("
+    r"recommend_entities_for_query|recommend_batch)[ \t]*\("
 )
 
 FRONTEND_PATHS = [
@@ -134,58 +136,116 @@ WRITE_PATH_SCAN_PATHS = [
 #: Frontends allowed to time the raw engine *behind* an adapter
 #: (reached via ``backend.service``, never constructed) — the only
 #: sanctioned use of the engine method names outside the adapters.
-LEGACY_CALL_EXEMPT = {
+LEGACY_CALL_EXEMPT = frozenset({
     "benchmarks/test_bench_api.py",
     "benchmarks/test_bench_serving.py",
     "benchmarks/check_regressions.py",
-}
+})
 
 
-def _offending(path, pattern):
-    return [
-        f"{path.name}:{lineno}: {line.strip()}"
-        for lineno, line in enumerate(path.read_text().splitlines(), 1)
-        if pattern.search(line)
-    ]
-
-
-def _frontend_files():
-    for entry in FRONTEND_PATHS:
-        path = REPO_ROOT / entry
-        if path.is_file():
-            yield path
-        else:
-            yield from sorted(path.rglob("*.py"))
-
-
-@pytest.mark.parametrize(
-    "path", list(_frontend_files()), ids=lambda p: str(p.relative_to(REPO_ROOT))
+#: The sharded tier's write side and the sharded follower — all removed:
+#: a switch swaps one single-service tier, a cluster is built once and
+#: never refreshed, and a follower is a whole-model replica. The last
+#: two alternatives span lines: a keyword argument anywhere inside a
+#: ``Follower(`` call, and ``--shards`` anywhere in a ``serve-follower``
+#: command continued with backslashes.
+REMOVED_SHARDED_WRITE_SIDE = re.compile(
+    r"\b(shard_fingerprint|rebuilt_shards|TargetOutcome|target_generations)\b|"
+    r"ClusterRouter\.refresh\b|router\.refresh\(|"
+    r"\bFollower\((?:[^()]|\([^()]*\))*\bn_shards\s*=|"
+    r"serve-follower(?:[^\n]|\\\n)*--shards\b"
 )
-def test_frontend_has_no_direct_tier_construction(path):
-    offending = _offending(path, FORBIDDEN)
-    assert not offending, (
-        "direct read-tier construction outside repro/api adapters "
-        "(use ServiceBackend/ClusterBackend/open_backend):\n"
-        + "\n".join(offending)
-    )
+
+SHARDED_WRITE_SIDE_SCAN_PATHS = [
+    "src",
+    "scripts",
+    "examples",
+    "benchmarks",
+    ".github",
+    "README.md",
+]
+
+#: What a scanned directory contributes (a listed file is always read).
+TEXT_SUFFIXES = (".py", ".yml", ".yaml", ".md")
 
 
-@pytest.mark.parametrize(
-    "path", list(_frontend_files()), ids=lambda p: str(p.relative_to(REPO_ROOT))
-)
-def test_frontend_has_no_legacy_delegate_calls(path):
-    if str(path.relative_to(REPO_ROOT)) in LEGACY_CALL_EXEMPT:
-        pytest.skip("sanctioned raw-engine timing harness")
-    offending = _offending(path, LEGACY_CALLS)
-    assert not offending, (
+@dataclass(frozen=True)
+class Removal:
+    """One banned thing: where to look for it and why it is gone."""
+
+    name: str
+    pattern: "re.Pattern[str]"
+    paths: Tuple[str, ...]
+    why: str
+    suffixes: Tuple[str, ...] = TEXT_SUFFIXES
+    exempt: FrozenSet[str] = frozenset()
+
+
+#: The guard table: each removal is checked once per scanned file.
+REMOVALS = (
+    Removal(
+        "direct-tier-construction", FORBIDDEN, tuple(FRONTEND_PATHS),
+        "direct read-tier construction outside repro/api adapters (use "
+        "ServiceBackend/ClusterBackend/open_backend)",
+        suffixes=(".py",),
+    ),
+    Removal(
+        "legacy-delegate-calls", LEGACY_CALLS, tuple(FRONTEND_PATHS),
         "legacy delegate call in a frontend (the thin delegates were "
-        "removed; build a typed request and call search/recommend/"
-        "batch):\n" + "\n".join(offending)
-    )
+        "removed; build a typed request and call search/recommend/batch)",
+        suffixes=(".py",),
+        exempt=LEGACY_CALL_EXEMPT,
+    ),
+    Removal(
+        "bare-metrics-path", BARE_METRICS, tuple(METRICS_SCAN_PATHS),
+        "unversioned /metrics path (the alias was removed; scrape "
+        "/v1/metrics)",
+    ),
+    Removal(
+        "second-edge-or-chain", REMOVED_EDGE, tuple(REMOVED_EDGE_SCAN_PATHS),
+        "reference to the removed threaded edge / observed chain "
+        "(AsyncShoalServer is the only edge, Middleware.handle the only "
+        "handler)",
+    ),
+    Removal(
+        "second-cache-tier-or-replicas", REMOVED_CACHE_TIERS,
+        tuple(REMOVED_EDGE_SCAN_PATHS),
+        "reference to the removed engine/router caches or replicas "
+        "(CacheMiddleware is the one result cache; wrap the backend in a "
+        "Gateway)",
+    ),
+    Removal(
+        "second-attempt", REMOVED_HEDGING, tuple(REMOVED_EDGE_SCAN_PATHS),
+        "reference to the removed request hedging (a read is one executor "
+        "task under the request's own context)",
+    ),
+    Removal(
+        "second-write-path-configuration", REMOVED_WRITE_PATH_CONFIGS,
+        tuple(WRITE_PATH_SCAN_PATHS),
+        "reference to a removed write-path configuration (the ingest pipe "
+        "only sheds, the tuning flags are constants, and only a "
+        "GenerationSwitch refreshes a read tier)",
+    ),
+    Removal(
+        "sharded-write-side", REMOVED_SHARDED_WRITE_SIDE,
+        tuple(SHARDED_WRITE_SIDE_SCAN_PATHS),
+        "reference to the removed sharded write side (a switch swaps one "
+        "single-service tier, a cluster is built once and never "
+        "refreshed, and a follower is a whole-model replica)",
+    ),
+)
+
+ROW = {removal.name: removal for removal in REMOVALS}
 
 
-def _scan_files(entries):
-    for entry in entries:
+@functools.lru_cache(maxsize=None)
+def _text(path: Path) -> str:
+    """Each scanned file is read once per session, whatever scans it."""
+    return path.read_text()
+
+
+def _scan_files(removal: Removal):
+    for entry in removal.paths:
         path = REPO_ROOT / entry
         if path.is_file():
             yield path
@@ -193,77 +253,50 @@ def _scan_files(entries):
             yield from sorted(
                 p
                 for p in path.rglob("*")
-                if p.is_file() and p.suffix in (".py", ".yml", ".yaml", ".md")
+                if p.is_file() and p.suffix in removal.suffixes
             )
 
 
-@pytest.mark.parametrize(
-    "path",
-    list(_scan_files(METRICS_SCAN_PATHS)),
-    ids=lambda p: str(p.relative_to(REPO_ROOT)),
-)
-def test_no_bare_metrics_path_anywhere(path):
-    offending = _offending(path, BARE_METRICS)
-    assert not offending, (
-        "unversioned /metrics path (the alias was removed; scrape "
-        "/v1/metrics):\n" + "\n".join(offending)
-    )
+def _scan_pairs() -> List[Tuple[Removal, str]]:
+    """Every (row, repo-relative file) the table checks, exemptions out."""
+    return [
+        (removal, rel)
+        for removal in REMOVALS
+        for rel in (
+            str(path.relative_to(REPO_ROOT)) for path in _scan_files(removal)
+        )
+        if rel not in removal.exempt
+    ]
+
+
+SCAN_PAIRS = _scan_pairs()
+
+
+def _offending(removal: Removal, rel: str) -> List[str]:
+    """``file:line: text`` of every match; a pattern may span lines."""
+    text = _text(REPO_ROOT / rel)
+    hits = []
+    for match in removal.pattern.finditer(text):
+        lineno = text.count("\n", 0, match.start()) + 1
+        line = text.splitlines()[lineno - 1]
+        hits.append(f"{rel}:{lineno}: {line.strip()}")
+    return hits
 
 
 @pytest.mark.parametrize(
-    "path",
-    list(_scan_files(REMOVED_EDGE_SCAN_PATHS)),
-    ids=lambda p: str(p.relative_to(REPO_ROOT)),
+    "removal, rel",
+    SCAN_PAIRS,
+    ids=[f"{removal.name}-{rel}" for removal, rel in SCAN_PAIRS],
 )
-def test_no_second_edge_or_chain_anywhere(path):
-    offending = _offending(path, REMOVED_EDGE)
-    assert not offending, (
-        "reference to the removed threaded edge / observed chain "
-        "(AsyncShoalServer is the only edge, Middleware.handle the only "
-        "handler):\n" + "\n".join(offending)
-    )
+def test_removed_thing_is_gone(removal, rel):
+    offending = _offending(removal, rel)
+    assert not offending, removal.why + ":\n" + "\n".join(offending)
 
 
-@pytest.mark.parametrize(
-    "path",
-    list(_scan_files(REMOVED_EDGE_SCAN_PATHS)),
-    ids=lambda p: str(p.relative_to(REPO_ROOT)),
-)
-def test_no_second_cache_tier_or_replicas_anywhere(path):
-    offending = _offending(path, REMOVED_CACHE_TIERS)
-    assert not offending, (
-        "reference to the removed engine/router caches or replicas "
-        "(CacheMiddleware is the one result cache; wrap the backend in "
-        "a Gateway):\n" + "\n".join(offending)
-    )
-
-
-@pytest.mark.parametrize(
-    "path",
-    list(_scan_files(REMOVED_EDGE_SCAN_PATHS)),
-    ids=lambda p: str(p.relative_to(REPO_ROOT)),
-)
-def test_no_second_attempt_anywhere(path):
-    offending = _offending(path, REMOVED_HEDGING)
-    assert not offending, (
-        "reference to the removed request hedging (a read is one "
-        "executor task under the request's own context):\n"
-        + "\n".join(offending)
-    )
-
-
-@pytest.mark.parametrize(
-    "path",
-    list(_scan_files(WRITE_PATH_SCAN_PATHS)),
-    ids=lambda p: str(p.relative_to(REPO_ROOT)),
-)
-def test_no_second_write_path_configuration_anywhere(path):
-    offending = _offending(path, REMOVED_WRITE_PATH_CONFIGS)
-    assert not offending, (
-        "reference to a removed write-path configuration (the ingest "
-        "pipe only sheds, the tuning flags are constants, and only a "
-        "GenerationSwitch refreshes a read tier):\n" + "\n".join(offending)
-    )
+def test_every_row_scans_something():
+    """A row whose paths all vanished would collect no ids and pass."""
+    scanned = {removal.name for removal, _ in SCAN_PAIRS}
+    assert scanned == set(ROW)
 
 
 def test_one_result_cache_by_construction():
@@ -399,3 +432,43 @@ def test_the_guard_itself_still_bites():
         "serve-cluster --shards 2",
     ):
         assert not REMOVED_WRITE_PATH_CONFIGS.search(snippet), snippet
+    for snippet in (
+        "from repro.serving import shard_fingerprint",
+        "assert report.outcomes[0].rebuilt_shards == ()",
+        "outcomes: Tuple[TargetOutcome, ...]",
+        'gens = switch.stats()["target_generations"]',
+        "`ClusterRouter.refresh` rebuilds only changed shards",
+        "rebuilt = router.refresh(model, categories)",
+        "self._router.refresh(generation.model)",
+        "Follower(feed, work, follower_id='f', n_shards=4)",
+        "follower = Follower(\n    args.feed,\n    workdir,\n"
+        "    n_shards=args.shards,\n)",
+        "Follower(Path(feed), Path(work), n_shards=2)",
+        "serve-follower --feed /tmp/feed --shards 2",
+        "python -m repro.cli serve-follower --feed /tmp/f \\\n"
+        "  --id ci-f2 --shards 2 --port 0",
+    ):
+        assert REMOVED_SHARDED_WRITE_SIDE.search(snippet), snippet
+    for snippet in (
+        "serve-cluster --shards 2",
+        "python -m repro.cli replay --profile small --target both --shards 4",
+        "python -m repro.cli serve-follower --feed /tmp/feed --port 8081\n"
+        "python -m repro.cli replay --shards 4",
+        "ClusterBackend.from_model(model, 4)",
+        "ShardPlan(n_shards=n_shards, assignments=tuple(assignments))",
+        "follower = Follower(args.feed, workdir, follower_id=args.id)",
+        "backend.service.refresh(generation.model)",
+        "snapshot_fingerprint(generation.snapshot_dir)",
+        "FollowerBackend(self, self._inner)",
+    ):
+        assert not REMOVED_SHARDED_WRITE_SIDE.search(snippet), snippet
+    assert [r.pattern for r in REMOVALS] == [
+        FORBIDDEN,
+        LEGACY_CALLS,
+        BARE_METRICS,
+        REMOVED_EDGE,
+        REMOVED_CACHE_TIERS,
+        REMOVED_HEDGING,
+        REMOVED_WRITE_PATH_CONFIGS,
+        REMOVED_SHARDED_WRITE_SIDE,
+    ]

@@ -127,7 +127,7 @@ class TestEpochSwap:
         follower.catch_up(timeout_s=120.0)
         fps = _fingerprints(feed_copy)
 
-        engine = follower.switch._targets[0].engine
+        engine = backend.replicated_backend.service
         original = engine.refresh
         calls = {"n": 0}
 

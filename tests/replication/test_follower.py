@@ -46,7 +46,7 @@ class TestFollowerByteIdentity:
         suppress_health_check=[HealthCheck.function_scoped_fixture],
     )
     @given(data=st.data())
-    def test_single_and_sharded_followers_match_primary(
+    def test_follower_matches_primary(
         self,
         data,
         repl_base_snapshot,
@@ -54,9 +54,9 @@ class TestFollowerByteIdentity:
         repl_config,
         repl_live_events,
     ):
-        """For arbitrary micro-batch cuts, every follower — single
-        service and 4-shard cluster — rebuilds generations with the
-        primary's exact fingerprints and serves byte-identical answers."""
+        """For arbitrary micro-batch cuts, a whole-model follower
+        rebuilds generations with the primary's exact fingerprints and
+        serves byte-identical answers."""
         first = data.draw(
             st.integers(MIN_BATCH, 60), label="first boundary"
         )
@@ -99,37 +99,31 @@ class TestFollowerByteIdentity:
 
         want = _answer_bytes(_PrimaryView(), probes)
 
-        for n_shards in (1, 4):
-            follower = Follower(
-                root / "feed",
-                root / f"work-{n_shards}",
-                follower_id=f"f{n_shards}",
-                n_shards=n_shards,
+        follower = Follower(root / "feed", root / "work", follower_id="f")
+        backend = follower.bootstrap()
+        follower.catch_up(timeout_s=120.0)
+        for generation in generations:
+            assert follower.fingerprint_of(
+                generation.number
+            ) == snapshot_fingerprint(generation.snapshot_dir), (
+                f"follower diverged at generation {generation.number} "
+                f"(cuts {first}/{second})"
             )
-            backend = follower.bootstrap()
-            follower.catch_up(timeout_s=120.0)
-            for generation in generations:
-                assert follower.fingerprint_of(
-                    generation.number
-                ) == snapshot_fingerprint(generation.snapshot_dir), (
-                    f"{n_shards}-shard follower diverged at generation "
-                    f"{generation.number} (cuts {first}/{second})"
-                )
-            # swap the follower onto the last generation and compare
-            # the full answer surface byte for byte
-            Feed(root / "feed").write_epoch(
-                {
-                    "epoch": follower.epoch + 1,
-                    "generation": generations[-1].number,
-                    "fingerprint": follower.fingerprint_of(
-                        generations[-1].number
-                    ),
-                }
-            )
-            follower.run_once()
-            assert follower.serving_generation == generations[-1].number
-            assert _answer_bytes(backend, probes) == want
-            backend.close()
+        # swap the follower onto the last generation and compare the
+        # full answer surface byte for byte
+        Feed(root / "feed").write_epoch(
+            {
+                "epoch": follower.epoch + 1,
+                "generation": generations[-1].number,
+                "fingerprint": follower.fingerprint_of(
+                    generations[-1].number
+                ),
+            }
+        )
+        follower.run_once()
+        assert follower.serving_generation == generations[-1].number
+        assert _answer_bytes(backend, probes) == want
+        backend.close()
 
 
 class TestFollowerOperational:

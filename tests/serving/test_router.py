@@ -1,5 +1,7 @@
-"""Unit tests for ClusterRouter internals: routing, selective refresh,
+"""Unit tests for ClusterRouter internals: routing, concurrent reads,
 and stats accounting."""
+
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -64,42 +66,21 @@ class TestConstruction:
             ClusterRouter.from_model(tiny_model, 0)
 
 
-class TestRefresh:
-    def test_identity_refresh_rebuilds_nothing(
-        self, router, tiny_model, tiny_marketplace, categories
+@pytest.mark.slow
+class TestConcurrency:
+    def test_concurrent_identical_requests_single_router(
+        self, router, tiny_marketplace
     ):
-        q = tiny_marketplace.query_log.queries[0].text
-        router.search_topics(q)
-        busy_before = router.shard_busy_seconds()
-        assert router.refresh(tiny_model, categories) == []
-        # The shards carried over, busy-time accumulators and all.
-        assert router.shard_busy_seconds() == busy_before
+        """Many threads asking the same things agree with each other."""
+        queries = [q.text for q in tiny_marketplace.query_log.queries][:30]
+        expected = [router.search_topics(q, 5) for q in queries]
 
-    def test_changed_model_rebuilds_every_shard(
-        self, router, tiny_model, categories
-    ):
-        import copy
+        def check(_):
+            return [router.search_topics(q, 5) for q in queries]
 
-        mutated = copy.deepcopy(tiny_model)
-        t = mutated.taxonomy.root_topics()[0]
-        t.descriptions = ["brand new trend"] + t.descriptions
-        rebuilt = router.refresh(mutated, categories)
-        assert rebuilt == list(range(router.n_shards))
-
-    def test_refresh_swaps_answers(
-        self, router, tiny_model, tiny_marketplace, categories
-    ):
-        import copy
-
-        mutated = copy.deepcopy(tiny_model)
-        t = mutated.taxonomy.root_topics()[0]
-        t.descriptions = ["brand new trend"] + t.descriptions
-        router.refresh(mutated, categories)
-        fresh = ShoalService(mutated, entity_categories=categories)
-        for q in tiny_marketplace.query_log.queries[:25]:
-            assert router.search_topics(q.text, 5) == (
-                fresh.search_topics(q.text, 5)
-            )
+        with ThreadPoolExecutor(max_workers=6) as pool:
+            for result in pool.map(check, range(12)):
+                assert result == expected
 
 
 class TestStatsSurface:

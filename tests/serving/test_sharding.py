@@ -1,5 +1,5 @@
 """Tests for repro.serving.sharding: planning, pruned shard models,
-fingerprints, and global collection statistics."""
+and global collection statistics."""
 
 import pytest
 
@@ -8,7 +8,6 @@ from repro.serving.sharding import (
     ShardPlanner,
     build_shard_model,
     plan_shards,
-    shard_fingerprint,
 )
 from repro.text.bm25 import BM25, CollectionStats
 from repro.text.tokenizer import Tokenizer
@@ -129,26 +128,6 @@ class TestCollectionStats:
         query = docs[0][:3]
         for i in range(len(docs) // 2):
             assert half.score(query, i) == full.score(query, i)
-
-
-class TestFingerprint:
-    def test_stable(self, tiny_model, categories):
-        a = shard_fingerprint(tiny_model, categories)
-        b = shard_fingerprint(tiny_model, categories)
-        assert a == b
-
-    def test_sensitive_to_descriptions(self, tiny_model, categories):
-        import copy
-
-        before = shard_fingerprint(tiny_model, categories)
-        mutated = copy.deepcopy(tiny_model)
-        topic = mutated.taxonomy.root_topics()[0]
-        topic.descriptions = ["something else"] + topic.descriptions
-        assert shard_fingerprint(mutated, categories) != before
-
-    def test_sensitive_to_categories(self, tiny_model, categories):
-        before = shard_fingerprint(tiny_model, categories)
-        assert shard_fingerprint(tiny_model, None) != before
 
 
 class TestPartition:

@@ -1,10 +1,9 @@
 """Read-transparency across a generation hot-swap (acceptance gate).
 
 The property: after the streaming subsystem ingests live events and
-hot-swaps the resulting generation into the serving tiers, every
-answer — search hits and recommendation slates, through the single
-service AND a 4-shard cluster backend — is **byte-identical** to a
-fresh service fitted from scratch on the same cumulative log. And
+hot-swaps the resulting generation into the serving tier, every
+answer — search hits and recommendation slates — is **byte-identical**
+to a fresh service fitted from scratch on the same cumulative log. And
 *during* the swap, every concurrent answer is byte-identical to either
 the old or the new generation's answer — never an error, never a mix.
 
@@ -19,11 +18,7 @@ import threading
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.api import (
-    ClusterBackend,
-    RecommendRequest,
-    SearchRequest,
-)
+from repro.api import RecommendRequest, SearchRequest
 from repro.streaming import (
     GenerationSwitch,
     IngestPipe,
@@ -53,21 +48,17 @@ def _recommend(backend, query, k):
 def swapped_world(
     tmp_path_factory, stream_market, stream_inputs, live_events
 ):
-    """Streamed-and-swapped tiers plus the fresh-refit reference.
+    """The streamed-and-swapped tier plus the fresh-refit reference.
 
-    Returns (single_backend, cluster_backend, fresh_service_backend,
-    query_pool): the first two were hot-swapped to the generation the
-    updater produced from the WAL; the third was fitted cold by a brand
-    new maintainer over the same cumulative log.
+    Returns (backend, fresh_service_backend, query_pool): the first was
+    hot-swapped to the generation the updater produced from the WAL;
+    the second was fitted cold by a brand new maintainer over the same
+    cumulative log.
     """
     tmp_path = tmp_path_factory.mktemp("hotswap")
     inc = make_base_inc(stream_market, stream_inputs)
     single = serving_tier(inc)
-    cluster = ClusterBackend.from_model(
-        inc.model, 4, entity_categories=inc.entity_categories
-    )
-    switch = GenerationSwitch()
-    switch.attach(single, name="single").attach(cluster, name="cluster")
+    switch = GenerationSwitch().attach(single)
 
     wal = WriteAheadLog(tmp_path / "wal", fsync="never")
     pipe = IngestPipe(wal, max_queue=10_000)
@@ -90,7 +81,7 @@ def swapped_world(
     fresh = serving_tier(fresh_inc)
 
     pool = sorted({q.text for q in stream_market.query_log.queries})
-    return single, cluster, fresh, pool
+    return single, fresh, pool
 
 
 def _cumulative_log(base_log, live):
@@ -108,14 +99,10 @@ class TestTransparencyAfterSwap:
         suppress_health_check=[HealthCheck.function_scoped_fixture],
     )
     @given(data=st.data(), k=st.integers(min_value=1, max_value=10))
-    def test_search_byte_identical_single_and_cluster(
-        self, swapped_world, data, k
-    ):
-        single, cluster, fresh, pool = swapped_world
+    def test_search_byte_identical(self, swapped_world, data, k):
+        single, fresh, pool = swapped_world
         query = data.draw(st.sampled_from(pool))
-        want = _search(fresh, query, k)
-        assert _search(single, query, k) == want
-        assert _search(cluster, query, k) == want
+        assert _search(single, query, k) == _search(fresh, query, k)
 
     @settings(
         max_examples=40,
@@ -123,38 +110,28 @@ class TestTransparencyAfterSwap:
         suppress_health_check=[HealthCheck.function_scoped_fixture],
     )
     @given(data=st.data(), k=st.integers(min_value=1, max_value=12))
-    def test_recommend_byte_identical_single_and_cluster(
-        self, swapped_world, data, k
-    ):
-        single, cluster, fresh, pool = swapped_world
+    def test_recommend_byte_identical(self, swapped_world, data, k):
+        single, fresh, pool = swapped_world
         query = data.draw(st.sampled_from(pool))
-        want = _recommend(fresh, query, k)
-        assert _recommend(single, query, k) == want
-        assert _recommend(cluster, query, k) == want
+        assert _recommend(single, query, k) == _recommend(fresh, query, k)
 
     def test_every_pool_query_identical_exhaustively(self, swapped_world):
         """Belt and braces on top of hypothesis: the whole pool."""
-        single, cluster, fresh, pool = swapped_world
+        single, fresh, pool = swapped_world
         for query in pool:
-            want = _search(fresh, query, 5)
-            assert _search(single, query, 5) == want
-            assert _search(cluster, query, 5) == want
+            assert _search(single, query, 5) == _search(fresh, query, 5)
 
 
 class TestTransparencyDuringSwap:
     def test_concurrent_reads_see_old_or_new_never_broken(
         self, tmp_path, stream_market, stream_inputs, live_events
     ):
-        """Hammer both tiers from reader threads while the generation
+        """Hammer the tier from reader threads while the generation
         swap happens; every recorded answer must equal the old OR the
         new generation's answer for that query, and no read may fail."""
         inc = make_base_inc(stream_market, stream_inputs)
         single = serving_tier(inc)
-        cluster = ClusterBackend.from_model(
-            inc.model, 4, entity_categories=inc.entity_categories
-        )
-        switch = GenerationSwitch()
-        switch.attach(single).attach(cluster)
+        switch = GenerationSwitch().attach(single)
 
         pool = sorted({q.text for q in stream_market.query_log.queries})[:40]
         old_answers = {q: _search(single, q, 5) for q in pool}
@@ -169,20 +146,18 @@ class TestTransparencyDuringSwap:
         stop = threading.Event()
         errors, observations = [], []
 
-        def reader(backend):
+        def reader():
             i = 0
             while not stop.is_set():
                 q = pool[i % len(pool)]
                 try:
-                    observations.append((q, tuple(_search(backend, q, 5))))
+                    observations.append((q, tuple(_search(single, q, 5))))
                 except Exception as exc:  # noqa: BLE001 - the regression
                     errors.append(exc)
                 i += 1
 
         threads = [
-            threading.Thread(target=reader, args=(b,), daemon=True)
-            for b in (single, cluster)
-            for _ in range(2)
+            threading.Thread(target=reader, daemon=True) for _ in range(4)
         ]
         for t in threads:
             t.start()
@@ -217,11 +192,7 @@ class TestTransparencyDuringSwap:
 
         inc = make_base_inc(stream_market, stream_inputs)
         single = serving_tier(inc)
-        cluster = ClusterBackend.from_model(
-            inc.model, 4, entity_categories=inc.entity_categories
-        )
-        switch = GenerationSwitch()
-        switch.attach(single).attach(cluster)
+        switch = GenerationSwitch().attach(single)
 
         pool = sorted({q.text for q in stream_market.query_log.queries})[:20]
 
@@ -232,10 +203,7 @@ class TestTransparencyDuringSwap:
         for e in live_events[:150]:
             pipe.submit(event_payload(e))
 
-        servers = {
-            "single": AsyncShoalServer(single, port=0).start(),
-            "cluster": AsyncShoalServer(cluster, port=0).start(),
-        }
+        server = AsyncShoalServer(single, port=0).start()
 
         def wire_search(server, query):
             conn = http.client.HTTPConnection(
@@ -252,13 +220,11 @@ class TestTransparencyDuringSwap:
             finally:
                 conn.close()
 
-        old_answers = {
-            q: wire_search(servers["single"], q)[1] for q in pool
-        }
+        old_answers = {q: wire_search(server, q)[1] for q in pool}
         stop = threading.Event()
         errors, observations = [], []
 
-        def reader(server):
+        def reader():
             i = 0
             while not stop.is_set():
                 q = pool[i % len(pool)]
@@ -270,9 +236,7 @@ class TestTransparencyDuringSwap:
                 i += 1
 
         threads = [
-            threading.Thread(target=reader, args=(s,), daemon=True)
-            for s in servers.values()
-            for _ in range(2)
+            threading.Thread(target=reader, daemon=True) for _ in range(4)
         ]
         for t in threads:
             t.start()
@@ -288,9 +252,7 @@ class TestTransparencyDuringSwap:
             assert not errors, (
                 f"wire reads failed during the swap: {errors[:3]}"
             )
-            new_answers = {
-                q: wire_search(servers["single"], q)[1] for q in pool
-            }
+            new_answers = {q: wire_search(server, q)[1] for q in pool}
             for q, body in observations:
                 assert body in (old_answers[q], new_answers[q]), (
                     f"wire answer for {q!r} during the swap matches "
@@ -298,5 +260,4 @@ class TestTransparencyDuringSwap:
                 )
             assert len(observations) > 50
         finally:
-            for server in servers.values():
-                server.shutdown()
+            server.shutdown()

@@ -54,8 +54,8 @@ class TestAttach:
             base.model, entity_categories=base.entity_categories
         )
         switch = GenerationSwitch()
-        switch.attach(backend).attach(backend.service)
-        assert len(switch.targets) == 1
+        switch.attach(backend).attach(backend.service).attach(Gateway(backend))
+        assert switch.stats()["gateways"] == 1
 
     def test_gateway_unwraps_to_engine_and_registers_cache(
         self, two_generations
@@ -67,56 +67,53 @@ class TestAttach:
         gateway = Gateway(backend)
         switch = GenerationSwitch()
         switch.attach(gateway)
-        assert len(switch.targets) == 1
         assert switch.stats()["gateways"] == 1
+        switch.attach(backend.service)  # the engine the gateway wraps
 
     def test_unattachable_object_rejected(self):
         with pytest.raises(TypeError):
             GenerationSwitch().attach(object())
 
+    def test_second_distinct_engine_rejected(self, two_generations):
+        base, _ = two_generations
+        first, second = (
+            ServiceBackend.from_model(
+                base.model, entity_categories=base.entity_categories
+            )
+            for _ in range(2)
+        )
+        switch = GenerationSwitch().attach(first)
+        with pytest.raises(ValueError, match="exactly one engine"):
+            switch.attach(second)
+        with pytest.raises(ValueError, match="exactly one engine"):
+            switch.attach(Gateway(second))
+        assert switch.stats()["gateways"] == 0
+
+    def test_sharded_tier_is_read_only(self, two_generations):
+        base, _ = two_generations
+        cluster = ClusterBackend.from_model(
+            base.model, 2, entity_categories=base.entity_categories
+        )
+        for target in (cluster, cluster.router, Gateway(cluster)):
+            with pytest.raises(TypeError, match="sharded tier is read-only"):
+                GenerationSwitch().attach(target)
+
 
 class TestSwap:
-    def test_healthy_swap_flips_every_tier(
-        self, two_generations, probes
-    ):
+    def test_healthy_swap_flips_the_tier(self, two_generations, probes):
         base, nxt = two_generations
         backend = ServiceBackend.from_model(
             base.model, entity_categories=base.entity_categories
         )
-        cluster = base.model  # sharded tier over the same base model
-        from repro.api import ClusterBackend
-
-        cluster_backend = ClusterBackend.from_model(
-            cluster, 4, entity_categories=base.entity_categories
-        )
         switch = GenerationSwitch(probe_queries=probes, baseline=base)
-        switch.attach(backend, name="single").attach(
-            cluster_backend, name="sharded"
-        )
+        switch.attach(backend)
         report = switch.swap(nxt)
-        assert report.healthy
+        assert report.healthy and not report.rolled_back
+        assert report.generation == nxt.number and report.detail == ""
         assert switch.current is nxt
-        assert {o.name for o in report.outcomes} == {"single", "sharded"}
-        # Both tiers now answer from the new model.
+        assert switch.stats()["swaps"] == 1
+        # The tier now answers from the new model.
         assert backend.service.model is nxt.model
-
-    def test_cluster_swap_rebuilds_only_fingerprint_changed_shards(
-        self, two_generations
-    ):
-        """Re-rolling the SAME generation must rebuild nothing — the
-        per-shard fingerprints and global stats are unchanged."""
-        base, nxt = two_generations
-        from repro.api import ClusterBackend
-
-        cluster_backend = ClusterBackend.from_model(
-            nxt.model, 4, entity_categories=nxt.entity_categories
-        )
-        switch = GenerationSwitch(baseline=base)
-        switch.attach(cluster_backend, name="sharded")
-        report = switch.swap(nxt)
-        [outcome] = report.outcomes
-        assert outcome.healthy
-        assert outcome.rebuilt_shards == ()
 
     def test_failed_health_check_rolls_back_and_raises(
         self, two_generations, probes
@@ -137,13 +134,13 @@ class TestSwap:
 
         liar = LyingTier()
         switch = GenerationSwitch(probe_queries=probes, baseline=base)
-        switch.attach(liar, name="liar")
+        switch.attach(liar)
         with pytest.raises(SwapError) as excinfo:
             switch.swap(nxt)
         report = excinfo.value.report
-        [outcome] = report.outcomes
-        assert not outcome.healthy
-        assert outcome.rolled_back
+        assert not report.healthy
+        assert report.rolled_back
+        assert "diverged from the reference answer" in report.detail
         # Rolled back TO the baseline model, after trying the new one.
         assert liar.models == [nxt.model, base.model]
         # The switch still serves the old generation.
@@ -169,7 +166,7 @@ class TestSwap:
 
         tier = ExplodingTier()
         switch = GenerationSwitch(probe_queries=probes, baseline=base)
-        switch.attach(tier, name="exploder")
+        switch.attach(tier)
         with pytest.raises(SwapError):
             switch.swap(nxt)
         assert tier.calls == 2  # failed roll + rollback
@@ -202,9 +199,8 @@ class TestSwap:
         self, two_generations, probes
     ):
         """The case the router's front cache used to carry: repeats are
-        answered by the gateway with zero new shard-probe work, and a
-        swap makes the next request compute again."""
-        base, nxt = two_generations
+        answered by the gateway with zero new shard-probe work."""
+        base, _ = two_generations
         backend = ClusterBackend.from_model(
             base.model, 2, entity_categories=base.entity_categories
         )
@@ -223,45 +219,32 @@ class TestSwap:
         assert shard_work() == computed  # both repeats were cache hits
         assert gateway.cache_stats().hits == 2
 
-        GenerationSwitch(probe_queries=probes, baseline=base).attach(
-            gateway
-        ).swap(nxt)
-        after_swap = shard_work()  # the swap's own health probes
-        fresh = ClusterBackend.from_model(
-            nxt.model, 2, entity_categories=nxt.entity_categories
-        )
-        assert gateway.search(search) == fresh.search(search)
-        assert gateway.batch(batch) == fresh.batch(batch)
-        assert shard_work()[0] == after_swap[0] + 1 + len(probes)
-
-    def test_partial_failure_tracks_per_target_generations(
+    def test_swap_makes_the_gateway_compute_again(
         self, two_generations, probes
     ):
-        """A healthy tier stays on the newer generation when a sibling
-        fails; its own later rollback restores ITS generation, not the
-        fleet-wide floor."""
+        """After a swap the next request computes against the new
+        model instead of hitting the gateway's cache."""
         base, nxt = two_generations
         backend = ServiceBackend.from_model(
             base.model, entity_categories=base.entity_categories
         )
+        gateway = Gateway(backend)
+        search = SearchRequest(query=probes[0], k=3)
+        batch = BatchRequest(queries=tuple(probes), k=3, kind="search")
+        first = gateway.search(search), gateway.batch(batch)
+        assert (gateway.search(search), gateway.batch(batch)) == first
+        assert gateway.cache_stats().hits == 2
 
-        class LyingTier:
-            def refresh(self, model, entity_categories=None):
-                pass
-
-            def search_topics(self, query, k=5):
-                return []
-
-        switch = GenerationSwitch(probe_queries=probes, baseline=base)
-        switch.attach(backend, name="good").attach(LyingTier(), name="liar")
-        with pytest.raises(SwapError):
-            switch.swap(nxt)
-        # Fleet floor stays on base, but the healthy tier kept nxt —
-        # and the per-target stats say so.
-        assert switch.current is base
-        assert backend.service.model is nxt.model
-        gens = switch.stats()["target_generations"]
-        assert gens["good"] == 1 and gens["liar"] == 0
+        GenerationSwitch(probe_queries=probes, baseline=base).attach(
+            gateway
+        ).swap(nxt)
+        misses = gateway.cache_stats().misses
+        fresh = ServiceBackend.from_model(
+            nxt.model, entity_categories=nxt.entity_categories
+        )
+        assert gateway.search(search) == fresh.search(search)
+        assert gateway.batch(batch) == fresh.batch(batch)
+        assert gateway.cache_stats().misses == misses + 2  # both computed
 
     def test_gateway_cache_cannot_be_repoisoned_by_inflight_put(
         self, two_generations, probes

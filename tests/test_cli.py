@@ -103,6 +103,42 @@ class TestParser:
         assert excinfo.value.code == 2
         assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
+    def test_follower_shards_flag_is_gone(self, capsys):
+        """A follower is a whole-model replica: there is no sharded one."""
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(
+                ["serve-follower", "--feed", "d", "--shards", "2"]
+            )
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --shards" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--drift-threshold", "0.5"),
+            ("--generations", "g"),
+            ("--ship-feed", "f"),
+            ("--analytics-db", "a.db"),
+        ],
+    )
+    def test_write_path_flags_require_ingest_wal(self, flag, value):
+        # 'd' does not exist: the flag check must fire before any load.
+        with pytest.raises(SystemExit, match=f"{flag} requires --ingest-wal"):
+            main(["serve-http", "--load", "d", flag, value])
+
+    def test_drift_threshold_validated(self, capsys):
+        argv = ["serve-http", "--load", "d", "--ingest-wal", "w"]
+        for bad in ("1.5", "1", "-0.1"):
+            with pytest.raises(SystemExit) as excinfo:
+                build_parser().parse_args(argv + ["--drift-threshold", bad])
+            assert excinfo.value.code == 2  # an argparse error, no traceback
+            assert "argument --drift-threshold" in capsys.readouterr().err
+        for good in ("0", "0.99"):
+            args = build_parser().parse_args(
+                argv + ["--drift-threshold", good]
+            )
+            assert args.drift_threshold == float(good)
+
 
 class TestIngestCommand:
     def test_refreshes_its_tier_once_per_generation(
