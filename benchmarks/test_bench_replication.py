@@ -1,20 +1,17 @@
-"""F9 — replication economics: delta shipping beats full snapshots.
+"""F9 — replication lag: a follower keeps up with the primary's cadence.
 
 Two gates, both acceptance criteria of the replication subsystem:
 
-1. **Shipped bytes per generation < 0.5x a full snapshot** — the
-   cross-generation delta codec (unchanged artifacts ship as sha-256
-   refs, changed ones as zlib literals) must at least halve what a
-   naive ship-the-snapshot design would push per generation. Measured
-   headroom is ~4x; the gate is deliberately loose so it trips on
-   regressions, not noise.
+1. **Publish lag is bounded** — the primary's synchronous publish (roll
+   the WAL, copy closed segments, fingerprint the generation snapshot
+   into the generation index) runs on the updater thread and must stay
+   under 2s per generation on the tiny profile.
 
-2. **Publish + rebuild lag is bounded** — the primary's synchronous
-   publish (roll WAL, copy segments, encode delta) must stay under
-   2s per generation on the tiny profile, and a cold follower must
-   tail, rebuild, and fingerprint the whole two-generation feed in
-   under 30s. Replication that lags the micro-batch cadence would
-   make epoch quorum unreachable in steady state.
+2. **Cold catch-up is bounded** — a cold follower must tail, rebuild,
+   and fingerprint the whole two-generation feed in under 30s.
+
+Replication that lags the micro-batch cadence would make epoch quorum
+unreachable in steady state.
 """
 
 from __future__ import annotations
@@ -28,13 +25,12 @@ from repro.core.config import ShoalConfig
 from repro.core.incremental import IncrementalShoal
 from repro.data.marketplace import PROFILES, generate_marketplace
 from repro.data.queries import QueryLogConfig
-from repro.replication import Feed, Follower, SegmentShipper
+from repro.replication import Follower, SegmentShipper
 from repro.store.persistence import load_entity_categories, load_model
 from repro.streaming import IngestPipe, StreamingUpdater, WriteAheadLog
 
 BASE_LAST_DAY = 6
 MIN_BATCH = 10
-DELTA_RATIO_GATE = 0.5
 PUBLISH_LAG_GATE_S = 2.0
 CATCH_UP_GATE_S = 30.0
 
@@ -85,10 +81,8 @@ def shipped_feed(repl_bench_market, tmp_path_factory):
             "profile": "tiny",
             "seed": cfg.seed,
             "query_log": dataclasses.asdict(cfg.query_log),
-            "base_last_day": market.query_log.days()[-1],
             "retrain_every": 100,
             "max_day_skew": 2,
-            "min_batch_events": MIN_BATCH,
         },
     )
     shipper.initialise()
@@ -121,34 +115,6 @@ def shipped_feed(repl_bench_market, tmp_path_factory):
         generations.append(generation)
     assert shipper.stats()["generations_published"] == 2
     return root, shipper, generations
-
-
-def _snapshot_bytes(directory) -> int:
-    return sum(p.stat().st_size for p in directory.iterdir() if p.is_file())
-
-
-class TestShippedBytesGate:
-    def test_delta_under_half_a_full_snapshot(self, shipped_feed):
-        root, _, generations = shipped_feed
-        index = Feed(root / "feed").read_generation_index()
-        assert len(index) == 2
-        for entry, generation in zip(index, generations):
-            assert entry["kind"] == "delta"  # fallback would be "full"
-            full = _snapshot_bytes(generation.snapshot_dir)
-            ratio = entry["bytes"] / full
-            print(
-                f"\ngen {entry['number']}: shipped {entry['bytes']}B of "
-                f"{full}B snapshot (ratio {ratio:.3f})"
-            )
-            assert ratio < DELTA_RATIO_GATE, (
-                f"generation {entry['number']} shipped {ratio:.2f}x of a "
-                f"full snapshot (gate {DELTA_RATIO_GATE})"
-            )
-
-    def test_index_accounts_full_bytes_honestly(self, shipped_feed):
-        root, _, _ = shipped_feed
-        for entry in Feed(root / "feed").read_generation_index():
-            assert entry["bytes"] < entry["full_bytes"]
 
 
 class TestReplicationLagGate:

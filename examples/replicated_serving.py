@@ -4,9 +4,8 @@ The replication subsystem end to end, in one process:
 
 1. fit a base window and stand up a primary write path — WAL, ingest
    pipe, micro-batch updater — with a ``SegmentShipper`` publishing
-   every closed WAL segment and a checksummed cross-generation snapshot
-   delta into a feed directory (the only thing primary and followers
-   share);
+   every closed WAL segment and each generation's cut and fingerprint
+   into a feed directory (the only thing primary and followers share);
 2. join two followers to the feed with ``open_backend("follower:DIR")``
    — each rebuilds the primary's generations from the shipped segments
    through the same updater machinery, stages them, and reports its
@@ -79,10 +78,8 @@ def main() -> None:
             # full query-log config — followers regenerate the exact
             # base world from it
             "query_log": dataclasses.asdict(config.query_log),
-            "base_last_day": market.query_log.days()[-1],
             "retrain_every": 7,
             "max_day_skew": 2,
-            "min_batch_events": 100,
         },
     )
     shipper.initialise()
@@ -122,9 +119,9 @@ def main() -> None:
     stats = shipper.stats()
     print(
         f"shipped generation {first.number}: "
-        f"{stats['segments_shipped']} segment(s), delta "
-        f"{stats['delta_bytes']}B vs {stats['full_bytes']}B full "
-        f"({stats['delta_bytes'] / stats['full_bytes']:.0%})"
+        f"{stats['segments_shipped']} segment(s), "
+        f"{stats['segment_bytes']}B of WAL events (followers rebuild the "
+        f"snapshot from them)"
     )
 
     # -- two followers join the feed ------------------------------------

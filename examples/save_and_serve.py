@@ -9,9 +9,11 @@ This example walks that handoff:
    (JSON for inspectable structures, NPZ for arrays, no pickle);
 2. ``open_backend("snapshot:DIR")`` — construct the read tier purely
    from disk, behind the gateway-API contract, and verify its answers
-   are identical to the in-memory backend;
-3. ``IncrementalShoal.checkpoint()`` / ``resume()`` — sliding-window
-   maintenance surviving a process restart.
+   are identical to the in-memory backend.
+
+A snapshot is also where sliding-window maintenance restarts from:
+``IncrementalShoal.from_model`` over the loaded model, then a replay of
+the write-ahead log (``serve-http --load DIR --ingest-wal WAL``).
 
 Run:  python examples/save_and_serve.py
 """
@@ -22,14 +24,11 @@ from pathlib import Path
 
 from repro import ShoalPipeline, generate_marketplace
 from repro.api import BatchRequest, SearchRequest, ServiceBackend, open_backend
-from repro.core.incremental import IncrementalShoal
 from repro.data.marketplace import PROFILES
 
 
 def main() -> None:
     market = generate_marketplace(PROFILES["small"])
-    titles = {e.entity_id: e.title for e in market.catalog.entities}
-    query_texts = {q.query_id: q.text for q in market.query_log.queries}
     categories = {e.entity_id: e.category_id for e in market.catalog.entities}
 
     t0 = time.perf_counter()
@@ -73,21 +72,6 @@ def main() -> None:
         print(f"\nquery: {demo!r}")
         for hit in served.search(SearchRequest(query=demo, k=3)).hits:
             print(f"  {hit.score:7.2f}  {hit.label}")
-
-        # 3. Sliding-window maintenance across a "restart".
-        inc = IncrementalShoal(
-            model.config, titles, query_texts, categories, retrain_every=100
-        )
-        inc.advance(market.query_log, last_day=6)
-        ckpt = Path(tmp) / "checkpoint"
-        inc.checkpoint(ckpt)
-
-        resumed = IncrementalShoal.resume(ckpt)  # a brand-new process
-        update = resumed.advance(market.query_log, last_day=6)
-        print(
-            f"\nresumed maintenance: {update.summary()} "
-            f"(embeddings retrained: {update.embeddings_retrained})"
-        )
 
 
 if __name__ == "__main__":

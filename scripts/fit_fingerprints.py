@@ -22,7 +22,7 @@ import tempfile
 from repro.core.config import ShoalConfig
 from repro.core.pipeline import ShoalPipeline
 from repro.data.marketplace import PROFILES, generate_marketplace
-from repro.replication.delta import snapshot_fingerprint
+from repro.store.persistence import snapshot_fingerprint
 
 
 def fingerprint_line(profile: str, seed: int) -> str:

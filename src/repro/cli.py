@@ -638,8 +638,8 @@ def _build_ingest_side(args, backend):
         from repro.replication import SegmentShipper
 
         if generations_dir is None:
-            # The shipper encodes deltas between on-disk generation
-            # snapshots, so shipping implies persisting them.
+            # The feed's generation index carries each generation's
+            # snapshot fingerprint, so shipping implies persisting them.
             generations_dir = tempfile.mkdtemp(prefix="shoal-generations-")
         shipper = SegmentShipper(
             wal,
@@ -648,10 +648,8 @@ def _build_ingest_side(args, backend):
             manifest={
                 "profile": profile,
                 "seed": seed,
-                "base_last_day": market.query_log.days()[-1],
                 "retrain_every": retrain_every,
                 "max_day_skew": max_day_skew,
-                "min_batch_events": SERVE_MIN_BATCH_EVENTS,
             },
         )
         shipper.initialise()
@@ -1282,8 +1280,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_http.add_argument(
         "--ship-feed", default=None, metavar="DIR",
-        help="publish closed WAL segments + generation snapshot deltas "
-             "into this replication feed directory and run the epoch "
+        help="publish closed WAL segments + a generation index into "
+             "this replication feed directory and run the epoch "
              "coordinator over it (requires --ingest-wal)",
     )
     p_http.add_argument(

@@ -12,13 +12,17 @@ The embedding-reuse policy is safe because Eq. 2 only needs stable
 token geometry: titles change slowly relative to the click stream, so
 embeddings go stale on vocabulary shifts, not window slides. A
 configurable ``retrain_every`` forces periodic full retrains.
+
+The maintainer keeps no on-disk state of its own. A process restarts
+it from a model snapshot with :meth:`IncrementalShoal.from_model` and
+then replays its write-ahead log, which is what ``serve-http`` and
+every follower do.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Dict, Optional, Union
+from typing import Dict, Optional
 
 from repro.core.config import ShoalConfig
 from repro.core.pipeline import ShoalModel, ShoalPipeline, fit_stage
@@ -97,11 +101,12 @@ class IncrementalShoal:
     ) -> "IncrementalShoal":
         """Warm-start maintenance from an already-fitted model.
 
-        The streaming updater uses this to resume sliding-window
-        maintenance over a snapshot a serving process loaded from disk:
-        the model's titles, query texts, and embeddings seed the
-        maintainer, so the first :meth:`advance` reuses warm embeddings
-        exactly as if this process had fitted the model itself.
+        This is the one restart path: a serving process or follower
+        loads a snapshot, builds the maintainer from it, and replays
+        its write-ahead log. The model's titles, query texts, and
+        embeddings seed the maintainer, so the first :meth:`advance`
+        reuses warm embeddings exactly as if this process had fitted
+        the model itself.
         """
         inc = cls(
             model.config,
@@ -160,56 +165,6 @@ class IncrementalShoal:
         token geometry catches up at the next scheduled retrain.
         """
         self._query_texts.update(query_texts)
-
-    # -- persistence ----------------------------------------------------------
-
-    def checkpoint(self, directory: Union[str, Path]) -> Path:
-        """Persist the full maintenance state to ``directory``.
-
-        Includes the refit inputs (titles, query texts, categories),
-        the embedding-retrain counters, and a complete snapshot of the
-        latest model, so sliding-window maintenance survives a process
-        restart via :meth:`resume`.
-        """
-        # Imported lazily: the store layer depends on core modules.
-        from repro.store.persistence import CheckpointState, save_checkpoint
-
-        state = CheckpointState(
-            config=self._config,
-            titles=dict(self._titles),
-            query_texts=dict(self._query_texts),
-            entity_categories=dict(self._categories),
-            retrain_every=self._retrain_every,
-            fits_since_retrain=self._fits_since_retrain,
-            embeddings_valid=self._embeddings is not None,
-            model=self._last_model,
-        )
-        return save_checkpoint(state, directory)
-
-    @classmethod
-    def resume(cls, directory: Union[str, Path]) -> "IncrementalShoal":
-        """Reconstruct an :class:`IncrementalShoal` from a checkpoint.
-
-        Warm embeddings are re-linked from the snapshotted model (they
-        are the same artifact), unless they were invalidated before the
-        checkpoint — then the next :meth:`advance` retrains, exactly as
-        it would have without the restart.
-        """
-        from repro.store.persistence import load_checkpoint
-
-        state = load_checkpoint(directory)
-        inc = cls(
-            state.config,
-            state.titles,
-            state.query_texts,
-            state.entity_categories,
-            retrain_every=state.retrain_every,
-        )
-        inc._fits_since_retrain = state.fits_since_retrain
-        inc._last_model = state.model
-        if state.embeddings_valid and state.model is not None:
-            inc._embeddings = state.model.embeddings
-        return inc
 
     # -- the slide -----------------------------------------------------------
 

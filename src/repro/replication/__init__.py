@@ -1,11 +1,11 @@
 """Distributed serving via WAL segment shipping.
 
-One primary publishes its closed write-ahead-log segments and
-generation snapshot deltas into a *feed directory*; any number of
-followers tail the feed, rebuild generations deterministically through
-the same streaming machinery the primary runs, and hot-swap in lockstep
-when the epoch coordinator observes a quorum of byte-identical rebuild
-fingerprints::
+One primary publishes its closed write-ahead-log segments and a
+generation index (each generation's ``applied_seq`` cut and snapshot
+fingerprint) into a *feed directory*; any number of followers tail the
+feed, rebuild generations deterministically through the same streaming
+machinery the primary runs, and hot-swap in lockstep when the epoch
+coordinator observes a quorum of byte-identical rebuild fingerprints::
 
     primary ──ship──▶ feed/ ──tail──▶ followers ──report──▶ coordinator
        ▲                                  ▲                     │
@@ -15,30 +15,16 @@ See ``README.md`` § Replication for the operational story.
 """
 
 from repro.replication.coordinator import EpochCoordinator, coordinator_loop
-from repro.replication.delta import (
-    BaseMissing,
-    DeltaCorruption,
-    apply_delta,
-    encode_delta,
-    read_delta_header,
-    snapshot_fingerprint,
-)
 from repro.replication.feed import Feed, FeedError
 from repro.replication.follower import Follower, FollowerBackend
 from repro.replication.shipper import SegmentShipper
 
 __all__ = [
-    "BaseMissing",
-    "DeltaCorruption",
     "EpochCoordinator",
     "Feed",
     "FeedError",
     "Follower",
     "FollowerBackend",
     "SegmentShipper",
-    "apply_delta",
     "coordinator_loop",
-    "encode_delta",
-    "read_delta_header",
-    "snapshot_fingerprint",
 ]

@@ -12,7 +12,10 @@ Decision rule, evaluated per tick:
    primary's answer-surface fingerprint for that generation;
 2. read every follower report; a follower **counts toward quorum at
    generation G** iff it is healthy, not divergent, and its reported
-   fingerprint for G equals the primary's;
+   fingerprint for G equals the primary's. Reports come from other
+   processes, so one whose ``fingerprints`` is not an object keyed by
+   generation numbers does not vote and is counted as ``malformed``;
+   it never stops the coordinator;
 3. pick the **highest** G past the currently broadcast epoch's
    generation with at least ``quorum`` agreeing followers, and write
    ``EPOCH.json`` with ``epoch+1`` naming G and its fingerprint.
@@ -76,6 +79,7 @@ class EpochCoordinator:
         votes: Dict[int, int] = {}
         reports = self._feed.read_follower_reports()
         live_followers = 0
+        malformed = 0
         for report in reports.values():
             ts = report.get("ts")
             if (
@@ -86,14 +90,18 @@ class EpochCoordinator:
             live_followers += 1
             if not report.get("healthy", False) or report.get("divergent"):
                 continue
-            for key, fingerprint in (report.get("fingerprints") or {}).items():
-                number = int(key)
+            reported = _reported_fingerprints(report)
+            if reported is None:
+                malformed += 1
+                continue
+            for number, fingerprint in reported.items():
                 if number > floor and primary_fp.get(number) == fingerprint:
                     votes[number] = votes.get(number, 0) + 1
 
         agreed = [n for n, count in votes.items() if count >= self._quorum]
         self._last_decision = {
             "live_followers": live_followers,
+            "malformed": malformed,
             "votes": {str(n): c for n, c in sorted(votes.items())},
             "floor": floor,
         }
@@ -124,6 +132,16 @@ class EpochCoordinator:
         if self._last_decision is not None:
             out["last_decision"] = self._last_decision
         return out
+
+
+def _reported_fingerprints(report: Dict[str, Any]) -> Optional[Dict[int, Any]]:
+    """A report's ``{generation: fingerprint}``, or None if malformed."""
+    fingerprints = report.get("fingerprints", {})
+    if not isinstance(fingerprints, dict):
+        return None
+    if not all(key.isascii() and key.isdigit() for key in fingerprints):
+        return None
+    return {int(key): fp for key, fp in fingerprints.items()}
 
 
 def coordinator_loop(

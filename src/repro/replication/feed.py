@@ -10,14 +10,17 @@ sync without any locking.
 
 Layout::
 
-    FEED.json               manifest: nonce, profile, seed, base metadata
+    FEED.json               manifest: nonce, profile, seed, refit knobs
     base/                   full base snapshot (follower bootstrap)
     segments/wal-*.jsonl    verbatim copies of closed primary WAL segments
     SEGMENTS.json           segment index: name, sha256, seq range
-    generations/gen-*.delta snapshot deltas (bandwidth-efficient mirror)
     GENERATIONS.json        generation index: seq boundary, fingerprint
     followers/<id>.json     per-follower status reports
     EPOCH.json              coordinator's swap broadcast
+
+Every file has a reader: followers read the manifest, ``base/``, the
+segments, both indexes and ``EPOCH.json``; the coordinator reads the
+generation index, the follower reports and its own ``EPOCH.json``.
 
 ``FEED.json`` carries a random *nonce* minted when the feed is
 initialised; shippers and followers remember it and refuse to operate
@@ -43,7 +46,6 @@ GENERATION_INDEX_NAME = "GENERATIONS.json"
 EPOCH_NAME = "EPOCH.json"
 BASE_DIR_NAME = "base"
 SEGMENTS_DIR_NAME = "segments"
-GENERATIONS_DIR_NAME = "generations"
 FOLLOWERS_DIR_NAME = "followers"
 
 
@@ -72,10 +74,6 @@ class Feed:
         return self.directory / SEGMENTS_DIR_NAME
 
     @property
-    def generations_dir(self) -> Path:
-        return self.directory / GENERATIONS_DIR_NAME
-
-    @property
     def followers_dir(self) -> Path:
         return self.directory / FOLLOWERS_DIR_NAME
 
@@ -89,18 +87,13 @@ class Feed:
         """Create the feed skeleton and write the manifest.
 
         ``manifest`` holds the replication parameters a follower needs
-        to rebuild deterministically (profile, seed, base_last_day,
-        retrain_every, max_day_skew, ...). A fresh nonce is minted; the
-        caller should persist the returned manifest's nonce and verify
-        it on every subsequent touch.
+        to rebuild deterministically (profile, seed, retrain_every,
+        max_day_skew, and optionally the full query_log config). A
+        fresh nonce is minted; the caller should persist the returned
+        manifest's nonce and verify it on every subsequent touch.
         """
         self.directory.mkdir(parents=True, exist_ok=True)
-        for sub in (
-            self.base_dir,
-            self.segments_dir,
-            self.generations_dir,
-            self.followers_dir,
-        ):
+        for sub in (self.base_dir, self.segments_dir, self.followers_dir):
             sub.mkdir(exist_ok=True)
         payload = dict(manifest)
         payload["format"] = FEED_FORMAT

@@ -53,9 +53,12 @@ from repro.api.contract import (
 from repro.core.incremental import IncrementalShoal
 from repro.data.marketplace import PROFILES, generate_marketplace
 from repro.obs.tracer import traced
-from repro.replication.delta import snapshot_fingerprint
 from repro.replication.feed import Feed, FeedError
-from repro.store.persistence import load_entity_categories, load_model
+from repro.store.persistence import (
+    load_entity_categories,
+    load_model,
+    snapshot_fingerprint,
+)
 from repro.streaming.rollout import Generation, GenerationSwitch, SwapError
 from repro.streaming.updater import StreamingUpdater
 from repro.streaming.wal import IngestEvent, WalCorruption, WriteAheadLog

@@ -1,4 +1,4 @@
-"""Primary-side publisher: closed WAL segments + generation deltas.
+"""Primary-side publisher: closed WAL segments + a generation index.
 
 The :class:`SegmentShipper` hangs off the primary's
 :class:`~repro.streaming.updater.StreamingUpdater` via its
@@ -11,11 +11,12 @@ the shipper:
    a follower never waits for an active segment to fill up;
 2. **copies every not-yet-shipped closed segment** into the feed with a
    SHA-256 recorded in ``SEGMENTS.json`` (followers verify the copy);
-3. **encodes a snapshot delta** for the new generation against the
-   previous one (``kind="full"`` fallback if the previous snapshot
-   directory has vanished) and appends it to ``GENERATIONS.json``
-   together with the generation's answer-surface fingerprint — the
-   value the epoch coordinator compares across followers.
+3. **appends the generation to** ``GENERATIONS.json``: its
+   ``applied_seq`` cut, which tells followers where to end the batch,
+   and the :func:`~repro.store.persistence.snapshot_fingerprint` of its
+   snapshot directory, which the epoch coordinator compares across
+   followers. Followers rebuild the snapshot themselves, so no model
+   bytes are shipped past the base snapshot.
 
 Shipping happens on the updater's batch thread, *after* the swap and
 *before* WAL compaction, so the segments backing a just-published
@@ -36,14 +37,14 @@ from typing import Any, Dict, Optional, Union
 
 from repro._util import atomic_write_bytes
 from repro.obs.tracer import traced
-from repro.replication.delta import encode_delta, snapshot_fingerprint
 from repro.replication.feed import Feed, FeedError
+from repro.store.persistence import snapshot_fingerprint
 from repro.streaming.rollout import Generation
 from repro.streaming.wal import WriteAheadLog
 
 
 class SegmentShipper:
-    """Publish a primary's WAL segments and generation deltas to a feed.
+    """Publish a primary's WAL segments and generation index to a feed.
 
     Parameters
     ----------
@@ -57,8 +58,8 @@ class SegmentShipper:
         incremental pipeline from byte-identical weights.
     manifest:
         Deterministic-rebuild parameters for followers — must include
-        ``profile``, ``seed``, ``base_last_day``, ``retrain_every``,
-        ``max_day_skew``, ``min_batch_events``.
+        ``profile``, ``seed``, ``retrain_every`` and ``max_day_skew``
+        (plus ``query_log`` when the base log is not the profile's).
     """
 
     def __init__(
@@ -76,15 +77,11 @@ class SegmentShipper:
         self._nonce: Optional[str] = None
         self._lock = threading.Lock()
         self._shipped_segments: Dict[str, str] = {}  # name -> sha256
-        self._prev_snapshot: Optional[Path] = None
-        self._prev_generation = 0
         self._segment_entries: list = []
         self._generation_entries: list = []
         self._stats: Dict[str, Any] = {
             "segments_shipped": 0,
             "generations_published": 0,
-            "delta_bytes": 0,
-            "full_bytes": 0,
             "segment_bytes": 0,
             "last_publish_s": None,
             "errors": 0,
@@ -113,9 +110,6 @@ class SegmentShipper:
                     atomic_write_bytes(
                         self._feed.base_dir / src.name, src.read_bytes()
                     )
-            manifest["base_fingerprint"] = snapshot_fingerprint(
-                self._feed.base_dir
-            )
             return manifest
 
     # -- publishing ----------------------------------------------------
@@ -174,8 +168,8 @@ class SegmentShipper:
                 self._stats["segment_bytes"] += len(raw)
             self._feed.write_segment_index(list(self._segment_entries))
 
-            # 3. Encode and publish the snapshot delta.
-            entry = self._publish_delta(generation)
+            # 3. Index the generation's cut and fingerprint.
+            entry = self._generation_entry(generation)
             self._generation_entries.append(entry)
             self._feed.write_generation_index(list(self._generation_entries))
 
@@ -183,7 +177,8 @@ class SegmentShipper:
             self._stats["last_publish_s"] = time.monotonic() - started
             return dict(entry)
 
-    def _publish_delta(self, generation: Generation) -> Dict[str, Any]:
+    @staticmethod
+    def _generation_entry(generation: Generation) -> Dict[str, Any]:
         snapshot_dir = (
             Path(generation.snapshot_dir) if generation.snapshot_dir else None
         )
@@ -192,40 +187,11 @@ class SegmentShipper:
                 f"generation {generation.number} has no snapshot directory; "
                 "run the updater with generations_dir= to enable shipping"
             )
-        base_dir: Optional[Path]
-        base_generation: Optional[int]
-        if self._prev_snapshot is not None and self._prev_snapshot.is_dir():
-            base_dir, base_generation = self._prev_snapshot, self._prev_generation
-        elif self._prev_generation == 0 and self._feed.base_dir.is_dir():
-            base_dir, base_generation = self._feed.base_dir, 0
-        else:
-            base_dir, base_generation = None, None  # full fallback
-
-        name = f"gen-{generation.number:05d}.delta"
-        out_path = self._feed.generations_dir / name
-        header = encode_delta(
-            snapshot_dir,
-            out_path,
-            base_dir=base_dir,
-            generation=generation.number,
-            base_generation=base_generation,
-            applied_seq=generation.applied_seq,
-            last_day=generation.last_day,
-        )
-        self._prev_snapshot = snapshot_dir
-        self._prev_generation = generation.number
-        self._stats["delta_bytes"] += header["bytes"]
-        self._stats["full_bytes"] += header["full_bytes"]
         return {
             "number": generation.number,
             "applied_seq": generation.applied_seq,
             "last_day": generation.last_day,
-            "fingerprint": header["fingerprint"],
-            "kind": header["kind"],
-            "base_generation": header["base_generation"],
-            "file": name,
-            "bytes": header["bytes"],
-            "full_bytes": header["full_bytes"],
+            "fingerprint": snapshot_fingerprint(snapshot_dir),
         }
 
     def stats(self) -> Dict[str, Any]:

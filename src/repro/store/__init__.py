@@ -8,23 +8,20 @@ tables; this package provides the single-node equivalents:
 * :mod:`repro.store.querylog` — a query-log store with per-day
   segments and sliding-window retention (paper: last seven days);
 * :mod:`repro.store.persistence` — pickle-free serialisation of fitted
-  artifacts: standalone taxonomy/embeddings files, versioned model
+  artifacts: standalone taxonomy/embeddings files and versioned model
   snapshot directories (``ShoalModel.save``/``load``,
-  ``ShoalService.from_snapshot``), and incremental-maintenance
-  checkpoints (``IncrementalShoal.checkpoint``/``resume``).
+  ``ShoalService.from_snapshot``). A snapshot is also the maintainer's
+  restart point: ``IncrementalShoal.from_model`` plus a WAL replay.
 """
 
 from repro.store.tables import Column, ColumnarTable, Schema
 from repro.store.querylog import QueryLogStore, QueryLogStoreConfig
 from repro.store.persistence import (
-    CheckpointState,
-    load_checkpoint,
     load_embeddings,
     load_entity_categories,
     load_model,
     load_taxonomy,
     read_manifest,
-    save_checkpoint,
     save_embeddings,
     save_model,
     save_taxonomy,
@@ -48,7 +45,4 @@ __all__ = [
     "load_model",
     "load_entity_categories",
     "read_manifest",
-    "CheckpointState",
-    "save_checkpoint",
-    "load_checkpoint",
 ]

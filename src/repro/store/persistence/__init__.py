@@ -1,18 +1,19 @@
-"""Model artifact persistence: per-artifact serialisers, versioned
-model snapshots, and incremental checkpoints.
+"""Model artifact persistence: per-artifact serialisers and versioned
+model snapshots.
 
 A fitted model's artifacts are what a serving fleet loads; refitting
 per process would be absurd at production scale. This package covers
-three granularities, all strictly pickle-free:
+two granularities, both strictly pickle-free:
 
 * :mod:`~repro.store.persistence.artifacts` — standalone taxonomy
   (JSON) and embeddings (NPZ) files;
 * :mod:`~repro.store.persistence.snapshot` — the versioned snapshot
   directory holding *every* :class:`ShoalModel` artifact, consumed by
-  ``ShoalModel.load`` / ``ShoalService.from_snapshot``;
-* :mod:`~repro.store.persistence.checkpoint` — snapshot plus
-  sliding-window maintenance state, consumed by
-  ``IncrementalShoal.resume``.
+  ``ShoalModel.load`` / ``ShoalService.from_snapshot``, and its
+  content fingerprint.
+
+A maintainer restarts from a snapshot: ``IncrementalShoal.from_model``
+over the loaded model, then a WAL replay.
 """
 
 from repro.store.persistence.artifacts import (
@@ -22,12 +23,6 @@ from repro.store.persistence.artifacts import (
     save_taxonomy,
     taxonomy_from_dict,
     taxonomy_to_dict,
-)
-from repro.store.persistence.checkpoint import (
-    CHECKPOINT_KIND,
-    CheckpointState,
-    load_checkpoint,
-    save_checkpoint,
 )
 from repro.store.persistence.snapshot import (
     MODEL_SNAPSHOT_KIND,
@@ -39,6 +34,7 @@ from repro.store.persistence.snapshot import (
     load_model,
     read_manifest,
     save_model,
+    snapshot_fingerprint,
 )
 
 __all__ = [
@@ -55,10 +51,7 @@ __all__ = [
     "load_entity_categories",
     "read_manifest",
     "check_manifest",
+    "snapshot_fingerprint",
     "SNAPSHOT_FORMAT_VERSION",
     "MODEL_SNAPSHOT_KIND",
-    "CHECKPOINT_KIND",
-    "CheckpointState",
-    "save_checkpoint",
-    "load_checkpoint",
 ]

@@ -25,10 +25,16 @@ JSON for inspectable structures, NPZ for arrays, **no pickle
 anywhere** — every array is numeric or fixed-width unicode, and every
 JSON file is standard JSON (``allow_nan=False``). Loading validates the
 manifest's kind and ``format_version`` before touching any artifact.
+
+:func:`snapshot_fingerprint` hashes the answer-shaping artifacts of a
+snapshot directory. A replication feed's generation index carries it,
+followers compare against it, and byte-identity checks of a fit rewrite
+diff it.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
@@ -69,12 +75,22 @@ __all__ = [
     "load_entity_categories",
     "read_manifest",
     "check_manifest",
+    "snapshot_fingerprint",
 ]
 
 SNAPSHOT_FORMAT_VERSION = 1
 MODEL_SNAPSHOT_KIND = "shoal-model"
 
 _MANIFEST = "MANIFEST.json"
+
+#: Snapshot artifacts are flat files directly inside the directory.
+_SKIP_SUFFIXES = (".tmp",)
+
+#: Files excluded from the answer-surface fingerprint. The manifest
+#: embeds wall-clock ``stage_seconds``, so it differs between a primary
+#: and a follower that rebuilt the *same* model; every artifact that
+#: actually shapes answers is fingerprinted.
+_FINGERPRINT_EXCLUDE = frozenset({_MANIFEST})
 
 
 # -- small shared helpers ----------------------------------------------------
@@ -439,3 +455,41 @@ def load_entity_categories(
     if not p.is_file():
         return None
     return {int(k): int(v) for k, v in read_json(p).items()}
+
+
+# -- fingerprint -------------------------------------------------------------
+
+
+def _sha256_file(path: Path) -> str:
+    h = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            h.update(block)
+    return h.hexdigest()
+
+
+def _snapshot_files(directory: Union[str, Path]) -> List[Path]:
+    directory = Path(directory)
+    if not directory.is_dir():
+        raise FileNotFoundError(f"snapshot directory not found: {directory}")
+    return sorted(
+        p
+        for p in directory.iterdir()
+        if p.is_file() and not p.name.endswith(_SKIP_SUFFIXES)
+    )
+
+
+def snapshot_fingerprint(directory: Union[str, Path]) -> str:
+    """Content fingerprint of a snapshot directory.
+
+    SHA-256 over the sorted ``name:sha256`` lines of every artifact.
+    Two snapshots with the same fingerprint are byte-identical, so two
+    followers reporting the same fingerprint will serve byte-identical
+    answers — this is the quantity the epoch coordinator compares.
+    """
+    h = hashlib.sha256()
+    for path in _snapshot_files(directory):
+        if path.name in _FINGERPRINT_EXCLUDE:
+            continue
+        h.update(f"{path.name}:{_sha256_file(path)}\n".encode())
+    return h.hexdigest()

@@ -39,6 +39,13 @@ read once per session however many rows scan it. The rows:
   ``Follower(..., n_shards=`` and ``serve-follower ... --shards``: a
   switch swaps one single-service tier, a cluster is built once and
   never refreshed, and a follower is a whole-model replica.
+* ``write-only-durable-formats`` — the snapshot-delta feed
+  (``encode_delta`` & co., ``gen-NNNNN.delta`` stats, the feed's
+  ``base_fingerprint``) and the incremental checkpoint
+  (``IncrementalShoal.resume``, ``save_checkpoint`` & co.): every file
+  the system writes has a reader, and a maintainer restarts one way,
+  ``IncrementalShoal.from_model`` plus a WAL replay. The WAL's own
+  ``read_checkpoint`` / ``write_checkpoint`` sidecar stays.
 """
 
 from __future__ import annotations
@@ -165,6 +172,17 @@ SHARDED_WRITE_SIDE_SCAN_PATHS = [
     "README.md",
 ]
 
+#: The write-only durable formats — all removed: the snapshot-delta
+#: feed nothing read, and the incremental checkpoint nothing restarted
+#: from.
+REMOVED_WRITE_ONLY_FORMATS = re.compile(
+    r"\b(encode_delta|apply_delta|read_delta_header|DeltaCorruption|"
+    r"BaseMissing|delta_bytes|full_bytes|base_fingerprint|"
+    r"save_checkpoint|load_checkpoint|CheckpointState|CHECKPOINT_KIND)\b|"
+    r"repro\.replication\.delta\b|IncrementalShoal\.resume\b|\.resume\(|"
+    r"shoal-incremental-checkpoint"
+)
+
 #: What a scanned directory contributes (a listed file is always read).
 TEXT_SUFFIXES = (".py", ".yml", ".yaml", ".md")
 
@@ -232,6 +250,13 @@ REMOVALS = (
         "reference to the removed sharded write side (a switch swaps one "
         "single-service tier, a cluster is built once and never "
         "refreshed, and a follower is a whole-model replica)",
+    ),
+    Removal(
+        "write-only-durable-formats", REMOVED_WRITE_ONLY_FORMATS,
+        tuple(SHARDED_WRITE_SIDE_SCAN_PATHS),
+        "reference to a removed write-only durable format (the feed ships "
+        "segments and a generation index, and a maintainer restarts via "
+        "IncrementalShoal.from_model plus a WAL replay)",
     ),
 )
 
@@ -462,6 +487,39 @@ def test_the_guard_itself_still_bites():
         "FollowerBackend(self, self._inner)",
     ):
         assert not REMOVED_SHARDED_WRITE_SIDE.search(snippet), snippet
+    for snippet in (
+        "from repro.replication import encode_delta",
+        "header = apply_delta(delta, out, base_dir=base)",
+        "header = read_delta_header(path)",
+        "except DeltaCorruption:",
+        "except BaseMissing:",
+        "from repro.replication.delta import snapshot_fingerprint",
+        "f\"{stats['delta_bytes']}B\"",
+        "(`segments_shipped`, `delta_bytes` vs `full_bytes`)",
+        'manifest["base_fingerprint"] = fp',
+        "`IncrementalShoal.resume(dir)` restores maintenance",
+        "resumed = IncrementalShoal.resume(ckpt)",
+        "inc = cls.resume(directory)",
+        "from repro.store.persistence import save_checkpoint",
+        "state = load_checkpoint(directory)",
+        "state = CheckpointState(config=config)",
+        "check_manifest(manifest, CHECKPOINT_KIND)",
+        'kind = "shoal-incremental-checkpoint"',
+    ):
+        assert REMOVED_WRITE_ONLY_FORMATS.search(snippet), snippet
+    for snippet in (
+        "from repro.streaming.wal import read_checkpoint, write_checkpoint",
+        "write_checkpoint(self._wal.directory, {\"applied_seq\": seq})",
+        "self._checkpoint()",
+        "payload = json.loads(tailer.checkpoint_path.read_text())",
+        "fingerprint = snapshot_fingerprint(generation.snapshot_dir)",
+        "inc = IncrementalShoal.from_model(model, entity_categories=cats)",
+        "recovered = updater.recover()",
+        'self._stats["segment_bytes"] += len(raw)',
+        "check_manifest(manifest, MODEL_SNAPSHOT_KIND)",
+        "# Two snapshots -> at least one delta row showing 50 accepted.",
+    ):
+        assert not REMOVED_WRITE_ONLY_FORMATS.search(snippet), snippet
     assert [r.pattern for r in REMOVALS] == [
         FORBIDDEN,
         LEGACY_CALLS,
@@ -471,4 +529,5 @@ def test_the_guard_itself_still_bites():
         REMOVED_HEDGING,
         REMOVED_WRITE_PATH_CONFIGS,
         REMOVED_SHARDED_WRITE_SIDE,
+        REMOVED_WRITE_ONLY_FORMATS,
     ]

@@ -40,7 +40,7 @@ from repro.graph.diffusion import local_maximal_edges
 from repro.graph.entity_graph import EntityGraphBuilder, EntityGraphConfig
 from repro.graph.minhash import LSHConfig, LSHIndex
 from repro.graph.sparse import SparseGraph
-from repro.replication.delta import snapshot_fingerprint
+from repro.store.persistence import snapshot_fingerprint
 from repro.text.bm25 import BM25, CollectionStats
 from repro.text.similarity import entity_embedding
 from repro.text.tokenizer import Tokenizer

@@ -7,9 +7,9 @@ import pytest
 from repro.core.config import ShoalConfig
 from repro.core.incremental import IncrementalShoal
 from repro.core.pipeline import ShoalPipeline
-from repro.core.serving import ShoalService
 from repro.data.marketplace import PROFILES, generate_marketplace
 from repro.data.queries import QueryLogConfig
+from repro.store.persistence import load_model, save_model, snapshot_fingerprint
 
 
 @pytest.fixture(scope="module")
@@ -174,74 +174,41 @@ class TestUpdateQueries:
         assert u.model.embeddings is emb
 
 
-class TestCheckpointResume:
-    def test_resume_restores_model_and_warm_embeddings(
+class TestRestartFromSnapshot:
+    def test_restart_advances_to_the_same_bytes(
         self, long_market, inputs, tmp_path
     ):
+        """The one restart path, as ``serve-http`` and followers take it:
+        load the maintainer's saved model, ``from_model`` over it, and
+        advance. The next window is byte-identical to the maintainer's
+        own, and neither retrains its embeddings."""
         titles, query_texts, categories = inputs
         inc = IncrementalShoal(
             ShoalConfig(), titles, query_texts, categories, retrain_every=100
         )
         inc.advance(long_market.query_log, last_day=6)
-        inc.checkpoint(tmp_path / "ckpt")
+        save_model(inc.model, tmp_path / "day-6", entity_categories=categories)
 
-        resumed = IncrementalShoal.resume(tmp_path / "ckpt")
-        assert resumed.model is not None
-        assert [t.topic_id for t in resumed.model.taxonomy] == [
-            t.topic_id for t in inc.model.taxonomy
-        ]
-        # A tier built from the resumed model serves without an advance.
-        served = ShoalService(
-            resumed.model, entity_categories=resumed.entity_categories
+        restarted = IncrementalShoal.from_model(
+            load_model(tmp_path / "day-6"),
+            entity_categories=categories,
+            retrain_every=100,
         )
-        assert served.search_topics("anything") is not None
-
-        # The next slide behaves exactly as it would have pre-restart:
-        # warm embeddings are reused and the result is identical.
-        u_orig = inc.advance(long_market.query_log, last_day=7)
-        u_res = resumed.advance(long_market.query_log, last_day=7)
-        assert not u_res.embeddings_retrained
+        u_live = inc.advance(long_market.query_log, last_day=7)
+        u_restarted = restarted.advance(long_market.query_log, last_day=7)
+        assert not u_live.embeddings_retrained
+        assert not u_restarted.embeddings_retrained
         assert (
-            u_res.model.clustering.dendrogram.root_partition()
-            == u_orig.model.clustering.dendrogram.root_partition()
+            u_restarted.model.clustering.dendrogram.root_partition()
+            == u_live.model.clustering.dendrogram.root_partition()
         )
-        assert u_res.taxonomy_stability == pytest.approx(u_orig.taxonomy_stability)
-
-    def test_retrain_counter_survives(self, long_market, inputs, tmp_path):
-        titles, query_texts, categories = inputs
-        inc = IncrementalShoal(
-            ShoalConfig(), titles, query_texts, categories, retrain_every=2
+        live_dir = save_model(
+            u_live.model, tmp_path / "live", entity_categories=categories
         )
-        inc.advance(long_market.query_log, 6)  # retrain, counter -> 1
-        inc.checkpoint(tmp_path / "ckpt")
-        resumed = IncrementalShoal.resume(tmp_path / "ckpt")
-        assert not resumed.advance(long_market.query_log, 7).embeddings_retrained
-        assert resumed.advance(long_market.query_log, 8).embeddings_retrained
-
-    def test_invalidated_embeddings_stay_invalid(
-        self, long_market, inputs, tmp_path
-    ):
-        titles, query_texts, categories = inputs
-        inc = IncrementalShoal(
-            ShoalConfig(), titles, query_texts, categories, retrain_every=100
+        restarted_dir = save_model(
+            u_restarted.model, tmp_path / "restarted",
+            entity_categories=categories,
         )
-        inc.advance(long_market.query_log, 6)
-        inc.update_titles({0: "completely new title words"})
-        inc.checkpoint(tmp_path / "ckpt")
-        resumed = IncrementalShoal.resume(tmp_path / "ckpt")
-        assert resumed.model is not None
-        u = resumed.advance(long_market.query_log, 7)
-        assert u.embeddings_retrained  # the invalidation survived
-        assert resumed._titles[0] == "completely new title words"
-
-    def test_checkpoint_before_first_advance(
-        self, long_market, inputs, tmp_path
-    ):
-        titles, query_texts, categories = inputs
-        inc = IncrementalShoal(ShoalConfig(), titles, query_texts, categories)
-        inc.checkpoint(tmp_path / "ckpt")
-        resumed = IncrementalShoal.resume(tmp_path / "ckpt")
-        assert resumed.model is None
-        u = resumed.advance(long_market.query_log, 6)
-        assert u.embeddings_retrained
-        assert len(u.model.taxonomy) > 0
+        assert snapshot_fingerprint(restarted_dir) == snapshot_fingerprint(
+            live_dir
+        )

@@ -1,7 +1,8 @@
 """Shared fixtures for the replication suite.
 
 One session-scoped "shipped world" — a primary that streamed two
-micro-batches through the WAL, published segments + deltas into a feed
+micro-batches through the WAL, published segments + a generation index
+into a feed
 — is built once; tests that mutate feed state (follower reports, epoch
 broadcasts) work on per-test copies of that feed so they cannot bleed
 into each other.
@@ -77,10 +78,8 @@ def feed_manifest(repl_config) -> dict:
         "profile": "tiny",
         "seed": repl_config.seed,
         "query_log": dataclasses.asdict(repl_config.query_log),
-        "base_last_day": 8,
         "retrain_every": 100,
         "max_day_skew": 2,
-        "min_batch_events": MIN_BATCH,
     }
 
 

@@ -8,7 +8,12 @@ import time
 import pytest
 
 from repro.api.contract import SearchRequest
-from repro.replication import EpochCoordinator, Feed, Follower
+from repro.replication import (
+    EpochCoordinator,
+    Feed,
+    Follower,
+    coordinator_loop,
+)
 
 
 def _fingerprints(feed_dir):
@@ -90,9 +95,73 @@ class TestCoordinatorQuorum:
         assert coordinator.tick(now=now + 1) is None
         assert coordinator.current_epoch()["epoch"] == 1
 
+    def test_malformed_reports_do_not_vote_or_stop_the_tick(self, feed_copy):
+        """Reports come from other processes: one whose fingerprints are
+        not an object keyed by generation numbers is skipped and
+        counted, and the healthy follower's vote still carries."""
+        fps = _fingerprints(feed_copy)
+        feed = Feed(feed_copy)
+        coordinator = EpochCoordinator(feed_copy, quorum=1)
+        now = 1000.0
+        feed.write_follower_report("a-list", {
+            "healthy": True, "fingerprints": ["oops"], "ts": now,
+        })
+        feed.write_follower_report("b-words", {
+            "healthy": True, "fingerprints": {"one": "abc"}, "ts": now,
+        })
+        feed.write_follower_report("c-null", {
+            "healthy": True, "fingerprints": None, "ts": now,
+        })
+        feed.write_follower_report("good", _report(fps, ts=now))
+        broadcast = coordinator.tick(now=now)
+        assert broadcast is not None
+        assert broadcast["generation"] == 2
+        assert broadcast["votes"] == 1
+        decision = coordinator.stats()["last_decision"]
+        assert decision["malformed"] == 3
+        assert decision["live_followers"] == 4
+
     def test_quorum_must_be_positive(self, tmp_path):
         with pytest.raises(ValueError, match="quorum"):
             EpochCoordinator(tmp_path, quorum=0)
+
+
+class TestCoordinatorLoop:
+    def test_a_malformed_report_does_not_stop_the_broadcast(
+        self, feed_copy
+    ):
+        """The embedded coordinator thread keeps ticking past a bad
+        report, so the healthy, matching follower still gets its epoch."""
+        fps = _fingerprints(feed_copy)
+        feed = Feed(feed_copy)
+        feed.write_follower_report("bad", {
+            "healthy": True, "fingerprints": {"one": "abc"},
+            "ts": time.time(),
+        })
+        feed.write_follower_report("good", _report(fps, ts=time.time()))
+        stop = threading.Event()
+        thread = threading.Thread(
+            target=coordinator_loop,
+            args=(EpochCoordinator(feed_copy, quorum=1),),
+            kwargs={"stop": stop, "interval_s": 0.01},
+            daemon=True,
+        )
+        thread.start()
+        try:
+            deadline = time.monotonic() + 10.0
+            while feed.read_epoch() is None and time.monotonic() < deadline:
+                time.sleep(0.01)
+            time.sleep(0.05)  # a few more ticks over the same reports
+            assert thread.is_alive()
+        finally:
+            stop.set()
+            thread.join(timeout=10.0)
+        assert not thread.is_alive()
+        epoch = feed.read_epoch()
+        assert epoch is not None
+        assert epoch["epoch"] == 1
+        assert epoch["generation"] == 2
+        assert epoch["fingerprint"] == fps[2]
 
 
 class TestEpochSwap:

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from repro.api.contract import RecommendRequest, SearchRequest
 from repro.core.serving import ShoalService
 from repro.replication import Feed, Follower
-from repro.replication.delta import snapshot_fingerprint
+from repro.store.persistence import snapshot_fingerprint
 from tests.replication.conftest import (
     MIN_BATCH,
     build_primary,

@@ -7,8 +7,8 @@ import json
 
 import pytest
 
-from repro.replication import Feed, SegmentShipper
-from repro.replication.delta import snapshot_fingerprint
+from repro.replication import Feed, Follower, SegmentShipper
+from repro.store.persistence import snapshot_fingerprint
 from repro.streaming import WriteAheadLog
 
 
@@ -86,7 +86,25 @@ class TestShipperPublish:
             assert entry["fingerprint"] == snapshot_fingerprint(
                 generation.snapshot_dir
             )
-            assert entry["bytes"] < entry["full_bytes"]
+            assert entry == {
+                "number": generation.number,
+                "applied_seq": generation.applied_seq,
+                "last_day": generation.last_day,
+                "fingerprint": entry["fingerprint"],
+            }
+
+    def test_feed_holds_only_what_a_reader_reads(self, shipped_world):
+        """No model bytes are shipped past the base snapshot: followers
+        rebuild every generation from the segments."""
+        root, _, _ = shipped_world
+        assert sorted(p.name for p in (root / "feed").iterdir()) == [
+            "FEED.json",
+            "GENERATIONS.json",
+            "SEGMENTS.json",
+            "base",
+            "followers",
+            "segments",
+        ]
 
     def test_segments_cover_every_generation_boundary(self, shipped_world):
         """The publish invariant: a generation's boundary seq is always
@@ -168,3 +186,30 @@ class TestShipperPublish:
         assert manifest["format"] == "repro-replication-feed-v1"
         assert manifest["nonce"]
         assert manifest["profile"] == "tiny"
+
+
+class TestOldFeedsStayReadable:
+    def test_follower_rebuilds_a_feed_with_delta_era_fields(
+        self, feed_copy, tmp_path, shipped_world
+    ):
+        """A feed written before the generation index shrank to four
+        keys carries extra manifest and index fields; followers read
+        only ``number``, ``applied_seq`` and ``fingerprint``."""
+        _, _, generations = shipped_world
+        feed = Feed(feed_copy)
+        manifest = feed.read_manifest()
+        manifest.update(base_last_day=8, min_batch_events=10)
+        (feed_copy / "FEED.json").write_text(json.dumps(manifest))
+        feed.write_generation_index([
+            dict(entry, kind="delta", file=f"gen-{entry['number']:05d}.delta",
+                 bytes=1, full_bytes=2)
+            for entry in feed.read_generation_index()
+        ])
+        follower = Follower(feed_copy, tmp_path / "work", follower_id="old")
+        follower.bootstrap()
+        assert follower.catch_up(timeout_s=120.0) == len(generations)
+        for generation in generations:
+            assert follower.fingerprint_of(
+                generation.number
+            ) == snapshot_fingerprint(generation.snapshot_dir)
+        assert not follower.stats()["divergent"]

@@ -1,11 +1,13 @@
-"""Tests for the versioned model snapshot + checkpoint formats.
+"""Tests for the versioned model snapshot format and its fingerprint.
 
 The deployment contract under test: a serving process that loads a
 snapshot must answer exactly like the process that fitted the model —
 and nothing in the format may rely on pickle.
 """
 
+import dataclasses
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from repro.store.persistence import (
     load_model,
     read_manifest,
     save_model,
+    snapshot_fingerprint,
 )
 
 
@@ -198,6 +201,48 @@ class TestSnapshotFormat:
     def test_metadata_recorded(self, tiny_model, tmp_path):
         save_model(tiny_model, tmp_path / "m", metadata={"profile": "tiny"})
         assert read_manifest(tmp_path / "m")["metadata"] == {"profile": "tiny"}
+
+
+class TestSnapshotFingerprint:
+    """The fingerprint covers every answer-shaping artifact and nothing
+    else: followers and the epoch coordinator compare it."""
+
+    def test_wall_clock_stage_seconds_do_not_count(self, tiny_model, tmp_path):
+        slower = dataclasses.replace(
+            tiny_model,
+            stage_seconds={
+                k: v + 1.0 for k, v in tiny_model.stage_seconds.items()
+            },
+        )
+        a = save_model(tiny_model, tmp_path / "a")
+        b = save_model(slower, tmp_path / "b")
+        assert read_manifest(a)["stage_seconds"] != read_manifest(b)[
+            "stage_seconds"
+        ]
+        assert snapshot_fingerprint(a) == snapshot_fingerprint(b)
+
+    def test_stray_tmp_file_does_not_count(self, snapshot_dir, tmp_path):
+        d = shutil.copytree(snapshot_dir, tmp_path / "m")
+        before = snapshot_fingerprint(d)
+        (d / "taxonomy.json.tmp").write_bytes(b"half-written")
+        assert snapshot_fingerprint(d) == before
+
+    def test_one_flipped_byte_in_any_artifact_counts(
+        self, snapshot_dir, tmp_path
+    ):
+        before = snapshot_fingerprint(snapshot_dir)
+        artifacts = read_manifest(snapshot_dir)["artifacts"]
+        assert "entity_categories.json" in artifacts
+        for name in artifacts:
+            d = shutil.copytree(snapshot_dir, tmp_path / name)
+            raw = bytearray((d / name).read_bytes())
+            raw[len(raw) // 2] ^= 0x01
+            (d / name).write_bytes(bytes(raw))
+            assert snapshot_fingerprint(d) != before, name
+
+    def test_missing_directory_rejected(self, tmp_path):
+        with pytest.raises(FileNotFoundError, match="snapshot directory"):
+            snapshot_fingerprint(tmp_path / "absent")
 
 
 class TestServingIdentity:
