@@ -17,14 +17,15 @@ per day":
    inverted token→topic index, the category→topic index, per-topic
    subtree sets, and the entity→category map are all built once per
    model into an immutable :class:`_ServiceState`, never per request.
-2. **Candidate pruning** — :meth:`search_topics` scores only the BM25
-   posting-list candidates; :meth:`related_topics` scores only topics
-   sharing at least one description token or category with the centre
-   topic. Both prunings are exact: a topic outside the candidate set
-   scores zero and could never be returned.
+2. **Candidate pruning** — :meth:`search_topics` only adds up the
+   BM25 posting terms of the query's tokens, each term computed once
+   at index build; :meth:`related_topics` scores only topics sharing
+   at least one description token or category with the centre topic.
+   Both prunings are exact: a topic outside the candidate set scores
+   zero and could never be returned.
 3. **Batch APIs** — :meth:`search_topics_batch` and
    :meth:`recommend_batch` tokenise a request batch in one pass and
-   answer it against one state snapshot.
+   answer it through :meth:`search_tokens`, against one state snapshot.
 
 **No result cache.** The engine computes every answer it is asked for
 and holds no state a request mutates. Repeated requests are absorbed
@@ -307,40 +308,44 @@ class ShoalService:
     def search_topics(self, query: str, k: int = 5) -> List[TopicHit]:
         """Topics relevant to a keyword query, best first."""
         return self._search_tokens(
-            self._state, self._tokenizer.tokenize(query), k
-        )
+            self._state, [self._tokenizer.tokenize(query)], k
+        )[0]
 
     def search_tokens(
-        self, tokens: Sequence[str], k: int = 5
-    ) -> List[TopicHit]:
-        """Like :meth:`search_topics` over already-tokenised terms.
+        self, token_lists: Sequence[Sequence[str]], k: int = 5
+    ) -> List[List[TopicHit]]:
+        """One hit list per already-tokenised query, in order, all
+        against one state snapshot: the batch entry point of
+        :meth:`search_topics_batch` and of the cluster router."""
+        return self._search_tokens(self._state, token_lists, k)
 
-        The cluster router tokenises a query once and fans the token
-        tuple out to candidate shards through this entry point.
-        """
-        return self._search_tokens(self._state, tokens, k)
-
+    @staticmethod
     def _search_tokens(
-        self, state: _ServiceState, tokens: Sequence[str], k: int
-    ) -> List[TopicHit]:
-        """BM25 search over pre-tokenised query terms, against one
-        state snapshot (hot-swap safety: search and any follow-up
-        lookups of the caller run against the same model)."""
-        if state.index is None or not tokens:
-            return []
-        hits = []
-        for doc_idx, score in state.index.top_k(tokens, k):
-            t = state.topics[doc_idx]
-            hits.append(
-                TopicHit(
-                    topic_id=t.topic_id,
-                    score=score,
-                    label=t.label(),
-                    n_entities=t.size,
-                    n_categories=len(t.category_ids),
+        state: _ServiceState, token_lists: Sequence[Sequence[str]], k: int
+    ) -> List[List[TopicHit]]:
+        """BM25 search over pre-tokenised queries, against one state
+        snapshot (hot-swap safety: search and any follow-up lookups of
+        the caller run against the same model)."""
+        index = state.index
+        if index is None:
+            return [[] for _ in token_lists]
+        topics = state.topics
+        rows: List[List[TopicHit]] = []
+        for tokens in token_lists:
+            hits = []
+            for doc_idx, score in index.top_k(tokens, k):
+                t = topics[doc_idx]
+                hits.append(
+                    TopicHit(
+                        topic_id=t.topic_id,
+                        score=score,
+                        label=t.label(),
+                        n_entities=t.size,
+                        n_categories=len(t.category_ids),
+                    )
                 )
-            )
-        return hits
+            rows.append(hits)
+        return rows
 
     def search_topics_batch(
         self, queries: Sequence[str], k: int = 5
@@ -350,19 +355,14 @@ class ShoalService:
         Tokenises the whole batch up front and answers every query
         against one state snapshot.
         """
-        state = self._state
-        token_lists = self._tokenizer.tokenize_all(queries)
-        return [
-            self._search_tokens(state, toks, k)
-            for toks in token_lists
-        ]
+        return self.search_tokens(self._tokenizer.tokenize_all(queries), k)
 
     def best_topic(self, query: str) -> Optional[Topic]:
         """The single best-matching topic (None if nothing matches)."""
         state = self._state
         hits = self._search_tokens(
-            state, self._tokenizer.tokenize(query), 1
-        )
+            state, [self._tokenizer.tokenize(query)], 1
+        )[0]
         if not hits:
             return None
         return state.model.taxonomy.topic(hits[0].topic_id)
@@ -481,14 +481,7 @@ class ShoalService:
         lookup run against one state snapshot, so a concurrent refresh
         can never make the winning topic "disappear" mid-request.
         """
-        state = self._state
-        hits = self._search_tokens(
-            state, self._tokenizer.tokenize(query), 1
-        )
-        if not hits:
-            return []
-        topic = state.model.taxonomy.topic(hits[0].topic_id)
-        return topic.entity_ids[:k]
+        return self.recommend_batch([query], k)[0]
 
     def recommend_batch(
         self, queries: Sequence[str], k: int = 10
@@ -496,16 +489,14 @@ class ShoalService:
         """One entity slate per query, in order.
 
         The batched counterpart of :meth:`recommend_entities_for_query`;
-        shares tokenisation across the batch.
+        shares tokenisation and one state snapshot across the batch.
         """
         state = self._state
-        token_lists = self._tokenizer.tokenize_all(queries)
-        slates: List[List[int]] = []
-        for toks in token_lists:
-            hits = self._search_tokens(state, toks, 1)
-            if not hits:
-                slates.append([])
-            else:
-                topic = state.model.taxonomy.topic(hits[0].topic_id)
-                slates.append(topic.entity_ids[:k])
-        return slates
+        rows = self._search_tokens(
+            state, self._tokenizer.tokenize_all(queries), 1
+        )
+        taxonomy = state.model.taxonomy
+        return [
+            taxonomy.topic(hits[0].topic_id).entity_ids[:k] if hits else []
+            for hits in rows
+        ]

@@ -3,8 +3,9 @@
 :class:`ClusterRouter` is the single front door of a shard set: it owns
 a token → shard index (derived from each shard's BM25 posting lists),
 fans a query out to the shards that could possibly score it, and merges
-the per-shard top-k. The router computes every answer it is asked for:
-like the engine under it, it holds no result cache (the gateway's
+the per-shard top-k; a batch probes each touched shard once. The
+router computes every answer it is asked for: like the engine under
+it, it holds no result cache (the gateway's
 :class:`~repro.api.middleware.CacheMiddleware` is the only one) and no
 state a search mutates apart from its latency and busy-time counters.
 
@@ -57,9 +58,9 @@ def _checkpoint() -> None:
     """Cancellation check point between units of shard work.
 
     The router polls the ambient :class:`~repro.api.context.RequestContext`
-    before each shard probe and between batch items, so a request whose
-    deadline blew stops costing shard time at the next boundary instead
-    of running to completion.
+    before each shard probe, so a request whose deadline blew stops
+    costing shard time at the next boundary instead of running to
+    completion.
     """
     ctx = current_context()
     if ctx is not None:
@@ -110,7 +111,9 @@ class ClusterRouter:
     Construct with :meth:`from_model` (shard a fitted model in memory),
     :meth:`from_snapshot` (load a cluster snapshot directory written by
     :meth:`ShardPlanner.save`), or directly from a :class:`ShardSet`.
-    The shards are built once, here, and never replaced.
+    The shards are built once, here, and never replaced. A single
+    query and a batch run one path (:meth:`_search`); either call is
+    one latency sample.
     """
 
     def __init__(
@@ -195,57 +198,66 @@ class ClusterRouter:
     def search_topics(self, query: str, k: int = 5) -> List[TopicHit]:
         """Cluster-wide keyword search; identical to the unsharded answer."""
         t0 = time.perf_counter()
-        hits = self._serve_search(query, k)
+        hits = self._search("router.search", [query], k)[0]
         self._stats.record(time.perf_counter() - t0)
         return hits
-
-    def _serve_search(self, query: str, k: int) -> List[TopicHit]:
-        """Tokenise → fan out."""
-        with traced("router.search"):
-            tokens = self._tokenizer.tokenize(query)
-            return self._search_tokens(tokens, k)
-
-    def _search_tokens(
-        self, tokens: Sequence[str], k: int
-    ) -> List[TopicHit]:
-        if not tokens:
-            return []
-        candidate_ids: set = set()
-        for tok in tokens:
-            candidate_ids.update(self._shards_with_token.get(tok, ()))
-        merged: List[TopicHit] = []
-        for i in sorted(candidate_ids):
-            _checkpoint()
-            shard = self._shards[i]
-            t0 = time.perf_counter()
-            try:
-                with traced("router.shard_probe", tags={"shard": str(i)}):
-                    merged.extend(shard.service.search_tokens(tokens, k))
-            finally:
-                shard.add_busy(time.perf_counter() - t0)
-        # Global doc order is ascending topic id, and the unsharded
-        # index breaks score ties toward the lower doc index — so this
-        # sort reproduces the unsharded ordering exactly.
-        merged.sort(key=lambda h: (-h.score, h.topic_id))
-        return merged[:k]
 
     def search_topics_batch(
         self, queries: Sequence[str], k: int = 5
     ) -> List[List[TopicHit]]:
         """One result list per query, in order."""
-        results = []
-        for q in queries:
-            _checkpoint()
-            t0 = time.perf_counter()
-            results.append(self._serve_search(q, k))
-            self._stats.record(time.perf_counter() - t0)
-        return results
+        t0 = time.perf_counter()
+        rows = self._search("router.batch", queries, k)
+        self._stats.record(time.perf_counter() - t0)
+        return rows
 
     def best_topic(self, query: str) -> Optional[Topic]:
-        hits = self._serve_search(query, 1)
+        hits = self._search("router.search", [query], 1)[0]
         if not hits:
             return None
         return self.topic(hits[0].topic_id)
+
+    def _search(
+        self, span: str, queries: Sequence[str], k: int
+    ) -> List[List[TopicHit]]:
+        """Tokenise → route each query to the shards holding one of its
+        tokens → probe each touched shard once, in ascending order, with
+        all its queries (one ``router.shard_probe`` span tagged
+        ``shard`` and ``queries``) → merge per query."""
+        with traced(span):
+            token_lists = self._tokenizer.tokenize_all(queries)
+            routed: Dict[int, List[int]] = {}
+            for q, tokens in enumerate(token_lists):
+                shard_ids: set = set()
+                for tok in tokens:
+                    shard_ids.update(self._shards_with_token.get(tok, ()))
+                for i in shard_ids:
+                    routed.setdefault(i, []).append(q)
+            merged: List[List[TopicHit]] = [[] for _ in token_lists]
+            for i in sorted(routed):
+                _checkpoint()
+                shard = self._shards[i]
+                positions = routed[i]
+                t0 = time.perf_counter()
+                try:
+                    with traced(
+                        "router.shard_probe",
+                        tags={"shard": str(i), "queries": str(len(positions))},
+                    ):
+                        rows = shard.service.search_tokens(
+                            [token_lists[q] for q in positions], k
+                        )
+                finally:
+                    shard.add_busy(time.perf_counter() - t0)
+                for q, hits in zip(positions, rows):
+                    merged[q].extend(hits)
+            # Global doc order is ascending topic id, and the unsharded
+            # index breaks score ties toward the lower doc index — so
+            # this sort reproduces the unsharded ordering exactly.
+            return [
+                sorted(hits, key=lambda h: (-h.score, h.topic_id))[:k]
+                for hits in merged
+            ]
 
     # -- topic-local scenarios (B, C) ---------------------------------------
 
@@ -292,25 +304,24 @@ class ClusterRouter:
         self, query: str, k: int = 10
     ) -> List[int]:
         """Topic-matched entity slate; identical to the unsharded answer."""
-        t0 = time.perf_counter()
-        hits = self._serve_search(query, 1)
-        slate = [] if not hits else self.topic(hits[0].topic_id).entity_ids[:k]
-        self._stats.record(time.perf_counter() - t0)
-        return slate
+        return self._recommend("router.search", [query], k)[0]
 
     def recommend_batch(
         self, queries: Sequence[str], k: int = 10
     ) -> List[List[int]]:
-        slates: List[List[int]] = []
-        for q in queries:
-            _checkpoint()
-            t0 = time.perf_counter()
-            hits = self._serve_search(q, 1)
-            slates.append(
-                [] if not hits
-                else self.topic(hits[0].topic_id).entity_ids[:k]
-            )
-            self._stats.record(time.perf_counter() - t0)
+        return self._recommend("router.batch", queries, k)
+
+    def _recommend(
+        self, span: str, queries: Sequence[str], k: int
+    ) -> List[List[int]]:
+        """Each query's best topic's first ``k`` entities; one latency
+        sample per call."""
+        t0 = time.perf_counter()
+        slates = [
+            self.topic(hits[0].topic_id).entity_ids[:k] if hits else []
+            for hits in self._search(span, queries, 1)
+        ]
+        self._stats.record(time.perf_counter() - t0)
         return slates
 
     # -- stats ---------------------------------------------------------------

@@ -9,7 +9,6 @@ tokenised documents.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence
@@ -92,6 +91,13 @@ class BM25:
     the statistics of a larger collection this index is a partition of
     (see :class:`CollectionStats`); postings and term frequencies stay
     local, only IDF and the length norm come from the global numbers.
+
+    The index is one posting map, ``token → {doc_index: term}``, where
+    ``term`` is the token's whole BM25 contribution to that document,
+    ``idf * (f * (k1 + 1)) / (f + k1 * (1 - b + b * dl / avgdl))``,
+    computed once here. A query's score for a document is the sum of
+    its tokens' terms in query order, so :meth:`score`, :meth:`scores`
+    and :meth:`top_k` all add the same floats in the same order.
     """
 
     def __init__(
@@ -102,34 +108,40 @@ class BM25:
         collection_stats: Optional[CollectionStats] = None,
     ):
         self._config = config
-        self._doc_freqs: List[Dict[str, int]] = []
-        self._doc_lengths: List[int] = []
-        self._postings: Dict[str, List[int]] = {}
+        counts: List[Dict[str, int]] = []
+        lengths: List[int] = []
         df: Dict[str, int] = {}
-        for doc_index, doc in enumerate(documents):
+        for doc in documents:
             tf: Dict[str, int] = {}
             for tok in doc:
                 tf[tok] = tf.get(tok, 0) + 1
-            self._doc_freqs.append(tf)
-            self._doc_lengths.append(len(doc))
+            counts.append(tf)
+            lengths.append(len(doc))
             for tok in tf:
                 df[tok] = df.get(tok, 0) + 1
-                self._postings.setdefault(tok, []).append(doc_index)
-        n = len(self._doc_freqs)
+        n = len(counts)
         if collection_stats is None:
             collection_stats = CollectionStats(
                 n_documents=n,
-                average_document_length=(
-                    (sum(self._doc_lengths) / n) if n else 0.0
-                ),
+                average_document_length=(sum(lengths) / n) if n else 0.0,
                 document_frequencies=df,
             )
         # Local document count stays local (bounds checks, scores());
         # the global count only enters through the IDF table.
         self._stats = collection_stats
         self._n_docs = n
-        self._avg_len = collection_stats.average_document_length
+        self._avg_len = avg_len = collection_stats.average_document_length
         self._idf: Dict[str, float] = collection_stats.idf()
+        k1, b = config.k1, config.b
+        self._terms: Dict[str, Dict[int, float]] = {}
+        for doc_index, (tf, dl) in enumerate(zip(counts, lengths)):
+            # Without a length norm (avgdl 0) every document scores zero.
+            norm = k1 * (1.0 - b + b * dl / avg_len) if avg_len else 0.0
+            for tok, f in tf.items():
+                self._terms.setdefault(tok, {})[doc_index] = (
+                    self._idf.get(tok, 0.0) * (f * (k1 + 1.0)) / (f + norm)
+                    if avg_len else 0.0
+                )
 
     # -- accessors ----------------------------------------------------------
 
@@ -152,23 +164,11 @@ class BM25:
         A query sharing no token with this set scores zero against
         every local document, so a router may skip this index entirely.
         """
-        return frozenset(self._postings)
+        return frozenset(self._terms)
 
     def idf(self, token: str) -> float:
         """Smoothed IDF of a token (0.0 for unseen tokens)."""
         return self._idf.get(token, 0.0)
-
-    def candidates(self, query_tokens: Sequence[str]) -> List[int]:
-        """Documents containing at least one query token, ascending.
-
-        Every document with a non-zero BM25 score for the query is in
-        this list, so scoring only candidates is exact top-k pruning,
-        not an approximation.
-        """
-        seen: set = set()
-        for tok in query_tokens:
-            seen.update(self._postings.get(tok, ()))
-        return sorted(seen)
 
     # -- scoring --------------------------------------------------------------
 
@@ -176,52 +176,44 @@ class BM25:
         """BM25 relevance of the query to document ``doc_index``."""
         if not 0 <= doc_index < self._n_docs:
             raise IndexError(f"doc_index {doc_index} out of range")
-        if self._avg_len == 0:
-            return 0.0
-        cfg = self._config
-        tf = self._doc_freqs[doc_index]
-        dl = self._doc_lengths[doc_index]
-        norm = cfg.k1 * (1.0 - cfg.b + cfg.b * dl / self._avg_len)
         total = 0.0
         for tok in query_tokens:
-            f = tf.get(tok, 0)
-            if f == 0:
-                continue
-            total += self._idf.get(tok, 0.0) * (f * (cfg.k1 + 1.0)) / (f + norm)
+            term = self._terms.get(tok, {}).get(doc_index)
+            if term is not None:
+                total += term
         return total
 
     def scores(self, query_tokens: Sequence[str]) -> np.ndarray:
         """BM25 relevance of the query to every document.
 
-        Walks the posting list of each query token in query order, so a
+        Walks the posting map of each query token in query order, so a
         document receives exactly the additions :meth:`score` would
         make for it, in the same order: equal floats, without visiting
         the documents that share no token with the query.
         """
         totals = [0.0] * self._n_docs
-        if self._avg_len == 0:
-            return np.array(totals, dtype=float)
-        cfg = self._config
         for tok in query_tokens:
-            idf = self._idf.get(tok, 0.0)
-            for doc_index in self._postings.get(tok, ()):
-                f = self._doc_freqs[doc_index][tok]
-                dl = self._doc_lengths[doc_index]
-                norm = cfg.k1 * (1.0 - cfg.b + cfg.b * dl / self._avg_len)
-                totals[doc_index] += idf * (f * (cfg.k1 + 1.0)) / (f + norm)
+            for doc_index, term in self._terms.get(tok, {}).items():
+                totals[doc_index] += term
         return np.array(totals, dtype=float)
 
     def top_k(self, query_tokens: Sequence[str], k: int = 10) -> List[tuple]:
         """Top-``k`` (doc_index, score) pairs by descending relevance.
 
-        Scores only the posting-list candidates instead of the full
-        collection; ties break toward the lower document index.
+        Sums the posting terms of the query's tokens, in query order,
+        into one total per document that shares a token with the query
+        — every other document scores zero, so the pruning is exact.
+        Keeps positive totals; ties break toward the lower document
+        index.
         """
         if k <= 0:
             return []
-        scored = [
-            (self.score(query_tokens, i), i)
-            for i in self.candidates(query_tokens)
-        ]
-        top = heapq.nlargest(k, scored, key=lambda si: (si[0], -si[1]))
-        return [(i, s) for s, i in top if s > 0.0]
+        totals: Dict[int, float] = {}
+        for tok in query_tokens:
+            for doc_index, term in self._terms.get(tok, {}).items():
+                totals[doc_index] = totals.get(doc_index, 0.0) + term
+        ranked = sorted(
+            ((i, s) for i, s in totals.items() if s > 0.0),
+            key=lambda pair: (-pair[1], pair[0]),
+        )
+        return ranked[:k]

@@ -27,9 +27,12 @@ _DEFAULT_STOPWORDS = frozenset(
 
 @dataclass(frozen=True)
 class TokenizerConfig:
-    """Tokenizer behaviour switches."""
+    """Tokenizer behaviour switches.
 
-    lowercase: bool = True
+    Text is always lowercased: the token pattern only matches lowercase
+    ASCII letters and digits, so unlowered text would lose its capitals.
+    """
+
     min_token_length: int = 1
     max_token_length: int = 40
     remove_stopwords: bool = False
@@ -61,8 +64,7 @@ class Tokenizer:
         if not text:
             return []
         c = self._config
-        normalized = text.lower() if c.lowercase else text
-        tokens = _TOKEN_RE.findall(normalized.lower())
+        tokens = _TOKEN_RE.findall(text.lower())
         out = []
         for tok in tokens:
             if not c.min_token_length <= len(tok) <= c.max_token_length:

@@ -46,6 +46,10 @@ read once per session however many rows scan it. The rows:
   the system writes has a reader, and a maintainer restarts one way,
   ``IncrementalShoal.from_model`` plus a WAL replay. The WAL's own
   ``read_checkpoint`` / ``write_checkpoint`` sidecar stays.
+* ``second-bm25-scorer`` — BM25's per-document tf dicts and bare
+  posting lists (``_doc_freqs``, ``_postings``), its ``candidates``
+  pass, and the tokenizer's ``lowercase`` switch: one posting map of
+  precomputed terms is the only scorer, and text is always lowercased.
 """
 
 from __future__ import annotations
@@ -183,6 +187,13 @@ REMOVED_WRITE_ONLY_FORMATS = re.compile(
     r"shoal-incremental-checkpoint"
 )
 
+#: The second BM25 scorer's structures and the no-op tokenizer switch —
+#: all removed.
+REMOVED_SECOND_SCORER = re.compile(
+    r"\b(_doc_freqs|_postings)\b|\.candidates\(|\bdef candidates\(|"
+    r"\blowercase\s*[=:]|\.lowercase\b"
+)
+
 #: What a scanned directory contributes (a listed file is always read).
 TEXT_SUFFIXES = (".py", ".yml", ".yaml", ".md")
 
@@ -257,6 +268,13 @@ REMOVALS = (
         "reference to a removed write-only durable format (the feed ships "
         "segments and a generation index, and a maintainer restarts via "
         "IncrementalShoal.from_model plus a WAL replay)",
+    ),
+    Removal(
+        "second-bm25-scorer", REMOVED_SECOND_SCORER,
+        tuple(WRITE_PATH_SCAN_PATHS),
+        "reference to a removed BM25 scorer structure or tokenizer switch "
+        "(BM25 keeps one token -> {doc: term} map; text is always "
+        "lowercased)",
     ),
 )
 
@@ -520,6 +538,27 @@ def test_the_guard_itself_still_bites():
         "# Two snapshots -> at least one delta row showing 50 accepted.",
     ):
         assert not REMOVED_WRITE_ONLY_FORMATS.search(snippet), snippet
+    for snippet in (
+        "self._doc_freqs: List[Dict[str, int]] = []",
+        "for doc_index in self._postings.get(tok, ()):",
+        "for i in self.candidates(query_tokens)",
+        "assert index.candidates([\"beach\"]) == [0, 2]",
+        "def candidates(self, query_tokens):",
+        "Tokenizer(TokenizerConfig(lowercase=False))",
+        "    lowercase: bool = True",
+        "normalized = text.lower() if c.lowercase else text",
+    ):
+        assert REMOVED_SECOND_SCORER.search(snippet), snippet
+    for snippet in (
+        "self._terms.setdefault(tok, {})[doc_index] = term",
+        "candidates.update(state.positions_with_token.get(tok, ()))",
+        "us, vs, shared = self._lsh_candidates(query_sets)",
+        '("repro.text.bm25", "BM25", "candidates", "text.bm25.candidates"),',
+        "tokens = _TOKEN_RE.findall(text.lower())",
+        "Text is always lowercased: the token pattern",
+        "alphabet=string.ascii_lowercase",
+    ):
+        assert not REMOVED_SECOND_SCORER.search(snippet), snippet
     assert [r.pattern for r in REMOVALS] == [
         FORBIDDEN,
         LEGACY_CALLS,
@@ -530,4 +569,5 @@ def test_the_guard_itself_still_bites():
         REMOVED_WRITE_PATH_CONFIGS,
         REMOVED_SHARDED_WRITE_SIDE,
         REMOVED_WRITE_ONLY_FORMATS,
+        REMOVED_SECOND_SCORER,
     ]

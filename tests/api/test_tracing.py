@@ -22,8 +22,6 @@ from __future__ import annotations
 import http.client
 import io
 import json
-import threading
-import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -37,7 +35,10 @@ from repro.api import (
     ShoalClient,
 )
 from repro.api.aio import AsyncShoalServer
+from repro.core.serving import ShoalService
 from repro.obs import Tracer, parse_openmetrics
+from repro.serving.sharding import ShardPlanner
+from repro.text.tokenizer import Tokenizer
 
 
 def _raw(method, host, port, path, payload=None) -> tuple:
@@ -236,6 +237,45 @@ class TestSpanPropagation:
         probes = [s for s in spans if s["name"] == "router.shard_probe"]
         assert probes
         assert {p["tags"]["shard"] for p in probes} <= {"0", "1", "2", "3"}
+
+    def test_a_cluster_batch_probes_each_shard_once(
+        self, served, query_pool, tiny_model, tiny_categories
+    ):
+        """One ``router.batch`` span; under it one ``router.shard_probe``
+        per touched shard, whose ``queries`` tags add up to the routed
+        (query, shard) pairs."""
+        server, tracer = served
+        queries = query_pool[:20] + ["zq1 zx1", "!! ,", query_pool[0]]
+        status, _ = _raw(
+            "POST", server.host, server.port, "/v1/batch",
+            {"version": SCHEMA_VERSION, "queries": queries, "k": 3,
+             "kind": "search"},
+        )
+        assert status == 200
+        spans = tracer.latest()["spans"]
+        _assert_is_tree(spans)
+        batches = [s for s in spans if s["name"] == "router.batch"]
+        assert len(batches) == 1
+        assert "router.search" not in {s["name"] for s in spans}
+        probes = [s for s in spans if s["name"] == "router.shard_probe"]
+        assert 0 < len(probes) <= 4
+        assert all(p["parent_id"] == batches[0]["span_id"] for p in probes)
+        shards = [p["tags"]["shard"] for p in probes]
+        assert len(set(shards)) == len(shards)
+        tokenizer = Tokenizer()
+        shard_set = ShardPlanner(4, tokenizer).partition(
+            tiny_model, tiny_categories
+        )
+        shard_tokens = [
+            ShoalService(model).posting_tokens() for model in shard_set.models
+        ]
+        routed = sum(
+            1
+            for q in queries
+            for tokens in shard_tokens
+            if tokens.intersection(tokenizer.tokenize(q))
+        )
+        assert sum(int(p["tags"]["queries"]) for p in probes) == routed
 
     def test_spans_nest_within_their_parents(self, served, query_pool):
         server, tracer = served

@@ -116,19 +116,40 @@ def test_recommendations_transparent(seed, data, k):
         )
 
 
-@given(seed=st.sampled_from(MODEL_SEEDS), data=st.data())
+@given(
+    seed=st.sampled_from(MODEL_SEEDS),
+    data=st.data(),
+    k=st.integers(min_value=1, max_value=8),
+)
 @common_settings
-def test_batch_apis_transparent(seed, data):
+def test_batch_apis_transparent(seed, data, k):
+    """A batch answers every query exactly as the one-query call does,
+    on the service and on every cluster: a router batch probes each
+    shard once for all its queries, so a duplicate, a query with no
+    tokens and a pure miss share probes with real queries."""
     _, _, service = world(seed)
     queries = data.draw(
         st.lists(query_strings(seed), min_size=0, max_size=6)
     )
-    expected_search = service.search_topics_batch(queries, k=4)
-    expected_rec = service.recommend_batch(queries, k=6)
+    queries += data.draw(
+        st.lists(
+            st.sampled_from(["", "!! ,", "zq0 zx0"] + queries[:1]),
+            max_size=3,
+        )
+    )
+    queries = data.draw(st.permutations(queries))
+    expected_search = [service.search_topics(q, k) for q in queries]
+    expected_rec = [
+        service.recommend_entities_for_query(q, k) for q in queries
+    ]
+    assert service.search_topics_batch(queries, k) == expected_search
+    assert service.recommend_batch(queries, k) == expected_rec
     for n_shards in SHARD_COUNTS:
         r = router(seed, n_shards)
-        assert r.search_topics_batch(queries, k=4) == expected_search
-        assert r.recommend_batch(queries, k=6) == expected_rec
+        got = r.search_topics_batch(queries, k)
+        assert got == expected_search, f"shards={n_shards} k={k}"
+        assert repr(got) == repr(expected_search)
+        assert r.recommend_batch(queries, k) == expected_rec
 
 
 @given(seed=st.sampled_from(MODEL_SEEDS), data=st.data())

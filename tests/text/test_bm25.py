@@ -1,8 +1,12 @@
 """Tests for repro.text.bm25."""
 
-import pytest
+import math
 
-from repro.text.bm25 import BM25, BM25Config
+import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+
+from repro.text.bm25 import BM25, BM25Config, CollectionStats
 
 DOCS = [
     ["beach", "dress", "summer", "beach"],
@@ -91,16 +95,21 @@ class TestTopK:
             assert index.top_k(query, k=10) == expected
 
 
+def _matched(index, query):
+    """Documents top_k returns for ``query`` with room for all of them."""
+    return sorted(i for i, _ in index.top_k(query, k=index.n_documents))
+
+
 class TestCandidates:
     def test_candidates_cover_matching_docs(self, index):
-        assert index.candidates(["beach"]) == [0, 2]
-        assert index.candidates(["beach", "snow"]) == [0, 1, 2]
+        assert _matched(index, ["beach"]) == [0, 2]
+        assert _matched(index, ["beach", "snow"]) == [0, 1, 2]
 
     def test_unknown_token_no_candidates(self, index):
-        assert index.candidates(["spaceship"]) == []
+        assert _matched(index, ["spaceship"]) == []
 
     def test_duplicate_query_tokens(self, index):
-        assert index.candidates(["beach", "beach"]) == [0, 2]
+        assert _matched(index, ["beach", "beach"]) == [0, 2]
 
 
 class TestEdgeCases:
@@ -118,3 +127,93 @@ class TestEdgeCases:
             BM25Config(k1=0)
         with pytest.raises(ValueError):
             BM25Config(b=1.5)
+
+
+# -- against an independent reference ------------------------------------------
+
+VOCAB = ("sun", "sand", "ice", "ski")
+UNSEEN = "zzz"
+
+documents = st.lists(
+    st.lists(st.sampled_from(VOCAB), max_size=6), max_size=7
+)
+queries = st.lists(st.sampled_from(VOCAB + (UNSEEN,)), max_size=5)
+
+
+def reference_scores(docs, query, stats, config=BM25Config()):
+    """The per-document formula, written out: each document's tf dict
+    and length norm, the query's terms summed in query order."""
+    k1, b = config.k1, config.b
+    n, avgdl = stats.n_documents, stats.average_document_length
+    out = []
+    for doc in docs:
+        tf = {}
+        for tok in doc:
+            tf[tok] = tf.get(tok, 0) + 1
+        if avgdl == 0:
+            out.append(0.0)
+            continue
+        norm = k1 * (1.0 - b + b * len(doc) / avgdl)
+        total = 0.0
+        for tok in query:
+            f = tf.get(tok, 0)
+            if f == 0:
+                continue
+            d = stats.document_frequencies.get(tok)
+            idf = 0.0 if d is None else math.log(1.0 + (n - d + 0.5) / (d + 0.5))
+            total += idf * (f * (k1 + 1.0)) / (f + norm)
+        out.append(total)
+    return out
+
+
+def reference_top_k(docs, query, k, stats):
+    if k <= 0:
+        return []
+    ranked = sorted(
+        ((i, s) for i, s in enumerate(reference_scores(docs, query, stats)) if s > 0.0),
+        key=lambda pair: (-pair[1], pair[0]),
+    )
+    return ranked[:k]
+
+
+class TestAgainstReference:
+    @settings(
+        max_examples=300,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        docs=documents,
+        extra=st.lists(st.lists(st.sampled_from(VOCAB), max_size=9), max_size=3),
+        query=queries,
+        corpus=st.sampled_from(["local", "partition", "foreign"]),
+        k=st.integers(min_value=-1, max_value=9),
+    )
+    @example(docs=[[], []], extra=[], query=["sun"], corpus="local", k=3)
+    @example(docs=[["sun"], ["sun"], ["ice"], ["sun"]], extra=[],
+             query=["sun", "sun"], corpus="local", k=2)
+    @example(docs=[["sun"], ["ice"]], extra=[["ice"]], query=["sun"],
+             corpus="foreign", k=2)
+    def test_top_k_and_scores_equal_the_formula(self, docs, extra, query, corpus, k):
+        """Equal floats (``==``), equal order, ties toward the lower
+        document index — against the local statistics, as a partition
+        of a larger corpus, and against a foreign corpus that lacks some
+        local tokens (IDF 0, so a matching document can total 0.0)."""
+        if corpus == "local":
+            stats = CollectionStats.from_documents(docs)
+            bm25 = BM25(docs)
+        else:
+            stats = CollectionStats.from_documents(
+                docs + extra if corpus == "partition" else extra
+            )
+            bm25 = BM25(docs, collection_stats=stats)
+        assert bm25.top_k(query, k) == reference_top_k(docs, query, k, stats)
+        assert bm25.scores(query).tolist() == reference_scores(docs, query, stats)
+
+    def test_ties_break_toward_the_lower_index(self):
+        bm25 = BM25([["ice"], ["sun"], ["ski"], ["sun"], ["sun"]])
+        assert [i for i, _ in bm25.top_k(["sun"], k=2)] == [1, 3]
+
+    def test_k_above_the_match_count_returns_every_match(self):
+        bm25 = BM25([["sun", "sand"], ["ice"], ["sand"]])
+        assert [i for i, _ in bm25.top_k(["sand"], k=50)] == [2, 0]
