@@ -8,7 +8,10 @@ a running ``serve-http`` gateway and fails if
   (``backend_error`` / ``unavailable`` / ``deadline_exceeded``), or
 * any HTTP answer differs from the in-process backend opened on the
   same snapshot (byte-identical transparency), or
-* the gateway stats endpoint reports any 5xx-coded errors server-side.
+* the gateway stats endpoint reports any 5xx-coded errors server-side,
+  or no gateway cache hits — the steady profile repeats queries, and a
+  hit is answered on the edge's event loop, so zero hits means that
+  path went unexercised (and its answers unchecked).
 
 Usage::
 
@@ -84,14 +87,15 @@ def main(argv=None) -> int:
     for code, count in (stats.get("errors") or {}).items():
         if ERROR_CODES.get(code, 500) >= 500:
             server_5xx += int(count)
+    cache_hits = int((stats.get("gateway_cache") or {}).get("hits", 0))
 
     print(
         f"replayed {len(workload)} queries in {elapsed:.2f}s "
         f"({len(workload) / max(elapsed, 1e-9):,.0f} qps over HTTP): "
         f"{five_xx} 5xx, {client_errors} 4xx, {mismatches} mismatches, "
-        f"{server_5xx} server-side 5xx"
+        f"{server_5xx} server-side 5xx, {cache_hits} gateway cache hits"
     )
-    if five_xx or mismatches or client_errors or server_5xx:
+    if five_xx or mismatches or client_errors or server_5xx or not cache_hits:
         print("FAIL")
         return 1
     print("OK: zero 5xx and every HTTP answer matched in-process")

@@ -27,6 +27,12 @@ and everything that needs a non-blocking edge:
   are the ``ingest_overloaded`` / ``ingest_unavailable`` backpressure
   codes, including the partial-batch "resubmit only the rest"
   accounting when admission splits a coalesced batch.
+
+* **Cache hits on the loop** — a read the gateway's cache already
+  holds (:meth:`~repro.api.middleware.Gateway.cached`, a peek that
+  counts nothing) runs the same middleware chain on the event-loop
+  thread, with the same bytes, access-log line and spans; only reads
+  the backend must compute take the executor hop.
 """
 
 from __future__ import annotations
@@ -52,6 +58,7 @@ from repro.api.http import (
     _json_bytes,
     partial_batch_error,
 )
+from repro.api.middleware import Gateway
 from repro.obs.histogram import Histogram
 from repro.obs.tracer import traced
 
@@ -61,6 +68,10 @@ __all__ = ["AsyncShoalServer"]
 #: are pending, or once the oldest has waited :data:`COALESCE_MAX_DELAY_S`.
 COALESCE_MAX_EVENTS = 64
 COALESCE_MAX_DELAY_S = 0.005
+
+#: Header lines accepted in one request head; past it the request is
+#: answered 400 and the socket closed.
+MAX_HEADERS = 100
 
 _PHRASES = {
     200: "OK",
@@ -323,6 +334,12 @@ class AsyncShoalServer:
                 else {}
             ),
         )
+        # Only a gateway's cache stage ever holds an answer; any other
+        # backend computes every read on the executor.
+        self._cached: Callable[[Any], bool] = (
+            backend.cached if isinstance(backend, Gateway)
+            else lambda request: False
+        )
         self._executor = ThreadPoolExecutor(
             max_workers=max_workers or 32,
             thread_name_prefix="shoal-aio-worker",
@@ -478,35 +495,16 @@ class AsyncShoalServer:
         try:
             while True:
                 try:
-                    request_line = await reader.readline()
-                    if not request_line or request_line in (b"\r\n", b"\n"):
-                        break
-                    try:
-                        method, raw_path, _version = (
-                            request_line.decode("latin-1").split(None, 2)
-                        )
-                    except ValueError:
-                        break  # not HTTP; drop the connection
-                    headers: Dict[str, str] = {}
-                    while True:
-                        line = await reader.readline()
-                        if line in (b"\r\n", b"\n", b""):
-                            break
-                        name, _, value = line.decode("latin-1").partition(":")
-                        headers[name.strip().lower()] = value.strip()
-                except ValueError:
-                    # readline() past the stream's 64 KiB limit: a line
-                    # too long to parse. Answer it and close — the rest
-                    # of that line is unread, so nothing after it can be
-                    # framed as a request.
-                    err = ApiError(
-                        "bad_request", "request line or header exceeds 64 KiB"
-                    )
-                    writer.write(
-                        _response_bytes(err.http_status, err.to_dict(), True)
-                    )
+                    head = await self._read_head(reader)
+                except _EdgeError as exc:
+                    writer.write(_response_bytes(
+                        exc.err.http_status, exc.err.to_dict(), True
+                    ))
                     await writer.drain()
                     break
+                if head is None:
+                    break
+                method, raw_path, headers = head
                 keep_alive = headers.get("connection", "").lower() != "close"
                 status, payload, close = await self._serve_one(
                     method, raw_path, headers, reader
@@ -530,6 +528,50 @@ class AsyncShoalServer:
             except Exception:
                 pass
 
+    @staticmethod
+    async def _read_head(
+        reader: asyncio.StreamReader,
+    ) -> Optional[Tuple[str, str, Dict[str, str]]]:
+        """Read one request head as ``(method, raw_path, headers)``;
+        None when the peer closed or sent something that is not HTTP.
+
+        A head the edge will not frame raises :class:`_EdgeError` with
+        ``close`` set: the caller answers it and drops the socket, so
+        none of its unread bytes is ever parsed as a request.
+        """
+        try:
+            request_line = await reader.readline()
+            if not request_line or request_line in (b"\r\n", b"\n"):
+                return None
+            try:
+                method, raw_path, _version = (
+                    request_line.decode("latin-1").split(None, 2)
+                )
+            except ValueError:
+                return None
+            headers: Dict[str, str] = {}
+            for _ in range(MAX_HEADERS + 1):
+                line = await reader.readline()
+                if line in (b"\r\n", b"\n", b""):
+                    return method, raw_path, headers
+                name, _, value = line.decode("latin-1").partition(":")
+                headers[name.strip().lower()] = value.strip()
+        except ValueError:
+            # readline() past the stream's 64 KiB limit: the rest of
+            # that line is unread.
+            raise _EdgeError(
+                ApiError(
+                    "bad_request", "request line or header exceeds 64 KiB"
+                ),
+                close=True,
+            )
+        raise _EdgeError(
+            ApiError(
+                "bad_request", f"more than {MAX_HEADERS} header lines"
+            ),
+            close=True,
+        )
+
     async def _serve_one(
         self,
         method: str,
@@ -543,6 +585,17 @@ class AsyncShoalServer:
         path = path.rstrip("/")
         force_close = False
         try:
+            if "transfer-encoding" in headers:
+                # Bodies are framed by Content-Length alone; a chunk
+                # stream left unread must not be parsed as a request.
+                raise _EdgeError(
+                    ApiError(
+                        "bad_request",
+                        "Transfer-Encoding is not supported; "
+                        "send a Content-Length body",
+                    ),
+                    close=True,
+                )
             if method == "GET":
                 # Keep-alive hygiene: an unexpected GET body is drained
                 # (or, when undrainable, the socket is marked for
@@ -563,7 +616,12 @@ class AsyncShoalServer:
                 if endpoint == "ingest":
                     return 200, await self._handle_ingest(payload), False
                 return 200, await self._dispatch_read(endpoint, payload), False
-            raise ApiError("not_found", f"method {method} is not supported")
+            # Any body such a request carries is unread: close rather
+            # than parse it as the next request.
+            raise _EdgeError(
+                ApiError("not_found", f"method {method} is not supported"),
+                close=True,
+            )
         except _EdgeError as exc:
             return (
                 exc.err.http_status,
@@ -641,6 +699,16 @@ class AsyncShoalServer:
     async def _dispatch_read(
         self, endpoint: str, payload: Dict[str, Any]
     ) -> Dict[str, Any]:
+        """Answer one read under its deadline.
+
+        A read the gateway already holds runs the full chain right here
+        on the loop — the executor hop would cost more than the cached
+        answer. If an invalidation or eviction lands between the peek
+        and the chain, the chain misses and computes that one answer on
+        the loop: still correct, and cheaper than a second hop on every
+        hit to guard against it. Every other read is one executor task,
+        answered 504 the moment its deadline passes.
+        """
         request = self._core.decode_post(endpoint, payload)
         if isinstance(request, AnalyticsRequest):
             # The analytics tier enforces its own time budget.
@@ -662,35 +730,42 @@ class AsyncShoalServer:
         with traced("edge.request", context=ctx) as root:
 
             def run():
-                # contextvars do not cross run_in_executor: the worker
+                # contextvars do not cross run_in_executor: the call
                 # enters the context itself and parents its span to the
-                # edge root explicitly.
+                # edge root explicitly, wherever it runs.
                 with traced("edge.dispatch", context=ctx, parent=root.span):
                     return self._core.dispatch_request(request, context=ctx)
 
-            task = asyncio.get_running_loop().run_in_executor(
-                self._executor, run
-            )
-            remaining_ms = ctx.remaining_ms()
-            done, _ = await asyncio.wait(
-                {task},
-                timeout=(
-                    None if remaining_ms is None
-                    else max(remaining_ms, 0.0) / 1000.0
-                ),
-            )
-            if not done:
-                # Deadline expiry: answer 504 NOW; the worker stops at
-                # its next check point and nobody reads its outcome.
+            if self._cached(request):
+                response = run()
+                expired = ctx.expired
+            else:
+                task = asyncio.get_running_loop().run_in_executor(
+                    self._executor, run
+                )
+                remaining_ms = ctx.remaining_ms()
+                done, _ = await asyncio.wait(
+                    {task},
+                    timeout=(
+                        None if remaining_ms is None
+                        else max(remaining_ms, 0.0) / 1000.0
+                    ),
+                )
+                expired = not done
+                if expired:
+                    # The worker stops at its next check point and
+                    # nobody reads its outcome.
+                    _silence(task)
+                else:
+                    response = task.result()
+            if expired:
                 ctx.cancel("deadline expired")
                 self._stats.deadline_expired += 1
-                _silence(task)
                 raise ApiError(
                     "deadline_exceeded",
                     f"request {ctx.request_id} exceeded its deadline; "
                     "in-flight shard work was cancelled",
                 )
-            response = task.result()
         self._stats.read_stats.record(time.perf_counter() - t0)
         return response.to_dict()
 

@@ -131,6 +131,11 @@ class CacheMiddleware(Middleware):
         self._cache.put(key, response)
         return response
 
+    def holds(self, request: Request) -> bool:
+        """Whether :meth:`handle` would answer ``request`` from the
+        cache right now; counts nothing and keeps the LRU order."""
+        return (self._epoch, request.cache_key()) in self._cache
+
     def invalidate(self) -> None:
         self._epoch += 1
         self._cache.clear()
@@ -409,6 +414,10 @@ class Gateway(ShoalBackend):
         #: (``serve-http --access-log``); None disables logging.
         self._access_log = access_log
         self._access_log_lock = threading.Lock()
+        self._cache_stage: Optional[CacheMiddleware] = next(
+            (mw for mw in self._middlewares if isinstance(mw, CacheMiddleware)),
+            None,
+        )
 
         def terminal(request: Request) -> Response:
             if isinstance(request, SearchRequest):
@@ -526,13 +535,20 @@ class Gateway(ShoalBackend):
             if isinstance(mw, CacheMiddleware):
                 mw.invalidate()
 
+    def cached(self, request: Request) -> bool:
+        """Whether the cache stage would answer ``request`` right now,
+        without counting a lookup; False when there is no cache stage.
+        The async edge asks this to answer hits on its event loop."""
+        return self._cache_stage is not None and self._cache_stage.holds(
+            request
+        )
+
     def cache_stats(self) -> Optional[CacheStats]:
         """The gateway-level result-cache counters (None if no cache
         middleware is installed); the replayer probes this."""
-        for mw in self._middlewares:
-            if isinstance(mw, CacheMiddleware):
-                return mw.cache_stats()
-        return None
+        if self._cache_stage is None:
+            return None
+        return self._cache_stage.cache_stats()
 
     def histograms(self) -> Dict[str, Histogram]:
         """Live latency recorders for OpenMetrics exposition."""

@@ -12,8 +12,13 @@ The acceptance bar for the edge lives here:
   completion;
 * a read is exactly one backend call, however slow it is relative to
   the reads before it;
-* a header line past the stream limit is a 400 contract error, not an
-  exception escaping to the event loop;
+* a read the gateway cache holds is answered on the event loop, even
+  while every executor worker is busy, and the peek counts nothing;
+* a header line past the stream limit, a header count past
+  ``MAX_HEADERS``, a ``Transfer-Encoding`` body and an unsupported
+  method are each answered once with ``Connection: close`` — never an
+  exception escaping to the event loop, never leftover bytes parsed as
+  the next request;
 * concurrent single-event ingests are coalesced into batched WAL
   appends — durable before ack, far fewer fsyncs than events, with the
   ``ingest_overloaded`` / ``ingest_unavailable`` backpressure contract
@@ -42,7 +47,7 @@ from repro.api import (
     ServiceBackend,
     request_from_dict,
 )
-from repro.api.aio import AsyncShoalServer
+from repro.api.aio import MAX_HEADERS, AsyncShoalServer
 from repro.api.context import current_context
 from repro.api.http import API_PREFIX, _json_bytes
 from repro.streaming import IngestPipe, WriteAheadLog
@@ -346,43 +351,258 @@ class TestDeadlinePropagation:
         assert json.loads(body) == want.to_dict()
 
 
+@pytest.fixture()
+def watched_edge(snapshot_dir):
+    """(server, escaped): a fresh edge whose event loop records every
+    exception that reaches its handler instead of logging it."""
+    server = AsyncShoalServer(
+        Gateway(ServiceBackend.from_snapshot(snapshot_dir)), port=0
+    ).start()
+    escaped = []
+
+    async def watch_the_loop():
+        asyncio.get_running_loop().set_exception_handler(
+            lambda loop, context: escaped.append(context["message"])
+        )
+
+    try:
+        asyncio.run_coroutine_threadsafe(
+            watch_the_loop(), server._loop
+        ).result(timeout=5)
+        yield server, escaped
+    finally:
+        server.shutdown()
+
+
+def _exchange(server, raw: bytes) -> tuple:
+    """(reply bytes, closed): send ``raw`` on one socket and read until
+    the server closes it — or until 3 s pass without a byte, when
+    ``closed`` is False."""
+    with socket.create_connection(
+        (server.host, server.port), timeout=3
+    ) as sock:
+        sock.sendall(raw)
+        reply = b""
+        try:
+            while chunk := sock.recv(65536):
+                reply += chunk
+        except socket.timeout:
+            return reply, False
+    return reply, True
+
+
+def _responses(reply: bytes) -> list:
+    """Split a reply stream into (status line, header lines, body)."""
+    out = []
+    while reply:
+        head, _, rest = reply.partition(b"\r\n\r\n")
+        lines = head.decode("latin-1").split("\r\n")
+        length = next(
+            int(line.split(":", 1)[1])
+            for line in lines
+            if line.lower().startswith("content-length:")
+        )
+        out.append((lines[0], lines[1:], rest[:length]))
+        reply = rest[length:]
+    return out
+
+
 class TestOversizedHead:
     def test_header_line_over_the_stream_limit_is_400_and_close(
-        self, snapshot_dir
+        self, watched_edge
     ):
-        server = AsyncShoalServer(
-            Gateway(ServiceBackend.from_snapshot(snapshot_dir)), port=0
-        ).start()
-        escaped = []
+        server, escaped = watched_edge
+        reply, closed = _exchange(
+            server,
+            b"GET /v1/health HTTP/1.1\r\nX-Big: " + b"a" * 70_000
+            + b"\r\n\r\n",
+        )
+        (status, headers, body), = _responses(reply)
+        assert status == "HTTP/1.1 400 Bad Request"
+        assert "Connection: close" in headers
+        assert json.loads(body)["error"]["code"] == "bad_request"
+        assert closed
+        assert escaped == []
 
-        async def watch_the_loop():
-            asyncio.get_running_loop().set_exception_handler(
-                lambda loop, context: escaped.append(context["message"])
+
+class TestRequestFraming:
+    """Bytes the edge does not frame are never parsed as a request:
+    each case is answered once, with ``Connection: close``, then EOF."""
+
+    def test_unsupported_method_body_is_not_smuggled(self, watched_edge):
+        server, escaped = watched_edge
+        smuggled = b"GET /v1/stats HTTP/1.1\r\n\r\n"
+        reply, closed = _exchange(
+            server,
+            b"PUT /v1/search HTTP/1.1\r\nContent-Length: %d\r\n\r\n"
+            % len(smuggled) + smuggled,
+        )
+        (status, headers, body), = _responses(reply)
+        assert status == "HTTP/1.1 404 Not Found"
+        assert "Connection: close" in headers
+        assert json.loads(body)["error"]["code"] == "not_found"
+        assert closed
+        assert escaped == []
+
+    def test_chunked_body_is_refused_before_it_is_read(self, watched_edge):
+        server, escaped = watched_edge
+        # "5 ; a=b" splits like a request line, so a chunk stream left
+        # unread on a kept-alive socket would be answered as one.
+        reply, closed = _exchange(
+            server,
+            b"POST /v1/search HTTP/1.1\r\nTransfer-Encoding: chunked\r\n"
+            b"Content-Type: application/json\r\n\r\n"
+            b"5 ; a=b\r\nhello\r\n0\r\n\r\n",
+        )
+        (status, headers, body), = _responses(reply)
+        assert status == "HTTP/1.1 400 Bad Request"
+        assert "Connection: close" in headers
+        assert json.loads(body)["error"]["code"] == "bad_request"
+        assert closed
+        assert escaped == []
+
+    @pytest.mark.parametrize("n_headers, status", [
+        (MAX_HEADERS, "HTTP/1.1 200 OK"),
+        (MAX_HEADERS + 1, "HTTP/1.1 400 Bad Request"),
+    ], ids=["at-limit", "past-limit"])
+    def test_header_count_is_bounded(self, watched_edge, n_headers, status):
+        server, escaped = watched_edge
+        fillers = b"".join(
+            b"X-Filler-%d: v\r\n" % i for i in range(n_headers - 1)
+        )
+        reply, closed = _exchange(
+            server,
+            b"GET /v1/health HTTP/1.1\r\n" + fillers
+            + b"Connection: close\r\n\r\n",
+        )
+        (got, headers, body), = _responses(reply)
+        assert got == status
+        assert "Connection: close" in headers
+        assert closed
+        assert escaped == []
+        if n_headers > MAX_HEADERS:
+            assert json.loads(body)["error"]["code"] == "bad_request"
+
+
+class _GatedBackend:
+    """Delegates to a real backend and records the thread each search
+    runs on; a search for ``gated`` waits until ``release`` is set."""
+
+    def __init__(self, inner, gated=None):
+        self._inner = inner
+        self._gated = gated
+        self.entered = threading.Event()
+        self.release = threading.Event()
+        self.threads = []
+
+    def search(self, request):
+        self.threads.append(threading.current_thread().name)
+        if request.query == self._gated:
+            self.entered.set()
+            self.release.wait(timeout=30)
+        return self._inner.search(request)
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+
+class _AlwaysHeld(Gateway):
+    """A gateway whose peek always says "held", as when an invalidation
+    lands between the edge's peek and the chain's lookup."""
+
+    def cached(self, request):
+        return True
+
+
+class TestCacheHitsOnTheLoop:
+    def test_a_hit_is_answered_while_the_only_worker_is_busy(
+        self, snapshot_dir, query_pool
+    ):
+        hot, slow = query_pool[0], query_pool[1]
+        gated = _GatedBackend(
+            ServiceBackend.from_snapshot(snapshot_dir), gated=slow
+        )
+        server = AsyncShoalServer(
+            Gateway(gated), port=0, max_workers=1
+        ).start()
+        local = Gateway(ServiceBackend.from_snapshot(snapshot_dir))
+        path = "/v1/search"
+
+        def post(query):
+            return _raw(
+                "POST", server.host, server.port, path,
+                _search_payload(query, 5),
             )
 
         try:
-            asyncio.run_coroutine_threadsafe(
-                watch_the_loop(), server._loop
-            ).result(timeout=5)
-            with socket.create_connection(
-                (server.host, server.port), timeout=10
-            ) as sock:
-                sock.sendall(
-                    b"GET /v1/health HTTP/1.1\r\nX-Big: "
-                    + b"a" * 70_000
-                    + b"\r\n\r\n"
+            assert post(hot)[0] == 200  # now the gateway holds it
+            with ThreadPoolExecutor(1) as pool:
+                blocked = pool.submit(post, slow)
+                assert gated.entered.wait(timeout=10)
+                # The only worker is parked inside the backend.
+                got = post(hot)
+                assert not blocked.done()
+                assert got == _reference(
+                    local, path, _search_payload(hot, 5)
                 )
-                reply = b""
-                while chunk := sock.recv(65536):
-                    reply += chunk
+                gated.release.set()
+                assert blocked.result(timeout=10) == _reference(
+                    local, path, _search_payload(slow, 5)
+                )
+        finally:
+            gated.release.set()
+            server.shutdown()
+            local.close()
+
+    def test_a_lost_race_is_computed_on_the_loop_and_correct(
+        self, snapshot_dir, query_pool
+    ):
+        recorder = _GatedBackend(ServiceBackend.from_snapshot(snapshot_dir))
+        gateway = _AlwaysHeld(recorder)
+        server = AsyncShoalServer(gateway, port=0).start()
+        local = Gateway(ServiceBackend.from_snapshot(snapshot_dir))
+        try:
+            for query in query_pool[:3]:
+                status, body = _raw(
+                    "POST", server.host, server.port, "/v1/search",
+                    _search_payload(query, 5),
+                )
+                assert status == 200
+                want = local.search(SearchRequest(query=query, k=5))
+                assert body == _json_bytes(want.to_dict())
         finally:
             server.shutdown()
-        head, _, body = reply.partition(b"\r\n\r\n")
-        lines = head.decode("latin-1").split("\r\n")
-        assert lines[0] == "HTTP/1.1 400 Bad Request"
-        assert "Connection: close" in lines[1:]
-        assert json.loads(body)["error"]["code"] == "bad_request"
-        assert escaped == []
+            local.close()
+        assert gateway.cache_stats().misses == 3
+        # No second hop: each miss was computed where it was peeked.
+        assert len(recorder.threads) == 3
+        assert not any(
+            name.startswith("shoal-aio-worker") for name in recorder.threads
+        )
+
+    def test_an_expired_hit_is_504_and_counted(
+        self, single_edges, query_pool
+    ):
+        asynced, _ = single_edges
+        query = query_pool[5]
+
+        def expired_count():
+            _, body = _raw("GET", asynced.host, asynced.port, "/v1/metrics")
+            return json.loads(body)["edge"]["deadline_expired"]
+
+        status, _ = _raw(
+            "POST", asynced.host, asynced.port, "/v1/search",
+            _search_payload(query, 5),
+        )
+        assert status == 200
+        before = expired_count()
+        status, body = _raw(
+            "POST", asynced.host, asynced.port, "/v1/search",
+            _search_payload(query, 5, timeout_ms=1e-6),
+        )
+        assert status == 504
+        assert json.loads(body)["error"]["code"] == "deadline_exceeded"
+        assert expired_count() == before + 1
 
 
 class _CountingBackend:

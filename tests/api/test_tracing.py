@@ -434,6 +434,42 @@ class TestAccessLogToTrace:
         lines = [json.loads(l) for l in log.getvalue().splitlines()]
         assert [l["cache"] for l in lines] == ["miss", "hit"]
 
+    def test_a_hit_is_counted_once_and_traced_to_the_cache_stage(
+        self, snapshot_dir, query_pool
+    ):
+        """The edge asks the gateway whether it holds a read before
+        answering it on the loop; that peek is not a lookup. N reads
+        with H repeats leave exactly H hits and N - H misses, and each
+        hit's sampled tree ends at the cache stage."""
+        log = io.StringIO()
+        tracer = Tracer(slowest_per_endpoint=512)
+        gateway = Gateway(
+            ServiceBackend.from_snapshot(snapshot_dir), access_log=log
+        )
+        server = AsyncShoalServer(gateway, port=0, tracer=tracer).start()
+        queries = query_pool[:5] + query_pool[:3] + query_pool[:1]
+        try:
+            for query in queries:
+                status, _ = _raw(
+                    "POST", server.host, server.port, "/v1/search",
+                    _search_payload(query),
+                )
+                assert status == 200
+        finally:
+            server.shutdown()
+        stats = gateway.cache_stats()
+        assert (stats.hits, stats.misses) == (4, 5)
+        lines = [json.loads(l) for l in log.getvalue().splitlines()]
+        assert [l["cache"] for l in lines] == ["miss"] * 5 + ["hit"] * 4
+        for line in lines[5:]:
+            trace = tracer.export(line["request_id"])
+            assert trace is not None
+            _assert_is_tree(trace["spans"])
+            assert [s["name"] for s in trace["spans"]] == [
+                "edge.request", "edge.dispatch", "gateway",
+                "mw.metrics", "mw.cache",
+            ]
+
 
 # -- the endpoints themselves --------------------------------------------------
 
