@@ -26,7 +26,11 @@ from repro.core.incremental import IncrementalShoal
 from repro.data.marketplace import PROFILES, generate_marketplace
 from repro.data.queries import QueryLogConfig
 from repro.replication import Follower, SegmentShipper
-from repro.store.persistence import load_entity_categories, load_model
+from repro.store.persistence import (
+    load_entity_categories,
+    load_model,
+    load_window,
+)
 from repro.streaming import IngestPipe, StreamingUpdater, WriteAheadLog
 
 BASE_LAST_DAY = 6
@@ -47,7 +51,7 @@ def repl_bench_market():
 @pytest.fixture(scope="module")
 def shipped_feed(repl_bench_market, tmp_path_factory):
     """A primary that shipped two generations; returns the world."""
-    cfg, market = repl_bench_market
+    _, market = repl_bench_market
     root = tmp_path_factory.mktemp("repl-bench")
     inc0 = IncrementalShoal(
         ShoalConfig(),
@@ -63,7 +67,6 @@ def shipped_feed(repl_bench_market, tmp_path_factory):
         entity_categories={
             e.entity_id: e.category_id for e in market.catalog.entities
         },
-        metadata={"profile": "tiny", "seed": cfg.seed},
     )
 
     model = load_model(base_dir)
@@ -77,24 +80,18 @@ def shipped_feed(repl_bench_market, tmp_path_factory):
         wal,
         root / "feed",
         base_snapshot_dir=base_dir,
-        manifest={
-            "profile": "tiny",
-            "seed": cfg.seed,
-            "query_log": dataclasses.asdict(cfg.query_log),
-            "retrain_every": 100,
-            "max_day_skew": 2,
-        },
+        manifest={"retrain_every": 100, "max_day_skew": 2},
     )
     shipper.initialise()
     updater = StreamingUpdater(
         inc,
         pipe,
         switch=None,
+        window=load_window(base_dir),
         generations_dir=root / "gens",
         min_batch_events=MIN_BATCH,
         on_generation=shipper.publish_generation,
     )
-    updater.seed_log(market.query_log)
     updater.recover()
 
     live = [e for e in market.query_log.events if e.day > BASE_LAST_DAY]

@@ -166,7 +166,6 @@ def test_bench_generation_swap_zero_failed_reads(
     wal = WriteAheadLog(tmp_path / "wal", fsync="never")
     pipe = IngestPipe(wal, max_queue=10_000)
     updater = StreamingUpdater(bench_inc, pipe, switch=switch)
-    updater.seed_log(market.query_log.window(0, BASE_LAST_DAY))
     for w in build_write_workload(
         market.query_log, 200, day=BASE_LAST_DAY + 1
     ):

@@ -75,7 +75,6 @@ def main() -> None:
     updater = StreamingUpdater(
         inc, pipe, switch=switch, batch_max_events=400, batch_max_age_s=0.0
     )
-    updater.seed_log(market.query_log.window(0, BASE_LAST_DAY))
 
     live = [e for e in market.query_log.events if e.day > BASE_LAST_DAY]
     print(f"\nstreaming {len(live)} live events through {wal_dir} ...")

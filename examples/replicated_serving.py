@@ -60,27 +60,16 @@ def main() -> None:
     # -- the primary's write path, wired to ship ------------------------
     root = Path(tempfile.mkdtemp(prefix="shoal-repl-"))
     base_dir = root / "base-snapshot"
-    inc.model.save(
-        base_dir,
-        entity_categories=categories,
-        metadata={"profile": "tiny", "seed": config.seed},
-    )
+    # The snapshot carries the model and its click window (window.npz):
+    # everything a follower starts from.
+    inc.model.save(base_dir, entity_categories=categories)
     wal = WriteAheadLog(root / "wal", fsync="batch")
     pipe = IngestPipe(wal, max_queue=8192)
     shipper = SegmentShipper(
         wal,
         root / "feed",
         base_snapshot_dir=base_dir,
-        manifest={
-            "profile": "tiny",
-            "seed": config.seed,
-            # the example fits on a non-default log shape, so ship the
-            # full query-log config — followers regenerate the exact
-            # base world from it
-            "query_log": dataclasses.asdict(config.query_log),
-            "retrain_every": 7,
-            "max_day_skew": 2,
-        },
+        manifest={"retrain_every": 7, "max_day_skew": 2},
     )
     shipper.initialise()
     updater = StreamingUpdater(
@@ -91,11 +80,6 @@ def main() -> None:
         min_batch_events=100,
         on_generation=shipper.publish_generation,
     )
-    # Seed the FULL generated log, exactly as followers do when they
-    # regenerate the world from the manifest — the seeded window is a
-    # refit input, so a primary/follower mismatch here would diverge
-    # the fingerprints.
-    updater.seed_log(market.query_log)
     print(f"feed initialised at {root / 'feed'}")
 
     live = [e for e in market.query_log.events if e.day > BASE_LAST_DAY]

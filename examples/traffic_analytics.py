@@ -92,7 +92,6 @@ def main() -> None:
         batch_max_age_s=0.0,
         drift_gate=DriftMonitor(threshold=0.0),
     )
-    updater.seed_log(market.query_log.window(0, BASE_LAST_DAY))
 
     # The analytics side: an isolated SQLite replica fed by tailing
     # the same WAL the pipe appends to. The resolver attributes each

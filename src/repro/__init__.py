@@ -14,7 +14,7 @@ Public API highlights::
 Subpackages:
 
 * ``repro.data`` — synthetic marketplace (Taobao-data substitute)
-* ``repro.store`` — query-log store & persistence
+* ``repro.store`` — model snapshots (persistence)
 * ``repro.text`` — tokenizer, word2vec, BM25
 * ``repro.graph`` — bipartite & item-entity graphs, modularity
 * ``repro.pregel`` — vertex-centric BSP engine (ODPS substitute)

@@ -288,14 +288,6 @@ def _cmd_evaluate(args) -> int:
     return 0 if (report.precision >= 0.9 and q > 0.3) else 1
 
 
-def _default_snapshot_query(service) -> str:
-    """A demo query when serving from disk: a topic's own description."""
-    for topic in service.taxonomy.root_topics():
-        if topic.descriptions:
-            return topic.descriptions[0]
-    return "example"
-
-
 def _print_hits(backend, queries, results, names) -> None:
     """Shared hit renderer for search/serve-cluster."""
     categories_of = getattr(backend, "categories_of_topic", None)
@@ -321,7 +313,12 @@ def _cmd_search(args) -> int:
         # consistency check needed: nothing here uses the marketplace.)
         backend = open_backend(f"snapshot:{args.load}")
         names = {}
-        queries = args.queries or [_default_snapshot_query(backend.service)]
+        # A demo query when serving from disk: a topic's own description.
+        from repro.streaming import probe_queries
+
+        queries = args.queries or probe_queries(backend.service.model, 1) or [
+            "example"
+        ]
     else:
         market, model = _build(args)
         backend = ServiceBackend.from_model(
@@ -563,12 +560,12 @@ def _build_ingest_side(args, backend):
     All three are ``None`` without ``--ingest-wal``; the shipper is
     ``None`` without ``--ship-feed``.
 
-    Seeds the updater's sliding-window store by regenerating the query
-    log the snapshot was fitted on (profile/seed come from the snapshot
-    manifest), warm-starts an :class:`IncrementalShoal` from the loaded
-    model, replays any retained WAL from a previous run, and wires a
-    :class:`GenerationSwitch` over the serving backend so every new
-    generation hot-swaps in with probe-query health checks.
+    Everything comes from the snapshot: an :class:`IncrementalShoal`
+    warm-starts from the loaded model, the updater folds into the
+    snapshot's click window (``window.npz``) and replays any retained
+    WAL from a previous run into it, and a :class:`GenerationSwitch`
+    over the serving backend hot-swaps every new generation in, with
+    probe queries taken from the model.
     """
     if not args.ingest_wal:
         return None, None, None
@@ -579,26 +576,24 @@ def _build_ingest_side(args, backend):
             "sharded halves)"
         )
     from repro.core.incremental import IncrementalShoal
-    from repro.store.persistence import load_entity_categories, read_manifest
+    from repro.store.persistence import load_entity_categories, load_window
     from repro.streaming import (
         Generation,
         GenerationSwitch,
         IngestPipe,
         StreamingUpdater,
         WriteAheadLog,
+        probe_queries,
     )
 
-    meta = read_manifest(args.load).get("metadata", {})
-    profile, seed = meta.get("profile"), meta.get("seed")
-    if profile is None or seed is None:
+    try:
+        window = load_window(args.load)
+    except FileNotFoundError as exc:
         raise SystemExit(
-            "--ingest-wal needs a snapshot written by 'fit --save' (its "
-            "manifest records the --profile/--seed that regenerate the "
-            "base query log)"
-        )
-    market = generate_marketplace(PROFILES[profile].with_seed(seed))
+            f"--ingest-wal cannot restart the window: {exc}"
+        ) from None
     model = backend.service.model
-    cats = load_entity_categories(args.load) or _entity_categories(market)
+    cats = load_entity_categories(args.load) or {}
     # These two knobs shape every refit; a replication feed ships them
     # so followers rebuild with byte-identical settings.
     retrain_every = 7
@@ -606,22 +601,16 @@ def _build_ingest_side(args, backend):
     inc = IncrementalShoal.from_model(
         model, entity_categories=cats, retrain_every=retrain_every
     )
-
-    probes = [
-        q.text
-        for q in market.query_log.queries
-        if q.intent_kind == "scenario"
-    ][:4]
     # The snapshot model is the rollback baseline: a first generation
     # failing its health check restores the tier to what it serves now.
     baseline = Generation(
         number=0,
         model=model,
         entity_categories=cats,
-        last_day=market.query_log.days()[-1],
+        last_day=window.last_day or 0,
     )
     switch = GenerationSwitch(
-        probe_queries=probes, baseline=baseline
+        probe_queries=probe_queries(model), baseline=baseline
     ).attach(backend)
     wal = WriteAheadLog(args.ingest_wal, fsync=args.ingest_fsync)
     pipe = IngestPipe(wal, max_queue=SERVE_INGEST_QUEUE)
@@ -646,8 +635,6 @@ def _build_ingest_side(args, backend):
             args.ship_feed,
             base_snapshot_dir=args.load,
             manifest={
-                "profile": profile,
-                "seed": seed,
                 "retrain_every": retrain_every,
                 "max_day_skew": max_day_skew,
             },
@@ -657,6 +644,7 @@ def _build_ingest_side(args, backend):
         inc,
         pipe,
         switch=switch,
+        window=window,
         generations_dir=generations_dir,
         batch_max_events=SERVE_BATCH_EVENTS,
         batch_max_age_s=SERVE_BATCH_AGE_S,
@@ -665,7 +653,6 @@ def _build_ingest_side(args, backend):
         drift_gate=drift_gate,
         on_generation=None if shipper is None else shipper.publish_generation,
     )
-    updater.seed_log(market.query_log)
     recovered = updater.recover()
     if recovered:
         print(f"recovered {recovered} events from the WAL at {args.ingest_wal}")
@@ -935,6 +922,7 @@ def _cmd_ingest(args) -> int:
         IngestPipe,
         StreamingUpdater,
         WriteAheadLog,
+        probe_queries,
     )
 
     _check_load_flags(args)
@@ -976,11 +964,6 @@ def _cmd_ingest(args) -> int:
     # The read tier is built from the model once; from here on only the
     # switch refreshes it, after each generation's probes pass.
     backend = ServiceBackend.from_model(update.model, entity_categories=cats)
-    probes = [
-        q.text
-        for q in market.query_log.queries
-        if q.intent_kind == "scenario"
-    ][:4]
     baseline = Generation(
         number=0,
         model=update.model,
@@ -988,7 +971,7 @@ def _cmd_ingest(args) -> int:
         last_day=base_last_day,
     )
     switch = GenerationSwitch(
-        probe_queries=probes, baseline=baseline
+        probe_queries=probe_queries(update.model), baseline=baseline
     ).attach(backend)
     wal = WriteAheadLog(args.wal, fsync=args.fsync)
     pipe = IngestPipe(wal, max_queue=args.queue_size)
@@ -1001,7 +984,6 @@ def _cmd_ingest(args) -> int:
         batch_max_age_s=0.0,
         min_batch_events=1,
     )
-    updater.seed_log(market.query_log.window(0, base_last_day))
     recovered = updater.recover()
     if recovered:
         print(f"recovered {recovered} events from a previous WAL")

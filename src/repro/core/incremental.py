@@ -14,21 +14,21 @@ embeddings go stale on vocabulary shifts, not window slides. A
 configurable ``retrain_every`` forces periodic full retrains.
 
 The maintainer keeps no on-disk state of its own. A process restarts
-it from a model snapshot with :meth:`IncrementalShoal.from_model` and
-then replays its write-ahead log, which is what ``serve-http`` and
-every follower do.
+it from a model snapshot with :meth:`IncrementalShoal.from_model`, then
+replays its write-ahead log into the snapshot's click window
+(``load_window``), which is what ``serve-http`` and every follower do.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, Optional, Union
 
 from repro.core.config import ShoalConfig
 from repro.core.pipeline import ShoalModel, ShoalPipeline, fit_stage
 from repro.data.queries import QueryLog
 from repro.eval.metrics import normalized_mutual_information
-from repro.graph.bipartite import build_query_item_graph
+from repro.graph.window import ClickWindow
 from repro.text.word2vec import WordEmbeddings
 
 __all__ = ["IncrementalShoal", "WindowUpdate"]
@@ -156,22 +156,32 @@ class IncrementalShoal:
         self._titles.update(titles)
         self.invalidate_embeddings()
 
+    def knows_query(self, query_id: int) -> bool:
+        """Whether ``query_id`` has a registered text."""
+        return query_id in self._query_texts
+
     def update_queries(self, query_texts: Dict[int, str]) -> None:
-        """Register new/changed query texts (e.g. queries first seen in a
-        later window) so :class:`TopicDescriber` can score them.
+        """Register query texts first seen later (e.g. live queries) so
+        :class:`TopicDescriber` can score them. The maintainer's texts are
+        the one registry: a known id keeps its original text.
 
         Unlike :meth:`update_titles` this does *not* force an embedding
         retrain: description matching only needs the raw text, and the
         token geometry catches up at the next scheduled retrain.
         """
-        self._query_texts.update(query_texts)
+        for query_id, text in query_texts.items():
+            self._query_texts.setdefault(query_id, text)
 
     # -- the slide -----------------------------------------------------------
 
-    def advance(self, query_log: QueryLog, last_day: int) -> WindowUpdate:
-        """Refit over ``[last_day − window + 1, last_day]`` reusing warm
+    def advance(
+        self, clicks: Union[ClickWindow, QueryLog], last_day: int
+    ) -> WindowUpdate:
+        """Refit over ``[last_day − window + 1, last_day]`` of ``clicks``
+        (a maintained window, or a log to aggregate) reusing warm
         embeddings; returns the update record with a stability score
-        (NMI between consecutive root partitions)."""
+        (NMI between consecutive root partitions). The new model carries
+        its own copy of the window's days."""
         cfg = self._config
         first_day = max(0, last_day - cfg.window_days + 1)
         timings: Dict[str, float] = {}
@@ -179,10 +189,15 @@ class IncrementalShoal:
         assert self._embeddings is not None
 
         with fit_stage("bipartite", timings):
-            bipartite = build_query_item_graph(
-                query_log, first_day, last_day, cfg.min_clicks
-            )
+            if isinstance(clicks, QueryLog):
+                window = ClickWindow.from_log(
+                    clicks, cfg.window_days, first_day, last_day
+                )
+            else:
+                window = clicks.between(first_day, last_day)
+            bipartite = window.graph(cfg.min_clicks)
         model = ShoalPipeline(cfg).fit_window(
+            window,
             bipartite,
             self._embeddings,
             dict(self._titles),

@@ -28,9 +28,10 @@ from repro.core.descriptions import QueryScore, TopicDescriber
 from repro.core.taxonomy import Taxonomy
 from repro.data.marketplace import Marketplace
 from repro.data.queries import QueryLog
-from repro.graph.bipartite import QueryItemGraph, build_query_item_graph
+from repro.graph.bipartite import QueryItemGraph
 from repro.graph.entity_graph import EntityGraphBuilder
 from repro.graph.sparse import SparseGraph
+from repro.graph.window import ClickWindow
 from repro.obs.tracer import traced
 from repro.text.tokenizer import Tokenizer
 from repro.text.word2vec import Word2Vec, WordEmbeddings
@@ -63,6 +64,9 @@ class ShoalModel:
     titles: Dict[int, str]
     query_texts: Dict[int, str]
     stage_seconds: Dict[str, float] = field(default_factory=dict)
+    #: The click window the model was fitted on; a loaded model leaves
+    #: it on disk (``load_window`` reads it when a maintainer restarts).
+    window: Optional[ClickWindow] = None
 
     def summary(self) -> str:
         return (
@@ -166,12 +170,14 @@ class ShoalPipeline:
         timings: Dict[str, float] = {}
 
         with fit_stage("bipartite", timings):
-            bipartite = build_query_item_graph(
-                query_log, first_day, last_day, self._config.min_clicks
+            window = ClickWindow.from_log(
+                query_log, self._config.window_days, first_day, last_day
             )
+            bipartite = window.graph(self._config.min_clicks)
         embeddings = self.fit_embeddings(titles, query_texts, timings, corpus)
         return self.fit_window(
-            bipartite, embeddings, titles, query_texts, entity_categories, timings
+            window, bipartite, embeddings, titles, query_texts,
+            entity_categories, timings,
         )
 
     def fit_embeddings(
@@ -188,6 +194,7 @@ class ShoalPipeline:
 
     def fit_window(
         self,
+        window: ClickWindow,
         bipartite: QueryItemGraph,
         embeddings: WordEmbeddings,
         titles: Dict[int, str],
@@ -197,6 +204,7 @@ class ShoalPipeline:
     ) -> ShoalModel:
         """Everything that depends on the click window: entity graph →
         clustering → taxonomy → descriptions → correlation.
+        ``bipartite`` is ``window``'s graph; the model carries both.
 
         The one place these stages are spelled out; a full fit and a
         window slide with warm embeddings both end here. ``timings``
@@ -235,4 +243,5 @@ class ShoalPipeline:
             titles=titles,
             query_texts=query_texts,
             stage_seconds=timings,
+            window=window,
         )

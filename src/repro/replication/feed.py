@@ -10,8 +10,8 @@ sync without any locking.
 
 Layout::
 
-    FEED.json               manifest: nonce, profile, seed, refit knobs
-    base/                   full base snapshot (follower bootstrap)
+    FEED.json               manifest: nonce, refit knobs
+    base/                   full base snapshot incl. its click window
     segments/wal-*.jsonl    verbatim copies of closed primary WAL segments
     SEGMENTS.json           segment index: name, sha256, seq range
     GENERATIONS.json        generation index: seq boundary, fingerprint
@@ -87,9 +87,9 @@ class Feed:
         """Create the feed skeleton and write the manifest.
 
         ``manifest`` holds the replication parameters a follower needs
-        to rebuild deterministically (profile, seed, retrain_every,
-        max_day_skew, and optionally the full query_log config). A
-        fresh nonce is minted; the caller should persist the returned
+        to rebuild deterministically (``retrain_every``,
+        ``max_day_skew``); the rest of its starting state is ``base/``.
+        A fresh nonce is minted; the caller should persist the returned
         manifest's nonce and verify it on every subsequent touch.
         """
         self.directory.mkdir(parents=True, exist_ok=True)

@@ -3,12 +3,13 @@
 A follower owns no ingest path. Its inputs are exactly what the
 :class:`~repro.replication.shipper.SegmentShipper` published:
 
-* the **base snapshot** (``base/``) — byte-identical model weights the
-  primary booted from, so :class:`IncrementalShoal.from_model` starts
+* the **base snapshot** (``base/``) — byte-identical model weights and
+  click window (``window.npz``) the primary booted from, so
+  :class:`IncrementalShoal.from_model` plus the loaded window start
   both processes in the same state (same embeddings, same
-  fits-since-retrain counter);
-* the **feed manifest** — the ``profile``/``seed`` that regenerate the
-  base query log, plus the primary's ``retrain_every`` and
+  fits-since-retrain counter, same window), and the probe queries and
+  category map come from the same files;
+* the **feed manifest** — the primary's ``retrain_every`` and
   ``max_day_skew``, so every knob that shapes a refit matches;
 * the **closed WAL segments** — the replication truth. The follower
   replays them through the *same* :class:`StreamingUpdater` machinery
@@ -51,15 +52,20 @@ from repro.api.contract import (
     SearchResponse,
 )
 from repro.core.incremental import IncrementalShoal
-from repro.data.marketplace import PROFILES, generate_marketplace
 from repro.obs.tracer import traced
 from repro.replication.feed import Feed, FeedError
 from repro.store.persistence import (
     load_entity_categories,
     load_model,
+    load_window,
     snapshot_fingerprint,
 )
-from repro.streaming.rollout import Generation, GenerationSwitch, SwapError
+from repro.streaming.rollout import (
+    Generation,
+    GenerationSwitch,
+    SwapError,
+    probe_queries,
+)
 from repro.streaming.updater import StreamingUpdater
 from repro.streaming.wal import IngestEvent, WalCorruption, WriteAheadLog
 
@@ -197,34 +203,18 @@ class Follower:
     # -- bootstrap -----------------------------------------------------
 
     def bootstrap(self) -> "FollowerBackend":
-        """Load the base snapshot, regenerate the base world, and stand
-        up the serving tier + updater. Serves the base model immediately
+        """Load the base snapshot and its click window, and stand up the
+        serving tier + updater. Serves the base model immediately
         (epoch 0); generations arrive as the feed is tailed."""
         manifest = self._feed.read_manifest()
         self._nonce = manifest["nonce"]
-        profile, seed = manifest.get("profile"), manifest.get("seed")
-        if profile is None or seed is None:
-            raise FeedError(
-                f"feed {self._feed.directory} manifest lacks profile/seed; "
-                "it was not published by a serve-http --ship-feed primary"
-            )
-        config = PROFILES[profile].with_seed(seed)
-        if manifest.get("query_log"):
-            # A primary fitted on a non-default log shape (e.g. extra
-            # live days) ships the full QueryLogConfig so the follower
-            # regenerates the identical base world.
-            import dataclasses
-
-            from repro.data.queries import QueryLogConfig
-
-            config = dataclasses.replace(
-                config, query_log=QueryLogConfig(**manifest["query_log"])
-            )
-        market = generate_marketplace(config)
-        model = load_model(self._feed.base_dir)
-        cats = load_entity_categories(self._feed.base_dir) or {
-            e.entity_id: e.category_id for e in market.catalog.entities
-        }
+        base = self._feed.base_dir
+        try:
+            window = load_window(base)
+        except FileNotFoundError as exc:
+            raise FeedError(f"cannot bootstrap from the feed: {exc}") from None
+        model = load_model(base)
+        cats = load_entity_categories(base) or {}
         inc = IncrementalShoal.from_model(
             model,
             entity_categories=cats,
@@ -232,19 +222,14 @@ class Follower:
         )
         self._inner = ServiceBackend.from_model(model, entity_categories=cats)
 
-        probes = [
-            q.text
-            for q in market.query_log.queries
-            if q.intent_kind == "scenario"
-        ][:4]
         baseline = Generation(
             number=0,
             model=model,
             entity_categories=cats,
-            last_day=market.query_log.days()[-1],
+            last_day=window.last_day or 0,
         )
         self._switch = GenerationSwitch(
-            probe_queries=probes, baseline=baseline
+            probe_queries=probe_queries(model), baseline=baseline
         ).attach(self._inner)
 
         self._pipe = _FeedPipe(self._workdir)
@@ -252,12 +237,12 @@ class Follower:
             inc,
             self._pipe,  # type: ignore[arg-type] - duck-typed pipe
             switch=None,  # staged: swaps happen on epoch broadcast only
+            window=window,
             generations_dir=self._workdir / "generations",
             min_batch_events=1,
             max_day_skew=int(manifest.get("max_day_skew", 2)),
             on_generation=self._stage_generation,
         )
-        self._updater.seed_log(market.query_log)
         self._backend = FollowerBackend(self, self._inner)
         return self._backend
 

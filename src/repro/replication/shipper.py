@@ -55,11 +55,11 @@ class SegmentShipper:
     base_snapshot_dir:
         The snapshot the primary booted from (``--load``); copied into
         the feed's ``base/`` so followers can bootstrap their own
-        incremental pipeline from byte-identical weights.
+        incremental pipeline from byte-identical weights and click
+        window.
     manifest:
-        Deterministic-rebuild parameters for followers — must include
-        ``profile``, ``seed``, ``retrain_every`` and ``max_day_skew``
-        (plus ``query_log`` when the base log is not the profile's).
+        Deterministic-rebuild parameters for followers: the refit knobs
+        ``retrain_every`` and ``max_day_skew``.
     """
 
     def __init__(

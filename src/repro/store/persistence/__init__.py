@@ -13,7 +13,8 @@ two granularities, both strictly pickle-free:
   content fingerprint.
 
 A maintainer restarts from a snapshot: ``IncrementalShoal.from_model``
-over the loaded model, then a WAL replay.
+over the loaded model, then a WAL replay into the snapshot's click
+window (:func:`load_window`).
 """
 
 from repro.store.persistence.artifacts import (
@@ -32,6 +33,7 @@ from repro.store.persistence.snapshot import (
     config_to_dict,
     load_entity_categories,
     load_model,
+    load_window,
     read_manifest,
     save_model,
     snapshot_fingerprint,
@@ -49,6 +51,7 @@ __all__ = [
     "save_model",
     "load_model",
     "load_entity_categories",
+    "load_window",
     "read_manifest",
     "check_manifest",
     "snapshot_fingerprint",

@@ -19,6 +19,9 @@ can load without refitting and an operator can inspect without Python:
 ``correlations.json``        thresholded category-correlation pairs
 ``texts.json``               entity titles and query texts
 ``entity_categories.json``   *(optional)* authoritative entity → category map
+``window.npz``               *(optional)* per-day click counts of the fitted
+                             window — what a restarted maintainer resumes
+                             from (:func:`load_window`)
 ============================ ==================================================
 
 JSON for inspectable structures, NPZ for arrays, **no pickle
@@ -54,6 +57,7 @@ from repro.core.pipeline import ShoalModel
 from repro.graph.bipartite import QueryItemGraph
 from repro.graph.entity_graph import EntityGraphConfig
 from repro.graph.sparse import SparseGraph
+from repro.graph.window import ClickWindow
 from repro.text.bm25 import BM25Config
 from repro.text.word2vec import Word2VecConfig
 
@@ -73,6 +77,7 @@ __all__ = [
     "save_model",
     "load_model",
     "load_entity_categories",
+    "load_window",
     "read_manifest",
     "check_manifest",
     "snapshot_fingerprint",
@@ -82,6 +87,7 @@ SNAPSHOT_FORMAT_VERSION = 1
 MODEL_SNAPSHOT_KIND = "shoal-model"
 
 _MANIFEST = "MANIFEST.json"
+_WINDOW = "window.npz"
 
 #: Snapshot artifacts are flat files directly inside the directory.
 _SKIP_SUFFIXES = (".tmp",)
@@ -389,6 +395,11 @@ def save_model(
     else:
         # Don't let a sidecar from a previous save linger.
         (d / "entity_categories.json").unlink(missing_ok=True)
+    if model.window is not None:
+        np.savez_compressed(d / _WINDOW, **model.window.columns())
+        artifacts.append(_WINDOW)
+    else:
+        (d / _WINDOW).unlink(missing_ok=True)
 
     write_json(
         d / _MANIFEST,
@@ -455,6 +466,25 @@ def load_entity_categories(
     if not p.is_file():
         return None
     return {int(k): int(v) for k, v in read_json(p).items()}
+
+
+def load_window(directory: Union[str, Path]) -> ClickWindow:
+    """The snapshot's click window, from ``window.npz`` and the manifest
+    that lists it; no other artifact is read.
+
+    A maintainer restarting from the snapshot needs it; serving never
+    does. Raises ``FileNotFoundError`` for a snapshot that carries no
+    window (the manifest's artifact list is the authority).
+    """
+    d = Path(directory)
+    manifest = read_manifest(d)
+    if _WINDOW not in manifest.get("artifacts", ()):
+        raise FileNotFoundError(
+            f"snapshot at {d} carries no click window ({_WINDOW}); refit "
+            "and save it again to restart a maintainer from it"
+        )
+    with np.load(d / _WINDOW) as z:
+        return ClickWindow.from_columns(z)
 
 
 # -- fingerprint -------------------------------------------------------------

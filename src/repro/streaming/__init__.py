@@ -40,6 +40,7 @@ from repro.streaming.rollout import (
     GenerationSwitch,
     SwapError,
     SwapReport,
+    probe_queries,
 )
 from repro.streaming.updater import StreamingUpdater, UpdaterStats
 from repro.streaming.wal import (
@@ -59,4 +60,5 @@ __all__ = [
     "UpdaterStats",
     "WalCorruption",
     "WriteAheadLog",
+    "probe_queries",
 ]

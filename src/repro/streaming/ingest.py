@@ -38,6 +38,9 @@ __all__ = ["IngestPipe"]
 #: Validation bounds (mirrors the read contract's defensive limits).
 MAX_CLICKS_PER_EVENT = 256
 MAX_QUERY_TEXT_CHARS = 1024
+#: Ids and days land in the click window's and the snapshot's int64
+#: columns; a larger integer would fail every fold after it.
+MAX_INT = 2**63 - 1
 
 
 def _check_int(name: str, value: Any, *, minimum: int = 0) -> int:
@@ -45,9 +48,10 @@ def _check_int(name: str, value: Any, *, minimum: int = 0) -> int:
         raise ApiError(
             "bad_request", f"{name!r} must be an integer, got {value!r}"
         )
-    if value < minimum:
+    if not minimum <= value <= MAX_INT:
         raise ApiError(
-            "invalid_argument", f"{name!r} must be >= {minimum}, got {value}"
+            "invalid_argument",
+            f"{name!r} must be in [{minimum}, {MAX_INT}], got {value}",
         )
     return value
 

@@ -47,10 +47,36 @@ from typing import Any, Dict, List, Optional, Sequence
 from repro.core.pipeline import ShoalModel
 from repro.core.serving import ShoalService
 
-__all__ = ["Generation", "GenerationSwitch", "SwapError", "SwapReport"]
+__all__ = [
+    "Generation",
+    "GenerationSwitch",
+    "SwapError",
+    "SwapReport",
+    "probe_queries",
+]
 
 #: Hits compared per probe query when health-checking a swapped tier.
 PROBE_K = 5
+
+#: Probe queries a write path replays after each swap.
+PROBE_COUNT = 4
+
+
+def probe_queries(model: ShoalModel, n: int = PROBE_COUNT) -> List[str]:
+    """Health-check probes for a tier serving ``model``: the top
+    description of each root topic that has one, first ``n`` distinct.
+
+    Real queries that reach the taxonomy, and a pure function of the
+    model — hence of its snapshot's files — so a primary and its
+    followers probe with the same strings.
+    """
+    probes: List[str] = []
+    for topic in model.taxonomy.root_topics():
+        if len(probes) == n:
+            break
+        if topic.descriptions and topic.descriptions[0] not in probes:
+            probes.append(topic.descriptions[0])
+    return probes
 
 
 @dataclass(frozen=True)

@@ -4,25 +4,26 @@
 :class:`~repro.streaming.ingest.IngestPipe`. Each cycle it
 
 1. takes one micro-batch (bounded by count *and* age),
-2. folds the events into its :class:`~repro.store.querylog.QueryLogStore`
-   (registering live-discovered query strings first) — idempotently,
-   keyed on WAL sequence numbers, so replays never double-apply,
+2. folds the events into its :class:`~repro.graph.window.ClickWindow`
+   (registering live-discovered query strings with the maintainer
+   first) — idempotently, keyed on WAL sequence numbers, so replays
+   never double-apply,
 3. slides the :class:`~repro.core.incremental.IncrementalShoal` window
    to the newest ingested day, producing a fresh model,
 4. stamps the result as a :class:`~repro.streaming.rollout.Generation`
-   — persisted through the PR-2 snapshot store when ``generations_dir``
-   is set — and hands it to the
-   :class:`~repro.streaming.rollout.GenerationSwitch` for a
-   zero-downtime rollout,
+   — persisted as a snapshot when ``generations_dir`` is set — and
+   hands it to the :class:`~repro.streaming.rollout.GenerationSwitch`
+   for a zero-downtime rollout,
 5. checkpoints applied progress next to the WAL and compacts segments
    that fell out of the sliding window.
 
-**Crash recovery.** The in-memory store is rebuilt on startup by
-:meth:`recover`: seed the base log (the corpus the serving snapshot was
-fitted on), then replay the retained WAL. Because WAL append happens
-*before* queue handoff and application is keyed by ``seq``, a process
-killed anywhere — mid-batch, mid-advance, before the checkpoint — comes
-back with exactly the admitted events, none lost, none doubled.
+**Crash recovery.** The window starts as the one the serving model was
+fitted on — the maintainer's model carries it, and a restarted process
+reads it from the snapshot (``load_window``) — and :meth:`recover` then
+replays the retained WAL into it. Because WAL append happens *before*
+queue handoff and application is keyed by ``seq``, a process killed
+anywhere — mid-batch, mid-advance, before the checkpoint — comes back
+with exactly the admitted events, none lost, none doubled.
 
 Run it synchronously (:meth:`run_once`, used by tests and the CLI) or
 as a daemon thread (:meth:`start` / :meth:`stop`, used by
@@ -37,9 +38,8 @@ from pathlib import Path
 from typing import Any, Dict, Iterable, Optional, Union
 
 from repro.core.incremental import IncrementalShoal
-from repro.data.queries import Query, QueryLog
+from repro.graph.window import ClickWindow
 from repro.obs.tracer import traced
-from repro.store.querylog import QueryLogStore, QueryLogStoreConfig
 from repro.streaming.ingest import IngestPipe
 from repro.streaming.rollout import Generation, GenerationSwitch, SwapError
 from repro.streaming.wal import IngestEvent, write_checkpoint
@@ -79,9 +79,13 @@ class StreamingUpdater:
     """Drains the ingest pipe into model generations (one consumer).
 
     ``inc`` must already hold a fitted model (the *base* generation the
-    read tier is serving); ``min_batch_events`` batches trickle traffic
-    across cycles so a lone event does not trigger a full refit, while
-    ``max_batch_age_s`` bounds how stale the window may get.
+    read tier is serving). ``window`` is the click window that model was
+    fitted on, by default the one it carries; a model loaded from a
+    snapshot carries none, so pass ``load_window(dir)``. The updater
+    folds events into its own copy. ``min_batch_events`` batches
+    trickle traffic across cycles so a lone event does not trigger a
+    full refit, while ``max_batch_age_s`` bounds how stale the window
+    may get.
     """
 
     def __init__(
@@ -90,7 +94,7 @@ class StreamingUpdater:
         pipe: IngestPipe,
         *,
         switch: Optional[GenerationSwitch] = None,
-        store: Optional[QueryLogStore] = None,
+        window: Optional[ClickWindow] = None,
         generations_dir: Optional[Union[str, Path]] = None,
         batch_max_events: int = 256,
         batch_max_age_s: float = 0.5,
@@ -112,13 +116,17 @@ class StreamingUpdater:
             raise ValueError(
                 f"max_day_skew must be >= 1, got {max_day_skew}"
             )
+        window = window if window is not None else inc.model.window
+        if window is None:
+            raise ValueError(
+                "no click window to fold events into: the model carries "
+                "none (it was loaded from a snapshot), so pass "
+                "window=load_window(snapshot_dir)"
+            )
         self._inc = inc
         self._pipe = pipe
         self._switch = switch
-        window = inc.model.config.window_days
-        self._store = store or QueryLogStore(
-            QueryLogStoreConfig(window_days=window)
-        )
+        self._window = window.between()
         self._generations_dir = (
             None if generations_dir is None else Path(generations_dir)
         )
@@ -152,11 +160,11 @@ class StreamingUpdater:
         self._stop = threading.Event()
         self._state_lock = threading.Lock()
 
-    # -- state seeding / recovery --------------------------------------------
+    # -- state / recovery ----------------------------------------------------
 
     @property
-    def store(self) -> QueryLogStore:
-        return self._store
+    def window(self) -> ClickWindow:
+        return self._window
 
     @property
     def switch(self) -> Optional[GenerationSwitch]:
@@ -170,16 +178,11 @@ class StreamingUpdater:
     def current_generation(self) -> int:
         return self._generation_number
 
-    def seed_log(self, log: QueryLog) -> int:
-        """Load the base query log the serving model was fitted on."""
-        with self._state_lock:
-            return self._store.ingest(log)
-
     def recover(self) -> int:
-        """Replay the retained WAL into the store (idempotent by seq).
+        """Replay the retained WAL into the window (idempotent by seq).
 
-        Returns how many events were newly applied. Call once after
-        :meth:`seed_log`, before :meth:`start` — recovered events count
+        Returns how many events were newly applied. Call once, before
+        :meth:`start` — recovered events count
         toward the next generation, so a process killed mid-batch picks
         up exactly where durability left off.
         """
@@ -205,32 +208,19 @@ class StreamingUpdater:
                 continue
             self._applied_seq = event.seq
             if event.query_text is not None:
-                try:
-                    self._store.register_query(
-                        Query(event.query_id, event.query_text, "live", -1)
-                    )
-                except ValueError:
-                    # Conflicting live redefinition: keep the original
-                    # registration, the event still counts its clicks.
-                    pass
+                # A known id keeps its original text (a conflicting live
+                # redefinition still counts its clicks).
                 self._inc.update_queries({event.query_id: event.query_text})
-            days = self._store.days()
-            if days and event.day > days[-1] + self._max_day_skew:
+            head = self._window.last_day
+            if head is not None and event.day > head + self._max_day_skew:
                 self._events_skipped += 1
                 self._last_error = (
                     f"skipped event seq={event.seq}: day {event.day} jumps "
                     f"more than {self._max_day_skew} past the window head "
-                    f"{days[-1]} (would purge the retention window)"
+                    f"{head} (would purge the retention window)"
                 )
                 continue
-            try:
-                self._store.append_event(
-                    event.day,
-                    event.user_id,
-                    event.query_id,
-                    event.clicked_entity_ids,
-                )
-            except KeyError:
+            if not self._inc.knows_query(event.query_id):
                 self._events_skipped += 1
                 self._last_error = (
                     f"skipped event seq={event.seq}: query "
@@ -238,6 +228,9 @@ class StreamingUpdater:
                     "carried no query_text"
                 )
                 continue
+            self._window.add_event(
+                event.day, event.query_id, event.clicked_entity_ids
+            )
             self._events_applied += 1
             self._pending_since_generation += 1
             applied += 1
@@ -272,7 +265,7 @@ class StreamingUpdater:
             return self._advance_generation()
 
     def _advance_generation(self) -> Generation:
-        """Slide the window over the store and roll the result out."""
+        """Refit over the window and roll the result out."""
         with traced(
             "updater.batch_fold",
             tags={
@@ -283,9 +276,8 @@ class StreamingUpdater:
             return self._advance_generation_inner()
 
     def _advance_generation_inner(self) -> Generation:
-        days = self._store.days()
-        last_day = days[-1] if days else 0
-        update = self._inc.advance(self._store.snapshot(), last_day)
+        last_day = self._window.last_day or 0
+        update = self._inc.advance(self._window, last_day)
         self._generation_number += 1
         generation = Generation(
             number=self._generation_number,
@@ -340,8 +332,8 @@ class StreamingUpdater:
                     self._swap_failures += 1
                     self._last_error = str(exc)
         # Operator-facing progress record, NOT a recovery cursor: the
-        # in-memory store rebuilds from the full retained WAL on every
-        # restart (recover() needs all window events), so the
+        # window rebuilds from the snapshot's window plus the full
+        # retained WAL on every restart, so the
         # checkpoint exists to tell an operator — atomically, next to
         # the log — which WAL seq the last shipped generation covered.
         write_checkpoint(
@@ -420,10 +412,9 @@ class StreamingUpdater:
 
     def stats(self) -> UpdaterStats:
         # Under the state lock: the metrics endpoint scrapes from HTTP
-        # threads while the updater thread mutates the store, and an
-        # unlocked days() iterates the segment dict mid-insert.
+        # threads while the updater thread mutates the window, and an
+        # unlocked last_day iterates its day dict mid-insert.
         with self._state_lock:
-            days = self._store.days()
             return UpdaterStats(
                 events_applied=self._events_applied,
                 events_duplicate=self._events_duplicate,
@@ -432,7 +423,7 @@ class StreamingUpdater:
                 generations=self._generation_number,
                 swap_failures=self._swap_failures,
                 rollouts_skipped=self._rollouts_skipped,
-                last_day=days[-1] if days else None,
+                last_day=self._window.last_day,
                 running=self.running,
             )
 

@@ -50,6 +50,16 @@ read once per session however many rows scan it. The rows:
   posting lists (``_doc_freqs``, ``_postings``), its ``candidates``
   pass, and the tokenizer's ``lowercase`` switch: one posting map of
   precomputed terms is the only scorer, and text is always lowercased.
+* ``regenerated-world`` — ``generate_marketplace`` and ``PROFILES``
+  in ``replication/``, ``streaming/`` and ``api/``: a primary restart
+  and a follower start from the snapshot's files (model, click window,
+  categories, probes) plus the WAL, never from the synthetic world.
+  ``cli ingest`` has no snapshot and keeps generating its world; it
+  lives in ``cli.py``, which this row does not scan.
+* ``query-log-store`` — the per-event query-log store and its column
+  tables (``QueryLogStore``, ``ColumnarTable``, ``seed_log``): the
+  window is per-day click counts (``ClickWindow``), carried by the
+  model and persisted as ``window.npz``.
 """
 
 from __future__ import annotations
@@ -194,6 +204,25 @@ REMOVED_SECOND_SCORER = re.compile(
     r"\blowercase\s*[=:]|\.lowercase\b"
 )
 
+#: The synthetic world's generator, banned where a start must read the
+#: snapshot instead.
+REGENERATED_WORLD = re.compile(r"\b(generate_marketplace|PROFILES)\b")
+
+REGENERATED_WORLD_SCAN_PATHS = [
+    "src/repro/replication",
+    "src/repro/streaming",
+    "src/repro/api",
+]
+
+#: The per-event query-log store, its table layer and its seeding call
+#: — all removed.
+REMOVED_QUERY_LOG_STORE = re.compile(
+    r"\b(QueryLogStore\w*|ColumnarTable|seed_log)\b|"
+    r"repro\.store\.(querylog|tables)\b"
+)
+
+QUERY_LOG_STORE_SCAN_PATHS = ["src", "examples", "scripts"]
+
 #: What a scanned directory contributes (a listed file is always read).
 TEXT_SUFFIXES = (".py", ".yml", ".yaml", ".md")
 
@@ -275,6 +304,20 @@ REMOVALS = (
         "reference to a removed BM25 scorer structure or tokenizer switch "
         "(BM25 keeps one token -> {doc: term} map; text is always "
         "lowercased)",
+    ),
+    Removal(
+        "regenerated-world", REGENERATED_WORLD,
+        tuple(REGENERATED_WORLD_SCAN_PATHS),
+        "the synthetic world regenerated on a serving or replication path "
+        "(a restart reads the snapshot's model, window.npz, categories "
+        "and probes, then replays the WAL)",
+        suffixes=(".py",),
+    ),
+    Removal(
+        "query-log-store", REMOVED_QUERY_LOG_STORE,
+        tuple(QUERY_LOG_STORE_SCAN_PATHS),
+        "reference to the removed query-log store (the window is "
+        "ClickWindow's per-day click counts; the model carries it)",
     ),
 )
 
@@ -559,6 +602,33 @@ def test_the_guard_itself_still_bites():
         "alphabet=string.ascii_lowercase",
     ):
         assert not REMOVED_SECOND_SCORER.search(snippet), snippet
+    for snippet in (
+        "from repro.data.marketplace import PROFILES, generate_marketplace",
+        "market = generate_marketplace(PROFILES[profile].with_seed(seed))",
+        "config = PROFILES[profile].with_seed(seed)",
+    ):
+        assert REGENERATED_WORLD.search(snippet), snippet
+    for snippet in (
+        'if self.profile not in WORKLOAD_PROFILES:',
+        "window = load_window(self._feed.base_dir)",
+        "probes = probe_queries(model)",
+    ):
+        assert not REGENERATED_WORLD.search(snippet), snippet
+    for snippet in (
+        "from repro.store.querylog import QueryLogStore, QueryLogStoreConfig",
+        "store = QueryLogStore(QueryLogStoreConfig(window_days=7))",
+        "segment = self._segments.setdefault(day, ColumnarTable(schema))",
+        "updater.seed_log(market.query_log)",
+        "* :mod:`repro.store.tables` — typed, append-only columnar tables",
+    ):
+        assert REMOVED_QUERY_LOG_STORE.search(snippet), snippet
+    for snippet in (
+        "window = ClickWindow(shoal_config.window_days)",
+        "updater = StreamingUpdater(inc, pipe, window=load_window(d))",
+        "from repro.analytics.store import AnalyticsStore",
+        "from repro.store.persistence import load_window",
+    ):
+        assert not REMOVED_QUERY_LOG_STORE.search(snippet), snippet
     assert [r.pattern for r in REMOVALS] == [
         FORBIDDEN,
         LEGACY_CALLS,
@@ -570,4 +640,6 @@ def test_the_guard_itself_still_bites():
         REMOVED_SHARDED_WRITE_SIDE,
         REMOVED_WRITE_ONLY_FORMATS,
         REMOVED_SECOND_SCORER,
+        REGENERATED_WORLD,
+        REMOVED_QUERY_LOG_STORE,
     ]

@@ -20,7 +20,11 @@ from repro.core.incremental import IncrementalShoal
 from repro.data.marketplace import PROFILES, generate_marketplace
 from repro.data.queries import QueryLogConfig
 from repro.replication import SegmentShipper
-from repro.store.persistence import load_entity_categories, load_model
+from repro.store.persistence import (
+    load_entity_categories,
+    load_model,
+    load_window,
+)
 from repro.streaming import IngestPipe, StreamingUpdater, WriteAheadLog
 
 BASE_LAST_DAY = 6  # the 7-day base window is days 0..6
@@ -49,8 +53,9 @@ def repl_live_events(repl_market):
 
 
 @pytest.fixture(scope="session")
-def repl_base_snapshot(tmp_path_factory, repl_market, repl_config):
-    """The base model snapshot both primary and followers boot from."""
+def repl_base_snapshot(tmp_path_factory, repl_market):
+    """The base model snapshot both primary and followers boot from. Its
+    manifest names no world: nothing downstream regenerates one."""
     market = repl_market
     inc = IncrementalShoal(
         ShoalConfig(),
@@ -66,26 +71,19 @@ def repl_base_snapshot(tmp_path_factory, repl_market, repl_config):
         entity_categories={
             e.entity_id: e.category_id for e in market.catalog.entities
         },
-        metadata={"profile": "tiny", "seed": repl_config.seed},
     )
     return target
 
 
-def feed_manifest(repl_config) -> dict:
-    """The replication manifest a ``--ship-feed`` primary would write
-    for this world (tiny profile with the 9-day test log)."""
-    return {
-        "profile": "tiny",
-        "seed": repl_config.seed,
-        "query_log": dataclasses.asdict(repl_config.query_log),
-        "retrain_every": 100,
-        "max_day_skew": 2,
-    }
+#: The replication manifest a ``--ship-feed`` primary writes: the refit
+#: knobs (everything else a follower starts from is the feed's base/).
+FEED_MANIFEST = {"retrain_every": 100, "max_day_skew": 2}
 
 
-def build_primary(root, base_snapshot, market, repl_config):
+def build_primary(root, base_snapshot, manifest=FEED_MANIFEST):
     """(pipe, updater, shipper) — the primary's write side, wired to
-    ship into ``root/feed`` exactly as ``serve-http --ship-feed`` does."""
+    ship into ``root/feed`` exactly as ``serve-http --ship-feed`` does:
+    the loaded model, its snapshot's click window, then a WAL replay."""
     model = load_model(base_snapshot)
     cats = load_entity_categories(base_snapshot)
     inc = IncrementalShoal.from_model(
@@ -97,18 +95,18 @@ def build_primary(root, base_snapshot, market, repl_config):
         wal,
         root / "feed",
         base_snapshot_dir=base_snapshot,
-        manifest=feed_manifest(repl_config),
+        manifest=manifest,
     )
     shipper.initialise()
     updater = StreamingUpdater(
         inc,
         pipe,
         switch=None,
+        window=load_window(base_snapshot),
         generations_dir=root / "gens",
         min_batch_events=MIN_BATCH,
         on_generation=shipper.publish_generation,
     )
-    updater.seed_log(market.query_log)
     updater.recover()
     return pipe, updater, shipper
 
@@ -134,8 +132,7 @@ def stream_generation(pipe, updater, events):
 
 @pytest.fixture(scope="session")
 def shipped_world(
-    tmp_path_factory, repl_base_snapshot, repl_market, repl_config,
-    repl_live_events,
+    tmp_path_factory, repl_base_snapshot, repl_live_events,
 ):
     """A primary that shipped two generations (events [:40], [40:80]).
 
@@ -144,9 +141,7 @@ def shipped_world(
     anything that writes reports or epochs.
     """
     root = tmp_path_factory.mktemp("shipped-world")
-    pipe, updater, shipper = build_primary(
-        root, repl_base_snapshot, repl_market, repl_config
-    )
+    pipe, updater, shipper = build_primary(root, repl_base_snapshot)
     generations = [
         stream_generation(pipe, updater, repl_live_events[:40]),
         stream_generation(pipe, updater, repl_live_events[40:80]),

@@ -51,7 +51,6 @@ class TestFollowerByteIdentity:
         data,
         repl_base_snapshot,
         repl_market,
-        repl_config,
         repl_live_events,
     ):
         """For arbitrary micro-batch cuts, a whole-model follower
@@ -65,9 +64,7 @@ class TestFollowerByteIdentity:
             label="second boundary",
         )
         root = Path(tempfile.mkdtemp(prefix="repl-hyp-"))
-        pipe, updater, shipper = build_primary(
-            root, repl_base_snapshot, repl_market, repl_config
-        )
+        pipe, updater, shipper = build_primary(root, repl_base_snapshot)
         generations = [
             stream_generation(pipe, updater, repl_live_events[:first]),
             stream_generation(

@@ -118,26 +118,18 @@ class TestShipperPublish:
             assert entry["applied_seq"] <= max_shipped
 
     def test_refuses_reinitialised_feed(self, tmp_path, repl_base_snapshot):
-        from tests.replication.conftest import feed_manifest
-        import dataclasses
+        from tests.replication.conftest import FEED_MANIFEST
 
-        from repro.data.marketplace import PROFILES
-        from repro.data.queries import QueryLogConfig
-
-        cfg = dataclasses.replace(
-            PROFILES["tiny"],
-            query_log=QueryLogConfig(n_days=9, events_per_day=300),
-        )
         wal = WriteAheadLog(tmp_path / "wal", fsync="never")
         shipper = SegmentShipper(
             wal,
             tmp_path / "feed",
             base_snapshot_dir=repl_base_snapshot,
-            manifest=feed_manifest(cfg),
+            manifest=FEED_MANIFEST,
         )
         shipper.initialise()
         # another primary re-initialises the same directory
-        Feed(tmp_path / "feed").initialise({"profile": "tiny", "seed": 0})
+        Feed(tmp_path / "feed").initialise(dict(FEED_MANIFEST))
         _append(wal)
 
         class _Gen:
@@ -152,9 +144,9 @@ class TestShipperPublish:
         assert shipper.stats()["errors"] == 1
 
     def test_initialise_clears_stale_epoch_and_reports(
-        self, tmp_path, repl_base_snapshot, repl_config
+        self, tmp_path, repl_base_snapshot
     ):
-        from tests.replication.conftest import feed_manifest
+        from tests.replication.conftest import FEED_MANIFEST
 
         feed = Feed(tmp_path / "feed")
         feed.initialise({"x": 1})
@@ -164,7 +156,7 @@ class TestShipperPublish:
             WriteAheadLog(tmp_path / "wal", fsync="never"),
             tmp_path / "feed",
             base_snapshot_dir=repl_base_snapshot,
-            manifest=feed_manifest(repl_config),
+            manifest=FEED_MANIFEST,
         )
         shipper.initialise()
         assert feed.read_epoch() is None
@@ -185,7 +177,14 @@ class TestShipperPublish:
         manifest = json.loads((root / "feed" / "FEED.json").read_text())
         assert manifest["format"] == "repro-replication-feed-v1"
         assert manifest["nonce"]
-        assert manifest["profile"] == "tiny"
+        # Refit knobs only: a follower starts from base/, never from a
+        # regenerated world.
+        assert manifest["retrain_every"] == 100
+        assert "profile" not in manifest and "seed" not in manifest
+
+    def test_base_carries_the_click_window(self, shipped_world):
+        root, _, _ = shipped_world
+        assert (Feed(root / "feed").base_dir / "window.npz").is_file()
 
 
 class TestOldFeedsStayReadable:
@@ -193,12 +192,17 @@ class TestOldFeedsStayReadable:
         self, feed_copy, tmp_path, shipped_world
     ):
         """A feed written before the generation index shrank to four
-        keys carries extra manifest and index fields; followers read
-        only ``number``, ``applied_seq`` and ``fingerprint``."""
+        keys, or before base/ carried the click window, has extra
+        manifest and index fields (the world's ``profile``/``seed`` and
+        ``query_log`` among them); followers read only the refit knobs
+        and ``number``, ``applied_seq`` and ``fingerprint``."""
         _, _, generations = shipped_world
         feed = Feed(feed_copy)
         manifest = feed.read_manifest()
-        manifest.update(base_last_day=8, min_batch_events=10)
+        manifest.update(
+            base_last_day=8, min_batch_events=10, profile="tiny", seed=0,
+            query_log={"n_days": 9, "events_per_day": 300},
+        )
         (feed_copy / "FEED.json").write_text(json.dumps(manifest))
         feed.write_generation_index([
             dict(entry, kind="delta", file=f"gen-{entry['number']:05d}.delta",

@@ -22,6 +22,7 @@ from repro.store.persistence import (
     config_to_dict,
     load_entity_categories,
     load_model,
+    load_window,
     read_manifest,
     save_model,
     snapshot_fingerprint,
@@ -197,6 +198,36 @@ class TestSnapshotFormat:
         save_model(tiny_model, d)  # no sidecar this time
         assert load_entity_categories(d) is None
         assert not (d / "entity_categories.json").exists()
+
+    def test_window_sidecar_restores_the_fitted_window(
+        self, tiny_model, snapshot_dir
+    ):
+        window = load_window(snapshot_dir)
+        assert window.days() == tiny_model.window.days()
+        assert list(window.graph(tiny_model.config.min_clicks).edges()) == (
+            list(tiny_model.bipartite.edges())
+        )
+
+    def test_load_model_never_reads_the_window(self, snapshot_dir, tmp_path):
+        """A serving process leaves window.npz on disk: only a restarting
+        maintainer reads it (``load_window``)."""
+        d = tmp_path / "m"
+        shutil.copytree(snapshot_dir, d)
+        (d / "window.npz").unlink()
+        assert load_model(d).window is None
+        with pytest.raises(FileNotFoundError):
+            load_window(d)
+
+    def test_resave_without_a_window_drops_it(
+        self, loaded_model, snapshot_dir, tmp_path
+    ):
+        d = tmp_path / "m"
+        shutil.copytree(snapshot_dir, d)
+        save_model(loaded_model, d)
+        assert not (d / "window.npz").exists()
+        assert "window.npz" not in read_manifest(d)["artifacts"]
+        with pytest.raises(FileNotFoundError, match="window.npz"):
+            load_window(d)
 
     def test_metadata_recorded(self, tiny_model, tmp_path):
         save_model(tiny_model, tmp_path / "m", metadata={"profile": "tiny"})

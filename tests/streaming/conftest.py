@@ -77,6 +77,17 @@ def base_inc(stream_market, stream_inputs) -> IncrementalShoal:
     return make_base_inc(stream_market, stream_inputs)
 
 
+@pytest.fixture(scope="session")
+def base_snapshot(tmp_path_factory, stream_market, stream_inputs):
+    """The base maintainer's model saved as a snapshot: what a
+    ``serve-http --ingest-wal`` primary restarts from."""
+    inc = make_base_inc(stream_market, stream_inputs)
+    return inc.model.save(
+        tmp_path_factory.mktemp("stream") / "base",
+        entity_categories=inc.entity_categories,
+    )
+
+
 def event_payload(event) -> dict:
     """A generated QueryEvent as a wire-shaped ingest payload."""
     return {

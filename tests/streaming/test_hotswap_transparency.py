@@ -63,7 +63,6 @@ def swapped_world(
     wal = WriteAheadLog(tmp_path / "wal", fsync="never")
     pipe = IngestPipe(wal, max_queue=10_000)
     updater = StreamingUpdater(inc, pipe, switch=switch)
-    updater.seed_log(stream_market.query_log.window(0, BASE_LAST_DAY))
     applied = live_events[:N_LIVE]
     for e in applied:
         pipe.submit(event_payload(e))
@@ -139,7 +138,6 @@ class TestTransparencyDuringSwap:
         wal = WriteAheadLog(tmp_path / "wal", fsync="never")
         pipe = IngestPipe(wal, max_queue=10_000)
         updater = StreamingUpdater(inc, pipe, switch=switch)
-        updater.seed_log(stream_market.query_log.window(0, BASE_LAST_DAY))
         for e in live_events[:150]:
             pipe.submit(event_payload(e))
 
@@ -199,7 +197,6 @@ class TestTransparencyDuringSwap:
         wal = WriteAheadLog(tmp_path / "wal", fsync="never")
         pipe = IngestPipe(wal, max_queue=10_000)
         updater = StreamingUpdater(inc, pipe, switch=switch)
-        updater.seed_log(stream_market.query_log.window(0, BASE_LAST_DAY))
         for e in live_events[:150]:
             pipe.submit(event_payload(e))
 

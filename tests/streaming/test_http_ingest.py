@@ -20,7 +20,6 @@ from repro.streaming import (
 )
 
 from tests.streaming.conftest import (
-    BASE_LAST_DAY,
     event_payload,
     make_base_inc,
     serving_tier,
@@ -37,7 +36,6 @@ def served_with_ingest(tmp_path, stream_market, stream_inputs):
     wal = WriteAheadLog(tmp_path / "wal", fsync="never")
     pipe = IngestPipe(wal, max_queue=64)
     updater = StreamingUpdater(inc, pipe, switch=switch)
-    updater.seed_log(stream_market.query_log.window(0, BASE_LAST_DAY))
     server = AsyncShoalServer(
         gateway, port=0, ingest_pipe=pipe, updater=updater
     )

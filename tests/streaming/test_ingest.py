@@ -62,6 +62,18 @@ class TestValidation:
             == "invalid_argument"
         )
 
+    def test_ids_past_int64_rejected(self, wal):
+        """Ids and days are stored in int64 window columns."""
+        pipe = IngestPipe(wal)
+        for field, value in (
+            ("query_id", 2**63), ("day", 2**64), ("clicked", [1, 2**63]),
+        ):
+            assert (
+                _code_of(lambda: pipe.submit({**_event(), field: value}))
+                == "invalid_argument"
+            ), field
+        pipe.submit({**_event(), "query_id": 2**63 - 1})
+
     def test_rejected_events_never_touch_the_wal(self, wal):
         pipe = IngestPipe(wal)
         _code_of(lambda: pipe.submit({"day": 7}))

@@ -10,8 +10,20 @@ kill landed.
 
 from __future__ import annotations
 
+import tempfile
+from pathlib import Path
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
 from repro.core.incremental import IncrementalShoal
 from repro.obs.tracer import Tracer, set_default_tracer
+from repro.store.persistence import (
+    load_entity_categories,
+    load_model,
+    load_window,
+    snapshot_fingerprint,
+)
 from repro.streaming import (
     GenerationSwitch,
     IngestPipe,
@@ -44,10 +56,9 @@ def make_updater(tmp_path, inc, **kwargs):
 
 class TestMicroBatches:
     def test_generation_covers_the_drained_batch(
-        self, tmp_path, stream_market, stream_inputs, live_events, base_inc
+        self, tmp_path, live_events, base_inc
     ):
         _, pipe, updater = make_updater(tmp_path, base_inc)
-        updater.seed_log(stream_market.query_log.window(0, BASE_LAST_DAY))
         for e in live_events[:40]:
             pipe.submit(event_payload(e))
         generation = updater.run_once(timeout_s=0.0)
@@ -58,12 +69,11 @@ class TestMicroBatches:
         assert updater.stats().events_applied == 40
 
     def test_min_batch_events_defers_tiny_batches(
-        self, tmp_path, stream_market, live_events, base_inc
+        self, tmp_path, live_events, base_inc
     ):
         _, pipe, updater = make_updater(
             tmp_path, base_inc, min_batch_events=10
         )
-        updater.seed_log(stream_market.query_log.window(0, BASE_LAST_DAY))
         for e in live_events[:4]:
             pipe.submit(event_payload(e))
         assert updater.run_once(timeout_s=0.0) is None  # applied, deferred
@@ -74,14 +84,13 @@ class TestMicroBatches:
         assert generation is not None and generation.applied_seq == 12
 
     def test_generations_persist_as_versioned_snapshots(
-        self, tmp_path, stream_market, live_events, base_inc
+        self, tmp_path, live_events, base_inc
     ):
         from repro.store.persistence import read_manifest
 
         _, pipe, updater = make_updater(
             tmp_path, base_inc, generations_dir=tmp_path / "gens"
         )
-        updater.seed_log(stream_market.query_log.window(0, BASE_LAST_DAY))
         for e in live_events[:25]:
             pipe.submit(event_payload(e))
         generation = updater.run_once(timeout_s=0.0)
@@ -91,14 +100,13 @@ class TestMicroBatches:
         assert meta["applied_seq"] == 25
 
     def test_generation_manifest_says_where_the_fold_went(
-        self, tmp_path, stream_market, live_events, base_inc
+        self, tmp_path, live_events, base_inc
     ):
         from repro.store.persistence import read_manifest
 
         _, pipe, updater = make_updater(
             tmp_path, base_inc, generations_dir=tmp_path / "gens"
         )
-        updater.seed_log(stream_market.query_log.window(0, BASE_LAST_DAY))
         for e in live_events[:25]:
             pipe.submit(event_payload(e))
         generation = updater.run_once(timeout_s=0.0)
@@ -108,13 +116,12 @@ class TestMicroBatches:
         assert all(seconds >= 0.0 for seconds in stages.values())
 
     def test_fit_stages_nest_under_the_fold_trace(
-        self, tmp_path, stream_market, live_events, base_inc
+        self, tmp_path, live_events, base_inc
     ):
         tracer = Tracer()
         set_default_tracer(tracer)
         try:
             _, pipe, updater = make_updater(tmp_path, base_inc)
-            updater.seed_log(stream_market.query_log.window(0, BASE_LAST_DAY))
             for e in live_events[:25]:
                 pipe.submit(event_payload(e))
             assert updater.run_once(timeout_s=0.0) is not None
@@ -129,10 +136,9 @@ class TestMicroBatches:
         assert children == {f"fit.{stage}" for stage in FOLD_STAGES}
 
     def test_checkpoint_written_after_each_generation(
-        self, tmp_path, stream_market, live_events, base_inc
+        self, tmp_path, live_events, base_inc
     ):
         _, pipe, updater = make_updater(tmp_path, base_inc)
-        updater.seed_log(stream_market.query_log.window(0, BASE_LAST_DAY))
         for e in live_events[:15]:
             pipe.submit(event_payload(e))
         updater.run_once(timeout_s=0.0)
@@ -146,7 +152,6 @@ class TestMicroBatches:
         """An unseen query string arrives with its first event and is
         registered for description scoring in the next window."""
         _, pipe, updater = make_updater(tmp_path, base_inc)
-        updater.seed_log(stream_market.query_log.window(0, BASE_LAST_DAY))
         fresh_id = max(
             q.query_id for q in stream_market.query_log.queries
         ) + 1
@@ -161,9 +166,36 @@ class TestMicroBatches:
         )
         generation = updater.run_once(timeout_s=0.0)
         assert generation is not None
-        assert updater.store.n_queries() == len(
-            stream_market.query_log.queries
-        ) + 1
+        texts = generation.model.query_texts
+        assert texts[fresh_id] == "brand new trend"
+        assert len(texts) == len(stream_market.query_log.queries) + 1
+
+
+    def test_live_redefinition_keeps_the_original_text(
+        self, tmp_path, live_events, base_inc
+    ):
+        """The maintainer's query texts are the one registry: an event
+        that renames a known query counts its clicks, and the original
+        text stays in the model and in every topic description."""
+        known = live_events[0]
+        original = base_inc.model.query_texts[known.query_id]
+        _, pipe, updater = make_updater(tmp_path, base_inc)
+        pipe.submit({**event_payload(known), "query_text": "renamed query"})
+        for e in live_events[1:10]:
+            pipe.submit(event_payload(e))
+        generation = updater.run_once(timeout_s=0.0)
+        assert generation is not None
+        assert updater.stats().events_applied == 10
+        model = generation.model
+        assert model.query_texts[known.query_id] == original
+        described = [
+            score.text
+            for scores in model.descriptions.values()
+            for score in scores
+            if score.query_id == known.query_id
+        ]
+        assert described and set(described) == {original}
+        assert "renamed query" not in model.query_texts.values()
 
 
 class TestPoisonEvents:
@@ -174,7 +206,6 @@ class TestPoisonEvents:
         carries no query_text) must not kill its batch — and must not
         brick recovery, which replays the same WAL forever."""
         _, pipe, updater = make_updater(tmp_path, base_inc)
-        updater.seed_log(stream_market.query_log.window(0, BASE_LAST_DAY))
         unknown = max(
             q.query_id for q in stream_market.query_log.queries
         ) + 500
@@ -192,13 +223,12 @@ class TestPoisonEvents:
         assert "not registered" in updater.last_error
 
     def test_far_future_day_cannot_purge_the_window(
-        self, tmp_path, stream_market, live_events, base_inc
+        self, tmp_path, live_events, base_inc
     ):
         """One event stamped day 999999 must not evict every retained
-        day segment (QueryLogStore retention keys off the newest day)."""
+        day (window retention keys off the newest day)."""
         _, pipe, updater = make_updater(tmp_path, base_inc)
-        updater.seed_log(stream_market.query_log.window(0, BASE_LAST_DAY))
-        before_days = updater.store.days()
+        before_days = updater.window.days()
         real = live_events[0]
         pipe.submit({**event_payload(real), "day": 999_999})
         for e in live_events[:10]:
@@ -209,7 +239,7 @@ class TestPoisonEvents:
         assert stats.events_skipped == 1
         assert stats.events_applied == 10
         # The window still holds the base days (plus the new live day).
-        assert set(before_days) <= set(updater.store.days()) | {0}
+        assert set(before_days) <= set(updater.window.days()) | {0}
         assert "purge" in updater.last_error or "jumps" in updater.last_error
 
     def test_poisoned_wal_replays_cleanly_after_restart(
@@ -231,7 +261,6 @@ class TestPoisonEvents:
 
         inc2 = make_base_inc(stream_market, stream_inputs)
         _, _, updater2 = make_updater(tmp_path, inc2)
-        updater2.seed_log(stream_market.query_log.window(0, BASE_LAST_DAY))
         assert updater2.recover() == 5  # the 5 good events, poison skipped
         assert updater2.stats().events_skipped == 1
         assert updater2.force_generation() is not None
@@ -264,31 +293,29 @@ class TestCrashRecovery:
 
         inc1 = make_base_inc(stream_market, stream_inputs)
         wal1, pipe1, updater1 = make_updater(tmp_path, inc1)
-        updater1.seed_log(stream_market.query_log.window(0, BASE_LAST_DAY))
         for e in live_events[:60]:
             pipe1.submit(event_payload(e))
-        # Half a batch reaches the store, then the process dies: no
+        # Half a batch reaches the window, then the process dies: no
         # generation, no checkpoint, queue contents lost with the heap.
         half = pipe1.take_batch(max_events=30, max_age_s=0, timeout_s=0)
         updater1._apply_events(half)
-        assert updater1.store.n_events() == expected_window_events(30)
+        assert updater1.window.n_events() == expected_window_events(30)
         wal1.close()
         del updater1, pipe1, wal1
 
-        # Process restart: fresh maintainer, fresh store, same WAL dir.
+        # Process restart: fresh maintainer, fresh window, same WAL dir.
         inc2 = make_base_inc(stream_market, stream_inputs)
         wal2, pipe2, updater2 = make_updater(tmp_path, inc2)
-        updater2.seed_log(stream_market.query_log.window(0, BASE_LAST_DAY))
         recovered = updater2.recover()
         assert recovered == 60  # every admitted event, exactly once
-        assert updater2.store.n_events() == expected_window_events(60)
+        assert updater2.window.n_events() == expected_window_events(60)
         assert updater2.stats().events_duplicate == 0
         assert updater2.applied_seq == 60
 
         # Replaying the same WAL again is a no-op (idempotent by seq).
         assert updater2.recover() == 0
         assert updater2.stats().events_duplicate == 60
-        assert updater2.store.n_events() == expected_window_events(60)
+        assert updater2.window.n_events() == expected_window_events(60)
 
         generation = updater2.force_generation()
         assert generation is not None and generation.applied_seq == 60
@@ -312,13 +339,87 @@ class TestCrashRecovery:
         wal2 = WriteAheadLog(tmp_path / "wal", fsync="never")
         pipe2 = IngestPipe(wal2)
         updater = StreamingUpdater(inc, pipe2)
-        updater.seed_log(stream_market.query_log.window(0, BASE_LAST_DAY))
         assert updater.recover() == 20  # exact admitted count survives
+
+
+def _restarted_primary(snapshot, root):
+    """What ``serve-http --ingest-wal`` builds at start: the snapshot's
+    model and click window, then a replay of the WAL under ``root``."""
+    inc = IncrementalShoal.from_model(
+        load_model(snapshot),
+        entity_categories=load_entity_categories(snapshot),
+        retrain_every=100,
+    )
+    wal = WriteAheadLog(root / "wal", fsync="never")
+    pipe = IngestPipe(wal)
+    updater = StreamingUpdater(
+        inc,
+        pipe,
+        window=load_window(snapshot),
+        generations_dir=root / "gens",
+        min_batch_events=5,
+    )
+    updater.recover()
+    return wal, pipe, updater
+
+
+def _next_generation(pipe, updater, events):
+    for e in events:
+        pipe.submit(event_payload(e))
+    generation = None
+    while generation is None:
+        generation = updater.run_once(timeout_s=0.0)
+    return generation
+
+
+class TestRestartFromSnapshot:
+    @settings(
+        max_examples=4,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(data=st.data())
+    def test_restart_at_any_boundary_matches_an_uninterrupted_run(
+        self, data, base_snapshot, live_events
+    ):
+        """Kill the primary at a generation boundary and restart it from
+        the snapshot + WAL: its next generation has the fingerprint the
+        uninterrupted run produced for the same events."""
+        sizes = data.draw(
+            st.lists(st.integers(5, 40), min_size=2, max_size=3),
+            label="generation sizes",
+        )
+        cuts = [sum(sizes[:i]) for i in range(len(sizes) + 1)]
+        kill_after = data.draw(
+            st.integers(0, len(sizes) - 1), label="generations before kill"
+        )
+        batches = [live_events[a:b] for a, b in zip(cuts, cuts[1:])]
+
+        straight = Path(tempfile.mkdtemp(prefix="restart-straight-"))
+        _, pipe, updater = _restarted_primary(base_snapshot, straight)
+        want = [
+            snapshot_fingerprint(
+                _next_generation(pipe, updater, batch).snapshot_dir
+            )
+            for batch in batches
+        ]
+
+        killed = Path(tempfile.mkdtemp(prefix="restart-killed-"))
+        wal, pipe, updater = _restarted_primary(base_snapshot, killed)
+        for batch in batches[:kill_after]:
+            _next_generation(pipe, updater, batch)
+        wal.close()
+        _, pipe, updater = _restarted_primary(base_snapshot, killed)
+        assert updater.applied_seq == cuts[kill_after]
+        generation = _next_generation(pipe, updater, batches[kill_after])
+        assert snapshot_fingerprint(generation.snapshot_dir) == (
+            want[kill_after]
+        )
 
 
 class TestBackgroundThread:
     def test_start_stop_produces_generations(
-        self, tmp_path, stream_market, live_events, base_inc
+        self, tmp_path, live_events, base_inc
     ):
         switch = GenerationSwitch().attach(serving_tier(base_inc))
         _, pipe, updater = make_updater(
@@ -328,7 +429,6 @@ class TestBackgroundThread:
             batch_max_events=64,
             batch_max_age_s=0.05,
         )
-        updater.seed_log(stream_market.query_log.window(0, BASE_LAST_DAY))
         updater.start()
         try:
             for e in live_events[:50]:
@@ -347,13 +447,12 @@ class TestDriftGate:
     """The analytics drift monitor, consulted before each rollout."""
 
     def _run_two_generations(
-        self, tmp_path, stream_market, live_events, base_inc, gate
+        self, tmp_path, live_events, base_inc, gate
     ):
         switch = GenerationSwitch().attach(serving_tier(base_inc))
         _, pipe, updater = make_updater(
             tmp_path, base_inc, switch=switch, drift_gate=gate
         )
-        updater.seed_log(stream_market.query_log.window(0, BASE_LAST_DAY))
         for e in live_events[:40]:
             pipe.submit(event_payload(e))
         updater.run_once(timeout_s=0.0)
@@ -363,7 +462,7 @@ class TestDriftGate:
         return switch, updater
 
     def test_trivial_generation_is_produced_but_not_rolled_out(
-        self, tmp_path, stream_market, live_events, base_inc
+        self, tmp_path, live_events, base_inc
     ):
         class AlwaysTrivial:
             def __init__(self):
@@ -378,7 +477,7 @@ class TestDriftGate:
 
         gate = AlwaysTrivial()
         switch, updater = self._run_two_generations(
-            tmp_path, stream_market, live_events, base_inc, gate
+            tmp_path, live_events, base_inc, gate
         )
         # Generation 1 had nothing serving to compare against and rolled
         # out; generation 2 was gated and skipped.
@@ -390,7 +489,7 @@ class TestDriftGate:
         assert updater.stats_dict()["drift"] == {"assessments": 1}
 
     def test_gate_failure_is_advisory_rollout_proceeds(
-        self, tmp_path, stream_market, live_events, base_inc
+        self, tmp_path, live_events, base_inc
     ):
         class Broken:
             def should_skip(self, prev, new):
@@ -400,14 +499,14 @@ class TestDriftGate:
                 return {}
 
         switch, updater = self._run_two_generations(
-            tmp_path, stream_market, live_events, base_inc, Broken()
+            tmp_path, live_events, base_inc, Broken()
         )
         assert switch.current.number == 2
         assert updater.stats().rollouts_skipped == 0
         assert "gate" in updater.stats_dict()["last_error"]
 
     def test_real_monitor_measures_real_generations(
-        self, tmp_path, stream_market, live_events, base_inc
+        self, tmp_path, live_events, base_inc
     ):
         """The real DriftMonitor wired through the updater: it assesses
         the serving-vs-new pair, and the rollout decision matches what
@@ -417,7 +516,7 @@ class TestDriftGate:
 
         gate = DriftMonitor(threshold=0.0)
         switch, updater = self._run_two_generations(
-            tmp_path, stream_market, live_events, base_inc, gate
+            tmp_path, live_events, base_inc, gate
         )
         drift = updater.stats_dict()["drift"]
         assert drift["assessments"] == 1
@@ -432,7 +531,7 @@ class TestDriftGate:
         assert switch.current.number == (1 if trivial else 2)
 
     def test_readers_only_ever_see_what_the_switch_rolled_out(
-        self, tmp_path, stream_market, live_events, base_inc
+        self, tmp_path, live_events, base_inc
     ):
         """A generation the gate skips must not reach readers by any
         other path. A tier the maintainer owned and refreshed inside
@@ -455,7 +554,6 @@ class TestDriftGate:
             switch=switch,
             drift_gate=DriftMonitor(threshold=0.99),
         )
-        updater.seed_log(stream_market.query_log.window(0, BASE_LAST_DAY))
         # Five 40-event generations: the first three change the topic
         # count and roll out, the gate holds back the last two.
         for n in range(5):

@@ -378,3 +378,106 @@ class TestClusterCommands:
                 "replay", "--profile", "tiny", "--cluster-dir",
                 str(cluster_dir), "--load", "/nope", "--requests", "50",
             ])
+
+
+class TestWritePathStartsFromTheSnapshot:
+    """``serve-http --ingest-wal`` and ``serve-follower`` start from the
+    snapshot's files alone: model, click window, categories, probes."""
+
+    @pytest.fixture(scope="class")
+    def bare_snapshot(self, tmp_path_factory, tiny_marketplace, tiny_model):
+        """A snapshot whose manifest names no profile/seed."""
+        d = tmp_path_factory.mktemp("bare") / "snap"
+        tiny_model.save(
+            d,
+            entity_categories={
+                e.entity_id: e.category_id
+                for e in tiny_marketplace.catalog.entities
+            },
+        )
+        return d
+
+    @pytest.fixture
+    def no_world(self, monkeypatch):
+        """Every import of ``generate_marketplace`` raises."""
+        import sys
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("regenerated the synthetic world")
+
+        for module in list(sys.modules.values()):
+            name = getattr(module, "__name__", "") or ""
+            if name.startswith("repro") and hasattr(
+                module, "generate_marketplace"
+            ):
+                monkeypatch.setattr(module, "generate_marketplace", refuse)
+
+    @staticmethod
+    def _serve_once(monkeypatch, action):
+        """Stub the serve loop: start, run ``action(server)``, stop."""
+        seen = {}
+
+        def run(server, what, surface, *, on_stop=None):
+            server.start()
+            try:
+                seen["out"] = action(server)
+            finally:
+                if on_stop is not None:
+                    on_stop()
+                server.shutdown()
+            return 0
+
+        monkeypatch.setattr("repro.cli._run_server", run)
+        return seen
+
+    def test_primary_without_a_world_accepts_ingest(
+        self, tmp_path, monkeypatch, no_world, bare_snapshot,
+        tiny_marketplace,
+    ):
+        from repro.api import ShoalClient
+
+        event = tiny_marketplace.query_log.events[0]
+        payload = {
+            "day": max(tiny_marketplace.query_log.days()) + 1,
+            "query_id": event.query_id,
+            "clicked": list(event.clicked_entity_ids),
+        }
+        seen = self._serve_once(
+            monkeypatch,
+            lambda server: ShoalClient(server.url, timeout=10.0).ingest(payload),
+        )
+        argv = ["serve-http", "--load", str(bare_snapshot), "--port", "0",
+                "--ingest-wal", str(tmp_path / "wal"),
+                "--ship-feed", str(tmp_path / "feed")]
+        assert main(argv) == 0
+        assert seen["out"] == {"accepted": 1, "last_seq": 1}
+        # The feed names no world either, and ships the window.
+        manifest = json.loads((tmp_path / "feed" / "FEED.json").read_text())
+        assert "profile" not in manifest and "seed" not in manifest
+        assert (tmp_path / "feed" / "base" / "window.npz").is_file()
+
+        seen = self._serve_once(
+            monkeypatch, lambda server: server.url
+        )
+        argv = ["serve-follower", "--feed", str(tmp_path / "feed"),
+                "--port", "0", "--workdir", str(tmp_path / "work"),
+                "--catch-up-s", "5"]
+        assert main(argv) == 0
+        assert seen["out"].startswith("http://")
+
+    def test_snapshot_without_a_window_is_refused(
+        self, tmp_path, bare_snapshot
+    ):
+        import shutil
+
+        from repro.store.persistence import read_manifest
+
+        old = tmp_path / "old"
+        shutil.copytree(bare_snapshot, old)
+        manifest = read_manifest(old)
+        manifest["artifacts"].remove("window.npz")
+        (old / "MANIFEST.json").write_text(json.dumps(manifest))
+        (old / "window.npz").unlink()
+        with pytest.raises(SystemExit, match="window.npz"):
+            main(["serve-http", "--load", str(old), "--port", "0",
+                  "--ingest-wal", str(tmp_path / "wal")])
