@@ -59,8 +59,7 @@ def main() -> None:
             switch.swap(
                 Generation(
                     number=day,
-                    model=update.model,
-                    entity_categories=categories,
+                    serving=update.model.serving(categories),
                     last_day=day,
                 )
             )

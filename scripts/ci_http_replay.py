@@ -6,8 +6,8 @@ a running ``serve-http`` gateway and fails if
 
 * any request dies with a 5xx-class :class:`ApiError`
   (``backend_error`` / ``unavailable`` / ``deadline_exceeded``), or
-* any HTTP answer differs from the in-process backend opened on the
-  same snapshot (byte-identical transparency), or
+* any HTTP answer differs from the in-process backend opened on a
+  snapshot of the same model (byte-identical transparency), or
 * the gateway stats endpoint reports any 5xx-coded errors server-side,
   or no gateway cache hits — the steady profile repeats queries, and a
   hit is answered on the edge's event loop, so zero hits means that
@@ -41,7 +41,8 @@ def main(argv=None) -> int:
     parser = gate_parser(__doc__)
     parser.add_argument(
         "--snapshot", required=True,
-        help="the snapshot directory the server was started from",
+        help="a snapshot of the model the server serves (the server may "
+        "load a copy pruned to its serving files)",
     )
     parser.add_argument("--requests", type=int, default=200)
     parser.add_argument("--k", type=int, default=5)

@@ -7,7 +7,7 @@ Public API highlights::
 
     market = generate_marketplace()
     model = ShoalPipeline().fit(market)
-    service = ShoalService(model)
+    service = ShoalService(model.serving())
     for hit in service.search_topics("beach dress"):
         print(hit.label, hit.score)
 
@@ -43,7 +43,7 @@ from repro.api.backends import (
 from repro.api.cache import CacheStats
 from repro.core.config import ShoalConfig
 from repro.core.pipeline import ShoalModel, ShoalPipeline
-from repro.core.serving import ShoalService
+from repro.core.serving import ServingModel, ShoalService
 from repro.core.taxonomy import Taxonomy, Topic
 from repro.data.marketplace import (
     Marketplace,
@@ -60,6 +60,7 @@ __all__ = [
     "ShoalPipeline",
     "ShoalModel",
     "ShoalService",
+    "ServingModel",
     "CacheStats",
     "ClusterRouter",
     "ShardPlanner",

@@ -57,9 +57,8 @@ class DriftStats:
         }
 
 
-def _membership(model) -> Dict[int, FrozenSet[int]]:
+def _membership(taxonomy) -> Dict[int, FrozenSet[int]]:
     """entity -> the frozen set of entities sharing its leaf topic."""
-    taxonomy = model.taxonomy
     groups: Dict[int, list] = {}
     for entity_id in taxonomy.placed_entities():
         topic = taxonomy.topic_of_entity(entity_id)
@@ -70,6 +69,11 @@ def _membership(model) -> Dict[int, FrozenSet[int]]:
         for entity_id in members:
             member_of[entity_id] = cluster
     return member_of
+
+
+def _taxonomy_of(x):
+    """A model's taxonomy, or a generation's (its serving model's)."""
+    return x.taxonomy if hasattr(x, "taxonomy") else x.serving.taxonomy
 
 
 class DriftMonitor:
@@ -94,10 +98,10 @@ class DriftMonitor:
 
     def assess(self, prev_generation, new_generation) -> DriftStats:
         """Measure drift between two generations (or bare models)."""
-        prev_model = getattr(prev_generation, "model", prev_generation)
-        new_model = getattr(new_generation, "model", new_generation)
-        prev_members = _membership(prev_model)
-        new_members = _membership(new_model)
+        prev_taxonomy = _taxonomy_of(prev_generation)
+        new_taxonomy = _taxonomy_of(new_generation)
+        prev_members = _membership(prev_taxonomy)
+        new_members = _membership(new_taxonomy)
         universe = set(prev_members) | set(new_members)
         changed = sum(
             1
@@ -107,8 +111,8 @@ class DriftMonitor:
         stats = DriftStats(
             prev_generation=getattr(prev_generation, "number", -1),
             new_generation=getattr(new_generation, "number", -1),
-            n_topics_prev=len(prev_model.taxonomy),
-            n_topics_new=len(new_model.taxonomy),
+            n_topics_prev=len(prev_taxonomy),
+            n_topics_new=len(new_taxonomy),
             n_entities=len(universe),
             entities_changed=changed,
             changed_fraction=(changed / len(universe)) if universe else 0.0,

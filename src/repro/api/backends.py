@@ -207,17 +207,10 @@ class ServiceBackend(_EngineBackend):
         *,
         entity_categories: Optional[Dict[int, int]] = None,
         tokenizer=None,
-        collection_stats=None,
     ) -> "ServiceBackend":
-        """Stand up a fresh :class:`ShoalService` over a fitted model."""
-        return cls(
-            ShoalService(
-                model,
-                tokenizer,
-                entity_categories=entity_categories,
-                collection_stats=collection_stats,
-            )
-        )
+        """Stand up a fresh :class:`ShoalService` over a fitted model's
+        serving view (``model.serving(entity_categories)``)."""
+        return cls(ShoalService(model.serving(entity_categories), tokenizer))
 
     @classmethod
     def from_snapshot(cls, directory: Union[str, Path]) -> "ServiceBackend":

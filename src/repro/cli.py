@@ -316,9 +316,9 @@ def _cmd_search(args) -> int:
         # A demo query when serving from disk: a topic's own description.
         from repro.streaming import probe_queries
 
-        queries = args.queries or probe_queries(backend.service.model, 1) or [
-            "example"
-        ]
+        queries = args.queries or probe_queries(
+            backend.service.taxonomy, 1
+        ) or ["example"]
     else:
         market, model = _build(args)
         backend = ServiceBackend.from_model(
@@ -561,7 +561,7 @@ def _build_ingest_side(args, backend):
     ``None`` without ``--ship-feed``.
 
     Everything comes from the snapshot: an :class:`IncrementalShoal`
-    warm-starts from the loaded model, the updater folds into the
+    warm-starts from the fully loaded model, the updater folds into the
     snapshot's click window (``window.npz``) and replays any retained
     WAL from a previous run into it, and a :class:`GenerationSwitch`
     over the serving backend hot-swaps every new generation in, with
@@ -592,7 +592,7 @@ def _build_ingest_side(args, backend):
         raise SystemExit(
             f"--ingest-wal cannot restart the window: {exc}"
         ) from None
-    model = backend.service.model
+    model = ShoalModel.load(args.load)
     cats = load_entity_categories(args.load) or {}
     # These two knobs shape every refit; a replication feed ships them
     # so followers rebuild with byte-identical settings.
@@ -605,12 +605,11 @@ def _build_ingest_side(args, backend):
     # failing its health check restores the tier to what it serves now.
     baseline = Generation(
         number=0,
-        model=model,
-        entity_categories=cats,
+        serving=model.serving(cats),
         last_day=window.last_day or 0,
     )
     switch = GenerationSwitch(
-        probe_queries=probe_queries(model), baseline=baseline
+        probe_queries=probe_queries(model.taxonomy), baseline=baseline
     ).attach(backend)
     wal = WriteAheadLog(args.ingest_wal, fsync=args.ingest_fsync)
     pipe = IngestPipe(wal, max_queue=SERVE_INGEST_QUEUE)
@@ -966,12 +965,11 @@ def _cmd_ingest(args) -> int:
     backend = ServiceBackend.from_model(update.model, entity_categories=cats)
     baseline = Generation(
         number=0,
-        model=update.model,
-        entity_categories=cats,
+        serving=update.model.serving(cats),
         last_day=base_last_day,
     )
     switch = GenerationSwitch(
-        probe_queries=probe_queries(update.model), baseline=baseline
+        probe_queries=probe_queries(update.model.taxonomy), baseline=baseline
     ).attach(backend)
     wal = WriteAheadLog(args.wal, fsync=args.fsync)
     pipe = IngestPipe(wal, max_queue=args.queue_size)

@@ -26,7 +26,7 @@ from repro.core.correlation import (
     CorrelationGraph,
 )
 from repro.core.pipeline import ShoalPipeline, ShoalModel
-from repro.core.serving import CategoryHit, ShoalService, TopicHit
+from repro.core.serving import CategoryHit, ServingModel, ShoalService, TopicHit
 from repro.core.incremental import IncrementalShoal, WindowUpdate
 from repro.core.report import TaxonomyStats, compute_stats, render_tree, render_topic
 
@@ -43,6 +43,7 @@ __all__ = [
     "ShoalPipeline",
     "ShoalModel",
     "ShoalService",
+    "ServingModel",
     "TopicHit",
     "CategoryHit",
     "IncrementalShoal",

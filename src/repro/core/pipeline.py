@@ -25,6 +25,7 @@ from repro.clustering.parallel_hac import ParallelHAC, ParallelHACResult
 from repro.core.config import ShoalConfig
 from repro.core.correlation import CategoryCorrelationMiner, CorrelationGraph
 from repro.core.descriptions import QueryScore, TopicDescriber
+from repro.core.serving import ServingModel
 from repro.core.taxonomy import Taxonomy
 from repro.data.marketplace import Marketplace
 from repro.data.queries import QueryLog
@@ -76,6 +77,15 @@ class ShoalModel:
             f"roots={len(self.taxonomy.root_topics())}, "
             f"correlated_pairs={self.correlations.n_correlations}, "
             f"rounds={self.clustering.n_rounds})"
+        )
+
+    def serving(
+        self, entity_categories: Optional[Dict[int, int]] = None
+    ) -> ServingModel:
+        """The read side of this model: what a read tier is built from
+        (``entity_categories=None`` lets the tier derive the map)."""
+        return ServingModel(
+            self.taxonomy, self.titles, self.correlations, entity_categories
         )
 
     # -- persistence --------------------------------------------------------

@@ -1,5 +1,5 @@
 """Serving engine: the four demo scenarios of paper Fig. 5, built for
-read throughput.
+read throughput over a :class:`ServingModel`.
 
 * **Query→Topic (A)** — keyword search over topic descriptions and
   content returns the matching topics (the "visual star graph");
@@ -9,6 +9,10 @@ read throughput.
 * **Category→Category (D)** — related categories from the Sec. 2.4
   correlation graph.
 
+The scenarios need only the taxonomy, the entity titles, the
+correlation graph and the entity → category map, so that is all a read
+tier holds (``ShoalModel.serving()``, or ``load_serving`` from disk).
+
 The engine separates the *build* path from the *serve* path, the way a
 production read tier must when the paper claims "millions of searches
 per day":
@@ -16,7 +20,8 @@ per day":
 1. **Precomputed indexes** — per-topic description token sets, the
    inverted token→topic index, the category→topic index, per-topic
    subtree sets, and the entity→category map are all built once per
-   model into an immutable :class:`_ServiceState`, never per request.
+   serving model into an immutable :class:`_ServiceState`, never per
+   request.
 2. **Candidate pruning** — :meth:`search_topics` only adds up the
    BM25 posting terms of the query's tokens, each term computed once
    at index build; :meth:`related_topics` scores only topics sharing
@@ -57,17 +62,30 @@ from typing import (
 )
 
 from repro.core.correlation import CorrelationGraph
-from repro.core.pipeline import ShoalModel
 from repro.core.taxonomy import Taxonomy, Topic
 from repro.text.bm25 import BM25, CollectionStats
 from repro.text.tokenizer import Tokenizer
 
 __all__ = [
+    "ServingModel",
     "TopicHit",
     "CategoryHit",
     "ShoalService",
     "build_topic_documents",
 ]
+
+
+@dataclass(frozen=True)
+class ServingModel:
+    """Everything a read tier serves, and nothing it does not.
+    ``entity_categories=None`` derives the entity → category map from
+    single-category topics at index build (see :class:`_ServiceState`).
+    """
+
+    taxonomy: Taxonomy
+    titles: Dict[int, str]
+    correlations: CorrelationGraph
+    entity_categories: Optional[Dict[int, int]] = None
 
 
 @dataclass(frozen=True)
@@ -127,7 +145,7 @@ class _ServiceState:
     """
 
     __slots__ = (
-        "model",
+        "serving",
         "topics",
         "position_of",
         "topic_tokens",
@@ -141,14 +159,13 @@ class _ServiceState:
 
     def __init__(
         self,
-        model: ShoalModel,
+        serving: ServingModel,
         tokenizer: Tokenizer,
-        entity_categories: Optional[Dict[int, int]] = None,
         collection_stats: Optional[CollectionStats] = None,
     ):
         tokenize = tokenizer.tokenize
-        self.model = model
-        self.topics: List[Topic] = model.taxonomy.topics()
+        self.serving = serving
+        self.topics: List[Topic] = serving.taxonomy.topics()
         self.position_of: Dict[int, int] = {
             t.topic_id: pos for pos, t in enumerate(self.topics)
         }
@@ -158,7 +175,7 @@ class _ServiceState:
         # description-token sets feed related_topics, tokenised once
         # here instead of per call.
         docs, self.topic_tokens = build_topic_documents(
-            self.topics, model.titles, tokenize
+            self.topics, serving.titles, tokenize
         )
         self.topic_categories: List[FrozenSet[int]] = [
             frozenset(t.category_ids) for t in self.topics
@@ -189,8 +206,8 @@ class _ServiceState:
         # Entity → category map: authoritative if provided, otherwise
         # derived — a topic whose category set is a single category
         # pins all its entities, leaf-most topics winning ties.
-        if entity_categories is not None:
-            self.entity_categories = dict(entity_categories)
+        if serving.entity_categories is not None:
+            self.entity_categories = dict(serving.entity_categories)
         else:
             mapping: Dict[int, int] = {}
             for t in sorted(self.topics, key=lambda t: t.level, reverse=True):
@@ -200,23 +217,9 @@ class _ServiceState:
                         mapping.setdefault(e, c)
             self.entity_categories = mapping
 
-    def with_entity_categories(
-        self, mapping: Dict[int, int]
-    ) -> "_ServiceState":
-        """A sibling state sharing every index, with a new entity map."""
-        twin = object.__new__(_ServiceState)
-        for name in _ServiceState.__slots__:
-            setattr(twin, name, getattr(self, name))
-        twin.entity_categories = dict(mapping)
-        return twin
-
 
 class ShoalService:
-    """Read-only query engine over a fitted :class:`ShoalModel`.
-
-    ``entity_categories`` installs the authoritative entity → category
-    map up front; without it the map is derived from single-category
-    topics (see :meth:`set_entity_categories`).
+    """Read-only query engine over a :class:`ServingModel`.
 
     ``collection_stats`` scores this service's BM25 index against the
     statistics of a larger corpus it is a partition of — the mechanism
@@ -227,16 +230,13 @@ class ShoalService:
 
     def __init__(
         self,
-        model: ShoalModel,
+        serving: ServingModel,
         tokenizer: Optional[Tokenizer] = None,
         *,
-        entity_categories: Optional[Dict[int, int]] = None,
         collection_stats: Optional[CollectionStats] = None,
     ):
         self._tokenizer = tokenizer or Tokenizer()
-        self._state = _ServiceState(
-            model, self._tokenizer, entity_categories, collection_stats
-        )
+        self._state = _ServiceState(serving, self._tokenizer, collection_stats)
 
     @classmethod
     def from_snapshot(
@@ -246,38 +246,26 @@ class ShoalService:
 
         This is the production deployment path: the pipeline fits
         offline and calls :meth:`ShoalModel.save`; every serving
-        process then constructs from the snapshot directory, skipping
-        the fit entirely. If the snapshot carries the authoritative
-        entity → category sidecar it is installed up front, so answers
-        are identical to a service built from the in-memory model.
+        process then reads only the snapshot's serving files
+        (``load_serving``, category sidecar included), so answers are
+        identical to a service built from the in-memory model.
         """
         # Imported lazily: the store layer depends on this module's package.
-        from repro.store.persistence import load_entity_categories, load_model
+        from repro.store.persistence import load_serving
 
-        return cls(
-            load_model(directory),
-            tokenizer,
-            entity_categories=load_entity_categories(directory),
-        )
+        return cls(load_serving(directory), tokenizer)
 
     # -- model lifecycle -----------------------------------------------------
 
-    def refresh(
-        self,
-        model: ShoalModel,
-        entity_categories: Optional[Dict[int, int]] = None,
-        collection_stats: Optional[CollectionStats] = None,
-    ) -> None:
-        """Swap in a freshly fitted model with zero read downtime.
+    def refresh(self, serving: ServingModel) -> None:
+        """Swap in a freshly fitted serving model with zero read downtime.
 
         Every precomputed index is rebuilt *off to the side* and then
         published with one reference assignment — requests in flight
         keep the state they started with, requests arriving after see
         the new model, and none ever observe a half-built mix.
         """
-        self._state = _ServiceState(
-            model, self._tokenizer, entity_categories, collection_stats
-        )
+        self._state = _ServiceState(serving, self._tokenizer)
 
     def posting_tokens(self) -> FrozenSet[str]:
         """Tokens in this service's BM25 posting lists.
@@ -296,12 +284,8 @@ class ShoalService:
         return None if index is None else index.collection_stats
 
     @property
-    def model(self) -> ShoalModel:
-        return self._state.model
-
-    @property
     def taxonomy(self) -> Taxonomy:
-        return self._state.model.taxonomy
+        return self._state.serving.taxonomy
 
     # -- scenario A: Query → Topic ------------------------------------------
 
@@ -365,7 +349,7 @@ class ShoalService:
         )[0]
         if not hits:
             return None
-        return state.model.taxonomy.topic(hits[0].topic_id)
+        return state.serving.taxonomy.topic(hits[0].topic_id)
 
     # -- scenario B: Topic → Sub-topic ------------------------------------------
 
@@ -396,23 +380,15 @@ class ShoalService:
         category info never match.
         """
         state = self._state
-        topic = state.model.taxonomy.topic(topic_id)
+        topic = state.serving.taxonomy.topic(topic_id)
         cat_map = state.entity_categories
         return [e for e in topic.entity_ids if cat_map.get(e) == category_id]
-
-    def set_entity_categories(self, mapping: Dict[int, int]) -> None:
-        """Install the authoritative entity → category map (preferred).
-
-        The pipeline knows the catalog's categories; examples call this
-        so scenario C filters exactly.
-        """
-        self._state = self._state.with_entity_categories(mapping)
 
     # -- scenario D: Category → Category ---------------------------------------
 
     def related_categories(self, category_id: int, k: int = 8) -> List[CategoryHit]:
         """Correlated categories by descending Eq. 5 strength."""
-        graph: CorrelationGraph = self._state.model.correlations
+        graph: CorrelationGraph = self._state.serving.correlations
         return [
             CategoryHit(c, s) for c, s in graph.related_categories(category_id, k)
         ]
@@ -430,7 +406,7 @@ class ShoalService:
         category with the centre are scored (anything else scores 0).
         """
         state = self._state
-        taxonomy = state.model.taxonomy
+        taxonomy = state.serving.taxonomy
         center = taxonomy.topic(topic_id)
         center_pos = state.position_of[topic_id]
         lineage = set(state.subtree[topic_id])
@@ -495,7 +471,7 @@ class ShoalService:
         rows = self._search_tokens(
             state, self._tokenizer.tokenize_all(queries), 1
         )
-        taxonomy = state.model.taxonomy
+        taxonomy = state.serving.taxonomy
         return [
             taxonomy.topic(hits[0].topic_id).entity_ids[:k] if hits else []
             for hits in rows

@@ -52,6 +52,7 @@ from repro.api.contract import (
     SearchResponse,
 )
 from repro.core.incremental import IncrementalShoal
+from repro.core.serving import ShoalService
 from repro.obs.tracer import traced
 from repro.replication.feed import Feed, FeedError
 from repro.store.persistence import (
@@ -213,6 +214,7 @@ class Follower:
             window = load_window(base)
         except FileNotFoundError as exc:
             raise FeedError(f"cannot bootstrap from the feed: {exc}") from None
+        # The maintainer refits from the whole model; readers get its view.
         model = load_model(base)
         cats = load_entity_categories(base) or {}
         inc = IncrementalShoal.from_model(
@@ -220,16 +222,14 @@ class Follower:
             entity_categories=cats,
             retrain_every=int(manifest.get("retrain_every", 7)),
         )
-        self._inner = ServiceBackend.from_model(model, entity_categories=cats)
-
         baseline = Generation(
             number=0,
-            model=model,
-            entity_categories=cats,
+            serving=model.serving(cats),
             last_day=window.last_day or 0,
         )
+        self._inner = ServiceBackend(ShoalService(baseline.serving))
         self._switch = GenerationSwitch(
-            probe_queries=probe_queries(model), baseline=baseline
+            probe_queries=probe_queries(model.taxonomy), baseline=baseline
         ).attach(self._inner)
 
         self._pipe = _FeedPipe(self._workdir)

@@ -21,11 +21,12 @@ documents the unsharded service would have dropped too. The result:
 ``ClusterRouter.search_topics`` == ``ShoalService.search_topics``,
 byte for byte, for every shard count.
 
-**Read-only.** A router is built once, from a model or a cluster
-snapshot, and never changes afterwards: BM25 statistics are
-corpus-wide, so a new model moves every shard's scores and would
-rebuild every shard anyway. A model that changes is served by a single
-service or by followers, which a
+**Read-only.** A router is built once, from a shard set of
+:class:`~repro.core.serving.ServingModel` slices (partitioned from a
+fitted model, or loaded from a cluster snapshot), and never changes
+afterwards: BM25 statistics are corpus-wide, so a new model moves
+every shard's scores and would rebuild every shard anyway. A model
+that changes is served by a single service or by followers, which a
 :class:`~repro.streaming.rollout.GenerationSwitch` hot-swaps.
 """
 
@@ -38,7 +39,6 @@ from pathlib import Path
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
 
 from repro.api.context import current_context
-from repro.core.correlation import CorrelationGraph
 from repro.core.pipeline import ShoalModel
 from repro.core.serving import (
     CategoryHit,
@@ -124,21 +124,21 @@ class ClusterRouter:
     ):
         self._tokenizer = tokenizer or Tokenizer()
         self._stats = Histogram()
+        if not shard_set.models:
+            raise ValueError("shard set has no shards")
         self._shards: List[_Shard] = [
             _Shard(
                 i,
                 ShoalService(
-                    model,
+                    serving,
                     self._tokenizer,
-                    entity_categories=cats,
                     collection_stats=shard_set.collection_stats,
                 ),
             )
-            for i, (model, cats) in enumerate(
-                zip(shard_set.models, shard_set.entity_categories)
-            )
+            for i, serving in enumerate(shard_set.models)
         ]
-        self._correlations = _shard_set_correlations(shard_set)
+        # The correlation graph is global: every shard carries it whole.
+        self._correlations = shard_set.models[0].correlations
         by_token: Dict[str, List[int]] = {}
         self._shard_of_topic: Dict[int, int] = {}
         for shard in self._shards:
@@ -210,12 +210,6 @@ class ClusterRouter:
         rows = self._search("router.batch", queries, k)
         self._stats.record(time.perf_counter() - t0)
         return rows
-
-    def best_topic(self, query: str) -> Optional[Topic]:
-        hits = self._search("router.search", [query], 1)[0]
-        if not hits:
-            return None
-        return self.topic(hits[0].topic_id)
 
     def _search(
         self, span: str, queries: Sequence[str], k: int
@@ -333,18 +327,9 @@ class ClusterRouter:
         """Cumulative per-shard service time (see _Shard.busy_seconds)."""
         return [s.busy_seconds() for s in self._shards]
 
-    def reset_request_stats(self) -> None:
-        self._stats.reset()
-
     def cluster_stats(self) -> ClusterStats:
         return ClusterStats(
             n_shards=len(self._shards),
             latency=self._stats.summary(),
         )
 
-
-def _shard_set_correlations(shard_set: ShardSet) -> CorrelationGraph:
-    """The (global) correlation graph carried by the shard models."""
-    for m in shard_set.models:
-        return m.correlations
-    raise ValueError("shard set has no shards")

@@ -15,25 +15,26 @@ its own local postings but the **global**
 :class:`~repro.text.bm25.CollectionStats`, computed here over the full
 model's documents via the exact code path the service uses. The
 correlation graph is global (categories are not sharded) and is kept
-whole in every shard model.
+whole in every shard.
 
 Because those statistics are corpus-wide, any change to the model moves
 every shard's scores, so a shard set is partitioned once and served
 read-only: a :class:`~repro.serving.router.ClusterRouter` is built from
 it (or from its snapshot) and never refreshed.
 
-On disk, a cluster snapshot is a directory of per-shard PR-2 model
-snapshots plus the shared collection statistics, sealed by a cluster
-manifest written last:
+A shard is a :class:`~repro.core.serving.ServingModel` — the taxonomy
+slice, its entities' titles, the correlation graph and the category
+slice — and nothing fit-side. On disk, a cluster snapshot is a
+directory of per-shard serving-only snapshots plus the shared
+collection statistics, sealed by a cluster manifest written last:
 
 =============================== ==========================================
 ``CLUSTER_MANIFEST.json``       kind, format version, shard directory
                                 names, the shard plan, metadata
 ``collection_stats.json``       global n_documents / average document
                                 length / per-token document frequencies
-``shard-0000/`` …               one model snapshot per shard (see
-                                :mod:`repro.store.persistence.snapshot`),
-                                each with its entity-category sidecar
+``shard-0000/`` …               one serving-only snapshot per shard
+                                (``save_serving``: no fit artifacts)
 =============================== ==========================================
 """
 
@@ -44,19 +45,11 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-import numpy as np
-
-from repro.clustering.dendrogram import Dendrogram
-from repro.clustering.parallel_hac import ParallelHACResult
 from repro.core.pipeline import ShoalModel
-from repro.core.serving import build_topic_documents
+from repro.core.serving import ServingModel, build_topic_documents
 from repro.core.taxonomy import Taxonomy, Topic
-from repro.graph.bipartite import QueryItemGraph
-from repro.graph.sparse import SparseGraph
 from repro.text.bm25 import CollectionStats
 from repro.text.tokenizer import Tokenizer
-from repro.text.vocab import Vocabulary, VocabularyBuildConfig
-from repro.text.word2vec import WordEmbeddings
 
 __all__ = [
     "CLUSTER_MANIFEST",
@@ -155,52 +148,37 @@ def plan_shards(taxonomy: Taxonomy, n_shards: int) -> ShardPlan:
     return ShardPlan(n_shards=n_shards, assignments=tuple(assignments))
 
 
-# -- pruned shard models -----------------------------------------------------
-
-
-def _empty_embeddings(dim: int) -> WordEmbeddings:
-    vocab = Vocabulary([], np.zeros(0, dtype=np.int64), VocabularyBuildConfig())
-    return WordEmbeddings(vocab, np.zeros((0, max(dim, 1))))
+# -- shard serving models ----------------------------------------------------
 
 
 def build_shard_model(
-    model: ShoalModel, root_topic_ids: Sequence[int]
-) -> ShoalModel:
-    """The pruned model a single shard serves.
+    serving: ServingModel, root_topic_ids: Sequence[int]
+) -> ServingModel:
+    """The serving model a single shard serves.
 
     Keeps the assigned root subtrees (topic objects are shared, they
-    are read-only at serve time), the titles of their entities, their
-    description scores, and the **full** correlation graph (categories
-    are global). The fit-time artifacts a read tier never touches —
-    embeddings, bipartite graph, entity graph, dendrogram — are
-    replaced by empty placeholders so per-shard snapshots stay small
-    and loadable through the standard snapshot format.
+    are read-only at serve time), the titles and category entries of
+    their entities, and the **full** correlation graph (categories are
+    global). A derived category map (``None``) stays derived: each
+    entity's topics all live in its own root subtree, so the shard
+    derives exactly the global map's slice.
     """
-    taxonomy = model.taxonomy
+    taxonomy = serving.taxonomy
     topics = [
         t
         for r in sorted(root_topic_ids)
         for t in _subtree_topics(taxonomy, r)
     ]
-    shard_taxonomy = Taxonomy(topics)
     entity_ids = {e for t in topics for e in t.entity_ids}
-    titles = {e: model.titles[e] for e in entity_ids if e in model.titles}
-    descriptions = {
-        t.topic_id: model.descriptions[t.topic_id]
-        for t in topics
-        if t.topic_id in model.descriptions
-    }
-    return ShoalModel(
-        config=model.config,
-        bipartite=QueryItemGraph(),
-        embeddings=_empty_embeddings(model.config.word2vec.dim),
-        entity_graph=SparseGraph(0),
-        clustering=ParallelHACResult(dendrogram=Dendrogram([]), rounds=[]),
-        taxonomy=shard_taxonomy,
-        descriptions=descriptions,
-        correlations=model.correlations,
-        titles=titles,
-        query_texts={},
+    titles, cats = serving.titles, serving.entity_categories
+    return ServingModel(
+        taxonomy=Taxonomy(topics),
+        titles={e: titles[e] for e in entity_ids if e in titles},
+        correlations=serving.correlations,
+        entity_categories=(
+            None if cats is None
+            else {e: cats[e] for e in entity_ids if e in cats}
+        ),
     )
 
 
@@ -211,15 +189,13 @@ def build_shard_model(
 class ShardSet:
     """A partitioned model, ready for a router (or a snapshot dir).
 
-    ``models[i]`` is the pruned model of shard ``i``;
-    ``entity_categories[i]`` its authoritative entity → category slice
-    (``None`` when the source had none); ``collection_stats`` the
-    global corpus statistics every shard scores against.
+    ``models[i]`` is the serving model of shard ``i``;
+    ``collection_stats`` the global corpus statistics every shard
+    scores against.
     """
 
     plan: ShardPlan
-    models: List[ShoalModel]
-    entity_categories: List[Optional[Dict[int, int]]]
+    models: List[ServingModel]
     collection_stats: CollectionStats
 
     @property
@@ -289,27 +265,15 @@ class ShardPlanner:
         model: ShoalModel,
         entity_categories: Optional[Dict[int, int]] = None,
     ) -> ShardSet:
-        """Split ``model`` into per-shard pruned models + global stats."""
+        """Split ``model`` into per-shard serving models + global stats."""
         plan = self.plan(model)
-        models = [
-            build_shard_model(model, a.root_topic_ids)
-            for a in plan.assignments
-        ]
-        if entity_categories is None:
-            cats: List[Optional[Dict[int, int]]] = [None] * plan.n_shards
-        else:
-            cats = [
-                {
-                    e: entity_categories[e]
-                    for e in m.titles
-                    if e in entity_categories
-                }
-                for m in models
-            ]
+        serving = model.serving(entity_categories)
         return ShardSet(
             plan=plan,
-            models=models,
-            entity_categories=cats,
+            models=[
+                build_shard_model(serving, a.root_topic_ids)
+                for a in plan.assignments
+            ],
             collection_stats=self.global_collection_stats(model),
         )
 
@@ -343,25 +307,25 @@ class ShardPlanner:
         *,
         metadata: Optional[Dict] = None,
     ) -> Path:
-        """Write a cluster snapshot: one model snapshot per shard.
+        """Write a cluster snapshot: one serving-only snapshot per shard.
 
         Like the model snapshot, the cluster manifest is written last
         (and any previous one removed first), so a readable cluster
         manifest implies every shard directory underneath it is
         complete.
         """
-        from repro.store.persistence.snapshot import write_json
+        from repro.store.persistence.snapshot import save_serving, write_json
 
         d = Path(directory)
         d.mkdir(parents=True, exist_ok=True)
         (d / CLUSTER_MANIFEST).unlink(missing_ok=True)
 
         shard_dirs = []
-        for i, shard_model in enumerate(shard_set.models):
+        for i, shard in enumerate(shard_set.models):
             name = f"shard-{i:04d}"
-            shard_model.save(
+            save_serving(
+                shard,
                 d / name,
-                entity_categories=shard_set.entity_categories[i],
                 metadata={
                     "shard_index": i,
                     "root_topic_ids": list(
@@ -424,15 +388,13 @@ class ShardPlanner:
     def load(directory: Union[str, Path]) -> ShardSet:
         """Reconstruct a :class:`ShardSet` from a cluster snapshot.
 
-        Every shard's own manifest is validated before its artifacts
-        are touched; a corrupt or missing shard surfaces as a
+        Every shard's own manifest is validated before its serving
+        files are read (any fit-side files a shard still carries are
+        ignored); a corrupt or missing shard surfaces as a
         ``ValueError`` naming the shard, never as a raw decode or key
         error from deep inside the loader.
         """
-        from repro.store.persistence import (
-            load_entity_categories,
-            load_model,
-        )
+        from repro.store.persistence import load_serving
         from repro.store.persistence.snapshot import read_json
 
         d = Path(directory)
@@ -447,13 +409,11 @@ class ShardPlanner:
             )
         stats = _stats_from_dict(read_json(stats_path))
 
-        models: List[ShoalModel] = []
-        cats: List[Optional[Dict[int, int]]] = []
+        models: List[ServingModel] = []
         for name in manifest.get("shards", []):
             shard_dir = d / name
             try:
-                models.append(load_model(shard_dir))
-                cats.append(load_entity_categories(shard_dir))
+                models.append(load_serving(shard_dir))
             except (ValueError, KeyError, OSError, json.JSONDecodeError) as e:
                 raise ValueError(
                     f"cluster shard {name!r} at {shard_dir} is corrupt or "
@@ -477,9 +437,4 @@ class ShardPlanner:
                 f"cluster manifest claims {plan.n_shards} shards but "
                 f"{len(models)} shard snapshots were loaded"
             )
-        return ShardSet(
-            plan=plan,
-            models=models,
-            entity_categories=cats,
-            collection_stats=stats,
-        )
+        return ShardSet(plan=plan, models=models, collection_stats=stats)

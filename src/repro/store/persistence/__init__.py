@@ -8,8 +8,8 @@ two granularities, both strictly pickle-free:
 * :mod:`~repro.store.persistence.artifacts` — standalone taxonomy
   (JSON) and embeddings (NPZ) files;
 * :mod:`~repro.store.persistence.snapshot` — the versioned snapshot
-  directory holding *every* :class:`ShoalModel` artifact, consumed by
-  ``ShoalModel.load`` / ``ShoalService.from_snapshot``, and its
+  directory holding *every* :class:`ShoalModel` artifact (``load_model``
+  reads it all, ``load_serving`` only what a read tier needs), and its
   content fingerprint.
 
 A maintainer restarts from a snapshot: ``IncrementalShoal.from_model``
@@ -33,9 +33,11 @@ from repro.store.persistence.snapshot import (
     config_to_dict,
     load_entity_categories,
     load_model,
+    load_serving,
     load_window,
     read_manifest,
     save_model,
+    save_serving,
     snapshot_fingerprint,
 )
 
@@ -49,7 +51,9 @@ __all__ = [
     "config_to_dict",
     "config_from_dict",
     "save_model",
+    "save_serving",
     "load_model",
+    "load_serving",
     "load_entity_categories",
     "load_window",
     "read_manifest",

@@ -24,6 +24,10 @@ can load without refitting and an operator can inspect without Python:
                              from (:func:`load_window`)
 ============================ ==================================================
 
+A read tier loads only the manifest, taxonomy, correlations, texts and
+sidecar (:func:`load_serving`); a cluster shard holds only those
+(:func:`save_serving`). The rest is fit-side (:func:`load_model`).
+
 JSON for inspectable structures, NPZ for arrays, **no pickle
 anywhere** — every array is numeric or fixed-width unicode, and every
 JSON file is standard JSON (``allow_nan=False``). Loading validates the
@@ -40,7 +44,7 @@ from __future__ import annotations
 import hashlib
 import json
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -54,6 +58,7 @@ from repro.core.config import ShoalConfig
 from repro.core.correlation import CategoryCorrelationConfig, CorrelationGraph
 from repro.core.descriptions import DescriptionConfig, QueryScore
 from repro.core.pipeline import ShoalModel
+from repro.core.serving import ServingModel
 from repro.graph.bipartite import QueryItemGraph
 from repro.graph.entity_graph import EntityGraphConfig
 from repro.graph.sparse import SparseGraph
@@ -75,7 +80,9 @@ __all__ = [
     "config_to_dict",
     "config_from_dict",
     "save_model",
+    "save_serving",
     "load_model",
+    "load_serving",
     "load_entity_categories",
     "load_window",
     "read_manifest",
@@ -88,6 +95,17 @@ MODEL_SNAPSHOT_KIND = "shoal-model"
 
 _MANIFEST = "MANIFEST.json"
 _WINDOW = "window.npz"
+_SIDECAR = "entity_categories.json"
+
+#: Fit-side artifacts: a read tier loads none of them.
+_FIT_ARTIFACTS = (
+    "config.json",
+    "embeddings.npz",
+    "bipartite.npz",
+    "entity_graph.npz",
+    "clustering.npz",
+    "descriptions.json",
+)
 
 #: Snapshot artifacts are flat files directly inside the directory.
 _SKIP_SUFFIXES = (".tmp",)
@@ -344,16 +362,17 @@ def save_model(
 
     ``entity_categories`` optionally persists the authoritative
     entity → category map (the pipeline's catalog knowledge), which
-    :meth:`ShoalService.from_snapshot` installs at load time so
-    scenario C filters exactly as in the fitting process.
+    :func:`load_serving` hands the read tier so scenario C filters
+    exactly as in the fitting process.
     ``metadata`` is an arbitrary JSON-safe dict recorded in the
     manifest (the CLI stores the marketplace profile/seed there so
     ``--load`` can detect a mismatched world).
 
-    The manifest is written last (and any previous manifest removed
-    first): a snapshot without a readable manifest must be treated as
-    incomplete, so an interrupted overwrite never passes off a mix of
-    old and new artifacts as a valid snapshot.
+    The fit-only artifacts are written here, the serving files and the
+    manifest by :func:`save_serving`. The manifest is written last (and
+    any previous manifest removed first): a snapshot without a readable
+    manifest must be treated as incomplete, so an interrupted overwrite
+    never passes off a mix of old and new artifacts as a valid snapshot.
     """
     d = Path(directory)
     d.mkdir(parents=True, exist_ok=True)
@@ -361,53 +380,22 @@ def save_model(
     (d / _MANIFEST).unlink(missing_ok=True)
 
     write_json(d / "config.json", config_to_dict(model.config))
-    save_taxonomy(model.taxonomy, d / "taxonomy.json")
     save_embeddings(model.embeddings, d / "embeddings.npz")
     _save_bipartite(model.bipartite, d / "bipartite.npz")
     _save_sparse_graph(model.entity_graph, d / "entity_graph.npz")
     _save_clustering(model.clustering, d / "clustering.npz")
     write_json(d / "descriptions.json", _descriptions_to_dict(model.descriptions))
-    write_json(d / "correlations.json", _correlations_to_dict(model.correlations))
-    write_json(
-        d / "texts.json",
-        {
-            "titles": {str(k): v for k, v in model.titles.items()},
-            "query_texts": {str(k): v for k, v in model.query_texts.items()},
-        },
-    )
-    artifacts = [
-        "config.json",
-        "taxonomy.json",
-        "embeddings.npz",
-        "bipartite.npz",
-        "entity_graph.npz",
-        "clustering.npz",
-        "descriptions.json",
-        "correlations.json",
-        "texts.json",
-    ]
-    if entity_categories is not None:
-        write_json(
-            d / "entity_categories.json",
-            {str(k): int(v) for k, v in entity_categories.items()},
-        )
-        artifacts.append("entity_categories.json")
-    else:
-        # Don't let a sidecar from a previous save linger.
-        (d / "entity_categories.json").unlink(missing_ok=True)
+    fit_artifacts = list(_FIT_ARTIFACTS)
     if model.window is not None:
         np.savez_compressed(d / _WINDOW, **model.window.columns())
-        artifacts.append(_WINDOW)
-    else:
-        (d / _WINDOW).unlink(missing_ok=True)
-
-    write_json(
-        d / _MANIFEST,
-        {
-            "kind": MODEL_SNAPSHOT_KIND,
-            "format_version": SNAPSHOT_FORMAT_VERSION,
-            "artifacts": artifacts,
-            "metadata": metadata or {},
+        fit_artifacts.append(_WINDOW)
+    return save_serving(
+        model.serving(entity_categories),
+        d,
+        query_texts=model.query_texts,
+        metadata=metadata,
+        fit_artifacts=fit_artifacts,
+        manifest={
             "counts": {
                 "topics": len(model.taxonomy),
                 "entities": model.entity_graph.n_vertices,
@@ -421,6 +409,67 @@ def save_model(
             },
         },
     )
+
+
+def save_serving(
+    serving: ServingModel,
+    directory: Union[str, Path],
+    *,
+    query_texts: Optional[Dict[int, str]] = None,
+    metadata: Optional[Dict] = None,
+    fit_artifacts: Sequence[str] = (),
+    manifest: Optional[Dict] = None,
+) -> Path:
+    """Write a read tier's files and seal the directory with its manifest.
+
+    On its own this writes a serving-only snapshot (a cluster shard):
+    ``taxonomy.json``, ``correlations.json``, ``texts.json`` and the
+    sidecar when ``serving`` carries an authoritative map.
+    :func:`save_model` writes the fit-only artifacts first, names them
+    in ``fit_artifacts`` and adds its ``manifest`` fields; fit artifacts
+    or a sidecar a previous save left behind are removed.
+    """
+    d = Path(directory)
+    d.mkdir(parents=True, exist_ok=True)
+    (d / _MANIFEST).unlink(missing_ok=True)
+    for name in (*_FIT_ARTIFACTS, _WINDOW):
+        if name not in fit_artifacts:
+            (d / name).unlink(missing_ok=True)
+
+    save_taxonomy(serving.taxonomy, d / "taxonomy.json")
+    write_json(d / "correlations.json", _correlations_to_dict(serving.correlations))
+    write_json(
+        d / "texts.json",
+        {
+            "titles": {str(k): v for k, v in serving.titles.items()},
+            "query_texts": {
+                str(k): v for k, v in (query_texts or {}).items()
+            },
+        },
+    )
+    artifacts = [
+        *fit_artifacts, "taxonomy.json", "correlations.json", "texts.json"
+    ]
+    if serving.entity_categories is not None:
+        write_json(
+            d / _SIDECAR,
+            {str(k): int(v) for k, v in serving.entity_categories.items()},
+        )
+        artifacts.append(_SIDECAR)
+    else:
+        (d / _SIDECAR).unlink(missing_ok=True)
+
+    write_json(
+        d / _MANIFEST,
+        {
+            "kind": MODEL_SNAPSHOT_KIND,
+            "format_version": SNAPSHOT_FORMAT_VERSION,
+            "artifacts": artifacts,
+            "metadata": metadata or {},
+            "counts": {"topics": len(serving.taxonomy)},
+            **(manifest or {}),
+        },
+    )
     return d
 
 
@@ -428,11 +477,19 @@ def load_model(directory: Union[str, Path]) -> ShoalModel:
     """Reconstruct a :class:`ShoalModel` from a snapshot directory.
 
     Validates the manifest's kind and format version first; artifact
-    files are then loaded with no pickle anywhere.
+    files are then loaded with no pickle anywhere. A directory missing
+    any fit-only artifact (a cluster shard, or a snapshot pruned to
+    what readers load) is refused: open it with :func:`load_serving`.
     """
     d = Path(directory)
     manifest = read_manifest(d)
     check_manifest(manifest, MODEL_SNAPSHOT_KIND)
+    missing = [n for n in _FIT_ARTIFACTS if not (d / n).is_file()]
+    if missing:
+        raise FileNotFoundError(
+            f"snapshot at {d} has no {', '.join(missing)}: it holds only "
+            "serving files, which load_serving reads"
+        )
 
     texts = read_json(d / "texts.json")
     return ShoalModel(
@@ -450,21 +507,46 @@ def load_model(directory: Union[str, Path]) -> ShoalModel:
     )
 
 
+def load_serving(directory: Union[str, Path]) -> ServingModel:
+    """The read side of a snapshot: what a read tier is built from.
+
+    Validates the manifest, then reads only ``taxonomy.json``,
+    ``correlations.json``, ``texts.json`` and the manifest-listed
+    entity → category sidecar; fit-only artifacts, present or not, are
+    never touched. Works on a full model snapshot and on a cluster
+    shard alike.
+    """
+    d = Path(directory)
+    manifest = read_manifest(d)
+    check_manifest(manifest, MODEL_SNAPSHOT_KIND)
+    texts = read_json(d / "texts.json")
+    return ServingModel(
+        taxonomy=load_taxonomy(d / "taxonomy.json"),
+        titles={int(k): v for k, v in texts["titles"].items()},
+        correlations=_correlations_from_dict(read_json(d / "correlations.json")),
+        entity_categories=load_entity_categories(d),
+    )
+
+
 def load_entity_categories(
     directory: Union[str, Path],
 ) -> Optional[Dict[int, int]]:
     """The snapshot's entity → category sidecar, or None if not saved.
 
     The manifest's artifact list is the authority: a stray file the
-    manifest does not claim is ignored.
+    manifest does not claim is ignored, and a claimed file that is gone
+    is an error — serving the derived map instead would silently change
+    scenario C and recommend answers.
     """
     d = Path(directory)
-    manifest = read_manifest(d)
-    if "entity_categories.json" not in manifest.get("artifacts", ()):
+    if _SIDECAR not in read_manifest(d).get("artifacts", ()):
         return None
-    p = d / "entity_categories.json"
+    p = d / _SIDECAR
     if not p.is_file():
-        return None
+        raise FileNotFoundError(
+            f"snapshot at {d} lists {_SIDECAR} but the file is missing "
+            "(torn snapshot); refusing to serve a derived category map"
+        )
     return {int(k): int(v) for k, v in read_json(p).items()}
 
 

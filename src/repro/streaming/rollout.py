@@ -1,9 +1,10 @@
 """Generation rollout: hot-swap a new model into the serving tier.
 
-A **generation** is one output of the micro-batch updater: a fitted
-:class:`~repro.core.pipeline.ShoalModel` plus the entity → category
-map, stamped with the WAL sequence number it covers and (optionally)
-persisted as a PR-2 versioned snapshot directory.
+A **generation** is one output of the micro-batch updater: the
+:class:`~repro.core.serving.ServingModel` of a fitted model (its
+taxonomy, titles, correlations and entity → category map), stamped
+with the WAL sequence number it covers and (optionally) persisted as a
+versioned snapshot directory.
 
 :class:`GenerationSwitch` owns the *rollout* of a generation into one
 live single-service tier, and is the only thing that refreshes it:
@@ -29,7 +30,7 @@ built once, from a model or a cluster snapshot, and a switch refuses it.
 
 **Health check + rollback.** After refreshing the tier the switch
 replays its probe queries against it and compares answers to a
-reference service built fresh from the generation's model. Any
+reference service built fresh from the generation's serving model. Any
 mismatch (or exception) marks the swap unhealthy; the switch refreshes
 the tier back to :attr:`GenerationSwitch.current` and raises
 :class:`SwapError` carrying the report — serving continues on the old
@@ -40,12 +41,12 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence
 
-from repro.core.pipeline import ShoalModel
-from repro.core.serving import ShoalService
+from repro.core.serving import ServingModel, ShoalService
+from repro.core.taxonomy import Taxonomy
 
 __all__ = [
     "Generation",
@@ -62,16 +63,16 @@ PROBE_K = 5
 PROBE_COUNT = 4
 
 
-def probe_queries(model: ShoalModel, n: int = PROBE_COUNT) -> List[str]:
-    """Health-check probes for a tier serving ``model``: the top
+def probe_queries(taxonomy: Taxonomy, n: int = PROBE_COUNT) -> List[str]:
+    """Health-check probes for a tier serving ``taxonomy``: the top
     description of each root topic that has one, first ``n`` distinct.
 
-    Real queries that reach the taxonomy, and a pure function of the
-    model — hence of its snapshot's files — so a primary and its
-    followers probe with the same strings.
+    Real queries that reach the taxonomy, and a pure function of it —
+    hence of its snapshot's files — so a primary and its followers
+    probe with the same strings.
     """
     probes: List[str] = []
-    for topic in model.taxonomy.root_topics():
+    for topic in taxonomy.root_topics():
         if len(probes) == n:
             break
         if topic.descriptions and topic.descriptions[0] not in probes:
@@ -84,8 +85,7 @@ class Generation:
     """One versioned output of the streaming updater."""
 
     number: int
-    model: ShoalModel
-    entity_categories: Dict[int, int] = field(default_factory=dict)
+    serving: ServingModel
     applied_seq: int = 0
     last_day: int = 0
     snapshot_dir: Optional[Path] = None
@@ -95,7 +95,7 @@ class Generation:
         return (
             f"generation {self.number}: window ..{self.last_day}, "
             f"applied_seq={self.applied_seq}, "
-            f"{len(self.model.taxonomy)} topics{where}"
+            f"{len(self.serving.taxonomy)} topics{where}"
         )
 
 
@@ -162,7 +162,7 @@ class GenerationSwitch:
 
     ``probe_queries`` are replayed against the engine after each swap
     and their top :data:`PROBE_K` hits compared with a reference
-    service built from the new model; with no probes, swaps are
+    service built from the new serving model; with no probes, swaps are
     unconditional (still atomic).
     ``baseline`` seeds :attr:`current`, the generation a rollback
     restores; without one, the first swap cannot roll back (there is
@@ -235,13 +235,10 @@ class GenerationSwitch:
         self, generation: Generation
     ) -> Dict[str, List]:
         """Probe answers a healthy tier must reproduce, from a fresh
-        reference service over the new model."""
+        reference service over the new serving model."""
         if not self._probes:
             return {}
-        reference = ShoalService(
-            generation.model,
-            entity_categories=generation.entity_categories,
-        )
+        reference = ShoalService(generation.serving)
         return {
             q: reference.search_topics(q, PROBE_K)
             for q in self._probes
@@ -278,20 +275,14 @@ class GenerationSwitch:
         with self._lock:
             previous = self._current
             try:
-                self._engine.refresh(
-                    generation.model,
-                    entity_categories=generation.entity_categories,
-                )
+                self._engine.refresh(generation.serving)
                 failure = self._check_health(expected)
             except Exception as exc:  # noqa: BLE001 - refresh blew up
                 failure = f"refresh failed: {type(exc).__name__}: {exc}"
             rolled_back = False
             if failure is not None and previous is not None:
                 try:
-                    self._engine.refresh(
-                        previous.model,
-                        entity_categories=previous.entity_categories,
-                    )
+                    self._engine.refresh(previous.serving)
                     rolled_back = True
                     self._rollbacks += 1
                 except Exception as exc:  # noqa: BLE001

@@ -279,32 +279,27 @@ class StreamingUpdater:
         last_day = self._window.last_day or 0
         update = self._inc.advance(self._window, last_day)
         self._generation_number += 1
-        generation = Generation(
-            number=self._generation_number,
-            model=update.model,
-            entity_categories=self._inc.entity_categories,
-            applied_seq=self._applied_seq,
-            last_day=last_day,
-        )
+        number = self._generation_number
+        categories = self._inc.entity_categories
+        target = None
         if self._generations_dir is not None:
-            target = self._generations_dir / f"gen-{generation.number:05d}"
+            target = self._generations_dir / f"gen-{number:05d}"
             update.model.save(
                 target,
-                entity_categories=generation.entity_categories,
+                entity_categories=categories,
                 metadata={
-                    "generation": generation.number,
-                    "applied_seq": generation.applied_seq,
-                    "last_day": generation.last_day,
+                    "generation": number,
+                    "applied_seq": self._applied_seq,
+                    "last_day": last_day,
                 },
             )
-            generation = Generation(
-                number=generation.number,
-                model=generation.model,
-                entity_categories=generation.entity_categories,
-                applied_seq=generation.applied_seq,
-                last_day=generation.last_day,
-                snapshot_dir=target,
-            )
+        generation = Generation(
+            number=number,
+            serving=update.model.serving(categories),
+            applied_seq=self._applied_seq,
+            last_day=last_day,
+            snapshot_dir=target,
+        )
         self._pending_since_generation = 0
         if self._switch is not None:
             skip_rollout = False

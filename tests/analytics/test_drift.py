@@ -42,7 +42,7 @@ class _Model:
 class _Generation:
     def __init__(self, number, assignment):
         self.number = number
-        self.model = _Model(assignment)
+        self.serving = _Model(assignment)
 
 
 #: Two clusters: {1, 2, 3} and {4, 5}.

@@ -207,10 +207,12 @@ class TestIncrementalBackend:
         service = backend.service
         update = inc.advance(market.query_log, last_day=6)
         switch.swap(
-            Generation(1, update.model, inc.entity_categories, last_day=6)
+            Generation(
+                1, update.model.serving(inc.entity_categories), last_day=6
+            )
         )
         assert backend.service is service
-        assert service.model is inc.model
+        assert service.taxonomy is inc.model.taxonomy
 
 
 class TestOpenBackend:

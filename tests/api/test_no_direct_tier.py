@@ -60,6 +60,15 @@ read once per session however many rows scan it. The rows:
   tables (``QueryLogStore``, ``ColumnarTable``, ``seed_log``): the
   window is per-day click counts (``ClickWindow``), carried by the
   model and persisted as ``window.npz``.
+* ``full-model-on-the-read-path`` — ``load_model``, the shard
+  placeholder ``_empty_embeddings``, the category-map setters
+  ``set_entity_categories`` / ``with_entity_categories`` and
+  ``.service.model`` in the read and swap modules (``core/serving.py``,
+  ``serving/router.py``, ``serving/sharding.py``, ``api/backends.py``,
+  ``streaming/rollout.py``): a read tier holds a ``ServingModel``.
+* ``service-model-accessor`` — ``.service.model`` anywhere in ``src/``,
+  ``examples/`` or ``scripts/``: a service exposes no fitted model, so a
+  fit-side caller loads the full model itself.
 """
 
 from __future__ import annotations
@@ -223,6 +232,25 @@ REMOVED_QUERY_LOG_STORE = re.compile(
 
 QUERY_LOG_STORE_SCAN_PATHS = ["src", "examples", "scripts"]
 
+#: The fitted model reaching a read tier: its loader, the shard
+#: placeholder, the side-car category-map setters and the service's
+#: model accessor.
+SERVICE_MODEL = r"\.service\.model\b"
+FULL_MODEL_ON_READ_PATH = re.compile(
+    r"\b(load_model|_empty_embeddings|set_entity_categories|"
+    r"with_entity_categories)\b|" + SERVICE_MODEL
+)
+
+READ_PATH_MODULES = [
+    "src/repro/core/serving.py",
+    "src/repro/serving/router.py",
+    "src/repro/serving/sharding.py",
+    "src/repro/api/backends.py",
+    "src/repro/streaming/rollout.py",
+]
+
+SERVICE_MODEL_ACCESSOR = re.compile(SERVICE_MODEL)
+
 #: What a scanned directory contributes (a listed file is always read).
 TEXT_SUFFIXES = (".py", ".yml", ".yaml", ".md")
 
@@ -318,6 +346,19 @@ REMOVALS = (
         tuple(QUERY_LOG_STORE_SCAN_PATHS),
         "reference to the removed query-log store (the window is "
         "ClickWindow's per-day click counts; the model carries it)",
+    ),
+    Removal(
+        "full-model-on-the-read-path", FULL_MODEL_ON_READ_PATH,
+        tuple(READ_PATH_MODULES),
+        "the fitted model or a side-car category map on a read or swap "
+        "path (a read tier is built from one ServingModel: "
+        "ShoalModel.serving() or load_serving)",
+    ),
+    Removal(
+        "service-model-accessor", SERVICE_MODEL_ACCESSOR,
+        tuple(QUERY_LOG_STORE_SCAN_PATHS),
+        "the removed ShoalService.model accessor (a fit-side caller "
+        "loads the full model itself with load_model)",
     ),
 )
 
@@ -629,6 +670,36 @@ def test_the_guard_itself_still_bites():
         "from repro.store.persistence import load_window",
     ):
         assert not REMOVED_QUERY_LOG_STORE.search(snippet), snippet
+    for snippet in (
+        "from repro.store.persistence import load_entity_categories, load_model",
+        "models.append(load_model(shard_dir))",
+        "embeddings=_empty_embeddings(model.config.word2vec.dim),",
+        "svc.set_entity_categories(mapping)",
+        "self._state = self._state.with_entity_categories(mapping)",
+        "queries = probe_queries(backend.service.model, 1)",
+    ):
+        assert FULL_MODEL_ON_READ_PATH.search(snippet), snippet
+    for snippet in (
+        "from repro.store.persistence import load_serving",
+        "models.append(load_serving(shard_dir))",
+        "return cls(load_serving(directory), tokenizer)",
+        "self._engine.refresh(generation.serving)",
+        "entity_categories=serving.entity_categories,",
+        "queries = probe_queries(backend.service.taxonomy, 1)",
+    ):
+        assert not FULL_MODEL_ON_READ_PATH.search(snippet), snippet
+    for snippet in (
+        "model = backend.service.model",
+        "assert tier.service.model is switch.current.model",
+    ):
+        assert SERVICE_MODEL_ACCESSOR.search(snippet), snippet
+    for snippet in (
+        "model = load_model(args.load)",
+        "assert tier.service.taxonomy is switch.current.serving.taxonomy",
+        "inc.model.save(base_dir, entity_categories=categories)",
+        "backend.service.model_version",
+    ):
+        assert not SERVICE_MODEL_ACCESSOR.search(snippet), snippet
     assert [r.pattern for r in REMOVALS] == [
         FORBIDDEN,
         LEGACY_CALLS,
@@ -642,4 +713,6 @@ def test_the_guard_itself_still_bites():
         REMOVED_SECOND_SCORER,
         REGENERATED_WORLD,
         REMOVED_QUERY_LOG_STORE,
+        FULL_MODEL_ON_READ_PATH,
+        SERVICE_MODEL_ACCESSOR,
     ]

@@ -7,11 +7,14 @@ from repro.core.serving import ShoalService
 
 @pytest.fixture(scope="module")
 def service(tiny_model, tiny_marketplace):
-    svc = ShoalService(tiny_model)
-    svc.set_entity_categories(
-        {e.entity_id: e.category_id for e in tiny_marketplace.catalog.entities}
+    return ShoalService(
+        tiny_model.serving(
+            {
+                e.entity_id: e.category_id
+                for e in tiny_marketplace.catalog.entities
+            }
+        )
     )
-    return svc
 
 
 class TestScenarioA_QueryToTopic:
@@ -90,7 +93,7 @@ class TestScenarioC_TopicToCategoryToItem:
 
 class TestScenarioD_CategoryToCategory:
     def test_related_categories_strength_sorted(self, small_model):
-        svc = ShoalService(small_model)
+        svc = ShoalService(small_model.serving())
         graph = small_model.correlations
         cats = graph.categories()
         if not cats:
@@ -143,8 +146,8 @@ class TestRelatedTopics:
 
 
 class TestRecommendation:
-    def test_recommend_entities_within_topic(self, service):
-        query_texts = list(service.model.query_texts.values())
+    def test_recommend_entities_within_topic(self, service, tiny_model):
+        query_texts = list(tiny_model.query_texts.values())
         slate = service.recommend_entities_for_query(query_texts[0], k=5)
         if slate:
             topic = service.best_topic(query_texts[0])

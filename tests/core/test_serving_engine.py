@@ -19,11 +19,12 @@ from repro.streaming import Generation, GenerationSwitch
 def service(tiny_model, tiny_marketplace):
     """A fresh service per test."""
     return ShoalService(
-        tiny_model,
-        entity_categories={
-            e.entity_id: e.category_id
-            for e in tiny_marketplace.catalog.entities
-        },
+        tiny_model.serving(
+            {
+                e.entity_id: e.category_id
+                for e in tiny_marketplace.catalog.entities
+            }
+        )
     )
 
 
@@ -115,7 +116,7 @@ class TestIncrementalWiring:
         it to each new model."""
         maintainer.advance(long_market.query_log, last_day=6)
         svc = ShoalService(
-            maintainer.model, entity_categories=maintainer.entity_categories
+            maintainer.model.serving(maintainer.entity_categories)
         )
         switch = GenerationSwitch().attach(svc)
         query = next(
@@ -129,16 +130,14 @@ class TestIncrementalWiring:
         switch.swap(
             Generation(
                 number=1,
-                model=update.model,
-                entity_categories=maintainer.entity_categories,
+                serving=update.model.serving(maintainer.entity_categories),
                 last_day=8,
             )
         )
         # Same service object, new model, answers from the new window.
-        assert svc.model is maintainer.model
+        assert svc.taxonomy is maintainer.model.taxonomy
         assert svc.search_topics(query, k=3) == ShoalService(
-            maintainer.model,
-            entity_categories=maintainer.entity_categories,
+            maintainer.model.serving(maintainer.entity_categories)
         ).search_topics(query, k=3)
         hits = svc.search_topics(query, k=1)
         assert hits
@@ -250,7 +249,7 @@ class TestLRUThreadSafety:
 
         from repro.core.serving import ShoalService
 
-        service = ShoalService(tiny_model)
+        service = ShoalService(tiny_model.serving())
         topic = tiny_model.taxonomy.root_topics()[0]
         queries = [d for t in tiny_model.taxonomy.topics()
                    for d in t.descriptions[:1]][:24]

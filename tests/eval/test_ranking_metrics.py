@@ -77,7 +77,7 @@ class TestRetrievalOnModel:
         from repro.core.serving import ShoalService
         from repro.eval.metrics import ndcg_at_k
 
-        service = ShoalService(tiny_model)
+        service = ShoalService(tiny_model.serving())
         catalog = tiny_marketplace.catalog
 
         def dominant(topic_id):

@@ -49,7 +49,7 @@ class TestReproductionClaims:
 
     def test_ab_uplift_positive(self, small_model, small_marketplace):
         """Paper Sec. 3: SHOAL boosts CTR (+5 % in production)."""
-        service = ShoalService(small_model)
+        service = ShoalService(small_model.serving())
         control = OntologyRecommender(
             small_marketplace.ontology,
             small_marketplace.catalog,
@@ -97,9 +97,13 @@ class TestServingComposition:
     def test_query_topic_category_item_chain(self, small_model, small_marketplace):
         """Fig. 5 scenarios A → C composed: search a scenario query,
         take the best topic, walk one of its categories to items."""
-        service = ShoalService(small_model)
-        service.set_entity_categories(
-            {e.entity_id: e.category_id for e in small_marketplace.catalog.entities}
+        service = ShoalService(
+            small_model.serving(
+                {
+                    e.entity_id: e.category_id
+                    for e in small_marketplace.catalog.entities
+                }
+            )
         )
         query = next(
             q for q in small_marketplace.query_log.queries
@@ -118,7 +122,7 @@ class TestServingComposition:
 
     def test_subtopic_navigation(self, small_model):
         """Fig. 5 scenario B: some root topic has navigable children."""
-        service = ShoalService(small_model)
+        service = ShoalService(small_model.serving())
         with_children = [
             t for t in small_model.taxonomy.root_topics() if t.child_ids
         ]

@@ -29,7 +29,7 @@ class TestEmptyInputs:
         assert len(model.taxonomy) == 0
         assert model.correlations.n_correlations == 0
         # Serving still answers (with nothing).
-        service = ShoalService(model)
+        service = ShoalService(model.serving())
         assert service.search_topics("anything") == []
 
     def test_window_outside_log(self, tiny_marketplace):

@@ -200,11 +200,11 @@ class TestEpochSwap:
         original = engine.refresh
         calls = {"n": 0}
 
-        def sabotaged(model, entity_categories=None):
+        def sabotaged(serving):
             calls["n"] += 1
             if calls["n"] == 1:  # the swap; rollback gets the original
                 raise RuntimeError("sabotaged refresh")
-            return original(model, entity_categories=entity_categories)
+            return original(serving)
 
         engine.refresh = sabotaged
         Feed(feed_copy).write_epoch(

@@ -72,10 +72,7 @@ class TestFollowerByteIdentity:
             ),
         ]
         probes = _probe_queries(repl_market)
-        primary = ShoalService(
-            generations[-1].model,
-            entity_categories=generations[-1].entity_categories,
-        )
+        primary = ShoalService(generations[-1].serving)
 
         class _PrimaryView:
             def search(self, request):

@@ -51,17 +51,17 @@ class TestRoundTrip:
         loaded = ShardPlanner.load(cluster_dir)
         assert loaded.plan == original.plan
         assert loaded.collection_stats == original.collection_stats
-        assert loaded.entity_categories == original.entity_categories
         for a, b in zip(original.models, loaded.models):
             assert taxonomy_to_dict(a.taxonomy) == taxonomy_to_dict(
                 b.taxonomy
             )
             assert a.titles == b.titles
+            assert a.entity_categories == b.entity_categories
 
     def test_loaded_cluster_answers_byte_identical(
         self, cluster_dir, tiny_model, tiny_marketplace, categories
     ):
-        service = ShoalService(tiny_model, entity_categories=categories)
+        service = ShoalService(tiny_model.serving(categories))
         router = ClusterRouter.from_snapshot(cluster_dir)
         for q in tiny_marketplace.query_log.queries[:40]:
             assert router.search_topics(q.text, 5) == (

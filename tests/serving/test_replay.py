@@ -18,11 +18,12 @@ from repro.serving import (
 @pytest.fixture(scope="module")
 def service(tiny_model, tiny_marketplace):
     return ShoalService(
-        tiny_model,
-        entity_categories={
-            e.entity_id: e.category_id
-            for e in tiny_marketplace.catalog.entities
-        },
+        tiny_model.serving(
+            {
+                e.entity_id: e.category_id
+                for e in tiny_marketplace.catalog.entities
+            }
+        )
     )
 
 

@@ -1,4 +1,4 @@
-"""Tests for repro.serving.sharding: planning, pruned shard models,
+"""Tests for repro.serving.sharding: planning, shard serving models,
 and global collection statistics."""
 
 import pytest
@@ -62,7 +62,7 @@ class TestShardModel:
     def test_subtrees_complete(self, tiny_model):
         plan = plan_shards(tiny_model.taxonomy, 2)
         for a in plan.assignments:
-            shard = build_shard_model(tiny_model, a.root_topic_ids)
+            shard = build_shard_model(tiny_model.serving(), a.root_topic_ids)
             for t in shard.taxonomy:
                 # Parents and children stay within the shard.
                 if t.parent_id is not None:
@@ -74,7 +74,7 @@ class TestShardModel:
         plan = plan_shards(tiny_model.taxonomy, 3)
         seen = []
         for a in plan.assignments:
-            shard = build_shard_model(tiny_model, a.root_topic_ids)
+            shard = build_shard_model(tiny_model.serving(), a.root_topic_ids)
             seen.extend(t.topic_id for t in shard.taxonomy)
         assert sorted(seen) == [
             t.topic_id for t in tiny_model.taxonomy.topics()
@@ -83,7 +83,7 @@ class TestShardModel:
     def test_titles_restricted_but_sufficient(self, tiny_model):
         plan = plan_shards(tiny_model.taxonomy, 2)
         shard = build_shard_model(
-            tiny_model, plan.assignments[0].root_topic_ids
+            tiny_model.serving(), plan.assignments[0].root_topic_ids
         )
         shard_entities = {
             e for t in shard.taxonomy for e in t.entity_ids
@@ -94,14 +94,14 @@ class TestShardModel:
     def test_correlations_kept_global(self, tiny_model):
         plan = plan_shards(tiny_model.taxonomy, 2)
         shard = build_shard_model(
-            tiny_model, plan.assignments[0].root_topic_ids
+            tiny_model.serving(), plan.assignments[0].root_topic_ids
         )
         assert shard.correlations is tiny_model.correlations
 
 
 class TestCollectionStats:
     def test_matches_unsharded_index(self, tiny_model):
-        service = ShoalService(tiny_model)
+        service = ShoalService(tiny_model.serving())
         stats = ShardPlanner(2).global_collection_stats(tiny_model)
         assert stats == service.collection_stats()
 
@@ -135,15 +135,13 @@ class TestPartition:
         self, tiny_model, categories
     ):
         shard_set = ShardPlanner(3).partition(tiny_model, categories)
-        for model, cats in zip(
-            shard_set.models, shard_set.entity_categories
-        ):
+        for shard in shard_set.models:
             shard_entities = {
-                e for t in model.taxonomy for e in t.entity_ids
+                e for t in shard.taxonomy for e in t.entity_ids
             }
             categorised = shard_entities & set(categories)
-            assert set(cats) == categorised
+            assert set(shard.entity_categories) == categorised
 
     def test_no_categories_means_none(self, tiny_model):
         shard_set = ShardPlanner(2).partition(tiny_model)
-        assert shard_set.entity_categories == [None, None]
+        assert [s.entity_categories for s in shard_set.models] == [None, None]

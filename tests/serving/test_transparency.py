@@ -34,7 +34,7 @@ def world(seed: int):
     cats = {
         e.entity_id: e.category_id for e in market.catalog.entities
     }
-    return market, model, ShoalService(model, entity_categories=cats)
+    return market, model, ShoalService(model.serving(cats))
 
 
 @functools.lru_cache(maxsize=None)

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.api import ApiError, open_backend
 from repro.core.pipeline import ShoalModel
 from repro.core.serving import ShoalService
 from repro.store.persistence import (
@@ -22,6 +23,7 @@ from repro.store.persistence import (
     config_to_dict,
     load_entity_categories,
     load_model,
+    load_serving,
     load_window,
     read_manifest,
     save_model,
@@ -50,7 +52,7 @@ def services(tiny_model, tiny_marketplace, snapshot_dir):
     categories = {
         e.entity_id: e.category_id for e in tiny_marketplace.catalog.entities
     }
-    in_memory = ShoalService(tiny_model, entity_categories=categories)
+    in_memory = ShoalService(tiny_model.serving(categories))
     from_disk = ShoalService.from_snapshot(snapshot_dir)
     return in_memory, from_disk
 
@@ -198,6 +200,22 @@ class TestSnapshotFormat:
         save_model(tiny_model, d)  # no sidecar this time
         assert load_entity_categories(d) is None
         assert not (d / "entity_categories.json").exists()
+
+    def test_torn_sidecar_is_an_error(self, snapshot_dir, tmp_path):
+        """A manifest listing the sidecar whose file is gone must not
+        fall back to the derived map: scenario C and recommend answers
+        would change silently."""
+        d = tmp_path / "m"
+        shutil.copytree(snapshot_dir, d)
+        (d / "entity_categories.json").unlink()
+        for load in (load_entity_categories, load_serving):
+            with pytest.raises(
+                FileNotFoundError, match="entity_categories.json"
+            ):
+                load(d)
+        with pytest.raises(ApiError, match="entity_categories.json") as exc:
+            open_backend(f"snapshot:{d}")
+        assert exc.value.code == "invalid_argument"
 
     def test_window_sidecar_restores_the_fitted_window(
         self, tiny_model, snapshot_dir

@@ -12,6 +12,7 @@ from repro.api import (
     ServiceBackend,
     ShoalClient,
 )
+from repro.core.serving import ShoalService
 from repro.streaming import (
     GenerationSwitch,
     IngestPipe,
@@ -136,10 +137,7 @@ class TestMetricsScrape:
         generation = updater.run_once(timeout_s=0.0)
         assert generation is not None and generation.applied_seq == 50
         # Post-swap reads flow through the same edge and new model.
-        fresh = ServiceBackend.from_model(
-            generation.model,
-            entity_categories=generation.entity_categories,
-        )
+        fresh = ServiceBackend(ShoalService(generation.serving))
         for q in sorted(
             {q.text for q in stream_market.query_log.queries}
         )[:10]:

@@ -11,29 +11,40 @@ from repro.api import (
     SearchRequest,
     ServiceBackend,
 )
+from repro.core.serving import ShoalService
 from repro.streaming import Generation, GenerationSwitch, SwapError
 
 from tests.streaming.conftest import BASE_LAST_DAY, make_base_inc
 
 
 @pytest.fixture
-def two_generations(stream_market, stream_inputs):
-    """(base_gen, next_gen) from consecutive window slides."""
+def fitted_generations(stream_market, stream_inputs):
+    """(base_model, base_gen, next_gen) from consecutive window slides."""
     inc = make_base_inc(stream_market, stream_inputs)
+    base_model = inc.model
     base = Generation(
         number=0,
-        model=inc.model,
-        entity_categories=inc.entity_categories,
+        serving=base_model.serving(inc.entity_categories),
         last_day=BASE_LAST_DAY,
     )
     update = inc.advance(stream_market.query_log, last_day=BASE_LAST_DAY + 1)
     nxt = Generation(
         number=1,
-        model=update.model,
-        entity_categories=inc.entity_categories,
+        serving=update.model.serving(inc.entity_categories),
         last_day=BASE_LAST_DAY + 1,
     )
-    return base, nxt
+    return base_model, base, nxt
+
+
+@pytest.fixture
+def two_generations(fitted_generations):
+    """(base_gen, next_gen)."""
+    return fitted_generations[1:]
+
+
+def _backend(generation):
+    """A fresh single-service tier serving ``generation``."""
+    return ServiceBackend(ShoalService(generation.serving))
 
 
 @pytest.fixture
@@ -50,9 +61,7 @@ def probes(stream_market):
 class TestAttach:
     def test_duplicate_engines_collapse(self, two_generations):
         base, _ = two_generations
-        backend = ServiceBackend.from_model(
-            base.model, entity_categories=base.entity_categories
-        )
+        backend = _backend(base)
         switch = GenerationSwitch()
         switch.attach(backend).attach(backend.service).attach(Gateway(backend))
         assert switch.stats()["gateways"] == 1
@@ -61,9 +70,7 @@ class TestAttach:
         self, two_generations
     ):
         base, _ = two_generations
-        backend = ServiceBackend.from_model(
-            base.model, entity_categories=base.entity_categories
-        )
+        backend = _backend(base)
         gateway = Gateway(backend)
         switch = GenerationSwitch()
         switch.attach(gateway)
@@ -76,12 +83,7 @@ class TestAttach:
 
     def test_second_distinct_engine_rejected(self, two_generations):
         base, _ = two_generations
-        first, second = (
-            ServiceBackend.from_model(
-                base.model, entity_categories=base.entity_categories
-            )
-            for _ in range(2)
-        )
+        first, second = _backend(base), _backend(base)
         switch = GenerationSwitch().attach(first)
         with pytest.raises(ValueError, match="exactly one engine"):
             switch.attach(second)
@@ -89,10 +91,10 @@ class TestAttach:
             switch.attach(Gateway(second))
         assert switch.stats()["gateways"] == 0
 
-    def test_sharded_tier_is_read_only(self, two_generations):
-        base, _ = two_generations
+    def test_sharded_tier_is_read_only(self, fitted_generations):
+        model, base, _ = fitted_generations
         cluster = ClusterBackend.from_model(
-            base.model, 2, entity_categories=base.entity_categories
+            model, 2, entity_categories=base.serving.entity_categories
         )
         for target in (cluster, cluster.router, Gateway(cluster)):
             with pytest.raises(TypeError, match="sharded tier is read-only"):
@@ -102,9 +104,7 @@ class TestAttach:
 class TestSwap:
     def test_healthy_swap_flips_the_tier(self, two_generations, probes):
         base, nxt = two_generations
-        backend = ServiceBackend.from_model(
-            base.model, entity_categories=base.entity_categories
-        )
+        backend = _backend(base)
         switch = GenerationSwitch(probe_queries=probes, baseline=base)
         switch.attach(backend)
         report = switch.swap(nxt)
@@ -113,7 +113,7 @@ class TestSwap:
         assert switch.current is nxt
         assert switch.stats()["swaps"] == 1
         # The tier now answers from the new model.
-        assert backend.service.model is nxt.model
+        assert backend.service.taxonomy is nxt.serving.taxonomy
 
     def test_failed_health_check_rolls_back_and_raises(
         self, two_generations, probes
@@ -124,10 +124,10 @@ class TestSwap:
             """Refreshes fine but serves garbage afterwards."""
 
             def __init__(self):
-                self.models = []
+                self.served = []
 
-            def refresh(self, model, entity_categories=None):
-                self.models.append(model)
+            def refresh(self, serving):
+                self.served.append(serving)
 
             def search_topics(self, query, k=5):
                 return []  # diverges from every real answer
@@ -142,7 +142,7 @@ class TestSwap:
         assert report.rolled_back
         assert "diverged from the reference answer" in report.detail
         # Rolled back TO the baseline model, after trying the new one.
-        assert liar.models == [nxt.model, base.model]
+        assert liar.served == [nxt.serving, base.serving]
         # The switch still serves the old generation.
         assert switch.current is base
         assert switch.stats()["rollbacks"] == 1
@@ -156,7 +156,7 @@ class TestSwap:
             def __init__(self):
                 self.calls = 0
 
-            def refresh(self, model, entity_categories=None):
+            def refresh(self, serving):
                 self.calls += 1
                 if self.calls == 1:
                     raise RuntimeError("index build exploded")
@@ -175,9 +175,7 @@ class TestSwap:
         self, two_generations, probes
     ):
         base, nxt = two_generations
-        backend = ServiceBackend.from_model(
-            base.model, entity_categories=base.entity_categories
-        )
+        backend = _backend(base)
         gateway = Gateway(backend)
         request = SearchRequest(query=probes[0], k=3)
         before = gateway.search(request)
@@ -190,19 +188,17 @@ class TestSwap:
         switch.swap(nxt)
         assert gateway.cache_stats().size == 0  # dropped with the swap
         # Post-swap answers come from the new model, not the stale cache.
-        fresh = ServiceBackend.from_model(
-            nxt.model, entity_categories=nxt.entity_categories
-        )
+        fresh = _backend(nxt)
         assert gateway.search(request) == fresh.search(request)
 
     def test_gateway_is_the_one_cache_over_a_cluster(
-        self, two_generations, probes
+        self, fitted_generations, probes
     ):
         """The case the router's front cache used to carry: repeats are
         answered by the gateway with zero new shard-probe work."""
-        base, _ = two_generations
+        model, base, _ = fitted_generations
         backend = ClusterBackend.from_model(
-            base.model, 2, entity_categories=base.entity_categories
+            model, 2, entity_categories=base.serving.entity_categories
         )
         router = backend.router
         gateway = Gateway(backend)
@@ -226,9 +222,7 @@ class TestSwap:
         """After a swap the next request computes against the new
         model instead of hitting the gateway's cache."""
         base, nxt = two_generations
-        backend = ServiceBackend.from_model(
-            base.model, entity_categories=base.entity_categories
-        )
+        backend = _backend(base)
         gateway = Gateway(backend)
         search = SearchRequest(query=probes[0], k=3)
         batch = BatchRequest(queries=tuple(probes), k=3, kind="search")
@@ -240,9 +234,7 @@ class TestSwap:
             gateway
         ).swap(nxt)
         misses = gateway.cache_stats().misses
-        fresh = ServiceBackend.from_model(
-            nxt.model, entity_categories=nxt.entity_categories
-        )
+        fresh = _backend(nxt)
         assert gateway.search(search) == fresh.search(search)
         assert gateway.batch(batch) == fresh.batch(batch)
         assert gateway.cache_stats().misses == misses + 2  # both computed
@@ -256,9 +248,7 @@ class TestSwap:
         from repro.api.middleware import CacheMiddleware
 
         base, nxt = two_generations
-        backend = ServiceBackend.from_model(
-            base.model, entity_categories=base.entity_categories
-        )
+        backend = _backend(base)
         mw = CacheMiddleware(64)
         gateway = Gateway(backend, [mw])
         request = SearchRequest(query=probes[0], k=3)
@@ -270,15 +260,11 @@ class TestSwap:
         switch.swap(nxt)
         mw._cache.put((0, request.cache_key()), stale)  # late stale put
 
-        fresh = ServiceBackend.from_model(
-            nxt.model, entity_categories=nxt.entity_categories
-        )
+        fresh = _backend(nxt)
         assert gateway.search(request) == fresh.search(request)
 
     def test_swap_without_probes_is_unconditional(self, two_generations):
         base, nxt = two_generations
-        backend = ServiceBackend.from_model(
-            base.model, entity_categories=base.entity_categories
-        )
+        backend = _backend(base)
         switch = GenerationSwitch(baseline=base).attach(backend)
         assert switch.swap(nxt).healthy

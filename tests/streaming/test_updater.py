@@ -164,9 +164,8 @@ class TestMicroBatches:
                 "query_text": "brand new trend",
             }
         )
-        generation = updater.run_once(timeout_s=0.0)
-        assert generation is not None
-        texts = generation.model.query_texts
+        assert updater.run_once(timeout_s=0.0) is not None
+        texts = base_inc.model.query_texts
         assert texts[fresh_id] == "brand new trend"
         assert len(texts) == len(stream_market.query_log.queries) + 1
 
@@ -183,10 +182,9 @@ class TestMicroBatches:
         pipe.submit({**event_payload(known), "query_text": "renamed query"})
         for e in live_events[1:10]:
             pipe.submit(event_payload(e))
-        generation = updater.run_once(timeout_s=0.0)
-        assert generation is not None
+        assert updater.run_once(timeout_s=0.0) is not None
         assert updater.stats().events_applied == 10
-        model = generation.model
+        model = base_inc.model
         assert model.query_texts[known.query_id] == original
         described = [
             score.text
@@ -560,7 +558,7 @@ class TestDriftGate:
             for e in live_events[40 * n:40 * (n + 1)]:
                 pipe.submit(event_payload(e))
             assert updater.run_once(timeout_s=0.0) is not None
-            assert tier.service.model is switch.current.model
+            assert tier.service.taxonomy is switch.current.serving.taxonomy
         stats = updater.stats()
         assert (stats.generations, stats.rollouts_skipped) == (5, 2)
         assert switch.current.number == 3
