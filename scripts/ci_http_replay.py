@@ -2,16 +2,18 @@
 """CI gate for the HTTP edge: zero 5xx + answer transparency.
 
 Replays N real marketplace queries through :class:`ShoalClient` against
-a running ``serve-http`` gateway and fails if
+a running ``serve-http`` gateway — each as a search and as a recommend,
+plus every run of 8 consecutive queries as one batch (alternately of
+kind search and recommend) — and fails if
 
 * any request dies with a 5xx-class :class:`ApiError`
   (``backend_error`` / ``unavailable`` / ``deadline_exceeded``), or
 * any HTTP answer differs from the in-process backend opened on a
   snapshot of the same model (byte-identical transparency), or
 * the gateway stats endpoint reports any 5xx-coded errors server-side,
-  or no gateway cache hits — the steady profile repeats queries, and a
-  hit is answered on the edge's event loop, so zero hits means that
-  path went unexercised (and its answers unchecked).
+  or no gateway cache hits — the steady profile repeats queries, so
+  zero hits means the gateway's cache stage went unexercised (and the
+  answers it served unchecked).
 
 Usage::
 
@@ -28,13 +30,18 @@ from _soak import gate_parser, wait_healthy
 
 from repro.api import (
     ApiError,
+    BatchRequest,
     ERROR_CODES,
+    RecommendRequest,
     SearchRequest,
     ShoalClient,
     open_backend,
 )
 from repro.data.marketplace import PROFILES, generate_marketplace
 from repro.serving import WorkloadConfig, build_workload
+
+#: Queries per batch request.
+BATCH_SIZE = 8
 
 
 def main(argv=None) -> int:
@@ -62,25 +69,36 @@ def main(argv=None) -> int:
         ),
     )
 
+    requests = []
+    for query in workload:
+        requests.append(("search", SearchRequest(query=query, k=args.k)))
+        requests.append(
+            ("recommend", RecommendRequest(query=query, k=args.k))
+        )
+    for i in range(0, len(workload) - BATCH_SIZE + 1, BATCH_SIZE):
+        kind = ("search", "recommend")[(i // BATCH_SIZE) % 2]
+        requests.append(("batch", BatchRequest(
+            queries=workload[i:i + BATCH_SIZE], k=args.k, kind=kind,
+        )))
+
     five_xx = 0
     mismatches = 0
     client_errors = 0
     t0 = time.perf_counter()
-    for query in workload:
-        request = SearchRequest(query=query, k=args.k)
+    for op, request in requests:
         try:
-            got = remote.search(request)
+            got = getattr(remote, op)(request)
         except ApiError as exc:
             if ERROR_CODES[exc.code] >= 500:
                 five_xx += 1
-                print(f"5xx [{exc.code}] for {query!r}: {exc}")
+                print(f"5xx [{exc.code}] for {op} {request}: {exc}")
             else:
                 client_errors += 1
-                print(f"4xx [{exc.code}] for {query!r}: {exc}")
+                print(f"4xx [{exc.code}] for {op} {request}: {exc}")
             continue
-        if got != local.search(request):
+        if got != getattr(local, op)(request):
             mismatches += 1
-            print(f"TRANSPARENCY VIOLATION for {query!r}")
+            print(f"TRANSPARENCY VIOLATION for {op} {request}")
     elapsed = time.perf_counter() - t0
 
     server_5xx = 0
@@ -90,9 +108,11 @@ def main(argv=None) -> int:
             server_5xx += int(count)
     cache_hits = int((stats.get("gateway_cache") or {}).get("hits", 0))
 
+    n_batches = sum(op == "batch" for op, _ in requests)
     print(
-        f"replayed {len(workload)} queries in {elapsed:.2f}s "
-        f"({len(workload) / max(elapsed, 1e-9):,.0f} qps over HTTP): "
+        f"replayed {len(workload)} queries as {len(requests)} requests "
+        f"({n_batches} batches of {BATCH_SIZE}) in {elapsed:.2f}s "
+        f"({len(requests) / max(elapsed, 1e-9):,.0f} requests/s over HTTP): "
         f"{five_xx} 5xx, {client_errors} 4xx, {mismatches} mismatches, "
         f"{server_5xx} server-side 5xx, {cache_hits} gateway cache hits"
     )

@@ -1,5 +1,5 @@
-"""The HTTP edge: one asyncio event loop, with deadline cancellation
-and ingest coalescing.
+"""The HTTP edge: one asyncio event loop that answers reads itself and
+coalesces ingest.
 
 :class:`AsyncShoalServer` serves the :mod:`repro.api.http` wire
 protocol — the contract's JSON codecs, bodies byte-identical to the
@@ -9,13 +9,16 @@ All routing and dispatch is delegated to
 :class:`~repro.api.http.GatewayCore`; what this module adds is the I/O
 and everything that needs a non-blocking edge:
 
-* **Deadline cancellation** — every read request gets a
-  :class:`~repro.api.context.RequestContext` armed with its
-  ``timeout_ms`` (or the server default). When the deadline passes, the
-  edge answers 504 *immediately* and cancels the context; the worker
-  thread still grinding in the backend observes the cancellation at the
-  next router/backend check point and abandons the shard work, instead
-  of completing an answer nobody will read.
+* **Reads on the loop** — every search, recommend and batch runs the
+  gateway chain on the event-loop thread, cache hit or miss: it is
+  in-memory CPU work, cheaper than a hop to a worker thread and back.
+  Each gets a :class:`~repro.api.context.RequestContext` armed with
+  its ``timeout_ms`` (or the server default); the backend and the
+  router poll it between units of work, so a read whose deadline
+  passes stops at the next check point, and one that finishes late is
+  answered 504 all the same. Only work that blocks takes the executor:
+  analytics (SQLite, under its own time budget), every GET, and the
+  ingest flush.
 
 * **Ingest coalescing** — concurrent ``POST /v1/ingest`` calls are
   buffered for up to :data:`COALESCE_MAX_DELAY_S` (or until
@@ -27,18 +30,13 @@ and everything that needs a non-blocking edge:
   are the ``ingest_overloaded`` / ``ingest_unavailable`` backpressure
   codes, including the partial-batch "resubmit only the rest"
   accounting when admission splits a coalesced batch.
-
-* **Cache hits on the loop** — a read the gateway's cache already
-  holds (:meth:`~repro.api.middleware.Gateway.cached`, a peek that
-  counts nothing) runs the same middleware chain on the event-loop
-  thread, with the same bytes, access-log line and spans; only reads
-  the backend must compute take the executor hop.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
+import re
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -58,7 +56,6 @@ from repro.api.http import (
     _json_bytes,
     partial_batch_error,
 )
-from repro.api.middleware import Gateway
 from repro.obs.histogram import Histogram
 from repro.obs.tracer import traced
 
@@ -106,14 +103,14 @@ def _response_bytes(status: int, payload: Any, closing: bool) -> bytes:
     return head + body
 
 
-def _silence(task: "asyncio.Future") -> None:
-    """Mark an abandoned task's eventual exception as observed."""
-
-    def _observe(done: "asyncio.Future") -> None:
-        if not done.cancelled():
-            done.exception()
-
-    task.add_done_callback(_observe)
+#: RFC 9112 request line (section 3), field line (section 5: a token
+#: name right up to the colon; the value's surrounding whitespace is
+#: stripped after the match, which keeps the match linear) and
+#: Content-Length value (section 6.3, at most 19 digits so ``int`` of
+#: it is always cheap and never raises).
+_REQUEST_LINE = re.compile(r"(\S+)[ \t]+(\S+)[ \t]+HTTP/\d\.\d")
+_FIELD_LINE = re.compile(r"([!#$%&'*+.^_`|~0-9A-Za-z-]+):([^\r\n\x00]*)")
+_DIGITS = re.compile(r"[0-9]{1,19}")
 
 
 class _EdgeError(Exception):
@@ -123,6 +120,11 @@ class _EdgeError(Exception):
         super().__init__(err.message)
         self.err = err
         self.close = close
+
+
+def _bad_head(message: str) -> _EdgeError:
+    """A head the edge will not frame: 400, then the socket closes."""
+    return _EdgeError(ApiError("bad_request", message), close=True)
 
 
 class _EdgeStats:
@@ -334,12 +336,6 @@ class AsyncShoalServer:
                 else {}
             ),
         )
-        # Only a gateway's cache stage ever holds an answer; any other
-        # backend computes every read on the executor.
-        self._cached: Callable[[Any], bool] = (
-            backend.cached if isinstance(backend, Gateway)
-            else lambda request: False
-        )
         self._executor = ThreadPoolExecutor(
             max_workers=max_workers or 32,
             thread_name_prefix="shoal-aio-worker",
@@ -535,42 +531,57 @@ class AsyncShoalServer:
         """Read one request head as ``(method, raw_path, headers)``;
         None when the peer closed or sent something that is not HTTP.
 
-        A head the edge will not frame raises :class:`_EdgeError` with
-        ``close`` set: the caller answers it and drops the socket, so
-        none of its unread bytes is ever parsed as a request.
+        The request line is read first, so a bare-LF client is refused
+        at once; the header section is then one ``readuntil``. Each is
+        bounded by the stream's 64 KiB limit. The head is framed as
+        RFC 9112 (sections 2.2, 5 and 6.3) says: every line ends in
+        CRLF, every field line is ``token ":" value`` (no whitespace
+        before the colon, no obs-fold continuation), and
+        ``Content-Length`` is ``1*DIGIT``, repeated only with the same
+        value. A head the edge will not frame raises :class:`_EdgeError`
+        with ``close`` set: the caller answers it and drops the socket,
+        so none of its unread bytes is ever parsed as a request.
         """
         try:
-            request_line = await reader.readline()
-            if not request_line or request_line in (b"\r\n", b"\n"):
+            first = await reader.readuntil(b"\n")
+            if not first.endswith(b"\r\n"):
+                raise _bad_head("request line does not end in CRLF")
+            start = _REQUEST_LINE.fullmatch(first[:-2].decode("latin-1"))
+            if start is None:
                 return None
-            try:
-                method, raw_path, _version = (
-                    request_line.decode("latin-1").split(None, 2)
-                )
-            except ValueError:
-                return None
-            headers: Dict[str, str] = {}
-            for _ in range(MAX_HEADERS + 1):
-                line = await reader.readline()
-                if line in (b"\r\n", b"\n", b""):
-                    return method, raw_path, headers
-                name, _, value = line.decode("latin-1").partition(":")
-                headers[name.strip().lower()] = value.strip()
-        except ValueError:
-            # readline() past the stream's 64 KiB limit: the rest of
-            # that line is unread.
-            raise _EdgeError(
-                ApiError(
-                    "bad_request", "request line or header exceeds 64 KiB"
-                ),
-                close=True,
-            )
-        raise _EdgeError(
-            ApiError(
-                "bad_request", f"more than {MAX_HEADERS} header lines"
-            ),
-            close=True,
+            # An empty header section is CRLF; any other starts with a
+            # field byte and ends in CRLF CRLF.
+            section = await reader.readexactly(1)
+            if section == b"\r":
+                section += await reader.readexactly(1)
+            elif section != b"\n":
+                section += await reader.readuntil(b"\r\n\r\n")
+        except asyncio.IncompleteReadError:
+            return None
+        except asyncio.LimitOverrunError:
+            raise _bad_head("request head exceeds 64 KiB")
+        if not section.endswith(b"\r\n"):
+            raise _bad_head("header section does not end in CRLF")
+        lines = (
+            section[:-4].decode("latin-1").split("\r\n")
+            if len(section) > 2 else []
         )
+        if len(lines) > MAX_HEADERS:
+            raise _bad_head(f"more than {MAX_HEADERS} header lines")
+        headers: Dict[str, str] = {}
+        for line in lines:
+            field = _FIELD_LINE.fullmatch(line)
+            if field is None:
+                raise _bad_head(f"malformed header line {line[:64]!r}")
+            name = field.group(1).lower()
+            value = field.group(2).strip(" \t")
+            if name == "content-length" and (
+                not _DIGITS.fullmatch(value)
+                or headers.get(name, value) != value
+            ):
+                raise _bad_head(f"malformed Content-Length {value[:64]!r}")
+            headers[name] = value
+        return start.group(1), start.group(2), headers
 
     async def _serve_one(
         self,
@@ -646,13 +657,7 @@ class AsyncShoalServer:
         """Parse the JSON body with keep-alive hygiene: every failure
         either consumes the declared bytes or closes the socket, so
         leftovers are never parsed as the next request line."""
-        try:
-            length = int(headers.get("content-length", "0"))
-        except ValueError:
-            raise _EdgeError(
-                ApiError("bad_request", "malformed Content-Length header"),
-                close=True,
-            )
+        length = int(headers.get("content-length", "0"))
         if length <= 0:
             raise _EdgeError(
                 ApiError("bad_request", "request body is required")
@@ -684,34 +689,28 @@ class AsyncShoalServer:
         reader: asyncio.StreamReader, headers: Dict[str, str]
     ) -> bool:
         """Consume a body a GET should not have; True = close socket."""
-        try:
-            length = int(headers.get("content-length", "0"))
-        except ValueError:
-            return True
+        length = int(headers.get("content-length", "0"))
         if length > MAX_BODY_BYTES:
             return True
         if length > 0:
             await reader.readexactly(length)
         return False
 
-    # -- reads: one attempt under a deadline ---------------------------------
+    # -- reads: one attempt on the loop, under a deadline -------------------
 
     async def _dispatch_read(
         self, endpoint: str, payload: Dict[str, Any]
     ) -> Dict[str, Any]:
         """Answer one read under its deadline.
 
-        A read the gateway already holds runs the full chain right here
-        on the loop — the executor hop would cost more than the cached
-        answer. If an invalidation or eviction lands between the peek
-        and the chain, the chain misses and computes that one answer on
-        the loop: still correct, and cheaper than a second hop on every
-        hit to guard against it. Every other read is one executor task,
-        answered 504 the moment its deadline passes.
+        Analytics takes the executor hop: SQLite blocks, under its own
+        time budget. Every other read runs the gateway chain right here
+        on the loop. Its deadline is cooperative: the backend and the
+        router stop at their next check point once it passes, and a read
+        that is expired when the chain returns or raises is a 504.
         """
         request = self._core.decode_post(endpoint, payload)
         if isinstance(request, AnalyticsRequest):
-            # The analytics tier enforces its own time budget.
             response = await self._run_blocking(
                 lambda: self._core.dispatch_request(request)
             )
@@ -727,44 +726,21 @@ class AsyncShoalServer:
             tracer=self._tracer,
         )
         t0 = time.perf_counter()
-        with traced("edge.request", context=ctx) as root:
-
-            def run():
-                # contextvars do not cross run_in_executor: the call
-                # enters the context itself and parents its span to the
-                # edge root explicitly, wherever it runs.
-                with traced("edge.dispatch", context=ctx, parent=root.span):
-                    return self._core.dispatch_request(request, context=ctx)
-
-            if self._cached(request):
-                response = run()
-                expired = ctx.expired
-            else:
-                task = asyncio.get_running_loop().run_in_executor(
-                    self._executor, run
-                )
-                remaining_ms = ctx.remaining_ms()
-                done, _ = await asyncio.wait(
-                    {task},
-                    timeout=(
-                        None if remaining_ms is None
-                        else max(remaining_ms, 0.0) / 1000.0
-                    ),
-                )
-                expired = not done
-                if expired:
-                    # The worker stops at its next check point and
-                    # nobody reads its outcome.
-                    _silence(task)
-                else:
-                    response = task.result()
-            if expired:
-                ctx.cancel("deadline expired")
+        with traced("edge.request", context=ctx):
+            try:
+                with traced("edge.dispatch", context=ctx):
+                    response = self._core.dispatch_request(
+                        request, context=ctx
+                    )
+            except ApiError:
+                if not ctx.expired:
+                    raise
+            if ctx.expired:
                 self._stats.deadline_expired += 1
                 raise ApiError(
                     "deadline_exceeded",
                     f"request {ctx.request_id} exceeded its deadline; "
-                    "in-flight shard work was cancelled",
+                    "its remaining shard work was skipped",
                 )
         self._stats.read_stats.record(time.perf_counter() - t0)
         return response.to_dict()

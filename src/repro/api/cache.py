@@ -114,19 +114,6 @@ class LRUCache:
         with self._lock:
             return len(self._data)
 
-    def __contains__(self, key: Hashable) -> bool:
-        """Whether :meth:`get` would hit right now — a side-effect-free
-        peek: no counter moves, the LRU order is kept, and an expired
-        entry is reported absent but left for ``get`` to drop."""
-        with self._lock:
-            entry = self._data.get(key, MISS)
-            if entry is MISS:
-                return False
-            return (
-                self.ttl_seconds is None
-                or self._clock() - entry[1] <= self.ttl_seconds
-            )
-
     def get(self, key: Hashable) -> Any:
         with self._lock:
             entry = self._data.get(key, MISS)

@@ -16,11 +16,9 @@ carrying the four things the whole serving path needs to agree on:
 The context is *threaded*, not passed parameter-by-parameter: the edge
 (or :meth:`~repro.api.middleware.Gateway.handle`) installs it in a
 :mod:`contextvars` variable via :meth:`RequestContext.use`, and every
-layer below reads it back with :func:`current_context`. Because the
-async edge dispatches blocking work to executor threads, the worker
-function itself enters ``use()`` — contextvars do not propagate across
-``run_in_executor`` — so the ambient context is always set by whichever
-thread actually runs the request.
+layer below reads it back with :func:`current_context`. The async edge
+runs each read on its event loop and enters ``use()`` around the
+dispatch, so the context is ambient in that task alone.
 """
 
 from __future__ import annotations

@@ -131,11 +131,6 @@ class CacheMiddleware(Middleware):
         self._cache.put(key, response)
         return response
 
-    def holds(self, request: Request) -> bool:
-        """Whether :meth:`handle` would answer ``request`` from the
-        cache right now; counts nothing and keeps the LRU order."""
-        return (self._epoch, request.cache_key()) in self._cache
-
     def invalidate(self) -> None:
         self._epoch += 1
         self._cache.clear()
@@ -534,14 +529,6 @@ class Gateway(ShoalBackend):
         for mw in self._middlewares:
             if isinstance(mw, CacheMiddleware):
                 mw.invalidate()
-
-    def cached(self, request: Request) -> bool:
-        """Whether the cache stage would answer ``request`` right now,
-        without counting a lookup; False when there is no cache stage.
-        The async edge asks this to answer hits on its event loop."""
-        return self._cache_stage is not None and self._cache_stage.holds(
-            request
-        )
 
     def cache_stats(self) -> Optional[CacheStats]:
         """The gateway-level result-cache counters (None if no cache

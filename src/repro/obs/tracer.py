@@ -1,14 +1,14 @@
 """Per-request span trees with deterministic tail-based sampling.
 
 Every request that enters an edge gets a span tree: the edge root
-span, its worker-side dispatch span, the gateway, the middleware
+span, its dispatch span, the gateway, the middleware
 stack, the backend, the router and each per-shard probe; write-path
 work (WAL appends, coalesced flushes, updater batch folds, shipper
 publishes, follower replays and swaps) produces its own background
 traces. Spans hang off the existing
 :class:`~repro.api.context.RequestContext` — they inherit its request
-id and tag map, and a span still open when its root closes (a worker
-abandoned past the deadline) is deterministically marked ``cancelled``.
+id and tag map, and a span still open when its root closes (work the
+root stopped waiting for) is deterministically marked ``cancelled``.
 
 Sampling is **tail-based**: every span is recorded while the request
 runs, and the keep/drop decision is made only when the root span
@@ -51,7 +51,7 @@ import contextvars
 
 #: Ambient parent span for the current thread/task. asyncio tasks and
 #: plain threads each see their own value, which is exactly the
-#: parenting scope we want; executor hops pass the parent explicitly.
+#: parenting scope we want; a thread hop passes the parent explicitly.
 _CURRENT_SPAN: "contextvars.ContextVar[Optional[Span]]" = (
     contextvars.ContextVar("repro_obs_span", default=None)
 )
@@ -292,8 +292,8 @@ class Tracer:
             bucket = self._open.get(trace_id)
             if bucket is None:
                 if trace_id in self._ring:
-                    # The trace already finalized (an abandoned worker
-                    # straggling past its root's 504) — record nothing,
+                    # The trace already finalized (abandoned work
+                    # straggling past its root) — record nothing,
                     # but keep the caller's code path intact.
                     self._late_spans += 1
                     return _NULL
@@ -353,8 +353,8 @@ class Tracer:
         assert root is not None and root.end_ms is not None
         for span in bucket.spans:
             if span.end_ms is None:
-                # Still open when the root closed — only work the edge
-                # abandoned (a worker past its deadline) can be here.
+                # Still open when the root closed — only work the root
+                # stopped waiting for can be here.
                 span.end_ms = root.end_ms
                 span.status = "cancelled"
                 token = getattr(span._ctx, "token", None)

@@ -12,8 +12,9 @@ The acceptance bar for the edge lives here:
   completion;
 * a read is exactly one backend call, however slow it is relative to
   the reads before it;
-* a read the gateway cache holds is answered on the event loop, even
-  while every executor worker is busy, and the peek counts nothing;
+* search, recommend and batch run on the event loop, hit or miss, and
+  are answered while every executor worker is busy; analytics and GETs
+  take the executor;
 * a header line past the stream limit, a header count past
   ``MAX_HEADERS``, a ``Transfer-Encoding`` body and an unsupported
   method are each answered once with ``Connection: close`` — never an
@@ -38,8 +39,10 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.analytics import AnalyticsStore, QueryEngine
 from repro.api import (
     ApiError,
+    BatchRequest,
     ClusterBackend,
     Gateway,
     SCHEMA_VERSION,
@@ -461,6 +464,101 @@ class TestRequestFraming:
         assert closed
         assert escaped == []
 
+    @staticmethod
+    def _send_then_smuggle(length_lines: bytes, method=b"POST") -> bytes:
+        """A search request framed by ``length_lines`` and carrying a
+        body, followed on the same socket by a GET; in ``length_lines``,
+        ``%d`` is the body's length and ``%s`` the length of the body
+        and the GET together."""
+        body = json.dumps(_search_payload("beach", 5)).encode()
+        smuggled = b"GET /v1/stats HTTP/1.1\r\n\r\n"
+        lines = length_lines.replace(b"%d", b"%d" % len(body)).replace(
+            b"%s", b"%d" % (len(body) + len(smuggled))
+        )
+        return (
+            method + b" /v1/search HTTP/1.1\r\n" + lines + b"\r\n"
+            + body + smuggled
+        )
+
+    @pytest.mark.parametrize("method", [b"POST", b"GET"], ids=bytes.decode)
+    @pytest.mark.parametrize("length_lines", [
+        b"Content-Length: %s\r\nContent-Length: %d\r\n",
+        b"Content-Length: +%d\r\n",
+        b"Content-Length: 0_%d\r\n",
+        b"Content-Length: \x0c%d\x0c\r\n",
+        b"Content-Length : %d\r\n",
+        b"Content-Length: %d\r\nX-Note: one\r\n two\r\n",
+        b"Content-Length: %d\r\nX-Note: a\nb\r\n",
+        b"Content-Length: " + b"1" * 5000 + b"\r\n",
+    ], ids=[
+        "differing-duplicates", "plus-sign", "underscore",
+        "non-ows-whitespace", "space-before-colon", "obs-fold", "bare-lf",
+        "overlong",
+    ])
+    def test_a_head_a_proxy_frames_differently_is_refused(
+        self, watched_edge, length_lines, method
+    ):
+        server, escaped = watched_edge
+        reply, closed = _exchange(
+            server, self._send_then_smuggle(length_lines, method)
+        )
+        (status, headers, body), = _responses(reply)
+        assert status == "HTTP/1.1 400 Bad Request"
+        assert "Connection: close" in headers
+        assert json.loads(body)["error"]["code"] == "bad_request"
+        assert closed
+        assert escaped == []
+
+    @pytest.mark.parametrize("length_lines", [
+        b"Content-Length: %d\r\nContent-Length: %d\r\n",
+        b"Content-Length: \t %d \t\r\n",
+        b"content-length: 00%d\r\n",
+    ], ids=["equal-duplicates", "ows-around-value", "leading-zeros"])
+    def test_rfc_framings_are_served(self, watched_edge, length_lines):
+        server, escaped = watched_edge
+        raw = self._send_then_smuggle(
+            b"Connection: close\r\n" + length_lines
+        )
+        reply, closed = _exchange(server, raw)
+        (status, headers, _), = _responses(reply)
+        assert status == "HTTP/1.1 200 OK"
+        assert closed
+        assert escaped == []
+
+    def test_a_long_blank_run_in_a_value_is_framed_in_linear_time(
+        self, watched_edge
+    ):
+        # Lazy value group + trailing OWS under fullmatch would rescan
+        # the blanks once per character: ~1e9 steps on the loop thread.
+        server, escaped = watched_edge
+        started = time.monotonic()
+        reply, closed = _exchange(
+            server,
+            b"GET /v1/health HTTP/1.1\r\nX-Note: a" + b" " * 60_000
+            + b"b\r\nConnection: close\r\n\r\n",
+        )
+        assert time.monotonic() - started < 2.0
+        (status, _, _), = _responses(reply)
+        assert status == "HTTP/1.1 200 OK"
+        assert closed
+        assert escaped == []
+
+    @pytest.mark.parametrize("raw", [
+        b"GET /v1/health HTTP/1.1\nHost: edge\n\n",
+        b"GET /v1/health HTTP/1.1\r\n\n",
+    ], ids=["bare-lf-request-line", "bare-lf-end-of-head"])
+    def test_a_bare_lf_head_is_refused_at_once(self, watched_edge, raw):
+        # A kept-alive bare-LF client must not wait for a CRLF CRLF
+        # that never comes.
+        server, escaped = watched_edge
+        reply, closed = _exchange(server, raw)
+        (status, headers, body), = _responses(reply)
+        assert status == "HTTP/1.1 400 Bad Request"
+        assert "Connection: close" in headers
+        assert json.loads(body)["error"]["code"] == "bad_request"
+        assert closed
+        assert escaped == []
+
     @pytest.mark.parametrize("n_headers, status", [
         (MAX_HEADERS, "HTTP/1.1 200 OK"),
         (MAX_HEADERS + 1, "HTTP/1.1 400 Bad Request"),
@@ -484,101 +582,204 @@ class TestRequestFraming:
             assert json.loads(body)["error"]["code"] == "bad_request"
 
 
-class _GatedBackend:
-    """Delegates to a real backend and records the thread each search
-    runs on; a search for ``gated`` waits until ``release`` is set."""
+class _Recorder:
+    """Delegates to a real backend and records the thread each read
+    kind runs on. Once ``park`` is set, ``stats`` (a ``GET /v1/stats``
+    scrape) blocks until ``release`` is."""
 
-    def __init__(self, inner, gated=None):
+    def __init__(self, inner):
         self._inner = inner
-        self._gated = gated
-        self.entered = threading.Event()
+        self.threads = {}
+        self.park = threading.Event()
+        self.parked = threading.Event()
         self.release = threading.Event()
-        self.threads = []
+
+    def _record(self, kind):
+        name = threading.current_thread().name
+        self.threads.setdefault(kind, []).append(name)
 
     def search(self, request):
-        self.threads.append(threading.current_thread().name)
-        if request.query == self._gated:
-            self.entered.set()
-            self.release.wait(timeout=30)
+        self._record("search")
         return self._inner.search(request)
+
+    def recommend(self, request):
+        self._record("recommend")
+        return self._inner.recommend(request)
+
+    def batch(self, request):
+        self._record("batch")
+        return self._inner.batch(request)
+
+    def stats(self):
+        if self.park.is_set():
+            self.parked.set()
+            self.release.wait(timeout=30)
+        return self._inner.stats()
 
     def __getattr__(self, name):
         return getattr(self._inner, name)
 
 
-class _AlwaysHeld(Gateway):
-    """A gateway whose peek always says "held", as when an invalidation
-    lands between the edge's peek and the chain's lookup."""
+class _RecordingAnalytics:
+    """An analytics engine that records the thread each query runs on."""
 
-    def cached(self, request):
-        return True
+    def __init__(self, engine):
+        self._engine = engine
+        self.threads = []
+
+    def query(self, request):
+        self.threads.append(threading.current_thread().name)
+        return self._engine.query(request)
+
+    def __getattr__(self, name):
+        return getattr(self._engine, name)
 
 
-class TestCacheHitsOnTheLoop:
-    def test_a_hit_is_answered_while_the_only_worker_is_busy(
-        self, snapshot_dir, query_pool
+def _read_payloads(query_pool):
+    """One (path, payload) per read kind the edge answers on its loop."""
+    return [
+        ("/v1/search", _search_payload(query_pool[0], 5)),
+        ("/v1/recommend", {
+            "version": SCHEMA_VERSION, "query": query_pool[1], "k": 5,
+        }),
+        ("/v1/batch", {
+            "version": SCHEMA_VERSION, "queries": query_pool[2:6], "k": 5,
+            "kind": "search",
+        }),
+    ]
+
+
+def _on_a_worker(names):
+    return [name for name in names if name.startswith("shoal-aio-worker")]
+
+
+class TestReadsOnTheLoop:
+    """Search, recommend and batch run on the event loop, hit or miss;
+    only blocking work (analytics, GETs) takes the executor."""
+
+    @pytest.mark.parametrize("topology", ["single", "cluster"])
+    def test_reads_never_run_on_a_worker_but_analytics_does(
+        self, topology, snapshot_dir, tiny_model, tiny_categories,
+        query_pool, tmp_path,
     ):
-        hot, slow = query_pool[0], query_pool[1]
-        gated = _GatedBackend(
-            ServiceBackend.from_snapshot(snapshot_dir), gated=slow
+        inner = (
+            ServiceBackend.from_snapshot(snapshot_dir)
+            if topology == "single"
+            else ClusterBackend.from_model(
+                tiny_model, 4, entity_categories=tiny_categories
+            )
+        )
+        recorder = _Recorder(inner)
+        analytics = _RecordingAnalytics(
+            QueryEngine(AnalyticsStore(tmp_path / "analytics.db"))
         )
         server = AsyncShoalServer(
-            Gateway(gated), port=0, max_workers=1
+            Gateway(recorder), port=0, analytics_engine=analytics
         ).start()
-        local = Gateway(ServiceBackend.from_snapshot(snapshot_dir))
-        path = "/v1/search"
-
-        def post(query):
-            return _raw(
-                "POST", server.host, server.port, path,
-                _search_payload(query, 5),
-            )
-
         try:
-            assert post(hot)[0] == 200  # now the gateway holds it
-            with ThreadPoolExecutor(1) as pool:
-                blocked = pool.submit(post, slow)
-                assert gated.entered.wait(timeout=10)
-                # The only worker is parked inside the backend.
-                got = post(hot)
-                assert not blocked.done()
-                assert got == _reference(
-                    local, path, _search_payload(hot, 5)
-                )
-                gated.release.set()
-                assert blocked.result(timeout=10) == _reference(
-                    local, path, _search_payload(slow, 5)
-                )
-        finally:
-            gated.release.set()
-            server.shutdown()
-            local.close()
-
-    def test_a_lost_race_is_computed_on_the_loop_and_correct(
-        self, snapshot_dir, query_pool
-    ):
-        recorder = _GatedBackend(ServiceBackend.from_snapshot(snapshot_dir))
-        gateway = _AlwaysHeld(recorder)
-        server = AsyncShoalServer(gateway, port=0).start()
-        local = Gateway(ServiceBackend.from_snapshot(snapshot_dir))
-        try:
-            for query in query_pool[:3]:
-                status, body = _raw(
-                    "POST", server.host, server.port, "/v1/search",
-                    _search_payload(query, 5),
+            for path, payload in _read_payloads(query_pool) * 2:
+                status, _ = _raw(
+                    "POST", server.host, server.port, path, payload
                 )
                 assert status == 200
-                want = local.search(SearchRequest(query=query, k=5))
-                assert body == _json_bytes(want.to_dict())
+            status, _ = _raw(
+                "POST", server.host, server.port, "/v1/analytics",
+                {"version": SCHEMA_VERSION, "report": "trending"},
+            )
+            assert status == 200
         finally:
             server.shutdown()
+        # Each kind computed once (the repeat was a cache hit), and
+        # none of them on an executor thread.
+        assert sorted(recorder.threads) == ["batch", "recommend", "search"]
+        for names in recorder.threads.values():
+            assert len(names) == 1 and not _on_a_worker(names)
+        assert len(analytics.threads) == 1
+        assert _on_a_worker(analytics.threads) == analytics.threads
+
+    def test_reads_are_answered_while_the_only_worker_is_busy(
+        self, snapshot_dir, query_pool
+    ):
+        recorder = _Recorder(ServiceBackend.from_snapshot(snapshot_dir))
+        server = AsyncShoalServer(
+            Gateway(recorder), port=0, max_workers=1
+        ).start()
+        local = Gateway(ServiceBackend.from_snapshot(snapshot_dir))
+        try:
+            recorder.park.set()
+            with ThreadPoolExecutor(1) as pool:
+                scrape = pool.submit(
+                    _raw, "GET", server.host, server.port, "/v1/stats"
+                )
+                # The only worker is parked inside the GET.
+                assert recorder.parked.wait(timeout=10)
+                for path, payload in _read_payloads(query_pool):
+                    got = _raw(
+                        "POST", server.host, server.port, path, payload
+                    )
+                    assert got == _reference(local, path, payload), path
+                assert not scrape.done()
+                recorder.release.set()
+                assert scrape.result(timeout=10)[0] == 200
+        finally:
+            recorder.release.set()
+            server.shutdown()
             local.close()
-        assert gateway.cache_stats().misses == 3
-        # No second hop: each miss was computed where it was peeked.
-        assert len(recorder.threads) == 3
-        assert not any(
-            name.startswith("shoal-aio-worker") for name in recorder.threads
+
+    def test_a_batch_expiring_between_shard_probes_is_one_504(
+        self, tiny_model, tiny_categories, query_pool
+    ):
+        backend = ClusterBackend.from_model(
+            tiny_model, 4, entity_categories=tiny_categories
         )
+        probes = []  # (shard, whether the deadline had passed)
+
+        class _SlowShard:
+            def __init__(self, index, service):
+                self._index = index
+                self._service = service
+
+            def search_tokens(self, token_lists, k):
+                ctx = current_context()
+                probes.append((self._index, ctx is not None and ctx.expired))
+                time.sleep(0.1)
+                return self._service.search_tokens(token_lists, k)
+
+            def __getattr__(self, name):
+                return getattr(self._service, name)
+
+        for shard in backend.router._shards:
+            shard.service = _SlowShard(shard.shard_index, shard.service)
+        queries = query_pool[:64]
+        backend.batch(BatchRequest(queries=queries, k=5))
+        touched = len(probes)
+        assert touched >= 3  # room to expire between two probes
+        probes.clear()
+
+        server = AsyncShoalServer(Gateway(backend), port=0).start()
+
+        def expired_count():
+            _, body = _raw("GET", server.host, server.port, "/v1/metrics")
+            return json.loads(body)["edge"]["deadline_expired"]
+
+        try:
+            before = expired_count()
+            # Probes start about 0, 100 and 200 ms in; the deadline
+            # passes during the second.
+            status, body = _raw(
+                "POST", server.host, server.port, "/v1/batch",
+                {
+                    "version": SCHEMA_VERSION, "queries": queries, "k": 5,
+                    "kind": "search", "timeout_ms": 150.0,
+                },
+            )
+            assert status == 504
+            assert json.loads(body)["error"]["code"] == "deadline_exceeded"
+            assert expired_count() == before + 1
+        finally:
+            server.shutdown()
+        assert 0 < len(probes) < touched
+        assert not any(expired for _, expired in probes)
 
     def test_an_expired_hit_is_504_and_counted(
         self, single_edges, query_pool

@@ -69,25 +69,6 @@ class TestLRUCacheTTL:
         with pytest.raises(ValueError):
             LRUCache(8, ttl_seconds=-1.0)
 
-    def test_membership_is_a_peek_that_honours_the_ttl(self):
-        clock = FakeClock()
-        cache = LRUCache(2, ttl_seconds=10.0, clock=clock)
-        cache.put("a", 1)
-        cache.put("b", 2)
-        assert "a" in cache and "c" not in cache
-        stats = cache.stats()
-        assert (stats.hits, stats.misses, stats.expirations) == (0, 0, 0)
-        # The peek did not refresh "a": it is still the least recently
-        # used entry, so "c" evicts it.
-        cache.put("c", 3)
-        assert "a" not in cache
-        clock.advance(10.1)
-        assert "b" not in cache
-        # An expired entry is reported absent but left for get() to drop.
-        assert cache.stats().size == 2
-        assert cache.get("b") is MISS
-        assert cache.stats().expirations == 1
-
     def test_expirations_travel_through_to_dict(self):
         clock = FakeClock()
         cache = LRUCache(2, ttl_seconds=1.0, clock=clock)

@@ -124,23 +124,6 @@ class TestCacheMiddleware:
             backend, default_middlewares(cache_size=0)
         ).cache_stats() is None
 
-    def test_cached_peeks_without_counting(self):
-        gateway = Gateway(CountingBackend(), [CacheMiddleware(16)])
-        request = SearchRequest(query="beach", k=5)
-        assert not gateway.cached(request)
-        gateway.search(request)
-        assert gateway.cached(request)
-        assert gateway.cached(SearchRequest(query="beach", k=5, timeout_ms=50))
-        assert not gateway.cached(SearchRequest(query="beach", k=6))
-        stats = gateway.cache_stats()
-        assert (stats.hits, stats.misses) == (0, 1)
-        gateway.invalidate_cache()
-        assert not gateway.cached(request)
-        # Without a cache stage nothing is ever held.
-        bare = Gateway(CountingBackend(), [MetricsMiddleware()])
-        bare.search(request)
-        assert not bare.cached(request)
-
     def test_negative_size_rejected(self):
         with pytest.raises(ValueError, match="cache size"):
             CacheMiddleware(-1)

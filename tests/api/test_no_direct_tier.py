@@ -69,6 +69,10 @@ read once per session however many rows scan it. The rows:
 * ``service-model-accessor`` — ``.service.model`` anywhere in ``src/``,
   ``examples/`` or ``scripts/``: a service exposes no fitted model, so a
   fit-side caller loads the full model itself.
+* ``read-hop-and-peek`` — the edge's cache peek (``Gateway.cached``,
+  ``CacheMiddleware.holds``, the edge's ``_cached``) and its executor
+  read branch's ``_silence`` in ``src/repro/api``: search, recommend
+  and batch run the gateway chain on the event loop, hit or miss.
 """
 
 from __future__ import annotations
@@ -251,6 +255,12 @@ READ_PATH_MODULES = [
 
 SERVICE_MODEL_ACCESSOR = re.compile(SERVICE_MODEL)
 
+#: The cache peek that chose between two read paths, and the helper
+#: that silenced a read abandoned on a worker — both removed.
+REMOVED_READ_HOP = re.compile(
+    r"\._?cached\(|\bdef holds\b|\.holds\(|\b_silence\b"
+)
+
 #: What a scanned directory contributes (a listed file is always read).
 TEXT_SUFFIXES = (".py", ".yml", ".yaml", ".md")
 
@@ -302,8 +312,8 @@ REMOVALS = (
     ),
     Removal(
         "second-attempt", REMOVED_HEDGING, tuple(REMOVED_EDGE_SCAN_PATHS),
-        "reference to the removed request hedging (a read is one executor "
-        "task under the request's own context)",
+        "reference to the removed request hedging (a read is one attempt "
+        "under the request's own context)",
     ),
     Removal(
         "second-write-path-configuration", REMOVED_WRITE_PATH_CONFIGS,
@@ -359,6 +369,13 @@ REMOVALS = (
         tuple(QUERY_LOG_STORE_SCAN_PATHS),
         "the removed ShoalService.model accessor (a fit-side caller "
         "loads the full model itself with load_model)",
+    ),
+    Removal(
+        "read-hop-and-peek", REMOVED_READ_HOP, ("src/repro/api",),
+        "reference to the removed cache peek or executor read branch "
+        "(search, recommend and batch run the gateway chain on the edge's "
+        "loop; only analytics, GETs and the ingest flush take a worker)",
+        suffixes=(".py",),
     ),
 )
 
@@ -700,6 +717,24 @@ def test_the_guard_itself_still_bites():
         "backend.service.model_version",
     ):
         assert not SERVICE_MODEL_ACCESSOR.search(snippet), snippet
+    for snippet in (
+        "if self._cached(request):",
+        "backend.cached(request) if isinstance(backend, Gateway)",
+        "return self._cache_stage.holds(request)",
+        "def holds(self, request: Request) -> bool:",
+        "_silence(task)",
+        'def _silence(task: "asyncio.Future") -> None:',
+    ):
+        assert REMOVED_READ_HOP.search(snippet), snippet
+    for snippet in (
+        "cached = self._cache.get(key)",
+        "if cached is not MISS:",
+        "@functools.cached_property",
+        "return self._cache_stage.cache_stats()",
+        "* the gateway holds every answer it computed",
+        "self._stats.deadline_expired += 1",
+    ):
+        assert not REMOVED_READ_HOP.search(snippet), snippet
     assert [r.pattern for r in REMOVALS] == [
         FORBIDDEN,
         LEGACY_CALLS,
@@ -715,4 +750,5 @@ def test_the_guard_itself_still_bites():
         REMOVED_QUERY_LOG_STORE,
         FULL_MODEL_ON_READ_PATH,
         SERVICE_MODEL_ACCESSOR,
+        REMOVED_READ_HOP,
     ]
