@@ -2,13 +2,14 @@
 
 Two gates, both acceptance criteria of the replication subsystem:
 
-1. **Publish lag is bounded** — the primary's synchronous publish (roll
-   the WAL, copy closed segments, fingerprint the generation snapshot
-   into the generation index) runs on the updater thread and must stay
+1. **Publish lag is bounded** — the primary's synchronous publish (write
+   the generation's serving files into the feed, fingerprint them into
+   the generation index) runs on the updater thread and must stay
    under 2s per generation on the tiny profile.
 
-2. **Cold catch-up is bounded** — a cold follower must tail, rebuild,
-   and fingerprint the whole two-generation feed in under 30s.
+2. **Cold catch-up is bounded** — a cold follower must bootstrap from
+   the feed's generation 0, then verify the fingerprint of the whole
+   two-generation feed in under 30s.
 
 Replication that lags the micro-batch cadence would make epoch quorum
 unreachable in steady state.
@@ -25,13 +26,18 @@ from repro.core.config import ShoalConfig
 from repro.core.incremental import IncrementalShoal
 from repro.data.marketplace import PROFILES, generate_marketplace
 from repro.data.queries import QueryLogConfig
-from repro.replication import Follower, SegmentShipper
+from repro.replication import Follower, GenerationShipper
 from repro.store.persistence import (
     load_entity_categories,
     load_model,
     load_window,
 )
-from repro.streaming import IngestPipe, StreamingUpdater, WriteAheadLog
+from repro.streaming import (
+    Generation,
+    IngestPipe,
+    StreamingUpdater,
+    WriteAheadLog,
+)
 
 BASE_LAST_DAY = 6
 MIN_BATCH = 10
@@ -71,24 +77,23 @@ def shipped_feed(repl_bench_market, tmp_path_factory):
 
     model = load_model(base_dir)
     cats = load_entity_categories(base_dir)
+    window = load_window(base_dir)
     inc = IncrementalShoal.from_model(
         model, entity_categories=cats, retrain_every=100
     )
-    wal = WriteAheadLog(root / "wal", fsync="never")
-    pipe = IngestPipe(wal)
-    shipper = SegmentShipper(
-        wal,
+    pipe = IngestPipe(WriteAheadLog(root / "wal", fsync="never"))
+    shipper = GenerationShipper(
         root / "feed",
-        base_snapshot_dir=base_dir,
-        manifest={"retrain_every": 100, "max_day_skew": 2},
+        Generation(
+            number=0, serving=model.serving(cats), last_day=window.last_day
+        ),
     )
     shipper.initialise()
     updater = StreamingUpdater(
         inc,
         pipe,
         switch=None,
-        window=load_window(base_dir),
-        generations_dir=root / "gens",
+        window=window,
         min_batch_events=MIN_BATCH,
         on_generation=shipper.publish_generation,
     )
@@ -121,16 +126,14 @@ class TestReplicationLagGate:
         print(f"\nlast publish took {last * 1e3:.1f}ms")
         assert last < PUBLISH_LAG_GATE_S
 
-    def test_cold_follower_catch_up_bounded(self, shipped_feed, tmp_path):
+    def test_cold_follower_catch_up_bounded(self, shipped_feed):
         root, _, generations = shipped_feed
-        follower = Follower(
-            root / "feed", tmp_path / "work", follower_id="bench"
-        )
-        follower.bootstrap()
         t0 = time.perf_counter()
-        built = follower.catch_up(timeout_s=CATCH_UP_GATE_S + 30.0)
+        follower = Follower(root / "feed", follower_id="bench")
+        follower.bootstrap()
+        verified = follower.catch_up(timeout_s=CATCH_UP_GATE_S + 30.0)
         elapsed = time.perf_counter() - t0
-        print(f"\ncold catch-up: {built} generations in {elapsed:.2f}s")
-        assert built == len(generations)
+        print(f"\ncold catch-up: {verified} generations in {elapsed:.2f}s")
+        assert verified == len(generations)
         assert follower.stats()["seqs_behind"] == 0
         assert elapsed < CATCH_UP_GATE_S

@@ -1,19 +1,19 @@
-"""Distributed serving: WAL segment shipping to a follower fleet.
+"""Distributed serving: shipping generations to a follower fleet.
 
 The replication subsystem end to end, in one process:
 
 1. fit a base window and stand up a primary write path — WAL, ingest
-   pipe, micro-batch updater — with a ``SegmentShipper`` publishing
-   every closed WAL segment and each generation's cut and fingerprint
-   into a feed directory (the only thing primary and followers share);
+   pipe, micro-batch updater — with a ``GenerationShipper`` publishing
+   each generation's serving files, cut and fingerprint into a feed
+   directory (the only thing primary and followers share);
 2. join two followers to the feed with ``open_backend("follower:DIR")``
-   — each rebuilds the primary's generations from the shipped segments
-   through the same updater machinery, stages them, and reports its
-   generation fingerprints back into the feed;
+   — each verifies every shipped generation against its fingerprint
+   and reports the fingerprints it verified back into the feed; only
+   the primary folds events;
 3. run an ``EpochCoordinator`` with ``quorum=2``: only when BOTH
-   followers prove (by fingerprint) that they rebuilt byte-identical
-   state does it broadcast an epoch bump, and the whole fleet swaps
-   atomically;
+   followers prove (by fingerprint) that they hold byte-identical
+   files does it broadcast an epoch bump, and the whole fleet loads and
+   swaps atomically;
 4. show the payoff: every follower answers byte-for-byte like the
    primary, while a reader keeps querying through the swap with zero
    failed reads.
@@ -37,8 +37,13 @@ from repro.api import SearchRequest, open_backend
 from repro.core.incremental import IncrementalShoal
 from repro.data.marketplace import PROFILES
 from repro.data.queries import QueryLogConfig
-from repro.replication import EpochCoordinator, SegmentShipper
-from repro.streaming import IngestPipe, StreamingUpdater, WriteAheadLog
+from repro.replication import EpochCoordinator, GenerationShipper
+from repro.streaming import (
+    Generation,
+    IngestPipe,
+    StreamingUpdater,
+    WriteAheadLog,
+)
 
 BASE_LAST_DAY = 6  # the 7-day base window is days 0..6
 
@@ -59,24 +64,23 @@ def main() -> None:
 
     # -- the primary's write path, wired to ship ------------------------
     root = Path(tempfile.mkdtemp(prefix="shoal-repl-"))
-    base_dir = root / "base-snapshot"
-    # The snapshot carries the model and its click window (window.npz):
-    # everything a follower starts from.
-    inc.model.save(base_dir, entity_categories=categories)
     wal = WriteAheadLog(root / "wal", fsync="batch")
     pipe = IngestPipe(wal, max_queue=8192)
-    shipper = SegmentShipper(
-        wal,
+    # The base model's serving files ship as generation 0: what every
+    # follower starts serving.
+    shipper = GenerationShipper(
         root / "feed",
-        base_snapshot_dir=base_dir,
-        manifest={"retrain_every": 7, "max_day_skew": 2},
+        Generation(
+            number=0,
+            serving=inc.model.serving(categories),
+            last_day=BASE_LAST_DAY,
+        ),
     )
     shipper.initialise()
     updater = StreamingUpdater(
         inc,
         pipe,
         switch=None,  # followers swap on epochs, the primary on its own
-        generations_dir=root / "generations",
         min_batch_events=100,
         on_generation=shipper.publish_generation,
     )
@@ -103,9 +107,8 @@ def main() -> None:
     stats = shipper.stats()
     print(
         f"shipped generation {first.number}: "
-        f"{stats['segments_shipped']} segment(s), "
-        f"{stats['segment_bytes']}B of WAL events (followers rebuild the "
-        f"snapshot from them)"
+        f"{stats['generation_bytes']}B of serving files (followers load "
+        f"them instead of folding the events)"
     )
 
     # -- two followers join the feed ------------------------------------
@@ -116,9 +119,9 @@ def main() -> None:
     for name, backend in followers.items():
         repl = backend.stats()["replication"]
         print(
-            f"{name}: built generation {repl['built_generation']}, "
+            f"{name}: verified generation {repl['verified_generation']}, "
             f"seqs_behind={repl['seqs_behind']}, "
-            f"serving={repl['serving_generation']} (staged, not served)"
+            f"serving={repl['serving_generation']} (verified, not served)"
         )
 
     # -- epoch coordination: quorum of matching fingerprints ------------

@@ -38,15 +38,6 @@ def atomic_write_json(
     return path
 
 
-def atomic_write_bytes(path: Union[str, Path], data: bytes) -> Path:
-    """Atomically materialise ``data`` at ``path`` (tmp + rename)."""
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(data)
-    os.replace(tmp, path)
-    return path
-
-
 def ensure_rng(seed: RngLike = None) -> np.random.Generator:
     """Return a :class:`numpy.random.Generator` from a seed or generator.
 

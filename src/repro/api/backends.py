@@ -379,21 +379,16 @@ _SCHEME_RE = re.compile(r"^([A-Za-z][A-Za-z0-9+.-]+):")
 def _open_follower(target: str):
     """Join a replication feed as an embedded follower.
 
-    Bootstraps a :class:`repro.replication.Follower` over a throwaway
-    workdir, catches it up to the feed's current epoch, and leaves its
-    tail loop running in the background — the returned backend serves
-    reads that track the primary's coordinated swaps. Closing the
-    backend stops the loop.
+    Bootstraps a :class:`repro.replication.Follower`, catches it up to
+    the feed's current epoch, and leaves its tail loop running in the
+    background — the returned backend serves reads that track the
+    primary's coordinated swaps. Closing the backend stops the loop.
     """
-    import tempfile
-
     from repro.replication import Follower
     from repro.replication.feed import FeedError
 
     try:
-        follower = Follower(
-            target, tempfile.mkdtemp(prefix="shoal-follower-")
-        )
+        follower = Follower(target)
         backend = follower.bootstrap()
         follower.catch_up(timeout_s=120.0)
         follower.start()

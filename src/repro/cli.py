@@ -594,13 +594,7 @@ def _build_ingest_side(args, backend):
         ) from None
     model = ShoalModel.load(args.load)
     cats = load_entity_categories(args.load) or {}
-    # These two knobs shape every refit; a replication feed ships them
-    # so followers rebuild with byte-identical settings.
-    retrain_every = 7
-    max_day_skew = 2
-    inc = IncrementalShoal.from_model(
-        model, entity_categories=cats, retrain_every=retrain_every
-    )
+    inc = IncrementalShoal.from_model(model, entity_categories=cats)
     # The snapshot model is the rollback baseline: a first generation
     # failing its health check restores the tier to what it serves now.
     baseline = Generation(
@@ -619,36 +613,20 @@ def _build_ingest_side(args, backend):
 
         drift_gate = DriftMonitor(threshold=args.drift_threshold)
     shipper = None
-    generations_dir = args.generations
     if args.ship_feed:
-        import tempfile
+        from repro.replication import GenerationShipper
 
-        from repro.replication import SegmentShipper
-
-        if generations_dir is None:
-            # The feed's generation index carries each generation's
-            # snapshot fingerprint, so shipping implies persisting them.
-            generations_dir = tempfile.mkdtemp(prefix="shoal-generations-")
-        shipper = SegmentShipper(
-            wal,
-            args.ship_feed,
-            base_snapshot_dir=args.load,
-            manifest={
-                "retrain_every": retrain_every,
-                "max_day_skew": max_day_skew,
-            },
-        )
+        shipper = GenerationShipper(args.ship_feed, baseline)
         shipper.initialise()
     updater = StreamingUpdater(
         inc,
         pipe,
         switch=switch,
         window=window,
-        generations_dir=generations_dir,
+        generations_dir=args.generations,
         batch_max_events=SERVE_BATCH_EVENTS,
         batch_max_age_s=SERVE_BATCH_AGE_S,
         min_batch_events=SERVE_MIN_BATCH_EVENTS,
-        max_day_skew=max_day_skew,
         drift_gate=drift_gate,
         on_generation=None if shipper is None else shipper.publish_generation,
     )
@@ -709,7 +687,7 @@ def _build_tracer(args):
     The edge hands it to every :class:`RequestContext` it mints, so
     request spans land in it; installing it as the module default also
     catches background work (updater folds, shipper publishes, follower
-    replays) as ``bg-N`` root traces. ``--trace-capacity 0`` disables
+    loads) as ``bg-N`` root traces. ``--trace-capacity 0`` disables
     tracing entirely (``/v1/trace`` then answers ``not_found``).
     """
     if args.trace_capacity <= 0:
@@ -734,7 +712,7 @@ def _check_cache_flags(args) -> None:
 #: each one is meaningless without ``--ingest-wal``.
 _WRITE_PATH_FLAGS = (
     ("ship_feed", "--ship-feed",
-     "followers replay the primary's closed WAL segments"),
+     "followers load the generations the write path produces"),
     ("analytics_db", "--analytics-db",
      "the analytics store is a replica of the write-ahead log"),
     ("drift_threshold", "--drift-threshold",
@@ -877,20 +855,17 @@ def _cmd_serve_http(args) -> int:
 
 def _cmd_serve_follower(args) -> int:
     """Serve reads from a replication feed, swapping on epoch bumps."""
-    import tempfile
-
     from repro.api import AsyncShoalServer
     from repro.replication import Follower
 
     _check_cache_flags(args)
-    workdir = args.workdir or tempfile.mkdtemp(prefix="shoal-follower-")
-    follower = Follower(args.feed, workdir, follower_id=args.id)
+    follower = Follower(args.feed, follower_id=args.id)
     backend = follower.bootstrap()
     tracer = _build_tracer(args)
     gateway = _build_gateway(args, backend)
-    built = follower.catch_up(timeout_s=args.catch_up_s)
-    if built:
-        print(f"caught up: rebuilt {built} generations from {args.feed}")
+    verified = follower.catch_up(timeout_s=args.catch_up_s)
+    if verified:
+        print(f"caught up: verified {verified} generations in {args.feed}")
     follower.start()
     server = AsyncShoalServer(
         gateway,
@@ -1260,13 +1235,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_http.add_argument(
         "--ship-feed", default=None, metavar="DIR",
-        help="publish closed WAL segments + a generation index into "
-             "this replication feed directory and run the epoch "
-             "coordinator over it (requires --ingest-wal)",
+        help="publish each generation's serving files + a generation "
+             "index into this replication feed directory and run the "
+             "epoch coordinator over it (requires --ingest-wal)",
     )
     p_http.add_argument(
         "--ship-quorum", type=int, default=1,
-        help="followers that must report a byte-identical rebuild "
+        help="followers that must report a verified generation "
              "before an epoch swap is broadcast",
     )
     p_http.set_defaults(func=_cmd_serve_http)
@@ -1281,18 +1256,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="replication feed directory published by the primary",
     )
     p_follower.add_argument(
-        "--workdir", default=None, metavar="DIR",
-        help="scratch directory for rebuilt generation snapshots "
-             "(default: a fresh temp directory)",
-    )
-    p_follower.add_argument(
         "--id", default=None,
         help="stable follower identity in reports (default: random)",
     )
     _add_serve_flags(p_follower, port=8081)
     p_follower.add_argument(
         "--catch-up-s", type=float, default=60.0,
-        help="max seconds to replay the feed before the port opens",
+        help="max seconds to catch up with the feed before the port "
+             "opens",
     )
     p_follower.set_defaults(func=_cmd_serve_follower)
 

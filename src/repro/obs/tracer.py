@@ -4,7 +4,7 @@ Every request that enters an edge gets a span tree: the edge root
 span, its dispatch span, the gateway, the middleware
 stack, the backend, the router and each per-shard probe; write-path
 work (WAL appends, coalesced flushes, updater batch folds, shipper
-publishes, follower replays and swaps) produces its own background
+publishes, follower loads and swaps) produces its own background
 traces. Spans hang off the existing
 :class:`~repro.api.context.RequestContext` — they inherit its request
 id and tag map, and a span still open when its root closes (work the

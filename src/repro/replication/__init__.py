@@ -1,11 +1,11 @@
-"""Distributed serving via WAL segment shipping.
+"""Distributed serving via generation shipping.
 
-One primary publishes its closed write-ahead-log segments and a
-generation index (each generation's ``applied_seq`` cut and snapshot
-fingerprint) into a *feed directory*; any number of followers tail the
-feed, rebuild generations deterministically through the same streaming
-machinery the primary runs, and hot-swap in lockstep when the epoch
-coordinator observes a quorum of byte-identical rebuild fingerprints::
+One primary publishes each generation's serving files and a generation
+index (each generation's ``applied_seq`` cut and snapshot fingerprint)
+into a *feed directory*; any number of followers tail the feed, verify
+each generation's fingerprint, and load and hot-swap it in lockstep
+when the epoch coordinator observes a quorum of verified fingerprints.
+Only the primary folds events::
 
     primary ──ship──▶ feed/ ──tail──▶ followers ──report──▶ coordinator
        ▲                                  ▲                     │
@@ -17,7 +17,7 @@ See ``README.md`` § Replication for the operational story.
 from repro.replication.coordinator import EpochCoordinator, coordinator_loop
 from repro.replication.feed import Feed, FeedError
 from repro.replication.follower import Follower, FollowerBackend
-from repro.replication.shipper import SegmentShipper
+from repro.replication.shipper import GenerationShipper
 
 __all__ = [
     "EpochCoordinator",
@@ -25,6 +25,6 @@ __all__ = [
     "FeedError",
     "Follower",
     "FollowerBackend",
-    "SegmentShipper",
+    "GenerationShipper",
     "coordinator_loop",
 ]

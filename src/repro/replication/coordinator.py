@@ -14,20 +14,21 @@ Decision rule, evaluated per tick:
    generation G** iff it is healthy, not divergent, and its reported
    fingerprint for G equals the primary's. Reports come from other
    processes, so one whose ``fingerprints`` is not an object keyed by
-   generation numbers does not vote and is counted as ``malformed``;
-   it never stops the coordinator;
+   generation numbers, or whose ``ts`` is not a finite number, does not
+   vote and is counted as ``malformed``; it never stops the coordinator;
 3. pick the **highest** G past the currently broadcast epoch's
    generation with at least ``quorum`` agreeing followers, and write
    ``EPOCH.json`` with ``epoch+1`` naming G and its fingerprint.
 
 Followers swap only on that broadcast, so the fleet moves in lockstep:
-either a quorum proved it rebuilt byte-identical state, or nobody moves.
+either a quorum proved it holds byte-identical files, or nobody moves.
 A follower that disagrees (divergent fingerprint) simply never counts —
 it keeps serving its last healthy epoch and is visible in ``stats()``.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from pathlib import Path
 from typing import Any, Dict, Optional, Union
@@ -82,10 +83,12 @@ class EpochCoordinator:
         malformed = 0
         for report in reports.values():
             ts = report.get("ts")
-            if (
-                isinstance(ts, (int, float))
-                and now - ts > self._stale_after_s
-            ):
+            if not _is_finite_number(ts):
+                # Without a usable ts a report can never go stale, so
+                # it would vote forever; it is malformed, not live.
+                malformed += 1
+                continue
+            if now - ts > self._stale_after_s:
                 continue  # process is gone; its old report must not vote
             live_followers += 1
             if not report.get("healthy", False) or report.get("divergent"):
@@ -132,6 +135,10 @@ class EpochCoordinator:
         if self._last_decision is not None:
             out["last_decision"] = self._last_decision
         return out
+
+
+def _is_finite_number(value: Any) -> bool:
+    return isinstance(value, (int, float)) and math.isfinite(value)
 
 
 def _reported_fingerprints(report: Dict[str, Any]) -> Optional[Dict[int, Any]]:

@@ -1,26 +1,27 @@
 """On-disk replication feed shared by primary, followers, coordinator.
 
 The feed is a plain directory — the only coordination primitive in the
-replication subsystem. Everything in it is written atomically
-(tmp + rename via :func:`repro._util.atomic_write_json` /
-``atomic_write_bytes``), so readers polling at any moment see either
-the previous or the next complete version of a file, never a torn one.
+replication subsystem. Every file in it is written atomically
+(tmp + rename via :func:`repro._util.atomic_write_json`), and every
+generation directory is written under a ``.tmp`` name and renamed into
+place before the index names it, so readers polling at any moment see
+either the previous or the next complete version, never a torn one.
 That makes the feed safe to serve over NFS, rsync, or object-store
 sync without any locking.
 
 Layout::
 
-    FEED.json               manifest: nonce, refit knobs
-    base/                   full base snapshot incl. its click window
-    segments/wal-*.jsonl    verbatim copies of closed primary WAL segments
-    SEGMENTS.json           segment index: name, sha256, seq range
+    FEED.json               manifest: format, nonce
+    generations/gen-NNNNN/  one generation's serving files (save_serving);
+                            gen-00000 is the snapshot the primary booted from
     GENERATIONS.json        generation index: seq boundary, fingerprint
     followers/<id>.json     per-follower status reports
     EPOCH.json              coordinator's swap broadcast
 
-Every file has a reader: followers read the manifest, ``base/``, the
-segments, both indexes and ``EPOCH.json``; the coordinator reads the
-generation index, the follower reports and its own ``EPOCH.json``.
+Every file has a reader: followers read the manifest, the generation
+index, the generation directories and ``EPOCH.json``; the coordinator
+reads the generation index, the follower reports and its own
+``EPOCH.json``.
 
 ``FEED.json`` carries a random *nonce* minted when the feed is
 initialised; shippers and followers remember it and refuse to operate
@@ -38,14 +39,12 @@ from typing import Any, Dict, List, Optional, Union
 
 from repro._util import atomic_write_json
 
-FEED_FORMAT = "repro-replication-feed-v1"
+FEED_FORMAT = "repro-replication-feed-v2"
 
 MANIFEST_NAME = "FEED.json"
-SEGMENT_INDEX_NAME = "SEGMENTS.json"
 GENERATION_INDEX_NAME = "GENERATIONS.json"
 EPOCH_NAME = "EPOCH.json"
-BASE_DIR_NAME = "base"
-SEGMENTS_DIR_NAME = "segments"
+GENERATIONS_DIR_NAME = "generations"
 FOLLOWERS_DIR_NAME = "followers"
 
 
@@ -66,12 +65,11 @@ class Feed:
         return self.directory / MANIFEST_NAME
 
     @property
-    def base_dir(self) -> Path:
-        return self.directory / BASE_DIR_NAME
+    def generations_dir(self) -> Path:
+        return self.directory / GENERATIONS_DIR_NAME
 
-    @property
-    def segments_dir(self) -> Path:
-        return self.directory / SEGMENTS_DIR_NAME
+    def generation_dir(self, number: int) -> Path:
+        return self.generations_dir / f"gen-{number:05d}"
 
     @property
     def followers_dir(self) -> Path:
@@ -83,21 +81,16 @@ class Feed:
 
     # -- manifest ------------------------------------------------------
 
-    def initialise(self, manifest: Dict[str, Any]) -> Dict[str, Any]:
+    def initialise(self) -> Dict[str, Any]:
         """Create the feed skeleton and write the manifest.
 
-        ``manifest`` holds the replication parameters a follower needs
-        to rebuild deterministically (``retrain_every``,
-        ``max_day_skew``); the rest of its starting state is ``base/``.
         A fresh nonce is minted; the caller should persist the returned
         manifest's nonce and verify it on every subsequent touch.
         """
         self.directory.mkdir(parents=True, exist_ok=True)
-        for sub in (self.base_dir, self.segments_dir, self.followers_dir):
+        for sub in (self.generations_dir, self.followers_dir):
             sub.mkdir(exist_ok=True)
-        payload = dict(manifest)
-        payload["format"] = FEED_FORMAT
-        payload["nonce"] = secrets.token_hex(8)
+        payload = {"format": FEED_FORMAT, "nonce": secrets.token_hex(8)}
         atomic_write_json(self.manifest_path, payload)
         return payload
 
@@ -125,14 +118,6 @@ class Feed:
             )
 
     # -- indexes -------------------------------------------------------
-
-    def read_segment_index(self) -> List[Dict[str, Any]]:
-        return _read_index(self.directory / SEGMENT_INDEX_NAME, "segments")
-
-    def write_segment_index(self, entries: List[Dict[str, Any]]) -> None:
-        atomic_write_json(
-            self.directory / SEGMENT_INDEX_NAME, {"segments": entries}
-        )
 
     def read_generation_index(self) -> List[Dict[str, Any]]:
         return _read_index(

@@ -1,40 +1,36 @@
-"""Follower: rebuild generations from a shipped feed, swap on epoch.
+"""Follower: load the primary's generations from a feed, swap on epoch.
 
-A follower owns no ingest path. Its inputs are exactly what the
-:class:`~repro.replication.shipper.SegmentShipper` published:
+A follower owns no ingest path and folds no events. Its inputs are
+exactly what the :class:`~repro.replication.shipper.GenerationShipper`
+published: each generation's serving files under
+``generations/gen-NNNNN/`` and their index, ``GENERATIONS.json``.
 
-* the **base snapshot** (``base/``) — byte-identical model weights and
-  click window (``window.npz``) the primary booted from, so
-  :class:`IncrementalShoal.from_model` plus the loaded window start
-  both processes in the same state (same embeddings, same
-  fits-since-retrain counter, same window), and the probe queries and
-  category map come from the same files;
-* the **feed manifest** — the primary's ``retrain_every`` and
-  ``max_day_skew``, so every knob that shapes a refit matches;
-* the **closed WAL segments** — the replication truth. The follower
-  replays them through the *same* :class:`StreamingUpdater` machinery
-  the primary runs, via a :class:`_FeedPipe` adapter that cuts batches
-  at the exact ``applied_seq`` boundaries recorded per generation in
-  ``GENERATIONS.json``. Same events, same order, same batch cuts, same
-  poison-skip rules ⇒ byte-identical generation snapshots (the
-  hypothesis suite pins this).
+* **Generation 0** is the snapshot the primary booted from. The
+  follower verifies it and serves it as soon as :meth:`bootstrap`
+  returns; probe queries come from its taxonomy, as on the primary.
+* **Every later generation** is verified as soon as it is indexed: the
+  follower recomputes the directory's
+  :func:`~repro.store.persistence.snapshot_fingerprint` and compares it
+  with the index entry. A mismatch is a checksum refusal — the follower
+  marks itself divergent, never reports that fingerprint, and never
+  serves that generation.
 
 A follower is a **whole-model replica**: it serves one
 :class:`~repro.api.backends.ServiceBackend` over the full model, never
 a sharded tier, so horizontal scale is more followers, not more shards.
 
-Built generations are **staged**, not served: the follower's
-:class:`GenerationSwitch` only swaps when the coordinator broadcasts an
-epoch naming a generation + fingerprint. A follower whose own build
-disagrees with the broadcast fingerprint refuses the swap and reports
-itself divergent; a follower whose post-swap health probes fail rolls
-back to what it was serving and reports unhealthy. Readers on that
-follower never see a torn or wrong model either way.
+Verified generations are **not served** until the coordinator
+broadcasts an epoch naming a generation + fingerprint; only then does
+the follower :func:`~repro.store.persistence.load_serving` the named
+generation and swap it in through its :class:`GenerationSwitch`. A
+broadcast whose fingerprint disagrees with the verified one is refused
+and marks the follower divergent; a follower whose post-swap health
+probes fail rolls back to what it was serving and reports unhealthy.
+Readers on that follower never see a torn or wrong model either way.
 """
 
 from __future__ import annotations
 
-import hashlib
 import secrets
 import threading
 import time
@@ -51,138 +47,45 @@ from repro.api.contract import (
     SearchRequest,
     SearchResponse,
 )
-from repro.core.incremental import IncrementalShoal
 from repro.core.serving import ShoalService
 from repro.obs.tracer import traced
 from repro.replication.feed import Feed, FeedError
-from repro.store.persistence import (
-    load_entity_categories,
-    load_model,
-    load_window,
-    snapshot_fingerprint,
-)
+from repro.store.persistence import load_serving, snapshot_fingerprint
 from repro.streaming.rollout import (
     Generation,
     GenerationSwitch,
     SwapError,
     probe_queries,
 )
-from repro.streaming.updater import StreamingUpdater
-from repro.streaming.wal import IngestEvent, WalCorruption, WriteAheadLog
 
-#: How many built generations a follower keeps staged (and reports
+#: How many verified generations a follower remembers (and reports
 #: fingerprints for). The coordinator only ever compares recent ones.
-STAGE_DEPTH = 16
-
-
-class _WalView:
-    """What :class:`StreamingUpdater` needs ``pipe.wal`` to be.
-
-    The follower has no write-ahead log of its own — the *feed* is its
-    log. Replay is empty (recovery is re-tailing the feed), compaction
-    is a no-op (the primary owns segment lifecycle), and the directory
-    just gives the updater somewhere to drop its progress checkpoint.
-    """
-
-    def __init__(self, directory: Path):
-        self.directory = directory
-
-    def replay(self, after_seq: int = 0):
-        return iter(())
-
-    def compact(self, retain_from_day: int) -> int:
-        return 0
-
-    def sync(self) -> None:
-        pass
-
-
-class _FeedPipe:
-    """Batch source that replays shipped segments at primary boundaries.
-
-    ``take_batch`` ignores size/age knobs: a batch is exactly the
-    events ``(previous boundary, next generation's applied_seq]`` from
-    ``GENERATIONS.json``, and is only released once shipped segments
-    fully cover it. That makes the follower's updater produce the same
-    generation sequence as the primary's — the determinism on which
-    fingerprint quorum rests.
-    """
-
-    def __init__(self, workdir: Path):
-        self.wal = _WalView(workdir)
-        self._events: List[IngestEvent] = []  # buffered, seq-ascending
-        self._targets: List[Dict[str, Any]] = []
-        self._next_target = 0
-        self._consumed_seq = 0
-        self._loaded_seq = 0
-        self._lock = threading.Lock()
-
-    def extend_events(self, events: List[IngestEvent], max_seq: int) -> None:
-        with self._lock:
-            self._events.extend(events)
-            self._loaded_seq = max(self._loaded_seq, max_seq)
-
-    def set_targets(self, targets: List[Dict[str, Any]]) -> None:
-        with self._lock:
-            self._targets = targets
-
-    def pending_target(self) -> Optional[Dict[str, Any]]:
-        with self._lock:
-            if self._next_target < len(self._targets):
-                return self._targets[self._next_target]
-            return None
-
-    def take_batch(
-        self,
-        *,
-        max_events: int = 256,
-        max_age_s: float = 0.5,
-        timeout_s: float = 1.0,
-    ) -> List[IngestEvent]:
-        del max_events, max_age_s, timeout_s  # boundary-cut, not size-cut
-        with self._lock:
-            if self._next_target >= len(self._targets):
-                return []
-            boundary = int(self._targets[self._next_target]["applied_seq"])
-            if self._loaded_seq < boundary:
-                return []  # segments not fully shipped yet — wait
-            batch = [
-                e
-                for e in self._events
-                if self._consumed_seq < e.seq <= boundary
-            ]
-            self._events = [e for e in self._events if e.seq > boundary]
-            self._consumed_seq = boundary
-            self._next_target += 1
-            return batch
+VERIFIED_DEPTH = 16
 
 
 class Follower:
-    """Tail a replication feed, rebuild generations, swap on epoch."""
+    """Tail a replication feed, verify generations, load + swap on epoch."""
 
     def __init__(
         self,
         feed_dir: Union[str, Path],
-        workdir: Union[str, Path],
         *,
         follower_id: Optional[str] = None,
         poll_interval_s: float = 0.2,
     ):
         self._feed = Feed(feed_dir)
-        self._workdir = Path(workdir)
-        self._workdir.mkdir(parents=True, exist_ok=True)
         self.follower_id = follower_id or f"follower-{secrets.token_hex(4)}"
         self._poll_interval_s = poll_interval_s
 
         self._nonce: Optional[str] = None
-        self._pipe: Optional[_FeedPipe] = None
-        self._updater: Optional[StreamingUpdater] = None
         self._switch: Optional[GenerationSwitch] = None
         self._inner: Optional[ServiceBackend] = None
         self._backend: Optional["FollowerBackend"] = None
 
-        self._staged: "OrderedDict[int, Generation]" = OrderedDict()
-        self._fingerprints: "OrderedDict[int, str]" = OrderedDict()
+        #: Verified index entries, oldest first, keyed by number.
+        self._verified: "OrderedDict[int, Dict[str, Any]]" = OrderedDict()
+        self._indexed = 0  # index entries checked, verified or refused
+        self._feed_boundary_seq = 0  # newest indexed generation's seq
         self._epoch = 0
         self._serving_generation = 0
         self._healthy = True
@@ -191,12 +94,6 @@ class Follower:
         self._epoch_swaps = 0
         self._last_error: Optional[str] = None
 
-        self._loaded_segments: Dict[str, str] = {}  # name -> sha256
-        self._feed_segment_count = 0
-        self._feed_generation_count = 0
-        self._feed_max_seq = 0
-        self._feed_boundary_seq = 0  # last published generation's seq
-
         self._lock = threading.RLock()
         self._thread: Optional[threading.Thread] = None
         self._stop = threading.Event()
@@ -204,110 +101,77 @@ class Follower:
     # -- bootstrap -----------------------------------------------------
 
     def bootstrap(self) -> "FollowerBackend":
-        """Load the base snapshot and its click window, and stand up the
-        serving tier + updater. Serves the base model immediately
-        (epoch 0); generations arrive as the feed is tailed."""
-        manifest = self._feed.read_manifest()
-        self._nonce = manifest["nonce"]
-        base = self._feed.base_dir
-        try:
-            window = load_window(base)
-        except FileNotFoundError as exc:
-            raise FeedError(f"cannot bootstrap from the feed: {exc}") from None
-        # The maintainer refits from the whole model; readers get its view.
-        model = load_model(base)
-        cats = load_entity_categories(base) or {}
-        inc = IncrementalShoal.from_model(
-            model,
-            entity_categories=cats,
-            retrain_every=int(manifest.get("retrain_every", 7)),
-        )
-        baseline = Generation(
-            number=0,
-            serving=model.serving(cats),
-            last_day=window.last_day or 0,
-        )
+        """Verify and load generation 0, and stand up the serving tier.
+        Serves it immediately (epoch 0); later generations arrive as
+        the feed is tailed."""
+        self._nonce = self._feed.read_manifest()["nonce"]
+        index = self._feed.read_generation_index()
+        if not index or int(index[0]["number"]) != 0:
+            raise FeedError(
+                f"feed {self._feed.directory} has not published "
+                "generation 0 yet"
+            )
+        if not self._verify(index[0]):
+            raise FeedError(f"cannot bootstrap: {self._last_error}")
+        baseline = self._load(index[0])
         self._inner = ServiceBackend(ShoalService(baseline.serving))
         self._switch = GenerationSwitch(
-            probe_queries=probe_queries(model.taxonomy), baseline=baseline
+            probe_queries=probe_queries(baseline.serving.taxonomy),
+            baseline=baseline,
         ).attach(self._inner)
-
-        self._pipe = _FeedPipe(self._workdir)
-        self._updater = StreamingUpdater(
-            inc,
-            self._pipe,  # type: ignore[arg-type] - duck-typed pipe
-            switch=None,  # staged: swaps happen on epoch broadcast only
-            window=window,
-            generations_dir=self._workdir / "generations",
-            min_batch_events=1,
-            max_day_skew=int(manifest.get("max_day_skew", 2)),
-            on_generation=self._stage_generation,
-        )
         self._backend = FollowerBackend(self, self._inner)
         return self._backend
 
     # -- feed tailing --------------------------------------------------
 
-    def _sync_feed(self) -> None:
-        assert self._pipe is not None and self._nonce is not None
+    def _sync_feed(self) -> int:
+        """Verify every generation indexed since the last sync; returns
+        how many passed."""
+        assert self._nonce is not None
         self._feed.check_nonce(self._nonce)
-        segment_index = self._feed.read_segment_index()
-        self._feed_segment_count = len(segment_index)
-        for entry in segment_index:
-            name = entry["name"]
-            if name in self._loaded_segments:
-                continue
-            raw = (self._feed.segments_dir / name).read_bytes()
-            digest = hashlib.sha256(raw).hexdigest()
-            if digest != entry["sha256"]:
-                raise FeedError(
-                    f"shipped segment {name} checksum mismatch "
-                    f"({digest[:12]} != {entry['sha256'][:12]})"
-                )
-            events: List[IngestEvent] = []
-            for line in raw.splitlines():
-                if not line:
-                    continue
-                try:
-                    events.append(WriteAheadLog._decode_line(line))
-                except WalCorruption as exc:
-                    raise FeedError(
-                        f"corrupt record in shipped segment {name}: {exc}"
-                    ) from exc
-            self._pipe.extend_events(events, int(entry["max_seq"]))
-            self._loaded_segments[name] = digest
-            self._feed_max_seq = max(
-                self._feed_max_seq, int(entry["max_seq"])
-            )
-        generation_index = self._feed.read_generation_index()
-        self._feed_generation_count = len(generation_index)
-        self._feed_boundary_seq = max(
-            (int(e["applied_seq"]) for e in generation_index), default=0
-        )
-        self._pipe.set_targets(generation_index)
-
-    def _stage_generation(self, generation: Generation) -> None:
-        """``on_generation`` hook: fingerprint + stage, never serve."""
-        if generation.snapshot_dir is None:
-            raise FeedError("follower updater ran without generations_dir")
-        fingerprint = snapshot_fingerprint(generation.snapshot_dir)
+        index = self._feed.read_generation_index()
         with self._lock:
-            self._staged[generation.number] = generation
-            self._fingerprints[generation.number] = fingerprint
-            while len(self._staged) > STAGE_DEPTH:
-                self._staged.popitem(last=False)
-            while len(self._fingerprints) > STAGE_DEPTH:
-                self._fingerprints.popitem(last=False)
-            for entry in self._feed.read_generation_index():
-                if int(entry["number"]) == generation.number:
-                    if entry["fingerprint"] != fingerprint:
-                        self._divergent = True
-                        self._last_error = (
-                            f"generation {generation.number} rebuilt with "
-                            f"fingerprint {fingerprint[:12]} but primary "
-                            f"shipped {entry['fingerprint'][:12]}"
-                        )
-                    break
+            self._feed_boundary_seq = max(
+                (int(e["applied_seq"]) for e in index), default=0
+            )
+        return sum(self._verify(entry) for entry in index[self._indexed:])
+
+    def _verify(self, entry: Dict[str, Any]) -> bool:
+        """Check one indexed generation's files against its fingerprint."""
+        number = int(entry["number"])
+        try:
+            fingerprint = snapshot_fingerprint(
+                self._feed.generation_dir(number)
+            )
+        except OSError as exc:
+            fingerprint = f"unreadable ({exc})"
+        with self._lock:
+            self._indexed += 1
+            if fingerprint != entry["fingerprint"]:
+                self._divergent = True
+                self._last_error = (
+                    f"generation {number} checksum mismatch: files "
+                    f"{fingerprint} != indexed {entry['fingerprint']}; "
+                    "refusing to serve it"
+                )
+                return False
+            self._verified[number] = entry
+            while len(self._verified) > VERIFIED_DEPTH:
+                self._verified.popitem(last=False)
+            return True
+
+    def _load(self, entry: Dict[str, Any]) -> Generation:
+        number = int(entry["number"])
+        with traced(
+            "follower.load",
+            tags={"follower": self.follower_id, "generation": str(number)},
+        ):
+            return Generation(
+                number=number,
+                serving=load_serving(self._feed.generation_dir(number)),
+                applied_seq=int(entry["applied_seq"]),
+                last_day=int(entry["last_day"]),
+            )
 
     # -- epoch handling ------------------------------------------------
 
@@ -320,21 +184,21 @@ class Follower:
         with self._lock:
             if number <= self._epoch:
                 return False
-            generation = self._staged.get(target)
-            if generation is None:
-                return False  # not built yet — retry next poll
-            fingerprint = self._fingerprints.get(target)
-            if fingerprint != epoch.get("fingerprint"):
+            entry = self._verified.get(target)
+            if entry is None:
+                return False  # not indexed yet (or refused) — retry next poll
+            if entry["fingerprint"] != epoch.get("fingerprint"):
                 self._divergent = True
                 self._last_error = (
-                    f"refusing epoch {number}: local generation {target} "
-                    f"fingerprint {str(fingerprint)[:12]} != broadcast "
-                    f"{str(epoch.get('fingerprint'))[:12]}"
+                    f"refusing epoch {number}: verified generation {target} "
+                    f"fingerprint {str(entry['fingerprint'])[:12]} != "
+                    f"broadcast {str(epoch.get('fingerprint'))[:12]}"
                 )
                 return False
             switch = self._switch
         assert switch is not None
         try:
+            generation = self._load(entry)
             with traced(
                 "follower.swap",
                 tags={
@@ -344,10 +208,11 @@ class Follower:
                 },
             ):
                 switch.swap(generation)
-        except SwapError as exc:
-            # The switch already rolled the tier back to what it was
-            # serving; record the epoch as seen so one bad broadcast
-            # cannot wedge the follower in a swap loop.
+        except (SwapError, OSError, ValueError, KeyError) as exc:
+            # A failed load never touched the tier, and a failed swap
+            # was already rolled back to what it was serving; record the
+            # epoch as seen so one bad broadcast cannot wedge the
+            # follower in a swap loop.
             with self._lock:
                 self._swap_failures += 1
                 self._healthy = False
@@ -364,47 +229,24 @@ class Follower:
     # -- reporting -----------------------------------------------------
 
     def _publish_report(self) -> None:
-        assert self._updater is not None and self._pipe is not None
         with self._lock:
-            report = {
-                "follower_id": self.follower_id,
-                "applied_seq": self._updater.applied_seq,
-                "built_generation": self._updater.current_generation,
-                "serving_generation": self._serving_generation,
-                "epoch": self._epoch,
-                "healthy": self._healthy,
-                "divergent": self._divergent,
-                "swap_failures": self._swap_failures,
-                "fingerprints": {
-                    str(n): fp for n, fp in self._fingerprints.items()
-                },
-                "ts": time.time(),
+            report = self.stats()
+            report["fingerprints"] = {
+                str(n): e["fingerprint"] for n, e in self._verified.items()
             }
+        report["ts"] = time.time()
         self._feed.write_follower_report(self.follower_id, report)
 
     # -- drive ---------------------------------------------------------
 
-    def run_once(self, timeout_s: float = 0.0) -> Dict[str, Any]:
-        """One replication cycle: tail feed, build, maybe swap, report."""
-        if self._updater is None:
+    def run_once(self) -> Dict[str, Any]:
+        """One replication cycle: verify new generations, maybe swap,
+        report."""
+        if self._switch is None:
             raise RuntimeError("bootstrap() the follower before running it")
-        built = 0
+        verified = 0
         try:
-            self._sync_feed()
-            # Build every boundary the feed already covers, not one per
-            # poll: catch-up after a cold start must not be rate-limited
-            # by the poll interval.
-            while True:
-                with traced(
-                    "follower.replay",
-                    tags={"follower": self.follower_id},
-                ) as span:
-                    generation = self._updater.run_once(timeout_s=timeout_s)
-                    if generation is not None:
-                        span.tag("generation", str(generation.number))
-                if generation is None:
-                    break
-                built += 1
+            verified = self._sync_feed()
             swapped = self._apply_epoch()
         except FeedError as exc:
             with self._lock:
@@ -412,26 +254,25 @@ class Follower:
                 self._last_error = str(exc)
             swapped = False
         self._publish_report()
-        return {"built": built, "swapped": swapped}
+        return {"verified": verified, "swapped": swapped}
 
     def catch_up(self, timeout_s: float = 60.0) -> int:
         """Drive cycles until the feed is fully consumed (or timeout).
 
-        Returns the number of generations built. "Fully consumed" means
-        every generation in ``GENERATIONS.json`` is built and any
-        pending epoch broadcast has been applied."""
+        Returns the number of generations verified. "Fully consumed"
+        means every generation in ``GENERATIONS.json`` is checked and
+        any pending epoch broadcast has been applied."""
         deadline = time.monotonic() + timeout_s
-        built = 0
+        verified = 0
         while time.monotonic() < deadline:
             out = self.run_once()
-            built += out["built"]
-            assert self._pipe is not None
-            if self._pipe.pending_target() is None and not out["swapped"]:
+            verified += out["verified"]
+            if not out["swapped"]:
                 epoch = self._feed.read_epoch()
                 if epoch is None or int(epoch["epoch"]) <= self._epoch:
                     break
             time.sleep(0.01)
-        return built
+        return verified
 
     def start(self) -> "Follower":
         if self._thread is not None:
@@ -444,8 +285,8 @@ class Follower:
                     out = self.run_once()
                 except Exception as exc:  # noqa: BLE001 - keep serving
                     self._last_error = f"{type(exc).__name__}: {exc}"
-                    out = {"built": 0, "swapped": False}
-                if not out["built"] and not out["swapped"]:
+                    out = {"verified": 0, "swapped": False}
+                if not out["verified"] and not out["swapped"]:
                     self._stop.wait(self._poll_interval_s)
 
         self._thread = threading.Thread(
@@ -482,38 +323,26 @@ class Follower:
 
     def fingerprint_of(self, number: int) -> Optional[str]:
         with self._lock:
-            return self._fingerprints.get(number)
+            entry = self._verified.get(number)
+            return None if entry is None else entry["fingerprint"]
 
     def stats(self) -> Dict[str, Any]:
-        applied = (
-            self._updater.applied_seq if self._updater is not None else 0
-        )
-        built = (
-            self._updater.current_generation
-            if self._updater is not None
-            else 0
-        )
         with self._lock:
+            newest = next(reversed(self._verified.values()), None)
+            applied = 0 if newest is None else int(newest["applied_seq"])
             return {
                 "role": "follower",
                 "follower_id": self.follower_id,
                 "feed_dir": str(self._feed.directory),
                 "epoch": self._epoch,
                 "serving_generation": self._serving_generation,
-                "built_generation": built,
+                "verified_generation": (
+                    0 if newest is None else int(newest["number"])
+                ),
                 "applied_seq": applied,
-                "feed_seq": self._feed_max_seq,
-                # Lag against the *published* frontier: segments shipped
-                # past the last generation boundary are not applicable
-                # yet (the primary itself has not cut them into a
-                # generation), so they are not "behind".
+                # Lag of the newest verified generation behind the
+                # newest indexed one: a refused generation stays behind.
                 "seqs_behind": max(0, self._feed_boundary_seq - applied),
-                "segments_behind": max(
-                    0, self._feed_segment_count - len(self._loaded_segments)
-                ),
-                "generations_behind": max(
-                    0, self._feed_generation_count - built
-                ),
                 "epoch_swaps": self._epoch_swaps,
                 "swap_failures": self._swap_failures,
                 "healthy": self._healthy,

@@ -142,9 +142,8 @@ class StreamingUpdater:
         self._drift_gate = drift_gate
 
         #: Optional callable(Generation) invoked after every advanced
-        #: generation, before WAL compaction — so a subscriber (e.g. a
-        #: replication SegmentShipper) still finds the segments that
-        #: produced the generation on disk. Exceptions are contained.
+        #: generation (e.g. a replication GenerationShipper's publish).
+        #: Exceptions are contained.
         self._on_generation = on_generation
 
         self._applied_seq = 0
@@ -340,8 +339,6 @@ class StreamingUpdater:
             },
         )
         if self._on_generation is not None:
-            # Must run before compaction: a shipper subscriber copies
-            # the closed segments that produced this generation.
             try:
                 self._on_generation(generation)
             except Exception as exc:  # noqa: BLE001 - subscriber is advisory

@@ -154,14 +154,11 @@ def _segment_name(number: int) -> str:
 class _SegmentMeta:
     path: Path
     n_events: int = 0
-    min_seq: Optional[int] = None
     max_seq: Optional[int] = None
     max_day: Optional[int] = None
 
     def observe(self, event: IngestEvent) -> None:
         self.n_events += 1
-        if self.min_seq is None:
-            self.min_seq = event.seq
         self.max_seq = event.seq
         self.max_day = (
             event.day
@@ -417,11 +414,9 @@ class WriteAheadLog:
         """Close the active segment and open the next (caller holds lock).
 
         The directory entry is fsynced after the close so a crash right
-        after the roll cannot leave a shipper observing a closed
-        segment whose name is not yet durable in the directory — a
-        closed segment is a *published* artifact (segment shipping
-        copies it to followers), so its link must be as durable as its
-        bytes.
+        after the roll cannot leave a closed segment whose name is not
+        yet durable in the directory: its link must be as durable as
+        its bytes.
         """
         self._handle.flush()
         if self._fsync != "never":
@@ -446,26 +441,6 @@ class WriteAheadLog:
             pass  # directory fsync unsupported on this filesystem
         finally:
             os.close(dir_fd)
-
-    def roll(self) -> Optional[Path]:
-        """Publicly close the active segment so it becomes shippable.
-
-        The segment shipper calls this when a freshly produced
-        generation's boundary sequence still sits in the active
-        segment: rolling makes every event the generation covers part
-        of a *closed* (immutable, shippable) segment, which bounds the
-        follower publish lag deterministically. A roll of an empty
-        active segment is a no-op (returns None) so repeated calls
-        cannot litter the log with empty files.
-        """
-        with self._lock:
-            if self._closed:
-                raise ValueError("write-ahead log is closed")
-            if self._segments[-1].n_events == 0:
-                return None
-            closed = self._segments[-1].path
-            self._roll_segment()
-            return closed
 
     def sync(self) -> None:
         """Flush + fsync the active segment (the "batch" policy hook)."""
@@ -506,27 +481,6 @@ class WriteAheadLog:
     def segments(self) -> List[Path]:
         with self._lock:
             return [m.path for m in self._segments]
-
-    def closed_segments(self) -> List[Dict[str, Any]]:
-        """Every closed (immutable) segment, oldest first.
-
-        Each entry carries the metadata a shipper needs to publish the
-        segment without re-reading it under the log's lock: ``path``,
-        ``n_events``, ``min_seq``, ``max_seq``, ``max_day``. The active
-        segment is never included — it is still being appended to, so
-        copying it would ship a torn suffix.
-        """
-        with self._lock:
-            return [
-                {
-                    "path": m.path,
-                    "n_events": m.n_events,
-                    "min_seq": m.min_seq,
-                    "max_seq": m.max_seq,
-                    "max_day": m.max_day,
-                }
-                for m in self._segments[:-1]
-            ]
 
     # -- compaction ----------------------------------------------------------
 

@@ -73,6 +73,14 @@ read once per session however many rows scan it. The rows:
   ``CacheMiddleware.holds``, the edge's ``_cached``) and its executor
   read branch's ``_silence`` in ``src/repro/api``: search, recommend
   and batch run the gateway chain on the event loop, hit or miss.
+* ``segment-replay`` — WAL segment shipping and the follower's replay
+  of it (``_FeedPipe``, ``_WalView``, ``SegmentShipper``,
+  ``SEGMENTS.json``, ``closed_segments``, ``.roll(``, ``--workdir``):
+  the feed ships each generation's serving files and a follower loads
+  them.
+* ``follower-folds`` — any import of ``repro.core.incremental`` or
+  ``repro.streaming.updater`` under ``src/repro/replication/``: only
+  the primary folds events.
 """
 
 from __future__ import annotations
@@ -261,6 +269,25 @@ REMOVED_READ_HOP = re.compile(
     r"\._?cached\(|\bdef holds\b|\.holds\(|\b_silence\b"
 )
 
+#: WAL segment shipping and segment replay — all removed: a follower
+#: loads the serving files the primary wrote.
+REMOVED_SEGMENT_REPLAY = re.compile(
+    r"\b(_FeedPipe|_WalView|SegmentShipper|closed_segments)\b|"
+    r"SEGMENTS\.json|\.roll\(|--workdir\b"
+)
+
+#: An import that would let the replication package fold events: the
+#: maintainer's or the updater's module, directly, by name, or through
+#: a package (also inside a parenthesised import list).
+FOLLOWER_FOLDS = re.compile(
+    r"^[ \t]*(?:from|import)[ \t]+"
+    r"repro\.(?:core\.incremental|streaming\.updater)\b|"
+    r"^[ \t]*from[ \t]+repro(?:\.core|\.streaming)?[ \t]+import[ \t]+"
+    r"(?:\([^()]*|[^\n]*)"
+    r"\b(?:incremental|updater|IncrementalShoal|StreamingUpdater)\b",
+    re.MULTILINE,
+)
+
 #: What a scanned directory contributes (a listed file is always read).
 TEXT_SUFFIXES = (".py", ".yml", ".yaml", ".md")
 
@@ -333,8 +360,8 @@ REMOVALS = (
         "write-only-durable-formats", REMOVED_WRITE_ONLY_FORMATS,
         tuple(SHARDED_WRITE_SIDE_SCAN_PATHS),
         "reference to a removed write-only durable format (the feed ships "
-        "segments and a generation index, and a maintainer restarts via "
-        "IncrementalShoal.from_model plus a WAL replay)",
+        "generation serving files and their index, and a maintainer "
+        "restarts via IncrementalShoal.from_model plus a WAL replay)",
     ),
     Removal(
         "second-bm25-scorer", REMOVED_SECOND_SCORER,
@@ -375,6 +402,19 @@ REMOVALS = (
         "reference to the removed cache peek or executor read branch "
         "(search, recommend and batch run the gateway chain on the edge's "
         "loop; only analytics, GETs and the ingest flush take a worker)",
+        suffixes=(".py",),
+    ),
+    Removal(
+        "segment-replay", REMOVED_SEGMENT_REPLAY,
+        tuple(SHARDED_WRITE_SIDE_SCAN_PATHS),
+        "reference to the removed WAL segment shipping or segment replay "
+        "(the feed ships each generation's serving files; a follower "
+        "verifies their fingerprint and loads them)",
+    ),
+    Removal(
+        "follower-folds", FOLLOWER_FOLDS, ("src/repro/replication",),
+        "the replication package imports the maintainer or the updater "
+        "(only the primary folds events; followers load its generations)",
         suffixes=(".py",),
     ),
 )
@@ -735,6 +775,44 @@ def test_the_guard_itself_still_bites():
         "self._stats.deadline_expired += 1",
     ):
         assert not REMOVED_READ_HOP.search(snippet), snippet
+    for snippet in (
+        "class _FeedPipe:",
+        "self.wal = _WalView(workdir)",
+        "from repro.replication import SegmentShipper",
+        "    SEGMENTS.json           segment index: name, sha256",
+        "for meta in self._wal.closed_segments():",
+        "self._wal.roll()",
+        "serve-follower --feed /tmp/feed --workdir /tmp/work",
+    ):
+        assert REMOVED_SEGMENT_REPLAY.search(snippet), snippet
+    for snippet in (
+        "from repro.replication import GenerationShipper",
+        "    GENERATIONS.json        generation index",
+        "self._roll_segment()",
+        "def _roll_segment(self) -> None:",
+        "angles = np.rollaxis(grid, 1)",
+        'self.log_path = workdir / "server.log"',
+        "a failed swap was already rolled back",
+    ):
+        assert not REMOVED_SEGMENT_REPLAY.search(snippet), snippet
+    for snippet in (
+        "from repro.core.incremental import IncrementalShoal",
+        "import repro.streaming.updater as updater",
+        "    from repro.streaming.updater import StreamingUpdater",
+        "from repro.streaming import (\n    Generation,\n"
+        "    StreamingUpdater,\n)",
+        "from repro.core import incremental",
+        "from repro import IncrementalShoal, ShoalService",
+    ):
+        assert FOLLOWER_FOLDS.search(snippet), snippet
+    for snippet in (
+        "from repro.streaming.rollout import Generation, GenerationSwitch",
+        ":class:`~repro.streaming.updater.StreamingUpdater` via its",
+        "from repro.streaming import Generation",
+        "from repro.store.persistence import load_serving",
+        "the primary's updater folds; an IncrementalShoal never runs here",
+    ):
+        assert not FOLLOWER_FOLDS.search(snippet), snippet
     assert [r.pattern for r in REMOVALS] == [
         FORBIDDEN,
         LEGACY_CALLS,
@@ -751,4 +829,6 @@ def test_the_guard_itself_still_bites():
         FULL_MODEL_ON_READ_PATH,
         SERVICE_MODEL_ACCESSOR,
         REMOVED_READ_HOP,
+        REMOVED_SEGMENT_REPLAY,
+        FOLLOWER_FOLDS,
     ]

@@ -1,11 +1,11 @@
 """Shared fixtures for the replication suite.
 
 One session-scoped "shipped world" — a primary that streamed two
-micro-batches through the WAL, published segments + a generation index
-into a feed
-— is built once; tests that mutate feed state (follower reports, epoch
-broadcasts) work on per-test copies of that feed so they cannot bleed
-into each other.
+micro-batches through the WAL and published each generation's serving
+files + a generation index into a feed — is built once; tests that
+mutate feed state (follower reports, epoch broadcasts, corrupted files)
+work on per-test copies of that feed so they cannot bleed into each
+other.
 """
 
 from __future__ import annotations
@@ -19,13 +19,18 @@ from repro.core.config import ShoalConfig
 from repro.core.incremental import IncrementalShoal
 from repro.data.marketplace import PROFILES, generate_marketplace
 from repro.data.queries import QueryLogConfig
-from repro.replication import SegmentShipper
+from repro.replication import GenerationShipper
 from repro.store.persistence import (
     load_entity_categories,
     load_model,
     load_window,
 )
-from repro.streaming import IngestPipe, StreamingUpdater, WriteAheadLog
+from repro.streaming import (
+    Generation,
+    IngestPipe,
+    StreamingUpdater,
+    WriteAheadLog,
+)
 
 BASE_LAST_DAY = 6  # the 7-day base window is days 0..6
 MIN_BATCH = 10
@@ -75,35 +80,29 @@ def repl_base_snapshot(tmp_path_factory, repl_market):
     return target
 
 
-#: The replication manifest a ``--ship-feed`` primary writes: the refit
-#: knobs (everything else a follower starts from is the feed's base/).
-FEED_MANIFEST = {"retrain_every": 100, "max_day_skew": 2}
-
-
-def build_primary(root, base_snapshot, manifest=FEED_MANIFEST):
+def build_primary(root, base_snapshot):
     """(pipe, updater, shipper) — the primary's write side, wired to
     ship into ``root/feed`` exactly as ``serve-http --ship-feed`` does:
     the loaded model, its snapshot's click window, then a WAL replay."""
     model = load_model(base_snapshot)
     cats = load_entity_categories(base_snapshot)
+    window = load_window(base_snapshot)
     inc = IncrementalShoal.from_model(
         model, entity_categories=cats, retrain_every=100
     )
-    wal = WriteAheadLog(root / "wal", fsync="never")
-    pipe = IngestPipe(wal)
-    shipper = SegmentShipper(
-        wal,
+    pipe = IngestPipe(WriteAheadLog(root / "wal", fsync="never"))
+    shipper = GenerationShipper(
         root / "feed",
-        base_snapshot_dir=base_snapshot,
-        manifest=manifest,
+        Generation(
+            number=0, serving=model.serving(cats), last_day=window.last_day
+        ),
     )
     shipper.initialise()
     updater = StreamingUpdater(
         inc,
         pipe,
         switch=None,
-        window=load_window(base_snapshot),
-        generations_dir=root / "gens",
+        window=window,
         min_batch_events=MIN_BATCH,
         on_generation=shipper.publish_generation,
     )

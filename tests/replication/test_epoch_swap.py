@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import threading
 import time
 
@@ -97,8 +98,9 @@ class TestCoordinatorQuorum:
 
     def test_malformed_reports_do_not_vote_or_stop_the_tick(self, feed_copy):
         """Reports come from other processes: one whose fingerprints are
-        not an object keyed by generation numbers is skipped and
-        counted, and the healthy follower's vote still carries."""
+        not an object keyed by generation numbers, or whose ts is not a
+        finite number (it could never go stale), is skipped and counted,
+        and the healthy follower's vote still carries."""
         fps = _fingerprints(feed_copy)
         feed = Feed(feed_copy)
         coordinator = EpochCoordinator(feed_copy, quorum=1)
@@ -112,13 +114,20 @@ class TestCoordinatorQuorum:
         feed.write_follower_report("c-null", {
             "healthy": True, "fingerprints": None, "ts": now,
         })
+        no_ts = _report(fps, ts=now)
+        del no_ts["ts"]
+        feed.write_follower_report("d-no-ts", no_ts)
+        # a foreign writer's NaN (the feed's own writer refuses one)
+        (feed.followers_dir / "e-nan-ts.json").write_text(
+            json.dumps(_report(fps, ts=float("nan")))
+        )
         feed.write_follower_report("good", _report(fps, ts=now))
         broadcast = coordinator.tick(now=now)
         assert broadcast is not None
         assert broadcast["generation"] == 2
         assert broadcast["votes"] == 1
         decision = coordinator.stats()["last_decision"]
-        assert decision["malformed"] == 3
+        assert decision["malformed"] == 5
         assert decision["live_followers"] == 4
 
     def test_quorum_must_be_positive(self, tmp_path):
@@ -165,10 +174,8 @@ class TestCoordinatorLoop:
 
 
 class TestEpochSwap:
-    def test_coordinated_swap_end_to_end(self, feed_copy, tmp_path):
-        follower = Follower(
-            feed_copy, tmp_path / "work", follower_id="swapper"
-        )
+    def test_coordinated_swap_end_to_end(self, feed_copy):
+        follower = Follower(feed_copy, follower_id="swapper")
         follower.bootstrap()
         follower.catch_up(timeout_s=120.0)
         assert follower.serving_generation == 0  # staged, never self-swaps
@@ -184,14 +191,12 @@ class TestEpochSwap:
         assert stats["epoch_swaps"] == 1 and stats["swap_failures"] == 0
 
     def test_failed_probe_rolls_back_then_recovers(
-        self, feed_copy, tmp_path
+        self, feed_copy
     ):
         """A refresh blow-up mid-swap must leave the follower serving
         its previous generation, unhealthy but alive; a later epoch
         retries the same generation and succeeds."""
-        follower = Follower(
-            feed_copy, tmp_path / "work", follower_id="victim"
-        )
+        follower = Follower(feed_copy, follower_id="victim")
         backend = follower.bootstrap()
         follower.catch_up(timeout_s=120.0)
         fps = _fingerprints(feed_copy)
@@ -231,11 +236,9 @@ class TestEpochSwap:
         assert stats["epoch"] == 2
 
     def test_divergent_fingerprint_refuses_the_swap(
-        self, feed_copy, tmp_path
+        self, feed_copy
     ):
-        follower = Follower(
-            feed_copy, tmp_path / "work", follower_id="fork"
-        )
+        follower = Follower(feed_copy, follower_id="fork")
         follower.bootstrap()
         follower.catch_up(timeout_s=120.0)
         Feed(feed_copy).write_epoch(
@@ -252,14 +255,12 @@ class TestEpochSwap:
 
 class TestZeroFailedReadsDuringSwap:
     def test_readers_never_fail_across_a_coordinated_swap(
-        self, feed_copy, tmp_path, repl_market
+        self, feed_copy, repl_market
     ):
         """The acceptance gate: reader threads hammer the follower
         while the coordinator broadcasts and the follower swaps; every
         read must return a well-formed response."""
-        follower = Follower(
-            feed_copy, tmp_path / "work", follower_id="hot"
-        )
+        follower = Follower(feed_copy, follower_id="hot")
         backend = follower.bootstrap()
         follower.catch_up(timeout_s=120.0)
 

@@ -1,4 +1,4 @@
-"""Follower rebuild: hypothesis-proven byte-identity with the primary."""
+"""Follower load: hypothesis-proven byte-identity with the primary."""
 
 from __future__ import annotations
 
@@ -12,8 +12,7 @@ from hypothesis import strategies as st
 
 from repro.api.contract import RecommendRequest, SearchRequest
 from repro.core.serving import ShoalService
-from repro.replication import Feed, Follower
-from repro.store.persistence import snapshot_fingerprint
+from repro.replication import EpochCoordinator, Feed, Follower
 from tests.replication.conftest import (
     MIN_BATCH,
     build_primary,
@@ -54,8 +53,9 @@ class TestFollowerByteIdentity:
         repl_live_events,
     ):
         """For arbitrary micro-batch cuts, a whole-model follower
-        rebuilds generations with the primary's exact fingerprints and
-        serves byte-identical answers."""
+        verifies every shipped generation against the primary's index
+        and serves answers byte-identical to the primary's in-memory
+        generation."""
         first = data.draw(
             st.integers(MIN_BATCH, 60), label="first boundary"
         )
@@ -93,14 +93,18 @@ class TestFollowerByteIdentity:
 
         want = _answer_bytes(_PrimaryView(), probes)
 
-        follower = Follower(root / "feed", root / "work", follower_id="f")
+        follower = Follower(root / "feed", follower_id="f")
         backend = follower.bootstrap()
         follower.catch_up(timeout_s=120.0)
-        for generation in generations:
-            assert follower.fingerprint_of(
-                generation.number
-            ) == snapshot_fingerprint(generation.snapshot_dir), (
-                f"follower diverged at generation {generation.number} "
+        index = Feed(root / "feed").read_generation_index()
+        assert [e["number"] for e in index] == [
+            0, *(g.number for g in generations)
+        ]
+        for entry in index:
+            assert follower.fingerprint_of(entry["number"]) == (
+                entry["fingerprint"]
+            ), (
+                f"follower diverged at generation {entry['number']} "
                 f"(cuts {first}/{second})"
             )
         # swap the follower onto the last generation and compare the
@@ -121,52 +125,94 @@ class TestFollowerByteIdentity:
 
 
 class TestFollowerOperational:
-    def test_lag_metrics_track_the_feed(self, feed_copy, tmp_path):
-        follower = Follower(feed_copy, tmp_path / "work", follower_id="lag")
+    def test_lag_metrics_track_the_feed(self, feed_copy):
+        follower = Follower(feed_copy, follower_id="lag")
         follower.bootstrap()
-        # after one sync the feed head is known but nothing is built yet
-        follower._sync_feed()
+        # bootstrap verifies and serves generation 0 only
         stats = follower.stats()
-        assert stats["seqs_behind"] > 0
-        assert stats["generations_behind"] == 2
-        assert stats["segments_behind"] == 0  # sync loaded every segment
+        assert stats["verified_generation"] == 0
+        assert stats["serving_generation"] == 0
         follower.catch_up(timeout_s=120.0)
         stats = follower.stats()
-        assert stats["segments_behind"] == 0
-        assert stats["generations_behind"] == 0
+        newest = Feed(feed_copy).read_generation_index()[-1]
+        assert stats["verified_generation"] == 2
+        assert stats["applied_seq"] == newest["applied_seq"]
         assert stats["seqs_behind"] == 0
-        assert stats["built_generation"] == 2
         assert stats["healthy"] and not stats["divergent"]
 
-    def test_follower_reports_published_to_feed(self, feed_copy, tmp_path):
-        follower = Follower(feed_copy, tmp_path / "work", follower_id="rep")
+    def test_follower_reports_published_to_feed(self, feed_copy):
+        follower = Follower(feed_copy, follower_id="rep")
         follower.bootstrap()
         follower.catch_up(timeout_s=120.0)
         reports = Feed(feed_copy).read_follower_reports()
         assert "rep" in reports
         report = reports["rep"]
-        assert report["built_generation"] == 2
-        assert set(report["fingerprints"]) == {"1", "2"}
+        assert report["verified_generation"] == 2
+        assert set(report["fingerprints"]) == {"0", "1", "2"}
 
-    def test_corrupted_shipped_segment_detected(self, feed_copy, tmp_path):
+    def test_corrupted_generation_is_refused(self, feed_copy):
+        """One flipped byte in a shipped generation is a checksum
+        refusal: the follower reports itself divergent, never reports
+        that generation's fingerprint, keeps serving what it served,
+        and no coordinator broadcasts on its behalf."""
         feed = Feed(feed_copy)
-        name = feed.read_segment_index()[0]["name"]
-        with open(feed.segments_dir / name, "ab") as fh:
-            fh.write(b'{"crc": 0, "event": {}}\n')
-        follower = Follower(feed_copy, tmp_path / "work", follower_id="bad")
-        follower.bootstrap()
-        follower.run_once()
-        stats = follower.stats()
-        assert not stats["healthy"]
-        assert "checksum mismatch" in stats["last_error"]
+        taxonomy = feed.generation_dir(2) / "taxonomy.json"
+        raw = bytearray(taxonomy.read_bytes())
+        raw[len(raw) // 2] ^= 0x01
+        taxonomy.write_bytes(bytes(raw))
 
-    def test_mid_stream_join_still_converges(self, feed_copy, tmp_path):
-        """A follower that has seen nothing still rebuilds every
-        generation in order from the retained feed (bootstrap replay)."""
-        follower = Follower(feed_copy, tmp_path / "work", follower_id="late")
+        follower = Follower(feed_copy, follower_id="bad")
+        backend = follower.bootstrap()
+        follower.catch_up(timeout_s=120.0)
+        stats = follower.stats()
+        assert stats["divergent"]
+        assert "checksum mismatch" in stats["last_error"]
+        assert stats["verified_generation"] == 1
+        assert stats["seqs_behind"] > 0
+        assert follower.fingerprint_of(2) is None
+        fingerprints = feed.read_follower_reports()["bad"]["fingerprints"]
+        assert set(fingerprints) == {"0", "1"}
+        assert EpochCoordinator(feed_copy, quorum=1).tick() is None
+
+        # even a broadcast naming it never gets it served
+        feed.write_epoch({
+            "epoch": 1,
+            "generation": 2,
+            "fingerprint": feed.read_generation_index()[2]["fingerprint"],
+        })
+        follower.run_once()
+        assert follower.serving_generation == 0
+        assert backend.search(SearchRequest(query="x", k=3)) is not None
+
+    def test_unloadable_generation_is_a_failed_swap(self, feed_copy):
+        """The fingerprint leaves out MANIFEST.json, so a broken manifest
+        passes verification and fails the load: the follower keeps
+        serving, reports unhealthy, and does not retry that epoch."""
+        feed = Feed(feed_copy)
+        (feed.generation_dir(2) / "MANIFEST.json").write_text("{")
+        follower = Follower(feed_copy, follower_id="torn")
+        backend = follower.bootstrap()
+        follower.catch_up(timeout_s=120.0)
+        assert follower.fingerprint_of(2) is not None
+        feed.write_epoch({
+            "epoch": 1,
+            "generation": 2,
+            "fingerprint": follower.fingerprint_of(2),
+        })
+        assert not follower.run_once()["swapped"]
+        stats = follower.stats()
+        assert stats["swap_failures"] == 1 and not stats["healthy"]
+        assert stats["serving_generation"] == 0 and stats["epoch"] == 1
+        assert "epoch 1 swap failed" in stats["last_error"]
+        assert backend.search(SearchRequest(query="x", k=3)) is not None
+
+    def test_mid_stream_join_still_converges(self, feed_copy):
+        """A follower that has seen nothing still verifies every
+        generation the feed retains, in order."""
+        follower = Follower(feed_copy, follower_id="late")
         follower.bootstrap()
-        built = follower.catch_up(timeout_s=120.0)
-        assert built == 2
+        verified = follower.catch_up(timeout_s=120.0)
+        assert verified == 2
         index = Feed(feed_copy).read_generation_index()
         for entry in index:
             assert follower.fingerprint_of(int(entry["number"])) == (
@@ -183,7 +229,7 @@ class TestFollowerBackendUri:
         try:
             assert backend.kind == "follower"
             stats = backend.stats()
-            assert stats["replication"]["built_generation"] == 2
+            assert stats["replication"]["verified_generation"] == 2
             hits = backend.search(SearchRequest(query="camping", k=3)).hits
             assert isinstance(hits, tuple)
         finally:

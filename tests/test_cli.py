@@ -103,14 +103,20 @@ class TestParser:
         assert excinfo.value.code == 2
         assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
-    def test_follower_shards_flag_is_gone(self, capsys):
-        """A follower is a whole-model replica: there is no sharded one."""
+    @pytest.mark.parametrize("flag, value", [
+        ("--shards", "2"),
+        ("--workdir", "w"),
+    ])
+    def test_follower_shards_flag_is_gone(self, capsys, flag, value):
+        """A follower is a whole-model replica: there is no sharded one.
+        It loads the primary's generations from the feed, so it has no
+        scratch directory to rebuild them in either."""
         with pytest.raises(SystemExit) as excinfo:
             build_parser().parse_args(
-                ["serve-follower", "--feed", "d", "--shards", "2"]
+                ["serve-follower", "--feed", "d", flag, value]
             )
         assert excinfo.value.code == 2
-        assert "unrecognized arguments: --shards" in capsys.readouterr().err
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "flag, value",
@@ -451,17 +457,19 @@ class TestWritePathStartsFromTheSnapshot:
                 "--ship-feed", str(tmp_path / "feed")]
         assert main(argv) == 0
         assert seen["out"] == {"accepted": 1, "last_seq": 1}
-        # The feed names no world either, and ships the window.
+        # The feed names no world either; it ships the boot snapshot's
+        # serving files as generation 0.
         manifest = json.loads((tmp_path / "feed" / "FEED.json").read_text())
-        assert "profile" not in manifest and "seed" not in manifest
-        assert (tmp_path / "feed" / "base" / "window.npz").is_file()
+        assert sorted(manifest) == ["format", "nonce"]
+        gen0 = tmp_path / "feed" / "generations" / "gen-00000"
+        assert (gen0 / "taxonomy.json").is_file()
+        assert not (gen0 / "window.npz").exists()
 
         seen = self._serve_once(
             monkeypatch, lambda server: server.url
         )
         argv = ["serve-follower", "--feed", str(tmp_path / "feed"),
-                "--port", "0", "--workdir", str(tmp_path / "work"),
-                "--catch-up-s", "5"]
+                "--port", "0", "--catch-up-s", "5"]
         assert main(argv) == 0
         assert seen["out"].startswith("http://")
 
