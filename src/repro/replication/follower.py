@@ -8,12 +8,21 @@ published: each generation's serving files under
 * **Generation 0** is the snapshot the primary booted from. The
   follower verifies it and serves it as soon as :meth:`bootstrap`
   returns; probe queries come from its taxonomy, as on the primary.
-* **Every later generation** is verified as soon as it is indexed: the
-  follower recomputes the directory's
+* **Every later generation** is verified as soon as it is indexed and
+  whole: the follower recomputes the directory's
   :func:`~repro.store.persistence.snapshot_fingerprint` and compares it
-  with the index entry. A mismatch is a checksum refusal — the follower
-  marks itself divergent, never reports that fingerprint, and never
-  serves that generation.
+  with the index entry. A mismatch — or a manifest that does not list
+  exactly the files present — is a checksum refusal: the follower marks
+  itself divergent, never reports that fingerprint, and never serves
+  that generation.
+* **A generation that is not all there yet** — its directory, its
+  manifest or a file the manifest lists is missing, as when rsync ships
+  ``GENERATIONS.json`` before ``generations/`` or an NFS client still
+  caches the directory as absent — is checked again on the next poll.
+  Meanwhile the follower reports itself unhealthy, so it does not vote.
+* **A cold follower** checks only the generations it could still be
+  asked to serve: the newest :data:`VERIFIED_DEPTH`, or from the one
+  the current ``EPOCH.json`` names if that is older.
 
 A follower is a **whole-model replica**: it serves one
 :class:`~repro.api.backends.ServiceBackend` over the full model, never
@@ -22,7 +31,8 @@ a sharded tier, so horizontal scale is more followers, not more shards.
 Verified generations are **not served** until the coordinator
 broadcasts an epoch naming a generation + fingerprint; only then does
 the follower :func:`~repro.store.persistence.load_serving` the named
-generation and swap it in through its :class:`GenerationSwitch`. A
+generation, checks the loaded files against the verified fingerprint
+once more, and swaps it in through its :class:`GenerationSwitch`. A
 broadcast whose fingerprint disagrees with the verified one is refused
 and marks the follower divergent; a follower whose post-swap health
 probes fail rolls back to what it was serving and reports unhealthy.
@@ -36,7 +46,7 @@ import threading
 import time
 from collections import OrderedDict
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, List, Optional, Sequence, Union
 
 from repro.api.backends import ServiceBackend, ShoalBackend
 from repro.api.contract import (
@@ -50,7 +60,11 @@ from repro.api.contract import (
 from repro.core.serving import ShoalService
 from repro.obs.tracer import traced
 from repro.replication.feed import Feed, FeedError
-from repro.store.persistence import load_serving, snapshot_fingerprint
+from repro.store.persistence import (
+    load_serving,
+    read_manifest,
+    snapshot_fingerprint,
+)
 from repro.streaming.rollout import (
     Generation,
     GenerationSwitch,
@@ -85,6 +99,7 @@ class Follower:
         #: Verified index entries, oldest first, keyed by number.
         self._verified: "OrderedDict[int, Dict[str, Any]]" = OrderedDict()
         self._indexed = 0  # index entries checked, verified or refused
+        self._waiting: Optional[str] = None  # why the next one is not
         self._feed_boundary_seq = 0  # newest indexed generation's seq
         self._epoch = 0
         self._serving_generation = 0
@@ -112,8 +127,11 @@ class Follower:
                 "generation 0 yet"
             )
         if not self._verify(index[0]):
-            raise FeedError(f"cannot bootstrap: {self._last_error}")
+            raise FeedError(
+                f"cannot bootstrap: {self._waiting or self._last_error}"
+            )
         baseline = self._load(index[0])
+        self._indexed = _first_to_verify(index, self._feed.read_epoch())
         self._inner = ServiceBackend(ShoalService(baseline.serving))
         self._switch = GenerationSwitch(
             probe_queries=probe_queries(baseline.serving.taxonomy),
@@ -125,8 +143,8 @@ class Follower:
     # -- feed tailing --------------------------------------------------
 
     def _sync_feed(self) -> int:
-        """Verify every generation indexed since the last sync; returns
-        how many passed."""
+        """Verify, in order, the generations indexed since the last sync
+        that are whole; returns how many passed."""
         assert self._nonce is not None
         self._feed.check_nonce(self._nonce)
         index = self._feed.read_generation_index()
@@ -134,24 +152,42 @@ class Follower:
             self._feed_boundary_seq = max(
                 (int(e["applied_seq"]) for e in index), default=0
             )
-        return sum(self._verify(entry) for entry in index[self._indexed:])
+        verified = 0
+        for entry in index[self._indexed:]:
+            outcome = self._verify(entry)
+            if outcome is None:
+                break  # not all there yet: check it again next poll
+            verified += outcome
+        return verified
 
-    def _verify(self, entry: Dict[str, Any]) -> bool:
-        """Check one indexed generation's files against its fingerprint."""
+    def _verify(self, entry: Dict[str, Any]) -> Optional[bool]:
+        """Check one indexed generation's files against its fingerprint:
+        True if they match, False if refused, None while incomplete."""
         number = int(entry["number"])
         try:
-            fingerprint = snapshot_fingerprint(
-                self._feed.generation_dir(number)
+            fingerprint = _whole_fingerprint(self._feed.generation_dir(number))
+        except ValueError as exc:
+            problem: Optional[str] = str(exc)
+        else:
+            if fingerprint is None:
+                with self._lock:
+                    self._waiting = (
+                        f"generation {number} is not yet complete in the "
+                        "feed; checking it again next poll"
+                    )
+                return None
+            problem = (
+                None
+                if fingerprint == entry["fingerprint"]
+                else f"files {fingerprint} != indexed {entry['fingerprint']}"
             )
-        except OSError as exc:
-            fingerprint = f"unreadable ({exc})"
         with self._lock:
             self._indexed += 1
-            if fingerprint != entry["fingerprint"]:
+            self._waiting = None
+            if problem is not None:
                 self._divergent = True
                 self._last_error = (
-                    f"generation {number} checksum mismatch: files "
-                    f"{fingerprint} != indexed {entry['fingerprint']}; "
+                    f"generation {number} checksum mismatch: {problem}; "
                     "refusing to serve it"
                 )
                 return False
@@ -161,14 +197,24 @@ class Follower:
             return True
 
     def _load(self, entry: Dict[str, Any]) -> Generation:
+        """Load a verified generation; raises ``ValueError`` if the files
+        it loaded from are no longer the ones that were verified."""
         number = int(entry["number"])
+        directory = self._feed.generation_dir(number)
         with traced(
             "follower.load",
             tags={"follower": self.follower_id, "generation": str(number)},
         ):
+            serving = load_serving(directory)
+            # The bytes served must be the bytes checked: load_serving
+            # also reads the manifest, which the fingerprint leaves out.
+            if _whole_fingerprint(directory) != entry["fingerprint"]:
+                raise ValueError(
+                    f"generation {number} changed since it was verified"
+                )
             return Generation(
                 number=number,
-                serving=load_serving(self._feed.generation_dir(number)),
+                serving=serving,
                 applied_seq=int(entry["applied_seq"]),
                 last_day=int(entry["last_day"]),
             )
@@ -257,21 +303,20 @@ class Follower:
         return {"verified": verified, "swapped": swapped}
 
     def catch_up(self, timeout_s: float = 60.0) -> int:
-        """Drive cycles until the feed is fully consumed (or timeout).
+        """Drive cycles until one makes no progress (or timeout).
 
-        Returns the number of generations verified. "Fully consumed"
-        means every generation in ``GENERATIONS.json`` is checked and
-        any pending epoch broadcast has been applied."""
+        Returns the number of generations verified. A cycle verifies
+        every whole generation indexed so far, then applies the epoch
+        broadcast if it names one of them; a generation that is not all
+        there yet, or an epoch this follower refused, is left to the
+        polling loop rather than waited for here."""
         deadline = time.monotonic() + timeout_s
         verified = 0
         while time.monotonic() < deadline:
             out = self.run_once()
             verified += out["verified"]
-            if not out["swapped"]:
-                epoch = self._feed.read_epoch()
-                if epoch is None or int(epoch["epoch"]) <= self._epoch:
-                    break
-            time.sleep(0.01)
+            if not out["verified"] and not out["swapped"]:
+                break
         return verified
 
     def start(self) -> "Follower":
@@ -345,14 +390,56 @@ class Follower:
                 "seqs_behind": max(0, self._feed_boundary_seq - applied),
                 "epoch_swaps": self._epoch_swaps,
                 "swap_failures": self._swap_failures,
-                "healthy": self._healthy,
+                "healthy": self._healthy and self._waiting is None,
                 "divergent": self._divergent,
                 **(
-                    {"last_error": self._last_error}
-                    if self._last_error
+                    {"last_error": self._waiting or self._last_error}
+                    if self._waiting or self._last_error
                     else {}
                 ),
             }
+
+
+def _whole_fingerprint(directory: Path) -> Optional[str]:
+    """``snapshot_fingerprint`` of a generation directory, or None while
+    the directory, its manifest or a file the manifest lists is missing.
+
+    Raises ``ValueError`` when the directory holds a file its manifest
+    does not list: the manifest is not fingerprinted, yet it decides
+    what :func:`load_serving` reads (the category sidecar)."""
+    try:
+        listed = set(read_manifest(directory).get("artifacts", ()))
+        present = {
+            p.name
+            for p in directory.iterdir()
+            if p.is_file() and p.name != "MANIFEST.json"
+        }
+        if not listed <= present:
+            return None
+        fingerprint = snapshot_fingerprint(directory)
+    except (OSError, ValueError):
+        return None
+    if listed != present:
+        raise ValueError(
+            f"{directory.name} holds {', '.join(sorted(present - listed))} "
+            "that its manifest does not list"
+        )
+    return fingerprint
+
+
+def _first_to_verify(
+    index: Sequence[Dict[str, Any]], epoch: Optional[Dict[str, Any]]
+) -> int:
+    """Where a cold follower starts checking ``index``: at the newest
+    ``VERIFIED_DEPTH`` entries, or at the one ``epoch`` names if older;
+    never before entry 1 (bootstrap checked generation 0)."""
+    start = max(1, len(index) - VERIFIED_DEPTH)
+    if epoch is not None:
+        named = int(epoch.get("generation", 0))
+        for position, entry in enumerate(index):
+            if int(entry["number"]) == named:
+                start = min(start, max(1, position))
+    return start
 
 
 class FollowerBackend(ShoalBackend):

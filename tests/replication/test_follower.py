@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import shutil
 import tempfile
 from pathlib import Path
 
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from repro.api.contract import RecommendRequest, SearchRequest
 from repro.core.serving import ShoalService
 from repro.replication import EpochCoordinator, Feed, Follower
+from repro.replication import follower as follower_module
 from tests.replication.conftest import (
     MIN_BATCH,
     build_primary,
@@ -185,15 +187,15 @@ class TestFollowerOperational:
         assert backend.search(SearchRequest(query="x", k=3)) is not None
 
     def test_unloadable_generation_is_a_failed_swap(self, feed_copy):
-        """The fingerprint leaves out MANIFEST.json, so a broken manifest
-        passes verification and fails the load: the follower keeps
-        serving, reports unhealthy, and does not retry that epoch."""
+        """The fingerprint leaves out MANIFEST.json, so a manifest broken
+        after verification fails the load: the follower keeps serving,
+        reports unhealthy, and does not retry that epoch."""
         feed = Feed(feed_copy)
-        (feed.generation_dir(2) / "MANIFEST.json").write_text("{")
         follower = Follower(feed_copy, follower_id="torn")
         backend = follower.bootstrap()
         follower.catch_up(timeout_s=120.0)
         assert follower.fingerprint_of(2) is not None
+        (feed.generation_dir(2) / "MANIFEST.json").write_text("{")
         feed.write_epoch({
             "epoch": 1,
             "generation": 2,
@@ -205,6 +207,152 @@ class TestFollowerOperational:
         assert stats["serving_generation"] == 0 and stats["epoch"] == 1
         assert "epoch 1 swap failed" in stats["last_error"]
         assert backend.search(SearchRequest(query="x", k=3)) is not None
+
+    def test_generation_changed_after_verification_is_not_served(
+        self, feed_copy
+    ):
+        """The load re-checks the fingerprint: bytes that changed between
+        verification and the epoch fail the swap instead of serving."""
+        feed = Feed(feed_copy)
+        follower = Follower(feed_copy, follower_id="changed")
+        backend = follower.bootstrap()
+        follower.catch_up(timeout_s=120.0)
+        taxonomy = feed.generation_dir(2) / "taxonomy.json"
+        raw = bytearray(taxonomy.read_bytes())
+        # a nonzero digit to another one: still valid JSON, so it loads
+        at = next(
+            i for i in range(len(raw) // 2, len(raw)) if raw[i] in b"123456789"
+        )
+        raw[at] = ord("1") + (raw[at] - ord("1") + 1) % 9
+        taxonomy.write_bytes(bytes(raw))
+        feed.write_epoch({
+            "epoch": 1,
+            "generation": 2,
+            "fingerprint": follower.fingerprint_of(2),
+        })
+        assert not follower.run_once()["swapped"]
+        stats = follower.stats()
+        assert stats["swap_failures"] == 1 and not stats["healthy"]
+        assert stats["serving_generation"] == 0
+        assert "changed since it was verified" in stats["last_error"]
+        assert backend.search(SearchRequest(query="x", k=3)) is not None
+
+    @staticmethod
+    def _unlist_sidecar(directory):
+        manifest_path = directory / "MANIFEST.json"
+        manifest = json.loads(manifest_path.read_text())
+        assert (directory / "entity_categories.json").is_file()
+        manifest["artifacts"].remove("entity_categories.json")
+        manifest_path.write_text(json.dumps(manifest))
+
+    def test_manifest_unlisting_the_sidecar_is_never_served(self, feed_copy):
+        """A manifest that still parses but no longer lists the category
+        sidecar would make load_serving derive the map, while the
+        fingerprint (which leaves the manifest out) still matches. Edited
+        after verification, the load re-check fails the swap; edited
+        before it, the generation is refused as a checksum mismatch."""
+        feed = Feed(feed_copy)
+        follower = Follower(feed_copy, follower_id="unlisted")
+        backend = follower.bootstrap()
+        follower.catch_up(timeout_s=120.0)
+        self._unlist_sidecar(feed.generation_dir(2))
+        feed.write_epoch({
+            "epoch": 1,
+            "generation": 2,
+            "fingerprint": follower.fingerprint_of(2),
+        })
+        assert not follower.run_once()["swapped"]
+        stats = follower.stats()
+        assert stats["swap_failures"] == 1 and not stats["healthy"]
+        assert stats["serving_generation"] == 0
+        assert "does not list" in stats["last_error"]
+        assert backend.search(SearchRequest(query="x", k=3)) is not None
+
+        late = Follower(feed_copy, follower_id="late")
+        late.bootstrap()
+        late.catch_up(timeout_s=120.0)
+        stats = late.stats()
+        assert stats["divergent"] and stats["serving_generation"] == 0
+        assert "does not list" in stats["last_error"]
+        assert late.fingerprint_of(2) is None
+
+    def test_generation_indexed_before_its_files_arrive(
+        self, feed_copy, tmp_path
+    ):
+        """A sync that ships GENERATIONS.json before the generation's
+        directory (or the manifest before the files it lists) leaves
+        the follower waiting, not divergent: it reports unhealthy, does
+        not report that fingerprint, and verifies the generation on a
+        later poll once the files are there."""
+        feed = Feed(feed_copy)
+        gen2 = feed.generation_dir(2)
+        held = tmp_path / "held-gen-2"
+        shutil.move(str(gen2), str(held))
+
+        follower = Follower(feed_copy, follower_id="early")
+        follower.bootstrap()
+        follower.catch_up(timeout_s=120.0)
+
+        def assert_waiting():
+            stats = follower.stats()
+            assert not stats["healthy"] and not stats["divergent"]
+            assert "not yet complete" in stats["last_error"]
+            assert stats["verified_generation"] == 1
+            assert follower.fingerprint_of(2) is None
+            report = feed.read_follower_reports()["early"]
+            assert set(report["fingerprints"]) == {"0", "1"}
+            assert not report["healthy"]
+
+        assert_waiting()
+        gen2.mkdir()
+        shutil.copy2(held / "MANIFEST.json", gen2 / "MANIFEST.json")
+        assert follower.run_once()["verified"] == 0
+        assert_waiting()
+
+        for path in held.iterdir():
+            shutil.copy2(path, gen2 / path.name)
+        assert follower.run_once()["verified"] == 1
+        stats = follower.stats()
+        assert stats["healthy"] and not stats["divergent"]
+        assert "last_error" not in stats
+        assert follower.fingerprint_of(2) == (
+            feed.read_generation_index()[2]["fingerprint"]
+        )
+        report = feed.read_follower_reports()["early"]
+        assert set(report["fingerprints"]) == {"0", "1", "2"}
+
+    def test_cold_follower_checks_only_what_it_may_serve(
+        self, feed_copy, monkeypatch
+    ):
+        """A cold follower starts checking at the newest VERIFIED_DEPTH
+        generations, or earlier at the one EPOCH.json names. A corrupt
+        generation it skips cannot make it divergent."""
+        monkeypatch.setattr(follower_module, "VERIFIED_DEPTH", 1)
+        feed = Feed(feed_copy)
+        taxonomy = feed.generation_dir(1) / "taxonomy.json"
+        raw = bytearray(taxonomy.read_bytes())
+        raw[len(raw) // 2] ^= 0x01
+        taxonomy.write_bytes(bytes(raw))
+
+        skipping = Follower(feed_copy, follower_id="skip")
+        skipping.bootstrap()
+        assert skipping.catch_up(timeout_s=120.0) == 1
+        assert skipping.fingerprint_of(2) is not None
+        assert not skipping.stats()["divergent"]
+
+        index = feed.read_generation_index()
+        feed.write_epoch({
+            "epoch": 1,
+            "generation": 1,
+            "fingerprint": index[1]["fingerprint"],
+        })
+        from_epoch = Follower(feed_copy, follower_id="from-epoch")
+        from_epoch.bootstrap()
+        assert from_epoch.catch_up(timeout_s=120.0) == 1
+        stats = from_epoch.stats()
+        assert stats["divergent"] and "checksum mismatch" in stats["last_error"]
+        assert from_epoch.fingerprint_of(1) is None
+        assert from_epoch.fingerprint_of(2) is not None
 
     def test_mid_stream_join_still_converges(self, feed_copy):
         """A follower that has seen nothing still verifies every
