@@ -26,7 +26,6 @@ from __future__ import annotations
 import contextlib
 import contextvars
 import itertools
-import threading
 import time
 from typing import Callable, Dict, Iterator, Mapping, Optional
 
@@ -38,23 +37,26 @@ __all__ = ["CancelToken", "RequestContext", "current_context"]
 class CancelToken:
     """A cooperative cancellation flag.
 
-    Thread-safe and monotonic: once cancelled, a token stays cancelled
-    and keeps its first reason.
+    Monotonic: once cancelled, a token stays cancelled and keeps its
+    first reason. Nothing waits on it; the layers that poll it run on
+    the thread that owns the request.
     """
 
+    __slots__ = ("_cancelled", "_reason")
+
     def __init__(self) -> None:
-        self._event = threading.Event()
+        self._cancelled = False
         self._reason: Optional[str] = None
 
     def cancel(self, reason: str = "cancelled") -> None:
         """Flip the flag (idempotent; the first reason wins)."""
-        if not self._event.is_set():
+        if not self._cancelled:
             self._reason = reason
-            self._event.set()
+            self._cancelled = True
 
     @property
     def cancelled(self) -> bool:
-        return self._event.is_set()
+        return self._cancelled
 
     @property
     def reason(self) -> Optional[str]:
@@ -103,6 +105,11 @@ class RequestContext:
         #: :func:`repro.obs.tracer.traced` inherit this request's id
         #: and tag map. Duck-typed so the context stays a leaf module.
         self.tracer = tracer
+        #: This request's span records (None until its first span
+        #: opens) and the index of the innermost open one (-1: none).
+        #: Owned by :mod:`repro.obs.tracer`.
+        self.spans: Optional[list] = None
+        self.span_cursor = -1
         self._clock = clock
         self._deadline: Optional[float] = None
 

@@ -297,7 +297,8 @@ class GatewayCore:
         Scalar leaves of ``GET /v1/metrics`` flatten into gauge
         families; live latency recorders (the gateway's per-endpoint
         histograms and the edge's read recorder) render as real
-        histogram families with bucket counts.
+        histogram families with bucket counts, and with a tracer the
+        per-span self times render as ``shoal_span_self_ms{span=…}``.
         """
         histograms = {}
         backend_histograms = getattr(self.backend, "histograms", None)
@@ -305,8 +306,15 @@ class GatewayCore:
             histograms.update(backend_histograms())
         if self.edge_histograms is not None:
             histograms.update(self.edge_histograms())
+        labeled = {}
+        if self.tracer is not None:
+            labeled["span_self_ms"] = (
+                "span", self.tracer.self_time_histograms()
+            )
         return render_openmetrics(
-            self.metrics().to_dict(), histograms=histograms
+            self.metrics().to_dict(),
+            histograms=histograms,
+            labeled_histograms=labeled,
         ).encode("utf-8")
 
     def handle_trace(self, raw_query: str = "") -> Dict[str, Any]:

@@ -59,7 +59,7 @@ from repro.api.contract import (
     SearchResponse,
 )
 from repro.obs.histogram import Histogram, LatencySummary
-from repro.obs.tracer import current_span, default_tracer, traced
+from repro.obs.tracer import default_tracer, traced
 
 __all__ = [
     "Middleware",
@@ -555,11 +555,13 @@ def _bind(mw: Middleware, call_next: Handler) -> Handler:
     handle = mw.handle
 
     def bound(request: Request) -> Response:
-        # A stage is traced only inside an already-open span (the
-        # gateway's); untraced requests pay one context-variable read.
-        if current_span() is None:
+        # A stage is traced only while its request has a span open
+        # (the gateway's), on that trace's tracer; untraced requests
+        # pay one context read.
+        ctx = current_context()
+        if ctx is None or ctx.span_cursor < 0:
             return handle(request, call_next)
-        with traced(span_name):
+        with ctx.tracer.span(span_name, context=ctx):
             return handle(request, call_next)
 
     return bound

@@ -25,7 +25,9 @@ Renderer conventions (what the checker enforces):
   the single ``<prefix>_meta`` family (value 1) so nothing in the
   tree is silently dropped;
 * histograms emit ``_bucket``/``_count``/``_sum`` samples with
-  millisecond upper bounds and a terminal ``le="+Inf"``.
+  millisecond upper bounds and a terminal ``le="+Inf"``; a labeled
+  family (the tracer's per-span self times) carries one such series
+  per label value.
 """
 
 from __future__ import annotations
@@ -121,14 +123,35 @@ def _flatten(
         # None / lists carry no scrapeable value; skipped by design.
 
 
+def _histogram_lines(
+    lines: List[str], full: str, hist: Histogram, labels: str = ""
+) -> None:
+    buckets = hist.buckets()
+    for ub, cum in buckets:
+        le = _LE_LABELS.get(ub)
+        if le is None:
+            le = "+Inf" if math.isinf(ub) else _format_value(ub)
+        lines.append(f'{full}_bucket{{{labels}le="{le}"}} {cum}')
+    series = f"{{{labels[:-1]}}}" if labels else ""
+    lines.append(f"{full}_count{series} {buckets[-1][1]}")
+    lines.append(f"{full}_sum{series} {_format_value(hist.sum_ms())}")
+
+
 def render_openmetrics(
     tree: Mapping[str, Any],
     *,
     histograms: Optional[Mapping[str, Histogram]] = None,
+    labeled_histograms: Optional[
+        Mapping[str, Tuple[str, Mapping[str, Histogram]]]
+    ] = None,
     prefix: str = "shoal",
 ) -> str:
     """Render a nested metrics tree (plus live histograms) as
-    OpenMetrics text, ``# EOF``-terminated."""
+    OpenMetrics text, ``# EOF``-terminated.
+
+    ``labeled_histograms`` maps a family name to ``(label, {value:
+    histogram})``: one histogram family with a series per label value
+    (a family with no series is left out)."""
     prefix = _sanitize(prefix)
     numbers: List[Tuple[str, float]] = []
     strings: List[Tuple[str, str]] = []
@@ -143,14 +166,17 @@ def render_openmetrics(
     for name, hist in sorted((histograms or {}).items()):
         full = f"{prefix}_{_sanitize(name)}"
         lines.append(f"# TYPE {full} histogram")
-        buckets = hist.buckets()
-        for ub, cum in buckets:
-            le = _LE_LABELS.get(ub)
-            if le is None:
-                le = "+Inf" if math.isinf(ub) else _format_value(ub)
-            lines.append(f'{full}_bucket{{le="{le}"}} {cum}')
-        lines.append(f"{full}_count {buckets[-1][1]}")
-        lines.append(f"{full}_sum {_format_value(hist.sum_ms())}")
+        _histogram_lines(lines, full, hist)
+
+    for name, (label, series) in sorted((labeled_histograms or {}).items()):
+        if not series:
+            continue
+        full = f"{prefix}_{_sanitize(name)}"
+        lines.append(f"# TYPE {full} histogram")
+        for value, hist in sorted(series.items()):
+            _histogram_lines(
+                lines, full, hist, f'{label}="{_escape_label(value)}",'
+            )
 
     if strings:
         meta = f"{prefix}_meta"

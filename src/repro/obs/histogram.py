@@ -199,6 +199,19 @@ class Histogram:
             with self._lock:
                 self._fold_locked()
 
+    def record_all_ms(self, values: Sequence[float]) -> None:
+        """Record many latencies at once, in milliseconds."""
+        if not values:
+            return
+        now = self._clock()
+        with self._lock:
+            self._pending.extend(values)
+            if self._started_at is None:
+                self._started_at = now
+            self._last_at = now
+            if len(self._pending) >= _FOLD_AT:
+                self._fold_locked()
+
     def _fold_locked(self) -> None:
         """Bucket the pending samples; call with the lock held.
 

@@ -81,6 +81,14 @@ read once per session however many rows scan it. The rows:
 * ``follower-folds`` — any import of ``repro.core.incremental`` or
   ``repro.streaming.updater`` under ``src/repro/replication/``: only
   the primary folds events.
+* ``per-span-tracer-state`` — the tracer's open-trace buckets and span
+  handles (``_TraceBucket``, ``_SpanHandle``, ``_evict_stale_locked``),
+  the per-span context variable (``_CURRENT_SPAN``, ``current_span()``)
+  and a ``parent=`` keyword to ``traced`` / ``.span``: a span is a
+  record on its request's context, and its parent is an index there.
+* ``request-cancel-event`` — ``threading.Event`` in
+  ``src/repro/api/context.py``: nothing waits on a request's
+  cancellation, so the token is a plain flag.
 """
 
 from __future__ import annotations
@@ -288,6 +296,19 @@ FOLLOWER_FOLDS = re.compile(
     re.MULTILINE,
 )
 
+#: The tracer's per-span shared state and explicit parenting — all
+#: removed: spans are records on their request's context, parented by
+#: index, and only the root's close takes the tracer's lock.
+REMOVED_SPAN_STATE = re.compile(
+    r"\b(_TraceBucket|_SpanHandle|_evict_stale_locked|_CURRENT_SPAN)\b|"
+    r"\bcurrent_span\(|"
+    r"\b(?:traced|\.span)\((?:[^()]|\([^()]*\))*\bparent\s*="
+)
+
+#: A blocking event behind the request's cancellation token — removed:
+#: nothing waits on it.
+CANCEL_EVENT = re.compile(r"\bthreading\.Event\b")
+
 #: What a scanned directory contributes (a listed file is always read).
 TEXT_SUFFIXES = (".py", ".yml", ".yaml", ".md")
 
@@ -415,6 +436,19 @@ REMOVALS = (
         "follower-folds", FOLLOWER_FOLDS, ("src/repro/replication",),
         "the replication package imports the maintainer or the updater "
         "(only the primary folds events; followers load its generations)",
+        suffixes=(".py",),
+    ),
+    Removal(
+        "per-span-tracer-state", REMOVED_SPAN_STATE,
+        tuple(WRITE_PATH_SCAN_PATHS),
+        "reference to the removed per-span tracer state or explicit span "
+        "parenting (a span is a record on its RequestContext; only the "
+        "root's close takes the tracer lock)",
+    ),
+    Removal(
+        "request-cancel-event", CANCEL_EVENT, ("src/repro/api/context.py",),
+        "a threading.Event behind the request's cancellation token "
+        "(nothing waits on it; the token is a flag plus a reason)",
         suffixes=(".py",),
     ),
 )
@@ -813,6 +847,38 @@ def test_the_guard_itself_still_bites():
         "the primary's updater folds; an IncrementalShoal never runs here",
     ):
         assert not FOLLOWER_FOLDS.search(snippet), snippet
+    for snippet in (
+        "class _TraceBucket:",
+        "    def _evict_stale_locked(self) -> None:",
+        "return _SpanHandle(self, span)",
+        "from repro.obs.tracer import _CURRENT_SPAN",
+        "if current_span() is None:",
+        'with traced("edge.dispatch", context=ctx, parent=root.span):',
+        'tracer.span("edge.dispatch", context=ctx,\n'
+        '            parent=root_handle.span)',
+        'with traced("probe", tags={"shard": str(i)}, parent=p):',
+    ):
+        assert REMOVED_SPAN_STATE.search(snippet), snippet
+    for snippet in (
+        'with traced("edge.dispatch", context=ctx):',
+        'with tracer.span("edge.request", context=ctx):',
+        "span = Span(ctx, n, name, ctx.span_cursor, tags, self._clock())",
+        "if ctx is None or ctx.span_cursor < 0:",
+        "child_s[span.parent] += span.end - span.start",
+        "parent_id = span.get(\"parent_id\")",
+    ):
+        assert not REMOVED_SPAN_STATE.search(snippet), snippet
+    for snippet in (
+        "self._event = threading.Event()",
+        "done = threading.Event(); done.wait()",
+    ):
+        assert CANCEL_EVENT.search(snippet), snippet
+    for snippet in (
+        "self._cancelled = False",
+        "self._lock = threading.Lock()",
+        "if not self._event_loop.is_running():",
+    ):
+        assert not CANCEL_EVENT.search(snippet), snippet
     assert [r.pattern for r in REMOVALS] == [
         FORBIDDEN,
         LEGACY_CALLS,
@@ -831,4 +897,6 @@ def test_the_guard_itself_still_bites():
         REMOVED_READ_HOP,
         REMOVED_SEGMENT_REPLAY,
         FOLLOWER_FOLDS,
+        REMOVED_SPAN_STATE,
+        CANCEL_EVENT,
     ]

@@ -7,7 +7,9 @@ Pure unit tests with a fake clock — the end-to-end propagation tests
 
 from __future__ import annotations
 
+import gc
 import threading
+import weakref
 
 import pytest
 
@@ -15,6 +17,8 @@ from repro.api import ApiError, RequestContext
 from repro.obs import (
     Tracer,
     default_tracer,
+    parse_openmetrics,
+    render_openmetrics,
     set_default_tracer,
     traced,
 )
@@ -40,14 +44,10 @@ def clock():
 
 @pytest.fixture(autouse=True)
 def _isolated_tracing_state():
-    """No ambient span or default tracer may leak between tests."""
-    from repro.obs.tracer import _CURRENT_SPAN
-
-    token = _CURRENT_SPAN.set(None)
+    """No default tracer may leak between tests."""
     try:
         yield
     finally:
-        _CURRENT_SPAN.reset(token)
         set_default_tracer(None)
 
 
@@ -146,12 +146,10 @@ class TestSpanTree:
         tracer = Tracer(clock=clock)
         ctx = RequestContext(request_id="req-5", tracer=tracer,
                              tags={"endpoint": "search"})
-        root_handle = tracer.span("edge.request", context=ctx)
-        with root_handle:
+        with tracer.span("edge.request", context=ctx):
             # Created but never closed — the worker was abandoned
             # mid-flight when the edge answered 504.
-            tracer.span("edge.dispatch", context=ctx,
-                        parent=root_handle.span)
+            tracer.span("edge.dispatch", context=ctx)
             clock.tick_ms(2.0)
             ctx.cancel("deadline expired")
         spans = tracer.export("req-5")["spans"]
@@ -215,14 +213,24 @@ class TestRing:
         ids = tracer.trace_ids()
         assert [t[0] for t in ids] == ["req-0", "req-1", "req-2"]
 
-    def test_abandoned_open_traces_are_bounded(self, clock):
+    def test_abandoned_open_traces_live_on_their_context(self, clock):
+        """A root that never closes (its edge task died) is counted as
+        open, and its records go away with its context: the tracer
+        holds nothing for it."""
         tracer = Tracer(clock=clock, capacity=2)
+        refs = []
         for i in range(20):
-            # Root span created but never closed (edge thread died).
             ctx = RequestContext(request_id=f"req-{i}", tracer=tracer,
                                  tags={"endpoint": "search"})
             tracer.span("edge.request", context=ctx)
-        assert tracer.stats()["open"] <= tracer.capacity * 4
+            refs.append(weakref.ref(ctx))
+        del ctx
+        gc.collect()
+        assert all(ref() is None for ref in refs)
+        stats = tracer.stats()
+        assert stats["open"] == 20
+        assert stats["buffered"] == 0
+        assert tracer.stats()["open"] == 20  # reading stats opens nothing
 
     def test_validates_constructor_args(self):
         with pytest.raises(ValueError):
@@ -235,9 +243,10 @@ class TestTracedHelper:
     def test_no_tracer_anywhere_is_a_noop(self):
         set_default_tracer(None)
         handle = traced("anything")
-        assert handle.span is None
-        with handle as h:
-            h.tag("k", "v")  # must not raise
+        with handle:
+            pass
+        # One shared stand-in: tracing off allocates nothing.
+        assert traced("other") is handle
 
     def test_default_tracer_collects_background_traces(self, clock):
         tracer = Tracer(clock=clock)
@@ -267,21 +276,174 @@ class TestTracedHelper:
         finally:
             set_default_tracer(None)
 
-    def test_ambient_context_parents_nested_spans_across_threads(self, clock):
+    def test_ambient_context_parents_nested_spans_in_a_fresh_thread(
+        self, clock
+    ):
         tracer = Tracer(clock=clock)
         seen = {}
 
         def worker():
-            # A fresh thread has no ambient span: its trace is its own.
+            # A fresh thread has no ambient context: it installs its
+            # own, and a span opened without ``context=`` finds it.
             ctx = RequestContext(request_id="req-thread", tracer=tracer,
                                  tags={"endpoint": "search"})
-            with tracer.span("edge.request", context=ctx):
-                with traced("inner", context=ctx) as h:
-                    seen["parent"] = h.span.parent_id
+            with ctx.use(), tracer.span("edge.request", context=ctx):
+                with traced("inner") as inner:
+                    seen["parent"] = inner.parent
                     clock.tick_ms(1.0)
 
         t = threading.Thread(target=worker)
         t.start()
         t.join()
         spans = tracer.export("req-thread")["spans"]
-        assert seen["parent"] == spans[0]["span_id"]
+        assert seen["parent"] == 0  # the root's index on the context
+        assert spans[1]["parent_id"] == spans[0]["span_id"]
+
+    def test_background_spans_nest_under_a_minted_context(self, clock):
+        tracer = Tracer(clock=clock)
+        set_default_tracer(tracer)
+        with traced("ingest.coalesce_flush"):
+            with traced("ingest.wal_append"):
+                clock.tick_ms(1.0)
+        with traced("updater.batch_fold"):
+            clock.tick_ms(1.0)
+        first, second = tracer.trace_ids()
+        assert (first[0], second[0]) == ("bg-1", "bg-2")
+        spans = tracer.export("bg-1")["spans"]
+        assert [s["name"] for s in spans] == [
+            "ingest.coalesce_flush", "ingest.wal_append",
+        ]
+        assert spans[1]["parent_id"] == "bg-1:1"
+        # The minted context is ambient only while its root is open.
+        from repro.api.context import current_context
+
+        assert current_context() is None
+
+
+class TestLateSpans:
+    def test_a_span_after_a_dropped_trace_is_late_not_a_phantom(
+        self, clock
+    ):
+        """A straggler on a dropped request's context is refused: it
+        neither becomes a trace of its own nor enters the slow heap."""
+        tracer = Tracer(clock=clock, slowest_per_endpoint=1)
+        run_request(tracer, clock, request_id="req-slow", duration_ms=10.0)
+        fast = run_request(tracer, clock, request_id="req-fast",
+                           duration_ms=1.0)
+        assert tracer.export("req-fast") is None
+        with traced("router.shard_probe", context=fast):
+            clock.tick_ms(20.0)
+        stats = tracer.stats()
+        assert stats["late_spans"] == 1
+        assert stats["traces_sampled"] == 1
+        assert tracer.export("req-fast") is None
+        assert tracer._slowest == {"search": [10.0]}
+        # The threshold is still 10 ms: a 15 ms request is kept.
+        run_request(tracer, clock, request_id="req-15", duration_ms=15.0)
+        assert tracer.export("req-15")["sampled"] == "slow"
+
+
+class DyadicClock(FakeClock):
+    """Ticks of 2**-10 s: every time and difference is exact in binary."""
+
+    def tick(self, n: int = 1) -> None:
+        self.now_s += n * 2.0 ** -10
+
+
+def _nested_request(tracer, clock, i):
+    """edge.request > gateway > (probe, on even i) with uneven gaps."""
+    ctx = RequestContext(request_id=f"req-{i}", tracer=tracer,
+                         tags={"endpoint": "search"})
+    with tracer.span("edge.request", context=ctx):
+        clock.tick(1)
+        with traced("gateway", context=ctx):
+            clock.tick(i % 3 + 1)
+            if i % 2 == 0:
+                with traced("probe", context=ctx):
+                    clock.tick(2)
+            clock.tick(1)
+        clock.tick(i % 2)
+
+
+class TestSelfTimeHistograms:
+    def test_counts_equal_the_requests_that_opened_each_span(self):
+        clock = DyadicClock()
+        tracer = Tracer(clock=clock, slowest_per_endpoint=1)
+        for i in range(9):
+            _nested_request(tracer, clock, i)
+        counts = {
+            name: hist.count
+            for name, hist in tracer.self_time_histograms().items()
+        }
+        assert counts == {"edge.request": 9, "gateway": 9, "probe": 5}
+        # Kept or dropped, every closed trace was folded.
+        stats = tracer.stats()
+        assert stats["traces_sampled"] + stats["traces_dropped"] == 9
+
+    def test_self_times_sum_exactly_to_root_durations(self):
+        clock = DyadicClock()
+        tracer = Tracer(clock=clock, slowest_per_endpoint=64)
+        for i in range(9):
+            _nested_request(tracer, clock, i)
+        # Each root lasts 2 + (i % 3 + 1) + (i % 2) ticks, 2 more with
+        # a probe: the sum of its spans' self times, exactly.
+        roots_ms = sum(
+            (3 + i % 3 + i % 2 + (2 if i % 2 == 0 else 0)) * 1000.0 / 1024
+            for i in range(9)
+        )
+        assert len(tracer.trace_ids()) == 9
+        selfs_ms = sum(
+            hist.sum_ms()
+            for hist in tracer.self_time_histograms().values()
+        )
+        assert selfs_ms == roots_ms
+        gateway = tracer.self_time_histograms()["gateway"]
+        assert gateway.sum_ms() == sum(
+            (i % 3 + 2) * 1000.0 / 1024 for i in range(9)
+        )
+
+    def test_prom_exposition_carries_the_family(self, clock):
+        tracer = Tracer(clock=clock)
+        for i in range(3):
+            run_request(tracer, clock, request_id=f"req-{i}")
+        text = render_openmetrics(
+            {"tracer": tracer.stats()},
+            labeled_histograms={
+                "span_self_ms": ("span", tracer.self_time_histograms())
+            },
+        )
+        doc = parse_openmetrics(text)  # raises on any violation
+        assert doc.types["shoal_span_self_ms"] == "histogram"
+        for name in ("edge.request", "gateway"):
+            assert doc.value("shoal_span_self_ms_count", span=name) == 3
+
+
+class CountingLock:
+    """A lock that counts its acquisitions."""
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self.acquired = 0
+
+    def __enter__(self):
+        self._lock.acquire()
+        self.acquired += 1
+        return self
+
+    def __exit__(self, *exc):
+        self._lock.release()
+        return None
+
+
+def test_a_dropped_request_takes_the_tracer_lock_once(clock):
+    tracer = Tracer(clock=clock, slowest_per_endpoint=1)
+    run_request(tracer, clock, request_id="req-slow", duration_ms=50.0)
+    lock = tracer._lock = CountingLock()
+    ctx = RequestContext(request_id="req-fast", tracer=tracer,
+                         tags={"endpoint": "search"})
+    with traced("edge.request", context=ctx):
+        for name in ("edge.dispatch", "gateway", "mw.metrics", "mw.cache"):
+            with traced(name, context=ctx):
+                clock.tick_ms(0.1)
+    assert lock.acquired == 1  # the fold, once, at the root's close
+    assert tracer.export("req-fast") is None
