@@ -21,6 +21,7 @@ import time
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 from repro.analytics import AnalyticsStore, QueryEngine, SegmentTailer
@@ -29,8 +30,9 @@ from repro.core.config import ShoalConfig
 from repro.core.incremental import IncrementalShoal
 from repro.data.marketplace import PROFILES, generate_marketplace
 from repro.data.queries import QueryLogConfig
-from repro.serving.replay import build_write_workload
 from repro.streaming import IngestPipe, WriteAheadLog
+
+from workloads import event_payloads  # the ledger's; see conftest.py
 
 BASE_LAST_DAY = 6
 N_READS = 1200
@@ -108,9 +110,7 @@ def test_bench_p95_read_latency_with_live_analytics_tier(
         wal, store, ingest_pipe=pipe, poll_interval_s=0.01
     ).start()
     engine = QueryEngine(store)
-    writes = build_write_workload(
-        market.query_log, 4000, day=BASE_LAST_DAY + 1
-    )
+    writes = event_payloads(market, np.random.default_rng(0), 4000)
     stop = threading.Event()
     written = {"n": 0}
     queried = {"n": 0}

@@ -3,8 +3,10 @@ and coalesced ingest amortizes fsyncs.
 
 Two gates, both against live sockets:
 
-* **Tail flatness.** The same open-loop bursty workload (fixed total
-  arrival rate — so the offered load does not change) is replayed
+* **Tail flatness.** The same open-loop workload — the benchmark
+  ledger's hot shape (``benchmarks/ledger/workloads.py``): Zipf draws
+  over four spellings of every logged query, at a fixed total arrival
+  rate, so the offered load does not change — is sent
   through N and then 10N persistent keep-alive connections, three
   times each, interleaved. Holding 10x the sockets must not inflate the
   median read p99 beyond 1.3x the base's median (with a small
@@ -34,7 +36,6 @@ import pytest
 
 from repro.api import Gateway, ServiceBackend
 from repro.api.aio import AsyncShoalServer
-from repro.serving import WorkloadConfig, build_workload
 from repro.streaming import IngestPipe, WriteAheadLog
 
 BASE_CONNECTIONS = 4
@@ -64,15 +65,6 @@ def make_backend(bench_model, bench_marketplace):
         )
 
     return build
-
-
-@pytest.fixture(scope="module")
-def bursty_workload(bench_marketplace):
-    return build_workload(
-        bench_marketplace.query_log.queries,
-        bench_marketplace.scenarios,
-        WorkloadConfig(n_requests=N_READS, profile="bursty", seed=7),
-    )
 
 
 def _open_loop_p99_ms(server, workload, n_connections, rate) -> float:
@@ -136,13 +128,14 @@ def _open_loop_p99_ms(server, workload, n_connections, rate) -> float:
 
 
 def test_bench_p99_flat_across_10x_connections(
-    make_backend, bursty_workload, capsys
+    make_backend, hot_reads, capsys
 ):
+    workload = hot_reads(N_READS, seed=7)
     server = AsyncShoalServer(Gateway(make_backend()), port=0).start()
     try:
         # Warm the gateway cache so both scales measure the same tier.
         _open_loop_p99_ms(
-            server, bursty_workload[:100], BASE_CONNECTIONS, ARRIVAL_RATE
+            server, workload[:100], BASE_CONNECTIONS, ARRIVAL_RATE
         )
         # Interleaved repeats, median against median: one run's p99 is
         # the 5th-worst of 450 samples, and on a 2-core box a single
@@ -150,10 +143,10 @@ def test_bench_p99_flat_across_10x_connections(
         base_runs, scaled_runs = [], []
         for _ in range(TAIL_REPEATS):
             base_runs.append(_open_loop_p99_ms(
-                server, bursty_workload, BASE_CONNECTIONS, ARRIVAL_RATE
+                server, workload, BASE_CONNECTIONS, ARRIVAL_RATE
             ))
             scaled_runs.append(_open_loop_p99_ms(
-                server, bursty_workload, BASE_CONNECTIONS * SCALE,
+                server, workload, BASE_CONNECTIONS * SCALE,
                 ARRIVAL_RATE,
             ))
         p99_base = statistics.median(base_runs)

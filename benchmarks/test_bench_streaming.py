@@ -26,6 +26,7 @@ from __future__ import annotations
 import threading
 import time
 
+import numpy as np
 import pytest
 
 from repro.core.config import ShoalConfig
@@ -33,7 +34,6 @@ from repro.core.incremental import IncrementalShoal
 from repro.api import Gateway, SearchRequest, ServiceBackend
 from repro.data.marketplace import PROFILES, generate_marketplace
 from repro.data.queries import QueryLogConfig
-from repro.serving.replay import build_write_workload
 from repro.streaming import (
     GenerationSwitch,
     IngestPipe,
@@ -42,6 +42,8 @@ from repro.streaming import (
 )
 
 import dataclasses
+
+from workloads import event_payloads  # the ledger's; see conftest.py
 
 BASE_LAST_DAY = 6
 N_READS = 1200
@@ -70,6 +72,16 @@ def bench_inc(stream_bench_market):
     )
     inc.advance(market.query_log, last_day=BASE_LAST_DAY)
     return inc
+
+
+def _live_events(market, n: int):
+    """``n`` click events from the ledger's generator, re-dated to the
+    day after the fitted window (the generator dates them after the
+    whole log, which runs past ``BASE_LAST_DAY``)."""
+    return [
+        dict(e, day=BASE_LAST_DAY + 1)
+        for e in event_payloads(market, np.random.default_rng(0), n)
+    ]
 
 
 def _distinct_read_stream(market, n: int, tag: str):
@@ -115,9 +127,7 @@ def test_bench_p95_read_latency_under_concurrent_ingest(
 
     wal = WriteAheadLog(tmp_path / "wal", fsync="batch")
     pipe = IngestPipe(wal, max_queue=100_000)
-    writes = build_write_workload(
-        market.query_log, 4000, day=BASE_LAST_DAY + 1
-    )
+    writes = _live_events(market, 4000)
     stop = threading.Event()
     written = {"n": 0}
 
@@ -166,9 +176,7 @@ def test_bench_generation_swap_zero_failed_reads(
     wal = WriteAheadLog(tmp_path / "wal", fsync="never")
     pipe = IngestPipe(wal, max_queue=10_000)
     updater = StreamingUpdater(bench_inc, pipe, switch=switch)
-    for w in build_write_workload(
-        market.query_log, 200, day=BASE_LAST_DAY + 1
-    ):
+    for w in _live_events(market, 200):
         pipe.submit(w)
 
     pool = sorted({q.text for q in market.query_log.queries})[:50]

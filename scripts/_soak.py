@@ -2,8 +2,11 @@
 arguments, the seeded traffic, and the mixed read+write step.
 
 Each ``ci_*`` script keeps its own gates and exit codes; this module is
-only the harness around them. Importing it puts ``src/`` on the path,
-so scripts import it before anything from :mod:`repro`.
+only the harness around them. Importing it puts ``src/`` and the
+benchmark ledger on the path, so scripts import it before anything from
+:mod:`repro`. The traffic comes from the ledger's generators
+(``benchmarks/ledger/workloads.py``), read-only: one definition of the
+load that tests the service.
 """
 
 from __future__ import annotations
@@ -13,13 +16,15 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
+sys.path.insert(0, str(REPO_ROOT / "benchmarks" / "ledger"))
 
 from repro.api import ApiError, SearchRequest, ShoalClient  # noqa: E402
 from repro.data.marketplace import PROFILES, generate_marketplace  # noqa: E402
-from repro.serving import WorkloadConfig, build_workload  # noqa: E402
-from repro.serving.replay import build_write_workload  # noqa: E402
+from workloads import event_payloads, hot_strings, zipf_draws  # noqa: E402
 
 FATAL_READ_CODES = {"backend_error", "unavailable", "deadline_exceeded"}
 FATAL_WRITE_CODES = {"backend_error", "unavailable", "ingest_unavailable"}
@@ -70,22 +75,24 @@ def soak_parser(
     return parser
 
 
+def hot_reads(market, rng: np.random.Generator, n: int) -> list:
+    """``n`` query strings in the ledger's hot shape: Zipf draws over
+    four spellings of every logged query, rank order shuffled by ``rng``."""
+    strings = hot_strings([q.text for q in market.query_log.queries])
+    order = rng.permutation(len(strings))
+    return [strings[order[i]] for i in zipf_draws(rng, len(strings), n)]
+
+
 def build_traffic(args):
     """(market, read queries, write events) seeded from the arguments:
-    20k bursty reads over the profile's log and 5k writes dated the day
+    20k hot reads over the profile's log and 5k writes dated the day
     after its last."""
     market = generate_marketplace(
         PROFILES[args.profile].with_seed(args.seed)
     )
-    reads = build_workload(
-        market.query_log.queries,
-        market.scenarios,
-        WorkloadConfig(n_requests=20_000, profile="bursty", seed=args.seed),
-    )
-    last_day = market.query_log.days()[-1]
-    writes = build_write_workload(
-        market.query_log, 5_000, day=last_day + 1, seed=args.seed
-    )
+    rng = np.random.default_rng(args.seed)
+    reads = hot_reads(market, rng, 20_000)
+    writes = event_payloads(market, rng, 5_000)
     return market, reads, writes
 
 

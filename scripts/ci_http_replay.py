@@ -1,7 +1,8 @@
 #!/usr/bin/env python
 """CI gate for the HTTP edge: zero 5xx + answer transparency.
 
-Replays N real marketplace queries through :class:`ShoalClient` against
+Sends N queries in the benchmark ledger's hot shape (Zipf draws over
+four spellings of every logged query) through :class:`ShoalClient` to
 a running ``serve-http`` gateway — each as a search and as a recommend,
 plus every run of 8 consecutive queries as one batch (alternately of
 kind search and recommend) — and fails if
@@ -11,9 +12,13 @@ kind search and recommend) — and fails if
 * any HTTP answer differs from the in-process backend opened on a
   snapshot of the same model (byte-identical transparency), or
 * the gateway stats endpoint reports any 5xx-coded errors server-side,
-  or no gateway cache hits — the steady profile repeats queries, so
+  or no gateway cache hits — the Zipf head repeats queries, so
   zero hits means the gateway's cache stage went unexercised (and the
   answers it served unchecked).
+
+The server may serve the snapshot itself (``--load``) or a cluster
+sharded from it (``--cluster-dir``): sharded answers must equal the
+unsharded snapshot's.
 
 Usage::
 
@@ -26,7 +31,8 @@ from __future__ import annotations
 import sys
 import time
 
-from _soak import gate_parser, wait_healthy
+import numpy as np
+from _soak import gate_parser, hot_reads, wait_healthy
 
 from repro.api import (
     ApiError,
@@ -38,7 +44,6 @@ from repro.api import (
     open_backend,
 )
 from repro.data.marketplace import PROFILES, generate_marketplace
-from repro.serving import WorkloadConfig, build_workload
 
 #: Queries per batch request.
 BATCH_SIZE = 8
@@ -49,7 +54,8 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--snapshot", required=True,
         help="a snapshot of the model the server serves (the server may "
-        "load a copy pruned to its serving files)",
+        "load a copy pruned to its serving files, or a cluster sharded "
+        "from it)",
     )
     parser.add_argument("--requests", type=int, default=200)
     parser.add_argument("--k", type=int, default=5)
@@ -61,12 +67,8 @@ def main(argv=None) -> int:
     local = open_backend(f"snapshot:{args.snapshot}")
 
     market = generate_marketplace(PROFILES[args.profile].with_seed(args.seed))
-    workload = build_workload(
-        market.query_log.queries,
-        market.scenarios,
-        WorkloadConfig(
-            n_requests=args.requests, profile="steady", seed=args.seed
-        ),
+    workload = hot_reads(
+        market, np.random.default_rng(args.seed), args.requests
     )
 
     requests = []

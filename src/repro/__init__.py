@@ -20,7 +20,7 @@ Subpackages:
 * ``repro.pregel`` — vertex-centric BSP engine (ODPS substitute)
 * ``repro.clustering`` — sequential HAC and Parallel HAC
 * ``repro.core`` — the SHOAL pipeline, taxonomy and serving scenarios
-* ``repro.serving`` — sharded cluster serving and traffic replay
+* ``repro.serving`` — sharded cluster serving
 * ``repro.api`` — the one public serving API: typed request/response
   contract, pluggable backends, gateway middleware, HTTP edge
 * ``repro.eval`` — precision protocol, A/B CTR simulator, metrics
@@ -51,7 +51,7 @@ from repro.data.marketplace import (
     PROFILES,
     generate_marketplace,
 )
-from repro.serving import ClusterRouter, ShardPlanner, TrafficReplayer
+from repro.serving import ClusterRouter, ShardPlanner
 
 __version__ = "1.1.0"
 
@@ -64,7 +64,6 @@ __all__ = [
     "CacheStats",
     "ClusterRouter",
     "ShardPlanner",
-    "TrafficReplayer",
     "ShoalBackend",
     "ServiceBackend",
     "ClusterBackend",

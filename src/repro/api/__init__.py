@@ -1,7 +1,7 @@
 """The one public serving API: typed contract, backends, middleware, edge.
 
 Every frontend in the repo — CLI subcommands, examples, benches, the
-traffic replayer, CI — serves through this package instead of touching
+CI gate scripts — serves through this package instead of touching
 a concrete read tier. The pieces:
 
 * :mod:`repro.api.contract` — versioned request/response dataclasses

@@ -1,6 +1,6 @@
 """The gateway API contract: typed requests, responses, and errors.
 
-Every frontend — CLI, examples, benches, the traffic replayer, the
+Every frontend — CLI, examples, benches, the CI gate scripts, the
 HTTP edge — talks to the serving stack through the dataclasses in this
 module. The contract is versioned (``SCHEMA_VERSION``), validated on
 both construction-from-wire and dispatch, and JSON-codable: each type

@@ -2,7 +2,7 @@
 
 A :class:`Gateway` wraps a backend with an ordered middleware stack and
 is itself a backend, so stacks compose and every frontend (CLI, HTTP
-edge, replayer, benches) gets the same cross-cutting behaviour from one
+edge, benches) gets the same cross-cutting behaviour from one
 place:
 
 * :class:`MetricsMiddleware` — per-endpoint p50/p95/p99 latency (the
@@ -532,7 +532,7 @@ class Gateway(ShoalBackend):
 
     def cache_stats(self) -> Optional[CacheStats]:
         """The gateway-level result-cache counters (None if no cache
-        middleware is installed); the replayer probes this."""
+        middleware is installed)."""
         if self._cache_stage is None:
             return None
         return self._cache_stage.cache_stats()

@@ -19,11 +19,6 @@ system would be driven:
   snapshot over the JSON gateway API (``repro.api``) on the asyncio
   HTTP edge, with the standard middleware stack (metrics, optional
   rate limit and deadline, result cache);
-* ``python -m repro.cli replay`` — replay a Zipf-skewed traffic
-  workload (steady/bursty/drifting/adversarial) against the single
-  service, the sharded cluster, both, or any ``--backend`` URI
-  (``snapshot:DIR`` / ``cluster:DIR`` / ``http://host:port``),
-  reporting QPS and p50/p95/p99 latencies;
 * ``python -m repro.cli ingest`` — run the streaming write path end to
   end offline: fit a base window, stream the remaining days' events
   through the WAL-backed ingest pipe, micro-batch them into model
@@ -211,9 +206,9 @@ def _check_load_flags(args) -> None:
 def _check_world_metadata(meta: dict, location: str, args) -> None:
     """Fail fast when a saved artifact mismatches the regenerated world.
 
-    Ground truth (evaluate), the CTR simulation (abtest) and replay
-    workloads come from the regenerated marketplace, so the artifact
-    must have been built on the same --profile/--seed. The CLI records
+    Ground truth (evaluate) and the CTR simulation (abtest) come from
+    the regenerated marketplace, so the artifact must have been built
+    on the same --profile/--seed. The CLI records
     both in the manifest metadata on every save.
     """
     profile, seed = meta.get("profile"), meta.get("seed")
@@ -371,161 +366,6 @@ def _cmd_serve_cluster(args) -> int:
             metadata={"profile": args.profile, "seed": args.seed},
         )
         print(f"cluster snapshot written to {args.save_shards}")
-    return 0
-
-
-def _check_cluster_world(args) -> None:
-    from repro.serving import ShardPlanner
-
-    _check_world_metadata(
-        ShardPlanner.read_cluster_manifest(args.cluster_dir).get(
-            "metadata", {}
-        ),
-        f"cluster snapshot at {args.cluster_dir}",
-        args,
-    )
-
-
-def _check_backend_world(args) -> None:
-    """World check for local `--backend` URIs (same guard as --load /
-    --cluster-dir). Remote http(s) backends own their snapshot — there
-    is nothing local to compare."""
-    from pathlib import Path
-
-    uri = args.backend
-    if uri.startswith(("http://", "https://")):
-        return
-    path = uri
-    for scheme in ("snapshot:", "cluster:"):
-        if uri.startswith(scheme):
-            path = uri[len(scheme):]
-            break
-    path = Path(path)
-    if (path / "CLUSTER_MANIFEST.json").is_file():
-        from repro.serving import ShardPlanner
-
-        meta = ShardPlanner.read_cluster_manifest(path).get("metadata", {})
-    elif (path / "MANIFEST.json").is_file():
-        from repro.store.persistence import read_manifest
-
-        meta = read_manifest(path).get("metadata", {})
-    else:
-        return  # open_backend will produce the real error
-    _check_world_metadata(meta, f"backend at {uri}", args)
-
-
-def _cmd_replay(args) -> int:
-    from repro.api import ClusterBackend
-    from repro.serving import (
-        TrafficReplayer,
-        WorkloadConfig,
-        build_workload,
-    )
-
-    if args.arrival == "open" and (args.rate is None or args.rate <= 0):
-        raise SystemExit("--arrival open needs --rate RPS > 0")
-    backend = None
-    if args.backend:
-        if args.cluster_dir or args.load:
-            raise SystemExit(
-                "--backend is mutually exclusive with --cluster-dir/--load: "
-                "the URI names the serving tier"
-            )
-        _check_load_flags(args)
-        _check_backend_world(args)
-        market = generate_marketplace(
-            PROFILES[args.profile].with_seed(args.seed)
-        )
-        model = None
-        backend = open_backend(args.backend)
-    elif args.cluster_dir:
-        if args.load:
-            raise SystemExit(
-                "--cluster-dir and --load are mutually exclusive: the "
-                "cluster snapshot already contains the sharded model"
-            )
-        _check_load_flags(args)
-        _check_cluster_world(args)
-        market = generate_marketplace(
-            PROFILES[args.profile].with_seed(args.seed)
-        )
-        model = None
-        backend = ClusterBackend.from_snapshot(args.cluster_dir)
-    else:
-        market, model = _build(args)
-
-    workload = build_workload(
-        market.query_log.queries,
-        market.scenarios,
-        WorkloadConfig(
-            n_requests=args.requests,
-            profile=args.traffic,
-            zipf_exponent=args.zipf,
-            pool_variants=args.variants,
-            seed=args.seed,
-        ),
-    )
-    warmup = args.warmup if args.warmup is not None else args.requests // 10
-    pacing = (
-        f" at an open-loop {args.rate:g}/s"
-        if args.arrival == "open"
-        else ""
-    )
-    print(
-        f"replaying {len(workload)} '{args.traffic}' requests "
-        f"({warmup} warm-up){pacing} ..."
-    )
-
-    replay_kwargs = dict(
-        profile=args.traffic,
-        warmup=warmup,
-        arrival=args.arrival,
-        rate=args.rate,
-    )
-
-    def replayer(target):
-        # In-process tiers replay behind the default gateway, as
-        # serve-http serves them, so the report's hit rate is the
-        # production cache's; a remote server already is a gateway.
-        if target.kind != "client":
-            target = _gateway_over(target)
-        return TrafficReplayer(target, k=args.k, concurrency=args.concurrency)
-
-    reports = {}
-    if args.backend:
-        reports["backend"] = replayer(backend).replay(
-            workload, **replay_kwargs
-        )
-    else:
-        if args.target in ("single", "both"):
-            if model is None:
-                raise SystemExit(
-                    "--target single/both needs a fitted or --load model; "
-                    "--cluster-dir only carries the sharded form"
-                )
-            single = ServiceBackend.from_model(
-                model, entity_categories=_entity_categories(market)
-            )
-            reports["single"] = replayer(single).replay(
-                workload, **replay_kwargs
-            )
-        if args.target in ("cluster", "both"):
-            if backend is None:
-                backend = ClusterBackend.from_model(
-                    model,
-                    args.shards,
-                    entity_categories=_entity_categories(market),
-                )
-            reports["cluster"] = replayer(backend).replay(
-                workload, **replay_kwargs
-            )
-            print(backend.router.plan_summary)
-
-    for name, report in reports.items():
-        print(f"{name:>8}: {report.summary()}")
-    if len(reports) == 2:
-        speedup = reports["cluster"].qps / max(reports["single"].qps, 1e-9)
-        print(f"cluster/single QPS ratio: {speedup:.2f}x")
     return 0
 
 
@@ -1345,57 +1185,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_trace.add_argument("--timeout", type=float, default=10.0)
     p_trace.set_defaults(func=_cmd_trace)
-
-    p_replay = sub.add_parser(
-        "replay", help="replay a traffic workload against service/cluster"
-    )
-    _add_common(p_replay)
-    p_replay.add_argument("--requests", type=int, default=1000)
-    p_replay.add_argument(
-        "--traffic", default="bursty",
-        choices=["steady", "bursty", "drifting", "adversarial"],
-        help="workload profile",
-    )
-    p_replay.add_argument("--zipf", type=float, default=1.1)
-    p_replay.add_argument(
-        "--variants", type=int, default=1,
-        help="distinct textual variants per base query",
-    )
-    p_replay.add_argument(
-        "--warmup", type=int, default=None,
-        help="unrecorded warm-up requests (default: requests/10)",
-    )
-    p_replay.add_argument("-k", type=int, default=5)
-    p_replay.add_argument("--shards", type=int, default=2)
-    p_replay.add_argument(
-        "--cluster-dir", default=None, metavar="DIR",
-        help="load the cluster from a 'serve-cluster --save-shards' dir",
-    )
-    p_replay.add_argument(
-        "--backend", default=None, metavar="URI",
-        help="replay against a backend URI: snapshot:DIR, cluster:DIR, "
-             "or http://host:port (overrides --target)",
-    )
-    p_replay.add_argument(
-        "--target", default="cluster", choices=["single", "cluster", "both"],
-        help="what to replay against",
-    )
-    p_replay.add_argument(
-        "--arrival", default="closed", choices=["closed", "open"],
-        help="load model: 'closed' paces on responses (latency-biased "
-             "under saturation), 'open' schedules request i at t0+i/rate "
-             "regardless of how the target is doing",
-    )
-    p_replay.add_argument(
-        "--rate", type=float, default=None, metavar="RPS",
-        help="open-loop arrival rate in requests/s (required with "
-             "--arrival open)",
-    )
-    p_replay.add_argument(
-        "--concurrency", type=int, default=1,
-        help="worker threads driving the target",
-    )
-    p_replay.set_defaults(func=_cmd_replay)
 
     return parser
 

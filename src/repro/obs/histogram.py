@@ -21,9 +21,9 @@ the true slowest sample. The bounds are module constants — every
 histogram in the process shares them, which is what makes merge and
 OpenMetrics exposition trivial.
 
-:func:`percentile` — the exact nearest-rank helper the replayer uses
-on small in-memory sample lists — also lives here so there is exactly
-one percentile definition in the codebase.
+:func:`percentile` — the exact nearest-rank helper for small
+in-memory sample lists — also lives here so there is exactly one
+percentile definition in the codebase.
 """
 
 from __future__ import annotations
@@ -83,8 +83,7 @@ def _bucket_index(ms: float) -> int:
 def percentile(sorted_values: Sequence[float], q: float) -> float:
     """Nearest-rank percentile of an ascending-sorted sequence.
 
-    Exact — used by the replayer on raw sample lists. Returns 0.0 for
-    an empty sequence.
+    Exact, for raw sample lists. Returns 0.0 for an empty sequence.
     """
     if not 0.0 <= q <= 100.0:
         raise ValueError(f"percentile must be in [0, 100], got {q!r}")
@@ -99,8 +98,8 @@ class LatencySummary:
     """Immutable latency roll-up — the external view of a recorder.
 
     Kept field-for-field compatible with the pre-histogram
-    ``serving.stats.LatencySummary`` so every stats dict, bench, and
-    replay report keeps its shape.
+    ``serving.stats.LatencySummary`` so every stats dict and bench
+    keeps its shape.
     """
 
     count: int
@@ -111,11 +110,6 @@ class LatencySummary:
     p95_ms: float
     p99_ms: float
     max_ms: float
-
-    @property
-    def total_seconds(self) -> float:
-        """Total busy time (sum of recorded latencies) in seconds."""
-        return self.mean_ms * self.count / 1000.0
 
     def summary(self) -> str:
         return (
@@ -311,24 +305,20 @@ class Histogram:
             self._fold_locked()
             return self._percentile_ms_locked(q)
 
-    def summary(self, elapsed_s: Optional[float] = None) -> LatencySummary:
-        """Roll everything up into a :class:`LatencySummary`.
-
-        ``elapsed_s`` overrides the measured first-to-last wall-clock
-        window (the replayer passes its own measured window).
-        """
+    def summary(self) -> LatencySummary:
+        """Roll everything up into a :class:`LatencySummary` over the
+        first-to-last ``record()`` wall-clock window."""
         with self._lock:
             self._fold_locked()
             n = self._count
             if n == 0:
                 return LatencySummary(0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-            if elapsed_s is None:
-                started = (
-                    self._started_at
-                    if self._started_at is not None
-                    else self._last_at
-                )
-                elapsed_s = max(self._last_at - started, 0.0)
+            started = (
+                self._started_at
+                if self._started_at is not None
+                else self._last_at
+            )
+            elapsed_s = max(self._last_at - started, 0.0)
             return LatencySummary(
                 count=n,
                 elapsed_seconds=elapsed_s,

@@ -1,4 +1,4 @@
-"""Scale-out serving: sharding, routing, and traffic replay.
+"""Scale-out serving: sharding and routing.
 
 PR 1 made one :class:`~repro.core.serving.ShoalService` fast; this
 package turns it into a cluster shaped like the elastic, partitioned
@@ -10,23 +10,9 @@ read tiers production taxonomy serving runs on:
   directory of per-shard model snapshots;
 * :mod:`~repro.serving.router` — :class:`ClusterRouter` fans queries
   out to the shards that can score them, merges per-shard top-k into
-  byte-identical unsharded answers;
-* :mod:`~repro.serving.replay` — :class:`TrafficReplayer` replays
-  Zipf-skewed steady/bursty/drifting/adversarial workloads against a
-  service or cluster and reports QPS with p50/p95/p99 latencies.
-
-The router and replayer record latencies in the one histogram,
-:class:`repro.obs.histogram.Histogram`, re-exported here.
+  byte-identical unsharded answers.
 """
 
-from repro.obs.histogram import Histogram, LatencySummary, percentile
-from repro.serving.replay import (
-    ReplayReport,
-    TrafficReplayer,
-    WorkloadConfig,
-    WORKLOAD_PROFILES,
-    build_workload,
-)
 from repro.serving.router import ClusterRouter, ClusterStats
 from repro.serving.sharding import (
     CLUSTER_FORMAT_VERSION,
@@ -50,12 +36,4 @@ __all__ = [
     "build_shard_model",
     "CLUSTER_SNAPSHOT_KIND",
     "CLUSTER_FORMAT_VERSION",
-    "TrafficReplayer",
-    "ReplayReport",
-    "WorkloadConfig",
-    "WORKLOAD_PROFILES",
-    "build_workload",
-    "Histogram",
-    "LatencySummary",
-    "percentile",
 ]

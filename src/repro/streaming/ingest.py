@@ -1,7 +1,7 @@
 """Admission control for the write path: validate, persist, enqueue.
 
 :class:`IngestPipe` sits between clients (the HTTP ``/v1/ingest``
-endpoint, the replayer's write mode, the CLI) and the
+endpoint, the CLI) and the
 :class:`~repro.streaming.updater.StreamingUpdater`:
 
 1. **Validate** the submitted payload (types and bounds) — failures are

@@ -6,8 +6,8 @@ files exempt from it. Each (row, scanned file) pair is one test id, so a
 failure names both the removal and the file, and each scanned file is
 read once per session however many rows scan it. The rows:
 
-* ``direct-tier-construction`` — ``examples/``, ``cli.py``,
-  ``serving/replay.py`` and ``benchmarks/`` go through the
+* ``direct-tier-construction`` — ``examples/``, ``cli.py`` and
+  ``benchmarks/`` go through the
   :mod:`repro.api` adapters: no ``ShoalService(...)`` or
   ``ClusterRouter(...)`` construction (including the ``from_*``
   factory classmethods). Engine *access* through an adapter
@@ -89,6 +89,16 @@ read once per session however many rows scan it. The rows:
 * ``request-cancel-event`` — ``threading.Event`` in
   ``src/repro/api/context.py``: nothing waits on a request's
   cancellation, so the token is a plain flag.
+* ``second-traffic-harness`` — the in-package load generator and the
+  command that drove it (``TrafficReplayer``, ``ReplayReport``,
+  ``WorkloadConfig``, ``WORKLOAD_PROFILES``, ``build_workload``,
+  ``build_write_workload``, ``repro.serving.replay``, ``cli replay``)
+  in ``src/``, ``scripts/``, ``examples/``, ``benchmarks/``, the CI
+  workflows and the README: load comes from the benchmark ledger's
+  generators. ``benchmarks/ledger/`` is exempt; it is the benchmark's
+  own and says why it forked.
+
+An exemption names a file, or a directory with a trailing ``/``.
 """
 
 from __future__ import annotations
@@ -119,7 +129,6 @@ FRONTEND_PATHS = [
     "examples",
     "benchmarks",
     "src/repro/cli.py",
-    "src/repro/serving/replay.py",
 ]
 
 #: The unversioned metrics path, removed after its one-release
@@ -309,6 +318,24 @@ REMOVED_SPAN_STATE = re.compile(
 #: nothing waits on it.
 CANCEL_EVENT = re.compile(r"\bthreading\.Event\b")
 
+#: The second traffic generator and the command that drove it — all
+#: removed: CI soaks and benches draw their traffic from the ledger's
+#: generators.
+SECOND_TRAFFIC_HARNESS = re.compile(
+    r"\b(TrafficReplayer|ReplayReport|WorkloadConfig|WORKLOAD_PROFILES|"
+    r"build_workload|build_write_workload)\b|"
+    r"repro\.serving\.replay\b|\bcli replay\b"
+)
+
+TRAFFIC_HARNESS_SCAN_PATHS = [
+    "src",
+    "scripts",
+    "examples",
+    "benchmarks",
+    ".github/workflows",
+    "README.md",
+]
+
 #: What a scanned directory contributes (a listed file is always read).
 TEXT_SUFFIXES = (".py", ".yml", ".yaml", ".md")
 
@@ -451,6 +478,15 @@ REMOVALS = (
         "(nothing waits on it; the token is a flag plus a reason)",
         suffixes=(".py",),
     ),
+    Removal(
+        "second-traffic-harness", SECOND_TRAFFIC_HARNESS,
+        tuple(TRAFFIC_HARNESS_SCAN_PATHS),
+        "reference to the removed in-package traffic replayer or 'cli "
+        "replay' (CI soaks and benches draw their load from "
+        "benchmarks/ledger/workloads.py: hot_strings, zipf_draws, "
+        "event_payloads)",
+        exempt=frozenset({"benchmarks/ledger/"}),
+    ),
 )
 
 ROW = {removal.name: removal for removal in REMOVALS}
@@ -475,6 +511,13 @@ def _scan_files(removal: Removal):
             )
 
 
+def _exempt(removal: Removal, rel: str) -> bool:
+    return any(
+        rel.startswith(e) if e.endswith("/") else rel == e
+        for e in removal.exempt
+    )
+
+
 def _scan_pairs() -> List[Tuple[Removal, str]]:
     """Every (row, repo-relative file) the table checks, exemptions out."""
     return [
@@ -483,7 +526,7 @@ def _scan_pairs() -> List[Tuple[Removal, str]]:
         for rel in (
             str(path.relative_to(REPO_ROOT)) for path in _scan_files(removal)
         )
-        if rel not in removal.exempt
+        if not _exempt(removal, rel)
     ]
 
 
@@ -669,9 +712,9 @@ def test_the_guard_itself_still_bites():
         assert REMOVED_SHARDED_WRITE_SIDE.search(snippet), snippet
     for snippet in (
         "serve-cluster --shards 2",
-        "python -m repro.cli replay --profile small --target both --shards 4",
+        "python -m repro.cli serve-cluster --profile small --shards 4",
         "python -m repro.cli serve-follower --feed /tmp/feed --port 8081\n"
-        "python -m repro.cli replay --shards 4",
+        "python -m repro.cli serve-cluster --shards 4",
         "ClusterBackend.from_model(model, 4)",
         "ShardPlan(n_shards=n_shards, assignments=tuple(assignments))",
         "follower = Follower(args.feed, workdir, follower_id=args.id)",
@@ -741,7 +784,7 @@ def test_the_guard_itself_still_bites():
     ):
         assert REGENERATED_WORLD.search(snippet), snippet
     for snippet in (
-        'if self.profile not in WORKLOAD_PROFILES:',
+        "if spec.read_shape not in READ_PROFILES:",
         "window = load_window(self._feed.base_dir)",
         "probes = probe_queries(model)",
     ):
@@ -879,6 +922,25 @@ def test_the_guard_itself_still_bites():
         "if not self._event_loop.is_running():",
     ):
         assert not CANCEL_EVENT.search(snippet), snippet
+    for snippet in (
+        "from repro.serving import TrafficReplayer, WorkloadConfig",
+        "from repro.serving.replay import build_write_workload",
+        "report: ReplayReport = replayer.replay(workload)",
+        "if self.profile not in WORKLOAD_PROFILES:",
+        "reads = build_workload(market.query_log.queries, market.scenarios)",
+        "python -m repro.cli replay --profile small --traffic bursty",
+        "Replay is driven by `cli replay --backend URI`.",
+    ):
+        assert SECOND_TRAFFIC_HARNESS.search(snippet), snippet
+    for snippet in (
+        "from workloads import event_payloads, hot_strings, zipf_draws",
+        "python scripts/ci_http_replay.py --url http://127.0.0.1:8471",
+        "  cluster-replay:",
+        "a restart replays the WAL from the snapshot's window",
+        "inputs = build_inputs(spec, market, seed, seconds)",
+        "python -m repro.cli serve-http --cluster-dir /tmp/shoal-cluster",
+    ):
+        assert not SECOND_TRAFFIC_HARNESS.search(snippet), snippet
     assert [r.pattern for r in REMOVALS] == [
         FORBIDDEN,
         LEGACY_CALLS,
@@ -899,4 +961,5 @@ def test_the_guard_itself_still_bites():
         FOLLOWER_FOLDS,
         REMOVED_SPAN_STATE,
         CANCEL_EVENT,
+        SECOND_TRAFFIC_HARNESS,
     ]

@@ -1,7 +1,7 @@
 """The unified fixed-bucket latency histogram.
 
 This is the single percentile implementation every tier now reports
-through (gateway middleware, router, async edge, replayer), so its
+through (gateway middleware, router, async edge), so its
 error bound — nearest-rank within one 10% bucket, clamped to the
 exact observed max — is pinned down here, including by hypothesis
 against the exact nearest-rank computed on the raw samples.
@@ -52,6 +52,10 @@ class TestPercentileHelper:
         with pytest.raises(ValueError):
             percentile([1.0], 101.0)
 
+    def test_even_length_rank_is_not_rounded_up(self):
+        # ceil(50 * 4 / 100) = rank 2: the lower middle, not a midpoint.
+        assert percentile([1.0, 2.0, 3.0, 4.0], 50.0) == 2.0
+
 
 class TestHistogram:
     def test_empty_summary_is_all_zero(self):
@@ -72,6 +76,18 @@ class TestHistogram:
         h.record(0.25)
         s = h.summary()
         assert s.qps == pytest.approx(4.0, rel=0.05)
+
+    def test_summary_of_seconds_with_an_outlier(self):
+        h = Histogram()
+        for ms in (1, 2, 3, 4, 100):
+            h.record(ms / 1000.0)
+        s = h.summary()
+        assert s.count == 5
+        # p50 is at most one 10% bucket above the exact nearest rank;
+        # p99 is clamped to the exact tracked maximum.
+        assert 3.0 <= s.p50_ms <= 3.0 * 1.10
+        assert s.p99_ms == pytest.approx(100.0)
+        assert s.max_ms == pytest.approx(100.0)
 
     def test_negative_latency_clamps_to_zero(self):
         h = Histogram()

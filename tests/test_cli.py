@@ -75,7 +75,6 @@ class TestParser:
             ["serve-http", "--load", "d"],
             ["serve-follower", "--feed", "d"],
             ["serve-cluster"],
-            ["replay"],
         ],
     )
     def test_replicas_flag_is_gone(self, argv, capsys):
@@ -288,7 +287,7 @@ class TestSnapshotFlow:
 
 
 class TestClusterCommands:
-    """serve-cluster + replay: the scale-out handoff from the CLI."""
+    """serve-cluster: the scale-out handoff from the CLI."""
 
     @pytest.fixture(scope="class")
     def cluster_dir(self, tmp_path_factory):
@@ -315,75 +314,6 @@ class TestClusterCommands:
         assert (cluster_dir / "CLUSTER_MANIFEST.json").is_file()
         assert (cluster_dir / "collection_stats.json").is_file()
         assert (cluster_dir / "shard-0000" / "MANIFEST.json").is_file()
-
-    def test_replay_against_cluster_dir(self, cluster_dir, capsys):
-        rc = main([
-            "replay", "--profile", "tiny", "--cluster-dir",
-            str(cluster_dir), "--requests", "200", "--traffic", "bursty",
-        ])
-        out = capsys.readouterr().out
-        assert rc == 0
-        assert "cluster:" in out
-        assert "qps" in out
-
-    def test_replay_both_targets(self, capsys):
-        rc = main([
-            "replay", "--profile", "tiny", "--target", "both",
-            "--requests", "150", "--traffic", "drifting", "--shards", "2",
-        ])
-        out = capsys.readouterr().out
-        assert rc == 0
-        assert "single:" in out
-        assert "cluster:" in out
-        assert "QPS ratio" in out
-
-    def test_replay_every_traffic_profile(self, capsys):
-        for traffic in ("steady", "bursty", "drifting", "adversarial"):
-            rc = main([
-                "replay", "--profile", "tiny", "--requests", "80",
-                "--traffic", traffic, "--shards", "2", "--warmup", "10",
-            ])
-            assert rc == 0
-
-    def test_replay_backend_uri_cluster(self, cluster_dir, capsys):
-        rc = main([
-            "replay", "--profile", "tiny", "--backend",
-            f"cluster:{cluster_dir}", "--requests", "100",
-        ])
-        out = capsys.readouterr().out
-        assert rc == 0
-        assert "backend:" in out
-        assert "qps" in out
-
-    def test_replay_backend_world_mismatch_rejected(self, cluster_dir, capsys):
-        """--backend must enforce the same world check as --cluster-dir."""
-        with pytest.raises(SystemExit, match="--profile tiny"):
-            main([
-                "replay", "--profile", "small", "--backend",
-                f"cluster:{cluster_dir}", "--requests", "50",
-            ])
-
-    def test_replay_backend_excludes_cluster_dir(self, cluster_dir, capsys):
-        with pytest.raises(SystemExit, match="mutually exclusive"):
-            main([
-                "replay", "--profile", "tiny", "--backend",
-                f"cluster:{cluster_dir}", "--cluster-dir", str(cluster_dir),
-                "--requests", "50",
-            ])
-
-    def test_cluster_dir_world_mismatch_rejected(self, cluster_dir, capsys):
-        with pytest.raises(SystemExit, match="--profile tiny"):
-            main([
-                "replay", "--profile", "small", "--cluster-dir",
-                str(cluster_dir), "--requests", "50",
-            ])
-
-    def test_cluster_dir_and_load_conflict(self, cluster_dir, capsys):
-        with pytest.raises(SystemExit, match="mutually exclusive"):
-            main([
-                "replay", "--profile", "tiny", "--cluster-dir",
-                str(cluster_dir), "--load", "/nope", "--requests", "50",
-            ])
 
 
 class TestWritePathStartsFromTheSnapshot:
