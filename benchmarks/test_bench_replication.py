@@ -4,7 +4,7 @@ Two gates, both acceptance criteria of the replication subsystem:
 
 1. **Publish lag is bounded** — the primary's synchronous publish (write
    the generation's serving files into the feed, fingerprint them into
-   the generation index) runs on the updater thread and must stay
+   the generation index) runs on the serving process's install path and must stay
    under 2s per generation on the tiny profile.
 
 2. **Cold catch-up is bounded** — a cold follower must bootstrap from
@@ -26,14 +26,13 @@ from repro.core.config import ShoalConfig
 from repro.core.incremental import IncrementalShoal
 from repro.data.marketplace import PROFILES, generate_marketplace
 from repro.data.queries import QueryLogConfig
+from repro.api import ServiceBackend
 from repro.replication import Follower, GenerationShipper
-from repro.store.persistence import (
-    load_entity_categories,
-    load_model,
-    load_window,
-)
+from repro.store.persistence import load_serving, load_window
 from repro.streaming import (
     Generation,
+    GenerationInstaller,
+    GenerationSwitch,
     IngestPipe,
     StreamingUpdater,
     WriteAheadLog,
@@ -75,27 +74,30 @@ def shipped_feed(repl_bench_market, tmp_path_factory):
         },
     )
 
-    model = load_model(base_dir)
-    cats = load_entity_categories(base_dir)
-    window = load_window(base_dir)
-    inc = IncrementalShoal.from_model(
-        model, entity_categories=cats, retrain_every=100
+    serving = load_serving(base_dir)
+    baseline = Generation(
+        number=0, serving=serving, last_day=load_window(base_dir).last_day
     )
-    pipe = IngestPipe(WriteAheadLog(root / "wal", fsync="never"))
-    shipper = GenerationShipper(
-        root / "feed",
-        Generation(
-            number=0, serving=model.serving(cats), last_day=window.last_day
-        ),
-    )
+    shipper = GenerationShipper(root / "feed", baseline)
     shipper.initialise()
-    updater = StreamingUpdater(
-        inc,
-        pipe,
-        switch=None,
-        window=window,
+    wal = WriteAheadLog(root / "wal", fsync="never")
+    pipe = IngestPipe(wal)
+    switch = GenerationSwitch(baseline=baseline).attach(
+        ServiceBackend.from_model(
+            inc0.model, entity_categories=inc0.entity_categories
+        )
+    )
+    installer = GenerationInstaller(
+        switch, wal, on_generation=shipper.publish_generation
+    )
+    updater = StreamingUpdater.restart(
+        base_dir,
+        wal,
+        root / "gens",
+        retrain_every=100,
         min_batch_events=MIN_BATCH,
-        on_generation=shipper.publish_generation,
+        batch_max_age_s=0.0,
+        on_generation=installer.install,
     )
     updater.recover()
 

@@ -11,8 +11,8 @@ Three gates, all acceptance criteria of the streaming subsystem:
    scheduler noise.
 
 2. **A generation hot-swap completes without a single failed read** —
-   reader threads hammer the gateway while the micro-batch updater
-   produces and swaps a generation; any exception or empty-where-
+   reader threads hammer the gateway while a generation the updater
+   wrote is loaded and swapped in; any exception or empty-where-
    nonempty answer fails the bench.
 
 3. **WAL replay recovers the exact event count after a simulated
@@ -35,6 +35,7 @@ from repro.api import Gateway, SearchRequest, ServiceBackend
 from repro.data.marketplace import PROFILES, generate_marketplace
 from repro.data.queries import QueryLogConfig
 from repro.streaming import (
+    GenerationInstaller,
     GenerationSwitch,
     IngestPipe,
     StreamingUpdater,
@@ -175,7 +176,14 @@ def test_bench_generation_swap_zero_failed_reads(
     switch = GenerationSwitch().attach(backend).attach(gateway)
     wal = WriteAheadLog(tmp_path / "wal", fsync="never")
     pipe = IngestPipe(wal, max_queue=10_000)
-    updater = StreamingUpdater(bench_inc, pipe, switch=switch)
+    installer = GenerationInstaller(switch, wal)
+    updater = StreamingUpdater(
+        bench_inc,
+        wal,
+        generations_dir=tmp_path / "gens",
+        batch_max_age_s=0.0,
+        on_generation=installer.install,
+    )
     for w in _live_events(market, 200):
         pipe.submit(w)
 
@@ -210,7 +218,7 @@ def test_bench_generation_swap_zero_failed_reads(
         f"generation swap, {len(errors)} failures"
     )
     assert generation is not None, "no generation was produced"
-    assert updater.stats().swap_failures == 0
+    assert installer.stats()["swap_failures"] == 0
     assert not errors, f"reads failed during the swap: {errors[:3]}"
     assert reads["n"] > 0
 

@@ -3,8 +3,10 @@
 The replication subsystem end to end, in one process:
 
 1. fit a base window and stand up a primary write path — WAL, ingest
-   pipe, micro-batch updater — with a ``GenerationShipper`` publishing
-   each generation's serving files, cut and fingerprint into a feed
+   pipe, the fold (``serve-http`` runs it in a child process; here it
+   runs in this one), and the installer that swaps each generation into
+   the primary's tier — with a ``GenerationShipper`` publishing each
+   generation's serving files, cut and fingerprint into a feed
    directory (the only thing primary and followers share);
 2. join two followers to the feed with ``open_backend("follower:DIR")``
    — each verifies every shipped generation against its fingerprint
@@ -33,13 +35,15 @@ import time
 from pathlib import Path
 
 from repro import ShoalConfig, generate_marketplace
-from repro.api import SearchRequest, open_backend
+from repro.api import SearchRequest, ServiceBackend, open_backend
 from repro.core.incremental import IncrementalShoal
 from repro.data.marketplace import PROFILES
 from repro.data.queries import QueryLogConfig
 from repro.replication import EpochCoordinator, GenerationShipper
 from repro.streaming import (
     Generation,
+    GenerationInstaller,
+    GenerationSwitch,
     IngestPipe,
     StreamingUpdater,
     WriteAheadLog,
@@ -68,21 +72,26 @@ def main() -> None:
     pipe = IngestPipe(wal, max_queue=8192)
     # The base model's serving files ship as generation 0: what every
     # follower starts serving.
-    shipper = GenerationShipper(
-        root / "feed",
-        Generation(
-            number=0,
-            serving=inc.model.serving(categories),
-            last_day=BASE_LAST_DAY,
-        ),
+    baseline = Generation(
+        number=0,
+        serving=inc.model.serving(categories),
+        last_day=BASE_LAST_DAY,
     )
+    shipper = GenerationShipper(root / "feed", baseline)
     shipper.initialise()
+    # The primary swaps each generation on its own; followers on epochs.
+    switch = GenerationSwitch(baseline=baseline).attach(
+        ServiceBackend.from_model(inc.model, entity_categories=categories)
+    )
+    installer = GenerationInstaller(
+        switch, wal, on_generation=shipper.publish_generation
+    )
     updater = StreamingUpdater(
         inc,
-        pipe,
-        switch=None,  # followers swap on epochs, the primary on its own
+        wal,
+        generations_dir=root / "generations",
         min_batch_events=100,
-        on_generation=shipper.publish_generation,
+        on_generation=installer.install,
     )
     print(f"feed initialised at {root / 'feed'}")
 
@@ -185,7 +194,6 @@ def main() -> None:
             f"epoch_swaps={repl['epoch_swaps']} healthy={repl['healthy']}"
         )
         backend.close()
-    updater.stop()
     wal.close()
 
 

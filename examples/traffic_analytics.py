@@ -36,6 +36,7 @@ from repro.core.incremental import IncrementalShoal
 from repro.data.marketplace import PROFILES
 from repro.data.queries import QueryLogConfig
 from repro.streaming import (
+    GenerationInstaller,
     GenerationSwitch,
     IngestPipe,
     StreamingUpdater,
@@ -84,13 +85,17 @@ def main() -> None:
     wal_dir = Path(tempfile.mkdtemp(prefix="shoal-analytics-wal-"))
     wal = WriteAheadLog(wal_dir, fsync="batch")
     pipe = IngestPipe(wal, max_queue=8192)
+    # The fold runs in this process here; serve-http runs it in a child.
+    installer = GenerationInstaller(
+        switch, wal, drift_gate=DriftMonitor(threshold=0.0)
+    )
     updater = StreamingUpdater(
         inc,
-        pipe,
-        switch=switch,
+        wal,
+        generations_dir=wal_dir / "generations",
         batch_max_events=400,
         batch_max_age_s=0.0,
-        drift_gate=DriftMonitor(threshold=0.0),
+        on_generation=installer.install,
     )
 
     # The analytics side: an isolated SQLite replica fed by tailing
@@ -125,14 +130,13 @@ def main() -> None:
             # The tailer keeps pace with the log — and reads stay live.
             tailer.catch_up()
             gateway.search(SearchRequest(query=probe, k=3))
-    while pipe.queue_depth():
-        updater.run_once(timeout_s=0.0)
+    updater.force_generation()
     tailer.catch_up()
     stats = updater.stats()
     print(
         f"updater: {stats.events_applied} events -> {stats.generations} "
-        f"generations, {stats.rollouts_skipped} rollout(s) skipped as "
-        f"trivial by the drift gate"
+        f"generations, {installer.stats()['rollouts_skipped']} rollout(s) "
+        f"skipped as trivial by the drift gate"
     )
 
     print(f"\nanalytics store: {store.counts()}")

@@ -8,12 +8,14 @@ the same CRC-checked codec, and folds everything newer than the store's
 in batched transactions. Sequence numbers make the whole pipeline
 idempotent end to end:
 
-* a segment re-read after a partial apply re-offers old seqs, which the
-  store skips;
-* a segment *compacted away* between polls simply stops appearing —
-  everything in it was already applied (the tailer runs ahead of the
-  updater's compaction by construction, and a fresh store rebuilding
-  from a compacted WAL holds exactly what the WAL retains);
+* records are read with the WAL's own
+  :class:`~repro.streaming.wal.SegmentReader` (the fold process reads
+  the log the same way), resuming each poll where the last one stopped;
+* a failed apply rewinds the reader to the store's ``applied_seq``, so
+  the next poll re-offers exactly what the store lacks;
+* a segment *compacted away* between polls simply stops appearing (a
+  fresh store rebuilding from a compacted WAL holds exactly what the
+  WAL retains);
 * a torn or still-being-written final line in the active segment is
   left for the next poll (only newline-terminated records are decoded).
 
@@ -29,15 +31,13 @@ from __future__ import annotations
 
 import threading
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Union
+from typing import Any, Callable, Dict, Optional, Union
 
 from repro._util import atomic_write_json
 from repro.analytics.store import AnalyticsStore
-from repro.streaming.wal import IngestEvent, WalCorruption, WriteAheadLog
+from repro.streaming.wal import IngestEvent, SegmentReader, WriteAheadLog
 
 __all__ = ["SegmentTailer", "make_topic_resolver"]
-
-_SEGMENT_GLOB = "wal-*.jsonl"
 
 
 def make_topic_resolver(backend) -> Callable[[IngestEvent], int]:
@@ -111,9 +111,9 @@ class SegmentTailer:
             else store.path.with_name(store.path.name + ".checkpoint.json")
         )
 
-        #: name -> max seq of a *closed* segment fully applied already;
-        #: lets polls skip re-reading cold segments.
-        self._segment_done: Dict[str, int] = {}
+        self._reader = SegmentReader(
+            self._wal_dir, after_seq=store.applied_seq
+        )
         self._segments_tailed = 0
         self._runs = 0
         self._head_seq = store.applied_seq
@@ -136,92 +136,30 @@ class SegmentTailer:
     # -- one poll ------------------------------------------------------------
 
     def run_once(self) -> int:
-        """Scan the WAL directory once; returns newly applied events."""
-        paths = sorted(self._wal_dir.glob(_SEGMENT_GLOB))
+        """Read the WAL's new records once; returns newly applied events."""
         applied = 0
-        head = self._store.applied_seq
-        batch: List[IngestEvent] = []
-        #: Closed segments this pass fully read — only marked done once
-        #: every collected event is durably applied (a failed apply must
-        #: not leave a segment marked as consumed).
-        done_candidates: Dict[str, int] = {}
-
-        def flush() -> int:
-            if not batch:
-                return 0
-            n = self._store.apply_batch(batch, resolver=self._resolver)
-            batch.clear()
-            self._segment_done.update(done_candidates)
-            done_candidates.clear()
-            return n
-
-        for i, path in enumerate(paths):
-            last = i == len(paths) - 1
-            done_seq = self._segment_done.get(path.name)
-            if not last and done_seq is not None:
-                head = max(head, done_seq)
-                continue
-            max_seq = self._tail_segment(path, last, batch)
-            if max_seq is not None:
-                head = max(head, max_seq)
-                if not last:
-                    done_candidates[path.name] = max_seq
-            if len(batch) >= self._batch_max_events:
-                applied += flush()
-        applied += flush()
-        self._segment_done.update(done_candidates)
-
-        # Names that vanished were compacted; drop them from the skip
-        # cache so it cannot grow without bound.
-        live = {p.name for p in paths}
-        for name in [n for n in self._segment_done if n not in live]:
-            del self._segment_done[name]
-
+        try:
+            while True:
+                batch = self._reader.read(self._batch_max_events)
+                if not batch:
+                    break
+                applied += self._store.apply_batch(
+                    batch, resolver=self._resolver
+                )
+        except BaseException:
+            # What the reader handed out but the store did not commit
+            # must be offered again.
+            self._reader = SegmentReader(
+                self._wal_dir, after_seq=self._store.applied_seq
+            )
+            raise
         with self._state_lock:
-            self._head_seq = max(self._head_seq, head)
-            self._segments_tailed = len(paths)
+            self._head_seq = max(self._head_seq, self._reader.head_seq)
+            self._segments_tailed = self._reader.segments
             self._runs += 1
         self._record_ops()
         self._write_checkpoint()
         return applied
-
-    def _tail_segment(
-        self, path: Path, last: bool, batch: List[IngestEvent]
-    ) -> Optional[int]:
-        """Collect this segment's new events; returns its max seq seen.
-
-        The final line of the final segment is allowed to be incomplete
-        (no trailing newline — a writer is mid-append) or torn (CRC
-        fails with nothing after it — a crash the WAL will truncate on
-        reopen); both are simply left for a later poll. Anywhere else,
-        damage is real corruption and raises.
-        """
-        after = self._store.applied_seq
-        max_seq: Optional[int] = None
-        try:
-            fh = open(path, "rb")
-        except FileNotFoundError:
-            return None  # compacted between glob and open
-        with fh:
-            for raw in fh:
-                if not raw.endswith(b"\n"):
-                    if last and not fh.readline():
-                        break  # mid-append tail; next poll gets it
-                    raise WalCorruption(
-                        f"unterminated record inside {path.name}"
-                    )
-                try:
-                    event = WriteAheadLog._decode_line(raw)
-                except WalCorruption:
-                    if last and not fh.readline():
-                        break  # torn tail; recoverable
-                    raise
-                max_seq = event.seq if max_seq is None else max(
-                    max_seq, event.seq
-                )
-                if event.seq > after:
-                    batch.append(event)
-        return max_seq
 
     def _record_ops(self) -> None:
         """Snapshot pipe counters into ops — only when they moved."""

@@ -421,7 +421,7 @@ class AsyncShoalServer:
         if self._ingest_pipe is not None:
             self._ingest_pipe.close()
         if self._updater is not None:
-            self._updater.stop(drain=False)
+            self._updater.stop()
         if self._analytics_tailer is not None:
             self._analytics_tailer.stop(drain=True)
         if self._analytics_engine is not None:

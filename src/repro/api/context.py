@@ -23,11 +23,10 @@ dispatch, so the context is ambient in that task alone.
 
 from __future__ import annotations
 
-import contextlib
 import contextvars
 import itertools
 import time
-from typing import Callable, Dict, Iterator, Mapping, Optional
+from typing import Callable, Dict, Mapping, Optional
 
 from repro.api.contract import ApiError
 
@@ -197,15 +196,10 @@ class RequestContext:
 
     # -- propagation ---------------------------------------------------------
 
-    @contextlib.contextmanager
-    def use(self) -> Iterator["RequestContext"]:
+    def use(self) -> "_Use":
         """Install this context as the ambient one for the enclosed
         block (re-entrant; restores whatever was ambient before)."""
-        handle = _CURRENT.set(self)
-        try:
-            yield self
-        finally:
-            _CURRENT.reset(handle)
+        return _Use(self)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         remaining = self.remaining_ms()
@@ -214,3 +208,22 @@ class RequestContext:
             f"RequestContext({self.request_id}, remaining={budget}, "
             f"cancelled={self.cancelled}, tags={self.tags})"
         )
+
+
+class _Use:
+    """``with ctx.use():`` — one ``ContextVar.set`` on entry and its
+    ``reset`` on exit. A plain class, not a generator context manager:
+    every read enters one. Each :meth:`RequestContext.use` call makes a
+    fresh handle, so nested blocks restore in order."""
+
+    __slots__ = ("_ctx", "_token")
+
+    def __init__(self, ctx: RequestContext) -> None:
+        self._ctx = ctx
+
+    def __enter__(self) -> RequestContext:
+        self._token = _CURRENT.set(self._ctx)
+        return self._ctx
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        _CURRENT.reset(self._token)

@@ -19,11 +19,6 @@ system would be driven:
   snapshot over the JSON gateway API (``repro.api``) on the asyncio
   HTTP edge, with the standard middleware stack (metrics, optional
   rate limit and deadline, result cache);
-* ``python -m repro.cli ingest`` — run the streaming write path end to
-  end offline: fit a base window, stream the remaining days' events
-  through the WAL-backed ingest pipe, micro-batch them into model
-  generations, and hot-swap each generation into a live read tier with
-  health checks (``repro.streaming``);
 * ``python -m repro.cli analytics`` — fold a WAL into the SQLite
   analytics store offline and print a canned report (``--report``) or
   run one guarded read-only SQL statement (``--sql``) against it
@@ -35,11 +30,12 @@ system would be driven:
 
 ``serve-http --ingest-wal DIR`` additionally opens the **live** write
 path: ``POST /v1/ingest`` admits query events into a durable WAL, a
-background micro-batch updater slides the model window, and every new
-generation is hot-swapped into the serving backend with zero read
-downtime. ``GET /v1/metrics`` exposes gateway, ingest, updater,
-analytics, and edge counters as one JSON scrape point (the
-unversioned alias is gone after its one-release deprecation).
+fold process the server spawns slides the model window and writes each
+generation as a snapshot, and the server loads every new generation
+and hot-swaps it into the serving backend with zero read downtime.
+``GET /v1/metrics`` exposes gateway, ingest, updater, analytics, and
+edge counters as one JSON scrape point (the unversioned alias is gone
+after its one-release deprecation).
 
 The edge (:class:`~repro.api.aio.AsyncShoalServer`) holds thousands of
 connections on one event loop and adds deadline cancellation and
@@ -99,10 +95,10 @@ from repro.store.persistence import save_taxonomy
 
 __all__ = ["build_parser", "main"]
 
-#: ``serve-http --ingest-wal``'s write path: the ingest queue's bound
-#: (a full queue sheds with 429), and the updater's micro-batch — taken
-#: at 64 events or once its oldest event is 2 s old, folded into a
-#: generation once at least 16 events are pending.
+#: ``serve-http --ingest-wal``'s write path: how many WAL events the
+#: fold process may lag behind before ingest sheds with 429, and its
+#: micro-batch — taken at 64 events or once its oldest event has waited
+#: 2 s, folded into a generation once at least 16 events are pending.
 SERVE_INGEST_QUEUE = 4096
 SERVE_BATCH_EVENTS = 64
 SERVE_BATCH_AGE_S = 2.0
@@ -394,34 +390,37 @@ def _cmd_abtest(args) -> int:
     return 0 if report.relative_uplift > 0 else 1
 
 
-def _build_ingest_side(args, backend):
-    """(pipe, updater, shipper) for ``serve-http --ingest-wal``.
+def _build_ingest_side(args, backend, tracer):
+    """(pipe, fold, shipper) for ``serve-http --ingest-wal``.
 
     All three are ``None`` without ``--ingest-wal``; the shipper is
     ``None`` without ``--ship-feed``.
 
-    Everything comes from the snapshot: an :class:`IncrementalShoal`
-    warm-starts from the fully loaded model, the updater folds into the
-    snapshot's click window (``window.npz``) and replays any retained
-    WAL from a previous run into it, and a :class:`GenerationSwitch`
-    over the serving backend hot-swaps every new generation in, with
-    probe queries taken from the model.
+    This process folds nothing. A :class:`FoldProcess` spawns the fold
+    child, which restarts from the newest generation under
+    ``--generations`` (``DIR/generations`` inside the WAL directory by
+    default) or from the snapshot's click window (``window.npz``), and
+    replays the WAL after it. Each generation the child writes is
+    loaded here, verified by fingerprint, and hot-swapped into the
+    serving backend by a :class:`GenerationSwitch` whose probe queries
+    come from the snapshot. The fold child is started but not waited
+    for: reads are served from the snapshot meanwhile.
     """
     if not args.ingest_wal:
         return None, None, None
     if not args.load:
         raise SystemExit(
-            "--ingest-wal requires --load DIR: the updater warm-starts "
+            "--ingest-wal requires --load DIR: the fold process starts "
             "from the model snapshot (cluster snapshots only carry the "
             "sharded halves)"
         )
-    from repro.core.incremental import IncrementalShoal
-    from repro.store.persistence import load_entity_categories, load_window
+    from repro.store.persistence import load_window
     from repro.streaming import (
+        FoldProcess,
         Generation,
+        GenerationInstaller,
         GenerationSwitch,
         IngestPipe,
-        StreamingUpdater,
         WriteAheadLog,
         probe_queries,
     )
@@ -432,21 +431,16 @@ def _build_ingest_side(args, backend):
         raise SystemExit(
             f"--ingest-wal cannot restart the window: {exc}"
         ) from None
-    model = ShoalModel.load(args.load)
-    cats = load_entity_categories(args.load) or {}
-    inc = IncrementalShoal.from_model(model, entity_categories=cats)
-    # The snapshot model is the rollback baseline: a first generation
-    # failing its health check restores the tier to what it serves now.
+    serving = backend.service.serving
+    # The snapshot is the rollback baseline: a first generation failing
+    # its health check restores the tier to what it serves now.
     baseline = Generation(
-        number=0,
-        serving=model.serving(cats),
-        last_day=window.last_day or 0,
+        number=0, serving=serving, last_day=window.last_day or 0
     )
     switch = GenerationSwitch(
-        probe_queries=probe_queries(model.taxonomy), baseline=baseline
+        probe_queries=probe_queries(serving.taxonomy), baseline=baseline
     ).attach(backend)
     wal = WriteAheadLog(args.ingest_wal, fsync=args.ingest_fsync)
-    pipe = IngestPipe(wal, max_queue=SERVE_INGEST_QUEUE)
     drift_gate = None
     if args.drift_threshold is not None:
         from repro.analytics import DriftMonitor
@@ -458,22 +452,28 @@ def _build_ingest_side(args, backend):
 
         shipper = GenerationShipper(args.ship_feed, baseline)
         shipper.initialise()
-    updater = StreamingUpdater(
-        inc,
-        pipe,
-        switch=switch,
-        window=window,
-        generations_dir=args.generations,
-        batch_max_events=SERVE_BATCH_EVENTS,
-        batch_max_age_s=SERVE_BATCH_AGE_S,
-        min_batch_events=SERVE_MIN_BATCH_EVENTS,
+    installer = GenerationInstaller(
+        switch,
+        wal,
         drift_gate=drift_gate,
         on_generation=None if shipper is None else shipper.publish_generation,
     )
-    recovered = updater.recover()
-    if recovered:
-        print(f"recovered {recovered} events from the WAL at {args.ingest_wal}")
-    return pipe, updater, shipper
+    fold = FoldProcess(
+        installer,
+        snapshot=args.load,
+        wal=wal,
+        generations_dir=args.generations or Path(args.ingest_wal) / "generations",
+        batch_max_events=SERVE_BATCH_EVENTS,
+        batch_max_age_s=SERVE_BATCH_AGE_S,
+        min_batch_events=SERVE_MIN_BATCH_EVENTS,
+        tracer=tracer,
+    )
+    pipe = IngestPipe(
+        wal,
+        max_queue=SERVE_INGEST_QUEUE,
+        applied_seq=lambda: fold.applied_seq,
+    )
+    return pipe, fold, shipper
 
 
 def _build_analytics_side(args, backend, pipe):
@@ -526,8 +526,9 @@ def _build_tracer(args):
 
     The edge hands it to every :class:`RequestContext` it mints, so
     request spans land in it; installing it as the module default also
-    catches background work (updater folds, shipper publishes, follower
-    loads) as ``bg-N`` root traces. ``--trace-capacity 0`` disables
+    catches background work (generation installs, shipper publishes,
+    follower loads) as ``bg-N`` root traces, and the fold process's
+    span trees are folded into it too. ``--trace-capacity 0`` disables
     tracing entirely (``/v1/trace`` then answers ``not_found``).
     """
     if args.trace_capacity <= 0:
@@ -603,14 +604,19 @@ def _build_gateway(args, backend):
     )
 
 
-def _run_server(server, what: str, surface: str, *, on_stop=None) -> int:
+def _run_server(
+    server, what: str, surface: str, *, on_start=None, on_stop=None
+) -> int:
     """Start ``server``, print its banner, and serve until Ctrl-C;
-    ``on_stop`` runs just before the server shuts down."""
+    ``on_start`` runs once the banner is out (work readiness must not
+    wait for), ``on_stop`` just before the server shuts down."""
     server.start()  # binds the port so the banner can name it
     print(
         f"serving {what} on {server.url} ({surface}; Ctrl-C to stop)",
         flush=True,
     )
+    if on_start is not None:
+        on_start()
     try:
         server.serve_forever()
     except KeyboardInterrupt:
@@ -637,11 +643,10 @@ def _cmd_serve_http(args) -> int:
         backend = open_backend(f"cluster:{args.cluster_dir}")
     tracer = _build_tracer(args)
     gateway = _build_gateway(args, backend)
-    pipe, updater, shipper = _build_ingest_side(args, backend)
-    if updater is not None:
+    pipe, fold, shipper = _build_ingest_side(args, backend, tracer)
+    if fold is not None:
         # The gateway's result cache must drop on each hot-swap too.
-        updater.switch.attach(gateway)
-        updater.start()
+        fold.switch.attach(gateway)
     analytics_engine, analytics_tailer = _build_analytics_side(
         args, backend, pipe
     )
@@ -673,7 +678,7 @@ def _cmd_serve_http(args) -> int:
         args.port,
         quiet=args.quiet,
         ingest_pipe=pipe,
-        updater=updater,
+        updater=fold,
         analytics_engine=analytics_engine,
         analytics_tailer=analytics_tailer,
         default_timeout_ms=args.deadline_ms,
@@ -689,6 +694,9 @@ def _cmd_serve_http(args) -> int:
         f"{backend.kind} backend",
         f"POST /v1/search /v1/recommend /v1/batch{write_side}"
         f"{analytics_side} GET /v1/health /v1/stats /v1/metrics /v1/trace",
+        # The fold process imports and loads on its own time: reads are
+        # served from the snapshot until its first generation.
+        on_start=None if fold is None else fold.start,
         on_stop=None if coordinator_stop is None else coordinator_stop.set,
     )
 
@@ -723,131 +731,6 @@ def _cmd_serve_follower(args) -> int:
         "POST /v1/search /v1/recommend /v1/batch; "
         "GET /v1/health /v1/stats /v1/metrics /v1/trace",
     )
-
-
-def _cmd_ingest(args) -> int:
-    """The offline end-to-end of the streaming write path."""
-    import dataclasses as _dc
-
-    from repro.core.incremental import IncrementalShoal
-    from repro.streaming import (
-        Generation,
-        GenerationSwitch,
-        IngestPipe,
-        StreamingUpdater,
-        WriteAheadLog,
-        probe_queries,
-    )
-
-    _check_load_flags(args)
-    if args.load:
-        raise SystemExit(
-            "ingest fits its own base window from the generated log; "
-            "--load is not supported here (use serve-http --ingest-wal "
-            "to stream into a loaded snapshot)"
-        )
-    if args.queue_size < args.batch_events:
-        raise SystemExit(
-            f"--queue-size {args.queue_size} must be >= --batch-events "
-            f"{args.batch_events}: the submit loop only drains once per "
-            "batch, so a smaller queue is guaranteed to overflow"
-        )
-    base_profile = PROFILES[args.profile].with_seed(args.seed)
-    window = ShoalConfig().window_days
-    total_days = window + args.live_days
-    market = generate_marketplace(
-        _dc.replace(
-            base_profile,
-            query_log=_dc.replace(
-                base_profile.query_log, n_days=total_days
-            ),
-        )
-    )
-    titles = {e.entity_id: e.title for e in market.catalog.entities}
-    query_texts = {q.query_id: q.text for q in market.query_log.queries}
-    cats = _entity_categories(market)
-
-    config = ShoalConfig()
-    if args.alpha is not None:
-        config = config.with_alpha(args.alpha)
-    inc = IncrementalShoal(config, titles, query_texts, cats)
-    base_last_day = window - 1
-    update = inc.advance(market.query_log, last_day=base_last_day)
-    print(f"base {update.summary()}")
-
-    # The read tier is built from the model once; from here on only the
-    # switch refreshes it, after each generation's probes pass.
-    backend = ServiceBackend.from_model(update.model, entity_categories=cats)
-    baseline = Generation(
-        number=0,
-        serving=update.model.serving(cats),
-        last_day=base_last_day,
-    )
-    switch = GenerationSwitch(
-        probe_queries=probe_queries(update.model.taxonomy), baseline=baseline
-    ).attach(backend)
-    wal = WriteAheadLog(args.wal, fsync=args.fsync)
-    pipe = IngestPipe(wal, max_queue=args.queue_size)
-    updater = StreamingUpdater(
-        inc,
-        pipe,
-        switch=switch,
-        generations_dir=args.generations,
-        batch_max_events=args.batch_events,
-        batch_max_age_s=0.0,
-        min_batch_events=1,
-    )
-    recovered = updater.recover()
-    if recovered:
-        print(f"recovered {recovered} events from a previous WAL")
-
-    live = [
-        e for e in market.query_log.events if e.day > base_last_day
-    ]
-    print(
-        f"streaming {len(live)} live events from days "
-        f"{base_last_day + 1}..{total_days - 1} through {args.wal} ..."
-    )
-    from repro.api import ApiError
-
-    submitted = 0
-    for e in live:
-        payload = {
-            "day": e.day,
-            "user_id": e.user_id,
-            "query_id": e.query_id,
-            "clicked": list(e.clicked_entity_ids),
-        }
-        try:
-            pipe.submit(payload)
-        except ApiError as exc:
-            if exc.code != "ingest_overloaded":
-                raise
-            # Backpressure from our own queue: drain a batch, retry.
-            updater.run_once(timeout_s=0.0)
-            pipe.submit(payload)
-        submitted += 1
-        if submitted % args.batch_events == 0:
-            generation = updater.run_once(timeout_s=0.0)
-            if generation is not None:
-                print(f"  {generation.summary()}")
-    while pipe.queue_depth():
-        generation = updater.run_once(timeout_s=0.0)
-        if generation is not None:
-            print(f"  {generation.summary()}")
-    final = updater.force_generation()
-    if final is not None:
-        print(f"  {final.summary()}")
-
-    stats = updater.stats()
-    print(
-        f"ingested {stats.events_applied} events -> "
-        f"{stats.generations} generations "
-        f"({stats.swap_failures} swap failures); {wal.stats()['segments']} "
-        f"WAL segments retained"
-    )
-    print(switch.stats())
-    return 0 if stats.swap_failures == 0 and stats.generations > 0 else 1
 
 
 def _print_table(response) -> None:
@@ -1052,12 +935,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_http.add_argument(
         "--ingest-fsync", default="batch",
         choices=["always", "batch", "never"],
-        help="WAL fsync policy (batch = once per micro-batch)",
+        help="WAL fsync policy (batch = once per micro-batch the fold "
+             "process takes)",
     )
     p_http.add_argument(
         "--generations", default=None, metavar="DIR",
-        help="persist each model generation as a versioned snapshot here "
-             "(requires --ingest-wal)",
+        help="where the fold process writes each generation as a full "
+             "snapshot, and restarts from the newest one (default: "
+             "DIR/generations inside the --ingest-wal directory; the "
+             "newest 8 are kept; requires --ingest-wal)",
     )
     p_http.add_argument(
         "--analytics-db", default=None, metavar="PATH",
@@ -1106,37 +992,6 @@ def build_parser() -> argparse.ArgumentParser:
              "opens",
     )
     p_follower.set_defaults(func=_cmd_serve_follower)
-
-    p_ingest = sub.add_parser(
-        "ingest",
-        help="stream live query events through the WAL-backed write path",
-    )
-    _add_common(p_ingest)
-    p_ingest.add_argument(
-        "--wal", required=True, metavar="DIR",
-        help="write-ahead log directory (created if missing)",
-    )
-    p_ingest.add_argument(
-        "--live-days", type=int, default=2,
-        help="days of traffic to stream in after the base window",
-    )
-    p_ingest.add_argument(
-        "--batch-events", type=int, default=256,
-        help="micro-batch size per generation",
-    )
-    p_ingest.add_argument(
-        "--queue-size", type=int, default=8192,
-        help="bounded ingest-queue capacity",
-    )
-    p_ingest.add_argument(
-        "--fsync", default="batch", choices=["always", "batch", "never"],
-        help="WAL fsync policy",
-    )
-    p_ingest.add_argument(
-        "--generations", default=None, metavar="DIR",
-        help="persist each model generation as a versioned snapshot here",
-    )
-    p_ingest.set_defaults(func=_cmd_ingest)
 
     p_analytics = sub.add_parser(
         "analytics",

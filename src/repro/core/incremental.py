@@ -13,10 +13,11 @@ token geometry: titles change slowly relative to the click stream, so
 embeddings go stale on vocabulary shifts, not window slides. A
 configurable ``retrain_every`` forces periodic full retrains.
 
-The maintainer keeps no on-disk state of its own. A process restarts
-it from a model snapshot with :meth:`IncrementalShoal.from_model`, then
-replays its write-ahead log into the snapshot's click window
-(``load_window``), which is what ``serve-http`` and every follower do.
+The maintainer keeps no on-disk state of its own. The fold process
+(:mod:`repro.streaming.updater`) restarts it from a model snapshot with
+:meth:`IncrementalShoal.from_model`, passing the retrain counter its
+newest generation recorded, then replays its write-ahead log into the
+snapshot's click window (``load_window``).
 """
 
 from __future__ import annotations
@@ -98,15 +99,20 @@ class IncrementalShoal:
         model: ShoalModel,
         entity_categories: Optional[Dict[int, int]] = None,
         retrain_every: int = 7,
+        fits_since_retrain: int = 1,
     ) -> "IncrementalShoal":
         """Warm-start maintenance from an already-fitted model.
 
-        This is the one restart path: a serving process or follower
-        loads a snapshot, builds the maintainer from it, and replays
-        its write-ahead log. The model's titles, query texts, and
-        embeddings seed the maintainer, so the first :meth:`advance`
-        reuses warm embeddings exactly as if this process had fitted
-        the model itself.
+        This is the one restart path: the fold process loads a snapshot
+        (the ``--load`` one or its newest generation), builds the
+        maintainer from it, and replays its write-ahead log. The model's
+        titles, query texts, and embeddings seed the maintainer, so the
+        first :meth:`advance` reuses warm embeddings exactly as if this
+        process had fitted the model itself. ``fits_since_retrain`` is
+        the retrain counter a generation's manifest carries (a model
+        fresh from a full fit has had one fit since its retrain), so a
+        restarted maintainer retrains on the same fold as one that never
+        stopped.
         """
         inc = cls(
             model.config,
@@ -117,13 +123,19 @@ class IncrementalShoal:
         )
         inc._last_model = model
         inc._embeddings = model.embeddings
-        inc._fits_since_retrain = 1
+        inc._fits_since_retrain = fits_since_retrain
         return inc
 
     @property
     def model(self) -> Optional[ShoalModel]:
         """The most recent fitted model (None before the first advance)."""
         return self._last_model
+
+    @property
+    def fits_since_retrain(self) -> int:
+        """Fits since the embeddings were last trained (the counter
+        ``retrain_every`` is compared against)."""
+        return self._fits_since_retrain
 
     @property
     def entity_categories(self) -> Dict[int, int]:
@@ -141,8 +153,14 @@ class IncrementalShoal:
         )
         if not due:
             return False
+        # The corpus in id order: what a retrain learns must not depend
+        # on the order the registry was filled in (a snapshot's JSON
+        # stores it sorted by key, a live registration appends).
+        corpus = [self._titles[k] for k in sorted(self._titles)] + [
+            self._query_texts[k] for k in sorted(self._query_texts)
+        ]
         self._embeddings = ShoalPipeline(self._config).fit_embeddings(
-            self._titles, self._query_texts, timings
+            self._titles, self._query_texts, timings, corpus
         )
         self._fits_since_retrain = 0
         return True

@@ -287,6 +287,11 @@ class ShoalService:
     def taxonomy(self) -> Taxonomy:
         return self._state.serving.taxonomy
 
+    @property
+    def serving(self) -> ServingModel:
+        """The serving model this service currently answers from."""
+        return self._state.serving
+
     # -- scenario A: Query → Topic ------------------------------------------
 
     def search_topics(self, query: str, k: int = 5) -> List[TopicHit]:

@@ -33,6 +33,9 @@ their ``fit.*`` stages, shipper publishes, follower loads and swaps)
 has no request context: its first :func:`traced` call mints a ``bg-N``
 context on the process default tracer and makes it ambient until that
 root closes, so nested spans join its tree the same way.
+The fold runs in a child process: its finished trees (``updater.batch_fold``
+and its ``fit.*`` stages) are sent to the server, whose tracer folds
+each one with :meth:`Tracer.adopt` as if it had closed there.
 
 With no tracer in scope, :func:`traced` returns a shared no-op after a
 context-variable read and two attribute checks.
@@ -291,6 +294,33 @@ class Tracer:
                 # nothing, but keep the caller's code path intact.
                 self._late_spans += 1
         return _NULL
+
+    def adopt(self, rows) -> None:
+        """Fold a finished span tree recorded by another process.
+
+        ``rows`` are ``(name, parent, start, end, status, detail, tags)``
+        in the order the spans opened, times on the same monotonic
+        clock; the tree joins this tracer as a ``bg-N`` trace, exactly
+        as if its root had closed here.
+        """
+        from repro.api.context import RequestContext
+
+        ctx = RequestContext(request_id=f"bg-{next(self._bg_ids)}")
+        spans = []
+        for index, (name, parent, start, end, status, detail, tags) in (
+            enumerate(rows)
+        ):
+            span = Span(ctx, index, name, int(parent), tags, float(start))
+            span.end = float(end)
+            span.status = status
+            span.detail = detail
+            spans.append(span)
+        if not spans:
+            return
+        next(self._roots_opened)
+        ctx.tracer = self
+        ctx.spans = spans
+        self._close(ctx)
 
     # -- the fold: self times, sampling, kept trees ---------------------------
 

@@ -60,11 +60,7 @@ from repro.api.contract import (
 from repro.core.serving import ShoalService
 from repro.obs.tracer import traced
 from repro.replication.feed import Feed, FeedError
-from repro.store.persistence import (
-    load_serving,
-    read_manifest,
-    snapshot_fingerprint,
-)
+from repro.store.persistence import load_serving_verified, whole_fingerprint
 from repro.streaming.rollout import (
     Generation,
     GenerationSwitch,
@@ -165,7 +161,7 @@ class Follower:
         True if they match, False if refused, None while incomplete."""
         number = int(entry["number"])
         try:
-            fingerprint = _whole_fingerprint(self._feed.generation_dir(number))
+            fingerprint = whole_fingerprint(self._feed.generation_dir(number))
         except ValueError as exc:
             problem: Optional[str] = str(exc)
         else:
@@ -205,16 +201,9 @@ class Follower:
             "follower.load",
             tags={"follower": self.follower_id, "generation": str(number)},
         ):
-            serving = load_serving(directory)
-            # The bytes served must be the bytes checked: load_serving
-            # also reads the manifest, which the fingerprint leaves out.
-            if _whole_fingerprint(directory) != entry["fingerprint"]:
-                raise ValueError(
-                    f"generation {number} changed since it was verified"
-                )
             return Generation(
                 number=number,
-                serving=serving,
+                serving=load_serving_verified(directory, entry["fingerprint"]),
                 applied_seq=int(entry["applied_seq"]),
                 last_day=int(entry["last_day"]),
             )
@@ -398,33 +387,6 @@ class Follower:
                     else {}
                 ),
             }
-
-
-def _whole_fingerprint(directory: Path) -> Optional[str]:
-    """``snapshot_fingerprint`` of a generation directory, or None while
-    the directory, its manifest or a file the manifest lists is missing.
-
-    Raises ``ValueError`` when the directory holds a file its manifest
-    does not list: the manifest is not fingerprinted, yet it decides
-    what :func:`load_serving` reads (the category sidecar)."""
-    try:
-        listed = set(read_manifest(directory).get("artifacts", ()))
-        present = {
-            p.name
-            for p in directory.iterdir()
-            if p.is_file() and p.name != "MANIFEST.json"
-        }
-        if not listed <= present:
-            return None
-        fingerprint = snapshot_fingerprint(directory)
-    except (OSError, ValueError):
-        return None
-    if listed != present:
-        raise ValueError(
-            f"{directory.name} holds {', '.join(sorted(present - listed))} "
-            "that its manifest does not list"
-        )
-    return fingerprint
 
 
 def _first_to_verify(

@@ -12,9 +12,10 @@ two granularities, both strictly pickle-free:
   reads it all, ``load_serving`` only what a read tier needs), and its
   content fingerprint.
 
-A maintainer restarts from a snapshot: ``IncrementalShoal.from_model``
-over the loaded model, then a WAL replay into the snapshot's click
-window (:func:`load_window`).
+A fold process restarts from a snapshot — the ``--load`` one or its
+newest generation: ``IncrementalShoal.from_model`` over the loaded
+model, then a WAL replay into the snapshot's click window
+(:func:`load_window`).
 """
 
 from repro.store.persistence.artifacts import (
@@ -34,11 +35,13 @@ from repro.store.persistence.snapshot import (
     load_entity_categories,
     load_model,
     load_serving,
+    load_serving_verified,
     load_window,
     read_manifest,
     save_model,
     save_serving,
     snapshot_fingerprint,
+    whole_fingerprint,
 )
 
 __all__ = [
@@ -54,10 +57,12 @@ __all__ = [
     "save_serving",
     "load_model",
     "load_serving",
+    "load_serving_verified",
     "load_entity_categories",
     "load_window",
     "read_manifest",
     "check_manifest",
+    "whole_fingerprint",
     "snapshot_fingerprint",
     "SNAPSHOT_FORMAT_VERSION",
     "MODEL_SNAPSHOT_KIND",

@@ -88,6 +88,8 @@ __all__ = [
     "read_manifest",
     "check_manifest",
     "snapshot_fingerprint",
+    "whole_fingerprint",
+    "load_serving_verified",
 ]
 
 SNAPSHOT_FORMAT_VERSION = 1
@@ -605,3 +607,49 @@ def snapshot_fingerprint(directory: Union[str, Path]) -> str:
             continue
         h.update(f"{path.name}:{_sha256_file(path)}\n".encode())
     return h.hexdigest()
+
+
+def whole_fingerprint(directory: Union[str, Path]) -> Optional[str]:
+    """:func:`snapshot_fingerprint` of a directory another process
+    writes, or None while the directory, its manifest or a file the
+    manifest lists is missing.
+
+    Raises ``ValueError`` when the directory holds a file its manifest
+    does not list: the manifest is not fingerprinted, yet it decides
+    what :func:`load_serving` reads (the category sidecar).
+    """
+    directory = Path(directory)
+    try:
+        listed = set(read_manifest(directory).get("artifacts", ()))
+        present = {
+            p.name
+            for p in directory.iterdir()
+            if p.is_file() and p.name != _MANIFEST
+        }
+        if not listed <= present:
+            return None
+        fingerprint = snapshot_fingerprint(directory)
+    except (OSError, ValueError):
+        return None
+    if listed != present:
+        raise ValueError(
+            f"{directory.name} holds {', '.join(sorted(present - listed))} "
+            "that its manifest does not list"
+        )
+    return fingerprint
+
+
+def load_serving_verified(
+    directory: Union[str, Path], fingerprint: str
+) -> ServingModel:
+    """:func:`load_serving`, refused unless the directory's files are
+    the ones ``fingerprint`` names — checked after the load, so the
+    bytes served are the bytes checked. Raises ``ValueError``.
+    """
+    serving = load_serving(directory)
+    if whole_fingerprint(directory) != fingerprint:
+        raise ValueError(
+            f"{Path(directory).name} changed since it was verified: its "
+            f"files are not fingerprint {fingerprint[:12]}"
+        )
+    return serving

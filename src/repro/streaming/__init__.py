@@ -8,14 +8,20 @@ model generations while that read path keeps answering:
 * :mod:`repro.streaming.wal` — :class:`WriteAheadLog`, an append-only,
   segmented, checksummed JSON-lines log of ingest events with fsync
   policies, torn-tail crash recovery, and day-based segment compaction;
-* :mod:`repro.streaming.ingest` — :class:`IngestPipe`, the bounded
-  admission queue in front of the WAL with count/age batching; what
+  :class:`SegmentReader` reads it lock-free from any process;
+* :mod:`repro.streaming.ingest` — :class:`IngestPipe`, admission in
+  front of the WAL; once the fold lags too far behind the log, what
   does not fit is shed with a stable gateway
   :class:`~repro.api.contract.ApiError` code;
-* :mod:`repro.streaming.updater` — :class:`StreamingUpdater`, the
-  micro-batch consumer that drains the pipe into
-  :class:`~repro.core.incremental.IncrementalShoal` window slides and
-  produces versioned snapshot **generations**;
+* :mod:`repro.streaming.updater` — :class:`StreamingUpdater`, the fold
+  loop, which runs in a child process of the server: it tails the WAL,
+  slides an :class:`~repro.core.incremental.IncrementalShoal` window,
+  and writes each **generation** as a full snapshot;
+* :mod:`repro.streaming.fold` — :class:`FoldProcess`, which spawns and
+  supervises that child in the serving process, and
+  :class:`GenerationInstaller`, which loads each generation it writes
+  (verified by fingerprint), swaps it in, checkpoints, ships and
+  compacts;
 * :mod:`repro.streaming.rollout` — :class:`GenerationSwitch`, which
   hot-swaps a new generation into its one single-service tier (a
   :class:`~repro.core.serving.ShoalService`, reached directly or
@@ -25,15 +31,18 @@ model generations while that read path keeps answering:
 
 Dataflow::
 
-    client ──submit──▶ IngestPipe ──append──▶ WriteAheadLog (durable)
-                           │ batch (count/age)
-                           ▼
-                   StreamingUpdater ──slide──▶ IncrementalShoal
-                           │ generation (versioned snapshot)
-                           ▼
-                   GenerationSwitch ──hot-swap──▶ the serving tier
+    serving process                        fold process (child)
+    ───────────────                        ────────────────────
+    client ─▶ IngestPipe ─append─▶ WAL ─read─▶ StreamingUpdater
+                                                  │ slide IncrementalShoal
+                                                  ▼
+    GenerationSwitch ◀─load+swap── gen-NNNNN/ ◀─write (report on stdout)
+          │ hot-swap
+          ▼
+    the serving tier; then CHECKPOINT.json, ship feed, WAL compaction
 """
 
+from repro.streaming.fold import FoldProcess, GenerationInstaller
 from repro.streaming.ingest import IngestPipe
 from repro.streaming.rollout import (
     Generation,
@@ -45,14 +54,17 @@ from repro.streaming.rollout import (
 from repro.streaming.updater import StreamingUpdater, UpdaterStats
 from repro.streaming.wal import (
     IngestEvent,
+    SegmentReader,
     WalCorruption,
     WriteAheadLog,
 )
 
 __all__ = [
+    "FoldProcess",
     "IngestEvent",
     "IngestPipe",
     "Generation",
+    "GenerationInstaller",
     "GenerationSwitch",
     "StreamingUpdater",
     "SwapError",
@@ -60,5 +72,6 @@ __all__ = [
     "UpdaterStats",
     "WalCorruption",
     "WriteAheadLog",
+    "SegmentReader",
     "probe_queries",
 ]

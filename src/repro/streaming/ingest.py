@@ -1,33 +1,29 @@
-"""Admission control for the write path: validate, persist, enqueue.
+"""Admission control for the write path: validate, shed, persist.
 
 :class:`IngestPipe` sits between clients (the HTTP ``/v1/ingest``
-endpoint, the CLI) and the
-:class:`~repro.streaming.updater.StreamingUpdater`:
+endpoint) and the fold process (:mod:`repro.streaming.updater`), which
+reads the write-ahead log on its own — the WAL is the queue:
 
 1. **Validate** the submitted payload (types and bounds) — failures are
    :class:`~repro.api.contract.ApiError` with the contract's stable
    codes, exactly like the read path;
-2. **Admit or shed** against a bounded in-memory queue: what does not
-   fit is rejected with ``ingest_overloaded`` (HTTP 429) before any
-   work is done, so the client retries with backoff. Shedding is the
-   only policy — a waiting admission would park an edge worker behind
-   the updater, and evicting queued events would keep acknowledged
-   events out of every generation until a restart replayed the WAL;
+2. **Admit or shed** against the fold's lag: events the WAL holds past
+   the cut the fold has applied count against ``max_queue``, and what
+   does not fit is rejected with ``ingest_overloaded`` (HTTP 429)
+   before any work is done, so the client retries with backoff.
+   Shedding is the only policy — a waiting admission would park an
+   edge worker behind the fold;
 3. **Persist** the event to the :class:`~repro.streaming.wal.WriteAheadLog`
    *before* acknowledging — the ack means "written and flushed to the
-   OS", not "applied" (see the WAL's fsync policies for power loss);
-4. **Hand off** in micro-batches: :meth:`take_batch` groups events by
-   count *or* age, whichever threshold trips first, which is what keeps
-   update latency bounded under trickle traffic and throughput high
-   under floods.
+   OS", not "applied" (see the WAL's fsync policies for power loss).
+   The fold process picks it up from the segment files, in micro-batches
+   bounded by count and age.
 """
 
 from __future__ import annotations
 
 import threading
-import time
-from collections import deque
-from typing import Any, Callable, Deque, Dict, List, Mapping, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Sequence, Tuple
 
 from repro.api.contract import ApiError
 from repro.obs.tracer import traced
@@ -127,23 +123,27 @@ def validate_event_payload(payload: Mapping[str, Any]) -> Dict[str, Any]:
 
 
 class IngestPipe:
-    """Bounded, WAL-backed admission queue that sheds what does not fit."""
+    """WAL-backed admission that sheds once the fold lags too far.
+
+    ``applied_seq`` returns the WAL cut the fold has applied (a
+    :class:`~repro.streaming.fold.FoldProcess`'s); the lag is every
+    appended event past it. With no fold attached nothing is applied,
+    so at most ``max_queue`` events are admitted.
+    """
 
     def __init__(
         self,
         wal: WriteAheadLog,
         *,
         max_queue: int = 4096,
-        clock: Callable[[], float] = time.monotonic,
+        applied_seq: Callable[[], int] = lambda: 0,
     ):
         if max_queue < 1:
             raise ValueError(f"max_queue must be >= 1, got {max_queue}")
         self._wal = wal
         self._max_queue = max_queue
-        self._clock = clock
-        self._queue: Deque[Tuple[IngestEvent, float]] = deque()
+        self._applied_seq = applied_seq
         self._lock = threading.Lock()
-        self._not_empty = threading.Condition(self._lock)
         self._closed = False
         self._accepted = 0
         self._shed = 0
@@ -155,7 +155,7 @@ class IngestPipe:
     # -- the write-path entry point ------------------------------------------
 
     def submit(self, payload: Mapping[str, Any]) -> IngestEvent:
-        """Validate → admit → persist → enqueue one event.
+        """Validate → admit → persist one event.
 
         Returns the durable :class:`IngestEvent` (with its assigned
         sequence number); raises exactly what :meth:`submit_many` does
@@ -175,7 +175,8 @@ class IngestPipe:
         batch-mates). Then, head-first:
 
         * closed pipe → ``ingest_unavailable`` (nothing admitted);
-        * a full queue → ``ingest_overloaded`` (nothing admitted);
+        * the fold ``max_queue`` or more events behind →
+          ``ingest_overloaded`` (nothing admitted);
         * otherwise the prefix that fits is admitted and returned, and
           the rest counts as shed — the caller detects the short return
           and backpressures per-request.
@@ -194,78 +195,34 @@ class IngestPipe:
                 raise ApiError(
                     "ingest_unavailable", "ingest pipe is closed"
                 )
-            n_admit = min(self._max_queue - len(self._queue), n)
+            n_admit = max(0, min(self._max_queue - self._lag(), n))
             if n_admit == 0:
                 self._shed += n
                 raise ApiError(
                     "ingest_overloaded",
-                    f"ingest queue is full ({self._max_queue} events); "
-                    "retry with backoff",
+                    f"the fold is {self._max_queue} or more events behind "
+                    "the WAL; retry with backoff",
                 )
             # Durability before acknowledgement, one barrier per batch.
             with traced(
                 "ingest.wal_append", tags={"events": str(n_admit)}
             ):
                 events = self._wal.append_many(fields[:n_admit])
-            now = self._clock()
-            for event in events:
-                self._queue.append((event, now))
             self._accepted += len(events)
             self._shed += n - n_admit
-            self._not_empty.notify()
             return events
 
-    # -- the updater-facing side ---------------------------------------------
-
-    def take_batch(
-        self,
-        *,
-        max_events: int = 256,
-        max_age_s: float = 0.5,
-        timeout_s: float = 1.0,
-    ) -> List[IngestEvent]:
-        """One micro-batch: up to ``max_events``, or whatever has queued
-        once the oldest waiting event is ``max_age_s`` old.
-
-        Blocks up to ``timeout_s`` for the *first* event, then at most
-        until the age threshold trips. Returns ``[]`` on timeout or
-        when the pipe is closed and drained. The WAL is fsynced once
-        per returned batch (the "batch" fsync policy hook).
-        """
-        if max_events < 1:
-            raise ValueError(f"max_events must be >= 1, got {max_events}")
-        with self._not_empty:
-            if not self._queue:
-                if self._closed:
-                    return []
-                self._not_empty.wait(timeout=timeout_s)
-            if not self._queue:
-                return []
-            # Wait for the batch to fill or the head to come of age.
-            head_enqueued_at = self._queue[0][1]
-            while (
-                len(self._queue) < max_events
-                and not self._closed
-            ):
-                remaining = max_age_s - (self._clock() - head_enqueued_at)
-                if remaining <= 0:
-                    break
-                self._not_empty.wait(timeout=remaining)
-            batch = []
-            while self._queue and len(batch) < max_events:
-                batch.append(self._queue.popleft()[0])
-        self._wal.sync()
-        return batch
+    def _lag(self) -> int:
+        return max(0, self._wal.next_seq - 1 - self._applied_seq())
 
     def queue_depth(self) -> int:
-        with self._lock:
-            return len(self._queue)
+        """Events in the WAL the fold has not applied yet."""
+        return self._lag()
 
     def close(self) -> None:
-        """Refuse new submissions; queued events remain drainable."""
+        """Refuse new submissions."""
         with self._lock:
             self._closed = True
-            self._not_empty.notify_all()
 
     @property
     def closed(self) -> bool:
@@ -276,7 +233,7 @@ class IngestPipe:
             return {
                 "accepted": self._accepted,
                 "shed": self._shed,
-                "queue_depth": len(self._queue),
+                "queue_depth": self._lag(),
                 "max_queue": self._max_queue,
                 "closed": self._closed,
                 "wal": self._wal.stats(),

@@ -1,16 +1,15 @@
 """Generation rollout: hot-swap a new model into the serving tier.
 
-A **generation** is one output of the micro-batch updater: the
+A **generation** is one output of the micro-batch fold: the
 :class:`~repro.core.serving.ServingModel` of a fitted model (its
 taxonomy, titles, correlations and entity → category map), stamped
-with the WAL sequence number it covers and (optionally) persisted as a
-versioned snapshot directory.
+with the WAL sequence number it covers and the snapshot directory the
+fold process wrote it to.
 
 :class:`GenerationSwitch` owns the *rollout* of a generation into one
-live single-service tier, and is the only thing that refreshes it:
-:class:`~repro.core.incremental.IncrementalShoal` just produces models,
-so a generation reaches readers once, after its probes, and never when
-the updater's drift gate skipped it. A switch holds exactly one engine,
+live single-service tier, and is the only thing that refreshes it: the
+fold process only writes generations, so a generation reaches readers
+once, after its probes, and never when the drift gate skipped it. A switch holds exactly one engine,
 set by the first attach of any of:
 
 * a :class:`~repro.core.serving.ShoalService` — refreshed via its

@@ -1,50 +1,75 @@
-"""The micro-batch updater: WAL events → window slides → generations.
+"""The fold process: WAL events → window slides → generation snapshots.
 
-:class:`StreamingUpdater` is the single consumer of an
-:class:`~repro.streaming.ingest.IngestPipe`. Each cycle it
+``serve-http --ingest-wal`` runs no fold itself: it spawns
+:func:`main` as a child process (``python -m repro.streaming``,
+supervised by :class:`~repro.streaming.fold.FoldProcess`). The child's
+:class:`StreamingUpdater`, each cycle,
 
-1. takes one micro-batch (bounded by count *and* age),
+1. reads the WAL's new records with a
+   :class:`~repro.streaming.wal.SegmentReader` — from the segment
+   files, without the writer's lock, as the analytics tailer does — and
+   takes one micro-batch of them (bounded by count *and* by how long
+   the oldest has waited),
 2. folds the events into its :class:`~repro.graph.window.ClickWindow`
    (registering live-discovered query strings with the maintainer
-   first) — idempotently, keyed on WAL sequence numbers, so replays
-   never double-apply,
-3. slides the :class:`~repro.core.incremental.IncrementalShoal` window
-   to the newest ingested day, producing a fresh model,
-4. stamps the result as a :class:`~repro.streaming.rollout.Generation`
-   — persisted as a snapshot when ``generations_dir`` is set — and
-   hands it to the :class:`~repro.streaming.rollout.GenerationSwitch`
-   for a zero-downtime rollout,
-5. checkpoints applied progress next to the WAL and compacts segments
-   that fell out of the sliding window.
+   first) — idempotently, keyed on WAL sequence numbers,
+3. once enough events are pending, slides the
+   :class:`~repro.core.incremental.IncrementalShoal` window to the
+   newest ingested day, producing a fresh model,
+4. writes that model as a full generation snapshot ``gen-NNNNN/``
+   (``window.npz`` included; the manifest's metadata carries the
+   generation number, ``applied_seq``, the window's days and the
+   retrain counter) under a ``.tmp`` name renamed into place, and
+5. reports it — directory and fingerprint, one JSON line on its stdout
+   — to the serving process, which loads, probes, swaps, checkpoints,
+   compacts and ships it (:class:`~repro.streaming.fold.GenerationInstaller`).
 
-**Crash recovery.** The window starts as the one the serving model was
-fitted on — the maintainer's model carries it, and a restarted process
-reads it from the snapshot (``load_window``) — and :meth:`recover` then
-replays the retained WAL into it. Because WAL append happens *before*
-queue handoff and application is keyed by ``seq``, a process killed
-anywhere — mid-batch, mid-advance, before the checkpoint — comes back
-with exactly the admitted events, none lost, none doubled.
+**Restart.** :meth:`StreamingUpdater.restart` starts from the newest
+complete generation in the generations directory — the ``--load``
+snapshot when there is none — and reads the WAL after that
+generation's ``applied_seq``. Model, window, query registry and retrain
+counter are the ones the generation was written from, so a fold killed
+anywhere writes the same next generation an uninterrupted one would.
 
-Run it synchronously (:meth:`run_once`, used by tests and the CLI) or
-as a daemon thread (:meth:`start` / :meth:`stop`, used by
-``serve-http --ingest-wal``).
+The child's stdout carries only reports (``ready``, ``progress``,
+``fold``, ``generation``, ``trace``); anything else it prints goes to
+stderr. It exits when its stdin closes — the serving process holds the
+other end, so the child never outlives it.
 """
 
 from __future__ import annotations
 
+import argparse
+import json
+import os
+import shutil
+import signal
+import sys
 import threading
+import time
+from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Iterable, Optional, Union
+from typing import Any, Callable, Deque, Dict, Iterable, Optional, Tuple, Union
 
 from repro.core.incremental import IncrementalShoal
 from repro.graph.window import ClickWindow
-from repro.obs.tracer import traced
-from repro.streaming.ingest import IngestPipe
-from repro.streaming.rollout import Generation, GenerationSwitch, SwapError
-from repro.streaming.wal import IngestEvent, write_checkpoint
+from repro.obs.tracer import Tracer, set_default_tracer, traced
+from repro.store.persistence import (
+    load_entity_categories,
+    load_model,
+    load_window,
+    read_manifest,
+    snapshot_fingerprint,
+)
+from repro.streaming.fold import KEEP_GENERATIONS, generation_dirs, newest_generation
+from repro.streaming.rollout import Generation
+from repro.streaming.wal import IngestEvent, SegmentReader, WriteAheadLog
 
-__all__ = ["StreamingUpdater", "UpdaterStats"]
+__all__ = ["StreamingUpdater", "UpdaterStats", "main"]
+
+#: How often the fold looks for new WAL records while it waits.
+POLL_INTERVAL_S = 0.05
 
 
 @dataclass(frozen=True)
@@ -56,10 +81,7 @@ class UpdaterStats:
     events_skipped: int
     applied_seq: int
     generations: int
-    swap_failures: int
-    rollouts_skipped: int
     last_day: Optional[int]
-    running: bool
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -68,45 +90,57 @@ class UpdaterStats:
             "events_skipped": self.events_skipped,
             "applied_seq": self.applied_seq,
             "generations": self.generations,
-            "swap_failures": self.swap_failures,
-            "rollouts_skipped": self.rollouts_skipped,
             "last_day": self.last_day,
-            "running": self.running,
         }
 
 
 class StreamingUpdater:
-    """Drains the ingest pipe into model generations (one consumer).
+    """Folds a WAL into generation snapshots (one consumer per WAL).
 
-    ``inc`` must already hold a fitted model (the *base* generation the
-    read tier is serving). ``window`` is the click window that model was
-    fitted on, by default the one it carries; a model loaded from a
-    snapshot carries none, so pass ``load_window(dir)``. The updater
-    folds events into its own copy. ``min_batch_events`` batches
-    trickle traffic across cycles so a lone event does not trigger a
-    full refit, while ``max_batch_age_s`` bounds how stale the window
-    may get.
+    ``inc`` must already hold a fitted model (the generation the read
+    tier serves). ``window`` is the click window that model was fitted
+    on, by default the one it carries; a model loaded from a snapshot
+    carries none, so pass ``load_window(dir)`` — or build the updater
+    with :meth:`restart`, which does all of that from disk.
+    ``applied_seq`` is the WAL cut ``inc`` already covers and
+    ``generation_number`` the number of its generation.
+
+    ``wal`` is a WAL directory or a :class:`WriteAheadLog` (only its
+    directory is used: reads never take the writer's lock).
+    ``min_batch_events`` batches trickle traffic across cycles so a
+    lone event does not trigger a full refit, while
+    ``batch_max_age_s`` bounds how long a read event waits for its
+    batch to fill. ``on_generation`` receives each written
+    generation's report (``number``, ``dir``, ``fingerprint``,
+    ``applied_seq``, ``last_day``, ``first_day``); ``on_fold`` the
+    number of a generation whose fold is starting.
     """
 
     def __init__(
         self,
         inc: IncrementalShoal,
-        pipe: IngestPipe,
+        wal: Union[str, Path, WriteAheadLog],
         *,
-        switch: Optional[GenerationSwitch] = None,
+        generations_dir: Union[str, Path],
         window: Optional[ClickWindow] = None,
-        generations_dir: Optional[Union[str, Path]] = None,
+        applied_seq: int = 0,
+        generation_number: int = 0,
         batch_max_events: int = 256,
         batch_max_age_s: float = 0.5,
         min_batch_events: int = 1,
         max_day_skew: int = 2,
-        drift_gate=None,
-        on_generation=None,
+        on_generation: Optional[Callable[[Dict[str, Any]], Any]] = None,
+        on_fold: Optional[Callable[[int], Any]] = None,
+        clock: Callable[[], float] = time.monotonic,
     ):
         if inc.model is None:
             raise ValueError(
                 "the IncrementalShoal must hold a fitted model before "
                 "streaming updates start (advance() or from_model() first)"
+            )
+        if batch_max_events < 1:
+            raise ValueError(
+                f"batch_max_events must be >= 1, got {batch_max_events}"
             )
         if min_batch_events < 1:
             raise ValueError(
@@ -124,50 +158,86 @@ class StreamingUpdater:
                 "window=load_window(snapshot_dir)"
             )
         self._inc = inc
-        self._pipe = pipe
-        self._switch = switch
-        self._window = window.between()
-        self._generations_dir = (
-            None if generations_dir is None else Path(generations_dir)
+        self._wal_dir = (
+            wal.directory if isinstance(wal, WriteAheadLog) else Path(wal)
         )
+        self._reader = SegmentReader(self._wal_dir, after_seq=applied_seq)
+        self._window = window.between()
+        self._generations_dir = Path(generations_dir)
         self._batch_max_events = batch_max_events
         self._batch_max_age_s = batch_max_age_s
         self._min_batch_events = min_batch_events
         self._max_day_skew = max_day_skew
-
-        #: Optional repro.analytics.DriftMonitor (duck-typed:
-        #: should_skip(prev, new) + stats()); when set, a generation
-        #: whose taxonomy partition is trivially different from what is
-        #: serving is produced and checkpointed but NOT rolled out.
-        self._drift_gate = drift_gate
-
-        #: Optional callable(Generation) invoked after every advanced
-        #: generation (e.g. a replication GenerationShipper's publish).
-        #: Exceptions are contained.
         self._on_generation = on_generation
+        self._on_fold = on_fold
+        self._clock = clock
 
-        self._applied_seq = 0
+        #: Read but not yet batched: (event, when this process saw it).
+        self._buffer: Deque[Tuple[IngestEvent, float]] = deque()
+        self._applied_seq = applied_seq
         self._events_applied = 0
         self._events_duplicate = 0
         self._events_skipped = 0
         self._pending_since_generation = 0
-        self._generation_number = 0
-        self._swap_failures = 0
-        self._rollouts_skipped = 0
+        self._generation_number = generation_number
+        self._last_report: Optional[Dict[str, Any]] = None
         self._last_error: Optional[str] = None
-        self._thread: Optional[threading.Thread] = None
-        self._stop = threading.Event()
-        self._state_lock = threading.Lock()
 
-    # -- state / recovery ----------------------------------------------------
+    @classmethod
+    def restart(
+        cls,
+        snapshot: Union[str, Path],
+        wal: Union[str, Path, WriteAheadLog],
+        generations_dir: Union[str, Path],
+        *,
+        retrain_every: int = 7,
+        **kwargs: Any,
+    ) -> "StreamingUpdater":
+        """An updater resumed from disk: the newest complete generation
+        in ``generations_dir`` (``snapshot`` when there is none) — its
+        model, click window, category map and retrain counter — reading
+        the WAL after that generation's ``applied_seq``."""
+        source = newest_generation(generations_dir) or Path(snapshot)
+        meta = read_manifest(source).get("metadata", {})
+        inc = IncrementalShoal.from_model(
+            load_model(source),
+            entity_categories=load_entity_categories(source) or {},
+            retrain_every=retrain_every,
+            fits_since_retrain=int(meta.get("fits_since_retrain", 1)),
+        )
+        updater = cls(
+            inc,
+            wal,
+            generations_dir=generations_dir,
+            window=load_window(source),
+            applied_seq=int(meta.get("applied_seq", 0)),
+            generation_number=int(meta.get("generation", 0)),
+            **kwargs,
+        )
+        if updater._generation_number > 0:
+            updater._last_report = updater._report(
+                source, int(meta.get("last_day", 0)),
+                int(meta.get("first_day", 0)),
+            )
+        return updater
+
+    def _report(self, directory: Path, last_day: int, first_day: int):
+        """What the serving process needs to install the current
+        generation from ``directory``."""
+        return {
+            "number": self._generation_number,
+            "dir": str(directory),
+            "fingerprint": snapshot_fingerprint(directory),
+            "applied_seq": self._applied_seq,
+            "last_day": last_day,
+            "first_day": first_day,
+        }
+
+    # -- state ---------------------------------------------------------------
 
     @property
     def window(self) -> ClickWindow:
         return self._window
-
-    @property
-    def switch(self) -> Optional[GenerationSwitch]:
-        return self._switch
 
     @property
     def applied_seq(self) -> int:
@@ -177,16 +247,30 @@ class StreamingUpdater:
     def current_generation(self) -> int:
         return self._generation_number
 
-    def recover(self) -> int:
-        """Replay the retained WAL into the window (idempotent by seq).
+    @property
+    def last_report(self) -> Optional[Dict[str, Any]]:
+        """The report of the newest generation written (or restarted
+        from); None before the first."""
+        return self._last_report
 
-        Returns how many events were newly applied. Call once, before
-        :meth:`start` — recovered events count
-        toward the next generation, so a process killed mid-batch picks
-        up exactly where durability left off.
+    @property
+    def last_error(self) -> Optional[str]:
+        return self._last_error
+
+    def record_error(self, message: str) -> None:
+        self._last_error = message
+
+    def recover(self) -> int:
+        """Apply every event the WAL holds past ``applied_seq``.
+
+        Returns how many were newly applied. Recovered events count
+        toward the next generation, so a fold killed mid-batch picks up
+        exactly where durability left off.
         """
-        with self._state_lock:
-            return self._apply_events(self._pipe.wal.replay())
+        self._fill()
+        events = [event for event, _ in self._buffer]
+        self._buffer.clear()
+        return self._apply_events(events)
 
     def _apply_events(self, events: Iterable[IngestEvent]) -> int:
         """Fold events into the window, idempotently and defensively.
@@ -237,194 +321,241 @@ class StreamingUpdater:
 
     # -- the micro-batch cycle -----------------------------------------------
 
-    def run_once(self, timeout_s: float = 1.0) -> Optional[Generation]:
-        """One cycle: take a batch, apply it, maybe produce a generation.
+    def _fill(self) -> None:
+        now = self._clock()
+        for event in self._reader.read():
+            self._buffer.append((event, now))
 
-        Returns the new generation when one was produced (enough events
-        pending), else ``None``. Swap failures are counted and recorded
-        but not raised — the read path keeps serving the previous
-        generation, which is the whole point of the rollback design.
+    def _take_batch(self, timeout_s: float) -> list:
+        """Up to ``batch_max_events`` read events, or whatever was read
+        once the oldest has waited ``batch_max_age_s``.
+
+        Waits up to ``timeout_s`` for the *first* event, then at most
+        until the age threshold trips; ``[]`` on timeout.
         """
-        batch = self._pipe.take_batch(
-            max_events=self._batch_max_events,
-            max_age_s=self._batch_max_age_s,
-            timeout_s=timeout_s,
-        )
-        with self._state_lock:
-            self._apply_events(batch)
-            if self._pending_since_generation < self._min_batch_events:
-                return None
-            return self._advance_generation()
+        deadline = self._clock() + timeout_s
+        while True:
+            self._fill()
+            now = self._clock()
+            if self._buffer:
+                wait = self._buffer[0][1] + self._batch_max_age_s - now
+                if len(self._buffer) >= self._batch_max_events or wait <= 0:
+                    break
+            else:
+                wait = deadline - now
+                if wait <= 0:
+                    return []
+            time.sleep(min(POLL_INTERVAL_S, wait))
+        n = min(len(self._buffer), self._batch_max_events)
+        return [self._buffer.popleft()[0] for _ in range(n)]
+
+    def run_once(self, timeout_s: float = 1.0) -> Optional[Generation]:
+        """One cycle: take a batch, apply it, maybe write a generation.
+
+        Returns the new generation when one was written (enough events
+        pending), else ``None``.
+        """
+        self._apply_events(self._take_batch(timeout_s))
+        if self._pending_since_generation < self._min_batch_events:
+            return None
+        return self._advance_generation()
 
     def force_generation(self) -> Optional[Generation]:
-        """Produce a generation from whatever is pending (drain hook)."""
-        with self._state_lock:
-            if self._pending_since_generation == 0:
-                return None
-            return self._advance_generation()
+        """Write a generation from whatever the WAL holds (drain hook)."""
+        self.recover()
+        if self._pending_since_generation == 0:
+            return None
+        return self._advance_generation()
 
     def _advance_generation(self) -> Generation:
-        """Refit over the window and roll the result out."""
+        """Refit over the window and write the result as a generation."""
+        number = self._generation_number + 1
+        if self._on_fold is not None:
+            self._on_fold(number)
         with traced(
             "updater.batch_fold",
             tags={
-                "generation": str(self._generation_number + 1),
+                "generation": str(number),
                 "pending": str(self._pending_since_generation),
             },
         ):
-            return self._advance_generation_inner()
-
-    def _advance_generation_inner(self) -> Generation:
-        last_day = self._window.last_day or 0
-        update = self._inc.advance(self._window, last_day)
-        self._generation_number += 1
-        number = self._generation_number
-        categories = self._inc.entity_categories
-        target = None
-        if self._generations_dir is not None:
-            target = self._generations_dir / f"gen-{number:05d}"
-            update.model.save(
-                target,
-                entity_categories=categories,
-                metadata={
-                    "generation": number,
-                    "applied_seq": self._applied_seq,
-                    "last_day": last_day,
-                },
-            )
-        generation = Generation(
+            last_day = self._window.last_day or 0
+            update = self._inc.advance(self._window, last_day)
+            categories = self._inc.entity_categories
+            target = self._write(number, update, last_day, categories)
+        self._generation_number = number
+        self._pending_since_generation = 0
+        self._last_report = self._report(target, last_day, update.first_day)
+        if self._on_generation is not None:
+            self._on_generation(dict(self._last_report))
+        self._prune()
+        return Generation(
             number=number,
             serving=update.model.serving(categories),
             applied_seq=self._applied_seq,
             last_day=last_day,
             snapshot_dir=target,
         )
-        self._pending_since_generation = 0
-        if self._switch is not None:
-            skip_rollout = False
-            previous = self._switch.current
-            if self._drift_gate is not None and previous is not None:
-                # A trivially-different generation is produced and
-                # checkpointed (durability is unconditional) but not
-                # rolled out: the swap's reference build + fleet-wide
-                # cache invalidation buy no reader-visible change.
-                try:
-                    skip_rollout = self._drift_gate.should_skip(
-                        previous, generation
-                    )
-                except Exception as exc:  # noqa: BLE001 - gate is advisory
-                    self._last_error = (
-                        f"drift gate failed ({type(exc).__name__}: {exc}); "
-                        "rolling out unconditionally"
-                    )
-            if skip_rollout:
-                self._rollouts_skipped += 1
-            else:
-                try:
-                    self._switch.swap(generation)
-                except SwapError as exc:
-                    self._swap_failures += 1
-                    self._last_error = str(exc)
-        # Operator-facing progress record, NOT a recovery cursor: the
-        # window rebuilds from the snapshot's window plus the full
-        # retained WAL on every restart, so the
-        # checkpoint exists to tell an operator — atomically, next to
-        # the log — which WAL seq the last shipped generation covered.
-        write_checkpoint(
-            self._pipe.wal.directory,
-            {
-                "applied_seq": generation.applied_seq,
-                "generation": generation.number,
-                "last_day": generation.last_day,
+
+    def _write(self, number, update, last_day, categories) -> Path:
+        """Save the generation under a ``.tmp`` name, then rename it in:
+        a directory named ``gen-NNNNN`` is always complete."""
+        target = self._generations_dir / f"gen-{number:05d}"
+        staging = target.with_name(target.name + ".tmp")
+        shutil.rmtree(staging, ignore_errors=True)
+        update.model.save(
+            staging,
+            entity_categories=categories,
+            metadata={
+                "generation": number,
+                "applied_seq": self._applied_seq,
+                "last_day": last_day,
+                "first_day": update.first_day,
+                "fits_since_retrain": self._inc.fits_since_retrain,
             },
         )
-        if self._on_generation is not None:
-            try:
-                self._on_generation(generation)
-            except Exception as exc:  # noqa: BLE001 - subscriber is advisory
-                self._last_error = (
-                    f"on_generation hook failed "
-                    f"({type(exc).__name__}: {exc})"
-                )
-        # Events older than the new window can never be refit again.
-        self._pipe.wal.compact(update.first_day)
-        return generation
+        shutil.rmtree(target, ignore_errors=True)
+        staging.rename(target)
+        return target
 
-    # -- background operation ------------------------------------------------
-
-    def start(self) -> "StreamingUpdater":
-        """Run the micro-batch loop on a daemon thread; returns self."""
-        if self._thread is not None:
-            raise RuntimeError("updater already started")
-        self._stop.clear()
-
-        def loop() -> None:
-            while not self._stop.is_set():
-                try:
-                    self.run_once(timeout_s=0.25)
-                except Exception as exc:  # noqa: BLE001 - keep serving
-                    self._last_error = f"{type(exc).__name__}: {exc}"
-
-        self._thread = threading.Thread(
-            target=loop, name="shoal-streaming-updater", daemon=True
-        )
-        self._thread.start()
-        return self
-
-    def stop(self, *, drain: bool = True, timeout_s: float = 30.0) -> None:
-        """Stop the loop; with ``drain`` apply EVERY still-queued event
-        (they were all acknowledged as durable) and ship one final
-        generation covering them."""
-        self._stop.set()
-        if self._thread is not None:
-            self._thread.join(timeout=timeout_s)
-            self._thread = None
-        if drain:
-            while True:
-                batch = self._pipe.take_batch(
-                    max_events=self._batch_max_events,
-                    max_age_s=0.0,
-                    timeout_s=0.0,
-                )
-                if not batch:
-                    break
-                with self._state_lock:
-                    self._apply_events(batch)
-            self.force_generation()
-
-    @property
-    def running(self) -> bool:
-        return self._thread is not None and self._thread.is_alive()
-
-    @property
-    def last_error(self) -> Optional[str]:
-        return self._last_error
+    def _prune(self) -> None:
+        """Keep the newest :data:`KEEP_GENERATIONS` generations."""
+        for number, path in generation_dirs(self._generations_dir):
+            if number <= self._generation_number - KEEP_GENERATIONS:
+                shutil.rmtree(path, ignore_errors=True)
 
     # -- introspection -------------------------------------------------------
 
     def stats(self) -> UpdaterStats:
-        # Under the state lock: the metrics endpoint scrapes from HTTP
-        # threads while the updater thread mutates the window, and an
-        # unlocked last_day iterates its day dict mid-insert.
-        with self._state_lock:
-            return UpdaterStats(
-                events_applied=self._events_applied,
-                events_duplicate=self._events_duplicate,
-                events_skipped=self._events_skipped,
-                applied_seq=self._applied_seq,
-                generations=self._generation_number,
-                swap_failures=self._swap_failures,
-                rollouts_skipped=self._rollouts_skipped,
-                last_day=self._window.last_day,
-                running=self.running,
-            )
+        return UpdaterStats(
+            events_applied=self._events_applied,
+            events_duplicate=self._events_duplicate,
+            events_skipped=self._events_skipped,
+            applied_seq=self._applied_seq,
+            generations=self._generation_number,
+            last_day=self._window.last_day,
+        )
 
     def stats_dict(self) -> Dict[str, Any]:
         out = self.stats().to_dict()
-        if self._switch is not None:
-            out["switch"] = self._switch.stats()
-        if self._drift_gate is not None:
-            out["drift"] = self._drift_gate.stats()
+        out["wal_head_seq"] = self._reader.head_seq
         if self._last_error is not None:
             out["last_error"] = self._last_error
         return out
+
+
+# -- the child process ---------------------------------------------------------
+
+
+class _Channel:
+    """The report stream to the serving process: this process's original
+    stdout, one JSON object per line. ``sys.stdout`` is pointed at
+    stderr so nothing else can write into the stream."""
+
+    def __init__(self) -> None:
+        fd = os.dup(1)
+        os.dup2(2, 1)
+        sys.stdout = sys.stderr
+        self._out = os.fdopen(fd, "w", encoding="utf-8")
+        self._lock = threading.Lock()
+
+    def send(self, kind: str, payload: Dict[str, Any]) -> None:
+        line = json.dumps({"event": kind, **payload}, separators=(",", ":"))
+        with self._lock:
+            try:
+                self._out.write(line + "\n")
+                self._out.flush()
+            except OSError:
+                os._exit(0)  # the serving process is gone
+
+
+class _ForwardingTracer(Tracer):
+    """Sends each finished span tree to the serving process, whose
+    tracer folds it (:meth:`Tracer.adopt`) as if it had run there."""
+
+    def __init__(self, channel: _Channel) -> None:
+        super().__init__(capacity=1)
+        self._channel = channel
+
+    def _close(self, ctx) -> None:
+        spans = ctx.spans
+        ctx.spans = ()
+        root = spans[0]
+        rows = [
+            [
+                span.name,
+                span.parent,
+                span.start,
+                root.end if span.end is None else span.end,
+                "cancelled" if span.end is None else span.status,
+                "unfinished" if span.end is None else span.detail,
+                {str(k): str(v) for k, v in (span.tags or {}).items()},
+            ]
+            for span in spans
+        ]
+        self._channel.send("trace", {"spans": rows})
+
+
+def _exit_when_orphaned() -> None:
+    """Block on stdin; the serving process never writes to it, so EOF
+    means it closed the pipe or died."""
+    try:
+        sys.stdin.buffer.read()
+    finally:
+        os._exit(0)
+
+
+def main(argv: Optional[list] = None) -> int:
+    parser = argparse.ArgumentParser(
+        prog="python -m repro.streaming",
+        description="The fold process of serve-http --ingest-wal.",
+    )
+    parser.add_argument("--load", required=True, metavar="DIR")
+    parser.add_argument("--wal", required=True, metavar="DIR")
+    parser.add_argument("--generations", required=True, metavar="DIR")
+    parser.add_argument("--batch-events", type=int, required=True)
+    parser.add_argument("--batch-age-s", type=float, required=True)
+    parser.add_argument("--min-batch-events", type=int, required=True)
+    parser.add_argument("--trace", action="store_true")
+    args = parser.parse_args(argv)
+
+    channel = _Channel()
+    # Ctrl-C reaches the whole process group; the serving process
+    # decides when this one stops.
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    threading.Thread(
+        target=_exit_when_orphaned, name="shoal-fold-orphan", daemon=True
+    ).start()
+    if args.trace:
+        set_default_tracer(_ForwardingTracer(channel))
+
+    def report() -> Dict[str, Any]:
+        return {**updater.stats_dict(), "cpu_s": time.process_time()}
+
+    updater = StreamingUpdater.restart(
+        args.load,
+        args.wal,
+        args.generations,
+        batch_max_events=args.batch_events,
+        batch_max_age_s=args.batch_age_s,
+        min_batch_events=args.min_batch_events,
+        on_fold=lambda number: channel.send(
+            "fold", {**report(), "folding": number}
+        ),
+        on_generation=lambda record: channel.send(
+            "generation", {**report(), "generation": record}
+        ),
+    )
+    channel.send("ready", {**report(), "pid": os.getpid()})
+    if updater.last_report is not None:
+        # Announce the generation this process restarted from: the
+        # serving process installs it unless it already has.
+        channel.send("generation", {**report(), "generation": updater.last_report})
+    updater.recover()
+    while True:
+        channel.send("progress", report())
+        try:
+            updater.run_once(timeout_s=1.0)
+        except Exception as exc:  # noqa: BLE001 - keep folding
+            updater.record_error(f"{type(exc).__name__}: {exc}")
+

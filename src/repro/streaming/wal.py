@@ -2,15 +2,16 @@
 
 The WAL is the durability boundary of the write path: an event is
 acknowledged to the client only after its record is in the log, so a
-crash between admission and model update loses nothing — the updater
-replays the log on restart and rebuilds exactly the state it had.
+crash between admission and model update loses nothing — the fold
+process restarts from its newest generation and replays the log after
+that generation's ``applied_seq``.
 
 On-disk layout (one directory per log)::
 
     wal-00000001.jsonl      closed segment
     wal-00000002.jsonl      ...
     wal-00000003.jsonl      active segment (appends go here)
-    CHECKPOINT.json         applied-progress sidecar (atomic rename)
+    CHECKPOINT.json         last swapped generation's cut (atomic rename)
 
 Each record is one JSON line::
 
@@ -32,15 +33,20 @@ interrupted).
 **Fsync policy.** Every append is written and flushed to the OS before
 it returns. ``"always"`` also fsyncs each append (durable against
 power loss, slowest); ``"batch"`` fsyncs on :meth:`sync`, which the
-ingest pipe calls each time the updater takes a batch — so an acked
-event survives a process crash at once and a power loss once its
-batch is taken; ``"never"`` leaves syncing to the OS (benchmarks
+serving process calls each time the fold process reports that it took
+a batch — so an acked event survives a process crash at once and a
+power loss once its batch is taken; ``"never"`` leaves syncing to the OS (benchmarks
 only).
 
 **Compaction.** Events feed a sliding-window model, so segments whose
 newest event predates the retention window are dead weight;
 :meth:`compact` removes closed segments whose ``max_day`` falls before
-the window start. The active segment is never compacted.
+the window start and whose every event a saved generation already
+covers. The active segment is never compacted.
+
+**Readers.** :class:`SegmentReader` reads the segment files directly,
+without the writer's lock and from any process: the fold process and
+the analytics tailer both consume the log through it.
 """
 
 from __future__ import annotations
@@ -65,6 +71,7 @@ from typing import (
 
 __all__ = [
     "IngestEvent",
+    "SegmentReader",
     "WalCorruption",
     "WriteAheadLog",
     "read_checkpoint",
@@ -171,11 +178,11 @@ def write_checkpoint(directory: Union[str, Path], payload: Dict[str, Any]) -> Pa
     """Atomically persist applied-progress metadata next to the log.
 
     Written via temp-file + rename so a crash mid-write leaves the
-    previous checkpoint intact, never a torn one. This is an
-    operator-facing progress record (which seq the last shipped
-    generation covered), not a recovery cursor — recovery always
-    replays the full retained WAL because the window store is
-    in-memory.
+    previous checkpoint intact, never a torn one. The serving process
+    writes it after each generation swap, so it names the WAL seq the
+    generation readers see covers. It is an operator-facing record, not
+    a recovery cursor: the fold restarts from the ``applied_seq`` in
+    its newest generation's manifest.
     """
     from repro._util import atomic_write_json
 
@@ -484,18 +491,28 @@ class WriteAheadLog:
 
     # -- compaction ----------------------------------------------------------
 
-    def compact(self, retain_from_day: int) -> List[Path]:
+    def compact(
+        self, retain_from_day: int, covered_seq: Optional[int] = None
+    ) -> List[Path]:
         """Drop closed segments fully older than ``retain_from_day``.
 
         A segment is removable when every event in it has
         ``day < retain_from_day`` — i.e. nothing in it can ever be part
-        of the sliding window again. Returns the removed paths.
+        of the sliding window again — and, when ``covered_seq`` is
+        given, ``seq <= covered_seq``: a fold restarting from the
+        generation that covers ``covered_seq`` replays only what comes
+        after it, so an event it has not folded yet (a late event still
+        registers its query text) must stay. Returns the removed paths.
         """
         removed: List[Path] = []
         with self._lock:
             keep: List[_SegmentMeta] = []
             for meta in self._segments[:-1]:  # never the active segment
-                if meta.max_day is not None and meta.max_day < retain_from_day:
+                if (
+                    meta.max_day is not None
+                    and meta.max_day < retain_from_day
+                    and (covered_seq is None or meta.max_seq <= covered_seq)
+                ):
                     meta.path.unlink(missing_ok=True)
                     removed.append(meta.path)
                     self._compacted_segments += 1
@@ -519,3 +536,102 @@ class WriteAheadLog:
                 "next_seq": self._next_seq,
                 "fsync": self._fsync,
             }
+
+
+class SegmentReader:
+    """Reads a WAL directory's records in seq order, resuming each
+    :meth:`read` where the last one stopped; never takes the writer's
+    lock, so it works from another thread or another process.
+
+    Only newline-terminated records are decoded: the final line of the
+    newest segment may be mid-append (no newline yet) or torn (its
+    checksum fails with nothing after it), and is left for a later
+    read. Damage anywhere else raises :class:`WalCorruption`. A segment
+    compacted away between reads simply stops appearing. Events with
+    ``seq <= after_seq`` are skipped, so a reader started at a
+    generation's cut yields exactly what that generation has not
+    folded.
+    """
+
+    def __init__(self, directory: Union[str, Path], *, after_seq: int = 0):
+        self._dir = Path(directory)
+        self._after_seq = after_seq
+        #: segment name -> bytes of whole records already consumed
+        self._offsets: Dict[str, int] = {}
+        #: closed segments read to their end: never opened again
+        self._sealed: set = set()
+        self.head_seq = after_seq
+        self.segments = 0
+
+    def read(self, max_events: Optional[int] = None) -> List[IngestEvent]:
+        """Every new record since the last read (at most ``max_events``;
+        the rest stay for the next read), in seq order."""
+        try:
+            paths = sorted(
+                (
+                    p
+                    for p in self._dir.iterdir()
+                    if p.name.startswith(_SEGMENT_PREFIX)
+                    and p.name.endswith(_SEGMENT_SUFFIX)
+                ),
+                key=_segment_number,
+            )
+        except FileNotFoundError:
+            paths = []
+        live = {p.name for p in paths}
+        for gone in [n for n in self._offsets if n not in live]:
+            del self._offsets[gone]
+        self._sealed &= live
+        self.segments = len(paths)
+        events: List[IngestEvent] = []
+        for i, path in enumerate(paths):
+            if path.name in self._sealed:
+                continue
+            if max_events is not None and len(events) >= max_events:
+                break
+            last = i == len(paths) - 1
+            if self._read_segment(path, last, events, max_events) and not last:
+                self._sealed.add(path.name)
+        return events
+
+    def _read_segment(
+        self,
+        path: Path,
+        last: bool,
+        events: List[IngestEvent],
+        max_events: Optional[int],
+    ) -> bool:
+        """Append ``path``'s new records; True when read to its end."""
+        offset = self._offsets.get(path.name, 0)
+        try:
+            fh = open(path, "rb")
+        except FileNotFoundError:
+            return False  # compacted between the listing and the open
+        with fh:
+            fh.seek(offset)
+            for raw in fh:
+                if max_events is not None and len(events) >= max_events:
+                    self._offsets[path.name] = offset
+                    return False
+                if not raw.endswith(b"\n"):
+                    if last:
+                        break  # mid-append tail; a later read gets it
+                    raise WalCorruption(
+                        f"unterminated record inside {path.name}"
+                    )
+                try:
+                    event = WriteAheadLog._decode_line(raw)
+                except WalCorruption:
+                    if last and not fh.readline():
+                        break  # torn tail; the writer truncates it
+                    raise
+                offset += len(raw)
+                self.head_seq = max(self.head_seq, event.seq)
+                if event.seq > self._after_seq:
+                    self._after_seq = event.seq
+                    events.append(event)
+            else:
+                self._offsets[path.name] = offset
+                return True
+        self._offsets[path.name] = offset
+        return False

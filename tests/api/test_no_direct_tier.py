@@ -54,8 +54,6 @@ read once per session however many rows scan it. The rows:
   in ``replication/``, ``streaming/`` and ``api/``: a primary restart
   and a follower start from the snapshot's files (model, click window,
   categories, probes) plus the WAL, never from the synthetic world.
-  ``cli ingest`` has no snapshot and keeps generating its world; it
-  lives in ``cli.py``, which this row does not scan.
 * ``query-log-store`` — the per-event query-log store and its column
   tables (``QueryLogStore``, ``ColumnarTable``, ``seed_log``): the
   window is per-day click counts (``ClickWindow``), carried by the
@@ -97,6 +95,16 @@ read once per session however many rows scan it. The rows:
   workflows and the README: load comes from the benchmark ledger's
   generators. ``benchmarks/ledger/`` is exempt; it is the benchmark's
   own and says why it forked.
+* ``second-fold-command`` — ``cli ingest`` (``_cmd_ingest`` and its
+  parser) in ``src/``, ``scripts/``, ``examples/``, the CI workflows and
+  the README: it generated its own world and folded in its own
+  interpreter; ``serve-http --ingest-wal`` is the one write path.
+* ``fold-in-the-serving-process`` — ``IncrementalShoal``,
+  ``StreamingUpdater``, ``load_model``, ``take_batch`` and the
+  updater's ``_state_lock`` in the serving process's modules
+  (``cli.py``, ``api/``, ``streaming/fold.py``, ``streaming/ingest.py``,
+  ``streaming/rollout.py``): the server spawns the fold process and
+  only loads, swaps and ships what it writes.
 
 An exemption names a file, or a directory with a trailing ``/``.
 """
@@ -336,6 +344,26 @@ TRAFFIC_HARNESS_SCAN_PATHS = [
     "README.md",
 ]
 
+#: The command that ran a second, in-process fold over its own world.
+SECOND_FOLD_COMMAND = re.compile(
+    r"\brepro\.cli ingest\b|\bcli ingest\b|\b_cmd_ingest\b|"
+    r"add_parser\(\s*[\"']ingest[\"']"
+)
+
+#: What the fold needs, kept out of the process that serves reads.
+FOLD_STATE = re.compile(
+    r"\b(IncrementalShoal|StreamingUpdater|load_model|take_batch|"
+    r"_state_lock)\b"
+)
+
+SERVING_PROCESS_MODULES = [
+    "src/repro/cli.py",
+    "src/repro/api",
+    "src/repro/streaming/fold.py",
+    "src/repro/streaming/ingest.py",
+    "src/repro/streaming/rollout.py",
+]
+
 #: What a scanned directory contributes (a listed file is always read).
 TEXT_SUFFIXES = (".py", ".yml", ".yaml", ".md")
 
@@ -486,6 +514,20 @@ REMOVALS = (
         "benchmarks/ledger/workloads.py: hot_strings, zipf_draws, "
         "event_payloads)",
         exempt=frozenset({"benchmarks/ledger/"}),
+    ),
+    Removal(
+        "second-fold-command", SECOND_FOLD_COMMAND,
+        ("src", "scripts", "examples", ".github/workflows", "README.md"),
+        "reference to the removed 'cli ingest' (serve-http --ingest-wal "
+        "with POST /v1/ingest is the one write path)",
+    ),
+    Removal(
+        "fold-in-the-serving-process", FOLD_STATE,
+        tuple(SERVING_PROCESS_MODULES),
+        "fold state in a serving-process module (the fold runs in the "
+        "child FoldProcess spawns; the server loads the generations it "
+        "writes)",
+        suffixes=(".py",),
     ),
 )
 
@@ -941,6 +983,42 @@ def test_the_guard_itself_still_bites():
         "python -m repro.cli serve-http --cluster-dir /tmp/shoal-cluster",
     ):
         assert not SECOND_TRAFFIC_HARNESS.search(snippet), snippet
+    for snippet in (
+        "python -m repro.cli ingest --profile tiny --wal /tmp/shoal-wal",
+        "* ``cli ingest`` — stream live query events offline",
+        "def _cmd_ingest(args) -> int:",
+        "p_ingest.set_defaults(func=_cmd_ingest)",
+        'p_ingest = sub.add_parser(\n        "ingest",',
+        "sub.add_parser('ingest', help='stream events')",
+    ):
+        assert SECOND_FOLD_COMMAND.search(snippet), snippet
+    for snippet in (
+        "python -m repro.cli serve-http --load SNAP --ingest-wal /tmp/wal",
+        "--ingest-wal DIR --ingest-fsync always",
+        "client.ingest(event_payload(e))",
+        'endpoint == "ingest"',
+        'p_http.add_argument("--ingest-wal", default=None)',
+        "def _cmd_analytics(args) -> int:",
+    ):
+        assert not SECOND_FOLD_COMMAND.search(snippet), snippet
+    for snippet in (
+        "from repro.core.incremental import IncrementalShoal",
+        "inc = IncrementalShoal.from_model(model, entity_categories=cats)",
+        "updater = StreamingUpdater(inc, pipe, switch=switch)",
+        "model = load_model(args.load)",
+        "batch = pipe.take_batch(max_events=64, max_age_s=2.0)",
+        "with self._updater._state_lock:",
+    ):
+        assert FOLD_STATE.search(snippet), snippet
+    for snippet in (
+        "fold = FoldProcess(installer, snapshot=args.load, wal=wal)",
+        "serving = load_serving_verified(record['dir'], fingerprint)",
+        "pipe = IngestPipe(wal, applied_seq=lambda: fold.applied_seq)",
+        "model = ShoalModel.load(args.load)",
+        "self._state = _ServiceState(serving, self._tokenizer)",
+        "window = load_window(args.load)",
+    ):
+        assert not FOLD_STATE.search(snippet), snippet
     assert [r.pattern for r in REMOVALS] == [
         FORBIDDEN,
         LEGACY_CALLS,
@@ -962,4 +1040,6 @@ def test_the_guard_itself_still_bites():
         REMOVED_SPAN_STATE,
         CANCEL_EVENT,
         SECOND_TRAFFIC_HARNESS,
+        SECOND_FOLD_COMMAND,
+        FOLD_STATE,
     ]

@@ -100,10 +100,11 @@ def _fold(tracer) -> None:
     )
     inc.advance(market.query_log, last_day=6)
     with tempfile.TemporaryDirectory() as tmp:
-        pipe = IngestPipe(
-            WriteAheadLog(Path(tmp) / "wal", fsync="never"), max_queue=1000
+        wal = WriteAheadLog(Path(tmp) / "wal", fsync="never")
+        pipe = IngestPipe(wal, max_queue=1000)
+        updater = StreamingUpdater(
+            inc, wal, generations_dir=Path(tmp) / "gens", batch_max_age_s=0.0
         )
-        updater = StreamingUpdater(inc, pipe)
         for e in [e for e in market.query_log.events if e.day > 6][:25]:
             pipe.submit({
                 "day": int(e.day),

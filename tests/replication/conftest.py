@@ -19,14 +19,14 @@ from repro.core.config import ShoalConfig
 from repro.core.incremental import IncrementalShoal
 from repro.data.marketplace import PROFILES, generate_marketplace
 from repro.data.queries import QueryLogConfig
+from repro.api import ServiceBackend
+from repro.core.serving import ShoalService
 from repro.replication import GenerationShipper
-from repro.store.persistence import (
-    load_entity_categories,
-    load_model,
-    load_window,
-)
+from repro.store.persistence import load_serving, load_window
 from repro.streaming import (
     Generation,
+    GenerationInstaller,
+    GenerationSwitch,
     IngestPipe,
     StreamingUpdater,
     WriteAheadLog,
@@ -83,31 +83,35 @@ def repl_base_snapshot(tmp_path_factory, repl_market):
 def build_primary(root, base_snapshot):
     """(pipe, updater, shipper) — the primary's write side, wired to
     ship into ``root/feed`` exactly as ``serve-http --ship-feed`` does:
-    the loaded model, its snapshot's click window, then a WAL replay."""
-    model = load_model(base_snapshot)
-    cats = load_entity_categories(base_snapshot)
-    window = load_window(base_snapshot)
-    inc = IncrementalShoal.from_model(
-        model, entity_categories=cats, retrain_every=100
+    a tier serving the snapshot, a fold restarted from it (its click
+    window, then a WAL replay), and an installer that swaps and ships
+    each generation the fold writes."""
+    serving = load_serving(base_snapshot)
+    baseline = Generation(
+        number=0,
+        serving=serving,
+        last_day=load_window(base_snapshot).last_day,
     )
-    pipe = IngestPipe(WriteAheadLog(root / "wal", fsync="never"))
-    shipper = GenerationShipper(
-        root / "feed",
-        Generation(
-            number=0, serving=model.serving(cats), last_day=window.last_day
-        ),
-    )
+    shipper = GenerationShipper(root / "feed", baseline)
     shipper.initialise()
-    updater = StreamingUpdater(
-        inc,
-        pipe,
-        switch=None,
-        window=window,
+    wal = WriteAheadLog(root / "wal", fsync="never")
+    switch = GenerationSwitch(baseline=baseline).attach(
+        ServiceBackend(ShoalService(serving))
+    )
+    installer = GenerationInstaller(
+        switch, wal, on_generation=shipper.publish_generation
+    )
+    updater = StreamingUpdater.restart(
+        base_snapshot,
+        wal,
+        root / "gens",
+        retrain_every=100,
         min_batch_events=MIN_BATCH,
-        on_generation=shipper.publish_generation,
+        batch_max_age_s=0.0,
+        on_generation=installer.install,
     )
     updater.recover()
-    return pipe, updater, shipper
+    return IngestPipe(wal), updater, shipper
 
 
 def event_payload(event) -> dict:

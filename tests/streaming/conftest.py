@@ -17,6 +17,12 @@ from repro.core.config import ShoalConfig
 from repro.core.incremental import IncrementalShoal
 from repro.data.marketplace import PROFILES, generate_marketplace
 from repro.data.queries import QueryLogConfig
+from repro.streaming import (
+    GenerationInstaller,
+    IngestPipe,
+    StreamingUpdater,
+    WriteAheadLog,
+)
 
 BASE_LAST_DAY = 6  # the 7-day base window is days 0..6
 
@@ -72,6 +78,24 @@ def serving_tier(inc: IncrementalShoal) -> ServiceBackend:
     )
 
 
+def installed_updater(root, inc, switch, *, drift_gate=None, **kwargs):
+    """Both halves of the write path in one process: an updater folding
+    ``root/wal`` into generations under ``root/gens``, and the installer
+    that loads each one and swaps it in through ``switch``. Returns
+    ``(pipe, updater, installer)``."""
+    wal = WriteAheadLog(root / "wal", fsync="never")
+    installer = GenerationInstaller(switch, wal, drift_gate=drift_gate)
+    kwargs.setdefault("batch_max_age_s", 0.0)
+    updater = StreamingUpdater(
+        inc,
+        wal,
+        generations_dir=root / "gens",
+        on_generation=installer.install,
+        **kwargs,
+    )
+    return IngestPipe(wal, max_queue=10_000), updater, installer
+
+
 @pytest.fixture
 def base_inc(stream_market, stream_inputs) -> IncrementalShoal:
     return make_base_inc(stream_market, stream_inputs)
@@ -96,3 +120,52 @@ def event_payload(event) -> dict:
         "query_id": int(event.query_id),
         "clicked": [int(c) for c in event.clicked_entity_ids],
     }
+
+
+def wait_for(predicate, timeout_s: float = 60.0, what: str = "condition"):
+    """Poll ``predicate`` until it is true; fail the test after
+    ``timeout_s`` (a fold process starts a fresh interpreter)."""
+    import time
+
+    deadline = time.monotonic() + timeout_s
+    while not predicate():
+        if time.monotonic() > deadline:
+            pytest.fail(f"timed out after {timeout_s:.0f} s waiting for {what}")
+        time.sleep(0.02)
+
+
+def fold_process(snapshot, root, tier, *, tracer=None, **batch):
+    """The write path ``serve-http --ingest-wal`` builds, for ``tier``
+    (a backend or a gateway over it) serving ``snapshot``: a switch
+    whose baseline is the snapshot, and a not-yet-started
+    :class:`FoldProcess` over ``root/wal`` writing ``root/gens``.
+    Returns ``(pipe, fold)``."""
+    from repro.store.persistence import load_serving
+    from repro.streaming import (
+        FoldProcess,
+        Generation,
+        GenerationSwitch,
+        probe_queries,
+    )
+
+    serving = load_serving(snapshot)
+    switch = GenerationSwitch(
+        probe_queries=probe_queries(serving.taxonomy),
+        baseline=Generation(number=0, serving=serving),
+    ).attach(tier)
+    wal = WriteAheadLog(root / "wal", fsync="never")
+    batch.setdefault("batch_max_events", 64)
+    batch.setdefault("batch_max_age_s", 0.05)
+    batch.setdefault("min_batch_events", 1)
+    fold = FoldProcess(
+        GenerationInstaller(switch, wal),
+        snapshot=snapshot,
+        wal=wal,
+        generations_dir=root / "gens",
+        tracer=tracer,
+        **batch,
+    )
+    pipe = IngestPipe(
+        wal, max_queue=10_000, applied_seq=lambda: fold.applied_seq
+    )
+    return pipe, fold

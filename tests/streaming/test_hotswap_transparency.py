@@ -19,16 +19,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.api import RecommendRequest, SearchRequest
-from repro.streaming import (
-    GenerationSwitch,
-    IngestPipe,
-    StreamingUpdater,
-    WriteAheadLog,
-)
+from repro.streaming import GenerationSwitch
 
 from tests.streaming.conftest import (
     BASE_LAST_DAY,
     event_payload,
+    installed_updater,
     make_base_inc,
     serving_tier,
 )
@@ -60,15 +56,15 @@ def swapped_world(
     single = serving_tier(inc)
     switch = GenerationSwitch().attach(single)
 
-    wal = WriteAheadLog(tmp_path / "wal", fsync="never")
-    pipe = IngestPipe(wal, max_queue=10_000)
-    updater = StreamingUpdater(inc, pipe, switch=switch)
+    pipe, updater, installer = installed_updater(
+        tmp_path, inc, switch, batch_max_events=N_LIVE
+    )
     applied = live_events[:N_LIVE]
     for e in applied:
         pipe.submit(event_payload(e))
     generation = updater.run_once(timeout_s=0.0)
     assert generation is not None and generation.applied_seq == N_LIVE
-    assert updater.stats().swap_failures == 0
+    assert installer.stats()["swap_failures"] == 0
 
     # The reference: a brand-new maintainer fitted on the same
     # cumulative log (base window + the applied live events), no
@@ -135,9 +131,7 @@ class TestTransparencyDuringSwap:
         pool = sorted({q.text for q in stream_market.query_log.queries})[:40]
         old_answers = {q: _search(single, q, 5) for q in pool}
 
-        wal = WriteAheadLog(tmp_path / "wal", fsync="never")
-        pipe = IngestPipe(wal, max_queue=10_000)
-        updater = StreamingUpdater(inc, pipe, switch=switch)
+        pipe, updater, _ = installed_updater(tmp_path, inc, switch)
         for e in live_events[:150]:
             pipe.submit(event_payload(e))
 
@@ -194,9 +188,7 @@ class TestTransparencyDuringSwap:
 
         pool = sorted({q.text for q in stream_market.query_log.queries})[:20]
 
-        wal = WriteAheadLog(tmp_path / "wal", fsync="never")
-        pipe = IngestPipe(wal, max_queue=10_000)
-        updater = StreamingUpdater(inc, pipe, switch=switch)
+        pipe, updater, _ = installed_updater(tmp_path, inc, switch)
         for e in live_events[:150]:
             pipe.submit(event_payload(e))
 

@@ -1,4 +1,4 @@
-"""IngestPipe: validation, shed-only backpressure, batching by count/age."""
+"""IngestPipe: validation, and shedding keyed on how far the fold lags."""
 
 from __future__ import annotations
 
@@ -104,38 +104,19 @@ class TestBackpressure:
         pipe.submit(_event(0))
         pipe.close()
         assert _code_of(lambda: pipe.submit(_event(1))) == "ingest_unavailable"
-        # Queued events remain drainable after close.
-        assert len(pipe.take_batch(max_events=8, max_age_s=0, timeout_s=0)) == 1
+        # What was admitted stays in the WAL for the fold to read.
+        assert wal.event_count() == 1
 
-
-class TestBatching:
-    def test_batch_fills_to_count(self, wal):
-        pipe = IngestPipe(wal)
-        for i in range(10):
-            pipe.submit(_event(i))
-        batch = pipe.take_batch(max_events=4, max_age_s=10.0, timeout_s=0.1)
-        assert [e.query_id for e in batch] == [0, 1, 2, 3]
-        assert pipe.queue_depth() == 6
-
-    def test_partial_batch_releases_on_age(self, wal):
-        ticks = iter([0.0, 0.0, 0.0, 10.0, 10.0, 10.0, 10.0])
-        pipe = IngestPipe(wal, clock=lambda: next(ticks, 10.0))
-        pipe.submit(_event(0))
-        batch = pipe.take_batch(max_events=100, max_age_s=1.0, timeout_s=0.1)
-        assert len(batch) == 1  # age tripped, count did not
-
-    def test_empty_timeout_returns_empty(self, wal):
-        pipe = IngestPipe(wal)
-        assert pipe.take_batch(max_events=4, max_age_s=0, timeout_s=0.01) == []
-
-    def test_batches_preserve_order_across_takes(self, wal):
-        pipe = IngestPipe(wal)
-        for i in range(7):
-            pipe.submit(_event(i))
-        seen = []
-        while True:
-            batch = pipe.take_batch(max_events=3, max_age_s=0, timeout_s=0.01)
-            if not batch:
-                break
-            seen.extend(e.seq for e in batch)
-        assert seen == [1, 2, 3, 4, 5, 6, 7]
+    def test_the_lag_is_what_the_fold_has_not_applied(self, wal):
+        """The WAL is the queue: admission counts the events past the
+        fold's cut, and room opens as soon as the fold reports progress."""
+        applied = [0]
+        pipe = IngestPipe(wal, max_queue=2, applied_seq=lambda: applied[0])
+        pipe.submit_many([_event(0), _event(1)])
+        assert pipe.queue_depth() == 2
+        assert _code_of(lambda: pipe.submit(_event(2))) == "ingest_overloaded"
+        applied[0] = 1
+        assert pipe.queue_depth() == 1
+        assert pipe.submit(_event(3)).seq == 3
+        assert pipe.stats()["queue_depth"] == 2
+        assert pipe.stats()["shed"] == 1

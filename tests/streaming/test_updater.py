@@ -1,8 +1,11 @@
 """StreamingUpdater: micro-batches, generations, crash recovery.
 
-The crash tests simulate "kill -9 the updater" by abandoning a
-half-applied process state and standing up a brand-new updater over the
-same WAL directory — exactly what a process restart does. The
+The updater is the fold process's loop; here it runs in the test's own
+process, reading the WAL the way the child does, and hands each
+generation to a :class:`GenerationInstaller` where a test needs the
+serving side. The crash tests simulate "kill -9 the fold process" by
+abandoning a half-applied state and standing up a brand-new updater
+over the same directories — exactly what a process restart does. The
 invariant: the rebuilt window contains every admitted event exactly
 once (idempotent replay via WAL sequence numbers), no matter where the
 kill landed.
@@ -18,13 +21,9 @@ from hypothesis import strategies as st
 
 from repro.core.incremental import IncrementalShoal
 from repro.obs.tracer import Tracer, set_default_tracer
-from repro.store.persistence import (
-    load_entity_categories,
-    load_model,
-    load_window,
-    snapshot_fingerprint,
-)
+from repro.store.persistence import read_manifest, snapshot_fingerprint
 from repro.streaming import (
+    GenerationInstaller,
     GenerationSwitch,
     IngestPipe,
     StreamingUpdater,
@@ -35,6 +34,7 @@ from repro.streaming.wal import read_checkpoint
 from tests.streaming.conftest import (
     BASE_LAST_DAY,
     event_payload,
+    installed_updater,
     make_base_inc,
     serving_tier,
 )
@@ -50,8 +50,21 @@ FOLD_STAGES = (
 def make_updater(tmp_path, inc, **kwargs):
     wal = WriteAheadLog(tmp_path / "wal", fsync="never")
     pipe = IngestPipe(wal, max_queue=10_000)
-    updater = StreamingUpdater(inc, pipe, **kwargs)
+    kwargs.setdefault("batch_max_age_s", 0.0)
+    updater = StreamingUpdater(
+        inc, wal, generations_dir=tmp_path / "gens", **kwargs
+    )
     return wal, pipe, updater
+
+
+def make_installed(tmp_path, inc, *, drift_gate=None, **kwargs):
+    """An updater whose generations a serving-side installer swaps into
+    a tier built from ``inc``'s model."""
+    switch = GenerationSwitch().attach(serving_tier(inc))
+    pipe, updater, installer = installed_updater(
+        tmp_path, inc, switch, drift_gate=drift_gate, **kwargs
+    )
+    return switch, installer, pipe, updater
 
 
 class TestMicroBatches:
@@ -83,30 +96,46 @@ class TestMicroBatches:
         generation = updater.run_once(timeout_s=0.0)
         assert generation is not None and generation.applied_seq == 12
 
-    def test_generations_persist_as_versioned_snapshots(
+    def test_generations_persist_as_full_snapshots(
         self, tmp_path, live_events, base_inc
     ):
-        from repro.store.persistence import read_manifest
-
-        _, pipe, updater = make_updater(
-            tmp_path, base_inc, generations_dir=tmp_path / "gens"
-        )
+        """A generation is everything a restart needs: the fit
+        artifacts, the click window, its WAL cut and the retrain
+        counter."""
+        _, pipe, updater = make_updater(tmp_path, base_inc)
         for e in live_events[:25]:
             pipe.submit(event_payload(e))
         generation = updater.run_once(timeout_s=0.0)
-        assert generation.snapshot_dir is not None
-        meta = read_manifest(generation.snapshot_dir)["metadata"]
+        assert generation.snapshot_dir == tmp_path / "gens" / "gen-00001"
+        manifest = read_manifest(generation.snapshot_dir)
+        assert "window.npz" in manifest["artifacts"]
+        assert "embeddings.npz" in manifest["artifacts"]
+        meta = manifest["metadata"]
         assert meta["generation"] == 1
         assert meta["applied_seq"] == 25
+        assert meta["last_day"] == live_events[24].day
+        assert meta["first_day"] == live_events[24].day - 6
+        assert meta["fits_since_retrain"] == base_inc.fits_since_retrain
+        assert updater.last_report["fingerprint"] == snapshot_fingerprint(
+            generation.snapshot_dir
+        )
+
+    def test_only_the_newest_generations_are_kept(
+        self, tmp_path, live_events, base_inc
+    ):
+        from repro.streaming.fold import KEEP_GENERATIONS, generation_dirs
+
+        _, pipe, updater = make_updater(tmp_path, base_inc)
+        for e in live_events[: KEEP_GENERATIONS + 2]:
+            pipe.submit(event_payload(e))
+            assert updater.run_once(timeout_s=0.0) is not None
+        kept = [number for number, _ in generation_dirs(tmp_path / "gens")]
+        assert kept == list(range(3, KEEP_GENERATIONS + 3))
 
     def test_generation_manifest_says_where_the_fold_went(
         self, tmp_path, live_events, base_inc
     ):
-        from repro.store.persistence import read_manifest
-
-        _, pipe, updater = make_updater(
-            tmp_path, base_inc, generations_dir=tmp_path / "gens"
-        )
+        _, pipe, updater = make_updater(tmp_path, base_inc)
         for e in live_events[:25]:
             pipe.submit(event_payload(e))
         generation = updater.run_once(timeout_s=0.0)
@@ -135,16 +164,37 @@ class TestMicroBatches:
         }
         assert children == {f"fit.{stage}" for stage in FOLD_STAGES}
 
-    def test_checkpoint_written_after_each_generation(
+    def test_checkpoint_written_after_each_swap(
         self, tmp_path, live_events, base_inc
     ):
-        _, pipe, updater = make_updater(tmp_path, base_inc)
+        switch, _, pipe, updater = make_installed(tmp_path, base_inc)
         for e in live_events[:15]:
             pipe.submit(event_payload(e))
         updater.run_once(timeout_s=0.0)
+        assert switch.current.number == 1
         checkpoint = read_checkpoint(tmp_path / "wal")
         assert checkpoint["applied_seq"] == 15
         assert checkpoint["generation"] == 1
+
+    def test_a_generation_whose_files_changed_is_not_installed(
+        self, tmp_path, live_events, base_inc
+    ):
+        """The serving side loads a generation only if its files are the
+        ones the fold reported: the follower's verified path."""
+        switch = GenerationSwitch().attach(serving_tier(base_inc))
+        wal, pipe, updater = make_updater(tmp_path, base_inc)
+        installer = GenerationInstaller(switch, wal)
+        for e in live_events[:15]:
+            pipe.submit(event_payload(e))
+        generation = updater.run_once(timeout_s=0.0)
+        texts = generation.snapshot_dir / "texts.json"
+        texts.write_text(texts.read_text() + "\n")  # still loads
+        assert installer.install(updater.last_report) is None
+        stats = installer.stats()
+        assert stats["load_failures"] == 1
+        assert "changed since it was verified" in stats["last_error"]
+        assert switch.current is None
+        assert read_checkpoint(tmp_path / "wal") is None
 
     def test_live_query_text_registration(
         self, tmp_path, stream_market, base_inc
@@ -290,13 +340,15 @@ class TestCrashRecovery:
             return in_window_base + in_window_live
 
         inc1 = make_base_inc(stream_market, stream_inputs)
-        wal1, pipe1, updater1 = make_updater(tmp_path, inc1)
+        wal1, pipe1, updater1 = make_updater(
+            tmp_path, inc1, batch_max_events=30, min_batch_events=1000
+        )
         for e in live_events[:60]:
             pipe1.submit(event_payload(e))
-        # Half a batch reaches the window, then the process dies: no
-        # generation, no checkpoint, queue contents lost with the heap.
-        half = pipe1.take_batch(max_events=30, max_age_s=0, timeout_s=0)
-        updater1._apply_events(half)
+        # Half the events reach the window, then the process dies: no
+        # generation, no checkpoint, read-ahead lost with the heap.
+        assert updater1.run_once(timeout_s=0.0) is None
+        assert updater1.applied_seq == 30
         assert updater1.window.n_events() == expected_window_events(30)
         wal1.close()
         del updater1, pipe1, wal1
@@ -310,8 +362,10 @@ class TestCrashRecovery:
         assert updater2.stats().events_duplicate == 0
         assert updater2.applied_seq == 60
 
-        # Replaying the same WAL again is a no-op (idempotent by seq).
+        # Nothing new to read, and the same records offered again are
+        # no-ops (idempotent by seq).
         assert updater2.recover() == 0
+        assert updater2._apply_events(wal2.replay()) == 0
         assert updater2.stats().events_duplicate == 60
         assert updater2.window.n_events() == expected_window_events(60)
 
@@ -335,42 +389,104 @@ class TestCrashRecovery:
             fh.write('{"crc": 1, "event": {"se')
 
         wal2 = WriteAheadLog(tmp_path / "wal", fsync="never")
-        pipe2 = IngestPipe(wal2)
-        updater = StreamingUpdater(inc, pipe2)
+        updater = StreamingUpdater(
+            inc, wal2, generations_dir=tmp_path / "gens"
+        )
         assert updater.recover() == 20  # exact admitted count survives
 
 
-def _restarted_primary(snapshot, root):
-    """What ``serve-http --ingest-wal`` builds at start: the snapshot's
-    model and click window, then a replay of the WAL under ``root``."""
-    inc = IncrementalShoal.from_model(
-        load_model(snapshot),
-        entity_categories=load_entity_categories(snapshot),
-        retrain_every=100,
-    )
-    wal = WriteAheadLog(root / "wal", fsync="never")
-    pipe = IngestPipe(wal)
-    updater = StreamingUpdater(
-        inc,
-        pipe,
-        window=load_window(snapshot),
-        generations_dir=root / "gens",
+class TestBatching:
+    """A micro-batch is cut from what the WAL holds by count or by the
+    age of its oldest read event, whichever trips first."""
+
+    def test_batch_fills_to_count(self, tmp_path, live_events, base_inc):
+        _, pipe, updater = make_updater(
+            tmp_path, base_inc, batch_max_events=4, batch_max_age_s=10.0,
+            min_batch_events=1000,
+        )
+        for e in live_events[:10]:
+            pipe.submit(event_payload(e))
+        assert updater.run_once(timeout_s=0.1) is None
+        assert updater.applied_seq == 4
+
+    def test_partial_batch_releases_on_age(
+        self, tmp_path, live_events, base_inc
+    ):
+        ticks = iter([0.0, 0.0, 0.0, 10.0])
+        _, pipe, updater = make_updater(
+            tmp_path, base_inc, batch_max_events=100, batch_max_age_s=1.0,
+            min_batch_events=1000, clock=lambda: next(ticks, 10.0),
+        )
+        pipe.submit(event_payload(live_events[0]))
+        assert updater.run_once(timeout_s=0.1) is None
+        assert updater.applied_seq == 1  # age tripped, count did not
+
+    def test_empty_timeout_applies_nothing(self, tmp_path, base_inc):
+        _, _, updater = make_updater(tmp_path, base_inc)
+        assert updater.run_once(timeout_s=0.01) is None
+        assert updater.applied_seq == 0
+
+    def test_batches_preserve_order_across_takes(
+        self, tmp_path, live_events, base_inc
+    ):
+        _, pipe, updater = make_updater(
+            tmp_path, base_inc, batch_max_events=3, min_batch_events=1000
+        )
+        for e in live_events[:7]:
+            pipe.submit(event_payload(e))
+        seen = []
+        while updater.applied_seq < 7:
+            updater.run_once(timeout_s=0.01)
+            seen.append(updater.applied_seq)
+        assert seen == [3, 6, 7]
+
+
+def _fold_process(snapshot, root, **kwargs):
+    """What the fold process builds at start: its newest generation (the
+    snapshot before the first), then the WAL under ``root`` after that
+    generation's cut. ``retrain_every`` is smaller than the number of
+    generations a test writes, so a restart must carry the counter."""
+    wal = WriteAheadLog(root / "wal", fsync="never", **kwargs)
+    updater = StreamingUpdater.restart(
+        snapshot,
+        wal,
+        root / "gens",
+        retrain_every=2,
+        batch_max_age_s=0.0,
         min_batch_events=5,
+        on_generation=lambda report: wal.compact(
+            report["first_day"], covered_seq=report["applied_seq"]
+        ),
     )
     updater.recover()
-    return wal, pipe, updater
+    return wal, IngestPipe(wal, max_queue=10_000), updater
 
 
-def _next_generation(pipe, updater, events):
-    for e in events:
-        pipe.submit(event_payload(e))
+def _live_payloads(events):
+    """Wire payloads for ``events``; every fifth introduces a query never
+    seen before, with words no title or query used, so an embedding
+    retrain over the grown registry gives different vectors and the
+    fold's output depends on when retrains happen."""
+    payloads = []
+    for i, e in enumerate(events):
+        payload = event_payload(e)
+        if i % 5 == 0:
+            payload["query_id"] = 1_000_000 + i
+            payload["query_text"] = f"zqnovel{i} zqtrend{i % 3}"
+        payloads.append(payload)
+    return payloads
+
+
+def _next_generation(pipe, updater, payloads):
+    for payload in payloads:
+        pipe.submit(payload)
     generation = None
     while generation is None:
         generation = updater.run_once(timeout_s=0.0)
     return generation
 
 
-class TestRestartFromSnapshot:
+class TestRestartFromGeneration:
     @settings(
         max_examples=4,
         deadline=None,
@@ -380,21 +496,23 @@ class TestRestartFromSnapshot:
     def test_restart_at_any_boundary_matches_an_uninterrupted_run(
         self, data, base_snapshot, live_events
     ):
-        """Kill the primary at a generation boundary and restart it from
-        the snapshot + WAL: its next generation has the fingerprint the
-        uninterrupted run produced for the same events."""
+        """Kill the fold process at a generation boundary and restart it
+        from its newest generation + WAL: its next generation has the
+        fingerprint the uninterrupted run produced for the same events,
+        embedding retrains included."""
         sizes = data.draw(
-            st.lists(st.integers(5, 40), min_size=2, max_size=3),
+            st.lists(st.integers(5, 40), min_size=3, max_size=4),
             label="generation sizes",
         )
         cuts = [sum(sizes[:i]) for i in range(len(sizes) + 1)]
         kill_after = data.draw(
             st.integers(0, len(sizes) - 1), label="generations before kill"
         )
-        batches = [live_events[a:b] for a, b in zip(cuts, cuts[1:])]
+        payloads = _live_payloads(live_events[: cuts[-1]])
+        batches = [payloads[a:b] for a, b in zip(cuts, cuts[1:])]
 
         straight = Path(tempfile.mkdtemp(prefix="restart-straight-"))
-        _, pipe, updater = _restarted_primary(base_snapshot, straight)
+        _, pipe, updater = _fold_process(base_snapshot, straight)
         want = [
             snapshot_fingerprint(
                 _next_generation(pipe, updater, batch).snapshot_dir
@@ -403,42 +521,56 @@ class TestRestartFromSnapshot:
         ]
 
         killed = Path(tempfile.mkdtemp(prefix="restart-killed-"))
-        wal, pipe, updater = _restarted_primary(base_snapshot, killed)
+        wal, pipe, updater = _fold_process(base_snapshot, killed)
         for batch in batches[:kill_after]:
             _next_generation(pipe, updater, batch)
         wal.close()
-        _, pipe, updater = _restarted_primary(base_snapshot, killed)
+        _, pipe, updater = _fold_process(base_snapshot, killed)
         assert updater.applied_seq == cuts[kill_after]
+        assert updater.current_generation == kill_after
         generation = _next_generation(pipe, updater, batches[kill_after])
         assert snapshot_fingerprint(generation.snapshot_dir) == (
             want[kill_after]
         )
 
-
-class TestBackgroundThread:
-    def test_start_stop_produces_generations(
-        self, tmp_path, live_events, base_inc
+    def test_restart_after_wal_compaction_matches(
+        self, tmp_path, base_snapshot, live_events
     ):
-        switch = GenerationSwitch().attach(serving_tier(base_inc))
-        _, pipe, updater = make_updater(
-            tmp_path,
-            base_inc,
-            switch=switch,
-            batch_max_events=64,
-            batch_max_age_s=0.05,
-        )
-        updater.start()
-        try:
-            for e in live_events[:50]:
-                pipe.submit(event_payload(e))
-        finally:
-            updater.stop(drain=True)
-        stats = updater.stats()
-        assert stats.events_applied == 50
-        assert stats.generations >= 1
-        assert stats.swap_failures == 0
-        assert updater.last_error is None
-        assert switch.current is not None
+        """The window slides past the first live days, so compaction
+        deletes their segments; a fold killed after that restarts from
+        its generation, not from the snapshot plus a WAL that no longer
+        holds them, and writes the uninterrupted run's next generation."""
+        dated = [
+            {**event_payload(e), "day": 7 + i // 10}
+            for i, e in enumerate(live_events[:120])
+        ]
+        batches = [dated[i:i + 10] for i in range(0, len(dated), 10)]
+
+        def run(root, kill_after=None):
+            wal, pipe, updater = _fold_process(
+                base_snapshot, root, segment_max_events=8
+            )
+            fingerprints = []
+            for n, batch in enumerate(batches):
+                if n == kill_after:
+                    compacted = wal.stats()["compacted_segments"]
+                    wal.close()
+                    wal, pipe, updater = _fold_process(
+                        base_snapshot, root, segment_max_events=8
+                    )
+                    assert updater.current_generation == n
+                for payload in batch:
+                    pipe.submit(payload)
+                generation = None
+                while generation is None:
+                    generation = updater.run_once(timeout_s=0.0)
+                fingerprints.append(snapshot_fingerprint(generation.snapshot_dir))
+            return fingerprints, (compacted if kill_after else None)
+
+        want, _ = run(tmp_path / "straight")
+        got, compacted = run(tmp_path / "killed", kill_after=10)
+        assert compacted > 0  # segments were gone before the kill
+        assert got == want
 
 
 class TestDriftGate:
@@ -447,9 +579,8 @@ class TestDriftGate:
     def _run_two_generations(
         self, tmp_path, live_events, base_inc, gate
     ):
-        switch = GenerationSwitch().attach(serving_tier(base_inc))
-        _, pipe, updater = make_updater(
-            tmp_path, base_inc, switch=switch, drift_gate=gate
+        switch, installer, pipe, updater = make_installed(
+            tmp_path, base_inc, drift_gate=gate
         )
         for e in live_events[:40]:
             pipe.submit(event_payload(e))
@@ -457,7 +588,7 @@ class TestDriftGate:
         for e in live_events[40:80]:
             pipe.submit(event_payload(e))
         updater.run_once(timeout_s=0.0)
-        return switch, updater
+        return switch, updater, installer
 
     def test_trivial_generation_is_produced_but_not_rolled_out(
         self, tmp_path, live_events, base_inc
@@ -474,17 +605,18 @@ class TestDriftGate:
                 return {"assessments": len(self.consulted)}
 
         gate = AlwaysTrivial()
-        switch, updater = self._run_two_generations(
+        switch, updater, installer = self._run_two_generations(
             tmp_path, live_events, base_inc, gate
         )
         # Generation 1 had nothing serving to compare against and rolled
         # out; generation 2 was gated and skipped.
         assert gate.consulted == [(1, 2)]
         assert switch.current.number == 1
-        stats = updater.stats()
-        assert stats.generations == 2  # produced and checkpointed anyway
-        assert stats.rollouts_skipped == 1
-        assert updater.stats_dict()["drift"] == {"assessments": 1}
+        assert updater.stats().generations == 2  # produced anyway
+        assert read_checkpoint(tmp_path / "wal")["generation"] == 2
+        stats = installer.stats()
+        assert stats["rollouts_skipped"] == 1
+        assert stats["drift"] == {"assessments": 1}
 
     def test_gate_failure_is_advisory_rollout_proceeds(
         self, tmp_path, live_events, base_inc
@@ -496,12 +628,13 @@ class TestDriftGate:
             def stats(self):
                 return {}
 
-        switch, updater = self._run_two_generations(
+        switch, _, installer = self._run_two_generations(
             tmp_path, live_events, base_inc, Broken()
         )
         assert switch.current.number == 2
-        assert updater.stats().rollouts_skipped == 0
-        assert "gate" in updater.stats_dict()["last_error"]
+        stats = installer.stats()
+        assert stats["rollouts_skipped"] == 0
+        assert "gate" in stats["last_error"]
 
     def test_real_monitor_measures_real_generations(
         self, tmp_path, live_events, base_inc
@@ -513,14 +646,14 @@ class TestDriftGate:
         from repro.analytics import DriftMonitor
 
         gate = DriftMonitor(threshold=0.0)
-        switch, updater = self._run_two_generations(
+        switch, _, installer = self._run_two_generations(
             tmp_path, live_events, base_inc, gate
         )
-        drift = updater.stats_dict()["drift"]
+        drift = installer.stats()["drift"]
         assert drift["assessments"] == 1
         last = drift["last"]
         assert (last["prev_generation"], last["new_generation"]) == (1, 2)
-        skipped = updater.stats().rollouts_skipped
+        skipped = installer.stats()["rollouts_skipped"]
         trivial = (
             last["n_topics_prev"] == last["n_topics_new"]
             and last["changed_fraction"] <= gate.threshold
@@ -544,21 +677,17 @@ class TestDriftGate:
             for name in ("service", "backend", "cluster")
             if hasattr(IncrementalShoal, name)
         ]
-        tier = serving_tier(base_inc)
-        switch = GenerationSwitch().attach(tier)
-        _, pipe, updater = make_updater(
-            tmp_path,
-            base_inc,
-            switch=switch,
-            drift_gate=DriftMonitor(threshold=0.99),
+        switch, installer, pipe, updater = make_installed(
+            tmp_path, base_inc, drift_gate=DriftMonitor(threshold=0.99)
         )
+        tier = switch._engine  # the ShoalService the switch refreshes
         # Five 40-event generations: the first three change the topic
         # count and roll out, the gate holds back the last two.
         for n in range(5):
             for e in live_events[40 * n:40 * (n + 1)]:
                 pipe.submit(event_payload(e))
             assert updater.run_once(timeout_s=0.0) is not None
-            assert tier.service.taxonomy is switch.current.serving.taxonomy
-        stats = updater.stats()
-        assert (stats.generations, stats.rollouts_skipped) == (5, 2)
+            assert tier.taxonomy is switch.current.serving.taxonomy
+        assert updater.stats().generations == 5
+        assert installer.stats()["rollouts_skipped"] == 2
         assert switch.current.number == 3

@@ -131,6 +131,14 @@ class TestParser:
         with pytest.raises(SystemExit, match=f"{flag} requires --ingest-wal"):
             main(["serve-http", "--load", "d", flag, value])
 
+    def test_ingest_command_is_gone(self, capsys):
+        """The fold runs only in the process serve-http --ingest-wal
+        spawns; there is no second, in-process fold command."""
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["ingest", "--wal", "w"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'ingest'" in capsys.readouterr().err
+
     def test_drift_threshold_validated(self, capsys):
         argv = ["serve-http", "--load", "d", "--ingest-wal", "w"]
         for bad in ("1.5", "1", "-0.1"):
@@ -143,29 +151,6 @@ class TestParser:
                 argv + ["--drift-threshold", good]
             )
             assert args.drift_threshold == float(good)
-
-
-class TestIngestCommand:
-    def test_refreshes_its_tier_once_per_generation(
-        self, tmp_path, monkeypatch, capsys
-    ):
-        """Only the switch refreshes the read tier, so each generation
-        reaches it exactly once (after its probes)."""
-        from repro.core.serving import ShoalService
-
-        refreshed = []
-        real_refresh = ShoalService.refresh
-
-        def spy(self, *args, **kwargs):
-            refreshed.append(self)
-            return real_refresh(self, *args, **kwargs)
-
-        monkeypatch.setattr(ShoalService, "refresh", spy)
-        argv = ["ingest", "--profile", "tiny", "--live-days", "2",
-                "--wal", str(tmp_path / "wal")]
-        assert main(argv) == 0
-        assert "-> 4 generations (0 swap failures)" in capsys.readouterr().out
-        assert len(refreshed) == 4
 
 
 class TestFitCommand:
@@ -353,8 +338,10 @@ class TestWritePathStartsFromTheSnapshot:
         """Stub the serve loop: start, run ``action(server)``, stop."""
         seen = {}
 
-        def run(server, what, surface, *, on_stop=None):
+        def run(server, what, surface, *, on_start=None, on_stop=None):
             server.start()
+            if on_start is not None:
+                on_start()
             try:
                 seen["out"] = action(server)
             finally:
