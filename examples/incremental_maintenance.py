@@ -54,8 +54,8 @@ def main() -> None:
             )
             switch.attach(backend)
         else:
-            # ... and only the switch refreshes it: indexes rebuilt and
-            # swapped in behind one reference.
+            # ... and only the switch swaps it: indexes built once,
+            # probed, and published behind one reference.
             switch.swap(
                 Generation(
                     number=day,

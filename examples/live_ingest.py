@@ -68,7 +68,7 @@ def main() -> None:
     print(f"base model: {len(model.taxonomy)} topics, saved to {snapshot}")
 
     # The read tier, loaded from the snapshot, behind a gateway. The
-    # switch below is the only thing that refreshes it.
+    # switch below is the only thing that publishes to it.
     backend = open_backend(f"snapshot:{snapshot}")
     gateway = Gateway(backend)
     serving = backend.service.serving

@@ -1,5 +1,6 @@
 #!/usr/bin/env python
-"""One line per (profile, seed): the fit's ``snapshot_fingerprint``.
+"""One line per (profile, seed): the fit's ``snapshot_fingerprint`` and
+its ``fit_digest``.
 
 A fit is a pure function of (profile, seed), and a rewrite of a fit
 stage claims the same bytes out. This prints what that claim is checked
@@ -9,8 +10,11 @@ values::
 
     python scripts/fit_fingerprints.py --profiles tiny small --seeds 7 11
 
-Each line is ``profile seed fingerprint stage_seconds`` (the last as
-compact JSON, for reading; only the first three columns are stable).
+Each line is ``profile seed fingerprint digest stage_seconds``. The
+fingerprint covers the saved snapshot; the digest covers every stage's
+in-memory output, including the click graph and scored descriptions no
+snapshot keeps. ``stage_seconds`` is compact JSON, for reading; only
+the first four columns are stable.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ import json
 import tempfile
 
 from repro.core.config import ShoalConfig
-from repro.core.pipeline import ShoalPipeline
+from repro.core.pipeline import ShoalPipeline, fit_digest
 from repro.data.marketplace import PROFILES, generate_marketplace
 from repro.store.persistence import snapshot_fingerprint
 
@@ -34,7 +38,10 @@ def fingerprint_line(profile: str, seed: int) -> str:
             model.save(tmp, entity_categories=categories)
         )
     stages = {k: round(v, 3) for k, v in model.stage_seconds.items()}
-    return f"{profile} {seed} {fingerprint} {json.dumps(stages, separators=(',', ':'))}"
+    return (
+        f"{profile} {seed} {fingerprint} {fit_digest(model)} "
+        f"{json.dumps(stages, separators=(',', ':'))}"
+    )
 
 
 def main(argv=None) -> int:

@@ -3,8 +3,8 @@
 Every micro-batch produces a model generation, but a trickle of
 repeat traffic often yields a taxonomy whose *partition of entities
 into topics* is identical (or nearly) to what is already serving —
-swapping it costs a reference-index build, a tier refresh, and a
-gateway cache invalidation for zero reader-visible change.
+swapping it costs an index build, its probes, and a gateway cache
+invalidation for zero reader-visible change.
 
 :class:`DriftMonitor` quantifies the change between two generations'
 taxonomies and answers "is this rollout trivial?". The comparison is

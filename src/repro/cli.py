@@ -432,8 +432,8 @@ def _build_ingest_side(args, backend, tracer):
             f"--ingest-wal cannot restart the window: {exc}"
         ) from None
     serving = backend.service.serving
-    # The snapshot is the rollback baseline: a first generation failing
-    # its health check restores the tier to what it serves now.
+    # The snapshot is the baseline: the switch's current generation
+    # until the first one is published, and the drift gate's reference.
     baseline = Generation(
         number=0, serving=serving, last_day=window.last_day or 0
     )

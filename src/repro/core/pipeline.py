@@ -15,6 +15,8 @@ the evaluation harness need, plus stage timings for the benches.
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -37,7 +39,7 @@ from repro.obs.tracer import traced
 from repro.text.tokenizer import Tokenizer
 from repro.text.word2vec import Word2Vec, WordEmbeddings
 
-__all__ = ["ShoalModel", "ShoalPipeline", "fit_stage"]
+__all__ = ["ShoalModel", "ShoalPipeline", "fit_digest", "fit_stage"]
 
 
 @contextmanager
@@ -55,12 +57,16 @@ class ShoalModel:
     """All artifacts of one SHOAL run."""
 
     config: ShoalConfig
-    bipartite: QueryItemGraph
+    #: The click graph of the fitted window; a loaded model leaves it
+    #: None (``load_window(d).graph(config.min_clicks)`` rebuilds it).
+    bipartite: Optional[QueryItemGraph]
     embeddings: WordEmbeddings
     entity_graph: SparseGraph
     clustering: ParallelHACResult
     taxonomy: Taxonomy
-    descriptions: Dict[int, List[QueryScore]]
+    #: Each topic's scored description candidates; a loaded model
+    #: leaves them None (the taxonomy keeps the description texts).
+    descriptions: Optional[Dict[int, List[QueryScore]]]
     correlations: CorrelationGraph
     titles: Dict[int, str]
     query_texts: Dict[int, str]
@@ -121,6 +127,41 @@ class ShoalModel:
         from repro.store.persistence import load_model
 
         return load_model(directory)
+
+
+def fit_digest(model: ShoalModel) -> str:
+    """SHA-256 of every fit stage's in-memory output: bipartite edges,
+    entity graph, dendrogram merges and rounds, taxonomy, scored
+    descriptions, correlations and embeddings.
+
+    Floats enter by their exact ``repr``, so two fits share a digest
+    only if every stage computed the same values, including the ones no
+    snapshot file keeps. Needs a fitted model: a loaded one has no
+    bipartite graph or scored descriptions.
+    """
+    h = hashlib.sha256()
+
+    def put(name: str, value) -> None:
+        h.update(f"{name}:{value!r}\n".encode())
+
+    put("bipartite", list(model.bipartite.edges()))
+    put("entity_vertices", sorted(model.entity_graph.vertices()))
+    put("entity_edges", sorted(model.entity_graph.edge_list()))
+    dendrogram = model.clustering.dendrogram
+    put("leaves", dendrogram.vertex_ids)
+    put("merges", [dataclasses.astuple(m) for m in dendrogram.merges])
+    put("rounds", [dataclasses.astuple(r) for r in model.clustering.rounds])
+    put("taxonomy", [dataclasses.astuple(t) for t in model.taxonomy])
+    put("descriptions", sorted(
+        (topic_id, [dataclasses.astuple(s) for s in scores])
+        for topic_id, scores in model.descriptions.items()
+    ))
+    correlations = model.correlations
+    put("correlations", (correlations.min_strength, correlations.pairs()))
+    words, matrix = model.embeddings.vocabulary.words, model.embeddings.matrix
+    put("embeddings", (words, matrix.dtype.str, matrix.shape))
+    h.update(matrix.tobytes())
+    return h.hexdigest()
 
 
 class ShoalPipeline:

@@ -41,11 +41,12 @@ backend in a :class:`~repro.api.middleware.Gateway`.
 
 **Hot swap.** Every per-model structure lives in one
 :class:`_ServiceState` object and every request reads
-``self._state`` exactly once, so :meth:`refresh` builds the next
-window's indexes *off to the side* and publishes them with a single
-reference assignment — a concurrent reader sees either the old state
-or the new one in full, never a half-installed mix, and the serving
-process never stops answering during a rollout.
+``self._state`` exactly once, so :meth:`build` makes the next
+window's indexes *off to the side*, :meth:`probe` can query them there,
+and :meth:`publish` installs them with a single reference assignment —
+a concurrent reader sees either the old state or the new one in full,
+never a half-installed mix, and the serving process never stops
+answering during a rollout.
 """
 
 from __future__ import annotations
@@ -140,7 +141,7 @@ class _ServiceState:
 
     One instance is published per installed model; requests read the
     service's state reference once and work against that snapshot for
-    their whole lifetime, which is what makes :meth:`ShoalService.refresh`
+    their whole lifetime, which is what makes :meth:`ShoalService.publish`
     a zero-downtime swap.
     """
 
@@ -257,15 +258,25 @@ class ShoalService:
 
     # -- model lifecycle -----------------------------------------------------
 
-    def refresh(self, serving: ServingModel) -> None:
-        """Swap in a freshly fitted serving model with zero read downtime.
+    def build(self, serving: ServingModel) -> _ServiceState:
+        """Every precomputed index of ``serving``, built *off to the
+        side*: no request reads it until :meth:`publish`."""
+        return _ServiceState(serving, self._tokenizer)
 
-        Every precomputed index is rebuilt *off to the side* and then
-        published with one reference assignment — requests in flight
-        keep the state they started with, requests arriving after see
-        the new model, and none ever observe a half-built mix.
-        """
-        self._state = _ServiceState(serving, self._tokenizer)
+    def probe(
+        self, state: _ServiceState, queries: Sequence[str], k: int
+    ) -> List[List[TopicHit]]:
+        """:meth:`search_topics_batch` against ``state``, built but
+        perhaps not yet published."""
+        tokens = self._tokenizer.tokenize_all(queries)
+        return self._search_tokens(state, tokens, k)
+
+    def publish(self, state: _ServiceState) -> None:
+        """Swap in ``state`` with zero read downtime: one reference
+        assignment, so requests in flight keep the state they started
+        with, requests arriving after see the new model, and none ever
+        observe a half-built mix."""
+        self._state = state
 
     def posting_tokens(self) -> FrozenSet[str]:
         """Tokens in this service's BM25 posting lists.
@@ -459,7 +470,7 @@ class ShoalService:
         Find the best topic for the query and return its entities —
         cross-category by construction, which is the behaviour the A/B
         test credits for the CTR uplift. The search and the topic
-        lookup run against one state snapshot, so a concurrent refresh
+        lookup run against one state snapshot, so a concurrent publish
         can never make the winning topic "disappear" mid-request.
         """
         return self.recommend_batch([query], k)[0]

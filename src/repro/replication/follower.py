@@ -34,9 +34,10 @@ the follower :func:`~repro.store.persistence.load_serving` the named
 generation, checks the loaded files against the verified fingerprint
 once more, and swaps it in through its :class:`GenerationSwitch`. A
 broadcast whose fingerprint disagrees with the verified one is refused
-and marks the follower divergent; a follower whose post-swap health
-probes fail rolls back to what it was serving and reports unhealthy.
-Readers on that follower never see a torn or wrong model either way.
+and marks the follower divergent; a generation whose index build or
+probes raise is refused before it is published, and the follower keeps
+serving what it was serving and reports unhealthy. Readers on that
+follower never see a torn or wrong model either way.
 """
 
 from __future__ import annotations
@@ -244,10 +245,9 @@ class Follower:
             ):
                 switch.swap(generation)
         except (SwapError, OSError, ValueError, KeyError) as exc:
-            # A failed load never touched the tier, and a failed swap
-            # was already rolled back to what it was serving; record the
-            # epoch as seen so one bad broadcast cannot wedge the
-            # follower in a swap loop.
+            # Neither a failed load nor a refused swap touched the
+            # tier; record the epoch as seen so one bad broadcast cannot
+            # wedge the follower in a swap loop.
             with self._lock:
                 self._swap_failures += 1
                 self._healthy = False

@@ -12,10 +12,8 @@ can load without refitting and an operator can inspect without Python:
                              configs included)
 ``taxonomy.json``            topics with hierarchy, categories, descriptions
 ``embeddings.npz``           word vectors + vocabulary (fixed-width unicode)
-``bipartite.npz``            query–item click edges of the fitted window
 ``entity_graph.npz``         item entity graph vertices + weighted edges
 ``clustering.npz``           dendrogram merges + per-round HAC statistics
-``descriptions.json``        full per-topic :class:`QueryScore` lists
 ``correlations.json``        thresholded category-correlation pairs
 ``texts.json``               entity titles and query texts
 ``entity_categories.json``   *(optional)* authoritative entity → category map
@@ -26,7 +24,17 @@ can load without refitting and an operator can inspect without Python:
 
 A read tier loads only the manifest, taxonomy, correlations, texts and
 sidecar (:func:`load_serving`); a cluster shard holds only those
-(:func:`save_serving`). The rest is fit-side (:func:`load_model`).
+(:func:`save_serving`). The rest is fit-side (:func:`load_model`): a
+restarted fold reads the config, embeddings and window, and ``cli
+evaluate --load`` the entity graph and clustering.
+
+Every file has a reader. A snapshot keeps neither the bipartite click
+graph (``window.graph(config.min_clicks)`` rebuilds it exactly from the
+saved window) nor the topics' scored description lists (the taxonomy
+keeps the description texts readers see): a loaded
+:class:`~repro.core.pipeline.ShoalModel` has ``bipartite`` and
+``descriptions`` set to None. Snapshots an older build wrote with those
+two files still load, and a save over one removes them.
 
 JSON for inspectable structures, NPZ for arrays, **no pickle
 anywhere** — every array is numeric or fixed-width unicode, and every
@@ -56,10 +64,9 @@ from repro.clustering.parallel_hac import (
 )
 from repro.core.config import ShoalConfig
 from repro.core.correlation import CategoryCorrelationConfig, CorrelationGraph
-from repro.core.descriptions import DescriptionConfig, QueryScore
+from repro.core.descriptions import DescriptionConfig
 from repro.core.pipeline import ShoalModel
 from repro.core.serving import ServingModel
-from repro.graph.bipartite import QueryItemGraph
 from repro.graph.entity_graph import EntityGraphConfig
 from repro.graph.sparse import SparseGraph
 from repro.graph.window import ClickWindow
@@ -103,11 +110,13 @@ _SIDECAR = "entity_categories.json"
 _FIT_ARTIFACTS = (
     "config.json",
     "embeddings.npz",
-    "bipartite.npz",
     "entity_graph.npz",
     "clustering.npz",
-    "descriptions.json",
 )
+
+#: Files older builds wrote that nothing read: never written, never
+#: loaded, and removed when a save lands on a directory holding them.
+_RETIRED_ARTIFACTS = ("bipartite.npz", "descriptions.json")
 
 #: Snapshot artifacts are flat files directly inside the directory.
 _SKIP_SUFFIXES = (".tmp",)
@@ -184,31 +193,6 @@ def config_from_dict(payload: Dict) -> ShoalConfig:
         min_topic_size=int(payload["min_topic_size"]),
         seed=int(payload["seed"]),
     )
-
-
-# -- bipartite graph ---------------------------------------------------------
-
-
-def _save_bipartite(graph: QueryItemGraph, path: Path) -> None:
-    edges = list(graph.edges())
-    if edges:
-        qs, es, cs = zip(*edges)
-    else:
-        qs, es, cs = (), (), ()
-    np.savez_compressed(
-        path,
-        query_ids=np.asarray(qs, dtype=np.int64),
-        entity_ids=np.asarray(es, dtype=np.int64),
-        clicks=np.asarray(cs, dtype=np.int64),
-    )
-
-
-def _load_bipartite(path: Path) -> QueryItemGraph:
-    graph = QueryItemGraph()
-    with np.load(path) as z:
-        for q, e, c in zip(z["query_ids"], z["entity_ids"], z["clicks"]):
-            graph.add_click(int(q), int(e), int(c))
-    return graph
 
 
 # -- entity graph ------------------------------------------------------------
@@ -296,43 +280,6 @@ def _load_clustering(path: Path) -> ParallelHACResult:
     return ParallelHACResult(dendrogram=dendrogram, rounds=rounds)
 
 
-# -- descriptions ------------------------------------------------------------
-
-
-def _descriptions_to_dict(
-    descriptions: Dict[int, List[QueryScore]],
-) -> Dict:
-    return {
-        "topics": {
-            str(topic_id): [
-                {
-                    "query_id": s.query_id,
-                    "text": s.text,
-                    "popularity": _finite(s.popularity),
-                    "concentration": _finite(s.concentration),
-                }
-                for s in scores
-            ]
-            for topic_id, scores in descriptions.items()
-        }
-    }
-
-
-def _descriptions_from_dict(payload: Dict) -> Dict[int, List[QueryScore]]:
-    return {
-        int(topic_id): [
-            QueryScore(
-                query_id=int(s["query_id"]),
-                text=s["text"],
-                popularity=float(s["popularity"]),
-                concentration=float(s["concentration"]),
-            )
-            for s in scores
-        ]
-        for topic_id, scores in payload.get("topics", {}).items()
-    }
-
-
 # -- correlations ------------------------------------------------------------
 
 
@@ -383,10 +330,8 @@ def save_model(
 
     write_json(d / "config.json", config_to_dict(model.config))
     save_embeddings(model.embeddings, d / "embeddings.npz")
-    _save_bipartite(model.bipartite, d / "bipartite.npz")
     _save_sparse_graph(model.entity_graph, d / "entity_graph.npz")
     _save_clustering(model.clustering, d / "clustering.npz")
-    write_json(d / "descriptions.json", _descriptions_to_dict(model.descriptions))
     fit_artifacts = list(_FIT_ARTIFACTS)
     if model.window is not None:
         np.savez_compressed(d / _WINDOW, **model.window.columns())
@@ -402,7 +347,6 @@ def save_model(
                 "topics": len(model.taxonomy),
                 "entities": model.entity_graph.n_vertices,
                 "entity_edges": model.entity_graph.n_edges,
-                "bipartite_edges": model.bipartite.n_edges,
                 "vocabulary": len(model.embeddings.vocabulary),
                 "merges": model.clustering.dendrogram.n_merges,
             },
@@ -428,13 +372,13 @@ def save_serving(
     ``taxonomy.json``, ``correlations.json``, ``texts.json`` and the
     sidecar when ``serving`` carries an authoritative map.
     :func:`save_model` writes the fit-only artifacts first, names them
-    in ``fit_artifacts`` and adds its ``manifest`` fields; fit artifacts
-    or a sidecar a previous save left behind are removed.
+    in ``fit_artifacts`` and adds its ``manifest`` fields; fit artifacts,
+    retired files or a sidecar a previous save left behind are removed.
     """
     d = Path(directory)
     d.mkdir(parents=True, exist_ok=True)
     (d / _MANIFEST).unlink(missing_ok=True)
-    for name in (*_FIT_ARTIFACTS, _WINDOW):
+    for name in (*_FIT_ARTIFACTS, _WINDOW, *_RETIRED_ARTIFACTS):
         if name not in fit_artifacts:
             (d / name).unlink(missing_ok=True)
 
@@ -482,6 +426,9 @@ def load_model(directory: Union[str, Path]) -> ShoalModel:
     files are then loaded with no pickle anywhere. A directory missing
     any fit-only artifact (a cluster shard, or a snapshot pruned to
     what readers load) is refused: open it with :func:`load_serving`.
+    The model's ``bipartite`` and ``descriptions`` are None (the module
+    docstring says why), and so is its ``window`` (:func:`load_window`
+    reads it).
     """
     d = Path(directory)
     manifest = read_manifest(d)
@@ -496,12 +443,12 @@ def load_model(directory: Union[str, Path]) -> ShoalModel:
     texts = read_json(d / "texts.json")
     return ShoalModel(
         config=config_from_dict(read_json(d / "config.json")),
-        bipartite=_load_bipartite(d / "bipartite.npz"),
+        bipartite=None,
         embeddings=load_embeddings(d / "embeddings.npz"),
         entity_graph=_load_sparse_graph(d / "entity_graph.npz"),
         clustering=_load_clustering(d / "clustering.npz"),
         taxonomy=load_taxonomy(d / "taxonomy.json"),
-        descriptions=_descriptions_from_dict(read_json(d / "descriptions.json")),
+        descriptions=None,
         correlations=_correlations_from_dict(read_json(d / "correlations.json")),
         titles={int(k): v for k, v in texts["titles"].items()},
         query_texts={int(k): v for k, v in texts["query_texts"].items()},

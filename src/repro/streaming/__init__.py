@@ -25,9 +25,10 @@ model generations while that read path keeps answering:
 * :mod:`repro.streaming.rollout` — :class:`GenerationSwitch`, which
   hot-swaps a new generation into its one single-service tier (a
   :class:`~repro.core.serving.ShoalService`, reached directly or
-  through its backend, gateway or follower) with probe-query health
-  checks and automatic rollback — the only path by which a generation
-  reaches readers. The sharded tier is built once and never swapped.
+  through its backend, gateway or follower), building its index once
+  and probing it before publishing — the only path by which a
+  generation reaches readers. The sharded tier is built once and never
+  swapped.
 
 Dataflow::
 

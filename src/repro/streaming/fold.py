@@ -22,8 +22,9 @@ generation, in order: load it through the verified path followers use
 (:func:`~repro.store.persistence.load_serving_verified`), consult the
 drift gate, roll it out through the probed
 :class:`~repro.streaming.rollout.GenerationSwitch`, write
-``CHECKPOINT.json``, publish it (the ship-feed hook), and compact the
-WAL segments the new window and the generation's cut both leave behind.
+``CHECKPOINT.json``, hand it to the ship-feed hook if the switch
+published it, and compact the WAL segments the new window and the
+generation's cut both leave behind.
 """
 
 from __future__ import annotations
@@ -96,7 +97,8 @@ class GenerationInstaller:
     ``stats()``) holds back a generation whose taxonomy is trivially
     different from what is serving: it is checkpointed, not rolled out.
     ``on_generation`` (a shipper's ``publish_generation``) is called
-    with every installed generation; its exceptions are contained.
+    with every generation the switch published, so followers serve only
+    what the primary's readers saw; its exceptions are contained.
     """
 
     def __init__(
@@ -135,8 +137,8 @@ class GenerationInstaller:
         None when it was already installed or could not be loaded.
 
         Swap failures are counted, not raised: the read path keeps
-        serving the previous generation, which is the point of the
-        probed swap.
+        serving the previous generation, which is the point of probing
+        before publishing.
         """
         number = int(record["number"])
         if number <= self._installed:
@@ -157,8 +159,7 @@ class GenerationInstaller:
                 last_day=int(record["last_day"]),
                 snapshot_dir=Path(record["dir"]),
             )
-            self._installed = number
-            self._roll_out(generation)
+            published = self._roll_out(generation)
             write_checkpoint(
                 self._wal.directory,
                 {
@@ -167,7 +168,7 @@ class GenerationInstaller:
                     "last_day": generation.last_day,
                 },
             )
-            if self._on_generation is not None:
+            if published and self._on_generation is not None:
                 try:
                     self._on_generation(generation)
                 except Exception as exc:  # noqa: BLE001 - advisory hook
@@ -180,18 +181,22 @@ class GenerationInstaller:
             self._wal.compact(
                 int(record["first_day"]), covered_seq=generation.applied_seq
             )
+        # Marked once every step, its span included, is done: whoever
+        # sees it installed sees the whole install.
+        self._installed = number
         return generation
 
-    def _roll_out(self, generation: Generation) -> None:
+    def _roll_out(self, generation: Generation) -> bool:
+        """Gate and swap ``generation``; True if the switch published it."""
         previous = self._switch.current
         if self._drift_gate is not None and previous is not None:
             # A trivially-different generation is checkpointed but not
-            # rolled out: the swap's reference build and cache
-            # invalidation buy no reader-visible change.
+            # rolled out: the swap's index build and cache invalidation
+            # buy no reader-visible change.
             try:
                 if self._drift_gate.should_skip(previous, generation):
                     self._rollouts_skipped += 1
-                    return
+                    return False
             except Exception as exc:  # noqa: BLE001 - gate is advisory
                 self._last_error = (
                     f"drift gate failed ({type(exc).__name__}: {exc}); "
@@ -202,6 +207,8 @@ class GenerationInstaller:
         except SwapError as exc:
             self._swap_failures += 1
             self._last_error = str(exc)
+            return False
+        return True
 
     def stats(self) -> Dict[str, Any]:
         out: Dict[str, Any] = {

@@ -7,33 +7,33 @@ with the WAL sequence number it covers and the snapshot directory the
 fold process wrote it to.
 
 :class:`GenerationSwitch` owns the *rollout* of a generation into one
-live single-service tier, and is the only thing that refreshes it: the
-fold process only writes generations, so a generation reaches readers
-once, after its probes, and never when the drift gate skipped it. A switch holds exactly one engine,
+live single-service tier, and is the only thing that publishes to it:
+the fold process only writes generations, so a generation reaches
+readers once, after its probes, and never when the drift gate skipped
+it. A switch holds exactly one :class:`~repro.core.serving.ShoalService`,
 set by the first attach of any of:
 
-* a :class:`~repro.core.serving.ShoalService` — refreshed via its
-  atomic state swap (readers never see a half-installed index);
+* the service itself;
 * a :class:`~repro.api.backends.ServiceBackend` or a replication
   ``FollowerBackend`` — unwrapped to the service they adapt;
 * a :class:`~repro.api.middleware.Gateway` — unwrapped to its inner
   backend, and remembered so its result cache is invalidated after the
   engine flips (a TTL'd cache would also age out on its own; explicit
-  invalidation keeps the transparency guarantee unconditional);
-* any object with ``refresh()`` and ``search_topics()``.
+  invalidation keeps the transparency guarantee unconditional).
 
 Attaching the same engine again is a no-op; attaching a different one
 is an error. The sharded tier (:class:`~repro.serving.router.ClusterRouter`
 and :class:`~repro.api.backends.ClusterBackend`) is read-only: it is
 built once, from a model or a cluster snapshot, and a switch refuses it.
 
-**Health check + rollback.** After refreshing the tier the switch
-replays its probe queries against it and compares answers to a
-reference service built fresh from the generation's serving model. Any
-mismatch (or exception) marks the swap unhealthy; the switch refreshes
-the tier back to :attr:`GenerationSwitch.current` and raises
-:class:`SwapError` carrying the report — serving continues on the old
-generation, which is the only safe behaviour for an automated rollout.
+**Probe, then publish.** A swap builds the generation's indexes once,
+off to the side, and replays the probe queries against them before any
+reader can see them. A build or a probe that raises refuses the
+generation with :class:`SwapError`: nothing was published, so the tier,
+its gateways' result caches and :attr:`GenerationSwitch.current` are
+untouched and serving continues on the old generation. A healthy build
+is published with one reference assignment; there is nothing to roll
+back.
 """
 
 from __future__ import annotations
@@ -55,10 +55,10 @@ __all__ = [
     "probe_queries",
 ]
 
-#: Hits compared per probe query when health-checking a swapped tier.
+#: Hits each probe query asks a candidate index for.
 PROBE_K = 5
 
-#: Probe queries a write path replays after each swap.
+#: Probe queries a write path replays against each candidate index.
 PROBE_COUNT = 4
 
 
@@ -104,27 +104,25 @@ class SwapReport:
 
     generation: int
     healthy: bool
-    rolled_back: bool
     detail: str
     gateways_invalidated: int
     duration_s: float
 
 
 class SwapError(Exception):
-    """The tier failed its post-swap health check (and was rolled back
-    when there was a generation to roll back to)."""
+    """The generation was refused: building or probing its index
+    raised, and nothing was published."""
 
     def __init__(self, report: SwapReport):
-        outcome = "rolled back" if report.rolled_back else "not rolled back"
         super().__init__(
-            f"generation {report.generation} failed its health check "
-            f"({report.detail}); {outcome}"
+            f"generation {report.generation} refused ({report.detail}); "
+            "still serving the previous generation"
         )
         self.report = report
 
 
-def _engine_of(target: Any) -> Any:
-    """The engine a switch refreshes for an attachable non-gateway target."""
+def _engine_of(target: Any) -> ShoalService:
+    """The service a switch swaps for an attachable non-gateway target."""
     # Imported lazily to keep this module importable without the full
     # serving stack (and to avoid import cycles via repro.api).
     from repro.api.backends import ClusterBackend, ServiceBackend
@@ -144,28 +142,23 @@ def _engine_of(target: Any) -> Any:
         # repro.replication here) delegates to the tier it wraps, so
         # attaching it must swap that inner tier.
         return _engine_of(inner)
-    refresh = getattr(target, "refresh", None)
-    search = getattr(target, "search_topics", None)
-    if callable(refresh) and callable(search):
-        # ShoalService and duck-typed test doubles land here.
+    if isinstance(target, ShoalService):
         return target
     raise TypeError(
         f"cannot attach {type(target).__name__}: expected a ShoalService, "
-        "ServiceBackend, Gateway, or any object with refresh() and "
-        "search_topics()"
+        "ServiceBackend, FollowerBackend or Gateway"
     )
 
 
 class GenerationSwitch:
-    """Health-checked hot-swap of one serving engine.
+    """Probed hot-swap of one :class:`~repro.core.serving.ShoalService`.
 
-    ``probe_queries`` are replayed against the engine after each swap
-    and their top :data:`PROBE_K` hits compared with a reference
-    service built from the new serving model; with no probes, swaps are
-    unconditional (still atomic).
-    ``baseline`` seeds :attr:`current`, the generation a rollback
-    restores; without one, the first swap cannot roll back (there is
-    nothing to roll back *to*) and a failure raises without restoration.
+    ``probe_queries`` are replayed against each generation's index
+    after it is built and before it is published; a probe that raises
+    refuses the generation. With no probes a swap refuses only a build
+    that raises (and is still atomic).
+    ``baseline`` seeds :attr:`current`: the generation the tier serves
+    before the first swap.
     """
 
     def __init__(
@@ -175,12 +168,11 @@ class GenerationSwitch:
         baseline: Optional[Generation] = None,
     ):
         self._probes = tuple(probe_queries)
-        self._engine: Any = None
+        self._engine: Optional[ShoalService] = None
         self._gateways: List[Any] = []
         self._current = baseline
         self._lock = threading.Lock()
         self._swaps = 0
-        self._rollbacks = 0
 
     # -- wiring --------------------------------------------------------------
 
@@ -213,7 +205,8 @@ class GenerationSwitch:
 
     @property
     def current(self) -> Optional[Generation]:
-        """The generation the engine last healthily swapped to."""
+        """The generation the engine serves: the last one published, or
+        the baseline."""
         return self._current
 
     def stats(self) -> Dict[str, Any]:
@@ -221,7 +214,6 @@ class GenerationSwitch:
             return {
                 "gateways": len(self._gateways),
                 "swaps": self._swaps,
-                "rollbacks": self._rollbacks,
                 "current_generation": (
                     None if self._current is None else self._current.number
                 ),
@@ -230,81 +222,45 @@ class GenerationSwitch:
 
     # -- the swap ------------------------------------------------------------
 
-    def _expected_answers(
-        self, generation: Generation
-    ) -> Dict[str, List]:
-        """Probe answers a healthy tier must reproduce, from a fresh
-        reference service over the new serving model."""
-        if not self._probes:
-            return {}
-        reference = ShoalService(generation.serving)
-        return {
-            q: reference.search_topics(q, PROBE_K)
-            for q in self._probes
-        }
-
-    def _check_health(self, expected: Dict[str, List]) -> Optional[str]:
-        """None when healthy, else a description of the first failure."""
-        for query, want in expected.items():
-            try:
-                got = self._engine.search_topics(query, PROBE_K)
-            except Exception as exc:  # noqa: BLE001 - reported, not raised
-                return f"probe {query!r} raised {type(exc).__name__}: {exc}"
-            if list(got) != list(want):
-                return (
-                    f"probe {query!r} diverged from the reference answer "
-                    f"({len(got)} vs {len(want)} hits)"
-                )
-        return None
-
     def swap(self, generation: Generation) -> SwapReport:
-        """Roll ``generation`` onto the engine atomically, health-check
-        it, and roll back to :attr:`current` on failure.
+        """Build ``generation``'s index, probe it, then publish it.
 
         Raises :class:`SwapError` (with the report attached) when the
-        swap was unhealthy.
+        build or a probe raised; nothing is published then.
         """
-        if self._engine is None:
+        engine = self._engine
+        if engine is None:
             raise RuntimeError("attach a serving tier before swapping")
         t0 = time.perf_counter()
-        # Built OUTSIDE the lock: the reference index build is the
+        # Built and probed OUTSIDE the lock: the index build is the
         # expensive part of a swap, and stats() scrapes (GET /metrics)
         # must not stall behind it.
-        expected = self._expected_answers(generation)
+        try:
+            state = engine.build(generation.serving)
+            engine.probe(state, self._probes, PROBE_K)
+        except Exception as exc:  # noqa: BLE001 - refused, not raised bare
+            raise SwapError(
+                SwapReport(
+                    generation=generation.number,
+                    healthy=False,
+                    detail=f"{type(exc).__name__}: {exc}",
+                    gateways_invalidated=0,
+                    duration_s=time.perf_counter() - t0,
+                )
+            ) from exc
         with self._lock:
-            previous = self._current
-            try:
-                self._engine.refresh(generation.serving)
-                failure = self._check_health(expected)
-            except Exception as exc:  # noqa: BLE001 - refresh blew up
-                failure = f"refresh failed: {type(exc).__name__}: {exc}"
-            rolled_back = False
-            if failure is not None and previous is not None:
-                try:
-                    self._engine.refresh(previous.serving)
-                    rolled_back = True
-                    self._rollbacks += 1
-                except Exception as exc:  # noqa: BLE001
-                    failure += (
-                        f"; rollback also failed: "
-                        f"{type(exc).__name__}: {exc}"
-                    )
+            engine.publish(state)
             # The engine flipped; drop gateway-level results computed
             # against the old generation (epoch-stamped keys make this
             # safe against in-flight puts too).
             for gw in self._gateways:
                 gw.invalidate_cache()
-            if failure is None:
-                self._current = generation
-                self._swaps += 1
-            report = SwapReport(
-                generation=generation.number,
-                healthy=failure is None,
-                rolled_back=rolled_back,
-                detail=failure or "",
-                gateways_invalidated=len(self._gateways),
-                duration_s=time.perf_counter() - t0,
-            )
-        if failure is not None:
-            raise SwapError(report)
-        return report
+            self._current = generation
+            self._swaps += 1
+        return SwapReport(
+            generation=generation.number,
+            healthy=True,
+            detail="",
+            gateways_invalidated=len(self._gateways),
+            duration_s=time.perf_counter() - t0,
+        )

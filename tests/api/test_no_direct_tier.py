@@ -2,9 +2,10 @@
 
 One data table, :data:`REMOVALS`, lists every removal as a row: its
 name, the pattern that finds it, the paths scanned for it, and the
-files exempt from it. Each (row, scanned file) pair is one test id, so a
-failure names both the removal and the file, and each scanned file is
-read once per session however many rows scan it. The rows:
+files exempt from it. Each row is one test id that scans all of its
+paths, so a failure names the removal and reports every offending
+``file:line`` at once; each scanned file is read once per session
+however many rows scan it. The rows:
 
 * ``direct-tier-construction`` — ``examples/``, ``cli.py`` and
   ``benchmarks/`` go through the
@@ -41,9 +42,11 @@ read once per session however many rows scan it. The rows:
   never refreshed, and a follower is a whole-model replica.
 * ``write-only-durable-formats`` — the snapshot-delta feed
   (``encode_delta`` & co., ``gen-NNNNN.delta`` stats, the feed's
-  ``base_fingerprint``) and the incremental checkpoint
-  (``IncrementalShoal.resume``, ``save_checkpoint`` & co.): every file
-  the system writes has a reader, and a maintainer restarts one way,
+  ``base_fingerprint``), the incremental checkpoint
+  (``IncrementalShoal.resume``, ``save_checkpoint`` & co.) and the
+  snapshot's click-graph and scored-description codecs
+  (``_save_bipartite`` & co.): every file the system writes has a
+  reader, and a maintainer restarts one way,
   ``IncrementalShoal.from_model`` plus a WAL replay. The WAL's own
   ``read_checkpoint`` / ``write_checkpoint`` sidecar stays.
 * ``second-bm25-scorer`` — BM25's per-document tf dicts and bare
@@ -105,6 +108,20 @@ read once per session however many rows scan it. The rows:
   (``cli.py``, ``api/``, ``streaming/fold.py``, ``streaming/ingest.py``,
   ``streaming/rollout.py``): the server spawns the fold process and
   only loads, swaps and ships what it writes.
+* ``retired-snapshot-files`` — ``bipartite.npz``, ``descriptions.json``
+  and the manifest's ``bipartite_edges`` count outside
+  ``store/persistence/snapshot.py`` (which still removes both files
+  when a save lands on an older snapshot): no code read them after a
+  load.
+* ``swap-reference-build-and-rollback`` — the swap's reference service
+  and answer comparison (``_expected_answers``, ``_check_health``) and
+  the rollback's bookkeeping (``rolled_back``, ``rollbacks``):
+  ``benchmarks/ledger/`` is exempt, it still reads the stat with a
+  default of 0.
+* ``refresh-on-the-swap-path`` — ``refresh`` and the duck-typed "any
+  object with refresh()" engine in the engine, the switch, the
+  installer and the follower: a swap builds the state once, probes it
+  unpublished, then publishes it.
 
 An exemption names a file, or a directory with a trailing ``/``.
 """
@@ -233,12 +250,15 @@ SHARDED_WRITE_SIDE_SCAN_PATHS = [
 ]
 
 #: The write-only durable formats — all removed: the snapshot-delta
-#: feed nothing read, and the incremental checkpoint nothing restarted
-#: from.
+#: feed nothing read, the incremental checkpoint nothing restarted
+#: from, and the snapshot's click graph and scored descriptions nothing
+#: loaded.
 REMOVED_WRITE_ONLY_FORMATS = re.compile(
     r"\b(encode_delta|apply_delta|read_delta_header|DeltaCorruption|"
     r"BaseMissing|delta_bytes|full_bytes|base_fingerprint|"
-    r"save_checkpoint|load_checkpoint|CheckpointState|CHECKPOINT_KIND)\b|"
+    r"save_checkpoint|load_checkpoint|CheckpointState|CHECKPOINT_KIND|"
+    r"_save_bipartite|_load_bipartite|_descriptions_to_dict|"
+    r"_descriptions_from_dict)\b|"
     r"repro\.replication\.delta\b|IncrementalShoal\.resume\b|\.resume\(|"
     r"shoal-incremental-checkpoint"
 )
@@ -362,6 +382,29 @@ SERVING_PROCESS_MODULES = [
     "src/repro/streaming/fold.py",
     "src/repro/streaming/ingest.py",
     "src/repro/streaming/rollout.py",
+]
+
+#: The snapshot files no code read after a load, and the manifest
+#: count of the first.
+RETIRED_SNAPSHOT_FILES = re.compile(
+    r"\bbipartite\.npz\b|\bdescriptions\.json\b|\bbipartite_edges\b"
+)
+
+#: The swap's throwaway reference build, its answer comparison and the
+#: rollback bookkeeping — all removed.
+REMOVED_SWAP_ROLLBACK = re.compile(
+    r"\b(_expected_answers|_check_health|rolled_back|_?rollbacks)\b"
+)
+
+#: The engine's one-step rebuild and the duck-typed engine a switch
+#: accepted — removed from the swap path.
+SWAP_REFRESH = re.compile(r"\brefresh\b|any object with")
+
+SWAP_PATH_MODULES = [
+    "src/repro/core/serving.py",
+    "src/repro/streaming/rollout.py",
+    "src/repro/streaming/fold.py",
+    "src/repro/replication/follower.py",
 ]
 
 #: What a scanned directory contributes (a listed file is always read).
@@ -529,6 +572,28 @@ REMOVALS = (
         "writes)",
         suffixes=(".py",),
     ),
+    Removal(
+        "retired-snapshot-files", RETIRED_SNAPSHOT_FILES,
+        ("src", "scripts", "examples", ".github", "README.md"),
+        "reference to a retired snapshot file (a snapshot holds only files "
+        "some code reads; window.graph(config.min_clicks) rebuilds the "
+        "click graph, and the taxonomy keeps the description texts)",
+        exempt=frozenset({"src/repro/store/persistence/snapshot.py"}),
+    ),
+    Removal(
+        "swap-reference-build-and-rollback", REMOVED_SWAP_ROLLBACK,
+        tuple(SHARDED_WRITE_SIDE_SCAN_PATHS),
+        "reference to the removed reference build or rollback (a swap "
+        "builds its index once, probes it unpublished, and publishes it "
+        "or refuses it)",
+        exempt=frozenset({"benchmarks/ledger/"}),
+    ),
+    Removal(
+        "refresh-on-the-swap-path", SWAP_REFRESH, tuple(SWAP_PATH_MODULES),
+        "refresh or a duck-typed engine on the swap path (a switch swaps "
+        "one ShoalService: build, probe, then publish)",
+        suffixes=(".py",),
+    ),
 )
 
 ROW = {removal.name: removal for removal in REMOVALS}
@@ -540,17 +605,23 @@ def _text(path: Path) -> str:
     return path.read_text()
 
 
-def _scan_files(removal: Removal):
+def _scanned(removal: Removal) -> List[str]:
+    """Every repo-relative file the row checks, exemptions out."""
+    found = []
     for entry in removal.paths:
         path = REPO_ROOT / entry
         if path.is_file():
-            yield path
+            files = [path]
         elif path.is_dir():
-            yield from sorted(
+            files = sorted(
                 p
                 for p in path.rglob("*")
                 if p.is_file() and p.suffix in removal.suffixes
             )
+        else:
+            files = []
+        found += [str(p.relative_to(REPO_ROOT)) for p in files]
+    return [rel for rel in found if not _exempt(removal, rel)]
 
 
 def _exempt(removal: Removal, rel: str) -> bool:
@@ -558,21 +629,6 @@ def _exempt(removal: Removal, rel: str) -> bool:
         rel.startswith(e) if e.endswith("/") else rel == e
         for e in removal.exempt
     )
-
-
-def _scan_pairs() -> List[Tuple[Removal, str]]:
-    """Every (row, repo-relative file) the table checks, exemptions out."""
-    return [
-        (removal, rel)
-        for removal in REMOVALS
-        for rel in (
-            str(path.relative_to(REPO_ROOT)) for path in _scan_files(removal)
-        )
-        if not _exempt(removal, rel)
-    ]
-
-
-SCAN_PAIRS = _scan_pairs()
 
 
 def _offending(removal: Removal, rel: str) -> List[str]:
@@ -586,20 +642,13 @@ def _offending(removal: Removal, rel: str) -> List[str]:
     return hits
 
 
-@pytest.mark.parametrize(
-    "removal, rel",
-    SCAN_PAIRS,
-    ids=[f"{removal.name}-{rel}" for removal, rel in SCAN_PAIRS],
-)
-def test_removed_thing_is_gone(removal, rel):
-    offending = _offending(removal, rel)
+@pytest.mark.parametrize("removal", REMOVALS, ids=list(ROW))
+def test_removed_thing_is_gone(removal):
+    scanned = _scanned(removal)
+    # A row whose paths all vanished would scan nothing and pass.
+    assert scanned, f"{removal.name} scans no file"
+    offending = [hit for rel in scanned for hit in _offending(removal, rel)]
     assert not offending, removal.why + ":\n" + "\n".join(offending)
-
-
-def test_every_row_scans_something():
-    """A row whose paths all vanished would collect no ids and pass."""
-    scanned = {removal.name for removal, _ in SCAN_PAIRS}
-    assert scanned == set(ROW)
 
 
 def test_one_result_cache_by_construction():
@@ -783,6 +832,10 @@ def test_the_guard_itself_still_bites():
         "state = CheckpointState(config=config)",
         "check_manifest(manifest, CHECKPOINT_KIND)",
         'kind = "shoal-incremental-checkpoint"',
+        '_save_bipartite(model.bipartite, d / "bipartite.npz")',
+        'bipartite=_load_bipartite(d / "bipartite.npz"),',
+        "write_json(path, _descriptions_to_dict(model.descriptions))",
+        "descriptions=_descriptions_from_dict(read_json(path)),",
     ):
         assert REMOVED_WRITE_ONLY_FORMATS.search(snippet), snippet
     for snippet in (
@@ -796,6 +849,8 @@ def test_the_guard_itself_still_bites():
         'self._stats["segment_bytes"] += len(raw)',
         "check_manifest(manifest, MODEL_SNAPSHOT_KIND)",
         "# Two snapshots -> at least one delta row showing 50 accepted.",
+        "_save_sparse_graph(model.entity_graph, d / \"entity_graph.npz\")",
+        "descriptions = describer.describe(taxonomy, bipartite, titles, q)",
     ):
         assert not REMOVED_WRITE_ONLY_FORMATS.search(snippet), snippet
     for snippet in (
@@ -1019,6 +1074,49 @@ def test_the_guard_itself_still_bites():
         "window = load_window(args.load)",
     ):
         assert not FOLD_STATE.search(snippet), snippet
+    for snippet in (
+        '_RETIRED_ARTIFACTS = ("bipartite.npz", "descriptions.json")',
+        "rm /tmp/shoal-serving/descriptions.json",
+        "| `bipartite.npz` | query-item click edges | `load_model` |",
+        '"bipartite_edges": model.bipartite.n_edges,',
+    ):
+        assert RETIRED_SNAPSHOT_FILES.search(snippet), snippet
+    for snippet in (
+        'np.savez_compressed(d / "window.npz", **model.window.columns())',
+        "bipartite = window.graph(self._config.min_clicks)",
+        "write_json(d / \"correlations.json\", payload)",
+        "| `entity_graph.npz` | item entity graph | `load_model` |",
+    ):
+        assert not RETIRED_SNAPSHOT_FILES.search(snippet), snippet
+    for snippet in (
+        "expected = self._expected_answers(generation)",
+        "failure = self._check_health(expected)",
+        "assert report.healthy and not report.rolled_back",
+        '"rollbacks": self._rollbacks,',
+        'assert follower.switch.stats()["rollbacks"] == 1',
+    ):
+        assert REMOVED_SWAP_ROLLBACK.search(snippet), snippet
+    for snippet in (
+        "state = engine.build(generation.serving)",
+        "engine.probe(state, self._probes, PROBE_K)",
+        "self._conn.rollback()",
+        '"swap_failures": self._swap_failures,',
+    ):
+        assert not REMOVED_SWAP_ROLLBACK.search(snippet), snippet
+    for snippet in (
+        "self._engine.refresh(generation.serving)",
+        "def refresh(self, serving: ServingModel) -> None:",
+        '    refresh = getattr(target, "refresh", None)',
+        "* any object with ``refresh()`` and ``search_topics()``.",
+    ):
+        assert SWAP_REFRESH.search(snippet), snippet
+    for snippet in (
+        "engine.publish(state)",
+        "def build(self, serving: ServingModel) -> _ServiceState:",
+        "diffusion.refreshed(touched)",
+        "return self._search_tokens(state, tokens, k)",
+    ):
+        assert not SWAP_REFRESH.search(snippet), snippet
     assert [r.pattern for r in REMOVALS] == [
         FORBIDDEN,
         LEGACY_CALLS,
@@ -1042,4 +1140,7 @@ def test_the_guard_itself_still_bites():
         SECOND_TRAFFIC_HARNESS,
         SECOND_FOLD_COMMAND,
         FOLD_STATE,
+        RETIRED_SNAPSHOT_FILES,
+        REMOVED_SWAP_ROLLBACK,
+        SWAP_REFRESH,
     ]

@@ -32,7 +32,7 @@ from repro.clustering.parallel_hac import (
 )
 from repro.core.config import ShoalConfig
 from repro.core.descriptions import DescriptionConfig, QueryScore, TopicDescriber
-from repro.core.pipeline import ShoalPipeline
+from repro.core.pipeline import ShoalPipeline, fit_digest
 from repro.core.taxonomy import Taxonomy, Topic
 from repro.graph.bipartite import QueryItemGraph
 from repro.graph import entity_graph as entity_graph_module
@@ -694,10 +694,14 @@ class TestDescriptions:
 # -- end to end -----------------------------------------------------------------
 
 
-def fit_fingerprint(market, directory) -> str:
+def fit_fingerprint(market, directory) -> tuple:
+    """The saved snapshot's fingerprint and the in-memory stage digest,
+    which also covers the click graph and scored descriptions no
+    snapshot keeps."""
     categories = {e.entity_id: e.category_id for e in market.catalog.entities}
     model = ShoalPipeline(ShoalConfig()).fit(market)
-    return snapshot_fingerprint(model.save(directory, entity_categories=categories))
+    saved = model.save(directory, entity_categories=categories)
+    return snapshot_fingerprint(saved), fit_digest(model)
 
 
 @pytest.mark.parametrize("fixture", ["tiny_marketplace", "small_marketplace"])
@@ -705,6 +709,26 @@ def test_two_fits_give_one_fingerprint(fixture, request, tmp_path):
     market = request.getfixturevalue(fixture)
     prints = [fit_fingerprint(market, tmp_path / str(i)) for i in range(2)]
     assert prints[0] == prints[1]
+
+
+def test_digest_sees_what_no_snapshot_keeps(tiny_model):
+    """One description score or click count changed, the saved files
+    unchanged: the digest moves."""
+    base = fit_digest(tiny_model)
+    topic_id, scores = next(iter(tiny_model.descriptions.items()))
+    nudged = dict(tiny_model.descriptions)
+    nudged[topic_id] = [
+        dataclasses.replace(scores[0], popularity=scores[0].popularity * 2.0),
+        *scores[1:],
+    ]
+    nudged_model = dataclasses.replace(tiny_model, descriptions=nudged)
+    assert fit_digest(nudged_model) != base
+    graph = QueryItemGraph()
+    for q, e, c in tiny_model.bipartite.edges():
+        graph.add_click(q, e, c)
+    assert fit_digest(dataclasses.replace(tiny_model, bipartite=graph)) == base
+    graph.add_click(q, e, 1)
+    assert fit_digest(dataclasses.replace(tiny_model, bipartite=graph)) != base
 
 
 @pytest.mark.parametrize("fixture", ["tiny_marketplace", "small_marketplace"])

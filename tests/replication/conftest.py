@@ -80,12 +80,12 @@ def repl_base_snapshot(tmp_path_factory, repl_market):
     return target
 
 
-def build_primary(root, base_snapshot):
-    """(pipe, updater, shipper) — the primary's write side, wired to
-    ship into ``root/feed`` exactly as ``serve-http --ship-feed`` does:
-    a tier serving the snapshot, a fold restarted from it (its click
-    window, then a WAL replay), and an installer that swaps and ships
-    each generation the fold writes."""
+def build_primary(root, base_snapshot, *, drift_gate=None):
+    """(pipe, updater, shipper, switch) — the primary's write side,
+    wired to ship into ``root/feed`` exactly as ``serve-http
+    --ship-feed`` does: a tier serving the snapshot, a fold restarted
+    from it (its click window, then a WAL replay), and an installer
+    that gates, swaps and ships each generation the fold writes."""
     serving = load_serving(base_snapshot)
     baseline = Generation(
         number=0,
@@ -99,7 +99,10 @@ def build_primary(root, base_snapshot):
         ServiceBackend(ShoalService(serving))
     )
     installer = GenerationInstaller(
-        switch, wal, on_generation=shipper.publish_generation
+        switch,
+        wal,
+        drift_gate=drift_gate,
+        on_generation=shipper.publish_generation,
     )
     updater = StreamingUpdater.restart(
         base_snapshot,
@@ -111,7 +114,7 @@ def build_primary(root, base_snapshot):
         on_generation=installer.install,
     )
     updater.recover()
-    return IngestPipe(wal), updater, shipper
+    return IngestPipe(wal), updater, shipper, switch
 
 
 def event_payload(event) -> dict:
@@ -144,7 +147,7 @@ def shipped_world(
     anything that writes reports or epochs.
     """
     root = tmp_path_factory.mktemp("shipped-world")
-    pipe, updater, shipper = build_primary(root, repl_base_snapshot)
+    pipe, updater, shipper, _ = build_primary(root, repl_base_snapshot)
     generations = [
         stream_generation(pipe, updater, repl_live_events[:40]),
         stream_generation(pipe, updater, repl_live_events[40:80]),

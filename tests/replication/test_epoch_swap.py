@@ -1,4 +1,4 @@
-"""Epoch-coordinated swaps: quorum, rollback, refusal, zero failed reads."""
+"""Epoch-coordinated swaps: quorum, refusal, zero failed reads."""
 
 from __future__ import annotations
 
@@ -190,42 +190,43 @@ class TestEpochSwap:
         assert stats["serving_generation"] == 2
         assert stats["epoch_swaps"] == 1 and stats["swap_failures"] == 0
 
-    def test_failed_probe_rolls_back_then_recovers(
-        self, feed_copy
+    def test_refused_generation_is_recorded_then_recovers(
+        self, feed_copy, monkeypatch
     ):
-        """A refresh blow-up mid-swap must leave the follower serving
-        its previous generation, unhealthy but alive; a later epoch
-        retries the same generation and succeeds."""
+        """An index build that blows up refuses the generation before
+        it is published: the follower keeps serving its previous
+        generation, unhealthy but alive, records the epoch so it does
+        not retry the same broadcast, and a later epoch naming the same
+        generation succeeds."""
+        from repro.core import serving as serving_module
+
         follower = Follower(feed_copy, follower_id="victim")
         backend = follower.bootstrap()
         follower.catch_up(timeout_s=120.0)
         fps = _fingerprints(feed_copy)
 
-        engine = backend.replicated_backend.service
-        original = engine.refresh
-        calls = {"n": 0}
+        real = serving_module._ServiceState
 
-        def sabotaged(serving):
-            calls["n"] += 1
-            if calls["n"] == 1:  # the swap; rollback gets the original
-                raise RuntimeError("sabotaged refresh")
-            return original(serving)
+        def sabotaged(*args, **kwargs):
+            raise RuntimeError("sabotaged index build")
 
-        engine.refresh = sabotaged
+        monkeypatch.setattr(serving_module, "_ServiceState", sabotaged)
         Feed(feed_copy).write_epoch(
             {"epoch": 1, "generation": 2, "fingerprint": fps[2]}
         )
         follower.run_once()
+        follower.run_once()  # the same broadcast is not retried
         stats = follower.stats()
         assert stats["swap_failures"] == 1
         assert not stats["healthy"]
-        assert stats["serving_generation"] == 0  # rolled back to baseline
+        assert stats["serving_generation"] == 0  # never left it
         assert stats["epoch"] == 1  # bad broadcast recorded, not retried
-        assert follower.switch.stats()["rollbacks"] == 1
-        # reads keep flowing off the rolled-back model
+        assert "sabotaged index build" in stats["last_error"]
+        assert follower.switch.current.number == 0
+        # reads keep flowing off the generation it never left
         assert backend.search(SearchRequest(query="x", k=3)) is not None
 
-        engine.refresh = original
+        monkeypatch.setattr(serving_module, "_ServiceState", real)
         Feed(feed_copy).write_epoch(
             {"epoch": 2, "generation": 2, "fingerprint": fps[2]}
         )

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.api import ServiceBackend
 from repro.api.contract import RecommendRequest, SearchRequest
 from repro.core.serving import ShoalService
 from repro.replication import EpochCoordinator, Feed, Follower
@@ -66,7 +67,7 @@ class TestFollowerByteIdentity:
             label="second boundary",
         )
         root = Path(tempfile.mkdtemp(prefix="repl-hyp-"))
-        pipe, updater, shipper = build_primary(root, repl_base_snapshot)
+        pipe, updater, _, _ = build_primary(root, repl_base_snapshot)
         generations = [
             stream_generation(pipe, updater, repl_live_events[:first]),
             stream_generation(
@@ -123,6 +124,43 @@ class TestFollowerByteIdentity:
         follower.run_once()
         assert follower.serving_generation == generations[-1].number
         assert _answer_bytes(backend, probes) == want
+        backend.close()
+
+
+class TestShipsOnlyWhatThePrimaryPublished:
+    def test_a_gated_generation_never_reaches_followers(
+        self, tmp_path, repl_base_snapshot, repl_market, repl_live_events
+    ):
+        """A generation the drift gate holds back is not shipped: the
+        feed indexes only generations the primary's readers saw, so a
+        follower keeps serving what the primary serves."""
+
+        class AlwaysSkip:
+            def should_skip(self, prev, new):
+                return True
+
+            def stats(self):
+                return {}
+
+        pipe, updater, shipper, switch = build_primary(
+            tmp_path, repl_base_snapshot, drift_gate=AlwaysSkip()
+        )
+        for events in (repl_live_events[:40], repl_live_events[40:80]):
+            stream_generation(pipe, updater, events)
+        assert switch.current.number == 0  # both generations held back
+        feed = Feed(tmp_path / "feed")
+        assert [e["number"] for e in feed.read_generation_index()] == [0]
+        assert shipper.stats()["generations_published"] == 0
+
+        follower = Follower(tmp_path / "feed", follower_id="f")
+        backend = follower.bootstrap()
+        follower.catch_up(timeout_s=120.0)
+        EpochCoordinator(tmp_path / "feed", quorum=1).tick()
+        follower.run_once()
+        assert follower.serving_generation == switch.current.number
+        probes = _probe_queries(repl_market)
+        primary = ServiceBackend(ShoalService(switch.current.serving))
+        assert _answer_bytes(backend, probes) == _answer_bytes(primary, probes)
         backend.close()
 
 

@@ -30,6 +30,8 @@ from repro.store.persistence import load_model, load_serving, read_manifest
 from repro.text.vocab import Vocabulary, VocabularyBuildConfig
 from repro.text.word2vec import WordEmbeddings
 
+from tests.store.parent_format import RETIRED, save_parent_format
+
 WORLDS = [(profile, seed) for profile in ("tiny", "small") for seed in (7, 11)]
 N_SHARDS = 4
 
@@ -154,10 +156,7 @@ def test_snapshot_pruned_to_serving_files_still_serves(worlds, tmp_path):
     w = worlds["tiny", 7]
     d = shutil.copytree(w.snapshot, tmp_path / "pruned")
     for path in d.iterdir():
-        if path.suffix == ".npz" or path.name in (
-            "config.json",
-            "descriptions.json",
-        ):
+        if path.suffix == ".npz" or path.name == "config.json":
             path.unlink()
     assert sorted(p.name for p in d.iterdir()) == SERVING_FILES
     queries = [q.text for q in w.market.query_log.queries[:120]]
@@ -182,8 +181,8 @@ def test_shards_hold_only_serving_files(worlds):
 
 
 def _placeholder_shard(model, shard):
-    """A shard as the older format wrote it: a whole model snapshot with
-    empty fit artifacts and the shard topics' descriptions."""
+    """A shard as an older format wrote it: a whole model snapshot with
+    empty fit artifacts and the shard topics' scored descriptions."""
     vocab = Vocabulary([], np.zeros(0, dtype=np.int64), VocabularyBuildConfig())
     return ShoalModel(
         config=model.config,
@@ -214,13 +213,16 @@ def test_cluster_with_placeholder_shard_artifacts_still_loads(
     shard_set = ShardPlanner(N_SHARDS).partition(model, w.categories)
     for i, shard in enumerate(shard_set.models):
         shard_dir = d / f"shard-{i:04d}"
-        _placeholder_shard(model, shard).save(
+        save_parent_format(
+            _placeholder_shard(model, shard),
             shard_dir,
             entity_categories=shard.entity_categories,
             metadata=read_manifest(shard_dir)["metadata"],
         )
         assert (shard_dir / "config.json").is_file()
-        assert (shard_dir / "descriptions.json").is_file()
+        listed = read_manifest(shard_dir)["artifacts"]
+        for name in RETIRED:
+            assert name in listed and (shard_dir / name).is_file()
     queries = [q.text for q in w.market.query_log.queries[:120]]
     assert_same_answers(
         w.memory, ClusterRouter.from_snapshot(d), model.taxonomy.topics(),

@@ -26,9 +26,13 @@ from repro.store.persistence import (
     load_serving,
     load_window,
     read_manifest,
+    load_serving_verified,
     save_model,
     snapshot_fingerprint,
+    whole_fingerprint,
 )
+
+from tests.store.parent_format import RETIRED, save_parent_format
 
 
 @pytest.fixture(scope="module")
@@ -85,14 +89,19 @@ class TestModelRoundtrip:
             == tiny_model.embeddings.vocabulary.words
         )
 
-    def test_bipartite_identical(self, tiny_model, loaded_model):
-        assert list(loaded_model.bipartite.edges()) == list(
-            tiny_model.bipartite.edges()
-        )
-        assert (
-            loaded_model.bipartite.total_clicks
-            == tiny_model.bipartite.total_clicks
-        )
+    def test_no_click_graph_or_scored_descriptions(
+        self, snapshot_dir, loaded_model
+    ):
+        """No reader needed them after a load: the saved window rebuilds
+        the click graph exactly (``test_window_sidecar_restores_the_
+        fitted_window``), and the taxonomy keeps the description texts
+        (``test_taxonomy_identical``)."""
+        assert loaded_model.bipartite is None
+        assert loaded_model.descriptions is None
+        on_disk = {p.name for p in snapshot_dir.iterdir()}
+        listed = set(read_manifest(snapshot_dir)["artifacts"])
+        for name in RETIRED:
+            assert name not in on_disk and name not in listed
 
     def test_entity_graph_identical(self, tiny_model, loaded_model):
         assert (
@@ -114,9 +123,6 @@ class TestModelRoundtrip:
             loaded_model.clustering.dendrogram.root_partition()
             == tiny_model.clustering.dendrogram.root_partition()
         )
-
-    def test_descriptions_identical(self, tiny_model, loaded_model):
-        assert loaded_model.descriptions == tiny_model.descriptions
 
     def test_correlations_identical(self, tiny_model, loaded_model):
         assert (
@@ -250,6 +256,76 @@ class TestSnapshotFormat:
     def test_metadata_recorded(self, tiny_model, tmp_path):
         save_model(tiny_model, tmp_path / "m", metadata={"profile": "tiny"})
         assert read_manifest(tmp_path / "m")["metadata"] == {"profile": "tiny"}
+
+
+class TestParentFormatSnapshot:
+    """A snapshot an older build wrote, with ``bipartite.npz`` and
+    ``descriptions.json`` listed in its manifest, still serves, verifies
+    and restarts a fold; a save over it leaves only listed files."""
+
+    @pytest.fixture
+    def parent_dir(self, tiny_model, tiny_marketplace, tmp_path):
+        categories = {
+            e.entity_id: e.category_id
+            for e in tiny_marketplace.catalog.entities
+        }
+        d = save_parent_format(
+            tiny_model, tmp_path / "parent", entity_categories=categories
+        )
+        listed = read_manifest(d)["artifacts"]
+        for name in RETIRED:
+            assert name in listed and (d / name).is_file()
+        return d
+
+    def test_serves_through_load_serving(
+        self, parent_dir, services, tiny_marketplace
+    ):
+        in_memory, _ = services
+        queries = [q.text for q in tiny_marketplace.query_log.queries]
+        assert ShoalService(load_serving(parent_dir)).search_topics_batch(
+            queries, k=5
+        ) == in_memory.search_topics_batch(queries, k=5)
+
+    def test_passes_load_serving_verified(self, parent_dir):
+        fingerprint = whole_fingerprint(parent_dir)
+        assert fingerprint == snapshot_fingerprint(parent_dir)
+        serving = load_serving_verified(parent_dir, fingerprint)
+        assert serving.taxonomy.topics()
+
+    def test_restarts_the_fold(
+        self, parent_dir, tiny_model, tiny_marketplace, tmp_path
+    ):
+        from repro.streaming import IngestPipe, StreamingUpdater, WriteAheadLog
+
+        wal = WriteAheadLog(tmp_path / "wal", fsync="never")
+        updater = StreamingUpdater.restart(
+            parent_dir, wal, tmp_path / "gens",
+            batch_max_age_s=0.0, min_batch_events=1,
+        )
+        assert updater.current_generation == 0
+        assert updater.window.days() == tiny_model.window.days()
+        pipe = IngestPipe(wal)
+        for event in tiny_marketplace.query_log.events[-5:]:
+            pipe.submit({
+                "day": int(event.day),
+                "user_id": int(event.user_id),
+                "query_id": int(event.query_id),
+                "clicked": [int(c) for c in event.clicked_entity_ids],
+            })
+        generation = updater.run_once(timeout_s=0.0)
+        assert generation is not None and generation.number == 1
+        assert whole_fingerprint(generation.snapshot_dir) is not None
+        for name in RETIRED:
+            assert not (generation.snapshot_dir / name).exists()
+        wal.close()
+
+    def test_save_over_it_leaves_only_listed_files(self, parent_dir):
+        save_model(load_model(parent_dir), parent_dir)
+        listed = set(read_manifest(parent_dir)["artifacts"])
+        on_disk = {p.name for p in parent_dir.iterdir()} - {"MANIFEST.json"}
+        assert on_disk == listed
+        assert not listed & set(RETIRED)
+        assert whole_fingerprint(parent_dir) is not None
 
 
 class TestSnapshotFingerprint:

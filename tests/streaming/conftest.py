@@ -78,13 +78,17 @@ def serving_tier(inc: IncrementalShoal) -> ServiceBackend:
     )
 
 
-def installed_updater(root, inc, switch, *, drift_gate=None, **kwargs):
+def installed_updater(
+    root, inc, switch, *, drift_gate=None, on_generation=None, **kwargs
+):
     """Both halves of the write path in one process: an updater folding
     ``root/wal`` into generations under ``root/gens``, and the installer
     that loads each one and swaps it in through ``switch``. Returns
     ``(pipe, updater, installer)``."""
     wal = WriteAheadLog(root / "wal", fsync="never")
-    installer = GenerationInstaller(switch, wal, drift_gate=drift_gate)
+    installer = GenerationInstaller(
+        switch, wal, drift_gate=drift_gate, on_generation=on_generation
+    )
     kwargs.setdefault("batch_max_age_s", 0.0)
     updater = StreamingUpdater(
         inc,

@@ -245,6 +245,36 @@ class TestFoldOutsideTheServer:
             os.kill(fold.pid, signal.SIGCONT)
         _wait_installed(fold, held)
 
+    def test_metrics_and_search_answer_while_a_swap_builds(
+        self, served_with_fold, live_events, stream_market, monkeypatch
+    ):
+        """Hold the serving side's one index build of a generation: the
+        switch builds and probes outside its lock, so the metrics scrape
+        and a search still answer, from the old generation."""
+        _, client, fold, _ = served_with_fold
+        engine = fold.switch._engine
+        entered, release = threading.Event(), threading.Event()
+        build = engine.build
+
+        def held(serving):
+            entered.set()
+            assert release.wait(60.0)
+            return build(serving)
+
+        monkeypatch.setattr(engine, "build", held)
+        query = stream_market.query_log.queries[0].text
+        try:
+            client.ingest_batch([event_payload(e) for e in live_events[:20]])
+            assert entered.wait(60.0), "no generation reached the switch"
+            quick = ShoalClient(client.base_url, timeout=2.0)
+            metrics = quick.metrics()
+            assert metrics.updater["switch"]["current_generation"] == 0
+            assert quick.search(SearchRequest(query=query, k=3)).hits
+        finally:
+            release.set()
+        _wait_installed(fold, 1)
+        assert fold.switch.current.number >= 1
+
 
 class TestFoldProcessCrash:
     def test_killed_child_is_respawned_and_catches_up(

@@ -1,6 +1,9 @@
-"""GenerationSwitch: attach rules, health checks, rollback, cache drops."""
+"""GenerationSwitch: attach rules, one probed build per swap, refusals,
+cache drops."""
 
 from __future__ import annotations
+
+import threading
 
 import pytest
 
@@ -11,6 +14,7 @@ from repro.api import (
     SearchRequest,
     ServiceBackend,
 )
+from repro.core import serving as serving_module
 from repro.core.serving import ShoalService
 from repro.streaming import Generation, GenerationSwitch, SwapError
 
@@ -81,6 +85,20 @@ class TestAttach:
         with pytest.raises(TypeError):
             GenerationSwitch().attach(object())
 
+    def test_duck_typed_engine_rejected(self):
+        """Only a ShoalService (directly or behind its adapters) is
+        swapped: the switch builds, probes and publishes its state."""
+
+        class Double:
+            def refresh(self, serving):
+                pass
+
+            def search_topics(self, query, k=5):
+                return []
+
+        with pytest.raises(TypeError, match="expected a ShoalService"):
+            GenerationSwitch().attach(Double())
+
     def test_second_distinct_engine_rejected(self, two_generations):
         base, _ = two_generations
         first, second = _backend(base), _backend(base)
@@ -101,6 +119,56 @@ class TestAttach:
                 GenerationSwitch().attach(target)
 
 
+class _Exploding:
+    """A candidate index whose every lookup raises."""
+
+    def top_k(self, tokens, k):
+        raise RuntimeError("candidate index is corrupt")
+
+
+class _Builds(list):
+    def __init__(self):
+        super().__init__()
+        self.poisoned, self.broken = [], []
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """Every ``_ServiceState`` built from now on, in order. A state built
+    from a serving model in ``builds.poisoned`` gets an index that
+    raises on lookup; one in ``builds.broken`` raises while building."""
+
+    built = _Builds()
+    poisoned, broken = built.poisoned, built.broken
+
+    class Counting(serving_module._ServiceState):
+        __slots__ = ()
+
+        def __init__(self, serving, *args, **kwargs):
+            if any(serving is b for b in broken):
+                raise MemoryError("index build failed")
+            super().__init__(serving, *args, **kwargs)
+            if any(serving is p for p in poisoned):
+                self.index = _Exploding()
+            built.append(self)
+
+    monkeypatch.setattr(serving_module, "_ServiceState", Counting)
+    return built
+
+
+def _count_publishes(service):
+    """Wrap ``service.publish``; returns the list of published states."""
+    published = []
+    publish = service.publish
+
+    def counting(state):
+        published.append(state)
+        publish(state)
+
+    service.publish = counting
+    return published
+
+
 class TestSwap:
     def test_healthy_swap_flips_the_tier(self, two_generations, probes):
         base, nxt = two_generations
@@ -108,68 +176,128 @@ class TestSwap:
         switch = GenerationSwitch(probe_queries=probes, baseline=base)
         switch.attach(backend)
         report = switch.swap(nxt)
-        assert report.healthy and not report.rolled_back
+        assert report.healthy
         assert report.generation == nxt.number and report.detail == ""
         assert switch.current is nxt
         assert switch.stats()["swaps"] == 1
         # The tier now answers from the new model.
         assert backend.service.taxonomy is nxt.serving.taxonomy
 
-    def test_failed_health_check_rolls_back_and_raises(
-        self, two_generations, probes
+    def test_healthy_swap_is_one_build_and_one_publish(
+        self, two_generations, probes, builds
     ):
         base, nxt = two_generations
-
-        class LyingTier:
-            """Refreshes fine but serves garbage afterwards."""
-
-            def __init__(self):
-                self.served = []
-
-            def refresh(self, serving):
-                self.served.append(serving)
-
-            def search_topics(self, query, k=5):
-                return []  # diverges from every real answer
-
-        liar = LyingTier()
+        backend = _backend(base)
+        published = _count_publishes(backend.service)
         switch = GenerationSwitch(probe_queries=probes, baseline=base)
-        switch.attach(liar)
+        switch.attach(backend)
+        del builds[:]
+        switch.swap(nxt)
+        assert len(builds) == 1
+        assert published == builds  # the probed state is the one served
+        assert backend.service.serving is nxt.serving
+
+    @pytest.mark.parametrize("fault", ["probe", "build"])
+    def test_refused_swap_publishes_nothing(
+        self, two_generations, probes, builds, fault
+    ):
+        """A probe that raises on the candidate, or a build that raises,
+        refuses the generation before anything reaches readers: the
+        tier, the gateway's cached results and ``current`` stay."""
+        base, nxt = two_generations
+        backend = _backend(base)
+        published = _count_publishes(backend.service)
+        gateway = Gateway(backend)
+        request = SearchRequest(query=probes[0], k=3)
+        before = gateway.search(request)
+        assert gateway.search(request) == before
+        cache = gateway.cache_stats()
+        switch = GenerationSwitch(probe_queries=probes, baseline=base)
+        switch.attach(gateway)
+        (builds.poisoned if fault == "probe" else builds.broken).append(
+            nxt.serving
+        )
+        del builds[:]
         with pytest.raises(SwapError) as excinfo:
             switch.swap(nxt)
         report = excinfo.value.report
-        assert not report.healthy
-        assert report.rolled_back
-        assert "diverged from the reference answer" in report.detail
-        # Rolled back TO the baseline model, after trying the new one.
-        assert liar.served == [nxt.serving, base.serving]
-        # The switch still serves the old generation.
-        assert switch.current is base
-        assert switch.stats()["rollbacks"] == 1
+        assert not report.healthy and report.gateways_invalidated == 0
+        expected = "candidate index is corrupt" if fault == "probe" else (
+            "MemoryError"
+        )
+        assert expected in report.detail
+        assert len(builds) == (1 if fault == "probe" else 0)
+        assert published == []
+        assert backend.service.serving is base.serving
+        assert switch.current is base and switch.stats()["swaps"] == 0
+        after = gateway.cache_stats()
+        assert (after.size, after.hits) == (cache.size, cache.hits)
+        assert gateway.search(request) == before
+        assert gateway.cache_stats().hits == cache.hits + 1
 
-    def test_refresh_exception_is_contained_and_rolled_back(
-        self, two_generations, probes
+    def test_readers_see_only_the_old_generation_across_a_refusal(
+        self, two_generations, probes, builds
     ):
         base, nxt = two_generations
-
-        class ExplodingTier:
-            def __init__(self):
-                self.calls = 0
-
-            def refresh(self, serving):
-                self.calls += 1
-                if self.calls == 1:
-                    raise RuntimeError("index build exploded")
-
-            def search_topics(self, query, k=5):
-                return []
-
-        tier = ExplodingTier()
+        backend = _backend(base)
         switch = GenerationSwitch(probe_queries=probes, baseline=base)
-        switch.attach(tier)
-        with pytest.raises(SwapError):
-            switch.swap(nxt)
-        assert tier.calls == 2  # failed roll + rollback
+        switch.attach(backend)
+        want = [backend.search(SearchRequest(query=q, k=5)) for q in probes]
+        builds.poisoned.append(nxt.serving)
+        stop = threading.Event()
+        seen = []
+
+        def reader():
+            while not stop.is_set():
+                seen.append([
+                    backend.search(SearchRequest(query=q, k=5))
+                    for q in probes
+                ])
+
+        thread = threading.Thread(target=reader, daemon=True)
+        thread.start()
+        try:
+            for _ in range(5):
+                with pytest.raises(SwapError):
+                    switch.swap(nxt)
+        finally:
+            stop.set()
+            thread.join(timeout=10.0)
+        assert seen and all(answers == want for answers in seen)
+
+    def test_stats_answer_while_a_build_runs(
+        self, two_generations, probes, monkeypatch
+    ):
+        """The build runs outside the switch's lock, so a metrics scrape
+        never waits for it."""
+        base, nxt = two_generations
+        backend = _backend(base)
+        switch = GenerationSwitch(probe_queries=probes, baseline=base)
+        switch.attach(backend)
+        entered, release = threading.Event(), threading.Event()
+        build = backend.service.build
+
+        def held(serving):
+            entered.set()
+            assert release.wait(30.0)
+            return build(serving)
+
+        monkeypatch.setattr(backend.service, "build", held)
+        swapper = threading.Thread(target=switch.swap, args=(nxt,))
+        swapper.start()
+        try:
+            assert entered.wait(30.0)
+            scraped = []
+            scraper = threading.Thread(
+                target=lambda: scraped.append(switch.stats())
+            )
+            scraper.start()
+            scraper.join(timeout=5.0)
+            assert scraped and scraped[0]["current_generation"] == 0
+        finally:
+            release.set()
+            swapper.join(timeout=30.0)
+        assert switch.current is nxt
 
     def test_gateway_cache_invalidated_on_swap(
         self, two_generations, probes

@@ -67,6 +67,47 @@ def make_installed(tmp_path, inc, *, drift_gate=None, **kwargs):
     return switch, installer, pipe, updater
 
 
+class TestRefusedSwap:
+    def test_refused_generation_is_counted_checkpointed_not_shipped(
+        self, tmp_path, live_events, base_inc, monkeypatch
+    ):
+        """A generation whose index build raises is refused by the
+        switch: the installer counts it, still checkpoints and compacts
+        past it, and does not ship it; the next one installs."""
+        from repro.core import serving as serving_module
+
+        shipped = []
+        switch, installer, pipe, updater = make_installed(
+            tmp_path, base_inc, on_generation=shipped.append
+        )
+        tier = switch._engine
+        serving_before = tier.serving
+        real = serving_module._ServiceState
+
+        def exploding(*args, **kwargs):
+            raise MemoryError("index build failed")
+
+        monkeypatch.setattr(serving_module, "_ServiceState", exploding)
+        for e in live_events[:40]:
+            pipe.submit(event_payload(e))
+        assert updater.run_once(timeout_s=0.0) is not None
+        stats = installer.stats()
+        assert stats["swap_failures"] == 1
+        assert "MemoryError" in stats["last_error"]
+        assert stats["switch"]["swaps"] == 0 and switch.current is None
+        assert tier.serving is serving_before
+        assert read_checkpoint(tmp_path / "wal")["generation"] == 1
+        assert shipped == []
+
+        monkeypatch.setattr(serving_module, "_ServiceState", real)
+        for e in live_events[40:80]:
+            pipe.submit(event_payload(e))
+        assert updater.run_once(timeout_s=0.0) is not None
+        assert switch.current.number == 2
+        assert [g.number for g in shipped] == [2]
+        assert installer.stats()["swap_failures"] == 1
+
+
 class TestMicroBatches:
     def test_generation_covers_the_drained_batch(
         self, tmp_path, live_events, base_inc

@@ -222,6 +222,20 @@ class TestSnapshotFlow:
     def test_fit_save_writes_snapshot(self, snapshot, capsys):
         assert (snapshot / "MANIFEST.json").is_file()
         assert (snapshot / "entity_categories.json").is_file()
+        # Every file has a reader: no click graph, no scored descriptions.
+        assert not (snapshot / "bipartite.npz").exists()
+        assert not (snapshot / "descriptions.json").exists()
+
+    def test_fit_load_save_round_trips(self, snapshot, tmp_path, capsys):
+        """A loaded model (no click graph, no scored descriptions) saves
+        again."""
+        again = tmp_path / "again"
+        rc = main(["fit", "--profile", "tiny", "--load", str(snapshot),
+                   "--save", str(again)])
+        assert rc == 0
+        assert (again / "taxonomy.json").read_bytes() == (
+            snapshot / "taxonomy.json"
+        ).read_bytes()
 
     def test_search_load_serves_from_disk(self, snapshot, capsys):
         rc = main(["search", "--load", str(snapshot)])
