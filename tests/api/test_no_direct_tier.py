@@ -2,10 +2,10 @@
 
 One data table, :data:`REMOVALS`, lists every removal as a row: its
 name, the pattern that finds it, the paths scanned for it, and the
-files exempt from it. Each row is one test id that scans all of its
-paths, so a failure names the removal and reports every offending
-``file:line`` at once; each scanned file is read once per session
-however many rows scan it. The rows:
+files exempt from it. Each (row, scanned file) pair is one test id, so a
+failure names both the removal and the file and reports every offending
+line in it, and each scanned file is read once per session however many
+rows scan it. The rows:
 
 * ``direct-tier-construction`` — ``examples/``, ``cli.py`` and
   ``benchmarks/`` go through the
@@ -642,13 +642,25 @@ def _offending(removal: Removal, rel: str) -> List[str]:
     return hits
 
 
-@pytest.mark.parametrize("removal", REMOVALS, ids=list(ROW))
-def test_removed_thing_is_gone(removal):
-    scanned = _scanned(removal)
-    # A row whose paths all vanished would scan nothing and pass.
-    assert scanned, f"{removal.name} scans no file"
-    offending = [hit for rel in scanned for hit in _offending(removal, rel)]
+SCAN_PAIRS: List[Tuple[Removal, str]] = [
+    (removal, rel) for removal in REMOVALS for rel in _scanned(removal)
+]
+
+
+@pytest.mark.parametrize(
+    "removal, rel",
+    SCAN_PAIRS,
+    ids=[f"{removal.name}-{rel}" for removal, rel in SCAN_PAIRS],
+)
+def test_removed_thing_is_gone(removal, rel):
+    offending = _offending(removal, rel)
     assert not offending, removal.why + ":\n" + "\n".join(offending)
+
+
+def test_every_row_scans_something():
+    """A row whose paths all vanished would collect no ids and pass."""
+    scanned = {removal.name for removal, _ in SCAN_PAIRS}
+    assert scanned == set(ROW)
 
 
 def test_one_result_cache_by_construction():
