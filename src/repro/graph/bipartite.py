@@ -9,7 +9,7 @@ description matcher (Sec. 2.3).
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -90,35 +90,68 @@ class QueryItemGraph:
             e: frozenset(qs) for e, qs in self._entity_to_queries.items()
         }
 
-    def co_click_counts(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def query_counts(self) -> np.ndarray:
+        """``|Q_u|`` of every entity, in :meth:`entity_ids` order."""
+        return np.array(
+            [len(self._entity_to_queries[e]) for e in self.entity_ids()],
+            dtype=np.int64,
+        )
+
+    def co_click_blocks(
+        self, block: int
+    ) -> Iterator[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
         """Entity pairs sharing at least one query — the *candidate
         edges* of the item entity graph; any other pair has Sq = 0.
 
-        Returns parallel arrays ``(us, vs, shared)`` with ``u < v``,
-        sorted by pair. Each query contributes one integer key per pair
-        of its entities, so a key's multiplicity is ``|Q_u ∩ Q_v|``.
+        Yields parallel arrays ``(iu, iv, shared)`` of rows of
+        :meth:`entity_ids` with ``iu < iv``, in ``(iu, iv)`` order across
+        all blocks. A block is a run of whole rows ``iu``: as many as
+        share at most ``block`` *pair instances* (one per query a pair
+        shares, so an instance count is ``|Q_u ∩ Q_v|`` summed), or one
+        row alone when it has more. What a block holds is bounded that
+        way; the per-row index it is cut from is linear in the
+        query–entity edges, and nothing grows with the candidate count.
         """
-        ids = np.array(self.entity_ids(), dtype=np.int64)
-        n = len(ids)
         groups = [sorted(es) for es in self._query_to_entities.values() if len(es) > 1]
         if not groups:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty, empty
-        # One buffer, sorted in place: no per-query list, concatenate or
-        # np.unique copy. int32 halves it when every key (< n*n) fits.
-        total = sum(len(g) * (len(g) - 1) // 2 for g in groups)
-        keys = np.empty(total, dtype=np.int32 if n * n < 2**31 else np.int64)
-        filled = 0
-        for entities in groups:
-            index = np.searchsorted(ids, entities)
-            i, j = np.triu_indices(len(index), 1)
-            keys[filled : filled + len(i)] = index[i] * n + index[j]
-            filled += len(i)
-        keys.sort()
-        # A run of equal keys is one pair; its length is the count.
-        starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
-        pairs, shared = keys[starts], np.diff(starts, append=total)
-        return ids[pairs // n], ids[pairs % n], shared
+            return
+        ids = np.array(self.entity_ids(), dtype=np.int64)
+        n = len(ids)
+        sizes = np.array([len(g) for g in groups], dtype=np.int64)
+        # Every query's members as ascending rows, laid end to end: a
+        # member pairs with the ones after it in its query, its fan.
+        members = np.searchsorted(ids, np.fromiter(
+            (e for g in groups for e in g), dtype=np.int64, count=int(sizes.sum())
+        ))
+        del groups
+        fan = np.repeat(np.cumsum(sizes), sizes) - np.arange(len(members)) - 1
+        # The same positions by row: one row's instances are contiguous.
+        by_row = np.argsort(members, kind="stable")
+        rows, first, fan = members[by_row], by_row + 1, fan[by_row]
+        # Pair instances in rows 0..r, for each r.
+        through = np.cumsum(np.bincount(rows, weights=fan, minlength=n).astype(np.int64))
+        r0 = 0
+        while r0 < n:
+            before = through[r0 - 1] if r0 else 0
+            r1 = max(r0 + 1, int(np.searchsorted(through, before + block, side="right")))
+            p0, p1 = np.searchsorted(rows, [r0, r1])
+            r0 = r1
+            lens = fan[p0:p1]
+            total = int(lens.sum())
+            if total == 0:
+                continue
+            # Ragged gather: each position's partners, one run per position.
+            at = np.repeat(first[p0:p1] - (np.cumsum(lens) - lens), lens)
+            at += np.arange(total)
+            keys = members[at]
+            del at
+            keys += np.repeat(rows[p0:p1] * n, lens)
+            keys.sort()
+            # A run of equal keys is one pair; its length is the count.
+            starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+            pairs, shared = keys[starts], np.diff(starts, append=total)
+            del keys, starts  # not held while the block is scored
+            yield pairs // n, pairs % n, shared
 
     def edges(self) -> Iterable[Tuple[int, int, int]]:
         """Iterate (query_id, entity_id, clicks)."""

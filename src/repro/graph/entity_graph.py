@@ -16,7 +16,7 @@ similarity into the sparse weighted graph Parallel HAC clusters:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Optional, Tuple
+from typing import Dict, Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -34,6 +34,10 @@ __all__ = ["EntityGraphConfig", "EntityGraphBuilder", "build_entity_graph"]
 _SC_CEILING = 1.0 + 1e-9
 #: Pairs per batched title dot: bounds its two gathered (block, dim) operands.
 _DOT_BLOCK = 256
+#: Co-click pair instances per scored block (whole rows of ``u``; see
+#: :meth:`QueryItemGraph.co_click_blocks`), or LSH candidate pairs per
+#: block: bounds every per-candidate array.
+_PAIR_BLOCK = 65536
 
 
 @dataclass(frozen=True)
@@ -110,10 +114,19 @@ class EntityGraphBuilder:
         the bipartite graph (entities without clicks are isolated and
         excluded, as in production: an item nobody searches has no
         query evidence to place it).
+
+        Candidates are scored block by block in ``(u, v)`` order, and
+        between blocks only the edges still in some endpoint's running
+        top-``max_neighbors`` are kept, so what the build holds follows
+        the kept graph (at most ``max_neighbors`` edges a vertex, twice
+        that between prunes) plus a block of ``_PAIR_BLOCK`` candidate
+        instances, never the candidate count. Bounded too are the
+        per-entity arrays and the enumerator's index, linear in the
+        query–entity edges. Not bounded: the ``"lsh"`` source, whose
+        index holds its whole candidate set before the first block.
         """
         cfg = self._config
         entity_ids = bipartite.entity_ids()
-        query_sets = bipartite.entity_query_sets()
 
         # Mean title vector once per entity (a row), and whether it has one.
         tokenize = self._tokenizer.tokenize
@@ -121,15 +134,31 @@ class EntityGraphBuilder:
         for row, e in enumerate(entity_ids):
             means[row] = entity_embedding(self._embeddings, tokenize(titles.get(e, "")))
         has_vector = means.any(axis=1)
-        degree = np.array([len(query_sets[e]) for e in entity_ids], dtype=np.int64)
+        degree = bipartite.query_counts()
+        ids = np.array(entity_ids, dtype=np.int64)
 
         if cfg.candidate_source == "lsh":
-            us, vs, shared = self._lsh_candidates(query_sets)
+            blocks = self._lsh_blocks(bipartite, ids)
         else:
-            us, vs, shared = bipartite.co_click_counts()
-        ids = np.array(entity_ids, dtype=np.int64)
-        iu, iv = np.searchsorted(ids, us), np.searchsorted(ids, vs)
+            blocks = bipartite.co_click_blocks(_PAIR_BLOCK)
+        top = _RunningTopK(len(ids), cfg.max_neighbors)
+        for iu, iv, shared in blocks:
+            top.add(*self._score(iu, iv, shared, degree, means, has_vector))
+        iu, iv, s = top.edges()
+        return SparseGraph.from_sorted_edges(ids, ids[iu], ids[iv], s)
 
+    def _score(
+        self,
+        iu: np.ndarray,
+        iv: np.ndarray,
+        shared: np.ndarray,
+        degree: np.ndarray,
+        means: np.ndarray,
+        has_vector: np.ndarray,
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Eq. 1–3 for one block of candidate rows; the pairs at or
+        above ``min_similarity`` as ``(iu, iv, s)``, in block order."""
+        cfg = self._config
         # Eq. 1 from the counts: |Qu ∪ Qv| = |Qu| + |Qv| − |Qu ∩ Qv|.
         a = cfg.alpha
         sq = shared / (degree[iu] + degree[iv] - shared)
@@ -140,7 +169,6 @@ class EntityGraphBuilder:
             & (a * sq + (1.0 - a) * _SC_CEILING >= cfg.min_similarity)
         )
         iu, iv, sq = iu[live], iv[live], sq[live]
-        del us, vs, shared, live  # the widest arrays: gone before the sorts below
         titled = np.flatnonzero(has_vector[iu] & has_vector[iv])
         sc = np.full(len(iu), 0.5)
         # matmul over (N,1,d) @ (N,d,1) runs np.dot's kernel once per pair:
@@ -152,20 +180,20 @@ class EntityGraphBuilder:
             sc[block] = 0.5 + 0.5 * np.matmul(mu[:, None, :], mv[:, :, None])[:, 0, 0]
         s = a * sq + (1.0 - a) * sc
         kept = s >= cfg.min_similarity
-        iu, iv, s = self._prune_to_top_k(
-            iu[kept], iv[kept], s[kept], cfg.max_neighbors
-        )
-        return SparseGraph.from_sorted_edges(ids, ids[iu], ids[iv], s)
+        return iu[kept], iv[kept], s[kept]
 
-    def _lsh_candidates(
-        self, query_sets: Dict[int, FrozenSet[int]]
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _lsh_blocks(
+        self, bipartite: QueryItemGraph, ids: np.ndarray
+    ) -> Iterator[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
         """Approximate candidates via banded MinHash LSH (bounded cost
-        under hub queries; recall controlled by the band S-curve), as
-        ``(us, vs, shared)`` like :meth:`QueryItemGraph.co_click_counts`."""
+        under hub queries; recall controlled by the band S-curve), in
+        blocks of ``_PAIR_BLOCK`` pairs shaped like
+        :meth:`QueryItemGraph.co_click_blocks`. The index and its sorted
+        candidate list are whole, not blocked."""
         from repro.graph.minhash import LSHConfig, LSHIndex
 
         cfg = self._config
+        query_sets = bipartite.entity_query_sets()
         index = LSHIndex(
             LSHConfig(
                 bands=cfg.lsh_bands,
@@ -175,32 +203,82 @@ class EntityGraphBuilder:
         )
         index.add_all(query_sets)
         pairs = sorted(index.candidate_pairs())
-        shared = [len(query_sets[u] & query_sets[v]) for u, v in pairs]
-        us, vs = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
-        return us, vs, np.array(shared, dtype=np.int64)
+        for start in range(0, len(pairs), _PAIR_BLOCK):
+            block = pairs[start : start + _PAIR_BLOCK]
+            shared = [len(query_sets[u] & query_sets[v]) for u, v in block]
+            us, vs = np.array(block, dtype=np.int64).T
+            yield (
+                np.searchsorted(ids, us),
+                np.searchsorted(ids, vs),
+                np.array(shared, dtype=np.int64),
+            )
 
-    @staticmethod
-    def _prune_to_top_k(
-        us: np.ndarray, vs: np.ndarray, ws: np.ndarray, k: int
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Keep an edge iff it is in the top-k of *either* endpoint.
 
-        The union (rather than intersection) rule preserves graph
-        connectivity for low-degree vertices while still bounding the
-        expected degree, matching the "few neighbor entities" intent.
-        A vertex ranks its edges by ``(weight, u, v)`` descending; the
-        input is sorted by ``(u, v)`` and so is the result.
-        """
-        n = len(us)
-        edge = np.concatenate([np.arange(n), np.arange(n)])
-        vertex = np.concatenate([us, vs])
-        order = np.lexsort((vs[edge], us[edge], ws[edge], vertex))
-        # Each vertex's run is ascending: its top-k are the last k of it.
-        degree = np.unique(vertex, return_counts=True)[1]
-        run_end = np.repeat(np.cumsum(degree), degree)
+class _RunningTopK:
+    """The edges, fed in ``(u, v)`` order, that are in the top-k of
+    *either* endpoint.
+
+    The union (rather than intersection) rule preserves graph
+    connectivity for low-degree vertices while still bounding the
+    expected degree, matching the "few neighbor entities" intent. A
+    vertex ranks its edges by ``(weight, u, v)`` descending.
+
+    An edge outside an endpoint's top-k among *some* of that endpoint's
+    edges is outside it among all of them, so dropping, early, what is
+    in neither endpoint's top-k of the edges seen so far is exact. Each
+    prune does that over everything held and records every vertex's
+    floor, the weight of its k-th best edge so far, that an arriving
+    edge must reach at one end to be held at all. What is held stays
+    below ``max(2 * kept, _PAIR_BLOCK)`` edges plus the last add,
+    ``kept`` being the last prune's survivors: at most ``k`` a vertex.
+    """
+
+    def __init__(self, n_vertices: int, k: int):
+        self._n, self._k = n_vertices, k
+        self._floor = np.full(n_vertices, -np.inf)
+        self._runs = [(np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0))]
+        self._held, self._limit = 0, _PAIR_BLOCK
+
+    def add(self, us: np.ndarray, vs: np.ndarray, ws: np.ndarray) -> None:
+        """Edges after every one already added in ``(u, v)`` order, so an
+        edge that ties a floor's weight outranks the floor's edge."""
+        held = (ws >= self._floor[us]) | (ws >= self._floor[vs])
+        self._runs.append((us[held], vs[held], ws[held]))
+        self._held += int(held.sum())
+        if self._held >= self._limit:
+            self._prune()
+            self._held = len(self._runs[0][0])
+            self._limit = max(2 * self._held, _PAIR_BLOCK)
+
+    def edges(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(us, vs, ws)`` of the kept edges, in ``(u, v)`` order."""
+        self._prune()
+        return self._runs[0]
+
+    def _prune(self) -> None:
+        us, vs, ws = (np.concatenate(column) for column in zip(*self._runs))
+        self._runs.clear()  # the runs, gone before the sort's own arrays
+        n, k, width = len(us), self._k, max(len(us), 1)
+        # Input order is (u, v) ascending, so a stable sort on the weight
+        # alone is the (weight, u, v) order every vertex ranks by.
+        by_rank = np.argsort(ws, kind="stable")
+        rank = np.empty(n, dtype=np.int64)
+        rank[by_rank] = np.arange(n)
+        # Each edge listed once under each endpoint as (vertex, rank):
+        # sorted, a vertex's run ascends and its top-k are its last k.
+        listed = np.concatenate([us, vs]) * width + np.concatenate([rank, rank])
+        listed.sort()
+        degree = np.bincount(us, minlength=self._n) + np.bincount(vs, minlength=self._n)
+        run_end = np.cumsum(degree)
+        # Positions run_end - 1, run_end - 2, ... of each vertex's last
+        # min(degree, k): one ragged range per vertex.
+        take = np.minimum(degree, k)
+        last = np.repeat(run_end - 1 + np.cumsum(take) - take, take) - np.arange(take.sum())
         keep = np.zeros(n, dtype=bool)
-        keep[edge[order][run_end - np.arange(2 * n) <= k]] = True
-        return us[keep], vs[keep], ws[keep]
+        keep[by_rank[listed[last] % width]] = True
+        full = np.flatnonzero(degree >= k)
+        self._floor[full] = ws[by_rank[listed[run_end[full] - k] % width]]
+        self._runs.append((us[keep], vs[keep], ws[keep]))
 
 
 def build_entity_graph(

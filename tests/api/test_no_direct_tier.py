@@ -122,6 +122,11 @@ rows scan it. The rows:
   object with refresh()" engine in the engine, the switch, the
   installer and the follower: a swap builds the state once, probes it
   unpublished, then publishes it.
+* ``all-candidates-at-once`` — the full-array co-click enumerator
+  (``co_click_counts``) and the four-key top-k prune over every scored
+  candidate (``_prune_to_top_k``) in ``src/``, ``scripts/``,
+  ``examples/``, ``benchmarks/`` and the README: the entity graph is
+  built from ``co_click_blocks`` under a running top-k.
 
 An exemption names a file, or a directory with a trailing ``/``.
 """
@@ -400,6 +405,9 @@ REMOVED_SWAP_ROLLBACK = re.compile(
 #: accepted — removed from the swap path.
 SWAP_REFRESH = re.compile(r"\brefresh\b|any object with")
 
+#: The entity graph's all-at-once candidate enumerator and prune.
+ALL_CANDIDATES_AT_ONCE = re.compile(r"\b(co_click_counts|_prune_to_top_k)\b")
+
 SWAP_PATH_MODULES = [
     "src/repro/core/serving.py",
     "src/repro/streaming/rollout.py",
@@ -593,6 +601,13 @@ REMOVALS = (
         "refresh or a duck-typed engine on the swap path (a switch swaps "
         "one ShoalService: build, probe, then publish)",
         suffixes=(".py",),
+    ),
+    Removal(
+        "all-candidates-at-once", ALL_CANDIDATES_AT_ONCE,
+        ("src", "scripts", "examples", "benchmarks", "README.md"),
+        "reference to the removed all-at-once candidate enumerator or "
+        "prune (the entity graph scores co_click_blocks block by block "
+        "and keeps a running top-k between them)",
     ),
 )
 
@@ -1129,6 +1144,18 @@ def test_the_guard_itself_still_bites():
         "return self._search_tokens(state, tokens, k)",
     ):
         assert not SWAP_REFRESH.search(snippet), snippet
+    for snippet in (
+        "us, vs, shared = bipartite.co_click_counts()",
+        "iu, iv, s = self._prune_to_top_k(",
+        "def _prune_to_top_k(",
+    ):
+        assert ALL_CANDIDATES_AT_ONCE.search(snippet), snippet
+    for snippet in (
+        "blocks = bipartite.co_click_blocks(_PAIR_BLOCK)",
+        "def reference_co_click_counts(bipartite: QueryItemGraph):",
+        "top = _RunningTopK(len(ids), cfg.max_neighbors)",
+    ):
+        assert not ALL_CANDIDATES_AT_ONCE.search(snippet), snippet
     assert [r.pattern for r in REMOVALS] == [
         FORBIDDEN,
         LEGACY_CALLS,
@@ -1155,4 +1182,5 @@ def test_the_guard_itself_still_bites():
         RETIRED_SNAPSHOT_FILES,
         REMOVED_SWAP_ROLLBACK,
         SWAP_REFRESH,
+        ALL_CANDIDATES_AT_ONCE,
     ]

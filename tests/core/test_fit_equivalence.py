@@ -4,7 +4,8 @@ The three super-linear fit stages (descriptions, entity graph,
 diffusion) were rewritten to do the same arithmetic in the same order,
 once; word2vec's scatters and sampler, the co-click counts, the title
 dot and the graph fill were then moved onto faster numpy forms that
-round identically. The forms they replaced live on *only here*, as
+round identically, and the entity graph now scores its candidates block
+by block under a running top-k. The forms they replaced live on *only here*, as
 reference oracles, and every comparison is ``==`` on floats — not
 ``approx`` — because the claim is a byte-identical model, not a
 similar one.
@@ -99,8 +100,9 @@ def reference_word2vec(cfg: Word2VecConfig, token_docs, vocabulary=None) -> Word
 
 
 def reference_co_click_counts(bipartite: QueryItemGraph):
-    """``QueryItemGraph.co_click_counts`` as it was: one int64 key array
-    per query, ``concatenate``, ``np.unique``."""
+    """The co-click candidates all at once, as the builder first counted
+    them: one int64 key array per query, ``concatenate``, ``np.unique``;
+    ``(us, vs, shared)`` in entity ids."""
     ids = np.array(bipartite.entity_ids(), dtype=np.int64)
     n = len(ids)
     keys = []
@@ -438,23 +440,54 @@ def assert_same_arrays(got, want):
         assert np.array_equal(g, w)
 
 
+def blocked_co_clicks(bipartite: QueryItemGraph, block: int):
+    """``co_click_blocks`` laid end to end, in entity ids like the oracle."""
+    ids = np.array(bipartite.entity_ids(), dtype=np.int64)
+    blocks = list(bipartite.co_click_blocks(block))
+    if not blocks:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty, empty
+    iu, iv, shared = (np.concatenate(column) for column in zip(*blocks))
+    return ids[iu], ids[iv], shared
+
+
 class TestCoClickCounts:
     @relaxed
-    @given(click_worlds())
-    def test_counts_equal_the_unique_form(self, world):
+    @given(click_worlds(), st.sampled_from([1, 2, 5, 65536]))
+    def test_counts_equal_the_unique_form(self, world, block):
         bipartite, _ = world
-        assert_same_arrays(bipartite.co_click_counts(), reference_co_click_counts(bipartite))
+        assert_same_arrays(
+            blocked_co_clicks(bipartite, block), reference_co_click_counts(bipartite)
+        )
+
+    @relaxed
+    @given(click_worlds(), st.sampled_from([1, 2, 5]))
+    def test_blocks_are_runs_of_whole_rows_within_the_bound(self, world, block):
+        """Rows ascend from block to block and none is split; a block
+        holds at most ``block`` pair instances unless it is one row."""
+        bipartite, _ = world
+        last_row = -1
+        for iu, _, shared in bipartite.co_click_blocks(block):
+            assert len(iu) and iu[0] > last_row
+            assert shared.sum() <= block or iu[0] == iu[-1]
+            last_row = iu[-1]
 
     def test_no_query_with_two_entities(self):
         bipartite = QueryItemGraph()
-        assert_same_arrays(bipartite.co_click_counts(), reference_co_click_counts(bipartite))
+        for block in (1, 65536):
+            assert_same_arrays(
+                blocked_co_clicks(bipartite, block), reference_co_click_counts(bipartite)
+            )
         bipartite.add_click(0, 4)
         bipartite.add_click(1, 9)
-        assert_same_arrays(bipartite.co_click_counts(), reference_co_click_counts(bipartite))
+        assert list(bipartite.co_click_blocks(1)) == []
+        assert_same_arrays(
+            blocked_co_clicks(bipartite, 1), reference_co_click_counts(bipartite)
+        )
 
     def test_keys_that_do_not_fit_int32(self):
-        """More than 46 340 clicked entities: ``n * n`` leaves int32 and
-        the key buffer must be int64 — a wrapped key names another pair."""
+        """More than 46 340 clicked entities: ``n * n`` leaves int32, and
+        a key that wrapped would name another pair."""
         n = 46_400
         bipartite = QueryItemGraph()
         for e in range(n):
@@ -464,7 +497,7 @@ class TestCoClickCounts:
             for e in group:
                 bipartite.add_click(q, e)
         assert (n - 2) * n + (n - 1) > np.iinfo(np.int32).max
-        us, vs, shared = bipartite.co_click_counts()
+        us, vs, shared = blocked_co_clicks(bipartite, 65536)
         assert_same_arrays((us, vs, shared), reference_co_click_counts(bipartite))
         assert (int(us[-1]), int(vs[-1]), int(shared[-1])) == (n - 2, n - 1, 2)
 
@@ -523,10 +556,19 @@ class TestBatchedTitleDot:
         assert adjacency_in_order(built) == adjacency_in_order(expected)
 
     @relaxed
-    @given(click_worlds(), entity_graph_configs, st.sampled_from([1, 2, 5]))
-    def test_build_equals_the_pairwise_loop_at_any_block_size(self, world, cfg, block):
+    @given(
+        click_worlds(), entity_graph_configs, st.sampled_from(["coclick", "lsh"]),
+        st.sampled_from([1, 2, 5]), st.sampled_from([1, 2, 5]),
+    )
+    def test_build_equals_the_pairwise_loop_at_any_block_size(
+        self, world, cfg, source, dot_block, pair_block
+    ):
+        """Both block sizes at once, for both candidate sources: small
+        candidate blocks prune the running top-k between most blocks."""
         bipartite, titles = world
-        with mock.patch.object(entity_graph_module, "_DOT_BLOCK", block):
+        cfg = dataclasses.replace(cfg, candidate_source=source)
+        with mock.patch.object(entity_graph_module, "_DOT_BLOCK", dot_block), \
+                mock.patch.object(entity_graph_module, "_PAIR_BLOCK", pair_block):
             built = EntityGraphBuilder(EMBEDDINGS[7], config=cfg).build(bipartite, titles)
         expected = reference_entity_graph(cfg, bipartite, titles, EMBEDDINGS[7])
         assert adjacency_in_order(built) == adjacency_in_order(expected)
@@ -555,6 +597,135 @@ class TestBatchedTitleDot:
         untitled = peak({})
         titled = peak({e: "sun sand" for e in bipartite.entity_ids()})
         assert titled - untitled <= 1.5 * block_bytes + 16 * len(pairs)
+
+
+def query_world(groups):
+    """A click graph from ``{query: entities}``, one click each."""
+    bipartite = QueryItemGraph()
+    for q, entities in groups.items():
+        for e in entities:
+            bipartite.add_click(q, e)
+    return bipartite
+
+
+#: Above every other entity id: each of its edges is in the row of its u.
+HUB = 99
+
+
+def hub_shares(shares):
+    """Entities ``0 .. len(shares) - 1``, paired (2i, 2i + 1) by three
+    queries of their own, and entity u sharing ``shares[u]`` queries with
+    ``HUB``. Under ``alpha = 1`` an edge weighs its Jaccard:
+    ``S(u, HUB) = shares[u] / (3 + sum(shares))``, below u's pair edge,
+    so with one neighbour kept (u, HUB) survives only as HUB's best."""
+    groups = {}
+    for i in range(0, len(shares), 2):
+        for _ in range(3):
+            groups[len(groups)] = (i, i + 1)
+    for u, count in enumerate(shares):
+        for _ in range(count):
+            groups[len(groups)] = (u, HUB)
+    return query_world(groups)
+
+
+#: Jaccard only, every pair scored, one neighbour a vertex.
+TOP_ONE = EntityGraphConfig(alpha=1.0, min_similarity=0.0, max_neighbors=1)
+
+
+class TestCandidateBlocks:
+    """Hand-built worlds whose answer is decided across candidate blocks,
+    at candidate blocks of 1, 2 and 5 pair instances."""
+
+    @staticmethod
+    def build(bipartite, cfg, pair_block):
+        with mock.patch.object(entity_graph_module, "_PAIR_BLOCK", pair_block):
+            built = EntityGraphBuilder(EMBEDDINGS[7], config=cfg).build(bipartite, {})
+        expected = reference_entity_graph(cfg, bipartite, {}, EMBEDDINGS[7])
+        assert adjacency_in_order(built) == adjacency_in_order(expected)
+        return built
+
+    @staticmethod
+    def blocks_holding(bipartite, pair_block, entity):
+        row = bipartite.entity_ids().index(entity)
+        return [
+            i for i, (iu, iv, _) in enumerate(bipartite.co_click_blocks(pair_block))
+            if row in iu or row in iv
+        ]
+
+    @pytest.mark.parametrize("pair_block", [1, 2, 5])
+    @pytest.mark.parametrize("max_neighbors", [1, 2])
+    @pytest.mark.parametrize("source", ["coclick", "lsh"])
+    def test_an_entitys_pairs_straddle_a_block_boundary(
+        self, pair_block, max_neighbors, source
+    ):
+        """Entity 2's pairs as v sit in rows 0 and 1, its pairs as u in
+        row 2, which alone holds three instances, more than a block of 2."""
+        bipartite = query_world({0: (1, 2, 3), 1: (2, 3, 4), 2: (0, 2)})
+        assert len(self.blocks_holding(bipartite, pair_block, 2)) >= 2
+        cfg = dataclasses.replace(
+            TOP_ONE, max_neighbors=max_neighbors, candidate_source=source
+        )
+        self.build(bipartite, cfg, pair_block)
+
+    @pytest.mark.parametrize("pair_block", [1, 2, 5])
+    @pytest.mark.parametrize("source", ["coclick", "lsh"])
+    def test_a_vertexs_top_k_is_decided_across_blocks(self, pair_block, source):
+        """HUB's edges arrive one row at a time, weights 1, 2, 3, 1, 2, 1
+        (over 13): its best comes in the third row, displaces the two kept
+        before it, and none of the three after it displaces it."""
+        bipartite = hub_shares([1, 2, 3, 1, 2, 1])
+        assert len(self.blocks_holding(bipartite, pair_block, HUB)) >= 3
+        cfg = dataclasses.replace(TOP_ONE, candidate_source=source)
+        built = self.build(bipartite, cfg, pair_block)
+        if source == "coclick":
+            assert built.neighbors(HUB) == {2: 3 / 13}
+
+    @pytest.mark.parametrize("pair_block", [1, 2, 5])
+    @pytest.mark.parametrize("source", ["coclick", "lsh"])
+    def test_weights_tie_across_blocks(self, pair_block, source):
+        """HUB's edges from 1 and 3 weigh the same, 2/11, and arrive in
+        different blocks: the tie goes to the larger pair, (3, HUB). It
+        arrives after a prune has set a floor at both its ends, below 3's
+        and equal to HUB's, so it is held only because a later edge
+        outranks an earlier one of the same weight."""
+        bipartite = hub_shares([1, 2, 1, 2, 1, 1])
+        assert len(self.blocks_holding(bipartite, pair_block, HUB)) >= 3
+        cfg = dataclasses.replace(TOP_ONE, candidate_source=source)
+        built = self.build(bipartite, cfg, pair_block)
+        if source == "coclick":
+            assert built.neighbors(HUB) == {3: 2 / 11}
+
+    def test_peak_memory_does_not_grow_with_the_candidates(self):
+        """hub_world(1200) has 16x the candidate pairs of hub_world(300):
+        eleven blocks' worth against less than one. ``build``'s peak may
+        grow by what the running top-k holds when it prunes, under
+        ``2 * _PAIR_BLOCK`` edges (just under a block's, then the next
+        block's) plus the kept ones, at ``edge_bytes`` a held edge; not
+        by the 675 k more candidates (the all-at-once build grew by
+        ~120 MB here)."""
+        block = entity_graph_module._PAIR_BLOCK
+        #: u, v, weight; the sort order and the rank; two (vertex, rank)
+        #: keys an edge and the temporaries they are summed from.
+        edge_bytes = 12 * 8
+        small, pairs = hub_world(300)
+        large, more_pairs = hub_world(1200)
+        assert len(pairs) < block and len(more_pairs) > max(10 * block, 16 * len(pairs))
+        builder = EntityGraphBuilder(
+            EMBEDDINGS[7], config=EntityGraphConfig(min_similarity=0.0, max_neighbors=2)
+        )
+
+        def peak(bipartite):
+            tracemalloc.start()
+            try:
+                graph = builder.build(bipartite, {})
+                return tracemalloc.get_traced_memory()[1], graph.n_edges
+            finally:
+                tracemalloc.stop()
+
+        small_peak, _ = peak(small)
+        large_peak, kept = peak(large)
+        assert kept < 2 * 1200
+        assert large_peak - small_peak <= edge_bytes * (2 * block + kept)
 
 
 class TestEntityGraph:

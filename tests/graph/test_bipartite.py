@@ -57,22 +57,46 @@ class TestViews:
         assert graph.query_clicks_of_entity(10) == {0: 3, 1: 2}
         assert graph.entity_clicks_of_query(0) == {10: 3, 11: 1}
 
-    def test_co_click_counts(self, graph):
-        us, vs, shared = graph.co_click_counts()
-        assert (us.tolist(), vs.tolist(), shared.tolist()) == ([10], [11], [1])
+    def test_query_counts(self, graph):
+        assert graph.query_counts().tolist() == [2, 1, 1]
+        assert QueryItemGraph().query_counts().tolist() == []
 
-    def test_co_click_counts_multiplicity_is_shared_queries(self):
+    @staticmethod
+    def co_clicks(g, block=65536):
+        ids = g.entity_ids()
+        return [
+            (ids[u], ids[v], c)
+            for iu, iv, shared in g.co_click_blocks(block)
+            for u, v, c in zip(iu.tolist(), iv.tolist(), shared.tolist())
+        ]
+
+    def test_co_click_blocks(self, graph):
+        assert self.co_clicks(graph) == [(10, 11, 1)]
+
+    @pytest.mark.parametrize("block", [1, 2, 65536])
+    def test_co_click_multiplicity_is_shared_queries(self, block):
         g = QueryItemGraph()
         for q, entities in {0: (7, 3, 5), 1: (5, 3), 2: (9,), 3: (3, 5)}.items():
             for e in entities:
                 g.add_click(q, e)
-        us, vs, shared = g.co_click_counts()
-        assert list(zip(us.tolist(), vs.tolist(), shared.tolist())) == [
-            (3, 5, 3), (3, 7, 1), (5, 7, 1),
-        ]
+        assert self.co_clicks(g, block) == [(3, 5, 3), (3, 7, 1), (5, 7, 1)]
 
-    def test_co_click_counts_empty(self):
-        assert [len(a) for a in QueryItemGraph().co_click_counts()] == [0, 0, 0]
+    def test_co_click_blocks_are_whole_rows(self):
+        """Row 3 has four pair instances, (3,5) three times and (3,7)
+        once: more than a block of 2, so it is a block alone; row 5's
+        one instance is the next block."""
+        g = QueryItemGraph()
+        for q, entities in {0: (7, 3, 5), 1: (5, 3), 2: (9,), 3: (3, 5)}.items():
+            for e in entities:
+                g.add_click(q, e)
+        blocks = [
+            (iu.tolist(), iv.tolist(), shared.tolist())
+            for iu, iv, shared in g.co_click_blocks(2)
+        ]
+        assert blocks == [([0, 0], [1, 2], [3, 1]), ([1], [2], [1])]
+
+    def test_co_click_blocks_empty(self):
+        assert list(QueryItemGraph().co_click_blocks(1)) == []
 
     def test_edges_iteration(self, graph):
         edges = list(graph.edges())
