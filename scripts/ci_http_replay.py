@@ -2,15 +2,20 @@
 """CI gate for the HTTP edge: zero 5xx + answer transparency.
 
 Sends N queries in the benchmark ledger's hot shape (Zipf draws over
-four spellings of every logged query) through :class:`ShoalClient` to
-a running ``serve-http`` gateway — each as a search and as a recommend,
-plus every run of 8 consecutive queries as one batch (alternately of
-kind search and recommend) — and fails if
+four spellings of every logged query) to a running ``serve-http``
+gateway — each as a search and as a recommend, plus every run of 8
+consecutive queries as one batch (alternately of kind search and
+recommend) — then a few never-repeating search batches of 64 in the
+ledger's cold shape (``cold_query``; they miss every cache, and on a
+cluster most queries are merged from several shards), and fails if
 
 * any request dies with a 5xx-class :class:`ApiError`
   (``backend_error`` / ``unavailable`` / ``deadline_exceeded``), or
-* any HTTP answer differs from the in-process backend opened on a
-  snapshot of the same model (byte-identical transparency), or
+* any HTTP response body differs, byte for byte, from
+  ``_json_bytes(local.to_dict())`` — ``json.dumps`` of the answer the
+  in-process backend opened on a snapshot of the same model gives —
+  so a changed separator or float text fails it as surely as a changed
+  answer, or
 * the gateway stats endpoint reports any 5xx-coded errors server-side,
   or no gateway cache hits — the Zipf head repeats queries, so
   zero hits means the gateway's cache stage went unexercised (and the
@@ -28,8 +33,11 @@ Usage::
 
 from __future__ import annotations
 
+import json
 import sys
 import time
+import urllib.error
+import urllib.request
 
 import numpy as np
 from _soak import gate_parser, hot_reads, wait_healthy
@@ -43,10 +51,31 @@ from repro.api import (
     ShoalClient,
     open_backend,
 )
+from repro.api.http import _json_bytes
 from repro.data.marketplace import PROFILES, generate_marketplace
+from workloads import cold_query
 
-#: Queries per batch request.
+#: Queries per hot batch request.
 BATCH_SIZE = 8
+#: Cold search batches sent after the hot requests, and their size
+#: (the ledger's ``read-cold-batch`` shape).
+COLD_BATCHES = 8
+COLD_BATCH_SIZE = 64
+
+
+def post_raw(url: str, endpoint: str, request) -> tuple:
+    """``(status, body bytes)`` of one contract request over HTTP."""
+    http_request = urllib.request.Request(
+        f"{url}/v1/{endpoint}",
+        data=json.dumps(request.to_dict()).encode("utf-8"),
+        headers={"Content-Type": "application/json"},
+        method="POST",
+    )
+    try:
+        with urllib.request.urlopen(http_request, timeout=30.0) as resp:
+            return resp.status, resp.read()
+    except urllib.error.HTTPError as exc:
+        return exc.code, exc.read()
 
 
 def main(argv=None) -> int:
@@ -82,25 +111,38 @@ def main(argv=None) -> int:
         requests.append(("batch", BatchRequest(
             queries=workload[i:i + BATCH_SIZE], k=args.k, kind=kind,
         )))
+    texts = [q.text for q in market.query_log.queries]
+    cold_rng = np.random.default_rng(args.seed)
+    for b in range(COLD_BATCHES):
+        requests.append(("batch", BatchRequest(
+            queries=tuple(
+                cold_query(texts, cold_rng, b * COLD_BATCH_SIZE + j)
+                for j in range(COLD_BATCH_SIZE)
+            ),
+            k=args.k,
+        )))
 
     five_xx = 0
     mismatches = 0
     client_errors = 0
     t0 = time.perf_counter()
     for op, request in requests:
-        try:
-            got = getattr(remote, op)(request)
-        except ApiError as exc:
-            if ERROR_CODES[exc.code] >= 500:
+        status, body = post_raw(args.url, op, request)
+        if status != 200:
+            try:
+                err = ApiError.from_dict(json.loads(body.decode("utf-8")))
+            except (ApiError, ValueError):
+                err = ApiError("backend_error", f"HTTP {status}: {body[:200]!r}")
+            if ERROR_CODES[err.code] >= 500:
                 five_xx += 1
-                print(f"5xx [{exc.code}] for {op} {request}: {exc}")
+                print(f"5xx [{err.code}] for {op} {request}: {err}")
             else:
                 client_errors += 1
-                print(f"4xx [{exc.code}] for {op} {request}: {exc}")
+                print(f"4xx [{err.code}] for {op} {request}: {err}")
             continue
-        if got != getattr(local, op)(request):
+        if body != _json_bytes(getattr(local, op)(request).to_dict()):
             mismatches += 1
-            print(f"TRANSPARENCY VIOLATION for {op} {request}")
+            print(f"TRANSPARENCY VIOLATION (response bytes) for {op} {request}")
     elapsed = time.perf_counter() - t0
 
     server_5xx = 0
@@ -110,10 +152,11 @@ def main(argv=None) -> int:
             server_5xx += int(count)
     cache_hits = int((stats.get("gateway_cache") or {}).get("hits", 0))
 
-    n_batches = sum(op == "batch" for op, _ in requests)
+    n_batches = sum(op == "batch" for op, _ in requests) - COLD_BATCHES
     print(
         f"replayed {len(workload)} queries as {len(requests)} requests "
-        f"({n_batches} batches of {BATCH_SIZE}) in {elapsed:.2f}s "
+        f"({n_batches} batches of {BATCH_SIZE}, {COLD_BATCHES} cold "
+        f"batches of {COLD_BATCH_SIZE}) in {elapsed:.2f}s "
         f"({len(requests) / max(elapsed, 1e-9):,.0f} requests/s over HTTP): "
         f"{five_xx} 5xx, {client_errors} 4xx, {mismatches} mismatches, "
         f"{server_5xx} server-side 5xx, {cache_hits} gateway cache hits"
@@ -121,7 +164,7 @@ def main(argv=None) -> int:
     if five_xx or mismatches or client_errors or server_5xx or not cache_hits:
         print("FAIL")
         return 1
-    print("OK: zero 5xx and every HTTP answer matched in-process")
+    print("OK: zero 5xx and every HTTP response body matched in-process")
     return 0
 
 

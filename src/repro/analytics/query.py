@@ -119,9 +119,9 @@ class QueryEngine:
     # -- the entry point -----------------------------------------------------
 
     def query(self, request: AnalyticsRequest) -> AnalyticsResponse:
-        """Validate, guard, execute; every failure is a stable code."""
+        """Guard, execute; every failure is a stable code (the request
+        validated itself when it was constructed)."""
         try:
-            request.validate()
             if self._store.closed:
                 raise ApiError(
                     "analytics_unavailable", "the analytics store is closed"

@@ -84,8 +84,8 @@ _PHRASES = {
 
 
 def _response_bytes(status: int, payload: Any, closing: bool) -> bytes:
-    """One HTTP/1.1 response; ``payload`` is a JSON dict or a
-    :class:`RawResponse`."""
+    """One HTTP/1.1 response; ``payload`` is a JSON dict, a contract
+    response or a :class:`RawResponse`."""
     if isinstance(payload, RawResponse):
         body = payload.body
         content_type = payload.content_type
@@ -591,7 +591,8 @@ class AsyncShoalServer:
         reader: asyncio.StreamReader,
     ) -> Tuple[int, Any, bool]:
         """Route one request; returns (status, payload, close_socket).
-        ``payload`` is a JSON dict or a :class:`RawResponse`."""
+        ``payload`` is a JSON dict, a contract response or a
+        :class:`RawResponse`."""
         path, _, raw_query = raw_path.partition("?")
         path = path.rstrip("/")
         force_close = False
@@ -698,9 +699,7 @@ class AsyncShoalServer:
 
     # -- reads: one attempt on the loop, under a deadline -------------------
 
-    async def _dispatch_read(
-        self, endpoint: str, payload: Dict[str, Any]
-    ) -> Dict[str, Any]:
+    async def _dispatch_read(self, endpoint: str, payload: Dict[str, Any]):
         """Answer one read under its deadline.
 
         Analytics takes the executor hop: SQLite blocks, under its own
@@ -708,13 +707,13 @@ class AsyncShoalServer:
         on the loop. Its deadline is cooperative: the backend and the
         router stop at their next check point once it passes, and a read
         that is expired when the chain returns or raises is a 504.
+        Returns the typed response: :func:`_json_bytes` encodes it.
         """
         request = self._core.decode_post(endpoint, payload)
         if isinstance(request, AnalyticsRequest):
-            response = await self._run_blocking(
+            return await self._run_blocking(
                 lambda: self._core.dispatch_request(request)
             )
-            return response.to_dict()
         timeout_ms = (
             request.timeout_ms
             if request.timeout_ms is not None
@@ -743,7 +742,7 @@ class AsyncShoalServer:
                     "its remaining shard work was skipped",
                 )
         self._stats.read_stats.record(time.perf_counter() - t0)
-        return response.to_dict()
+        return response
 
     # -- writes: coalescing --------------------------------------------------
 

@@ -134,7 +134,6 @@ class _EngineBackend(ShoalBackend):
             ctx.raise_if_done()
 
     def search(self, request: SearchRequest) -> SearchResponse:
-        request.validate()
         self._checkpoint()
         with traced("backend.search", tags={"kind": self.kind}):
             try:
@@ -148,7 +147,6 @@ class _EngineBackend(ShoalBackend):
         return SearchResponse(hits=tuple(hits))
 
     def recommend(self, request: RecommendRequest) -> RecommendResponse:
-        request.validate()
         self._checkpoint()
         with traced("backend.recommend", tags={"kind": self.kind}):
             try:
@@ -164,17 +162,16 @@ class _EngineBackend(ShoalBackend):
         return RecommendResponse(entity_ids=tuple(ids))
 
     def batch(self, request: BatchRequest) -> BatchResponse:
-        request.validate()
         self._checkpoint()
         with traced("backend.batch", tags={"kind": self.kind}):
             try:
                 if request.kind == "search":
                     rows = self._engine.search_topics_batch(
-                        list(request.queries), request.k
+                        request.queries, request.k
                     )
                 else:
                     rows = self._engine.recommend_batch(
-                        list(request.queries), request.k
+                        request.queries, request.k
                     )
             except ApiError:
                 raise
@@ -182,9 +179,7 @@ class _EngineBackend(ShoalBackend):
                 raise ApiError(
                     "backend_error", f"{self.kind} batch failed: {exc}"
                 )
-        return BatchResponse(
-            kind=request.kind, results=tuple(tuple(r) for r in rows)
-        )
+        return BatchResponse(kind=request.kind, results=rows)
 
     def categories_of_topic(self, topic_id: int) -> List[int]:
         """Engine extension (not part of the wire contract): the

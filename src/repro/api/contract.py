@@ -8,6 +8,18 @@ carries ``to_dict`` / ``from_dict`` such that
 ``from_dict(to_dict(x)) == x`` exactly (floats survive because JSON
 round-trips Python's shortest ``repr``).
 
+``to_dict`` is the in-process dict form. On the wire,
+:class:`SearchResponse` and a search :class:`BatchResponse` write their
+hits straight to text (``to_json``: one format per hit, no per-hit
+dict), and every other payload goes through ``json.dumps``; a
+hypothesis property in ``tests/api/test_contract.py`` pins ``to_json``
+to ``json.dumps(to_dict(), ensure_ascii=False, allow_nan=False)`` byte
+for byte, NaN and infinities raising ``ValueError`` as there.
+
+Requests are valid by construction: each request type validates its
+fields in ``__post_init__``, so one that exists has passed
+``validate`` exactly once, and no later layer checks it again.
+
 Errors are :class:`ApiError` values with *stable* machine-readable
 codes (see ``ERROR_CODES``) and a deterministic HTTP status mapping,
 so a client can branch on ``err.code`` regardless of which backend or
@@ -16,7 +28,10 @@ transport produced it.
 
 from __future__ import annotations
 
+import json
+import re
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring as _json_string
 from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
 
 from repro.core.serving import TopicHit
@@ -52,7 +67,7 @@ __all__ = [
 #: ``unsupported_version``.
 SCHEMA_VERSION = 1
 
-#: Validation bounds enforced by :meth:`validate` on every request.
+#: Validation bounds every request checks when it is constructed.
 MAX_K = 100
 MAX_QUERY_CHARS = 1024
 MAX_BATCH_QUERIES = 256
@@ -209,6 +224,40 @@ def topic_hit_to_dict(hit: TopicHit) -> Dict[str, Any]:
     }
 
 
+#: One topic hit as ``json.dumps`` writes :func:`topic_hit_to_dict`'s
+#: dict: the same key order, the default ``", "`` / ``": "`` separators.
+_HIT_JSON = (
+    '{"topic_id": %d, "score": %s, "label": %s, "n_entities": %d, '
+    '"n_categories": %d}'
+)
+_float_repr = float.__repr__
+
+#: A score ``float.__repr__`` wrote as ``nan``, ``inf`` or ``-inf``. Every
+#: quote inside a JSON string is escaped, so ``"score": `` followed by
+#: an ``n`` or an ``i`` only ever matches at a hit's score.
+_NON_FINITE_SCORE = re.compile(r'"score": -?[ni]')
+
+
+def _hits_json(hits: Sequence[TopicHit]) -> str:
+    """A JSON array of topic hits, written straight to text; the caller
+    checks the text with :func:`_finite`."""
+    return "[" + ", ".join([
+        _HIT_JSON % (
+            h.topic_id, _float_repr(h.score), _json_string(h.label),
+            h.n_entities, h.n_categories,
+        )
+        for h in hits
+    ]) + "]"
+
+
+def _finite(text: str) -> str:
+    """``text`` unless a score in it is NaN or infinite, which raises as
+    ``json.dumps(allow_nan=False)`` does."""
+    if _NON_FINITE_SCORE.search(text) is not None:
+        raise ValueError("Out of range float values are not JSON compliant")
+    return text
+
+
 def topic_hit_from_dict(payload: Mapping[str, Any]) -> TopicHit:
     fields = _take(
         payload,
@@ -238,6 +287,9 @@ class SearchRequest:
     k: int = 5
     timeout_ms: Optional[float] = None
     version: int = SCHEMA_VERSION
+
+    def __post_init__(self):
+        self.validate()
 
     def validate(self) -> "SearchRequest":
         _check_version(self.version)
@@ -270,7 +322,7 @@ class SearchRequest:
             k=fields.get("k", 5),
             timeout_ms=fields.get("timeout_ms"),
             version=fields.get("version", SCHEMA_VERSION),
-        ).validate()
+        )
 
 
 @dataclass(frozen=True)
@@ -281,6 +333,9 @@ class RecommendRequest:
     k: int = 10
     timeout_ms: Optional[float] = None
     version: int = SCHEMA_VERSION
+
+    def __post_init__(self):
+        self.validate()
 
     def validate(self) -> "RecommendRequest":
         _check_version(self.version)
@@ -312,7 +367,7 @@ class RecommendRequest:
             k=fields.get("k", 10),
             timeout_ms=fields.get("timeout_ms"),
             version=fields.get("version", SCHEMA_VERSION),
-        ).validate()
+        )
 
 
 @dataclass(frozen=True)
@@ -335,6 +390,7 @@ class BatchRequest:
         # and dataclass equality both want tuples.
         if not isinstance(self.queries, tuple):
             object.__setattr__(self, "queries", tuple(self.queries))
+        self.validate()
 
     def validate(self) -> "BatchRequest":
         _check_version(self.version)
@@ -392,7 +448,7 @@ class BatchRequest:
             kind=fields.get("kind", "search"),
             timeout_ms=fields.get("timeout_ms"),
             version=fields.get("version", SCHEMA_VERSION),
-        ).validate()
+        )
 
 
 # -- responses ---------------------------------------------------------------
@@ -414,6 +470,13 @@ class SearchResponse:
             "version": self.version,
             "hits": [topic_hit_to_dict(h) for h in self.hits],
         }
+
+    def to_json(self) -> str:
+        """The wire text: ``json.dumps(self.to_dict(), ensure_ascii=False,
+        allow_nan=False)`` to the byte, written without the per-hit dicts."""
+        return _finite('{"version": %d, "hits": %s}' % (
+            self.version, _hits_json(self.hits)
+        ))
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "SearchResponse":
@@ -487,6 +550,20 @@ class BatchResponse:
             results = [list(ids) for ids in self.results]
         return {"version": self.version, "kind": self.kind, "results": results}
 
+    def to_json(self) -> str:
+        """The wire text: ``json.dumps(self.to_dict(), ensure_ascii=False,
+        allow_nan=False)`` to the byte; a search batch is written without
+        the per-hit dicts."""
+        if self.kind != "search":
+            return json.dumps(
+                self.to_dict(), ensure_ascii=False, allow_nan=False
+            )
+        return _finite(
+            '{"version": %d, "kind": "search", "results": [%s]}' % (
+                self.version, ", ".join([_hits_json(r) for r in self.results])
+            )
+        )
+
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "BatchResponse":
         fields = _take(
@@ -547,6 +624,9 @@ class AnalyticsRequest:
     sample: bool = False
     timeout_ms: Optional[float] = None
     version: int = SCHEMA_VERSION
+
+    def __post_init__(self):
+        self.validate()
 
     def validate(self) -> "AnalyticsRequest":
         _check_version(self.version)
@@ -624,7 +704,7 @@ class AnalyticsRequest:
             sample=fields.get("sample", False),
             timeout_ms=fields.get("timeout_ms"),
             version=fields.get("version", SCHEMA_VERSION),
-        ).validate()
+        )
 
 
 @dataclass(frozen=True)

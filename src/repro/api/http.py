@@ -91,7 +91,15 @@ API_PREFIX = "/v1"
 MAX_BODY_BYTES = 1 << 20
 
 
-def _json_bytes(payload: Dict[str, Any]) -> bytes:
+def _json_bytes(payload: Any) -> bytes:
+    """The one wire encoder: a JSON dict, or a contract response, which
+    writes its own text when it has a ``to_json`` and is otherwise
+    encoded from its ``to_dict``."""
+    to_json = getattr(payload, "to_json", None)
+    if to_json is not None:
+        return to_json().encode("utf-8")
+    if not isinstance(payload, dict):
+        payload = payload.to_dict()
     return json.dumps(payload, ensure_ascii=False, allow_nan=False).encode(
         "utf-8"
     )
@@ -501,7 +509,6 @@ class ShoalClient(ShoalBackend):
 
     def _roundtrip(self, endpoint: str, request) -> Dict[str, Any]:
         """request → wire dict → transport → wire dict, validated."""
-        request.validate()
         if self._base_url is not None:
             return self._http("POST", endpoint, request.to_dict())
         # In-process: exercise the same codecs the wire would.
@@ -590,7 +597,6 @@ class ShoalClient(ShoalBackend):
         ``analytics_unavailable`` when the server has no analytics
         store attached.
         """
-        request.validate()
         if self._base_url is not None:
             return AnalyticsResponse.from_dict(
                 self._http("POST", "analytics", request.to_dict())

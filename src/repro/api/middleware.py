@@ -447,7 +447,6 @@ class Gateway(ShoalBackend):
         sink configured the request leaves one structured line. With
         neither, nothing per-request is observed.
         """
-        request.validate()
         ctx = current_context()
         if (
             (ctx is None or ctx.tracer is None)

@@ -791,13 +791,13 @@ def _cmd_analytics(args) -> int:
             f"{counts['applied_seq']}) into {db}"
         )
         engine = QueryEngine(store)
-        request = AnalyticsRequest(
-            sql=args.sql or None,
-            report=args.report or None,
-            limit=args.limit,
-            sample=args.sample,
-        )
         try:
+            request = AnalyticsRequest(
+                sql=args.sql or None,
+                report=args.report or None,
+                limit=args.limit,
+                sample=args.sample,
+            )
             _print_table(engine.query(request))
         except ApiError as exc:
             print(f"analytics error [{exc.code}]: {exc}")

@@ -30,7 +30,14 @@ per day":
    zero and could never be returned.
 3. **Batch APIs** — :meth:`search_topics_batch` and
    :meth:`recommend_batch` tokenise a request batch in one pass and
-   answer it through :meth:`search_tokens`, against one state snapshot.
+   answer it against one state snapshot.
+4. **Hits only for what is sent** — each topic's hit fields (id,
+   label, entity and category counts) are computed once per state
+   (``_ServiceState.hit_fields``). :meth:`search_tokens`, the shard-probe
+   entry, returns ranked ``(position, score)`` pairs together with those
+   fields, so a caller that keeps only some pairs — the cluster router
+   merging shard answers into one top-k — builds a :class:`TopicHit`
+   only for the ones it keeps.
 
 **No result cache.** The engine computes every answer it is asked for
 and holds no state a request mutates. Repeated requests are absorbed
@@ -71,8 +78,10 @@ __all__ = [
     "ServingModel",
     "TopicHit",
     "CategoryHit",
+    "HitFields",
     "ShoalService",
     "build_topic_documents",
+    "topic_hits",
 ]
 
 
@@ -98,6 +107,22 @@ class TopicHit:
     label: str
     n_entities: int
     n_categories: int
+
+
+#: A topic's :class:`TopicHit` fields other than the score:
+#: ``(topic_id, label, n_entities, n_categories)``, one per index position.
+HitFields = Tuple[int, str, int, int]
+
+
+def topic_hits(
+    fields: Sequence[HitFields], pairs: Sequence[Tuple[int, float]]
+) -> List[TopicHit]:
+    """The :class:`TopicHit` of each ranked ``(position, score)`` pair."""
+    hits = []
+    for pos, score in pairs:
+        topic_id, label, n_entities, n_categories = fields[pos]
+        hits.append(TopicHit(topic_id, score, label, n_entities, n_categories))
+    return hits
 
 
 @dataclass(frozen=True)
@@ -148,6 +173,7 @@ class _ServiceState:
     __slots__ = (
         "serving",
         "topics",
+        "hit_fields",
         "position_of",
         "topic_tokens",
         "topic_categories",
@@ -167,6 +193,10 @@ class _ServiceState:
         tokenize = tokenizer.tokenize
         self.serving = serving
         self.topics: List[Topic] = serving.taxonomy.topics()
+        self.hit_fields: List[HitFields] = [
+            (t.topic_id, t.label(), t.size, len(t.category_ids))
+            for t in self.topics
+        ]
         self.position_of: Dict[int, int] = {
             t.topic_id: pos for pos, t in enumerate(self.topics)
         }
@@ -219,6 +249,19 @@ class _ServiceState:
             self.entity_categories = mapping
 
 
+def _ranked(
+    state: _ServiceState, token_lists: Sequence[Sequence[str]], k: int
+) -> List[List[Tuple[int, float]]]:
+    """BM25 top-``k`` ``(position, score)`` pairs per pre-tokenised
+    query, against one state snapshot (hot-swap safety: the search and
+    any follow-up lookup of the caller run against the same model)."""
+    index = state.index
+    if index is None:
+        return [[] for _ in token_lists]
+    top_k = index.top_k
+    return [top_k(tokens, k) for tokens in token_lists]
+
+
 class ShoalService:
     """Read-only query engine over a :class:`ServingModel`.
 
@@ -268,8 +311,8 @@ class ShoalService:
     ) -> List[List[TopicHit]]:
         """:meth:`search_topics_batch` against ``state``, built but
         perhaps not yet published."""
-        tokens = self._tokenizer.tokenize_all(queries)
-        return self._search_tokens(state, tokens, k)
+        rows = _ranked(state, self._tokenizer.tokenize_all(queries), k)
+        return [topic_hits(state.hit_fields, pairs) for pairs in rows]
 
     def publish(self, state: _ServiceState) -> None:
         """Swap in ``state`` with zero read downtime: one reference
@@ -307,45 +350,21 @@ class ShoalService:
 
     def search_topics(self, query: str, k: int = 5) -> List[TopicHit]:
         """Topics relevant to a keyword query, best first."""
-        return self._search_tokens(
-            self._state, [self._tokenizer.tokenize(query)], k
-        )[0]
+        state = self._state
+        pairs = _ranked(state, [self._tokenizer.tokenize(query)], k)[0]
+        return topic_hits(state.hit_fields, pairs)
 
     def search_tokens(
         self, token_lists: Sequence[Sequence[str]], k: int = 5
-    ) -> List[List[TopicHit]]:
-        """One hit list per already-tokenised query, in order, all
-        against one state snapshot: the batch entry point of
-        :meth:`search_topics_batch` and of the cluster router."""
-        return self._search_tokens(self._state, token_lists, k)
-
-    @staticmethod
-    def _search_tokens(
-        state: _ServiceState, token_lists: Sequence[Sequence[str]], k: int
-    ) -> List[List[TopicHit]]:
-        """BM25 search over pre-tokenised queries, against one state
-        snapshot (hot-swap safety: search and any follow-up lookups of
-        the caller run against the same model)."""
-        index = state.index
-        if index is None:
-            return [[] for _ in token_lists]
-        topics = state.topics
-        rows: List[List[TopicHit]] = []
-        for tokens in token_lists:
-            hits = []
-            for doc_idx, score in index.top_k(tokens, k):
-                t = topics[doc_idx]
-                hits.append(
-                    TopicHit(
-                        topic_id=t.topic_id,
-                        score=score,
-                        label=t.label(),
-                        n_entities=t.size,
-                        n_categories=len(t.category_ids),
-                    )
-                )
-            rows.append(hits)
-        return rows
+    ) -> Tuple[List[HitFields], List[List[Tuple[int, float]]]]:
+        """Ranked ``(position, score)`` pairs per already-tokenised
+        query, in order, all against one state snapshot — returned with
+        that snapshot's per-position hit fields, so a caller builds
+        :class:`TopicHit` values only for the pairs it keeps. The batch
+        entry point of :meth:`search_topics_batch` and of the cluster
+        router's shard probes."""
+        state = self._state
+        return state.hit_fields, _ranked(state, token_lists, k)
 
     def search_topics_batch(
         self, queries: Sequence[str], k: int = 5
@@ -355,17 +374,18 @@ class ShoalService:
         Tokenises the whole batch up front and answers every query
         against one state snapshot.
         """
-        return self.search_tokens(self._tokenizer.tokenize_all(queries), k)
+        fields, rows = self.search_tokens(
+            self._tokenizer.tokenize_all(queries), k
+        )
+        return [topic_hits(fields, pairs) for pairs in rows]
 
     def best_topic(self, query: str) -> Optional[Topic]:
         """The single best-matching topic (None if nothing matches)."""
         state = self._state
-        hits = self._search_tokens(
-            state, [self._tokenizer.tokenize(query)], 1
-        )[0]
-        if not hits:
+        pairs = _ranked(state, [self._tokenizer.tokenize(query)], 1)[0]
+        if not pairs:
             return None
-        return state.serving.taxonomy.topic(hits[0].topic_id)
+        return state.topics[pairs[0][0]]
 
     # -- scenario B: Topic → Sub-topic ------------------------------------------
 
@@ -484,11 +504,9 @@ class ShoalService:
         shares tokenisation and one state snapshot across the batch.
         """
         state = self._state
-        rows = self._search_tokens(
-            state, self._tokenizer.tokenize_all(queries), 1
-        )
-        taxonomy = state.serving.taxonomy
+        rows = _ranked(state, self._tokenizer.tokenize_all(queries), 1)
+        topics = state.topics
         return [
-            taxonomy.topic(hits[0].topic_id).entity_ids[:k] if hits else []
-            for hits in rows
+            topics[pairs[0][0]].entity_ids[:k] if pairs else []
+            for pairs in rows
         ]

@@ -3,7 +3,11 @@
 :class:`ClusterRouter` is the single front door of a shard set: it owns
 a token → shard index (derived from each shard's BM25 posting lists),
 fans a query out to the shards that could possibly score it, and merges
-the per-shard top-k; a batch probes each touched shard once. The
+the per-shard top-k; a batch probes each touched shard once. A shard
+probe answers with ranked ``(position, score)`` pairs and its per-topic
+hit fields; the router merges ``(score, topic_id)`` keys and builds a
+:class:`~repro.core.serving.TopicHit` only for the ≤ k entries a query
+keeps (a query only one shard answered keeps that shard's order). The
 router computes every answer it is asked for: like the engine under
 it, it holds no result cache (the gateway's
 :class:`~repro.api.middleware.CacheMiddleware` is the only one) and no
@@ -44,6 +48,7 @@ from repro.core.serving import (
     CategoryHit,
     ShoalService,
     TopicHit,
+    topic_hits,
 )
 from repro.core.taxonomy import Topic
 from repro.serving.sharding import ShardPlanner, ShardSet
@@ -65,6 +70,32 @@ def _checkpoint() -> None:
     ctx = current_context()
     if ctx is not None:
         ctx.raise_if_done()
+
+
+def _merge(parts: list, k: int) -> List[TopicHit]:
+    """One query's top-``k`` hits from the ranked answers of the shards
+    that matched it; a :class:`TopicHit` is built only for a kept entry.
+
+    The unsharded index breaks score ties toward the lower document
+    index, and its documents are laid out in ascending topic-id order,
+    so ``(-score, topic_id)`` reproduces the unsharded ordering exactly.
+    A shard orders its own answer the same way, so a query only one
+    shard answered keeps that shard's order as is.
+    """
+    if not parts:
+        return []
+    if len(parts) == 1:
+        fields, pairs = parts[0]
+        return topic_hits(fields, pairs)
+    keyed = sorted([
+        (-score, fields[pos][0], fields[pos])
+        for fields, pairs in parts
+        for pos, score in pairs
+    ])
+    return [
+        TopicHit(topic_id, -neg, label, n_entities, n_categories)
+        for neg, _, (topic_id, label, n_entities, n_categories) in keyed[:k]
+    ]
 
 
 class _Shard:
@@ -220,38 +251,34 @@ class ClusterRouter:
         ``shard`` and ``queries``) → merge per query."""
         with traced(span):
             token_lists = self._tokenizer.tokenize_all(queries)
-            routed: Dict[int, List[int]] = {}
+            with_token = self._shards_with_token
+            routed: List[List[int]] = [[] for _ in self._shards]
             for q, tokens in enumerate(token_lists):
-                shard_ids: set = set()
-                for tok in tokens:
-                    shard_ids.update(self._shards_with_token.get(tok, ()))
-                for i in shard_ids:
-                    routed.setdefault(i, []).append(q)
-            merged: List[List[TopicHit]] = [[] for _ in token_lists]
-            for i in sorted(routed):
+                for i in {i for tok in tokens for i in with_token.get(tok, ())}:
+                    routed[i].append(q)
+            # Per query: the (hit fields, ranked pairs) of each shard
+            # that answered it.
+            answers: List[list] = [[] for _ in token_lists]
+            for i, positions in enumerate(routed):
+                if not positions:
+                    continue
                 _checkpoint()
                 shard = self._shards[i]
-                positions = routed[i]
                 t0 = time.perf_counter()
                 try:
                     with traced(
                         "router.shard_probe",
                         tags={"shard": str(i), "queries": str(len(positions))},
                     ):
-                        rows = shard.service.search_tokens(
+                        fields, rows = shard.service.search_tokens(
                             [token_lists[q] for q in positions], k
                         )
                 finally:
                     shard.add_busy(time.perf_counter() - t0)
-                for q, hits in zip(positions, rows):
-                    merged[q].extend(hits)
-            # Global doc order is ascending topic id, and the unsharded
-            # index breaks score ties toward the lower doc index — so
-            # this sort reproduces the unsharded ordering exactly.
-            return [
-                sorted(hits, key=lambda h: (-h.score, h.topic_id))[:k]
-                for hits in merged
-            ]
+                for q, pairs in zip(positions, rows):
+                    if pairs:
+                        answers[q].append((fields, pairs))
+            return [_merge(parts, k) for parts in answers]
 
     # -- topic-local scenarios (B, C) ---------------------------------------
 

@@ -5,12 +5,21 @@ Paper Sec. 2.3 defines the concentration of a query for a topic via
 is the pseudo-document made by concatenating every item title in topic
 ``t_k``. This module provides a standard, from-scratch Okapi BM25 over
 tokenised documents.
+
+Each token's postings are stored in *impact order* — the order
+:meth:`BM25.top_k` ranks in: descending term, then ascending document
+index. A query with exactly one indexed token is therefore answered by
+a prefix of that token's postings, with no accumulation and no sort;
+a query with several adds its tokens' terms per document, in query
+order, and sorts only the documents it touched.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import islice
+from operator import itemgetter
 from typing import Dict, FrozenSet, List, Optional, Sequence
 
 import numpy as np
@@ -98,6 +107,10 @@ class BM25:
     computed once here. A query's score for a document is the sum of
     its tokens' terms in query order, so :meth:`score`, :meth:`scores`
     and :meth:`top_k` all add the same floats in the same order.
+
+    Each posting map is sorted once, in place, into impact order
+    (descending term, ascending document index); no second ranked copy
+    is kept.
     """
 
     def __init__(
@@ -142,6 +155,13 @@ class BM25:
                     self._idf.get(tok, 0.0) * (f * (k1 + 1.0)) / (f + norm)
                     if avg_len else 0.0
                 )
+        # Impact order: documents were added in ascending index order
+        # and a reversed sort is stable, so equal terms keep that order.
+        impact = itemgetter(1)
+        for tok, postings in self._terms.items():
+            self._terms[tok] = dict(
+                sorted(postings.items(), key=impact, reverse=True)
+            )
 
     # -- accessors ----------------------------------------------------------
 
@@ -200,20 +220,33 @@ class BM25:
     def top_k(self, query_tokens: Sequence[str], k: int = 10) -> List[tuple]:
         """Top-``k`` (doc_index, score) pairs by descending relevance.
 
-        Sums the posting terms of the query's tokens, in query order,
-        into one total per document that shares a token with the query
-        — every other document scores zero, so the pruning is exact.
-        Keeps positive totals; ties break toward the lower document
-        index.
+        Tokens the index does not hold add nothing and are dropped
+        first. One remaining token: the answer is a prefix of its
+        impact-ordered postings. Several: their posting terms are summed,
+        in query order, into one total per document that shares a token
+        with the query — every other document scores zero, so the
+        pruning is exact. Keeps positive totals; ties break toward the
+        lower document index.
         """
         if k <= 0:
             return []
-        totals: Dict[int, float] = {}
-        for tok in query_tokens:
-            for doc_index, term in self._terms.get(tok, {}).items():
-                totals[doc_index] = totals.get(doc_index, 0.0) + term
-        ranked = sorted(
-            ((i, s) for i, s in totals.items() if s > 0.0),
-            key=lambda pair: (-pair[1], pair[0]),
-        )
-        return ranked[:k]
+        terms = self._terms
+        postings = [terms[tok] for tok in query_tokens if tok in terms]
+        if len(postings) == 1:
+            # Terms are never negative, so the positive ones lead.
+            ranked = []
+            for pair in islice(postings[0].items(), k):
+                if not pair[1] > 0.0:
+                    break
+                ranked.append(pair)
+            return ranked
+        if not postings:
+            return []
+        # The first token's terms start the totals: 0.0 + term is term.
+        totals = dict(postings[0])
+        get = totals.get
+        for extra in postings[1:]:
+            for doc_index, term in extra.items():
+                totals[doc_index] = get(doc_index, 0.0) + term
+        keyed = sorted([(-s, i) for i, s in totals.items() if s > 0.0])
+        return [(i, -neg) for neg, i in keyed[:k]]

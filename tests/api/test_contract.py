@@ -37,6 +37,7 @@ from repro.api import (
     SearchResponse,
     request_from_dict,
 )
+from repro.api.http import _json_bytes
 from repro.core.serving import TopicHit
 
 # -- strategies --------------------------------------------------------------
@@ -250,6 +251,94 @@ class TestRoundTrips:
             MetricsResponse.from_dict(json.loads(json.dumps(resp.to_dict())))
             == resp
         )
+
+
+# -- the wire encoder ---------------------------------------------------------
+
+#: Labels that stress JSON string escaping: quotes, backslashes, control
+#: characters (C0, DEL, the JS line separators), non-ASCII text, emoji.
+wire_labels = st.one_of(
+    st.text(max_size=30),
+    st.lists(
+        st.sampled_from(
+            ['"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "\u2028",
+             "é", "中文", "😀", "👩‍👩‍👧", "a", " ", "/", "score", ":"]
+        ),
+        max_size=12,
+    ).map("".join),
+)
+#: Finite scores, with the edge cases of float formatting drawn often.
+wire_scores = st.one_of(
+    scores,
+    st.sampled_from(
+        [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 1e16, -1e16,
+         1e-7, 1e-5, 1e-4, 123456789012345.6, 1.7976931348623157e308]
+    ),
+)
+wire_hits = st.builds(
+    TopicHit,
+    topic_id=st.integers(min_value=0, max_value=10**12),
+    score=wire_scores,
+    label=wire_labels,
+    n_entities=st.integers(min_value=0, max_value=10**9),
+    n_categories=st.integers(min_value=0, max_value=10**6),
+)
+wire_hit_lists = st.lists(wire_hits, max_size=6).map(tuple)
+wire_search_responses = st.builds(SearchResponse, hits=wire_hit_lists)
+wire_batch_responses = st.builds(
+    BatchResponse,
+    kind=st.just("search"),
+    results=st.lists(wire_hit_lists, max_size=5).map(tuple),
+)
+
+
+class TestWireEncoder:
+    """Search answers are written straight to wire text; the bytes must
+    be exactly what ``json.dumps`` makes of their ``to_dict``."""
+
+    @settings(max_examples=300)
+    @given(st.one_of(wire_search_responses, wire_batch_responses))
+    def test_bytes_equal_json_dumps_of_to_dict(self, response):
+        wire = _json_bytes(response)
+        assert wire == _json_bytes(response.to_dict())
+        assert wire == json.dumps(
+            response.to_dict(), ensure_ascii=False, allow_nan=False
+        ).encode("utf-8")
+
+    @pytest.mark.parametrize(
+        "response",
+        [
+            SearchResponse(hits=()),
+            BatchResponse(kind="search", results=()),
+            BatchResponse(kind="search", results=((), ())),
+            BatchResponse(kind="recommend", results=((1, 2), ())),
+        ],
+        ids=["no-hits", "no-results", "empty-rows", "recommend"],
+    )
+    def test_empty_answers(self, response):
+        assert _json_bytes(response) == _json_bytes(response.to_dict())
+
+    @pytest.mark.parametrize(
+        "bad", [float("nan"), float("inf"), float("-inf")]
+    )
+    def test_non_finite_scores_raise_like_json_dumps(self, bad):
+        fine = TopicHit(1, 0.5, 'a "score": nan', 2, 3)
+        hit = TopicHit(2, bad, "x", 1, 1)
+        for response in (
+            SearchResponse(hits=(fine, hit)),
+            BatchResponse(kind="search", results=((fine,), (hit,))),
+        ):
+            with pytest.raises(ValueError):
+                json.dumps(response.to_dict(), allow_nan=False)
+            with pytest.raises(ValueError):
+                _json_bytes(response)
+
+    def test_a_label_that_spells_a_non_finite_score_is_text(self):
+        """The non-finite check looks at scores, not at label text."""
+        response = SearchResponse(
+            hits=(TopicHit(1, 1.5, '"score": nan, "score": -inf', 2, 3),)
+        )
+        assert _json_bytes(response) == _json_bytes(response.to_dict())
 
 
 # -- invalid payloads → stable error codes -----------------------------------

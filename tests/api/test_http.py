@@ -28,7 +28,7 @@ from repro.api import (
     ShoalClient,
     default_middlewares,
 )
-from repro.api.http import partial_batch_error
+from repro.api.http import _json_bytes, partial_batch_error
 
 
 @pytest.fixture(scope="module")
@@ -106,6 +106,69 @@ class TestHttpTransparency:
         _, remote, _ = served
         response = remote.search(SearchRequest(query="zzqq-no-match", k=5))
         assert response.hits == ()
+
+
+class TestOneValidationPerRequest:
+    """A request validates itself once, when it is constructed; neither
+    the gateway nor the backend walks it again."""
+
+    def test_one_http_batch_is_validated_once(self, served, monkeypatch):
+        server, _, _ = served
+        passes = []
+        validate = BatchRequest.validate
+
+        def counting(self):
+            passes.append(len(self.queries))
+            return validate(self)
+
+        monkeypatch.setattr(BatchRequest, "validate", counting)
+        status, _ = _post(
+            f"{server.url}/v1/batch",
+            {"queries": [f"q{i} beach" for i in range(64)], "k": 5},
+        )
+        assert status == 200
+        assert passes == [64]
+
+    @pytest.mark.parametrize(
+        "build, code",
+        [
+            (lambda: SearchRequest(query="", k=3), "invalid_argument"),
+            (lambda: SearchRequest(query="beach", k=0), "invalid_argument"),
+            (lambda: SearchRequest(query="beach", k="5"), "bad_request"),
+            (lambda: RecommendRequest(query="beach", version=2),
+             "unsupported_version"),
+            (lambda: BatchRequest(queries=()), "invalid_argument"),
+            (lambda: BatchRequest(queries=("ok", 7)), "bad_request"),
+            (lambda: BatchRequest(queries=("ok",), kind="x"),
+             "invalid_argument"),
+        ],
+    )
+    def test_an_invalid_request_is_refused_with_its_code(self, build, code):
+        """In process, the code an invalid request earns is the one the
+        gateway and the backends used to raise when they validated it."""
+        with pytest.raises(ApiError) as excinfo:
+            build()
+        assert excinfo.value.code == code
+
+    def test_cold_batch_wire_bytes_equal_json_dumps(
+        self, served, tiny_marketplace
+    ):
+        server, _, local = served
+        queries = [
+            f"{q.text} zq{i}"
+            for i, q in enumerate(tiny_marketplace.query_log.queries[:64])
+        ]
+        request = urllib.request.Request(
+            f"{server.url}/v1/batch",
+            data=json.dumps({"queries": queries, "k": 5}).encode(),
+            headers={"Content-Type": "application/json"},
+            method="POST",
+        )
+        with urllib.request.urlopen(request, timeout=10) as resp:
+            body = resp.read()
+        expected = local.batch(BatchRequest(queries=tuple(queries), k=5))
+        assert any(expected.results)
+        assert body == _json_bytes(expected.to_dict())
 
 
 class TestHttpErrorMapping:

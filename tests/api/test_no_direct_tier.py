@@ -408,6 +408,17 @@ SWAP_REFRESH = re.compile(r"\brefresh\b|any object with")
 #: The entity graph's all-at-once candidate enumerator and prune.
 ALL_CANDIDATES_AT_ONCE = re.compile(r"\b(co_click_counts|_prune_to_top_k)\b")
 
+#: The shard probe that built a hit for every match and the router's
+#: re-sort of every merged answer — removed: a probe returns ranked
+#: (position, score) pairs, and only the kept top-k become hits.
+PER_SHARD_HITS = re.compile(
+    r"\b_search_tokens\b|key=lambda h: \(-h\.score, h\.topic_id\)"
+)
+
+#: A request walked again after construction — removed: a request
+#: validates itself in ``__post_init__``, once.
+REVALIDATION = re.compile(r"\brequest\.validate\(\)")
+
 SWAP_PATH_MODULES = [
     "src/repro/core/serving.py",
     "src/repro/streaming/rollout.py",
@@ -608,6 +619,20 @@ REMOVALS = (
         "reference to the removed all-at-once candidate enumerator or "
         "prune (the entity graph scores co_click_blocks block by block "
         "and keeps a running top-k between them)",
+    ),    Removal(
+        "hits-built-per-shard", PER_SHARD_HITS,
+        ("src", "scripts", "examples", "README.md"),
+        "reference to the removed per-shard hit building or per-query "
+        "re-sort (search_tokens returns ranked (position, score) pairs "
+        "with the state's hit fields; the router merges (score, topic_id) "
+        "keys and builds a TopicHit only for the kept top-k)",
+    ),
+    Removal(
+        "request-revalidated", REVALIDATION,
+        ("src/repro/api", "src/repro/analytics"),
+        "a request validated again after construction (requests are "
+        "valid by construction: __post_init__ runs validate once)",
+        suffixes=(".py",),
     ),
 )
 
@@ -1156,6 +1181,28 @@ def test_the_guard_itself_still_bites():
         "top = _RunningTopK(len(ids), cfg.max_neighbors)",
     ):
         assert not ALL_CANDIDATES_AT_ONCE.search(snippet), snippet
+    for snippet in (
+        "return self._search_tokens(state, tokens, k)",
+        "def _search_tokens(",
+        "sorted(hits, key=lambda h: (-h.score, h.topic_id))[:k]",
+    ):
+        assert PER_SHARD_HITS.search(snippet), snippet
+    for snippet in (
+        "fields, rows = shard.service.search_tokens(",
+        "def search_tokens(",
+        "keyed = sorted([(-score, fields[pos][0], fields[pos])",
+    ):
+        assert not PER_SHARD_HITS.search(snippet), snippet
+    for snippet in (
+        "        request.validate()",
+        "request.validate()\n        ctx = current_context()",
+    ):
+        assert REVALIDATION.search(snippet), snippet
+    for snippet in (
+        "    def __post_init__(self):\n        self.validate()",
+        "def validate(self) -> \"BatchRequest\":",
+    ):
+        assert not REVALIDATION.search(snippet), snippet
     assert [r.pattern for r in REMOVALS] == [
         FORBIDDEN,
         LEGACY_CALLS,
@@ -1183,4 +1230,6 @@ def test_the_guard_itself_still_bites():
         REMOVED_SWAP_ROLLBACK,
         SWAP_REFRESH,
         ALL_CANDIDATES_AT_ONCE,
+        PER_SHARD_HITS,
+        REVALIDATION,
     ]

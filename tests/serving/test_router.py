@@ -5,8 +5,18 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from repro.core.serving import ShoalService
+from repro.core.correlation import CorrelationGraph
+from repro.core.serving import ServingModel, ShoalService, build_topic_documents
+from repro.core.taxonomy import Taxonomy, Topic
 from repro.serving import ClusterRouter, ShardPlanner
+from repro.serving.sharding import (
+    ShardAssignment,
+    ShardPlan,
+    ShardSet,
+    build_shard_model,
+)
+from repro.text.bm25 import CollectionStats
+from repro.text.tokenizer import Tokenizer
 
 
 @pytest.fixture(scope="module")
@@ -58,6 +68,81 @@ class TestRouting:
     def test_unknown_topic_raises(self, router):
         with pytest.raises(KeyError):
             router.topic(10**9)
+
+
+#: A hand-built world: one root topic per entity, the entity's title
+#: its whole document. Topics 1, 2, 4 and 5 hold the same document, so
+#: every query on "sun" scores them equally; so do 6 and 8 for "dune".
+TITLES = {
+    0: "ice", 1: "sun", 2: "sun", 3: "sand ice", 4: "sun", 5: "sun",
+    6: "dune", 8: "dune",
+}
+#: Even topic ids on shard 0, odd ones on shard 1: the "sun" ties sit
+#: two on each shard, the "dune" ties both on shard 0.
+SHARD_ROOTS = ((0, 2, 4, 6, 8), (1, 3, 5))
+
+
+@pytest.fixture(scope="module")
+def tied_world():
+    """(the unsharded service, a router over the two-shard split)."""
+    serving = ServingModel(
+        taxonomy=Taxonomy(
+            [Topic(topic_id=e, entity_ids=[e], category_ids=[e])
+             for e in TITLES]
+        ),
+        titles=dict(TITLES),
+        correlations=CorrelationGraph({}, 1),
+    )
+    docs, _ = build_topic_documents(
+        serving.taxonomy.topics(), serving.titles, Tokenizer().tokenize
+    )
+    shard_set = ShardSet(
+        plan=ShardPlan(
+            n_shards=2,
+            assignments=tuple(
+                ShardAssignment(i, roots, len(roots), len(roots))
+                for i, roots in enumerate(SHARD_ROOTS)
+            ),
+        ),
+        models=[build_shard_model(serving, roots) for roots in SHARD_ROOTS],
+        collection_stats=CollectionStats.from_documents(docs),
+    )
+    return ShoalService(serving), ClusterRouter(shard_set)
+
+
+class TestMerge:
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_ties_across_shards_break_toward_the_lower_topic_id(
+        self, tied_world, k
+    ):
+        service, router = tied_world
+        hits = router.search_topics("sun", k)
+        assert [h.topic_id for h in hits] == [1, 2, 4, 5][:k]
+        assert len({h.score for h in hits}) == 1
+        assert hits == service.search_topics("sun", k)
+
+    def test_batches_equal_the_unsharded_service(self, tied_world):
+        service, router = tied_world
+        queries = [
+            "sun", "sun ice", "ice", "sand", "sand sun", "zzz", "sun sun",
+            "dune", "dune sun",
+        ]
+        for k in (1, 2, 3, 6):
+            assert router.search_topics_batch(queries, k) == (
+                service.search_topics_batch(queries, k)
+            )
+
+    def test_a_query_one_shard_answers_keeps_its_order(self, tied_world):
+        """ "dune" is indexed on shard 0 only, "sand" on shard 1 only:
+        each answer is that shard's, in that shard's order."""
+        service, router = tied_world
+        for query, ids in (("dune", [6, 8]), ("sand", [3])):
+            hits = router.search_topics(query, 3)
+            assert [h.topic_id for h in hits] == ids
+            assert hits == service.search_topics(query, 3)
+        assert router.search_topics("dune", 1) == service.search_topics(
+            "dune", 1
+        )
 
 
 class TestConstruction:

@@ -134,10 +134,31 @@ class TestEdgeCases:
 VOCAB = ("sun", "sand", "ice", "ski")
 UNSEEN = "zzz"
 
-documents = st.lists(
-    st.lists(st.sampled_from(VOCAB), max_size=6), max_size=7
+documents = st.one_of(
+    st.lists(st.lists(st.sampled_from(VOCAB), max_size=6), max_size=7),
+    # every document empty: average length 0
+    st.lists(st.just([]), min_size=1, max_size=4),
 )
 queries = st.lists(st.sampled_from(VOCAB + (UNSEEN,)), max_size=5)
+#: How a drawn query is reshaped before it is asked.
+FOCUS = ("as drawn", "one indexed token", "one indexed token, repeated")
+
+
+def focused(query, docs, focus):
+    """``query`` as drawn, or reshaped to hold exactly one token the
+    index holds (absent tokens around it kept), or that token at least
+    twice. An index with no tokens leaves the query as drawn."""
+    indexed = sorted({tok for doc in docs for tok in doc})
+    if focus == "as drawn" or not indexed:
+        return query
+    first = next((tok for tok in query if tok in indexed), indexed[0])
+    if focus == "one indexed token":
+        absent = [UNSEEN if tok in indexed else tok for tok in query]
+        if first in query:
+            at = query.index(first)
+            return absent[:at] + [first] + absent[at + 1:]
+        return absent + [first]
+    return [first if tok in indexed else tok for tok in query] + [first]
 
 
 def reference_scores(docs, query, stats, config=BM25Config()):
@@ -186,19 +207,38 @@ class TestAgainstReference:
         docs=documents,
         extra=st.lists(st.lists(st.sampled_from(VOCAB), max_size=9), max_size=3),
         query=queries,
+        focus=st.sampled_from(FOCUS),
         corpus=st.sampled_from(["local", "partition", "foreign"]),
         k=st.integers(min_value=-1, max_value=9),
     )
-    @example(docs=[[], []], extra=[], query=["sun"], corpus="local", k=3)
+    @example(docs=[[], []], extra=[], query=["sun"], focus="as drawn",
+             corpus="local", k=3)
     @example(docs=[["sun"], ["sun"], ["ice"], ["sun"]], extra=[],
-             query=["sun", "sun"], corpus="local", k=2)
+             query=["sun", "sun"], focus="as drawn", corpus="local", k=2)
     @example(docs=[["sun"], ["ice"]], extra=[["ice"]], query=["sun"],
-             corpus="foreign", k=2)
-    def test_top_k_and_scores_equal_the_formula(self, docs, extra, query, corpus, k):
+             focus="as drawn", corpus="foreign", k=2)
+    # one indexed token between absent ones, k below the match count
+    @example(docs=[["sun", "ice"], ["sun"], ["ice"], ["sun", "sun"]],
+             extra=[], query=[UNSEEN, "sun", "ski"],
+             focus="one indexed token", corpus="local", k=2)
+    # one indexed token against a foreign corpus of empty documents:
+    # average length 0, every term 0.0, nothing returned
+    @example(docs=[["sun"], ["sun", "ice"]], extra=[[], []], query=["sun"],
+             focus="one indexed token", corpus="foreign", k=3)
+    def test_top_k_and_scores_equal_the_formula(
+        self, docs, extra, query, focus, corpus, k
+    ):
         """Equal floats (``==``), equal order, ties toward the lower
         document index — against the local statistics, as a partition
         of a larger corpus, and against a foreign corpus that lacks some
-        local tokens (IDF 0, so a matching document can total 0.0)."""
+        local tokens (IDF 0, so a matching document can total 0.0) or
+        whose documents are all empty (average length 0). Queries are
+        also reshaped to exactly one indexed token (the prefix path) or
+        to one indexed token repeated."""
+        query = focused(query, docs, focus)
+        if focus == "one indexed token" and any(docs):
+            held = {tok for doc in docs for tok in doc}
+            assert sum(tok in held for tok in query) == 1
         if corpus == "local":
             stats = CollectionStats.from_documents(docs)
             bm25 = BM25(docs)
